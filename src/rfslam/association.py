@@ -1,11 +1,14 @@
 """Data association: local weights, cost matrix, ranked k-best assignment.
 
 Each previously detected landmark can be detected again, misdetected, or a
-measurement can start a new landmark (or be clutter).  The resulting
-assignment problem is solved for the best ``gamma`` associations per global
-hypothesis by Murty's ranked partitioning on top of an optimal-assignment
-kernel (scipy's Jonker-Volgenant-style solver), in negative-log-weight
-(cost) domain.
+measurement can start a new landmark (or be clutter).  Each of the three
+local weights has one implementation here -- :func:`log_weight_detected`,
+:func:`misdetection_weight` and :func:`weight_birth` (with the newborn
+Gaussian from :func:`birth_from_measurement`) -- which the cost matrix and
+the joint update both use.  The resulting assignment problem is solved for
+the best ``gamma`` associations per global hypothesis by Murty's ranked
+partitioning on top of an optimal-assignment kernel (scipy's
+Jonker-Volgenant-style solver), in negative-log-weight (cost) domain.
 """
 
 from __future__ import annotations
@@ -19,8 +22,15 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import linear_sum_assignment
 
-from .density import Bernoulli, GaussianComponent, GlobalHypothesis
-from .geometry import DegenerateGeometryError, LandmarkType
+from .density import (
+    Bernoulli,
+    GaussianComponent,
+    GlobalHypothesis,
+    TypeComponent,
+    symmetrize,
+)
+from .geometry import MAX_P_DETECT, DegenerateGeometryError, LandmarkType
+from .multimodel import birth_type_probs
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -77,56 +87,92 @@ def predict_types(bern: Bernoulli, sensor: GaussianComponent, model) -> dict:
     return preds
 
 
-def weight_detected(prior: Bernoulli, meas, sensor: GaussianComponent,
-                    model) -> float:
-    """Local weight for "detected again": r * sum_type psi pd N(z; h, S)."""
-    preds = predict_types(prior, sensor, model)
-    total = 0.0
-    for kind, comp in prior.belief.types.items():
+def log_weight_detected(bern: Bernoulli, meas, preds: dict, model):
+    """Local weight for "detected again", in log domain, for one pair.
+
+    Returns ``(ln l, logliks, mahal)`` with l = r sum_type psi pd N(z; h, S),
+    the per-type log-likelihoods and the smallest squared Mahalanobis
+    distance over the types (the caller gates on it).  Types with zero
+    detection probability, zero weight or degenerate geometry contribute
+    nothing; with no contribution, or zero existence, ln l is -inf.
+    """
+    logliks = {}
+    best_mahal = math.inf
+    if bern.existence <= 0.0:
+        return -math.inf, logliks, best_mahal
+    terms = []
+    for kind, comp in bern.belief.types.items():
         pred = preds[kind]
         if pred.p_detect <= 0.0 or comp.weight <= 0.0 or pred.z_pred is None:
             continue
         S = pred.hph + meas.covariance
         v = model.wrap_residual(meas.z - pred.z_pred)
-        loglik, _ = chol_logpdf(v, S)
-        total += comp.weight * pred.p_detect * math.exp(loglik)
-    return prior.existence * total
+        loglik, mahal = chol_logpdf(v, S)
+        logliks[kind] = loglik
+        best_mahal = min(best_mahal, mahal)
+        terms.append(math.log(comp.weight) + math.log(pred.p_detect) + loglik)
+    return math.log(bern.existence) + _logsumexp(terms), logliks, best_mahal
 
 
-def weight_misdetected(prior: Bernoulli, sensor: GaussianComponent,
-                       model) -> float:
-    """Local weight for "not detected": (1 - r) + r sum_type psi (1 - pd)."""
-    survive = 0.0
-    for kind, comp in prior.belief.types.items():
-        pd = min(model.detection_probability(sensor.mean, comp.mean, kind),
-                 1.0 - 1e-9)
-        survive += comp.weight * (1.0 - pd)
-    return (1.0 - prior.existence) + prior.existence * survive
+def misdetection_weight(bern: Bernoulli, preds: dict):
+    """Local weight for "not detected": l0 = (1 - r) + r sum_type psi (1 - pd).
+
+    Returns ``(p_detect, survive, l0)``: the per-type detection
+    probabilities clamped to ``MAX_P_DETECT`` (degenerate geometry counts
+    as pd = 0), survive = sum_type psi (1 - pd), and l0.
+    """
+    p_detect = {k: min(preds[k].p_detect, MAX_P_DETECT)
+                for k in bern.belief.types}
+    survive = sum(comp.weight * (1.0 - p_detect[k])
+                  for k, comp in bern.belief.types.items())
+    return p_detect, survive, (1.0 - bern.existence) + bern.existence * survive
+
+
+def birth_from_measurement(meas, sensor: GaussianComponent,
+                           kind: LandmarkType, model):
+    """Newborn landmark Gaussian from a single measurement.
+
+    Mean by geometric inversion at the sensor mean; covariance from the
+    infinite-prior EK update, i.e. the inverse Fisher-style form
+    (Hx^T (Hs P Hs^T + R)^-1 Hx)^-1.  Returns ``(component, H_s, H_x)``
+    with the Jacobians at the newborn mean, or None when the measurement
+    does not determine a position (caller treats it as clutter-only).
+    """
+    mean = model.invert(meas.z, sensor.mean, kind)
+    if mean is None:
+        return None
+    try:
+        H_s, H_x = model.jacobians(sensor.mean, mean, kind)
+    except DegenerateGeometryError:
+        return None
+    gain_cov = H_s @ sensor.covariance @ H_s.T + meas.covariance
+    try:
+        info = H_x.T @ cho_solve(cho_factor(gain_cov, lower=True), H_x)
+        cov = cho_solve(cho_factor(info, lower=True), np.eye(info.shape[0]))
+    except np.linalg.LinAlgError:
+        return None
+    component = GaussianComponent(np.asarray(mean, dtype=float),
+                                  symmetrize(cov))
+    return component, H_s, H_x
 
 
 @dataclass(frozen=True)
 class BirthCandidate:
     """Everything needed to append a newborn Bernoulli for one measurement."""
 
-    meas_index: int            # 0-based measurement index
     log_weight: float          # ln l_B = ln(clutter + sum_type rho)
     existence: float           # rho_B / l_B
     types: dict                # LandmarkType -> TypeComponent (psi_B, mean, cov)
-    rho_by_type: dict          # LandmarkType -> rho contribution
 
 
 def weight_birth(meas, sensor: GaussianComponent, ppp: dict,
-                 clutter_intensity: float, model,
-                 birth_types=None, meas_index: int = 0):
+                 clutter_intensity: float, model, birth_types=None):
     """Local weight for "detected for the first time" plus birth data.
 
     Returns ``(l_birth, BirthCandidate)``.  Types whose geometric inversion
     fails contribute nothing; when no type survives the measurement is
     clutter-only (weight floor ``clutter_intensity``).
     """
-    from .update import birth_from_measurement  # deferred: avoids module cycle
-    from .density import TypeComponent
-
     if clutter_intensity < 0.0:
         raise ValueError("clutter intensity must be nonnegative")
     if birth_types is None:
@@ -138,15 +184,15 @@ def weight_birth(meas, sensor: GaussianComponent, ppp: dict,
         rate = ppp.get(kind, 0.0)
         if rate <= 0.0:
             continue
-        component = birth_from_measurement(meas, sensor, kind, model)
-        if component is None:
+        birth = birth_from_measurement(meas, sensor, kind, model)
+        if birth is None:
             continue
+        component, H_s, H_x = birth
         pd = model.detection_probability(sensor.mean, component.mean, kind)
         if pd <= 0.0:
             continue
         try:
             z_pred = model.predict(sensor.mean, component.mean, kind)
-            H_s, H_x = model.jacobians(sensor.mean, component.mean, kind)
         except DegenerateGeometryError:
             continue
         S = (H_s @ sensor.covariance @ H_s.T
@@ -159,13 +205,12 @@ def weight_birth(meas, sensor: GaussianComponent, ppp: dict,
     weight = clutter_intensity + rho_total
     types = {}
     if rho_total > 0.0:
-        from .multimodel import birth_type_probs
         psi = birth_type_probs(rho)
         types = {k: TypeComponent(psi[k], comps[k].mean, comps[k].covariance)
                  for k in rho}
     existence = rho_total / weight if weight > 0.0 else 0.0
     log_weight = math.log(weight) if weight > 0.0 else -math.inf
-    return weight, BirthCandidate(meas_index, log_weight, existence, types, rho)
+    return weight, BirthCandidate(log_weight, existence, types)
 
 
 @dataclass(frozen=True)
@@ -246,7 +291,6 @@ class AssociationContext:
 
     type_preds: tuple        # per landmark: dict kind -> TypePrediction
     pair_logliks: dict       # (landmark, measurement) -> dict kind -> loglik
-    log_misdetect: tuple     # per landmark: ln l^{i,0}
     births: tuple            # per measurement: BirthCandidate
 
 
@@ -266,53 +310,34 @@ def build_cost_matrix(hypothesis: GlobalHypothesis, measurements,
     matrix = np.full((n_meas, n_prior + n_meas), np.inf)
 
     type_preds = tuple(predict_types(b, sensor, model) for b in berns)
-    log_misdetect = []
+    misdetect_log_sum = 0.0
     pair_logliks = {}
     for i, bern in enumerate(berns):
-        l0 = 0.0
-        for kind, comp in bern.belief.types.items():
-            pd = min(type_preds[i][kind].p_detect, 1.0 - 1e-9)
-            l0 += comp.weight * (1.0 - pd)
-        l0 = (1.0 - bern.existence) + bern.existence * l0
+        _, _, l0 = misdetection_weight(bern, type_preds[i])
         log_l0 = math.log(l0)
-        log_misdetect.append(log_l0)
-        if bern.existence <= 0.0:
-            continue
+        misdetect_log_sum += log_l0
         for p, meas in enumerate(measurements):
-            terms = []
-            logliks = {}
-            best_mahal = np.inf
-            for kind, comp in bern.belief.types.items():
-                pred = type_preds[i][kind]
-                if pred.p_detect <= 0.0 or comp.weight <= 0.0 or pred.z_pred is None:
-                    continue
-                S = pred.hph + meas.covariance
-                v = model.wrap_residual(meas.z - pred.z_pred)
-                loglik, mahal = chol_logpdf(v, S)
-                logliks[kind] = loglik
-                best_mahal = min(best_mahal, mahal)
-                terms.append(math.log(comp.weight) + math.log(pred.p_detect)
-                             + loglik)
-            if not terms or (gate is not None and best_mahal > gate):
+            log_l, logliks, mahal = log_weight_detected(bern, meas,
+                                                        type_preds[i], model)
+            if log_l == -math.inf or (gate is not None and mahal > gate):
                 continue
-            log_l = math.log(bern.existence) + _logsumexp(terms)
             pair_logliks[(i, p)] = logliks
             matrix[p, i] = log_l0 - log_l
 
     births = []
     for p, meas in enumerate(measurements):
         _, cand = weight_birth(meas, sensor, ppp, clutter_intensity, model,
-                               birth_types=birth_types, meas_index=p)
+                               birth_types=birth_types)
         births.append(cand)
         matrix[p, n_prior + p] = -cand.log_weight
 
     ctx = AssociationContext(type_preds=type_preds, pair_logliks=pair_logliks,
-                             log_misdetect=tuple(log_misdetect), births=tuple(births))
-    return CostMatrix(matrix, n_prior), float(sum(log_misdetect)), ctx
+                             births=tuple(births))
+    return CostMatrix(matrix, n_prior), misdetect_log_sum, ctx
 
 
 def _logsumexp(terms) -> float:
-    m = max(terms)
+    m = max(terms, default=-math.inf)
     if not math.isfinite(m):
         return m
     return m + math.log(sum(math.exp(t - m) for t in terms))
@@ -389,16 +414,3 @@ def murty_kbest(costs: CostMatrix, gamma: int):
             partition[:, c] = np.inf
             partition[r, c] = forced_value
     return results
-
-
-def hypothesis_weights(parent_weight: float, solutions,
-                       misdetect_constant: float):
-    """Unnormalized child-hypothesis weights, one per ranked association.
-
-    Proportional to ``parent_weight * exp(misdetect_constant - cost)``; the
-    caller normalizes jointly across every parent's children.
-    """
-    if not solutions:
-        raise ValueError("need at least one association solution")
-    return [parent_weight * math.exp(misdetect_constant - cost)
-            for _, cost in solutions]

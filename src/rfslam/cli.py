@@ -17,9 +17,11 @@ import json
 import sys
 import time
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
+from .association import InfeasibleAssignmentError
 from .density import (
     Bernoulli,
     DegenerateDensityError,
@@ -35,6 +37,7 @@ from .metrics import (
     GospaParams,
     extract_map,
     gospa,
+    mae_per_step,
     rmse,
     write_gospa_decomposition_csv,
     write_rmse_csv,
@@ -205,8 +208,6 @@ def run(config: RunConfig) -> dict:
 
     Returns the report document (also written to ``report.json``).
     """
-    from pathlib import Path
-
     scenario = _resolve_scenario(config)
     filter_cfg = build_filter_config(scenario, config)
     jobs = max(1, config.jobs)
@@ -242,9 +243,9 @@ def run(config: RunConfig) -> dict:
         "gospa_va": gospa_va.mean(axis=0).tolist(),
         "gospa_sp": gospa_sp.mean(axis=0).tolist(),
         "gospa_decomposition": decomposition,
-        "mae_pos": np.abs(pos_err).mean(axis=0).tolist(),
-        "mae_heading": np.abs(heading_err).mean(axis=0).tolist(),
-        "mae_bias": np.abs(bias_err).mean(axis=0).tolist(),
+        "mae_pos": mae_per_step(pos_err).tolist(),
+        "mae_heading": mae_per_step(heading_err).tolist(),
+        "mae_bias": mae_per_step(bias_err).tolist(),
     }
     report = {
         "schema": REPORT_SCHEMA,
@@ -456,7 +457,6 @@ def main(argv=None) -> int:
             csv_text, table = compare(reports)
             print(table, end="")
             if args.out_dir:
-                from pathlib import Path
                 out = Path(args.out_dir)
                 out.mkdir(parents=True, exist_ok=True)
                 (out / "comparison.csv").write_text(csv_text)
@@ -468,7 +468,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
-    except (np.linalg.LinAlgError, DegenerateDensityError) as exc:
+    except (np.linalg.LinAlgError, DegenerateDensityError,
+            InfeasibleAssignmentError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

@@ -10,7 +10,6 @@ over the 3-D position.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
@@ -80,10 +79,6 @@ class LandmarkBelief:
 
     def dominant(self) -> TypeComponent:
         return self.types[self.dominant_type()]
-
-    @classmethod
-    def single(cls, kind: LandmarkType, mean, covariance) -> "LandmarkBelief":
-        return cls({kind: TypeComponent(1.0, mean, covariance)})
 
 
 @dataclass(frozen=True)
@@ -260,58 +255,3 @@ def check_density(density: PmbmDensity, tol: float = 1e-9) -> None:
                 assert np.max(np.abs(c - c.T)) <= tol, "covariance asymmetric"
                 assert np.min(np.linalg.eigvalsh(symmetrize(c))) >= -tol, \
                     "covariance indefinite"
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization
-
-def density_to_dict(density: PmbmDensity) -> dict:
-    return {
-        "ppp": {k.value: v for k, v in density.ppp_intensity.items()},
-        "hypotheses": [
-            {
-                "weight": h.weight,
-                "bernoullis": [
-                    {
-                        "r": b.existence,
-                        "types": {
-                            k.value: {
-                                "psi": c.weight,
-                                "mean": c.mean.tolist(),
-                                "cov": c.covariance.tolist(),
-                            }
-                            for k, c in b.belief.types.items()
-                        },
-                    }
-                    for b in h.bernoullis
-                ],
-            }
-            for h in density.hypotheses
-        ],
-    }
-
-
-def density_from_dict(doc: dict) -> PmbmDensity:
-    hyps = []
-    for h in doc["hypotheses"]:
-        berns = []
-        for b in h["bernoullis"]:
-            types = {
-                LandmarkType(k): TypeComponent(
-                    v["psi"], np.array(v["mean"]), np.array(v["cov"]))
-                for k, v in b["types"].items()
-            }
-            berns.append(Bernoulli(b["r"], LandmarkBelief(types)))
-        hyps.append(GlobalHypothesis(h["weight"], tuple(berns)))
-    ppp = {LandmarkType(k): v for k, v in doc["ppp"].items()}
-    return PmbmDensity(ppp, tuple(hyps))
-
-
-def save_density(density: PmbmDensity, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(density_to_dict(density), fh, indent=2, sort_keys=True)
-
-
-def load_density(path) -> PmbmDensity:
-    with open(path) as fh:
-        return density_from_dict(json.load(fh))

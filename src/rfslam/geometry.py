@@ -133,18 +133,6 @@ class Measurement:
         z = np.array([toa, wrap_angle(aoa_az), aoa_el, wrap_angle(aod_az), aod_el])
         return cls(z=z, covariance=covariance)
 
-    @property
-    def toa(self) -> float:
-        return float(self.z[0])
-
-    @property
-    def aoa(self) -> np.ndarray:
-        return self.z[1:3]
-
-    @property
-    def aod(self) -> np.ndarray:
-        return self.z[3:5]
-
 
 def mirror_bs(bs_position, surface_point, surface_normal) -> np.ndarray:
     """Mirror the BS across a flat surface, yielding the virtual anchor.

@@ -4,9 +4,8 @@ Landmark type is a discrete state estimated alongside the position.  Type
 probabilities are updated per association outcome: a detection weighs each
 type by its detection probability and measurement likelihood; a
 misdetection down-weights types that should have been detected.  The
-default misdetection form is the factored ``(1 - p_detect) * psi_prior``;
-the survival form ``1 - p_detect * psi_prior`` is available behind a
-switch.  The factored form is the default because the survival form has an
+misdetection form is the factored ``(1 - p_detect) * psi_prior``, not the
+survival form ``1 - p_detect * psi_prior``: the survival form has an
 interior fixed point that keeps pulling resolved type probabilities back
 toward it, which destabilizes landmarks outside the field of view.
 """
@@ -15,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .geometry import TYPE_ORDER
@@ -33,7 +32,6 @@ class TypePosteriorInput:
     prior_probs: dict
     p_detect: dict
     logliks: Optional[dict] = None
-    misdetect_printed: bool = False
 
 
 def _normalize(masses: dict) -> dict:
@@ -52,13 +50,8 @@ def update_type_probs(inp: TypePosteriorInput) -> dict:
     if len(kinds) == 1:
         return {kinds[0]: 1.0}
     if inp.logliks is None:
-        if inp.misdetect_printed:
-            masses = {k: max(0.0, 1.0 - inp.p_detect.get(k, 0.0)
-                             * inp.prior_probs[k]) for k in kinds}
-        else:
-            masses = {k: (1.0 - inp.p_detect.get(k, 0.0)) * inp.prior_probs[k]
-                      for k in kinds}
-        return _normalize(masses)
+        return _normalize({k: (1.0 - inp.p_detect.get(k, 0.0))
+                           * inp.prior_probs[k] for k in kinds})
     log_terms = {}
     for k in kinds:
         pd = inp.p_detect.get(k, 0.0)

@@ -29,6 +29,7 @@ from .geometry import (
     mirror_bs,
     wrap_angle,
 )
+from .motion import sensor_transition
 
 #: Measurement-space volume for clutter: range 200 m x azimuth 2pi x
 #: elevation pi, twice (arrival and departure).  Intensity = mean / volume.
@@ -120,16 +121,12 @@ def _sample_gaussian(rng, cov: np.ndarray) -> np.ndarray:
 
 def simulate_trajectory(scenario: Scenario, rng=None):
     """Ground-truth UE states [s_0 .. s_steps] under the noisy turn model."""
-    from .update import FilterConfig, sensor_transition
-
     if rng is None:
         rng = np.random.default_rng(scenario.seed)
-    cfg = FilterConfig(model=None, process_noise=scenario.process_noise,
-                       speed=scenario.speed, turn_rate=scenario.turn_rate,
-                       dt=scenario.dt)
     states = [UEState.from_vector(scenario.ue_init.mean)]
     for _ in range(scenario.steps):
-        vec = sensor_transition(states[-1].as_vector(), cfg)
+        vec = sensor_transition(states[-1].as_vector(), scenario.speed,
+                                scenario.turn_rate, scenario.dt)
         vec = vec + _sample_gaussian(rng, scenario.process_noise)
         vec[3] = wrap_angle(vec[3])
         states.append(UEState.from_vector(vec))

@@ -1,12 +1,15 @@
 """Filter core: EK prediction, joint sensor-landmark update, step loop.
 
 One step runs the recursion: predict the sensor through the constant-turn
-model (the map is static, so its prediction is the identity), then for each
-global hypothesis build the association cost matrix, rank the best
-``gamma`` associations, and perform a joint extended-Kalman update of the
-sensor together with every re-detected landmark (all landmark types
-stacked, the measurement replicated per type with a fully correlated noise
-block).  Newborn landmarks are appended from measurement inversions; the
+model of :mod:`rfslam.motion` (the map is static, so the density passes
+through the prediction unchanged), then for each global hypothesis build
+the association cost matrix, rank the best ``gamma`` associations, and
+perform a joint extended-Kalman update of the sensor together with every
+re-detected landmark (all landmark types stacked, the measurement
+replicated per type with a fully correlated noise block).  The local
+weights, type predictions and birth candidates all come from the cost
+matrix in :mod:`rfslam.association`; misdetected landmarks reuse its
+misdetection weight and newborn landmarks its birth candidates.  The
 sensor posterior is the moment-matched mixture over all children.  In PMB
 mode the resulting mixture is reduced back to a single hypothesis by the
 track-oriented recombination in :mod:`rfslam.reduction`.
@@ -21,15 +24,17 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from . import association as assoc_mod
+from . import reduction
 from .association import (
+    DEFAULT_GATE,
     AssociationContext,
     AssociationVector,
     build_cost_matrix,
+    misdetection_weight,
     murty_kbest,
-    predict_types,
 )
 from .density import (
+    MAP_REGION_VOLUME,
     Bernoulli,
     DegenerateDensityError,
     GaussianComponent,
@@ -41,7 +46,8 @@ from .density import (
     prune,
     symmetrize,
 )
-from .geometry import DegenerateGeometryError, LandmarkType, wrap_angle
+from .geometry import LandmarkType
+from .motion import sensor_transition, sensor_transition_jacobian
 from .multimodel import TypePosteriorInput, update_type_probs
 
 EK_PMB = "ek-pmb"
@@ -65,18 +71,10 @@ class FilterConfig:
     prune_hypothesis: float = 1e-4
     max_hypotheses: int = 50
     merge_threshold: float = 50.0
-    gate: Optional[float] = assoc_mod.DEFAULT_GATE
+    gate: Optional[float] = DEFAULT_GATE
     birth_types: tuple = (LandmarkType.VA, LandmarkType.SP)
     multi_model: bool = True            # False: hard type decision at birth
-    misdetect_psi_printed: bool = False
     joseph_form: bool = False
-    # Per-type constants for PPP thinning.  None derives them from the
-    # model: the per-type detection probability, scaled for SPs by the
-    # FOV-to-region volume fraction (an undetected SP drawn uniformly over
-    # the region is almost surely outside the field of view, so its
-    # intensity must not decay at the in-FOV rate).
-    thinning_p_detect: Optional[dict] = None
-    region_volume: float = 400.0 * 400.0 * 40.0
     # Landmark-type components below this posterior probability are dropped
     # (their replicated measurement rows would otherwise keep enforcing a
     # stale zero-noise cross-type constraint on the sensor).  0 keeps every
@@ -94,88 +92,32 @@ class FilterConfig:
             raise ValueError(f"unknown filter kind {self.filter_kind!r}")
 
 
-def sensor_transition(state: np.ndarray, config: FilterConfig) -> np.ndarray:
-    """Constant turn-rate transition of [x, y, z, heading, bias]."""
-    x, y, z, heading, bias = state
-    w, dt = config.turn_rate, config.dt
-    if abs(w) < 1e-9:
-        dx = config.speed * dt * math.cos(heading)
-        dy = config.speed * dt * math.sin(heading)
-        d_heading = w * dt
-    else:
-        ratio = config.speed / w
-        dx = ratio * (math.sin(heading + w * dt) - math.sin(heading))
-        dy = ratio * (-math.cos(heading + w * dt) + math.cos(heading))
-        d_heading = w * dt
-    return np.array([x + dx, y + dy, z, wrap_angle(heading + d_heading), bias])
-
-
-def sensor_transition_jacobian(state: np.ndarray,
-                               config: FilterConfig) -> np.ndarray:
-    heading = state[3]
-    w, dt = config.turn_rate, config.dt
-    F = np.eye(5)
-    if abs(w) < 1e-9:
-        F[0, 3] = -config.speed * dt * math.sin(heading)
-        F[1, 3] = config.speed * dt * math.cos(heading)
-    else:
-        ratio = config.speed / w
-        F[0, 3] = ratio * (math.cos(heading + w * dt) - math.cos(heading))
-        F[1, 3] = ratio * (math.sin(heading + w * dt) - math.sin(heading))
-    return F
-
-
 def predict_sensor(belief: GaussianComponent,
                    config: FilterConfig) -> GaussianComponent:
     """EK prediction through the turn model: mean v(m), covariance FPF^T + Q."""
-    mean = sensor_transition(belief.mean, config)
-    F = sensor_transition_jacobian(belief.mean, config)
+    motion = (config.speed, config.turn_rate, config.dt)
+    mean = sensor_transition(belief.mean, *motion)
+    F = sensor_transition_jacobian(belief.mean, *motion)
     cov = symmetrize(F @ belief.covariance @ F.T + config.process_noise)
     return GaussianComponent(mean, cov)
 
 
-def predict_map(density: PmbmDensity) -> PmbmDensity:
-    """Landmarks are static: the map prediction is the identity."""
-    return density
-
-
 def thin_ppp(ppp: dict, config: FilterConfig) -> dict:
-    """Scale undetected-landmark rates by the constant misdetection mass."""
-    p_detect = config.thinning_p_detect
-    if p_detect is None:
-        p_detect = dict(getattr(config.model, "p_detect", {}))
-        fov = getattr(config.model, "fov_radius", None)
-        if fov is not None and LandmarkType.SP in p_detect:
-            half_ball = (2.0 / 3.0) * math.pi * fov ** 3
-            fraction = min(1.0, half_ball / config.region_volume)
-            p_detect[LandmarkType.SP] = p_detect[LandmarkType.SP] * fraction
+    """Scale undetected-landmark rates by the constant misdetection mass.
+
+    The per-type constant is the model's detection probability, scaled for
+    SPs by the FOV-to-region volume fraction: an undetected SP drawn
+    uniformly over the region is almost surely outside the field of view,
+    so its intensity must not decay at the in-FOV rate.
+    """
+    p_detect = dict(getattr(config.model, "p_detect", {}))
+    fov = getattr(config.model, "fov_radius", None)
+    if fov is not None and LandmarkType.SP in p_detect:
+        half_ball = (2.0 / 3.0) * math.pi * fov ** 3
+        fraction = min(1.0, half_ball / MAP_REGION_VOLUME)
+        p_detect[LandmarkType.SP] = p_detect[LandmarkType.SP] * fraction
     return {kind: rate * (1.0 - p_detect.get(kind, 0.0))
             for kind, rate in ppp.items()}
-
-
-def birth_from_measurement(meas, sensor: GaussianComponent,
-                           kind: LandmarkType, model):
-    """Newborn landmark Gaussian from a single measurement.
-
-    Mean by geometric inversion at the sensor mean; covariance from the
-    infinite-prior EK update, i.e. the inverse Fisher-style form
-    (Hx^T (Hs P Hs^T + R)^-1 Hx)^-1.  Returns None when the measurement
-    does not determine a position (caller treats it as clutter-only).
-    """
-    mean = model.invert(meas.z, sensor.mean, kind)
-    if mean is None:
-        return None
-    try:
-        H_s, H_x = model.jacobians(sensor.mean, mean, kind)
-    except DegenerateGeometryError:
-        return None
-    gain_cov = H_s @ sensor.covariance @ H_s.T + meas.covariance
-    try:
-        info = H_x.T @ cho_solve(cho_factor(gain_cov, lower=True), H_x)
-        cov = cho_solve(cho_factor(info, lower=True), np.eye(info.shape[0]))
-    except np.linalg.LinAlgError:
-        return None
-    return GaussianComponent(np.asarray(mean, dtype=float), symmetrize(cov))
 
 
 def marginalize_sensor(children) -> GaussianComponent:
@@ -215,15 +157,10 @@ def _birth_bernoulli(candidate, config: FilterConfig) -> Bernoulli:
 
 def _misdetected_bernoulli(bern: Bernoulli, preds: dict,
                            config: FilterConfig) -> Bernoulli:
-    p_detect = {k: min(preds[k].p_detect, 1.0 - 1e-9)
-                for k in bern.belief.types}
-    survive = sum(comp.weight * (1.0 - p_detect[k])
-                  for k, comp in bern.belief.types.items())
-    denom = (1.0 - bern.existence) + bern.existence * survive
-    existence = bern.existence * survive / denom if denom > 0.0 else 0.0
+    p_detect, survive, l0 = misdetection_weight(bern, preds)
+    existence = bern.existence * survive / l0 if l0 > 0.0 else 0.0
     psi = update_type_probs(TypePosteriorInput(
-        prior_probs=bern.belief.type_probs(), p_detect=p_detect, logliks=None,
-        misdetect_printed=config.misdetect_psi_printed))
+        prior_probs=bern.belief.type_probs(), p_detect=p_detect, logliks=None))
     psi = _prune_type_probs(psi, config.type_prune)
     types = {k: TypeComponent(psi[k], bern.belief.types[k].mean,
                               bern.belief.types[k].covariance)
@@ -282,6 +219,8 @@ def joint_update(hypothesis: GlobalHypothesis, sigma: AssociationVector,
     keeps the parent weight; callers reweight.  Raises
     ``numpy.linalg.LinAlgError`` when the innovation covariance stays
     singular after regularization (the association is then discarded).
+    ``ctx`` is the context :func:`build_cost_matrix` returned for this
+    hypothesis; without it the context is built here, ungated.
     """
     sigma.validate()
     berns = hypothesis.bernoullis
@@ -289,15 +228,16 @@ def joint_update(hypothesis: GlobalHypothesis, sigma: AssociationVector,
         raise ValueError("association vector inconsistent with inputs")
     detected = sigma.detected_pairs()
 
-    if ctx is not None:
-        type_preds = ctx.type_preds
-    else:
-        type_preds = tuple(predict_types(b, sensor_prior, config.model)
-                           for b in berns)
+    model = config.model
+    if ctx is None:
+        _, _, ctx = build_cost_matrix(
+            hypothesis, measurements, sensor_prior, config.ppp_rates,
+            config.clutter_intensity, model, gate=None,
+            birth_types=config.birth_types)
+    type_preds = ctx.type_preds
 
     info = {"regularized": False, "detected": detected,
             "births": sigma.born_measurements()}
-    model = config.model
 
     # Posterior type probabilities first: type components whose probability
     # collapses are dropped from the stack, so their replicated-measurement
@@ -305,14 +245,10 @@ def joint_update(hypothesis: GlobalHypothesis, sigma: AssociationVector,
     psi_post = {}
     for i, p in detected:
         bern = berns[i]
-        if ctx is not None and (i, p) in ctx.pair_logliks:
-            logliks = ctx.pair_logliks[(i, p)]
-        else:
-            logliks = _pair_logliks(bern, measurements[p], type_preds[i], model)
         p_detect = {k: type_preds[i][k].p_detect for k in bern.belief.types}
         psi = update_type_probs(TypePosteriorInput(
             prior_probs=bern.belief.type_probs(), p_detect=p_detect,
-            logliks=logliks, misdetect_printed=config.misdetect_psi_printed))
+            logliks=ctx.pair_logliks.get((i, p), {})))
         psi_post[i] = _prune_type_probs(psi, config.type_prune)
 
     if detected:
@@ -390,39 +326,16 @@ def joint_update(hypothesis: GlobalHypothesis, sigma: AssociationVector,
             new_berns.append(_misdetected_bernoulli(bern, type_preds[i], config))
 
     for p in sigma.born_measurements():
-        if ctx is not None:
-            candidate = ctx.births[p]
-        else:
-            _, candidate = assoc_mod.weight_birth(
-                measurements[p], sensor_prior,
-                getattr(config, "ppp_rates", {}), config.clutter_intensity,
-                model, birth_types=config.birth_types, meas_index=p)
-        new_berns.append(_birth_bernoulli(candidate, config))
+        new_berns.append(_birth_bernoulli(ctx.births[p], config))
 
     child = GlobalHypothesis(hypothesis.weight, tuple(new_berns), assoc=sigma)
     return child, sensor_post, info
 
 
-def _pair_logliks(bern: Bernoulli, meas, preds: dict, model) -> dict:
-    logliks = {}
-    for kind, comp in bern.belief.types.items():
-        pred = preds[kind]
-        if pred.z_pred is None:
-            continue
-        S = pred.hph + meas.covariance
-        v = model.wrap_residual(meas.z - pred.z_pred)
-        try:
-            loglik, _ = assoc_mod.chol_logpdf(v, S)
-        except np.linalg.LinAlgError:
-            continue
-        logliks[kind] = loglik
-    return logliks
-
-
 def predict_step(density: PmbmDensity, sensor: GaussianComponent,
                  config: FilterConfig):
     """Prediction half of one filter step."""
-    return predict_map(density), predict_sensor(sensor, config)
+    return density, predict_sensor(sensor, config)
 
 
 def update_step(density: PmbmDensity, sensor_pred: GaussianComponent,
@@ -433,9 +346,6 @@ def update_step(density: PmbmDensity, sensor_pred: GaussianComponent,
     marginalization, the PMB reduction when configured, PPP thinning, and
     the pruning/merging housekeeping.
     """
-    from .reduction import (align_hypotheses, average_conditionals,
-                            tomb_recombine)
-
     children = []
     for hyp in density.hypotheses:
         costs, log_const, ctx = build_cost_matrix(
@@ -468,11 +378,11 @@ def update_step(density: PmbmDensity, sensor_pred: GaussianComponent,
     posterior = PmbmDensity(ppp_post, hypotheses)
 
     if config.filter_kind == EK_PMB:
-        table = align_hypotheses(posterior)
-        table = average_conditionals(table, posterior)
+        table = reduction.align_hypotheses(posterior)
+        table = reduction.average_conditionals(table, posterior)
         if diag is not None:
             diag["beta_rows"] = table.beta_row_sums()
-        mb = tomb_recombine(table)
+        mb = reduction.tomb_recombine(table)
         posterior = PmbmDensity(ppp_post, (mb,))
 
     posterior = prune(posterior, config.prune_existence,

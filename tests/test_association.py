@@ -14,14 +14,20 @@ from rfslam.association import (
     CostMatrix,
     InfeasibleAssignmentError,
     build_cost_matrix,
-    hypothesis_weights,
+    log_weight_detected,
+    misdetection_weight,
     murty_kbest,
+    predict_types,
     weight_birth,
-    weight_detected,
-    weight_misdetected,
 )
-from rfslam.density import GaussianComponent, GlobalHypothesis
-from rfslam.geometry import LandmarkType, Measurement
+from rfslam.density import (
+    Bernoulli,
+    GaussianComponent,
+    GlobalHypothesis,
+    LandmarkBelief,
+    TypeComponent,
+)
+from rfslam.geometry import DegenerateGeometryError, LandmarkType, Measurement
 
 SP = LandmarkType.SP
 VA = LandmarkType.VA
@@ -35,27 +41,49 @@ def toy_sensor(var=1.0):
     return GaussianComponent(np.zeros(1), np.array([[var]]))
 
 
+def linear_detected_weight(bern, meas, sensor, model):
+    """Linear detected weight via the function the cost matrix uses."""
+    preds = predict_types(bern, sensor, model)
+    log_l, _, _ = log_weight_detected(bern, meas, preds, model)
+    return math.exp(log_l)
+
+
+def misdetected_l0(bern, sensor, model):
+    """Misdetection weight l0 via the function the cost matrix uses."""
+    return misdetection_weight(bern, predict_types(bern, sensor, model))[2]
+
+
 class TestWeightDetected:
     def test_zero_existence(self):
         bern = single_type_bernoulli(0.0, SP, [0.0], [[1.0]])
         meas = Measurement(np.zeros(1), np.eye(1))
-        assert weight_detected(bern, meas, toy_sensor(), toy_model()) == 0.0
+        log_l, logliks, _ = log_weight_detected(
+            bern, meas, predict_types(bern, toy_sensor(), toy_model()),
+            toy_model())
+        assert log_l == -math.inf and logliks == {}
+        assert linear_detected_weight(bern, meas, toy_sensor(),
+                                      toy_model()) == 0.0
 
     def test_zero_detection_probability(self):
         bern = single_type_bernoulli(1.0, SP, [0.0], [[1.0]])
         meas = Measurement(np.zeros(1), np.eye(1))
-        assert weight_detected(bern, meas, toy_sensor(), toy_model(0.0)) == 0.0
+        assert linear_detected_weight(bern, meas, toy_sensor(),
+                                      toy_model(0.0)) == 0.0
 
     def test_scalar_closed_form(self):
         # h = x, prior N(0, 1), R = 1, z = 0: S = 2, weight = 0.9 / sqrt(4 pi).
         bern = single_type_bernoulli(1.0, SP, [0.0], [[1.0]])
         meas = Measurement(np.zeros(1), np.eye(1))
-        w = weight_detected(bern, meas, toy_sensor(5.0), toy_model(0.9))
+        w = linear_detected_weight(bern, meas, toy_sensor(5.0), toy_model(0.9))
         assert w == pytest.approx(0.9 / math.sqrt(4 * math.pi), rel=1e-12)
         assert w == pytest.approx(0.2538853125964903, rel=1e-9)
+        _, logliks, mahal = log_weight_detected(
+            bern, meas, predict_types(bern, toy_sensor(5.0), toy_model(0.9)),
+            toy_model(0.9))
+        assert logliks[SP] == pytest.approx(-0.5 * math.log(4 * math.pi))
+        assert mahal == 0.0
 
     def test_two_type_belief_marginalizes(self):
-        from rfslam.density import Bernoulli, LandmarkBelief, TypeComponent
         model = LinearModel({VA: ([[0.0]], [[1.0]]), SP: ([[0.0]], [[2.0]])},
                             dim=1, p_detect={VA: 0.9, SP: 0.6})
         belief = LandmarkBelief({
@@ -63,7 +91,8 @@ class TestWeightDetected:
             SP: TypeComponent(0.3, np.array([0.5]), np.eye(1)),
         })
         meas = Measurement(np.array([0.2]), np.eye(1))
-        w = weight_detected(Bernoulli(0.8, belief), meas, toy_sensor(0.0), model)
+        w = linear_detected_weight(Bernoulli(0.8, belief), meas,
+                                   toy_sensor(0.0), model)
 
         def normal(x, mean, var):
             return math.exp(-0.5 * (x - mean) ** 2 / var) / math.sqrt(
@@ -77,17 +106,17 @@ class TestWeightDetected:
 class TestWeightMisdetected:
     def test_zero_detection_probability(self):
         bern = single_type_bernoulli(0.7, SP, [0.0], [[1.0]])
-        assert weight_misdetected(bern, toy_sensor(), toy_model(0.0)) == \
+        assert misdetected_l0(bern, toy_sensor(), toy_model(0.0)) == \
             pytest.approx(1.0)
 
     def test_certain_landmark(self):
         bern = single_type_bernoulli(1.0, SP, [0.0], [[1.0]])
-        assert weight_misdetected(bern, toy_sensor(), toy_model(0.9)) == \
+        assert misdetected_l0(bern, toy_sensor(), toy_model(0.9)) == \
             pytest.approx(0.1)
 
     def test_direct_evaluation(self):
         bern = single_type_bernoulli(0.9, SP, [0.0], [[1.0]])
-        assert weight_misdetected(bern, toy_sensor(), toy_model(0.9)) == \
+        assert misdetected_l0(bern, toy_sensor(), toy_model(0.9)) == \
             pytest.approx(0.19)
 
     def test_always_in_unit_interval(self):
@@ -95,9 +124,34 @@ class TestWeightMisdetected:
         for _ in range(50):
             bern = single_type_bernoulli(rng.uniform(0, 1), SP,
                                          [rng.normal()], [[1.0]])
-            w = weight_misdetected(bern, toy_sensor(),
-                                   toy_model(rng.uniform(0, 1.0)))
+            w = misdetected_l0(bern, toy_sensor(),
+                               toy_model(rng.uniform(0, 1.0)))
             assert 0.0 < w <= 1.0
+
+    def test_degenerate_type_counts_as_undetectable(self):
+        # Both types have pd = 0.9, but the SP prediction is degenerate:
+        # the SP share must count with pd = 0, as the runtime treats it.
+        class DegenerateSp(LinearModel):
+            def predict(self, sensor_mean, lm_mean, kind):
+                if kind is SP:
+                    raise DegenerateGeometryError("vertical direction")
+                return super().predict(sensor_mean, lm_mean, kind)
+
+        model = DegenerateSp({VA: ([[0.0]], [[1.0]]), SP: ([[0.0]], [[1.0]])},
+                             dim=1, p_detect=0.9)
+        belief = LandmarkBelief({
+            VA: TypeComponent(0.6, np.zeros(1), np.eye(1)),
+            SP: TypeComponent(0.4, np.zeros(1), np.eye(1)),
+        })
+        bern = Bernoulli(0.8, belief)
+        p_detect, survive, l0 = misdetection_weight(
+            bern, predict_types(bern, toy_sensor(), model))
+        assert p_detect == {VA: 0.9, SP: 0.0}
+        assert survive == pytest.approx(0.6 * 0.1 + 0.4 * 1.0, rel=1e-12)
+        assert l0 == pytest.approx(0.2 + 0.8 * (0.06 + 0.4), rel=1e-12)
+        _, const, _ = build_cost_matrix(GlobalHypothesis(1.0, (bern,)), [],
+                                        toy_sensor(), {}, 0.1, model)
+        assert const == math.log(l0)
 
 
 class TestWeightBirth:
@@ -163,11 +217,14 @@ class TestBuildCostMatrix:
         costs, const, ctx = build_cost_matrix(
             hyp, measurements, sensor, {SP: 1.5}, 0.2, model, gate=None)
         assert costs.matrix.shape == (2, 3)
-        l0 = weight_misdetected(berns[0], sensor, model)
+        l0 = misdetected_l0(berns[0], sensor, model)
         assert const == pytest.approx(math.log(l0))
         for p, meas in enumerate(measurements):
-            ld = weight_detected(berns[0], meas, sensor, model)
+            ld = linear_detected_weight(berns[0], meas, sensor, model)
             assert costs.matrix[p, 0] == pytest.approx(math.log(l0) - math.log(ld))
+            _, logliks, _ = log_weight_detected(berns[0], meas,
+                                                ctx.type_preds[0], model)
+            assert ctx.pair_logliks[(0, p)] == logliks
             lb, _ = weight_birth(meas, sensor, {SP: 1.5}, 0.2, model)
             assert costs.matrix[p, 1 + p] == pytest.approx(-math.log(lb))
         assert np.isinf(costs.matrix[0, 2]) and np.isinf(costs.matrix[1, 1])
@@ -247,24 +304,6 @@ class TestMurty:
         matrix = np.full((1, 2), np.inf)
         with pytest.raises(InfeasibleAssignmentError):
             murty_kbest(CostMatrix(matrix, 1), 2)
-
-
-class TestHypothesisWeights:
-    def test_single_solution(self):
-        sigma = AssociationVector(0, ())
-        w = hypothesis_weights(0.4, [(sigma, 1.3)], 0.7)
-        assert len(w) == 1
-        assert w[0] == pytest.approx(0.4 * math.exp(0.7 - 1.3))
-
-    def test_equal_costs_split_equally(self):
-        sigma = AssociationVector(0, ())
-        w = hypothesis_weights(1.0, [(sigma, 2.0), (sigma, 2.0)], 0.0)
-        assert w[0] == pytest.approx(w[1])
-
-    def test_log3_cost_gap_gives_3_to_1(self):
-        sigma = AssociationVector(0, ())
-        w = hypothesis_weights(1.0, [(sigma, 0.0), (sigma, math.log(3.0))], 0.0)
-        assert w[0] / w[1] == pytest.approx(3.0, rel=1e-12)
 
 
 class TestAssociationVector:

@@ -183,6 +183,18 @@ class TestMain:
         assert main(["run", "--config", str(bad)]) == 2
         assert main(["run", "--mc", "0", "--out", str(tmp_path)]) == 2
 
+    def test_infeasible_assignment_exits_4(self, tmp_path, capsys,
+                                           monkeypatch):
+        import rfslam.cli
+        from rfslam.association import InfeasibleAssignmentError
+
+        def infeasible(*args, **kwargs):
+            raise InfeasibleAssignmentError("no finite cost")
+
+        monkeypatch.setattr(rfslam.cli, "update_step", infeasible)
+        assert main(["run", "--mc", "1", "--out", str(tmp_path)]) == 4
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_missing_scenario_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": str(tmp_path / "missing.json"),

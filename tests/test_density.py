@@ -9,8 +9,6 @@ from rfslam.density import (
     PmbmDensity,
     TypeComponent,
     check_density,
-    density_from_dict,
-    density_to_dict,
     default_ppp_intensity,
     merge_bernoullis,
     normalize_weights,
@@ -145,14 +143,6 @@ class TestMerge:
 
 
 class TestSerialization:
-    def test_round_trip(self):
-        d = density([0.7, 0.3],
-                    [[bern(0.9, psi=0.6, other=LandmarkType.SP)], [bern(0.2)]])
-        doc = density_to_dict(d)
-        d2 = density_from_dict(doc)
-        assert density_to_dict(d2) == doc
-        check_density(normalize_weights(d2))
-
     def test_check_density_catches_bad_psi(self):
         types = {LandmarkType.VA: TypeComponent(0.5, np.zeros(3), np.eye(3))}
         d = density([1.0], [[Bernoulli(0.5, LandmarkBelief(types))]])

@@ -30,39 +30,13 @@ class TestUpdateTypeProbs:
         assert out[VA] == pytest.approx(0.8)
         assert out[SP] == pytest.approx(0.2)
 
-    def test_misdetection_printed_form(self):
-        prior = {VA: 0.9, SP: 0.1}
-        out = update_type_probs(TypePosteriorInput(
-            prior_probs=prior, p_detect={VA: 0.9, SP: 0.9}, logliks=None,
-            misdetect_printed=True))
-        masses = {VA: 1 - 0.9 * 0.9, SP: 1 - 0.9 * 0.1}
-        total = sum(masses.values())
-        assert out[VA] == pytest.approx(masses[VA] / total)
-        assert out[SP] == pytest.approx(masses[SP] / total)
-
     def test_misdetection_factored_variant(self):
         prior = {VA: 0.9, SP: 0.1}
         out = update_type_probs(TypePosteriorInput(
-            prior_probs=prior, p_detect={VA: 0.9, SP: 0.9}, logliks=None,
-            misdetect_printed=False))
+            prior_probs=prior, p_detect={VA: 0.9, SP: 0.9}, logliks=None))
         # Equal detection probabilities: the factored form keeps the prior.
         assert out[VA] == pytest.approx(0.9)
         assert out[SP] == pytest.approx(0.1)
-
-    def test_misdetection_argmax_shifts_to_low_detection_types(self):
-        # Survival form: the type most likely to have produced a detection
-        # ends with the smallest posterior probability after a misdetection.
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            psis = rng.dirichlet(np.ones(3))
-            pds = rng.uniform(0.1, 0.95, size=3)
-            prior = dict(zip((BS, VA, SP), psis))
-            pd = dict(zip((BS, VA, SP), pds))
-            strongest = max(prior, key=lambda k: pd[k] * prior[k])
-            out = update_type_probs(TypePosteriorInput(
-                prior_probs=prior, p_detect=pd, logliks=None,
-                misdetect_printed=True))
-            assert out[strongest] <= min(out.values()) + 1e-12
 
     def test_misdetection_uniform_prior_never_raises_strongest(self):
         rng = np.random.default_rng(2)
@@ -71,16 +45,14 @@ class TestUpdateTypeProbs:
             prior = {k: 1.0 / 3.0 for k in (BS, VA, SP)}
             pd = dict(zip((BS, VA, SP), pds))
             strongest = max(prior, key=lambda k: pd[k] * prior[k])
-            for printed in (True, False):
-                out = update_type_probs(TypePosteriorInput(
-                    prior_probs=prior, p_detect=pd, logliks=None,
-                    misdetect_printed=printed))
-                assert out[strongest] <= prior[strongest] + 1e-12
+            out = update_type_probs(TypePosteriorInput(
+                prior_probs=prior, p_detect=pd, logliks=None))
+            assert out[strongest] <= prior[strongest] + 1e-12
 
     def test_factored_resolves_out_of_fov_scatterer(self):
         # Repeated misdetections of a landmark whose SP hypothesis is out
         # of the FOV (pd 0) while the VA hypothesis stays visible must
-        # converge to the SP type under the factored default.
+        # converge to the SP type under the factored form.
         psi = {VA: 0.5, SP: 0.5}
         for _ in range(20):
             psi = update_type_probs(TypePosteriorInput(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rfslam.geometry import LandmarkType, UEState, measure, mirror_bs, wrap_angle
+from rfslam.motion import sensor_transition
 from rfslam.sim import (
     default_scenario,
     generate_measurements,
@@ -60,12 +61,9 @@ class TestTrajectory:
         sc = default_scenario()
         sc = replace(sc, process_noise=np.zeros((5, 5)))
         states = simulate_trajectory(sc)
-        from rfslam.update import FilterConfig, sensor_transition
-        cfg = FilterConfig(model=None, process_noise=np.zeros((5, 5)),
-                           speed=sc.speed, turn_rate=sc.turn_rate, dt=sc.dt)
         vec = sc.ue_init.mean.copy()
         for state in states[1:]:
-            vec = sensor_transition(vec, cfg)
+            vec = sensor_transition(vec, sc.speed, sc.turn_rate, sc.dt)
             assert np.allclose(state.as_vector(), vec, atol=1e-12)
 
     def test_heading_increment_per_step(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import LinearModel, single_type_bernoulli
 
-from rfslam.association import AssociationVector
+from rfslam.association import AssociationVector, birth_from_measurement
 from rfslam.density import (
     Bernoulli,
     GaussianComponent,
@@ -22,14 +22,13 @@ from rfslam.geometry import (
     UEState,
     measure,
 )
+from rfslam.motion import sensor_transition_jacobian
 from rfslam.update import (
     EK_PMB,
     EK_PMBM,
     FilterConfig,
-    birth_from_measurement,
     joint_update,
     marginalize_sensor,
-    predict_map,
     predict_sensor,
     predict_step,
     step,
@@ -89,8 +88,8 @@ class TestPredictSensor:
                           process_noise=q)
         belief = GaussianComponent(np.array([1.0, 2.0, 0.0, 0.3, 5.0]),
                                    0.5 * np.eye(5))
-        from rfslam.update import sensor_transition_jacobian
-        F = sensor_transition_jacobian(belief.mean, cfg)
+        F = sensor_transition_jacobian(belief.mean, cfg.speed, cfg.turn_rate,
+                                       cfg.dt)
         out = predict_sensor(belief, cfg)
         assert np.allclose(out.covariance - F @ belief.covariance @ F.T, q,
                            atol=1e-12)
@@ -107,10 +106,12 @@ class TestPredictSensor:
 
 class TestPredictMap:
     def test_identity(self):
+        # Landmarks are static: the map passes through the prediction.
         density = PmbmDensity(default_ppp_intensity(),
                               (GlobalHypothesis(1.0, ()),))
-        assert predict_map(density) is density
-        assert predict_map(predict_map(density)) is density
+        cfg = make_config(LinearModel({SP: ([[0.0]], [[1.0]])}, 1))
+        sensor = GaussianComponent(np.zeros(5), np.eye(5))
+        assert predict_step(density, sensor, cfg)[0] is density
 
 
 class TestThinPpp:
@@ -125,15 +126,14 @@ class TestThinPpp:
         fraction = (2.0 / 3.0) * math.pi * 50.0 ** 3 / (400.0 * 400.0 * 40.0)
         assert out[SP] == pytest.approx(2.0 * (1.0 - 0.9 * fraction))
 
-    def test_explicit_constants_override(self):
-        model = ChannelModel(BS_POS)
-        cfg = make_config(model, thinning_p_detect={BS: 0.9, VA: 0.9, SP: 0.9})
-        out = thin_ppp({BS: 0.0, VA: 1.0, SP: 2.0}, cfg)
+    def test_model_without_fov_thins_sp_at_full_pd(self):
+        model = LinearModel({SP: ([[0.0]], [[1.0]])}, 1, p_detect=0.9)
+        out = thin_ppp({SP: 2.0}, make_config(model))
         assert out[SP] == pytest.approx(0.2)
 
     def test_zero_pd_unchanged(self):
-        cfg = make_config(LinearModel({SP: ([[0.0]], [[1.0]])}, 1, p_detect=0.0),
-                          thinning_p_detect={SP: 0.0})
+        model = LinearModel({SP: ([[0.0]], [[1.0]])}, 1, p_detect=0.0)
+        cfg = make_config(model)
         assert thin_ppp({SP: 3.0}, cfg)[SP] == 3.0
 
     def test_repeated_applications(self):
@@ -152,7 +152,7 @@ class TestBirthFromMeasurement:
         z = measure(ue, Landmark(BS, BS_POS), BS_POS)
         meas = Measurement(z, np.diag([0.01, 1e-4, 1e-4, 1e-4, 1e-4]))
         sensor = GaussianComponent(ue.as_vector(), np.zeros((5, 5)))
-        comp = birth_from_measurement(meas, sensor, BS, model)
+        comp, _, _ = birth_from_measurement(meas, sensor, BS, model)
         assert np.allclose(comp.mean, BS_POS, atol=1e-9)
 
     def test_perfect_sensor_limit(self):
@@ -164,10 +164,12 @@ class TestBirthFromMeasurement:
         R = np.diag([0.01, 1e-4, 1e-4, 1e-4, 1e-4])
         meas = Measurement(z, R)
         sensor = GaussianComponent(ue.as_vector(), np.zeros((5, 5)))
-        comp = birth_from_measurement(meas, sensor, VA, model)
+        comp, H_s, H_x = birth_from_measurement(meas, sensor, VA, model)
         from rfslam.geometry import measure_jacobian
         H = measure_jacobian(ue, Landmark(VA, comp.mean), BS_POS)
         Hx = H[:, 5:]
+        # The returned Jacobians are the ones at the newborn mean.
+        assert np.array_equal(H_s, H[:, :5]) and np.array_equal(H_x, Hx)
         expected = np.linalg.inv(Hx.T @ np.linalg.inv(R) @ Hx)
         assert np.allclose(comp.covariance, expected, rtol=1e-8)
 
@@ -194,7 +196,7 @@ class TestBirthFromMeasurement:
                 meas = Measurement(z, R)
                 P = np.diag([0.3, 0.3, 0.0, 0.005, 0.3])
                 sensor = GaussianComponent(ue.as_vector(), P)
-                comp = birth_from_measurement(meas, sensor, kind, model)
+                comp, _, _ = birth_from_measurement(meas, sensor, kind, model)
                 from rfslam.geometry import measure_jacobian
                 H = measure_jacobian(ue, Landmark(kind, comp.mean), BS_POS)
                 prior_cov = np.zeros((8, 8))
@@ -565,8 +567,9 @@ class TestStep:
         # One prior landmark, one measurement, gamma 2: the two children are
         # "detected" and "misdetected + birth", with weights proportional to
         # l_detected and l_misdetected * l_birth.
-        from rfslam.association import (weight_birth, weight_detected,
-                                        weight_misdetected)
+        from rfslam.association import (log_weight_detected,
+                                        misdetection_weight, predict_types,
+                                        weight_birth)
         rng = np.random.default_rng(77)
         model = LinearModel({SP: ([[0.4]], [[1.0]])}, 1, p_detect=0.7)
         cfg = make_config(model, gamma=2, gate=None, filter_kind=EK_PMBM,
@@ -579,8 +582,9 @@ class TestStep:
         meas = Measurement(np.array([0.4]), np.eye(1))
         posterior, _ = update_step(density, sensor, [meas], cfg)
         assert len(posterior.hypotheses) == 2
-        l_det = weight_detected(bern, meas, sensor, model)
-        l_mis = weight_misdetected(bern, sensor, model)
+        preds = predict_types(bern, sensor, model)
+        l_det = math.exp(log_weight_detected(bern, meas, preds, model)[0])
+        l_mis = misdetection_weight(bern, preds)[2]
         l_birth, _ = weight_birth(meas, sensor, {SP: 0.8}, 0.05, model)
         expected = np.array([l_det, l_mis * l_birth])
         expected /= expected.sum()
