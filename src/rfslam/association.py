@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import linear_sum_assignment
 
 from .density import (
@@ -42,6 +42,40 @@ class InfeasibleAssignmentError(ValueError):
     """A measurement row admits no finite-cost assignment."""
 
 
+def chol_factor(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric positive-definite matrix.
+
+    The LAPACK call ``scipy.linalg.cho_factor(a, lower=True)`` makes, without
+    its wrapper's per-call overhead, so the factor is bit-identical to
+    ``cho_factor(a, lower=True)[0]`` (the strict upper triangle keeps ``a``).
+    Raises ValueError on non-finite input and LinAlgError when ``a`` is not
+    positive definite.
+    """
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    factor, info = dpotrf(a, lower=1, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    return factor
+
+
+def chol_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``a x = b`` from the :func:`chol_factor` factor of ``a``.
+
+    Bit-identical to ``scipy.linalg.cho_solve((factor, True), b)``; raises
+    ValueError when either operand is not finite.
+    """
+    if not (np.isfinite(factor).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = dpotrs(factor, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
+
+
 def chol_logpdf(residual: np.ndarray, cov: np.ndarray) -> tuple[float, float]:
     """(log Gaussian density, squared Mahalanobis) of a residual.
 
@@ -49,13 +83,13 @@ def chol_logpdf(residual: np.ndarray, cov: np.ndarray) -> tuple[float, float]:
     definite.
     """
     try:
-        factor = cho_factor(cov, lower=True)
+        factor = chol_factor(cov)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"singular innovation covariance ({cov.shape[0]}x{cov.shape[0]}): {exc}"
         ) from exc
-    mahal = float(residual @ cho_solve(factor, residual))
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+    mahal = float(residual @ chol_solve(factor, residual))
+    logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
     k = residual.size
     return -0.5 * (k * LOG_2PI + logdet + mahal), mahal
 
@@ -147,8 +181,8 @@ def birth_from_measurement(meas, sensor: GaussianComponent,
         return None
     gain_cov = H_s @ sensor.covariance @ H_s.T + meas.covariance
     try:
-        info = H_x.T @ cho_solve(cho_factor(gain_cov, lower=True), H_x)
-        cov = cho_solve(cho_factor(info, lower=True), np.eye(info.shape[0]))
+        info = H_x.T @ chol_solve(chol_factor(gain_cov), H_x)
+        cov = chol_solve(chol_factor(info), np.eye(info.shape[0]))
     except np.linalg.LinAlgError:
         return None
     component = GaussianComponent(np.asarray(mean, dtype=float),
@@ -290,6 +324,7 @@ class AssociationContext:
     """
 
     type_preds: tuple        # per landmark: dict kind -> TypePrediction
+    misdetection: tuple      # per landmark: misdetection_weight's triple
     pair_logliks: dict       # (landmark, measurement) -> dict kind -> loglik
     births: tuple            # per measurement: BirthCandidate
 
@@ -310,11 +345,12 @@ def build_cost_matrix(hypothesis: GlobalHypothesis, measurements,
     matrix = np.full((n_meas, n_prior + n_meas), np.inf)
 
     type_preds = tuple(predict_types(b, sensor, model) for b in berns)
+    misdetection = tuple(misdetection_weight(b, preds)
+                         for b, preds in zip(berns, type_preds))
     misdetect_log_sum = 0.0
     pair_logliks = {}
     for i, bern in enumerate(berns):
-        _, _, l0 = misdetection_weight(bern, type_preds[i])
-        log_l0 = math.log(l0)
+        log_l0 = math.log(misdetection[i][2])
         misdetect_log_sum += log_l0
         for p, meas in enumerate(measurements):
             log_l, logliks, mahal = log_weight_detected(bern, meas,
@@ -331,8 +367,8 @@ def build_cost_matrix(hypothesis: GlobalHypothesis, measurements,
         births.append(cand)
         matrix[p, n_prior + p] = -cand.log_weight
 
-    ctx = AssociationContext(type_preds=type_preds, pair_logliks=pair_logliks,
-                             births=tuple(births))
+    ctx = AssociationContext(type_preds=type_preds, misdetection=misdetection,
+                             pair_logliks=pair_logliks, births=tuple(births))
     return CostMatrix(matrix, n_prior), misdetect_log_sum, ctx
 
 

@@ -37,6 +37,11 @@ class LandmarkType(Enum):
     VA = "VA"
     SP = "SP"
 
+    # Identity hash: members are singletons, and Enum's name-based hash is a
+    # Python call on every dict lookup.  Only dicts (insertion-ordered) are
+    # keyed by type, so no iteration order depends on the hash.
+    __hash__ = object.__hash__
+
 
 #: Canonical ordering used everywhere a per-type structure is iterated.
 TYPE_ORDER = (LandmarkType.BS, LandmarkType.VA, LandmarkType.SP)
@@ -50,6 +55,19 @@ def wrap_angle(a):
     return w
 
 
+def _wrap_scalar(a: float) -> float:
+    """:func:`wrap_angle` of one float, bit for bit: Python's float ``%``
+    and ``np.mod`` are both the floored fmod."""
+    return math.pi - (math.pi - a) % TWO_PI
+
+
+def _finite_point(v, what: str) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if v.shape != (3,) or not np.isfinite(v).all():
+        raise ValueError(f"{what} position must be a finite 3-vector")
+    return v
+
+
 @dataclass(frozen=True)
 class UEState:
     """Receiver state: 3-D position (m), heading (rad), clock bias (m)."""
@@ -59,11 +77,9 @@ class UEState:
     clock_bias: float
 
     def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
+        object.__setattr__(self, "position", _finite_point(self.position, "UE"))
         object.__setattr__(self, "heading", wrap_angle(float(self.heading)))
         object.__setattr__(self, "clock_bias", float(self.clock_bias))
-        if self.position.shape != (3,) or not np.all(np.isfinite(self.position)):
-            raise ValueError("UE position must be a finite 3-vector")
 
     def as_vector(self) -> np.ndarray:
         """State as the 5-vector [x, y, z, heading, bias]."""
@@ -83,9 +99,8 @@ class Landmark:
     position: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        if self.position.shape != (3,) or not np.all(np.isfinite(self.position)):
-            raise ValueError("landmark position must be a finite 3-vector")
+        object.__setattr__(self, "position",
+                           _finite_point(self.position, "landmark"))
 
 
 @dataclass(frozen=True)
@@ -119,6 +134,8 @@ class Measurement:
         object.__setattr__(self, "covariance", cov)
         if z.ndim != 1 or cov.shape != (z.size, z.size):
             raise ValueError("measurement/covariance shapes inconsistent")
+        if not (np.isfinite(z).all() and np.isfinite(cov).all()):
+            raise ValueError("measurement and covariance must be finite")
         if np.max(np.abs(cov - cov.T)) > 1e-9:
             raise ValueError("measurement covariance must be symmetric within 1e-9")
         if np.min(np.linalg.eigvalsh(0.5 * (cov + cov.T))) <= 0.0:
@@ -175,19 +192,18 @@ def _angle_gradients(g) -> tuple[np.ndarray, np.ndarray]:
     return d_az, d_el
 
 
-def _path_geometry(ue: UEState, lm: Landmark, bs_position):
+def _path_geometry(u, kind: LandmarkType, x, bs_position):
     """Return (path_length, aoa_direction, aod_direction) for the landmark kind.
 
-    Directions are unnormalized global-frame vectors: the AOA direction
-    points from the UE toward the apparent source, the AOD direction from
-    the BS toward the departure target.
+    ``u`` and ``x`` are the UE and landmark positions.  Directions are
+    unnormalized global-frame vectors: the AOA direction points from the UE
+    toward the apparent source, the AOD direction from the BS toward the
+    departure target.
     """
-    u = ue.position
-    x = lm.position
-    if lm.kind is LandmarkType.BS:
+    if kind is LandmarkType.BS:
         d, rng = _direction(x - u, "UE-BS")
         return rng, d, u - x
-    if lm.kind is LandmarkType.VA:
+    if kind is LandmarkType.VA:
         d, rng = _direction(x - u, "UE-VA")
         bs = np.asarray(bs_position, dtype=float)
         nu_raw, span = _direction(x - bs, "BS-VA")
@@ -195,12 +211,12 @@ def _path_geometry(ue: UEState, lm: Landmark, bs_position):
         # Mirroring VA->UE across the surface gives the BS->incidence ray.
         aod = (u - x) - 2.0 * nu * (nu @ (u - x))
         return rng, d, aod
-    if lm.kind is LandmarkType.SP:
+    if kind is LandmarkType.SP:
         bs = np.asarray(bs_position, dtype=float)
         d2, leg2 = _direction(x - u, "UE-SP")
         _, leg1 = _direction(x - bs, "BS-SP")
         return leg1 + leg2, d2, x - bs
-    raise ValueError(f"unknown landmark kind {lm.kind!r}")
+    raise ValueError(f"unknown landmark kind {kind!r}")
 
 
 def measure(ue: UEState, lm: Landmark, bs_position) -> np.ndarray:
@@ -209,12 +225,18 @@ def measure(ue: UEState, lm: Landmark, bs_position) -> np.ndarray:
     The TOA is the path length in meters plus the UE clock bias.  AOA
     azimuth is relative to the UE heading; all angles wrapped to (-pi, pi].
     """
-    path, g_aoa, g_aod = _path_geometry(ue, lm, bs_position)
+    return _measure(ue.position, ue.heading, ue.clock_bias, lm.kind,
+                    lm.position, bs_position)
+
+
+def _measure(u, heading: float, bias: float, kind: LandmarkType, x,
+             bs_position) -> np.ndarray:
+    path, g_aoa, g_aod = _path_geometry(u, kind, x, bs_position)
     aoa_az, aoa_el = _azimuth_elevation(g_aoa)
     aod_az, aod_el = _azimuth_elevation(g_aod)
     return np.array([
-        path + ue.clock_bias,
-        wrap_angle(aoa_az - ue.heading),
+        path + bias,
+        _wrap_scalar(aoa_az - heading),
         aoa_el,
         aod_az,
         aod_el,
@@ -227,8 +249,10 @@ def measure_jacobian(ue: UEState, lm: Landmark, bs_position) -> np.ndarray:
     Columns stack the joint state [ue position (3), heading, clock bias,
     landmark position (3)].
     """
-    u = ue.position
-    x = lm.position
+    return _measure_jacobian(ue.position, lm.kind, lm.position, bs_position)
+
+
+def _measure_jacobian(u, kind: LandmarkType, x, bs_position) -> np.ndarray:
     H = np.zeros((5, 8))
     H[0, 4] = 1.0  # bias enters the delay additively
 
@@ -241,7 +265,7 @@ def measure_jacobian(ue: UEState, lm: Landmark, bs_position) -> np.ndarray:
     H[2, 0:3] = -d_el
     H[2, 5:8] = d_el
 
-    if lm.kind is LandmarkType.BS:
+    if kind is LandmarkType.BS:
         e = g_aoa / np.linalg.norm(g_aoa)
         H[0, 0:3] = -e
         H[0, 5:8] = e
@@ -250,7 +274,7 @@ def measure_jacobian(ue: UEState, lm: Landmark, bs_position) -> np.ndarray:
         H[3, 5:8] = -d_az2
         H[4, 0:3] = d_el2
         H[4, 5:8] = -d_el2
-    elif lm.kind is LandmarkType.VA:
+    elif kind is LandmarkType.VA:
         e = g_aoa / np.linalg.norm(g_aoa)
         H[0, 0:3] = -e
         H[0, 5:8] = e
@@ -268,7 +292,7 @@ def measure_jacobian(ue: UEState, lm: Landmark, bs_position) -> np.ndarray:
         H[3, 5:8] = d_az2 @ dg_dx
         H[4, 0:3] = d_el2 @ R
         H[4, 5:8] = d_el2 @ dg_dx
-    elif lm.kind is LandmarkType.SP:
+    elif kind is LandmarkType.SP:
         bs = np.asarray(bs_position, dtype=float)
         leg1_vec, leg1 = _direction(x - bs, "BS-SP")
         e1 = leg1_vec / leg1
@@ -279,7 +303,7 @@ def measure_jacobian(ue: UEState, lm: Landmark, bs_position) -> np.ndarray:
         H[3, 5:8] = d_az2
         H[4, 5:8] = d_el2
     else:
-        raise ValueError(f"unknown landmark kind {lm.kind!r}")
+        raise ValueError(f"unknown landmark kind {kind!r}")
     return H
 
 
@@ -295,8 +319,12 @@ def detection_probability(ue: UEState, lm: Landmark, p_detect=0.9,
         pd = float(p_detect.get(lm.kind, 0.0))
     else:
         pd = float(p_detect)
-    if lm.kind is LandmarkType.SP:
-        if np.linalg.norm(lm.position - ue.position) > fov_radius:
+    return _visible(ue.position, lm.kind, lm.position, pd, fov_radius)
+
+
+def _visible(u, kind: LandmarkType, x, pd: float, fov_radius: float) -> float:
+    if kind is LandmarkType.SP:
+        if np.linalg.norm(x - u) > fov_radius:
             return 0.0
     return pd
 
@@ -330,33 +358,42 @@ class ChannelModel:
     def dim(self) -> int:
         return 5
 
-    #: Indices of angular measurement components (residuals wrapped).
-    angle_components = (1, 2, 3, 4)
+    #: Angular measurement components (residuals wrapped).
+    angle_components = slice(1, 5)
 
     def wrap_residual(self, v: np.ndarray) -> np.ndarray:
         v = np.array(v, dtype=float)
-        v[..., list(self.angle_components)] = wrap_angle(
-            v[..., list(self.angle_components)])
+        v[..., self.angle_components] = wrap_angle(v[..., self.angle_components])
         return v
 
-    def _ue(self, sensor_mean) -> UEState:
-        return UEState.from_vector(sensor_mean)
+    # The methods below take the raw sensor vector [x, y, z, heading, bias]
+    # and landmark position, and check them as UEState.from_vector and
+    # Landmark would, without building either object on every call.
+
+    @staticmethod
+    def _sensor(sensor_mean):
+        """(position, wrapped heading, clock bias) of a sensor vector."""
+        v = np.asarray(sensor_mean, dtype=float)
+        heading, bias = _wrap_scalar(float(v[3])), float(v[4])
+        return _finite_point(v[:3], "UE"), heading, bias
 
     def predict(self, sensor_mean, lm_position, kind: LandmarkType) -> np.ndarray:
-        return measure(self._ue(sensor_mean), Landmark(kind, lm_position),
-                       self.bs_position)
+        u, heading, bias = self._sensor(sensor_mean)
+        return _measure(u, heading, bias, kind,
+                        _finite_point(lm_position, "landmark"), self.bs_position)
 
     def jacobians(self, sensor_mean, lm_position, kind: LandmarkType):
         """(H_sensor, H_landmark) blocks of the measurement Jacobian."""
-        H = measure_jacobian(self._ue(sensor_mean), Landmark(kind, lm_position),
-                             self.bs_position)
+        u, _, _ = self._sensor(sensor_mean)
+        H = _measure_jacobian(u, kind, _finite_point(lm_position, "landmark"),
+                              self.bs_position)
         return H[:, :5], H[:, 5:]
 
     def detection_probability(self, sensor_mean, lm_position,
                               kind: LandmarkType) -> float:
-        return detection_probability(
-            self._ue(sensor_mean), Landmark(kind, lm_position),
-            self.p_detect, self.fov_radius)
+        u, _, _ = self._sensor(sensor_mean)
+        return _visible(u, kind, _finite_point(lm_position, "landmark"),
+                        float(self.p_detect.get(kind, 0.0)), self.fov_radius)
 
     def invert(self, z, sensor_mean, kind: LandmarkType):
         """Invert a measurement to a landmark position at the sensor mean.
@@ -365,23 +402,23 @@ class ChannelModel:
         treats the measurement as clutter-only).
         """
         z = np.asarray(z, dtype=float)
-        ue = self._ue(sensor_mean)
-        path = z[0] - ue.clock_bias
+        u, heading, bias = self._sensor(sensor_mean)
+        path = z[0] - bias
         if path <= 0.0:
             return None
         if kind in (LandmarkType.BS, LandmarkType.VA):
-            az = z[1] + ue.heading
+            az = z[1] + heading
             el = z[2]
             d = np.array([math.cos(el) * math.cos(az),
                           math.cos(el) * math.sin(az),
                           math.sin(el)])
-            return ue.position + path * d
+            return u + path * d
         if kind is LandmarkType.SP:
             az, el = z[3], z[4]
             g = np.array([math.cos(el) * math.cos(az),
                           math.cos(el) * math.sin(az),
                           math.sin(el)])
-            w = self.bs_position - ue.position
+            w = self.bs_position - u
             denom = 2.0 * (path + g @ w)
             if denom <= 1e-9:
                 return None

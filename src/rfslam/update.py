@@ -10,8 +10,11 @@ replicated per type with a fully correlated noise block).  The local
 weights, type predictions and birth candidates all come from the cost
 matrix in :mod:`rfslam.association`; misdetected landmarks reuse its
 misdetection weight and newborn landmarks its birth candidates.  The
-sensor posterior is the moment-matched mixture over all children.  In PMB
-mode the resulting mixture is reduced back to a single hypothesis by the
+pieces a child takes unchanged from its parent hypothesis (misdetected and
+newborn Bernoullis, detected type posteriors) are built once per
+hypothesis and shared by all its ranked associations.  The sensor
+posterior is the moment-matched mixture over all children.  In PMB mode
+the resulting mixture is reduced back to a single hypothesis by the
 track-oriented recombination in :mod:`rfslam.reduction`.
 """
 
@@ -22,7 +25,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import reduction
 from .association import (
@@ -30,7 +32,8 @@ from .association import (
     AssociationContext,
     AssociationVector,
     build_cost_matrix,
-    misdetection_weight,
+    chol_factor,
+    chol_solve,
     murty_kbest,
 )
 from .density import (
@@ -155,9 +158,9 @@ def _birth_bernoulli(candidate, config: FilterConfig) -> Bernoulli:
     return Bernoulli(candidate.existence, LandmarkBelief(types))
 
 
-def _misdetected_bernoulli(bern: Bernoulli, preds: dict,
+def _misdetected_bernoulli(bern: Bernoulli, misdetection: tuple,
                            config: FilterConfig) -> Bernoulli:
-    p_detect, survive, l0 = misdetection_weight(bern, preds)
+    p_detect, survive, l0 = misdetection
     existence = bern.existence * survive / l0 if l0 > 0.0 else 0.0
     psi = update_type_probs(TypePosteriorInput(
         prior_probs=bern.belief.type_probs(), p_detect=p_detect, logliks=None))
@@ -166,6 +169,56 @@ def _misdetected_bernoulli(bern: Bernoulli, preds: dict,
                               bern.belief.types[k].covariance)
              for k in psi}
     return Bernoulli(existence, LandmarkBelief(types))
+
+
+class ChildParts:
+    """The pieces of one hypothesis's children that no association changes.
+
+    A misdetected landmark's Bernoulli, a detected landmark's posterior type
+    probabilities and a newborn Bernoulli are pure functions of the
+    hypothesis and the landmark and/or measurement, so every ranked
+    association of the hypothesis shares them (track-oriented PMBM children
+    share their per-track local hypotheses).  Each is built on first use.
+    """
+
+    def __init__(self, hypothesis: GlobalHypothesis, ctx: AssociationContext,
+                 config: FilterConfig):
+        self.bernoullis = hypothesis.bernoullis
+        self.ctx = ctx
+        self.config = config
+        self._misdetected = {}
+        self._detected = {}
+        self._born = {}
+
+    def misdetected(self, i: int) -> Bernoulli:
+        """Landmark ``i`` after a misdetection."""
+        bern = self._misdetected.get(i)
+        if bern is None:
+            bern = self._misdetected[i] = _misdetected_bernoulli(
+                self.bernoullis[i], self.ctx.misdetection[i], self.config)
+        return bern
+
+    def detected_type_probs(self, i: int, p: int) -> dict:
+        """Pruned posterior type probabilities of landmark ``i`` given ``p``."""
+        psi = self._detected.get((i, p))
+        if psi is None:
+            bern = self.bernoullis[i]
+            preds = self.ctx.type_preds[i]
+            psi = update_type_probs(TypePosteriorInput(
+                prior_probs=bern.belief.type_probs(),
+                p_detect={k: preds[k].p_detect for k in bern.belief.types},
+                logliks=self.ctx.pair_logliks.get((i, p), {})))
+            psi = self._detected[(i, p)] = _prune_type_probs(
+                psi, self.config.type_prune)
+        return psi
+
+    def born(self, p: int) -> Bernoulli:
+        """The Bernoulli measurement ``p`` starts."""
+        bern = self._born.get(p)
+        if bern is None:
+            bern = self._born[p] = _birth_bernoulli(self.ctx.births[p],
+                                                   self.config)
+        return bern
 
 
 @dataclass
@@ -212,15 +265,16 @@ def _prune_type_probs(psi: dict, threshold: float) -> dict:
 def joint_update(hypothesis: GlobalHypothesis, sigma: AssociationVector,
                  sensor_prior: GaussianComponent, measurements,
                  config: FilterConfig,
-                 ctx: Optional[AssociationContext] = None):
+                 parts: Optional[ChildParts] = None):
     """Joint EK update of the sensor and all landmarks under one association.
 
     Returns ``(child hypothesis, sensor posterior, info)``.  The child
     keeps the parent weight; callers reweight.  Raises
     ``numpy.linalg.LinAlgError`` when the innovation covariance stays
     singular after regularization (the association is then discarded).
-    ``ctx`` is the context :func:`build_cost_matrix` returned for this
-    hypothesis; without it the context is built here, ungated.
+    ``parts`` holds the context :func:`build_cost_matrix` returned for this
+    hypothesis and the child pieces built so far; without it the context
+    is built here, ungated.
     """
     sigma.validate()
     berns = hypothesis.bernoullis
@@ -229,12 +283,13 @@ def joint_update(hypothesis: GlobalHypothesis, sigma: AssociationVector,
     detected = sigma.detected_pairs()
 
     model = config.model
-    if ctx is None:
+    if parts is None:
         _, _, ctx = build_cost_matrix(
             hypothesis, measurements, sensor_prior, config.ppp_rates,
             config.clutter_intensity, model, gate=None,
             birth_types=config.birth_types)
-    type_preds = ctx.type_preds
+        parts = ChildParts(hypothesis, ctx, config)
+    type_preds = parts.ctx.type_preds
 
     info = {"regularized": False, "detected": detected,
             "births": sigma.born_measurements()}
@@ -242,14 +297,7 @@ def joint_update(hypothesis: GlobalHypothesis, sigma: AssociationVector,
     # Posterior type probabilities first: type components whose probability
     # collapses are dropped from the stack, so their replicated-measurement
     # rows cannot force a stale cross-type constraint onto the sensor.
-    psi_post = {}
-    for i, p in detected:
-        bern = berns[i]
-        p_detect = {k: type_preds[i][k].p_detect for k in bern.belief.types}
-        psi = update_type_probs(TypePosteriorInput(
-            prior_probs=bern.belief.type_probs(), p_detect=p_detect,
-            logliks=ctx.pair_logliks.get((i, p), {})))
-        psi_post[i] = _prune_type_probs(psi, config.type_prune)
+    psi_post = {i: parts.detected_type_probs(i, p) for i, p in detected}
 
     if detected:
         stack_kinds = {}
@@ -285,13 +333,13 @@ def joint_update(hypothesis: GlobalHypothesis, sigma: AssociationVector,
                 row += dz
         S = H @ joint.covariance @ H.T + R
         try:
-            factor = cho_factor(symmetrize(S), lower=True)
+            factor = chol_factor(symmetrize(S))
         except np.linalg.LinAlgError:
             info["regularized"] = True
             S = S + 1e-9 * np.eye(n_rows)
-            factor = cho_factor(symmetrize(S), lower=True)
+            factor = chol_factor(symmetrize(S))
         PHt = joint.covariance @ H.T
-        gain = cho_solve(factor, PHt.T).T
+        gain = chol_solve(factor, PHt.T).T
         post_mean = joint.mean + gain @ innovation
         if config.joseph_form:
             A = np.eye(n_state) - gain @ H
@@ -323,10 +371,10 @@ def joint_update(hypothesis: GlobalHypothesis, sigma: AssociationVector,
                 types[kind] = TypeComponent(psi, mean, cov)
             new_berns.append(Bernoulli(1.0, LandmarkBelief(types)))
         else:
-            new_berns.append(_misdetected_bernoulli(bern, type_preds[i], config))
+            new_berns.append(parts.misdetected(i))
 
     for p in sigma.born_measurements():
-        new_berns.append(_birth_bernoulli(ctx.births[p], config))
+        new_berns.append(parts.born(p))
 
     child = GlobalHypothesis(hypothesis.weight, tuple(new_berns), assoc=sigma)
     return child, sensor_post, info
@@ -353,11 +401,12 @@ def update_step(density: PmbmDensity, sensor_pred: GaussianComponent,
             config.clutter_intensity, config.model, gate=config.gate,
             birth_types=config.birth_types)
         solutions = murty_kbest(costs, config.gamma)
+        parts = ChildParts(hyp, ctx, config)
         for sigma, cost in solutions:
             log_weight = math.log(hyp.weight) + log_const - cost
             try:
                 child, child_sensor, info = joint_update(
-                    hyp, sigma, sensor_pred, measurements, config, ctx)
+                    hyp, sigma, sensor_pred, measurements, config, parts)
             except np.linalg.LinAlgError:
                 continue  # weight redistributed over surviving associations
             children.append((log_weight, child, child_sensor))

@@ -9,11 +9,16 @@ from conftest import (
     single_type_bernoulli,
 )
 
+from scipy.linalg import cho_factor, cho_solve
+
 from rfslam.association import (
     AssociationVector,
     CostMatrix,
     InfeasibleAssignmentError,
     build_cost_matrix,
+    chol_factor,
+    chol_logpdf,
+    chol_solve,
     log_weight_detected,
     misdetection_weight,
     murty_kbest,
@@ -51,6 +56,49 @@ def linear_detected_weight(bern, meas, sensor, model):
 def misdetected_l0(bern, sensor, model):
     """Misdetection weight l0 via the function the cost matrix uses."""
     return misdetection_weight(bern, predict_types(bern, sensor, model))[2]
+
+
+def random_spd(rng, n):
+    a = rng.normal(size=(n, n))
+    return a @ a.T + n * np.eye(n)
+
+
+class TestCholeskyPair:
+    @pytest.mark.parametrize("n", [3, 5, 60])
+    def test_bit_equal_to_scipy_wrappers(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            a = random_spd(rng, n)
+            factor = chol_factor(a)
+            ref = cho_factor(a, lower=True)
+            assert np.array_equal(factor, ref[0])
+            for b in (rng.normal(size=n), rng.normal(size=(n, 4))):
+                assert np.array_equal(chol_solve(factor, b), cho_solve(ref, b))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_operand_raises_value_error(self, bad):
+        rng = np.random.default_rng(1)
+        a = random_spd(rng, 5)
+        b = rng.normal(size=5)
+        factor = chol_factor(a)
+        a_bad, factor_bad, b_bad = a.copy(), factor.copy(), b.copy()
+        a_bad[2, 2] = bad
+        factor_bad[3, 1] = bad
+        b_bad[4] = bad
+        with pytest.raises(ValueError):
+            chol_factor(a_bad)
+        with pytest.raises(ValueError):
+            chol_solve(factor_bad, b)
+        with pytest.raises(ValueError):
+            chol_solve(factor, b_bad)
+
+    def test_indefinite_matrix_raises_linalg_error(self):
+        a = np.diag([1.0, -1.0, 2.0])
+        with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
+            chol_factor(a)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="singular innovation covariance"):
+            chol_logpdf(np.ones(3), a)
 
 
 class TestWeightDetected:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -114,6 +115,32 @@ class TestRun:
         view = deterministic_metrics_view((out / "metrics.csv").read_text())
         assert "ms_predict" not in view.splitlines()[0]
         assert "timing" not in deterministic_report_view(report)
+
+
+class TestGoldenOutput:
+    """Speed-ups must leave the deterministic report bit-identical.
+
+    The sha256 of ``json.dumps(deterministic_report_view(report),
+    sort_keys=True)`` for three reference campaigns.  The values hold for
+    the numeric stack the package is developed on (numpy 2.4, scipy 1.17
+    with OpenBLAS); a change that moves them changes the filter's output
+    and must say so.
+    """
+
+    @pytest.mark.parametrize("filter_kind, gamma, digest", [
+        ("ek-pmb", 10,
+         "6fc54d0df6d6573a9f4745a208843887ad04d17371a4c896b509acba6e35ce7d"),
+        ("ek-pmb", 1,
+         "c936e6d8c7ae8b3c57b4765d178cad149dc99a430b1783425a3797a3da805c02"),
+        ("ek-pmbm", 10,
+         "3d84b4709546e41e1068a1e16ca82318a1cb7e6b51a9e8889559c8b148fa799e"),
+    ])
+    def test_report_hash_pinned(self, tmp_path, filter_kind, gamma, digest):
+        report = run(RunConfig(filter_kind=filter_kind, gamma=gamma,
+                               mc_runs=5, seed=1, jobs=1,
+                               out_dir=str(tmp_path)))
+        view = json.dumps(deterministic_report_view(report), sort_keys=True)
+        assert hashlib.sha256(view.encode()).hexdigest() == digest
 
 
 class TestCompare:

@@ -246,6 +246,83 @@ class TestChannelModel:
         assert w[3] == pytest.approx(-0.2)
 
 
+def invert_reference(model, z, ue, kind):
+    """ChannelModel.invert written against a validated UEState."""
+    path = z[0] - ue.clock_bias
+    if path <= 0.0:
+        return None
+    if kind is LandmarkType.SP:
+        az, el = z[3], z[4]
+    else:
+        az, el = z[1] + ue.heading, z[2]
+    g = np.array([math.cos(el) * math.cos(az), math.cos(el) * math.sin(az),
+                  math.sin(el)])
+    if kind is not LandmarkType.SP:
+        return ue.position + path * g
+    w = model.bs_position - ue.position
+    denom = 2.0 * (path + g @ w)
+    if denom <= 1e-9:
+        return None
+    s = (path * path - float(w @ w)) / denom
+    if s <= 0.0 or s >= path:
+        return None
+    return model.bs_position + s * g
+
+
+class TestChannelModelRawPath:
+    """The model methods take the raw sensor vector; they must give what the
+    validated UEState/Landmark functions give, bit for bit."""
+
+    @pytest.mark.parametrize("kind", list(LandmarkType))
+    def test_bit_equal_to_validated_functions(self, kind):
+        rng = np.random.default_rng(11)
+        model = ChannelModel(BS, fov_radius=60.0)
+        headings = [7.0, -4.0, np.pi, -np.pi, 13.5, -25.0,
+                    *rng.uniform(-10.0, 10.0, size=6)]
+        for heading in headings:
+            ue0, lm = random_geometry(rng, kind)
+            v = np.concatenate([ue0.position, [heading, ue0.clock_bias]])
+            ue = UEState.from_vector(v)
+            assert np.array_equal(model.predict(v, lm.position, kind),
+                                  measure(ue, lm, BS))
+            H = measure_jacobian(ue, lm, BS)
+            H_s, H_x = model.jacobians(v, lm.position, kind)
+            assert np.array_equal(H_s, H[:, :5])
+            assert np.array_equal(H_x, H[:, 5:])
+            assert model.detection_probability(v, lm.position, kind) == \
+                detection_probability(ue, lm, model.p_detect, model.fov_radius)
+            z = measure(ue, lm, BS) + rng.normal(0.0, 0.01, size=5)
+            got = model.invert(z, v, kind)
+            ref = invert_reference(model, z, ue, kind)
+            assert (got is None) == (ref is None)
+            if ref is not None:
+                assert np.array_equal(got, ref)
+
+    def test_non_finite_positions_raise(self):
+        model = ChannelModel(BS)
+        good = np.array([10.0, 5.0, 0.0, 7.0, 300.0])
+        lm = np.array([60.0, 20.0, 10.0])
+        for bad in (np.nan, np.inf):
+            v = good.copy()
+            v[1] = bad
+            for call in (lambda: model.predict(v, lm, LandmarkType.SP),
+                         lambda: model.jacobians(v, lm, LandmarkType.SP),
+                         lambda: model.detection_probability(
+                             v, lm, LandmarkType.SP),
+                         lambda: model.invert(np.ones(5) * 400.0, v,
+                                              LandmarkType.BS)):
+                with pytest.raises(ValueError, match="UE position"):
+                    call()
+            x = lm.copy()
+            x[2] = bad
+            for call in (lambda: model.predict(good, x, LandmarkType.SP),
+                         lambda: model.jacobians(good, x, LandmarkType.SP),
+                         lambda: model.detection_probability(
+                             good, x, LandmarkType.SP)):
+                with pytest.raises(ValueError, match="landmark position"):
+                    call()
+
+
 class TestMeasurementType:
     def test_validates_covariance(self):
         with pytest.raises(ValueError):
@@ -254,6 +331,17 @@ class TestMeasurementType:
         bad[0, 1] = 1e-6
         with pytest.raises(ValueError):
             Measurement(np.zeros(5), bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        z = np.zeros(5)
+        z[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Measurement(z, np.eye(5))
+        cov = np.eye(5)
+        cov[1, 1] = bad   # inf - inf is NaN, which no symmetry check catches
+        with pytest.raises(ValueError, match="finite"):
+            Measurement(np.zeros(5), cov)
 
     def test_channel_ctor_validates_elevation(self):
         with pytest.raises(ValueError):

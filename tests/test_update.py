@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -484,6 +485,26 @@ class TestJointUpdate:
             assert np.allclose(comp.covariance, cov_o[slices[i], slices[i]],
                                atol=1e-12)
 
+    def test_singular_innovation_is_regularized(self):
+        # Two types with identical rows and zero landmark covariance make the
+        # stacked innovation covariance [[R, R], [R, R]] exactly singular;
+        # the update adds 1e-9 I and goes on.
+        model = LinearModel({VA: ([[0.0]], [[1.0]]), SP: ([[0.0]], [[1.0]])},
+                            1, p_detect=0.9)
+        cfg = make_config(model, gate=None, type_prune=0.0)
+        bern = Bernoulli(0.8, LandmarkBelief({
+            VA: TypeComponent(0.5, np.zeros(1), np.zeros((1, 1))),
+            SP: TypeComponent(0.5, np.zeros(1), np.zeros((1, 1)))}))
+        hyp = GlobalHypothesis(1.0, (bern,))
+        sensor = GaussianComponent(np.zeros(1), np.eye(1))
+        meas = Measurement(np.array([0.3]), np.eye(1))
+        sigma = AssociationVector(1, (1, None))
+        child, sensor_post, info = joint_update(hyp, sigma, sensor, [meas], cfg)
+        assert info["regularized"]
+        assert np.all(np.isfinite(sensor_post.covariance))
+        for comp in child.bernoullis[0].belief.types.values():
+            assert np.all(np.isfinite(comp.mean))
+
     def test_joseph_form_agrees(self):
         rng = np.random.default_rng(43)
         model, cfg, sensor, hyp = linear_setup(rng, 2)
@@ -590,6 +611,109 @@ class TestStep:
         expected /= expected.sum()
         got = sorted((h.weight for h in posterior.hypotheses), reverse=True)
         assert np.allclose(sorted(expected, reverse=True), got, rtol=1e-9)
+
+    def test_child_parts_built_once_per_hypothesis(self, monkeypatch):
+        # One update at gamma 10 of a multi-landmark hypothesis: the pieces a
+        # child takes unchanged from its parent hypothesis are built once and
+        # shared, and every child is bit for bit the one an update without
+        # shared pieces gives.
+        import rfslam.association as association
+        import rfslam.update as update
+        from rfslam.sim import (default_scenario, generate_measurements,
+                                simulate_trajectory)
+        model, cfg, density, sensor = self.channel_setup(EK_PMB, gamma=10)
+        sc = default_scenario(seed=5)
+        rng = np.random.default_rng(5)
+        traj = simulate_trajectory(sc, rng)
+        for k in range(1, 8):
+            zset = generate_measurements(traj[k], sc, rng)
+            density, sensor = step(density, sensor, list(zset.measurements),
+                                   cfg)
+        measurements = list(generate_measurements(traj[8], sc,
+                                                  rng).measurements)
+        (hyp,) = density.hypotheses
+        assert len(hyp.bernoullis) >= 2
+        _, sensor_pred = predict_step(density, sensor, cfg)
+
+        original = {name: getattr(update, name) for name in (
+            "_misdetected_bernoulli", "_birth_bernoulli", "build_cost_matrix",
+            "update_type_probs", "joint_update")}
+        original_weight = association.misdetection_weight
+        calls = {"misdetected": [], "born": [], "type_probs": 0,
+                 "misdetection_weight": 0}
+        children = []
+        in_cost_matrix = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name].append(args[0])
+                return fn(*args)
+            return wrapper
+
+        def cost_matrix(*args, **kwargs):
+            in_cost_matrix.append(True)
+            try:
+                return original["build_cost_matrix"](*args, **kwargs)
+            finally:
+                in_cost_matrix.pop()
+
+        def misdetection(*args):
+            assert in_cost_matrix, "misdetection_weight outside the cost matrix"
+            calls["misdetection_weight"] += 1
+            return original_weight(*args)
+
+        def type_probs(*args):
+            calls["type_probs"] += 1
+            return original["update_type_probs"](*args)
+
+        def recorded(*args):
+            out = original["joint_update"](*args)
+            children.append((args, out))
+            return out
+
+        monkeypatch.setattr(update, "_misdetected_bernoulli", counted(
+            "misdetected", original["_misdetected_bernoulli"]))
+        monkeypatch.setattr(update, "_birth_bernoulli",
+                            counted("born", original["_birth_bernoulli"]))
+        monkeypatch.setattr(update, "build_cost_matrix", cost_matrix)
+        monkeypatch.setattr(association, "misdetection_weight", misdetection)
+        monkeypatch.setattr(update, "update_type_probs", type_probs)
+        monkeypatch.setattr(update, "joint_update", recorded)
+        update_step(density, sensor_pred, measurements, cfg)
+        monkeypatch.undo()
+
+        sigmas = [args[1] for args, _ in children]
+        assert len(sigmas) == cfg.gamma
+        misdetected = [i for s in sigmas for i in s.misdetected()]
+        born = [p for s in sigmas for p in s.born_measurements()]
+        detected = {pair for s in sigmas for pair in s.detected_pairs()}
+        # Shared pieces exist, so the counts below test the sharing.
+        assert len(misdetected) > len(set(misdetected))
+        assert len(born) > len(set(born))
+        assert [id(b) for b in calls["misdetected"]] == \
+            [id(hyp.bernoullis[i]) for i in dict.fromkeys(misdetected)]
+        assert len(calls["born"]) == len(set(born))
+        assert len(set(map(id, calls["born"]))) == len(calls["born"])
+        assert calls["misdetection_weight"] == len(hyp.bernoullis)
+        assert calls["type_probs"] == len(set(misdetected)) + len(detected)
+
+        # Without shared pieces joint_update takes its birth rates from the
+        # config; update_step passes the density's (thinned) PPP.
+        ref_cfg = replace(cfg, ppp_rates=density.ppp_intensity)
+        for args, (child, child_sensor, _) in children:
+            ref, ref_sensor, _ = joint_update(*args[:4], ref_cfg)
+            assert np.array_equal(child_sensor.mean, ref_sensor.mean)
+            assert np.array_equal(child_sensor.covariance,
+                                  ref_sensor.covariance)
+            assert len(child.bernoullis) == len(ref.bernoullis)
+            for a, b in zip(child.bernoullis, ref.bernoullis):
+                assert a.existence == b.existence
+                assert list(a.belief.types) == list(b.belief.types)
+                for kind, comp in a.belief.types.items():
+                    other = b.belief.types[kind]
+                    assert comp.weight == other.weight
+                    assert np.array_equal(comp.mean, other.mean)
+                    assert np.array_equal(comp.covariance, other.covariance)
 
     def test_pmb_gamma1_equals_pmbm_gamma1(self):
         states = []
