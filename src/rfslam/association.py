@@ -121,7 +121,8 @@ def predict_types(bern: Bernoulli, sensor: GaussianComponent, model) -> dict:
     return preds
 
 
-def log_weight_detected(bern: Bernoulli, meas, preds: dict, model):
+def log_weight_detected(bern: Bernoulli, meas, preds: dict, model,
+                        gate: Optional[float] = None):
     """Local weight for "detected again", in log domain, for one pair.
 
     Returns ``(ln l, logliks, mahal)`` with l = r sum_type psi pd N(z; h, S),
@@ -129,22 +130,38 @@ def log_weight_detected(bern: Bernoulli, meas, preds: dict, model):
     distance over the types (the caller gates on it).  Types with zero
     detection probability, zero weight or degenerate geometry contribute
     nothing; with no contribution, or zero existence, ln l is -inf.
+
+    With a ``gate``, a pair that every contributing type puts outside it is
+    rejected before any factorization: ``(-inf, {}, bound)``, where the
+    bound max_j v_j^2 / S_jj never exceeds v^T S^-1 v (a marginal's
+    Mahalanobis distance is at most the joint one).  The relative margin
+    1e-9 absorbs rounding, so the caller's gate on ``mahal`` keeps or drops
+    exactly the pairs it would without the bound.
     """
     logliks = {}
     best_mahal = math.inf
     if bern.existence <= 0.0:
         return -math.inf, logliks, best_mahal
-    terms = []
+    residuals = []
     for kind, comp in bern.belief.types.items():
         pred = preds[kind]
         if pred.p_detect <= 0.0 or comp.weight <= 0.0 or pred.z_pred is None:
             continue
         S = pred.hph + meas.covariance
         v = model.wrap_residual(meas.z - pred.z_pred)
+        residuals.append((kind, comp.weight, pred.p_detect, v, S))
+    if gate is not None:
+        bounds = [float((v * v / S.diagonal()).max())
+                  for _, _, _, v, S in residuals]
+        # A NaN bound compares False and falls through to the full path.
+        if all(b > gate * (1.0 + 1e-9) for b in bounds):
+            return -math.inf, logliks, min(bounds, default=math.inf)
+    terms = []
+    for kind, weight, p_detect, v, S in residuals:
         loglik, mahal = chol_logpdf(v, S)
         logliks[kind] = loglik
         best_mahal = min(best_mahal, mahal)
-        terms.append(math.log(comp.weight) + math.log(pred.p_detect) + loglik)
+        terms.append(math.log(weight) + math.log(p_detect) + loglik)
     return math.log(bern.existence) + _logsumexp(terms), logliks, best_mahal
 
 
@@ -353,8 +370,8 @@ def build_cost_matrix(hypothesis: GlobalHypothesis, measurements,
         log_l0 = math.log(misdetection[i][2])
         misdetect_log_sum += log_l0
         for p, meas in enumerate(measurements):
-            log_l, logliks, mahal = log_weight_detected(bern, meas,
-                                                        type_preds[i], model)
+            log_l, logliks, mahal = log_weight_detected(
+                bern, meas, type_preds[i], model, gate)
             if log_l == -math.inf or (gate is not None and mahal > gate):
                 continue
             pair_logliks[(i, p)] = logliks

@@ -168,12 +168,36 @@ def _merge_pair_gate(a: Bernoulli, b: Bernoulli, threshold: float) -> bool:
         return False
     ca, cb = a.belief.types[ka], b.belief.types[kb]
     d = ca.mean - cb.mean
+    # For an SPD C, d^T C^-1 d >= |d|^2 / lambda_max(C) >= |d|^2 / tr(C), so
+    # a pair this far apart fails the gate under either covariance and needs
+    # no solve; the relative margin 1e-9 absorbs rounding.
+    if float(d @ d) > threshold * (1.0 + 1e-9) * min(
+            ca.covariance.trace(), cb.covariance.trace()):
+        return False
     try:
         da = float(d @ np.linalg.solve(ca.covariance, d))
         db = float(d @ np.linalg.solve(cb.covariance, d))
     except np.linalg.LinAlgError:
         return False
     return max(da, db) <= threshold
+
+
+def moment_match(coefs, means, covs, norm: float):
+    """Moment-matched (mean, covariance) of a weighted Gaussian mixture.
+
+    mean = sum_i c_i m_i / norm and
+    cov = sum_i c_i (C_i + (m_i - mean)(m_i - mean)^T) / norm, symmetrized.
+    ``np.add.reduce`` over the stacked members adds them one after another
+    from zero, as the built-in ``sum`` does, so the result is bit-identical
+    to the Python loop over the members.
+    """
+    coefs = np.array(coefs, dtype=float)
+    means = np.array(means, dtype=float)
+    mean = np.add.reduce(coefs[:, None] * means, axis=0) / norm
+    d = means - mean
+    spread = np.array(covs, dtype=float) + d[:, :, None] * d[:, None, :]
+    cov = np.add.reduce(coefs[:, None, None] * spread, axis=0) / norm
+    return mean, symmetrize(cov)
 
 
 def _moment_match_types(members: list) -> LandmarkBelief:
@@ -195,10 +219,9 @@ def _moment_match_types(members: list) -> LandmarkBelief:
         if wsum <= 0.0:
             types[kind] = TypeComponent(psi, comps[0].mean, comps[0].covariance)
             continue
-        mean = sum(w * c.mean for w, c in zip(weights, comps)) / wsum
-        cov = sum(w * (c.covariance + np.outer(c.mean - mean, c.mean - mean))
-                  for w, c in zip(weights, comps)) / wsum
-        types[kind] = TypeComponent(psi, mean, symmetrize(cov))
+        mean, cov = moment_match(weights, [c.mean for c in comps],
+                                 [c.covariance for c in comps], wsum)
+        types[kind] = TypeComponent(psi, mean, cov)
     return LandmarkBelief(types)
 
 

@@ -24,7 +24,7 @@ from .density import (
     LandmarkBelief,
     PmbmDensity,
     TypeComponent,
-    symmetrize,
+    moment_match,
 )
 from .geometry import TYPE_ORDER
 
@@ -57,14 +57,14 @@ class TrackTable:
 
     n_prior: int
     n_meas: int
-    cells: dict  # (track, q) -> TrackCell
+    cells: list  # per track: q -> TrackCell
 
     @property
     def n_tracks(self) -> int:
         return self.n_prior + self.n_meas
 
-    def track_cells(self, t: int):
-        return {q: cell for (tt, q), cell in self.cells.items() if tt == t}
+    def track_cells(self, t: int) -> dict:
+        return self.cells[t]
 
     def beta_row_sums(self):
         return [sum(c.beta for c in self.track_cells(t).values())
@@ -79,7 +79,7 @@ def align_hypotheses(density: PmbmDensity) -> TrackTable:
     if first is None:
         raise InconsistentHypothesesError("hypotheses carry no association info")
     n_prior, n_meas = first.n_prior, first.n_meas
-    cells: dict = {}
+    cells = [{} for _ in range(n_prior + n_meas)]
     for hyp in density.hypotheses:
         sigma = hyp.assoc
         if sigma is None or sigma.n_prior != n_prior or sigma.n_meas != n_meas:
@@ -92,7 +92,7 @@ def align_hypotheses(density: PmbmDensity) -> TrackTable:
         w = hyp.weight
         for t in range(n_prior):
             q = sigma.sigma[t]
-            cell = cells.setdefault((t, q), TrackCell())
+            cell = cells[t].setdefault(q, TrackCell())
             bern = hyp.bernoullis[t]
             cell.beta += w
             cell.contributors.append((w, bern))
@@ -103,12 +103,12 @@ def align_hypotheses(density: PmbmDensity) -> TrackTable:
         for t in range(n_prior, n_prior + n_meas):
             entry = sigma.sigma[t]
             if entry is None:
-                cell = cells.setdefault((t, None), TrackCell())
+                cell = cells[t].setdefault(None, TrackCell())
                 cell.beta += w  # not-born slots carry zero existence
                 continue
             bern = hyp.bernoullis[n_prior + born_rank]
             born_rank += 1
-            cell = cells.setdefault((t, entry), TrackCell())
+            cell = cells[t].setdefault(entry, TrackCell())
             cell.beta += w
             cell.contributors.append((w, bern))
             for kind, comp in bern.belief.types.items():
@@ -134,20 +134,21 @@ def _average_cell(cell: TrackCell) -> Bernoulli:
             comp = members[0][1]
             types[kind] = TypeComponent(psi, comp.mean, comp.covariance)
             continue
-        mean = sum(w * c.weight * c.mean for w, c in members) / norm
-        cov = sum(w * c.weight
-                  * (c.covariance + np.outer(c.mean - mean, c.mean - mean))
-                  for w, c in members) / norm
-        types[kind] = TypeComponent(psi, mean, symmetrize(cov))
+        mean, cov = moment_match([w * c.weight for w, c in members],
+                                 [c.mean for _, c in members],
+                                 [c.covariance for _, c in members], norm)
+        types[kind] = TypeComponent(psi, mean, cov)
     return Bernoulli(existence, LandmarkBelief(types))
 
 
 def average_conditionals(table: TrackTable, density: PmbmDensity) -> TrackTable:
     """Average the per-cell conditional Bernoullis over contributing hypotheses."""
-    for (t, q), cell in table.cells.items():
-        if q is None or not cell.contributors or cell.beta < MIN_CELL_MASS:
-            continue
-        cell.bernoulli = _average_cell(cell)
+    for track in table.cells:
+        for q, cell in track.items():
+            if (q is None or not cell.contributors
+                    or cell.beta < MIN_CELL_MASS):
+                continue
+            cell.bernoulli = _average_cell(cell)
     return table
 
 
@@ -184,11 +185,11 @@ def _recombine_prior_track(cells: dict) -> Bernoulli:
             comp = members[0][1].belief.types[kind]
             types[kind] = TypeComponent(psi, comp.mean, comp.covariance)
             continue
-        comps = [(bt * b.existence, b.belief.types[kind]) for bt, b in members]
-        mean = sum(w * c.mean for w, c in comps) / norm
-        cov = sum(w * (c.covariance + np.outer(c.mean - mean, c.mean - mean))
-                  for w, c in comps) / norm
-        types[kind] = TypeComponent(psi, mean, symmetrize(cov))
+        comps = [b.belief.types[kind] for _, b in members]
+        mean, cov = moment_match([bt * b.existence for bt, b in members],
+                                 [c.mean for c in comps],
+                                 [c.covariance for c in comps], norm)
+        types[kind] = TypeComponent(psi, mean, cov)
     if existence <= 0.0:
         belief = _uniform_belief(live[next(iter(live))].bernoulli.belief)
         return Bernoulli(0.0, belief)

@@ -46,6 +46,7 @@ from .density import (
     PmbmDensity,
     TypeComponent,
     merge_bernoullis,
+    moment_match,
     prune,
     symmetrize,
 )
@@ -131,10 +132,10 @@ def marginalize_sensor(children) -> GaussianComponent:
         raise ValueError("child weights must sum to 1 within 1e-6")
     if len(children) == 1:
         return children[0][1]
-    mean = sum(w * g.mean for w, g in children)
-    cov = sum(w * (g.covariance + np.outer(g.mean - mean, g.mean - mean))
-              for w, g in children)
-    return GaussianComponent(mean, symmetrize(cov))
+    # The weights already sum to one, and x / 1.0 is exact.
+    mean, cov = moment_match(weights, [g.mean for _, g in children],
+                             [g.covariance for _, g in children], 1.0)
+    return GaussianComponent(mean, cov)
 
 
 _FAILED_BIRTH_COV = 1e6
@@ -175,10 +176,11 @@ class ChildParts:
     """The pieces of one hypothesis's children that no association changes.
 
     A misdetected landmark's Bernoulli, a detected landmark's posterior type
-    probabilities and a newborn Bernoulli are pure functions of the
-    hypothesis and the landmark and/or measurement, so every ranked
-    association of the hypothesis shares them (track-oriented PMBM children
-    share their per-track local hypotheses).  Each is built on first use.
+    probabilities and innovations, and a newborn Bernoulli are pure
+    functions of the hypothesis and the landmark and/or measurement, so
+    every ranked association of the hypothesis shares them (track-oriented
+    PMBM children share their per-track local hypotheses).  Each is built
+    on first use.
     """
 
     def __init__(self, hypothesis: GlobalHypothesis, ctx: AssociationContext,
@@ -188,6 +190,7 @@ class ChildParts:
         self.config = config
         self._misdetected = {}
         self._detected = {}
+        self._innovations = {}
         self._born = {}
 
     def misdetected(self, i: int) -> Bernoulli:
@@ -211,6 +214,17 @@ class ChildParts:
             psi = self._detected[(i, p)] = _prune_type_probs(
                 psi, self.config.type_prune)
         return psi
+
+    def innovation(self, i: int, p: int, kind, z: np.ndarray) -> np.ndarray:
+        """Wrapped residual of measurement ``p``, whose value is ``z``,
+        against landmark ``i``'s prediction as type ``kind``."""
+        key = (i, p, kind)
+        v = self._innovations.get(key)
+        if v is None:
+            z_pred = self.ctx.type_preds[i][kind].z_pred
+            v = self._innovations[key] = self.config.model.wrap_residual(
+                z - z_pred)
+        return v
 
     def born(self, p: int) -> Bernoulli:
         """The Bernoulli measurement ``p`` starts."""
@@ -329,7 +343,7 @@ def joint_update(hypothesis: GlobalHypothesis, sigma: AssociationVector,
                 rows = slice(row, row + dz)
                 H[rows, :ds] = pred.H_s
                 H[rows, joint.slices[(i, kind)]] = pred.H_x
-                innovation[rows] = model.wrap_residual(meas.z - pred.z_pred)
+                innovation[rows] = parts.innovation(i, p, kind, meas.z)
                 row += dz
         S = H @ joint.covariance @ H.T + R
         try:
@@ -346,11 +360,11 @@ def joint_update(hypothesis: GlobalHypothesis, sigma: AssociationVector,
             post_cov = A @ joint.covariance @ A.T + gain @ R @ gain.T
         else:
             post_cov = joint.covariance - gain @ PHt.T
+        # Diagonal blocks of the symmetrized covariance are exactly symmetric.
         post_cov = symmetrize(post_cov)
-        sensor_post = GaussianComponent(post_mean[:ds],
-                                        symmetrize(post_cov[:ds, :ds]))
+        sensor_post = GaussianComponent(post_mean[:ds], post_cov[:ds, :ds])
         posterior_comp = {
-            key: (post_mean[sl], symmetrize(post_cov[sl, sl]))
+            key: (post_mean[sl], post_cov[sl, sl])
             for key, sl in joint.slices.items()
         }
     else:

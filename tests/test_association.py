@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (
     LinearModel,
     assignment_cost,
@@ -11,7 +13,9 @@ from conftest import (
 
 from scipy.linalg import cho_factor, cho_solve
 
+from rfslam import association
 from rfslam.association import (
+    DEFAULT_GATE,
     AssociationVector,
     CostMatrix,
     InfeasibleAssignmentError,
@@ -32,8 +36,14 @@ from rfslam.density import (
     LandmarkBelief,
     TypeComponent,
 )
-from rfslam.geometry import DegenerateGeometryError, LandmarkType, Measurement
+from rfslam.geometry import (
+    ChannelModel,
+    DegenerateGeometryError,
+    LandmarkType,
+    Measurement,
+)
 
+BS = LandmarkType.BS
 SP = LandmarkType.SP
 VA = LandmarkType.VA
 
@@ -286,6 +296,119 @@ class TestBuildCostMatrix:
         costs, _, _ = build_cost_matrix(hyp, [far], sensor, {SP: 1.0}, 0.1,
                                         model, gate=30.0)
         assert np.isinf(costs.matrix[0, 0])
+
+
+def channel_association_case(seed, n_landmarks, n_meas, tight):
+    """Random channel-model association problem around the reference UE.
+
+    Each landmark mixes one to three types with random SPD covariances; each
+    measurement is a noisy detection of a random landmark type or uniform
+    clutter.  With ``tight``, the sensor and landmark covariances are tiny
+    and detections move one channel only, so S is nearly the diagonal R and
+    the marginal bound of a pair nearly equals its full Mahalanobis distance.
+    """
+    rng = np.random.default_rng(seed)
+    model = ChannelModel(np.array([0.0, 0.0, 40.0]))
+    scale = 1e-12 if tight else 1.0
+    sensor = GaussianComponent(
+        np.array([70.0, 0.0, 0.0, math.pi / 2, 300.0]) + rng.normal(size=5),
+        scale * random_spd(rng, 5) / 10.0)
+    berns = []
+    for _ in range(n_landmarks):
+        kinds = list(rng.choice([BS, VA, SP], size=int(rng.integers(1, 4)),
+                                replace=False))
+        psi = rng.dirichlet(np.ones(len(kinds)))
+        centre = rng.uniform([-100.0, -100.0, 0.0], [100.0, 100.0, 40.0])
+        types = {k: TypeComponent(float(w), centre + rng.normal(size=3),
+                                  scale * random_spd(rng, 3))
+                 for k, w in zip(kinds, psi)}
+        berns.append(Bernoulli(float(rng.uniform(0.05, 1.0)),
+                               LandmarkBelief(types)))
+    R = np.diag(np.array([0.1, 0.005, 0.005, 0.005, 0.005]) ** 2)
+    measurements = []
+    for _ in range(n_meas):
+        bern = berns[int(rng.integers(n_landmarks))]
+        comp_kind = list(bern.belief.types)[
+            int(rng.integers(len(bern.belief.types)))]
+        comp = bern.belief.types[comp_kind]
+        try:
+            z = model.predict(sensor.mean, comp.mean, comp_kind)
+        except DegenerateGeometryError:
+            z = None
+        if z is None or rng.uniform() < 0.2:
+            z = rng.uniform([0.0, -3.0, -1.5, -3.0, -1.5],
+                            [600.0, 3.0, 1.5, 3.0, 1.5])
+        elif tight:
+            j = int(rng.integers(5))
+            z = z.copy()
+            z[j] += rng.normal() * 6.0 * math.sqrt(R[j, j])
+        else:
+            z = z + rng.normal(size=5) * np.sqrt(np.diag(R)) * 4.0
+        measurements.append(Measurement(z, R))
+    hyp = GlobalHypothesis(1.0, tuple(berns))
+    ppp = {BS: 0.0, VA: 1e-5, SP: 1e-5}
+    return hyp, measurements, sensor, ppp, model
+
+
+class TestGatedCostMatrix:
+    """The pre-gate in ``log_weight_detected`` only skips work.
+
+    ``build_cost_matrix(gate=g)`` must equal, bit for bit, the ungated
+    matrix with the gate applied afterwards on each pair's full Mahalanobis
+    distance, including for pairs within 1e-9 of the gate.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           n_landmarks=st.integers(1, 5),
+           n_meas=st.integers(1, 6),
+           tight=st.booleans(),
+           pick=st.integers(0, 10 ** 6),
+           rel=st.sampled_from([-1e-9, -1e-12, 0.0, 1e-12, 1e-9, None]))
+    def test_bit_equal_to_gate_applied_afterwards(self, seed, n_landmarks,
+                                                  n_meas, tight, pick, rel):
+        hyp, meas, sensor, ppp, model = channel_association_case(
+            seed, n_landmarks, n_meas, tight)
+        clutter = 1e-6
+        ungated, log_sum, ctx = build_cost_matrix(
+            hyp, meas, sensor, ppp, clutter, model, gate=None)
+        mahal = {}
+        for (i, p) in ctx.pair_logliks:
+            _, _, mahal[(i, p)] = log_weight_detected(
+                hyp.bernoullis[i], meas[p], ctx.type_preds[i], model)
+        finite = sorted(m for m in mahal.values() if math.isfinite(m))
+        if rel is None or not finite:
+            gate = DEFAULT_GATE
+        else:
+            # Put the gate within 1e-9 of one pair's full distance.
+            gate = finite[pick % len(finite)] * (1.0 + rel)
+
+        expected = ungated.matrix.copy()
+        expected_logliks = dict(ctx.pair_logliks)
+        for (i, p), m in mahal.items():
+            if m > gate:
+                expected[p, i] = np.inf
+                del expected_logliks[(i, p)]
+
+        gated, gated_log_sum, gated_ctx = build_cost_matrix(
+            hyp, meas, sensor, ppp, clutter, model, gate=gate)
+        assert gated.matrix.tobytes() == expected.tobytes()
+        assert gated_ctx.pair_logliks == expected_logliks
+        assert gated_log_sum == log_sum
+
+    def test_rejected_pair_is_not_factored(self, monkeypatch):
+        hyp, meas, sensor, ppp, model = channel_association_case(
+            3, 1, 1, tight=False)
+        far = Measurement(meas[0].z + np.array([500.0, 0, 0, 0, 0]),
+                          meas[0].covariance)
+        preds = predict_types(hyp.bernoullis[0], sensor, model)
+        calls = []
+        monkeypatch.setattr(association, "chol_logpdf",
+                            lambda *a: calls.append(a))
+        log_l, logliks, bound = log_weight_detected(
+            hyp.bernoullis[0], far, preds, model, gate=DEFAULT_GATE)
+        assert (log_l, logliks, calls) == (-math.inf, {}, [])
+        assert bound > DEFAULT_GATE
 
 
 class TestMurty:

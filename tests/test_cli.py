@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -142,6 +143,21 @@ class TestGoldenOutput:
         view = json.dumps(deterministic_report_view(report), sort_keys=True)
         assert hashlib.sha256(view.encode()).hexdigest() == digest
 
+    def test_clutter_heavy_report_hash_pinned(self, tmp_path, monkeypatch):
+        # Ten clutter measurements per step: the association and merge
+        # bounds reject the most pairs here.  The report echoes the scenario
+        # path, so the file is written and named relative to the run
+        # directory.
+        monkeypatch.chdir(tmp_path)
+        save_scenario(replace(default_scenario(seed=1), clutter_mean=10.0),
+                      "clutter.json")
+        report = run(RunConfig(scenario="clutter.json", filter_kind="ek-pmb",
+                               gamma=10, mc_runs=5, seed=1, jobs=1,
+                               out_dir=str(tmp_path)))
+        view = json.dumps(deterministic_report_view(report), sort_keys=True)
+        assert hashlib.sha256(view.encode()).hexdigest() == (
+            "f692d7c5c0f73fa90f535b88fb397926debe246e9db9e547e5bf10ec00c17698")
+
 
 class TestCompare:
     def test_identical_reports_zero_delta(self, small_report):
@@ -221,6 +237,20 @@ class TestMain:
         monkeypatch.setattr(rfslam.cli, "update_step", infeasible)
         assert main(["run", "--mc", "1", "--out", str(tmp_path)]) == 4
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_zero_clutter_failed_inversion_exits_4(self, tmp_path, capsys):
+        # With no clutter and a 100 m TOA noise, a measurement whose TOA
+        # falls below the clock bias inverts to no landmark and nothing else
+        # explains it: the real update raises InfeasibleAssignmentError.
+        scen = tmp_path / "scen.json"
+        save_scenario(replace(default_scenario(seed=1, steps=5),
+                              clutter_mean=0.0), scen)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": str(scen), "mc": 1, "seed": 1,
+                                   "out": str(tmp_path / "o")}))
+        assert main(["run", "--config", str(cfg), "--noise-toa", "100"]) == 4
+        assert ("numerical failure: a measurement row has no finite cost"
+                in capsys.readouterr().err)
 
     def test_missing_scenario_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

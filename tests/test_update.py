@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 from conftest import LinearModel, single_type_bernoulli
 
-from rfslam.association import AssociationVector, birth_from_measurement
+from rfslam.association import (
+    AssociationVector,
+    InfeasibleAssignmentError,
+    birth_from_measurement,
+)
 from rfslam.density import (
     Bernoulli,
     GaussianComponent,
@@ -534,6 +538,22 @@ class TestStep:
             np.diag([0.3, 0.3, 0.0, 0.0052, 0.3]))
         return model, cfg, density, sensor
 
+    def test_unexplained_measurement_without_clutter_is_infeasible(self):
+        # The TOA lies below the 300 m clock bias, so neither birth type
+        # inverts it; the BS gate rejects it; with zero clutter intensity
+        # its cost row is all +inf.
+        model, cfg, density, sensor = self.channel_setup()
+        z = np.array([100.0, 1.0, 0.2, 1.0, 0.2])
+        meas = [Measurement(z, np.diag([1e-2] + [2.5e-5] * 4))]
+        assert model.invert(z, sensor.mean, VA) is None
+        assert model.invert(z, sensor.mean, SP) is None
+        with pytest.raises(InfeasibleAssignmentError, match="no finite cost"):
+            update_step(density, sensor, meas,
+                        replace(cfg, clutter_intensity=0.0))
+        # Any clutter intensity explains it as clutter.
+        posterior, _ = update_step(density, sensor, meas, cfg)
+        assert len(posterior.hypotheses) == 1
+
     def test_empty_measurements(self):
         model, cfg, density, sensor = self.channel_setup()
         _, sensor_pred = predict_step(density, sensor, cfg)
@@ -639,8 +659,9 @@ class TestStep:
             "_misdetected_bernoulli", "_birth_bernoulli", "build_cost_matrix",
             "update_type_probs", "joint_update")}
         original_weight = association.misdetection_weight
+        original_wrap = ChannelModel.wrap_residual
         calls = {"misdetected": [], "born": [], "type_probs": 0,
-                 "misdetection_weight": 0}
+                 "misdetection_weight": 0, "innovations": 0}
         children = []
         in_cost_matrix = []
 
@@ -666,6 +687,11 @@ class TestStep:
             calls["type_probs"] += 1
             return original["update_type_probs"](*args)
 
+        def wrap_residual(self, v):
+            if not in_cost_matrix:
+                calls["innovations"] += 1
+            return original_wrap(self, v)
+
         def recorded(*args):
             out = original["joint_update"](*args)
             children.append((args, out))
@@ -679,6 +705,7 @@ class TestStep:
         monkeypatch.setattr(association, "misdetection_weight", misdetection)
         monkeypatch.setattr(update, "update_type_probs", type_probs)
         monkeypatch.setattr(update, "joint_update", recorded)
+        monkeypatch.setattr(ChannelModel, "wrap_residual", wrap_residual)
         update_step(density, sensor_pred, measurements, cfg)
         monkeypatch.undo()
 
@@ -696,6 +723,12 @@ class TestStep:
         assert len(set(map(id, calls["born"]))) == len(calls["born"])
         assert calls["misdetection_weight"] == len(hyp.bernoullis)
         assert calls["type_probs"] == len(set(misdetected)) + len(detected)
+        # One innovation per (landmark, measurement, stacked type).
+        stacked = [(i, p, kind) for (_, sigma, *_), (child, _, _) in children
+                   for i, p in sigma.detected_pairs()
+                   for kind in child.bernoullis[i].belief.types]
+        assert len(stacked) > len(set(stacked))
+        assert calls["innovations"] == len(set(stacked))
 
         # Without shared pieces joint_update takes its birth rates from the
         # config; update_step passes the density's (thinned) PPP.
