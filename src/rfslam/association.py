@@ -217,23 +217,20 @@ class BirthCandidate:
 
 
 def weight_birth(meas, sensor: GaussianComponent, ppp: dict,
-                 clutter_intensity: float, model, birth_types=None):
+                 clutter_intensity: float, model):
     """Local weight for "detected for the first time" plus birth data.
 
-    Returns ``(l_birth, BirthCandidate)``.  Types whose geometric inversion
-    fails contribute nothing; when no type survives the measurement is
-    clutter-only (weight floor ``clutter_intensity``).
+    Returns ``(l_birth, BirthCandidate)``.  Every type with a positive PPP
+    rate can be born, except the BS, which is known.  Types whose geometric
+    inversion fails contribute nothing; when no type survives the
+    measurement is clutter-only (weight floor ``clutter_intensity``).
     """
     if clutter_intensity < 0.0:
         raise ValueError("clutter intensity must be nonnegative")
-    if birth_types is None:
-        birth_types = [k for k, rate in ppp.items()
-                       if rate > 0.0 and k is not LandmarkType.BS]
     rho = {}
     comps = {}
-    for kind in birth_types:
-        rate = ppp.get(kind, 0.0)
-        if rate <= 0.0:
+    for kind, rate in ppp.items():
+        if rate <= 0.0 or kind is LandmarkType.BS:
             continue
         birth = birth_from_measurement(meas, sensor, kind, model)
         if birth is None:
@@ -349,8 +346,7 @@ class AssociationContext:
 def build_cost_matrix(hypothesis: GlobalHypothesis, measurements,
                       sensor: GaussianComponent, ppp: dict,
                       clutter_intensity: float, model,
-                      gate: Optional[float] = DEFAULT_GATE,
-                      birth_types=None):
+                      gate: Optional[float] = DEFAULT_GATE):
     """Assemble the assignment costs for one global hypothesis.
 
     Returns ``(CostMatrix, misdetect_log_sum, AssociationContext)`` where
@@ -379,8 +375,7 @@ def build_cost_matrix(hypothesis: GlobalHypothesis, measurements,
 
     births = []
     for p, meas in enumerate(measurements):
-        _, cand = weight_birth(meas, sensor, ppp, clutter_intensity, model,
-                               birth_types=birth_types)
+        _, cand = weight_birth(meas, sensor, ppp, clutter_intensity, model)
         births.append(cand)
         matrix[p, n_prior + p] = -cand.log_weight
 

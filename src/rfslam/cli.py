@@ -93,6 +93,8 @@ class RunConfig:
             raise ConfigError("gamma must be >= 1")
         if self.filter_kind not in (EK_PMB, EK_PMBM):
             raise ConfigError(f"unknown filter kind {self.filter_kind!r}")
+        if not 0.0 < self.extract_threshold < 1.0:
+            raise ConfigError("extract_threshold must lie in (0, 1)")
 
     def to_dict(self) -> dict:
         # The output directory is environment, not experiment identity, so
@@ -140,7 +142,6 @@ def build_filter_config(scenario: Scenario, config: RunConfig) -> FilterConfig:
         gamma=config.gamma,
         filter_kind=config.filter_kind,
         clutter_intensity=scenario.clutter_intensity,
-        ppp_rates=default_ppp_intensity(),
         gate=config.gate,
         multi_model=config.multi_model,
         joseph_form=config.joseph_form,
@@ -403,11 +404,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The JSON value types each config key accepts.  A bool is not an int, and
+#: an int is a valid float that is kept as written, so the report echoes it.
 _CONFIG_KEYS = {
-    "scenario": str, "filter": str, "gamma": int, "mc": int, "seed": int,
-    "out": str, "mm": bool, "joseph": bool, "gate": (float, type(None)),
-    "noise_toa": (float, type(None)), "noise_angle": (float, type(None)),
-    "extract_threshold": float, "jobs": int,
+    "scenario": (str,), "filter": (str,), "gamma": (int,), "mc": (int,),
+    "seed": (int,), "out": (str,), "mm": (bool,), "joseph": (bool,),
+    "gate": (float, int, type(None)), "noise_toa": (float, int, type(None)),
+    "noise_angle": (float, int, type(None)),
+    "extract_threshold": (float, int), "jobs": (int,),
 }
 
 _KEY_TO_FIELD = {"filter": "filter_kind", "mc": "mc_runs", "out": "out_dir",
@@ -427,6 +431,8 @@ def _config_from_sources(args) -> RunConfig:
         for key, value in doc.items():
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
+            if type(value) not in _CONFIG_KEYS[key]:
+                raise ConfigError(f"bad value {value!r} for key {key!r}")
             values[_KEY_TO_FIELD.get(key, key)] = value
     for field_name in ("filter_kind", "gamma", "mc_runs", "seed", "out_dir",
                        "noise_toa", "noise_angle", "jobs"):

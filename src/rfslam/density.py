@@ -121,6 +121,16 @@ class PmbmDensity:
         return max(self.hypotheses, key=lambda h: h.weight)
 
 
+def absent_bernoulli() -> Bernoulli:
+    """Zero-existence placeholder for a track slot that holds no landmark.
+
+    Fills the slot of a measurement explained as clutter only and of a new
+    track born in no hypothesis; :func:`prune` drops it before any output.
+    """
+    return Bernoulli(0.0, LandmarkBelief({
+        LandmarkType.VA: TypeComponent(1.0, np.zeros(3), 1e6 * np.eye(3))}))
+
+
 #: Default map-region volume for the uniform PPP: x, y in [-200, 200] m,
 #: z in [0, 40] m.
 MAP_REGION_VOLUME = 400.0 * 400.0 * 40.0

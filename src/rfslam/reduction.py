@@ -16,14 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .density import (
     Bernoulli,
     GlobalHypothesis,
     LandmarkBelief,
     PmbmDensity,
     TypeComponent,
+    absent_bernoulli,
     moment_match,
 )
 from .geometry import TYPE_ORDER
@@ -41,9 +40,21 @@ class TrackCell:
     """One (track, local association) cell of the track table."""
 
     beta: float = 0.0
-    beta_by_type: dict = field(default_factory=dict)
     contributors: list = field(default_factory=list)  # (weight, Bernoulli)
     bernoulli: Optional[Bernoulli] = None             # set by averaging
+
+    def type_mass(self, kind) -> float:
+        """Sum of w * psi over the contributors that hold ``kind``.
+
+        Added left to right from zero in contributor order, so the
+        averaging and both recombinations see the same bits.
+        """
+        mass = 0.0
+        for w, bern in self.contributors:
+            comp = bern.belief.types.get(kind)
+            if comp is not None:
+                mass += w * comp.weight
+        return mass
 
 
 @dataclass
@@ -89,31 +100,14 @@ def align_hypotheses(density: PmbmDensity) -> TrackTable:
         if len(hyp.bernoullis) != expected:
             raise InconsistentHypothesesError(
                 "hypothesis Bernoulli count inconsistent with its association")
-        w = hyp.weight
-        for t in range(n_prior):
-            q = sigma.sigma[t]
-            cell = cells[t].setdefault(q, TrackCell())
-            bern = hyp.bernoullis[t]
-            cell.beta += w
-            cell.contributors.append((w, bern))
-            for kind, comp in bern.belief.types.items():
-                cell.beta_by_type[kind] = (cell.beta_by_type.get(kind, 0.0)
-                                           + w * comp.weight)
-        born_rank = 0
-        for t in range(n_prior, n_prior + n_meas):
-            entry = sigma.sigma[t]
-            if entry is None:
-                cell = cells[t].setdefault(None, TrackCell())
-                cell.beta += w  # not-born slots carry zero existence
-                continue
-            bern = hyp.bernoullis[n_prior + born_rank]
-            born_rank += 1
-            cell = cells[t].setdefault(entry, TrackCell())
-            cell.beta += w
-            cell.contributors.append((w, bern))
-            for kind, comp in bern.belief.types.items():
-                cell.beta_by_type[kind] = (cell.beta_by_type.get(kind, 0.0)
-                                           + w * comp.weight)
+        # The Bernoullis are the prior tracks' followed by the born ones'.
+        berns = iter(hyp.bernoullis)
+        for track, q in zip(cells, sigma.sigma):
+            cell = track.setdefault(q, TrackCell())
+            cell.beta += hyp.weight
+            # Only a not-born new track (q None) has no Bernoulli.
+            if q is not None:
+                cell.contributors.append((hyp.weight, next(berns)))
     return TrackTable(n_prior, n_meas, cells)
 
 
@@ -128,7 +122,7 @@ def _average_cell(cell: TrackCell) -> Bernoulli:
                    if kind in b.belief.types]
         if not members:
             continue
-        norm = sum(w * c.weight for w, c in members)
+        norm = cell.type_mass(kind)
         psi = norm / beta
         if norm < MIN_CELL_MASS:
             comp = members[0][1]
@@ -141,7 +135,7 @@ def _average_cell(cell: TrackCell) -> Bernoulli:
     return Bernoulli(existence, LandmarkBelief(types))
 
 
-def average_conditionals(table: TrackTable, density: PmbmDensity) -> TrackTable:
+def average_conditionals(table: TrackTable) -> TrackTable:
     """Average the per-cell conditional Bernoullis over contributing hypotheses."""
     for track in table.cells:
         for q, cell in track.items():
@@ -174,7 +168,7 @@ def _recombine_prior_track(cells: dict) -> Bernoulli:
     existence = sum(c.beta * c.bernoulli.existence for c in live.values())
     types = {}
     for kind in TYPE_ORDER:
-        members = [(c.beta_by_type.get(kind, 0.0), c.bernoulli)
+        members = [(c.type_mass(kind), c.bernoulli)
                    for c in live.values()
                    if kind in c.bernoulli.belief.types]
         if not members:
@@ -200,9 +194,7 @@ def _recombine_new_track(cells: dict) -> Bernoulli:
     born = [(q, c) for q, c in cells.items()
             if q is not None and c.bernoulli is not None]
     if not born:
-        # Never born in any hypothesis: zero-existence placeholder.
-        return Bernoulli(0.0, LandmarkBelief({
-            TYPE_ORDER[1]: TypeComponent(1.0, np.zeros(3), 1e6 * np.eye(3))}))
+        return absent_bernoulli()  # never born in any hypothesis
     (q, cell), = born
     bern = cell.bernoulli
     if len(cells) == 1:
@@ -211,7 +203,7 @@ def _recombine_new_track(cells: dict) -> Bernoulli:
     existence = cell.beta * bern.existence
     if bern.existence <= 0.0:
         return Bernoulli(0.0, bern.belief)
-    types = {k: TypeComponent(cell.beta_by_type.get(k, 0.0) / cell.beta,
+    types = {k: TypeComponent(cell.type_mass(k) / cell.beta,
                               c.mean, c.covariance)
              for k, c in bern.belief.types.items()}
     return Bernoulli(existence, LandmarkBelief(types))

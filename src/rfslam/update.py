@@ -9,10 +9,13 @@ re-detected landmark (all landmark types stacked, the measurement
 replicated per type with a fully correlated noise block).  The local
 weights, type predictions and birth candidates all come from the cost
 matrix in :mod:`rfslam.association`; misdetected landmarks reuse its
-misdetection weight and newborn landmarks its birth candidates.  The
-pieces a child takes unchanged from its parent hypothesis (misdetected and
-newborn Bernoullis, detected type posteriors) are built once per
-hypothesis and shared by all its ranked associations.  The sensor
+misdetection weight and newborn landmarks its birth candidates, so every
+type with a positive PPP rate but the BS can be born.  One
+:class:`ChildParts` per hypothesis holds its cost matrix and the pieces a
+child takes unchanged from its parent (misdetected and newborn
+Bernoullis, detected type posteriors), shared by all its ranked
+associations; it is :func:`joint_update`'s only input besides the
+association.  The sensor
 posterior is the moment-matched mixture over all children.  In PMB mode
 the resulting mixture is reduced back to a single hypothesis by the
 track-oriented recombination in :mod:`rfslam.reduction`.
@@ -21,7 +24,7 @@ track-oriented recombination in :mod:`rfslam.reduction`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -29,7 +32,6 @@ import numpy as np
 from . import reduction
 from .association import (
     DEFAULT_GATE,
-    AssociationContext,
     AssociationVector,
     build_cost_matrix,
     chol_factor,
@@ -45,6 +47,7 @@ from .density import (
     LandmarkBelief,
     PmbmDensity,
     TypeComponent,
+    absent_bernoulli,
     merge_bernoullis,
     moment_match,
     prune,
@@ -70,13 +73,11 @@ class FilterConfig:
     gamma: int = 10                     # ranked associations per hypothesis
     filter_kind: str = EK_PMB
     clutter_intensity: float = 1.0 / (800.0 * math.pi ** 4)
-    ppp_rates: dict = field(default_factory=dict)
     prune_existence: float = 1e-4
     prune_hypothesis: float = 1e-4
     max_hypotheses: int = 50
     merge_threshold: float = 50.0
     gate: Optional[float] = DEFAULT_GATE
-    birth_types: tuple = (LandmarkType.VA, LandmarkType.SP)
     multi_model: bool = True            # False: hard type decision at birth
     joseph_form: bool = False
     # Landmark-type components below this posterior probability are dropped
@@ -138,16 +139,10 @@ def marginalize_sensor(children) -> GaussianComponent:
     return GaussianComponent(mean, cov)
 
 
-_FAILED_BIRTH_COV = 1e6
-
-
 def _birth_bernoulli(candidate, config: FilterConfig) -> Bernoulli:
     if not candidate.types:
         # Measurement explained as clutter: keep the slot with zero existence.
-        types = {k: TypeComponent(1.0 / len(config.birth_types), np.zeros(3),
-                                  _FAILED_BIRTH_COV * np.eye(3))
-                 for k in config.birth_types}
-        return Bernoulli(0.0, LandmarkBelief(types))
+        return absent_bernoulli()
     types = candidate.types
     if not config.multi_model and len(types) > 1:
         kind = max(types, key=lambda k: types[k].weight)
@@ -173,8 +168,12 @@ def _misdetected_bernoulli(bern: Bernoulli, misdetection: tuple,
 
 
 class ChildParts:
-    """The pieces of one hypothesis's children that no association changes.
+    """One hypothesis's association costs and the pieces of its children
+    that no association changes.
 
+    The constructor makes the hypothesis's one :func:`build_cost_matrix`
+    call and keeps its results: ``costs``, ``log_const`` (sum_i ln l^{i,0},
+    which turns an association's cost back into its weight) and ``ctx``.
     A misdetected landmark's Bernoulli, a detected landmark's posterior type
     probabilities and innovations, and a newborn Bernoulli are pure
     functions of the hypothesis and the landmark and/or measurement, so
@@ -183,11 +182,15 @@ class ChildParts:
     on first use.
     """
 
-    def __init__(self, hypothesis: GlobalHypothesis, ctx: AssociationContext,
-                 config: FilterConfig):
-        self.bernoullis = hypothesis.bernoullis
-        self.ctx = ctx
+    def __init__(self, hypothesis: GlobalHypothesis, measurements,
+                 sensor: GaussianComponent, ppp: dict, config: FilterConfig):
+        self.hypothesis = hypothesis
+        self.measurements = measurements
+        self.sensor = sensor
         self.config = config
+        self.costs, self.log_const, self.ctx = build_cost_matrix(
+            hypothesis, measurements, sensor, ppp, config.clutter_intensity,
+            config.model, gate=config.gate)
         self._misdetected = {}
         self._detected = {}
         self._innovations = {}
@@ -198,14 +201,15 @@ class ChildParts:
         bern = self._misdetected.get(i)
         if bern is None:
             bern = self._misdetected[i] = _misdetected_bernoulli(
-                self.bernoullis[i], self.ctx.misdetection[i], self.config)
+                self.hypothesis.bernoullis[i], self.ctx.misdetection[i],
+                self.config)
         return bern
 
     def detected_type_probs(self, i: int, p: int) -> dict:
         """Pruned posterior type probabilities of landmark ``i`` given ``p``."""
         psi = self._detected.get((i, p))
         if psi is None:
-            bern = self.bernoullis[i]
+            bern = self.hypothesis.bernoullis[i]
             preds = self.ctx.type_preds[i]
             psi = update_type_probs(TypePosteriorInput(
                 prior_probs=bern.belief.type_probs(),
@@ -276,33 +280,23 @@ def _prune_type_probs(psi: dict, threshold: float) -> dict:
     return {k: v / total for k, v in kept.items()}
 
 
-def joint_update(hypothesis: GlobalHypothesis, sigma: AssociationVector,
-                 sensor_prior: GaussianComponent, measurements,
-                 config: FilterConfig,
-                 parts: Optional[ChildParts] = None):
+def joint_update(parts: ChildParts, sigma: AssociationVector):
     """Joint EK update of the sensor and all landmarks under one association.
 
-    Returns ``(child hypothesis, sensor posterior, info)``.  The child
-    keeps the parent weight; callers reweight.  Raises
+    ``parts`` gives the hypothesis, the predicted sensor, the measurements,
+    the config and the association context; ``sigma`` is one association of
+    that hypothesis.  Returns ``(child hypothesis, sensor posterior,
+    info)``.  The child keeps the parent weight; callers reweight.  Raises
     ``numpy.linalg.LinAlgError`` when the innovation covariance stays
     singular after regularization (the association is then discarded).
-    ``parts`` holds the context :func:`build_cost_matrix` returned for this
-    hypothesis and the child pieces built so far; without it the context
-    is built here, ungated.
     """
+    hypothesis, config = parts.hypothesis, parts.config
+    sensor_prior, measurements = parts.sensor, parts.measurements
     sigma.validate()
     berns = hypothesis.bernoullis
     if len(berns) != sigma.n_prior or len(measurements) != sigma.n_meas:
         raise ValueError("association vector inconsistent with inputs")
     detected = sigma.detected_pairs()
-
-    model = config.model
-    if parts is None:
-        _, _, ctx = build_cost_matrix(
-            hypothesis, measurements, sensor_prior, config.ppp_rates,
-            config.clutter_intensity, model, gate=None,
-            birth_types=config.birth_types)
-        parts = ChildParts(hypothesis, ctx, config)
     type_preds = parts.ctx.type_preds
 
     info = {"regularized": False, "detected": detected,
@@ -410,17 +404,12 @@ def update_step(density: PmbmDensity, sensor_pred: GaussianComponent,
     """
     children = []
     for hyp in density.hypotheses:
-        costs, log_const, ctx = build_cost_matrix(
-            hyp, measurements, sensor_pred, density.ppp_intensity,
-            config.clutter_intensity, config.model, gate=config.gate,
-            birth_types=config.birth_types)
-        solutions = murty_kbest(costs, config.gamma)
-        parts = ChildParts(hyp, ctx, config)
-        for sigma, cost in solutions:
-            log_weight = math.log(hyp.weight) + log_const - cost
+        parts = ChildParts(hyp, measurements, sensor_pred,
+                           density.ppp_intensity, config)
+        for sigma, cost in murty_kbest(parts.costs, config.gamma):
+            log_weight = math.log(hyp.weight) + parts.log_const - cost
             try:
-                child, child_sensor, info = joint_update(
-                    hyp, sigma, sensor_pred, measurements, config, parts)
+                child, child_sensor, _ = joint_update(parts, sigma)
             except np.linalg.LinAlgError:
                 continue  # weight redistributed over surviving associations
             children.append((log_weight, child, child_sensor))
@@ -442,7 +431,7 @@ def update_step(density: PmbmDensity, sensor_pred: GaussianComponent,
 
     if config.filter_kind == EK_PMB:
         table = reduction.align_hypotheses(posterior)
-        table = reduction.average_conditionals(table, posterior)
+        table = reduction.average_conditionals(table)
         if diag is not None:
             diag["beta_rows"] = table.beta_row_sums()
         mb = reduction.tomb_recombine(table)

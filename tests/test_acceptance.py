@@ -33,7 +33,7 @@ from rfslam.geometry import Landmark, LandmarkType, Measurement, UEState, \
 from rfslam.metrics import GospaParams, gospa
 from rfslam.reduction import align_hypotheses, average_conditionals, \
     tomb_recombine
-from rfslam.update import EK_PMB, FilterConfig, joint_update
+from rfslam.update import EK_PMB, ChildParts, FilterConfig, joint_update
 
 BS_POS = np.array([0.0, 0.0, 40.0])
 
@@ -161,8 +161,8 @@ class TestCriterion3KalmanOracle:
             sigma = AssociationVector(
                 n_landmarks, tuple(range(1, n_landmarks + 1))
                 + (None,) * n_landmarks)
-            child, sensor_post, _ = joint_update(hyp, sigma, sensor,
-                                                 measurements, cfg)
+            parts = ChildParts(hyp, measurements, sensor, {}, cfg)
+            child, sensor_post, _ = joint_update(parts, sigma)
             # Closed-form conditioning oracle over the stacked joint state.
             dxs = [b.belief.types[k].mean.size for b, k in zip(berns, kinds)]
             n_state = ds + sum(dxs)
@@ -340,7 +340,7 @@ class TestCriterion9ReductionConservation:
             n_prior = int(rng.integers(0, 4))
             n_meas = int(rng.integers(0, 4))
             density = build_pmbm(rng, n_prior, n_meas)
-            table = average_conditionals(align_hypotheses(density), density)
+            table = average_conditionals(align_hypotheses(density))
             for t in range(n_prior + n_meas):
                 for q, cell in table.track_cells(t).items():
                     brute = sum(h.weight for h in density.hypotheses

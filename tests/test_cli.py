@@ -210,13 +210,15 @@ class TestMain:
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"filter": "ek-pmbm", "gamma": 3,
-                                        "mc": 2, "seed": 4}))
+                                        "mc": 2, "seed": 4, "gate": 30}))
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg_path), "--gamma", "1",
                      "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["gamma"] == 1
         assert report["config"]["filter"] == "ek-pmbm"
+        # An int for a float key is kept as written.
+        assert type(report["config"]["gate"]) is int
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -225,6 +227,17 @@ class TestMain:
         bad.write_text(json.dumps({"unknown_key": 1}))
         assert main(["run", "--config", str(bad)]) == 2
         assert main(["run", "--mc", "0", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("doc", [
+        {"mc": 2.5}, {"gate": "wide"}, {"mm": "off"},
+        {"extract_threshold": 1.5}])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mc": 1, "out": str(tmp_path / "o"),
+                                   **doc}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_infeasible_assignment_exits_4(self, tmp_path, capsys,
                                            monkeypatch):

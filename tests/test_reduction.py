@@ -110,7 +110,7 @@ class TestAverage:
     def test_single_contributor_identity(self):
         rng = np.random.default_rng(4)
         density = build_pmbm(rng, 2, 1, n_hyp=1)
-        table = average_conditionals(align_hypotheses(density), density)
+        table = average_conditionals(align_hypotheses(density))
         sigma = density.hypotheses[0].assoc.sigma
         for t in range(2):
             cell = table.track_cells(t)[sigma[t]]
@@ -125,7 +125,7 @@ class TestAverage:
         hyp_b = GlobalHypothesis(0.5, (bern_b,),
                                  assoc=AssociationVector(1, (1, None)))
         density = PmbmDensity({VA: 0.0}, (hyp_a, hyp_b))
-        table = average_conditionals(align_hypotheses(density), density)
+        table = average_conditionals(align_hypotheses(density))
         cell = table.track_cells(0)[1]
         comp = cell.bernoulli.belief.types[VA]
         assert np.allclose(comp.mean, 0.0)
@@ -140,7 +140,7 @@ class TestAverage:
         hyp_b = GlobalHypothesis(0.4, (bern_b,),
                                  assoc=AssociationVector(1, (0,)))
         density = PmbmDensity({VA: 0.0}, (hyp_a, hyp_b))
-        table = average_conditionals(align_hypotheses(density), density)
+        table = average_conditionals(align_hypotheses(density))
         assert table.track_cells(0)[0].bernoulli.existence == pytest.approx(0.8)
 
 
@@ -148,7 +148,7 @@ class TestTombRecombine:
     def test_concentrated_beta_returns_single_hypothesis(self):
         rng = np.random.default_rng(5)
         density = build_pmbm(rng, 2, 2, n_hyp=1)
-        table = average_conditionals(align_hypotheses(density), density)
+        table = average_conditionals(align_hypotheses(density))
         mb = tomb_recombine(table)
         src = density.hypotheses[0]
         live = [b for b in mb.bernoullis if b.existence > 0.0]
@@ -164,7 +164,7 @@ class TestTombRecombine:
     def test_unborn_track_has_zero_existence(self):
         hyp = GlobalHypothesis(1.0, (), assoc=AssociationVector(0, (None,)))
         density = PmbmDensity({VA: 0.0}, (hyp,))
-        table = average_conditionals(align_hypotheses(density), density)
+        table = average_conditionals(align_hypotheses(density))
         mb = tomb_recombine(table)
         assert len(mb.bernoullis) == 1
         assert mb.bernoullis[0].existence == 0.0
@@ -175,7 +175,7 @@ class TestTombRecombine:
             n_prior = int(rng.integers(0, 4))
             n_meas = int(rng.integers(0, 4))
             density = build_pmbm(rng, n_prior, n_meas)
-            table = average_conditionals(align_hypotheses(density), density)
+            table = average_conditionals(align_hypotheses(density))
             # Exhaustive marginal association probabilities.
             for t in range(n_prior + n_meas):
                 for q, cell in table.track_cells(t).items():
@@ -189,7 +189,7 @@ class TestTombRecombine:
     def test_two_track_two_measurement_brute_force(self):
         rng = np.random.default_rng(7)
         density = build_pmbm(rng, 2, 2)
-        table = average_conditionals(align_hypotheses(density), density)
+        table = average_conditionals(align_hypotheses(density))
         mb = tomb_recombine(table)
         # Exact marginal existence per track: sum_j w_j r_j(track).
         for t in range(2):
@@ -210,6 +210,6 @@ class TestTombRecombine:
         for _ in range(20):
             density = build_pmbm(rng, int(rng.integers(0, 3)),
                                  int(rng.integers(0, 3)))
-            table = average_conditionals(align_hypotheses(density), density)
+            table = average_conditionals(align_hypotheses(density))
             mb = tomb_recombine(table)
             check_density(PmbmDensity(density.ppp_intensity, (mb,)))

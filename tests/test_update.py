@@ -17,6 +17,7 @@ from rfslam.density import (
     LandmarkBelief,
     PmbmDensity,
     TypeComponent,
+    absent_bernoulli,
     default_ppp_intensity,
 )
 from rfslam.geometry import (
@@ -31,6 +32,7 @@ from rfslam.motion import sensor_transition_jacobian
 from rfslam.update import (
     EK_PMB,
     EK_PMBM,
+    ChildParts,
     FilterConfig,
     joint_update,
     marginalize_sensor,
@@ -46,10 +48,14 @@ BS_POS = np.array([0.0, 0.0, 40.0])
 
 
 def make_config(model, **kw):
-    defaults = dict(model=model, process_noise=np.zeros((5, 5)),
-                    ppp_rates=default_ppp_intensity())
+    defaults = dict(model=model, process_noise=np.zeros((5, 5)))
     defaults.update(kw)
     return FilterConfig(**defaults)
+
+
+def child_parts(hyp, measurements, sensor, cfg):
+    """The hypothesis's context under the default PPP."""
+    return ChildParts(hyp, measurements, sensor, default_ppp_intensity(), cfg)
 
 
 def conditioning_oracle(prior_mean, prior_cov, H, R, z, offset):
@@ -304,7 +310,8 @@ class TestJointUpdate:
         rng = np.random.default_rng(31)
         model, cfg, sensor, hyp = linear_setup(rng, 2)
         sigma = AssociationVector(2, (0, 0))
-        child, sensor_post, info = joint_update(hyp, sigma, sensor, [], cfg)
+        parts = child_parts(hyp, [], sensor, cfg)
+        child, sensor_post, info = joint_update(parts, sigma)
         assert sensor_post is sensor
         for before, after in zip(hyp.bernoullis, child.bernoullis):
             for kind in before.belief.types:
@@ -322,7 +329,8 @@ class TestJointUpdate:
         hyp = GlobalHypothesis(1.0, (bern,))
         sensor = GaussianComponent(np.zeros(1), np.eye(1))
         sigma = AssociationVector(1, (0,))
-        child, _, _ = joint_update(hyp, sigma, sensor, [], cfg)
+        parts = child_parts(hyp, [], sensor, cfg)
+        child, _, _ = joint_update(parts, sigma)
         assert child.bernoullis[0].existence == pytest.approx(0.09 / 0.19, rel=1e-12)
 
     def test_detected_existence_is_one(self):
@@ -333,7 +341,8 @@ class TestJointUpdate:
                           kind)
         meas = Measurement(z, np.eye(z.size))
         sigma = AssociationVector(1, (1, None))
-        child, _, _ = joint_update(hyp, sigma, sensor, [meas], cfg)
+        parts = child_parts(hyp, [meas], sensor, cfg)
+        child, _, _ = joint_update(parts, sigma)
         assert child.bernoullis[0].existence == 1.0
 
     @pytest.mark.parametrize("n_landmarks", [1, 2, 3])
@@ -352,8 +361,8 @@ class TestJointUpdate:
             sigma = AssociationVector(
                 n_landmarks,
                 tuple(range(1, n_landmarks + 1)) + (None,) * n_meas)
-            child, sensor_post, _ = joint_update(hyp, sigma, sensor,
-                                                 measurements, cfg)
+            parts = child_parts(hyp, measurements, sensor, cfg)
+            child, sensor_post, _ = joint_update(parts, sigma)
             # Oracle: stack the joint prior and condition in closed form.
             kinds = [next(iter(b.belief.types)) for b in hyp.bernoullis]
             dxs = [b.belief.types[k].mean.size
@@ -406,7 +415,8 @@ class TestJointUpdate:
             cov = rng.normal(size=(dz, dz))
             meas = Measurement(rng.normal(size=dz), cov @ cov.T + dz * np.eye(dz))
             sigma = AssociationVector(1, (1, None))
-            child, sensor_post, _ = joint_update(hyp, sigma, sensor, [meas], cfg)
+            parts = child_parts(hyp, [meas], sensor, cfg)
+            child, sensor_post, _ = joint_update(parts, sigma)
             kinds = list(bern.belief.types)
             dxs = [bern.belief.types[k].mean.size for k in kinds]
             n_state = ds + sum(dxs)
@@ -452,7 +462,8 @@ class TestJointUpdate:
                            kinds[0]) + 0.1
         meas = Measurement(z1, np.eye(dz))
         sigma = AssociationVector(3, (1, 0, 0, None))
-        child, sensor_post, _ = joint_update(hyp, sigma, sensor, [meas], cfg)
+        parts = child_parts(hyp, [meas], sensor, cfg)
+        child, sensor_post, _ = joint_update(parts, sigma)
 
         dxs = [b.belief.types[k].mean.size
                for b, k in zip(hyp.bernoullis, kinds)]
@@ -503,7 +514,8 @@ class TestJointUpdate:
         sensor = GaussianComponent(np.zeros(1), np.eye(1))
         meas = Measurement(np.array([0.3]), np.eye(1))
         sigma = AssociationVector(1, (1, None))
-        child, sensor_post, info = joint_update(hyp, sigma, sensor, [meas], cfg)
+        parts = child_parts(hyp, [meas], sensor, cfg)
+        child, sensor_post, info = joint_update(parts, sigma)
         assert info["regularized"]
         assert np.all(np.isfinite(sensor_post.covariance))
         for comp in child.bernoullis[0].belief.types.values():
@@ -517,8 +529,10 @@ class TestJointUpdate:
         measurements = [Measurement(rng.normal(size=dz), np.eye(dz))
                         for _ in range(2)]
         sigma = AssociationVector(2, (1, 2, None, None))
-        child_a, sens_a, _ = joint_update(hyp, sigma, sensor, measurements, cfg)
-        child_b, sens_b, _ = joint_update(hyp, sigma, sensor, measurements, cfg_j)
+        parts = child_parts(hyp, measurements, sensor, cfg)
+        child_a, sens_a, _ = joint_update(parts, sigma)
+        parts = child_parts(hyp, measurements, sensor, cfg_j)
+        child_b, sens_b, _ = joint_update(parts, sigma)
         assert np.allclose(sens_a.covariance, sens_b.covariance, atol=1e-9)
         assert np.allclose(sens_a.mean, sens_b.mean, atol=1e-12)
 
@@ -553,6 +567,55 @@ class TestStep:
         # Any clutter intensity explains it as clutter.
         posterior, _ = update_step(density, sensor, meas, cfg)
         assert len(posterior.hypotheses) == 1
+
+    @pytest.mark.parametrize("filter_kind", [EK_PMB, EK_PMBM])
+    def test_clutter_only_birth_slot_is_the_placeholder_and_pruned(
+            self, monkeypatch, filter_kind):
+        # The TOA lies below the clock bias, so no type inverts it and the
+        # BS gate rejects it: the measurement is clutter and its birth slot
+        # holds the zero-existence placeholder until prune drops it.
+        import rfslam.update as update
+        model, cfg, density, sensor = self.channel_setup(filter_kind)
+        z = np.array([100.0, 1.0, 0.2, 1.0, 0.2])
+        meas = [Measurement(z, np.diag([1e-2] + [2.5e-5] * 4))]
+        original_prune = update.prune
+        before_prune = []
+
+        def spy(density, *args):
+            before_prune.append(density)
+            return original_prune(density, *args)
+
+        monkeypatch.setattr(update, "prune", spy)
+        posterior, _ = update_step(density, sensor, meas, cfg)
+        ((hyp,),) = [d.hypotheses for d in before_prune]
+        _, slot = hyp.bernoullis
+        placeholder = absent_bernoulli()
+        assert slot.existence == placeholder.existence == 0.0
+        assert list(slot.belief.types) == list(placeholder.belief.types)
+        for kind, comp in slot.belief.types.items():
+            other = placeholder.belief.types[kind]
+            assert comp.weight == other.weight
+            assert np.array_equal(comp.mean, other.mean)
+            assert np.array_equal(comp.covariance, other.covariance)
+        (kept,) = posterior.hypotheses
+        assert [b.belief.dominant_type() for b in kept.bernoullis] == [BS]
+
+    def test_positive_bs_ppp_rate_never_births_a_bs(self):
+        # Both types invert the measurement and both have a positive PPP
+        # rate, but the BS is known: only the SP is born.
+        model = LinearModel({BS: ([[0.0]], [[1.0]]), SP: ([[0.0]], [[1.0]])},
+                            1)
+        cfg = make_config(model, gate=None, filter_kind=EK_PMBM)
+        density = PmbmDensity({BS: 0.5, SP: 0.5},
+                              (GlobalHypothesis(1.0, ()),))
+        sensor = GaussianComponent(np.zeros(1), np.eye(1))
+        meas = Measurement(np.array([0.2]), np.eye(1))
+        assert model.invert(meas.z, sensor.mean, BS) is not None
+        posterior, _ = update_step(density, sensor, [meas], cfg)
+        (hyp,) = posterior.hypotheses
+        (born,) = hyp.bernoullis
+        assert born.existence > 0.5
+        assert list(born.belief.types) == [SP]
 
     def test_empty_measurements(self):
         model, cfg, density, sensor = self.channel_setup()
@@ -614,8 +677,7 @@ class TestStep:
         rng = np.random.default_rng(77)
         model = LinearModel({SP: ([[0.4]], [[1.0]])}, 1, p_detect=0.7)
         cfg = make_config(model, gamma=2, gate=None, filter_kind=EK_PMBM,
-                          ppp_rates={SP: 0.8}, clutter_intensity=0.05,
-                          birth_types=(SP,), prune_existence=0.0,
+                          clutter_intensity=0.05, prune_existence=0.0,
                           prune_hypothesis=0.0)
         bern = single_type_bernoulli(0.6, SP, [0.3], [[0.8]])
         density = PmbmDensity({SP: 0.8}, (GlobalHypothesis(1.0, (bern,)),))
@@ -635,8 +697,8 @@ class TestStep:
     def test_child_parts_built_once_per_hypothesis(self, monkeypatch):
         # One update at gamma 10 of a multi-landmark hypothesis: the pieces a
         # child takes unchanged from its parent hypothesis are built once and
-        # shared, and every child is bit for bit the one an update without
-        # shared pieces gives.
+        # shared, and every child is bit for bit the one a fresh context
+        # gives.
         import rfslam.association as association
         import rfslam.update as update
         from rfslam.sim import (default_scenario, generate_measurements,
@@ -730,11 +792,10 @@ class TestStep:
         assert len(stacked) > len(set(stacked))
         assert calls["innovations"] == len(set(stacked))
 
-        # Without shared pieces joint_update takes its birth rates from the
-        # config; update_step passes the density's (thinned) PPP.
-        ref_cfg = replace(cfg, ppp_rates=density.ppp_intensity)
-        for args, (child, child_sensor, _) in children:
-            ref, ref_sensor, _ = joint_update(*args[:4], ref_cfg)
+        for (_, sigma), (child, child_sensor, _) in children:
+            fresh = ChildParts(hyp, measurements, sensor_pred,
+                               density.ppp_intensity, cfg)
+            ref, ref_sensor, _ = joint_update(fresh, sigma)
             assert np.array_equal(child_sensor.mean, ref_sensor.mean)
             assert np.array_equal(child_sensor.covariance,
                                   ref_sensor.covariance)
