@@ -274,10 +274,6 @@ class CostMatrix:
     matrix: np.ndarray
     n_prior: int
 
-    @property
-    def n_meas(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True)
 class AssociationVector:
@@ -303,9 +299,6 @@ class AssociationVector:
         """0-based (landmark, measurement) pairs for re-detections."""
         return [(i, p - 1) for i, p in enumerate(self.sigma[:self.n_prior])
                 if p and p > 0]
-
-    def misdetected(self):
-        return [i for i, p in enumerate(self.sigma[:self.n_prior]) if p == 0]
 
     def born_measurements(self):
         """0-based measurement indices that spawn a new landmark."""

@@ -14,6 +14,7 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -95,6 +96,15 @@ class RunConfig:
             raise ConfigError(f"unknown filter kind {self.filter_kind!r}")
         if not 0.0 < self.extract_threshold < 1.0:
             raise ConfigError("extract_threshold must lie in (0, 1)")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.jobs < 1:
+            raise ConfigError("jobs must be >= 1")
+        # A None gate disables gating; a None noise std keeps the scenario's.
+        for name in ("gate", "noise_toa", "noise_angle"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{name} must be finite and > 0")
 
     def to_dict(self) -> dict:
         # The output directory is environment, not experiment identity, so
@@ -211,13 +221,13 @@ def run(config: RunConfig) -> dict:
     """
     scenario = _resolve_scenario(config)
     filter_cfg = build_filter_config(scenario, config)
-    jobs = max(1, config.jobs)
     tasks = [(scenario, filter_cfg, config.seed, i, config.extract_threshold)
              for i in range(config.mc_runs)]
-    if jobs == 1:
+    if config.jobs == 1:
         runs = [_worker(task) for task in tasks]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=config.jobs) as pool:
             runs = list(pool.map(_worker, tasks))
 
     steps = scenario.steps

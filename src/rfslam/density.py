@@ -77,9 +77,6 @@ class LandmarkBelief:
     def dominant_type(self) -> LandmarkType:
         return max(self.types, key=lambda k: self.types[k].weight)
 
-    def dominant(self) -> TypeComponent:
-        return self.types[self.dominant_type()]
-
 
 @dataclass(frozen=True)
 class Bernoulli:
@@ -267,24 +264,3 @@ def merge_bernoullis(hypothesis: GlobalHypothesis,
         r = min(1.0, sum(b.existence for b in group))
         merged.append(Bernoulli(r, _moment_match_types(group)))
     return replace(hypothesis, bernoullis=tuple(merged))
-
-
-# ---------------------------------------------------------------------------
-# Validation helpers (used by the invariant test suite)
-
-def check_density(density: PmbmDensity, tol: float = 1e-9) -> None:
-    """Raise AssertionError when a structural invariant is violated."""
-    weights = [h.weight for h in density.hypotheses]
-    assert abs(sum(weights) - 1.0) <= tol, "hypothesis weights must sum to 1"
-    for rate in density.ppp_intensity.values():
-        assert rate >= 0.0, "PPP intensity must be nonnegative"
-    for hyp in density.hypotheses:
-        for bern in hyp.bernoullis:
-            assert -tol <= bern.existence <= 1.0 + tol, "existence out of [0, 1]"
-            psis = list(bern.belief.type_probs().values())
-            assert abs(sum(psis) - 1.0) <= tol, "type probabilities must sum to 1"
-            for comp in bern.belief.types.values():
-                c = comp.covariance
-                assert np.max(np.abs(c - c.T)) <= tol, "covariance asymmetric"
-                assert np.min(np.linalg.eigvalsh(symmetrize(c))) >= -tol, \
-                    "covariance indefinite"

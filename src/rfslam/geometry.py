@@ -141,15 +141,6 @@ class Measurement:
         if np.min(np.linalg.eigvalsh(0.5 * (cov + cov.T))) <= 0.0:
             raise ValueError("measurement covariance must be positive definite")
 
-    @classmethod
-    def from_channel_params(cls, toa, aoa_az, aoa_el, aod_az, aod_el, covariance):
-        """Build a 5-D channel measurement, validating angle ranges."""
-        for el in (aoa_el, aod_el):
-            if not -np.pi / 2 <= el <= np.pi / 2:
-                raise ValueError("elevation out of [-pi/2, pi/2]")
-        z = np.array([toa, wrap_angle(aoa_az), aoa_el, wrap_angle(aod_az), aod_el])
-        return cls(z=z, covariance=covariance)
-
 
 def mirror_bs(bs_position, surface_point, surface_normal) -> np.ndarray:
     """Mirror the BS across a flat surface, yielding the virtual anchor.
@@ -339,8 +330,8 @@ class ChannelModel:
 
     Wraps the channel geometry with the known BS anchor position and the
     detection model.  Any object with the same methods (``predict``,
-    ``jacobians``, ``detection_probability``, ``invert``, ``wrap_residual``,
-    ``dim``) can be substituted, e.g. linear toys in tests.
+    ``jacobians``, ``detection_probability``, ``invert``, ``wrap_residual``)
+    can be substituted, e.g. linear toys in tests.
     """
 
     bs_position: np.ndarray
@@ -353,10 +344,6 @@ class ChannelModel:
                            np.asarray(self.bs_position, dtype=float))
         clamped = {k: min(float(v), MAX_P_DETECT) for k, v in self.p_detect.items()}
         object.__setattr__(self, "p_detect", clamped)
-
-    @property
-    def dim(self) -> int:
-        return 5
 
     #: Angular measurement components (residuals wrapped).
     angle_components = slice(1, 5)

@@ -14,24 +14,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Optional
 
 from .geometry import TYPE_ORDER
-
-
-@dataclass(frozen=True)
-class TypePosteriorInput:
-    """Inputs of one type-probability update.
-
-    ``logliks`` maps type -> log measurement likelihood for a detection and
-    is None for a misdetection.  Types missing from ``logliks`` on a
-    detection are impossible (zero likelihood).
-    """
-
-    prior_probs: dict
-    p_detect: dict
-    logliks: Optional[dict] = None
 
 
 def _normalize(masses: dict) -> dict:
@@ -44,19 +29,25 @@ def _normalize(masses: dict) -> dict:
     return {k: v / total for k, v in masses.items()}
 
 
-def update_type_probs(inp: TypePosteriorInput) -> dict:
-    """Posterior type probabilities for one landmark, normalized to one."""
-    kinds = [k for k in TYPE_ORDER if k in inp.prior_probs]
+def update_type_probs(prior_probs: dict, p_detect: dict,
+                      logliks: Optional[dict] = None) -> dict:
+    """Posterior type probabilities for one landmark, normalized to one.
+
+    ``logliks`` maps type -> log measurement likelihood for a detection and
+    is None for a misdetection.  Types missing from ``logliks`` on a
+    detection are impossible (zero likelihood).
+    """
+    kinds = [k for k in TYPE_ORDER if k in prior_probs]
     if len(kinds) == 1:
         return {kinds[0]: 1.0}
-    if inp.logliks is None:
-        return _normalize({k: (1.0 - inp.p_detect.get(k, 0.0))
-                           * inp.prior_probs[k] for k in kinds})
+    if logliks is None:
+        return _normalize({k: (1.0 - p_detect.get(k, 0.0)) * prior_probs[k]
+                           for k in kinds})
     log_terms = {}
     for k in kinds:
-        pd = inp.p_detect.get(k, 0.0)
-        psi = inp.prior_probs[k]
-        ll = inp.logliks.get(k)
+        pd = p_detect.get(k, 0.0)
+        psi = prior_probs[k]
+        ll = logliks.get(k)
         if pd <= 0.0 or psi <= 0.0 or ll is None:
             log_terms[k] = -math.inf
         else:

@@ -74,13 +74,6 @@ class TrackTable:
     def n_tracks(self) -> int:
         return self.n_prior + self.n_meas
 
-    def track_cells(self, t: int) -> dict:
-        return self.cells[t]
-
-    def beta_row_sums(self):
-        return [sum(c.beta for c in self.track_cells(t).values())
-                for t in range(self.n_tracks)]
-
 
 def align_hypotheses(density: PmbmDensity) -> TrackTable:
     """Express all hypotheses over the common track set and collect betas."""
@@ -213,7 +206,7 @@ def tomb_recombine(table: TrackTable) -> GlobalHypothesis:
     """Collapse the track table to a single multi-Bernoulli hypothesis."""
     berns = []
     for t in range(table.n_prior):
-        berns.append(_recombine_prior_track(table.track_cells(t)))
+        berns.append(_recombine_prior_track(table.cells[t]))
     for t in range(table.n_prior, table.n_tracks):
-        berns.append(_recombine_new_track(table.track_cells(t)))
+        berns.append(_recombine_new_track(table.cells[t]))
     return GlobalHypothesis(1.0, tuple(berns), assoc=None)

@@ -10,7 +10,6 @@ uniform Poisson clutter over the measurement space.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -180,7 +179,7 @@ def generate_measurements(ue: UEState, scenario: Scenario,
 
 
 # ---------------------------------------------------------------------------
-# Scenario and ground-truth files
+# Scenario files
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     return {
@@ -238,14 +237,3 @@ def save_scenario(scenario: Scenario, path) -> None:
 def load_scenario(path) -> Scenario:
     with open(path) as fh:
         return scenario_from_dict(json.load(fh))
-
-
-def write_truth_csv(path, trajectory) -> None:
-    """Ground-truth dump: one row per step with the five state fields."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "x", "y", "z", "heading", "clock_bias"])
-        for k, state in enumerate(trajectory):
-            writer.writerow([k, repr(state.position[0]),
-                             repr(state.position[1]), repr(state.position[2]),
-                             repr(state.heading), repr(state.clock_bias)])

@@ -55,7 +55,7 @@ from .density import (
 )
 from .geometry import LandmarkType
 from .motion import sensor_transition, sensor_transition_jacobian
-from .multimodel import TypePosteriorInput, update_type_probs
+from .multimodel import update_type_probs
 
 EK_PMB = "ek-pmb"
 EK_PMBM = "ek-pmbm"
@@ -158,8 +158,7 @@ def _misdetected_bernoulli(bern: Bernoulli, misdetection: tuple,
                            config: FilterConfig) -> Bernoulli:
     p_detect, survive, l0 = misdetection
     existence = bern.existence * survive / l0 if l0 > 0.0 else 0.0
-    psi = update_type_probs(TypePosteriorInput(
-        prior_probs=bern.belief.type_probs(), p_detect=p_detect, logliks=None))
+    psi = update_type_probs(bern.belief.type_probs(), p_detect)
     psi = _prune_type_probs(psi, config.type_prune)
     types = {k: TypeComponent(psi[k], bern.belief.types[k].mean,
                               bern.belief.types[k].covariance)
@@ -211,10 +210,10 @@ class ChildParts:
         if psi is None:
             bern = self.hypothesis.bernoullis[i]
             preds = self.ctx.type_preds[i]
-            psi = update_type_probs(TypePosteriorInput(
-                prior_probs=bern.belief.type_probs(),
-                p_detect={k: preds[k].p_detect for k in bern.belief.types},
-                logliks=self.ctx.pair_logliks.get((i, p), {})))
+            psi = update_type_probs(
+                bern.belief.type_probs(),
+                {k: preds[k].p_detect for k in bern.belief.types},
+                self.ctx.pair_logliks.get((i, p), {}))
             psi = self._detected[(i, p)] = _prune_type_probs(
                 psi, self.config.type_prune)
         return psi
@@ -285,10 +284,11 @@ def joint_update(parts: ChildParts, sigma: AssociationVector):
 
     ``parts`` gives the hypothesis, the predicted sensor, the measurements,
     the config and the association context; ``sigma`` is one association of
-    that hypothesis.  Returns ``(child hypothesis, sensor posterior,
-    info)``.  The child keeps the parent weight; callers reweight.  Raises
-    ``numpy.linalg.LinAlgError`` when the innovation covariance stays
-    singular after regularization (the association is then discarded).
+    that hypothesis.  Returns ``(child hypothesis, sensor posterior)``.
+    The child keeps the parent weight; callers reweight.  A singular
+    innovation covariance is retried once with 1e-9 I added; raises
+    ``numpy.linalg.LinAlgError`` when it stays singular (the association is
+    then discarded).
     """
     hypothesis, config = parts.hypothesis, parts.config
     sensor_prior, measurements = parts.sensor, parts.measurements
@@ -298,9 +298,6 @@ def joint_update(parts: ChildParts, sigma: AssociationVector):
         raise ValueError("association vector inconsistent with inputs")
     detected = sigma.detected_pairs()
     type_preds = parts.ctx.type_preds
-
-    info = {"regularized": False, "detected": detected,
-            "births": sigma.born_measurements()}
 
     # Posterior type probabilities first: type components whose probability
     # collapses are dropped from the stack, so their replicated-measurement
@@ -343,7 +340,6 @@ def joint_update(parts: ChildParts, sigma: AssociationVector):
         try:
             factor = chol_factor(symmetrize(S))
         except np.linalg.LinAlgError:
-            info["regularized"] = True
             S = S + 1e-9 * np.eye(n_rows)
             factor = chol_factor(symmetrize(S))
         PHt = joint.covariance @ H.T
@@ -385,7 +381,7 @@ def joint_update(parts: ChildParts, sigma: AssociationVector):
         new_berns.append(parts.born(p))
 
     child = GlobalHypothesis(hypothesis.weight, tuple(new_berns), assoc=sigma)
-    return child, sensor_post, info
+    return child, sensor_post
 
 
 def predict_step(density: PmbmDensity, sensor: GaussianComponent,
@@ -395,7 +391,7 @@ def predict_step(density: PmbmDensity, sensor: GaussianComponent,
 
 
 def update_step(density: PmbmDensity, sensor_pred: GaussianComponent,
-                measurements, config: FilterConfig, diag: Optional[dict] = None):
+                measurements, config: FilterConfig):
     """Measurement-update half of one filter step.
 
     Runs association, the per-association joint updates, the sensor
@@ -409,7 +405,7 @@ def update_step(density: PmbmDensity, sensor_pred: GaussianComponent,
         for sigma, cost in murty_kbest(parts.costs, config.gamma):
             log_weight = math.log(hyp.weight) + parts.log_const - cost
             try:
-                child, child_sensor, _ = joint_update(parts, sigma)
+                child, child_sensor = joint_update(parts, sigma)
             except np.linalg.LinAlgError:
                 continue  # weight redistributed over surviving associations
             children.append((log_weight, child, child_sensor))
@@ -432,8 +428,6 @@ def update_step(density: PmbmDensity, sensor_pred: GaussianComponent,
     if config.filter_kind == EK_PMB:
         table = reduction.align_hypotheses(posterior)
         table = reduction.average_conditionals(table)
-        if diag is not None:
-            diag["beta_rows"] = table.beta_row_sums()
         mb = reduction.tomb_recombine(table)
         posterior = PmbmDensity(ppp_post, (mb,))
 
@@ -446,7 +440,7 @@ def update_step(density: PmbmDensity, sensor_pred: GaussianComponent,
 
 
 def step(density: PmbmDensity, sensor: GaussianComponent, measurements,
-         config: FilterConfig, diag: Optional[dict] = None):
+         config: FilterConfig):
     """One full prediction + update cycle."""
     density_pred, sensor_pred = predict_step(density, sensor, config)
-    return update_step(density_pred, sensor_pred, measurements, config, diag)
+    return update_step(density_pred, sensor_pred, measurements, config)

@@ -1,10 +1,17 @@
-"""Shared test helpers: linear toy measurement models and small builders."""
+"""Shared test helpers: linear toy measurement models, small builders and
+the density invariant check."""
 
 import itertools
 
 import numpy as np
 
-from rfslam.density import Bernoulli, LandmarkBelief, TypeComponent
+from rfslam.density import (
+    Bernoulli,
+    LandmarkBelief,
+    PmbmDensity,
+    TypeComponent,
+    symmetrize,
+)
 from rfslam.geometry import LandmarkType
 
 
@@ -14,8 +21,6 @@ class LinearModel:
     Dimension-agnostic stand-in for the channel geometry, used to check the
     filter core against closed-form Gaussian conditioning.
     """
-
-    angle_components = ()
 
     def __init__(self, mats, dim, p_detect=0.9):
         """mats: {LandmarkType: (A, B)} or {LandmarkType: (A, B, c)}."""
@@ -91,3 +96,21 @@ def assignment_cost(matrix, sigma, n_prior):
         elif entry is not None:
             cost += matrix[entry - 1, n_prior + entry - 1]
     return cost
+
+
+def check_density(density: PmbmDensity, tol: float = 1e-9) -> None:
+    """Raise AssertionError when a structural invariant is violated."""
+    weights = [h.weight for h in density.hypotheses]
+    assert abs(sum(weights) - 1.0) <= tol, "hypothesis weights must sum to 1"
+    for rate in density.ppp_intensity.values():
+        assert rate >= 0.0, "PPP intensity must be nonnegative"
+    for hyp in density.hypotheses:
+        for bern in hyp.bernoullis:
+            assert -tol <= bern.existence <= 1.0 + tol, "existence out of [0, 1]"
+            psis = list(bern.belief.type_probs().values())
+            assert abs(sum(psis) - 1.0) <= tol, "type probabilities must sum to 1"
+            for comp in bern.belief.types.values():
+                c = comp.covariance
+                assert np.max(np.abs(c - c.T)) <= tol, "covariance asymmetric"
+                assert np.min(np.linalg.eigvalsh(symmetrize(c))) >= -tol, \
+                    "covariance indefinite"

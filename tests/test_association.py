@@ -490,5 +490,4 @@ class TestAssociationVector:
         sigma = AssociationVector(2, (2, 0, 1, None))
         sigma.validate()
         assert sigma.detected_pairs() == [(0, 1)]
-        assert sigma.misdetected() == [1]
         assert sigma.born_measurements() == [0]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -237,6 +238,21 @@ class TestMain:
                                    **doc}))
         assert main(["run", "--config", str(cfg)]) == 2
         assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"seed": -1}, {"gate": 0}, {"gate": -5.0}, {"gate": math.nan},
+        {"gate": math.inf}, {"noise_toa": 0.0}, {"noise_toa": -1.0},
+        {"noise_toa": math.nan}, {"noise_angle": 0.0},
+        {"noise_angle": math.inf}, {"jobs": 0}, {"jobs": -3}], ids=json.dumps)
+    def test_out_of_range_config_exits_2(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mc": 1, "out": str(tmp_path / "o"),
+                                   **doc}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        (key,) = doc
+        assert (f"configuration error: {key} must be"
+                in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
     def test_infeasible_assignment_exits_4(self, tmp_path, capsys,

@@ -2,6 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import check_density
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,6 @@ from rfslam.density import (
     LandmarkBelief,
     PmbmDensity,
     TypeComponent,
-    check_density,
     default_ppp_intensity,
     merge_bernoullis,
     moment_match,

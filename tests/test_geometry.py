@@ -342,7 +342,3 @@ class TestMeasurementType:
         cov[1, 1] = bad   # inf - inf is NaN, which no symmetry check catches
         with pytest.raises(ValueError, match="finite"):
             Measurement(np.zeros(5), cov)
-
-    def test_channel_ctor_validates_elevation(self):
-        with pytest.raises(ValueError):
-            Measurement.from_channel_params(10.0, 0.0, 2.0, 0.0, 0.0, np.eye(5))

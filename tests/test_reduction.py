@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
-from conftest import enumerate_associations, single_type_bernoulli
+from conftest import (
+    check_density,
+    enumerate_associations,
+    single_type_bernoulli,
+)
 
 from rfslam.association import AssociationVector
-from rfslam.density import Bernoulli, GlobalHypothesis, PmbmDensity, check_density
+from rfslam.density import GlobalHypothesis, PmbmDensity
 from rfslam.geometry import LandmarkType
 from rfslam.reduction import (
     InconsistentHypothesesError,
@@ -53,7 +57,7 @@ class TestAlign:
         density = build_pmbm(rng, 2, 2, n_hyp=1)
         table = align_hypotheses(density)
         for t in range(table.n_tracks):
-            cells = table.track_cells(t)
+            cells = table.cells[t]
             assert len(cells) == 1
             assert next(iter(cells.values())).beta == pytest.approx(1.0)
 
@@ -69,10 +73,10 @@ class TestAlign:
                                  assoc=AssociationVector(1, (0, 1)))
         density = PmbmDensity({VA: 0.0}, (hyp_a, hyp_b))
         table = align_hypotheses(density)
-        track0 = table.track_cells(0)
+        track0 = table.cells[0]
         assert track0[1].beta == pytest.approx(0.7)
         assert track0[0].beta == pytest.approx(0.3)
-        track1 = table.track_cells(1)
+        track1 = table.cells[1]
         assert track1[None].beta == pytest.approx(0.7)
         assert track1[1].beta == pytest.approx(0.3)
 
@@ -82,7 +86,8 @@ class TestAlign:
             density = build_pmbm(rng, int(rng.integers(0, 3)),
                                  int(rng.integers(0, 3)))
             table = align_hypotheses(density)
-            for total in table.beta_row_sums():
+            for cells in table.cells:
+                total = sum(c.beta for c in cells.values())
                 assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_slot_triggers_zero_existence_cell(self):
@@ -91,7 +96,7 @@ class TestAlign:
         sigma = density.hypotheses[0].assoc.sigma
         table = align_hypotheses(density)
         if sigma[0] is None:
-            cell = table.track_cells(0)[None]
+            cell = table.cells[0][None]
             assert cell.contributors == []
 
     def test_missing_assoc_rejected(self):
@@ -113,7 +118,7 @@ class TestAverage:
         table = average_conditionals(align_hypotheses(density))
         sigma = density.hypotheses[0].assoc.sigma
         for t in range(2):
-            cell = table.track_cells(t)[sigma[t]]
+            cell = table.cells[t][sigma[t]]
             assert cell.bernoulli is density.hypotheses[0].bernoullis[t]
 
     def test_equal_weight_moment_match(self):
@@ -126,7 +131,7 @@ class TestAverage:
                                  assoc=AssociationVector(1, (1, None)))
         density = PmbmDensity({VA: 0.0}, (hyp_a, hyp_b))
         table = average_conditionals(align_hypotheses(density))
-        cell = table.track_cells(0)[1]
+        cell = table.cells[0][1]
         comp = cell.bernoulli.belief.types[VA]
         assert np.allclose(comp.mean, 0.0)
         assert comp.covariance[0, 0] == pytest.approx(2.0)
@@ -141,7 +146,7 @@ class TestAverage:
                                  assoc=AssociationVector(1, (0,)))
         density = PmbmDensity({VA: 0.0}, (hyp_a, hyp_b))
         table = average_conditionals(align_hypotheses(density))
-        assert table.track_cells(0)[0].bernoulli.existence == pytest.approx(0.8)
+        assert table.cells[0][0].bernoulli.existence == pytest.approx(0.8)
 
 
 class TestTombRecombine:
@@ -178,7 +183,7 @@ class TestTombRecombine:
             table = average_conditionals(align_hypotheses(density))
             # Exhaustive marginal association probabilities.
             for t in range(n_prior + n_meas):
-                for q, cell in table.track_cells(t).items():
+                for q, cell in table.cells[t].items():
                     brute = sum(h.weight for h in density.hypotheses
                                 if h.assoc.sigma[t] == q)
                     assert cell.beta == pytest.approx(brute, abs=1e-12)

@@ -13,7 +13,6 @@ from rfslam.sim import (
     save_scenario,
     scenario_to_dict,
     simulate_trajectory,
-    write_truth_csv,
 )
 
 BS, VA, SP = LandmarkType.BS, LandmarkType.VA, LandmarkType.SP
@@ -183,12 +182,3 @@ class TestScenarioIO:
         save_scenario(sc, path)
         sc2 = load_scenario(path)
         assert scenario_to_dict(sc2) == scenario_to_dict(sc)
-
-    def test_truth_csv(self, tmp_path):
-        sc = default_scenario(seed=1, steps=5)
-        states = simulate_trajectory(sc)
-        path = tmp_path / "truth.csv"
-        write_truth_csv(path, states)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "step,x,y,z,heading,clock_bias"
-        assert len(lines) == len(states) + 1

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import LinearModel, single_type_bernoulli
+from conftest import LinearModel, check_density, single_type_bernoulli
 
 from rfslam.association import (
     AssociationVector,
@@ -311,7 +311,7 @@ class TestJointUpdate:
         model, cfg, sensor, hyp = linear_setup(rng, 2)
         sigma = AssociationVector(2, (0, 0))
         parts = child_parts(hyp, [], sensor, cfg)
-        child, sensor_post, info = joint_update(parts, sigma)
+        child, sensor_post = joint_update(parts, sigma)
         assert sensor_post is sensor
         for before, after in zip(hyp.bernoullis, child.bernoullis):
             for kind in before.belief.types:
@@ -330,7 +330,7 @@ class TestJointUpdate:
         sensor = GaussianComponent(np.zeros(1), np.eye(1))
         sigma = AssociationVector(1, (0,))
         parts = child_parts(hyp, [], sensor, cfg)
-        child, _, _ = joint_update(parts, sigma)
+        child, _ = joint_update(parts, sigma)
         assert child.bernoullis[0].existence == pytest.approx(0.09 / 0.19, rel=1e-12)
 
     def test_detected_existence_is_one(self):
@@ -342,7 +342,7 @@ class TestJointUpdate:
         meas = Measurement(z, np.eye(z.size))
         sigma = AssociationVector(1, (1, None))
         parts = child_parts(hyp, [meas], sensor, cfg)
-        child, _, _ = joint_update(parts, sigma)
+        child, _ = joint_update(parts, sigma)
         assert child.bernoullis[0].existence == 1.0
 
     @pytest.mark.parametrize("n_landmarks", [1, 2, 3])
@@ -362,7 +362,7 @@ class TestJointUpdate:
                 n_landmarks,
                 tuple(range(1, n_landmarks + 1)) + (None,) * n_meas)
             parts = child_parts(hyp, measurements, sensor, cfg)
-            child, sensor_post, _ = joint_update(parts, sigma)
+            child, sensor_post = joint_update(parts, sigma)
             # Oracle: stack the joint prior and condition in closed form.
             kinds = [next(iter(b.belief.types)) for b in hyp.bernoullis]
             dxs = [b.belief.types[k].mean.size
@@ -416,7 +416,7 @@ class TestJointUpdate:
             meas = Measurement(rng.normal(size=dz), cov @ cov.T + dz * np.eye(dz))
             sigma = AssociationVector(1, (1, None))
             parts = child_parts(hyp, [meas], sensor, cfg)
-            child, sensor_post, _ = joint_update(parts, sigma)
+            child, sensor_post = joint_update(parts, sigma)
             kinds = list(bern.belief.types)
             dxs = [bern.belief.types[k].mean.size for k in kinds]
             n_state = ds + sum(dxs)
@@ -463,7 +463,7 @@ class TestJointUpdate:
         meas = Measurement(z1, np.eye(dz))
         sigma = AssociationVector(3, (1, 0, 0, None))
         parts = child_parts(hyp, [meas], sensor, cfg)
-        child, sensor_post, _ = joint_update(parts, sigma)
+        child, sensor_post = joint_update(parts, sigma)
 
         dxs = [b.belief.types[k].mean.size
                for b, k in zip(hyp.bernoullis, kinds)]
@@ -500,10 +500,11 @@ class TestJointUpdate:
             assert np.allclose(comp.covariance, cov_o[slices[i], slices[i]],
                                atol=1e-12)
 
-    def test_singular_innovation_is_regularized(self):
+    def test_singular_innovation_is_regularized(self, monkeypatch):
         # Two types with identical rows and zero landmark covariance make the
         # stacked innovation covariance [[R, R], [R, R]] exactly singular;
-        # the update adds 1e-9 I and goes on.
+        # its factorization fails, the update adds 1e-9 I and goes on.
+        import rfslam.update as update
         model = LinearModel({VA: ([[0.0]], [[1.0]]), SP: ([[0.0]], [[1.0]])},
                             1, p_detect=0.9)
         cfg = make_config(model, gate=None, type_prune=0.0)
@@ -515,8 +516,21 @@ class TestJointUpdate:
         meas = Measurement(np.array([0.3]), np.eye(1))
         sigma = AssociationVector(1, (1, None))
         parts = child_parts(hyp, [meas], sensor, cfg)
-        child, sensor_post, info = joint_update(parts, sigma)
-        assert info["regularized"]
+        factorizations = []
+        factor = update.chol_factor
+
+        def recording(a):
+            try:
+                result = factor(a)
+            except np.linalg.LinAlgError:
+                factorizations.append("LinAlgError")
+                raise
+            factorizations.append("factored")
+            return result
+
+        monkeypatch.setattr(update, "chol_factor", recording)
+        child, sensor_post = joint_update(parts, sigma)
+        assert factorizations == ["LinAlgError", "factored"]
         assert np.all(np.isfinite(sensor_post.covariance))
         for comp in child.bernoullis[0].belief.types.values():
             assert np.all(np.isfinite(comp.mean))
@@ -530,9 +544,9 @@ class TestJointUpdate:
                         for _ in range(2)]
         sigma = AssociationVector(2, (1, 2, None, None))
         parts = child_parts(hyp, measurements, sensor, cfg)
-        child_a, sens_a, _ = joint_update(parts, sigma)
+        child_a, sens_a = joint_update(parts, sigma)
         parts = child_parts(hyp, measurements, sensor, cfg_j)
-        child_b, sens_b, _ = joint_update(parts, sigma)
+        child_b, sens_b = joint_update(parts, sigma)
         assert np.allclose(sens_a.covariance, sens_b.covariance, atol=1e-9)
         assert np.allclose(sens_a.mean, sens_b.mean, atol=1e-12)
 
@@ -650,7 +664,6 @@ class TestStep:
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_pmbm_multi_hypothesis_invariants(self):
-        from rfslam.density import check_density
         from rfslam.sim import (default_scenario, generate_measurements,
                                 simulate_trajectory)
         model, cfg, density, sensor = self.channel_setup(EK_PMBM, gamma=4)
@@ -773,7 +786,8 @@ class TestStep:
 
         sigmas = [args[1] for args, _ in children]
         assert len(sigmas) == cfg.gamma
-        misdetected = [i for s in sigmas for i in s.misdetected()]
+        misdetected = [i for s in sigmas
+                       for i, p in enumerate(s.sigma[:s.n_prior]) if p == 0]
         born = [p for s in sigmas for p in s.born_measurements()]
         detected = {pair for s in sigmas for pair in s.detected_pairs()}
         # Shared pieces exist, so the counts below test the sharing.
@@ -786,16 +800,16 @@ class TestStep:
         assert calls["misdetection_weight"] == len(hyp.bernoullis)
         assert calls["type_probs"] == len(set(misdetected)) + len(detected)
         # One innovation per (landmark, measurement, stacked type).
-        stacked = [(i, p, kind) for (_, sigma, *_), (child, _, _) in children
+        stacked = [(i, p, kind) for (_, sigma, *_), (child, _) in children
                    for i, p in sigma.detected_pairs()
                    for kind in child.bernoullis[i].belief.types]
         assert len(stacked) > len(set(stacked))
         assert calls["innovations"] == len(set(stacked))
 
-        for (_, sigma), (child, child_sensor, _) in children:
+        for (_, sigma), (child, child_sensor) in children:
             fresh = ChildParts(hyp, measurements, sensor_pred,
                                density.ppp_intensity, cfg)
-            ref, ref_sensor, _ = joint_update(fresh, sigma)
+            ref, ref_sensor = joint_update(fresh, sigma)
             assert np.array_equal(child_sensor.mean, ref_sensor.mean)
             assert np.array_equal(child_sensor.covariance,
                                   ref_sensor.covariance)
