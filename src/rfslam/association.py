@@ -121,47 +121,47 @@ def predict_types(bern: Bernoulli, sensor: GaussianComponent, model) -> dict:
     return preds
 
 
-def log_weight_detected(bern: Bernoulli, meas, preds: dict, model,
-                        gate: Optional[float] = None):
+def residual_blocks(bern: Bernoulli, preds: dict, z, model) -> dict:
+    """Wrapped residuals ``z - h`` of every type that can explain a detection.
+
+    A type contributes when its detection probability and weight are
+    positive and its geometry is valid.  ``z`` is one measurement vector or
+    a stack of them, one per row; each block has the shape of ``z``, and
+    its row for a measurement has the bits of wrapping that pair alone
+    (subtraction and the wrap are element-wise).
+    """
+    blocks = {}
+    for kind, comp in bern.belief.types.items():
+        pred = preds[kind]
+        if (pred.p_detect > 0.0 and comp.weight > 0.0
+                and pred.z_pred is not None):
+            blocks[kind] = model.wrap_residual(z - pred.z_pred)
+    return blocks
+
+
+def log_weight_detected(bern: Bernoulli, meas, preds: dict, residuals: dict):
     """Local weight for "detected again", in log domain, for one pair.
 
-    Returns ``(ln l, logliks, mahal)`` with l = r sum_type psi pd N(z; h, S),
-    the per-type log-likelihoods and the smallest squared Mahalanobis
-    distance over the types (the caller gates on it).  Types with zero
-    detection probability, zero weight or degenerate geometry contribute
-    nothing; with no contribution, or zero existence, ln l is -inf.
-
-    With a ``gate``, a pair that every contributing type puts outside it is
-    rejected before any factorization: ``(-inf, {}, bound)``, where the
-    bound max_j v_j^2 / S_jj never exceeds v^T S^-1 v (a marginal's
-    Mahalanobis distance is at most the joint one).  The relative margin
-    1e-9 absorbs rounding, so the caller's gate on ``mahal`` keeps or drops
-    exactly the pairs it would without the bound.
+    ``residuals`` maps each contributing type to the pair's wrapped
+    residual (one row of :func:`residual_blocks`).  Returns ``(ln l,
+    logliks, mahal)`` with l = r sum_type psi pd N(z; h, S), the per-type
+    log-likelihoods and the smallest squared Mahalanobis distance over the
+    types (the caller gates on it).  With no contributing type, or zero
+    existence, ln l is -inf.
     """
     logliks = {}
     best_mahal = math.inf
     if bern.existence <= 0.0:
         return -math.inf, logliks, best_mahal
-    residuals = []
-    for kind, comp in bern.belief.types.items():
-        pred = preds[kind]
-        if pred.p_detect <= 0.0 or comp.weight <= 0.0 or pred.z_pred is None:
-            continue
-        S = pred.hph + meas.covariance
-        v = model.wrap_residual(meas.z - pred.z_pred)
-        residuals.append((kind, comp.weight, pred.p_detect, v, S))
-    if gate is not None:
-        bounds = [float((v * v / S.diagonal()).max())
-                  for _, _, _, v, S in residuals]
-        # A NaN bound compares False and falls through to the full path.
-        if all(b > gate * (1.0 + 1e-9) for b in bounds):
-            return -math.inf, logliks, min(bounds, default=math.inf)
     terms = []
-    for kind, weight, p_detect, v, S in residuals:
-        loglik, mahal = chol_logpdf(v, S)
+    types = bern.belief.types
+    for kind, v in residuals.items():
+        pred = preds[kind]
+        loglik, mahal = chol_logpdf(v, pred.hph + meas.covariance)
         logliks[kind] = loglik
         best_mahal = min(best_mahal, mahal)
-        terms.append(math.log(weight) + math.log(p_detect) + loglik)
+        terms.append(math.log(types[kind].weight) + math.log(pred.p_detect)
+                     + loglik)
     return math.log(bern.existence) + _logsumexp(terms), logliks, best_mahal
 
 
@@ -185,9 +185,10 @@ def birth_from_measurement(meas, sensor: GaussianComponent,
 
     Mean by geometric inversion at the sensor mean; covariance from the
     infinite-prior EK update, i.e. the inverse Fisher-style form
-    (Hx^T (Hs P Hs^T + R)^-1 Hx)^-1.  Returns ``(component, H_s, H_x)``
-    with the Jacobians at the newborn mean, or None when the measurement
-    does not determine a position (caller treats it as clutter-only).
+    (Hx^T (Hs P Hs^T + R)^-1 Hx)^-1.  Returns ``(component, H_x, hph_s)``
+    with the landmark Jacobian and the sensor part Hs P Hs^T, both at the
+    newborn mean, or None when the measurement does not determine a
+    position (caller treats it as clutter-only).
     """
     mean = model.invert(meas.z, sensor.mean, kind)
     if mean is None:
@@ -196,7 +197,8 @@ def birth_from_measurement(meas, sensor: GaussianComponent,
         H_s, H_x = model.jacobians(sensor.mean, mean, kind)
     except DegenerateGeometryError:
         return None
-    gain_cov = H_s @ sensor.covariance @ H_s.T + meas.covariance
+    hph_s = H_s @ sensor.covariance @ H_s.T
+    gain_cov = hph_s + meas.covariance
     try:
         info = H_x.T @ chol_solve(chol_factor(gain_cov), H_x)
         cov = chol_solve(chol_factor(info), np.eye(info.shape[0]))
@@ -204,7 +206,7 @@ def birth_from_measurement(meas, sensor: GaussianComponent,
         return None
     component = GaussianComponent(np.asarray(mean, dtype=float),
                                   symmetrize(cov))
-    return component, H_s, H_x
+    return component, H_x, hph_s
 
 
 @dataclass(frozen=True)
@@ -235,7 +237,7 @@ def weight_birth(meas, sensor: GaussianComponent, ppp: dict,
         birth = birth_from_measurement(meas, sensor, kind, model)
         if birth is None:
             continue
-        component, H_s, H_x = birth
+        component, H_x, hph_s = birth
         pd = model.detection_probability(sensor.mean, component.mean, kind)
         if pd <= 0.0:
             continue
@@ -243,8 +245,7 @@ def weight_birth(meas, sensor: GaussianComponent, ppp: dict,
             z_pred = model.predict(sensor.mean, component.mean, kind)
         except DegenerateGeometryError:
             continue
-        S = (H_s @ sensor.covariance @ H_s.T
-             + H_x @ component.covariance @ H_x.T + meas.covariance)
+        S = hph_s + H_x @ component.covariance @ H_x.T + meas.covariance
         v = model.wrap_residual(meas.z - z_pred)
         loglik, _ = chol_logpdf(v, S)
         rho[kind] = rate * pd * math.exp(loglik)
@@ -333,6 +334,7 @@ class AssociationContext:
     type_preds: tuple        # per landmark: dict kind -> TypePrediction
     misdetection: tuple      # per landmark: misdetection_weight's triple
     pair_logliks: dict       # (landmark, measurement) -> dict kind -> loglik
+    pair_residuals: dict     # (landmark, measurement) -> dict kind -> residual
     births: tuple            # per measurement: BirthCandidate
 
 
@@ -345,6 +347,15 @@ def build_cost_matrix(hypothesis: GlobalHypothesis, measurements,
     Returns ``(CostMatrix, misdetect_log_sum, AssociationContext)`` where
     the second element, sum_i ln l^{i,0}, recovers unnormalized hypothesis
     weights from assignment costs.
+
+    Per landmark and contributing type, one array pass wraps the residuals
+    against every measurement and takes each pair's marginal bound
+    max_j v_j^2 / S_jj, which never exceeds v^T S^-1 v (a marginal's
+    Mahalanobis distance is at most the joint one).  Only a pair that some
+    type puts inside the gate, with a relative margin of 1e-9 that absorbs
+    rounding, reaches :func:`log_weight_detected` and its factorizations;
+    the gate on the full distance then keeps or drops exactly the pairs it
+    would without the bound.  A NaN bound compares False and is kept.
     """
     berns = hypothesis.bernoullis
     n_prior, n_meas = len(berns), len(measurements)
@@ -355,15 +366,35 @@ def build_cost_matrix(hypothesis: GlobalHypothesis, measurements,
                          for b, preds in zip(berns, type_preds))
     misdetect_log_sum = 0.0
     pair_logliks = {}
+    pair_residuals = {}
+    limit = None if gate is None else gate * (1.0 + 1e-9)
+    if n_meas:
+        z_rows = np.array([meas.z for meas in measurements])
+        r_diag = np.array([meas.covariance.diagonal()
+                           for meas in measurements])
     for i, bern in enumerate(berns):
         log_l0 = math.log(misdetection[i][2])
         misdetect_log_sum += log_l0
-        for p, meas in enumerate(measurements):
+        if not n_meas or bern.existence <= 0.0:
+            continue
+        preds = type_preds[i]
+        blocks = residual_blocks(bern, preds, z_rows, model)
+        if gate is None:
+            candidates = range(n_meas)
+        else:
+            inside = np.zeros(n_meas, dtype=bool)
+            for kind, block in blocks.items():
+                s_diag = preds[kind].hph.diagonal() + r_diag
+                inside |= ~((block * block / s_diag).max(axis=1) > limit)
+            candidates = np.flatnonzero(inside).tolist()
+        for p in candidates:
+            rows = {kind: block[p] for kind, block in blocks.items()}
             log_l, logliks, mahal = log_weight_detected(
-                bern, meas, type_preds[i], model, gate)
+                bern, measurements[p], preds, rows)
             if log_l == -math.inf or (gate is not None and mahal > gate):
                 continue
             pair_logliks[(i, p)] = logliks
+            pair_residuals[(i, p)] = rows
             matrix[p, i] = log_l0 - log_l
 
     births = []
@@ -373,7 +404,9 @@ def build_cost_matrix(hypothesis: GlobalHypothesis, measurements,
         matrix[p, n_prior + p] = -cand.log_weight
 
     ctx = AssociationContext(type_preds=type_preds, misdetection=misdetection,
-                             pair_logliks=pair_logliks, births=tuple(births))
+                             pair_logliks=pair_logliks,
+                             pair_residuals=pair_residuals,
+                             births=tuple(births))
     return CostMatrix(matrix, n_prior), misdetect_log_sum, ctx
 
 

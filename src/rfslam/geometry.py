@@ -63,7 +63,7 @@ def _wrap_scalar(a: float) -> float:
 
 def _finite_point(v, what: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if v.shape != (3,) or not np.isfinite(v).all():
+    if v.shape != (3,) or not all(map(math.isfinite, v.tolist())):
         raise ValueError(f"{what} position must be a finite 3-vector")
     return v
 
@@ -170,16 +170,21 @@ def _azimuth_elevation(g) -> tuple[float, float]:
     return math.atan2(g[1], g[0]), math.atan2(g[2], rho)
 
 
-def _angle_gradients(g) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of azimuth and elevation of a direction vector w.r.t. it."""
-    gx, gy, gz = g
+def _angle_gradients(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of azimuth and elevation of a direction vector w.r.t. it.
+
+    The scalar arithmetic runs on Python floats, which round like numpy
+    float64 scalars at a fraction of their per-operation cost.
+    """
+    gx, gy, gz = g.tolist()
     rho2 = gx * gx + gy * gy
     r2 = rho2 + gz * gz
     if rho2 < 1e-24:
         raise DegenerateGeometryError("vertical direction: azimuth undefined")
     rho = math.sqrt(rho2)
+    rho_r2 = rho * r2
     d_az = np.array([-gy / rho2, gx / rho2, 0.0])
-    d_el = np.array([-gx * gz / (rho * r2), -gy * gz / (rho * r2), rho / r2])
+    d_el = np.array([-gx * gz / rho_r2, -gy * gz / rho_r2, rho / r2])
     return d_az, d_el
 
 
@@ -243,12 +248,18 @@ def measure_jacobian(ue: UEState, lm: Landmark, bs_position) -> np.ndarray:
     return _measure_jacobian(ue.position, lm.kind, lm.position, bs_position)
 
 
+#: Read-only 3x3 identity for the VA mirror Jacobian.
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
+
+
 def _measure_jacobian(u, kind: LandmarkType, x, bs_position) -> np.ndarray:
     H = np.zeros((5, 8))
     H[0, 4] = 1.0  # bias enters the delay additively
 
     # AOA rows: the apparent source is the landmark itself for every kind.
-    g_aoa, _ = _direction(x - u, "UE-landmark")
+    g_aoa, n_aoa = _direction(x - u, "UE-landmark")
+    e = g_aoa / n_aoa
     d_az, d_el = _angle_gradients(g_aoa)
     H[1, 0:3] = -d_az
     H[1, 5:8] = d_az
@@ -257,7 +268,6 @@ def _measure_jacobian(u, kind: LandmarkType, x, bs_position) -> np.ndarray:
     H[2, 5:8] = d_el
 
     if kind is LandmarkType.BS:
-        e = g_aoa / np.linalg.norm(g_aoa)
         H[0, 0:3] = -e
         H[0, 5:8] = e
         d_az2, d_el2 = _angle_gradients(u - x)
@@ -266,14 +276,14 @@ def _measure_jacobian(u, kind: LandmarkType, x, bs_position) -> np.ndarray:
         H[4, 0:3] = d_el2
         H[4, 5:8] = -d_el2
     elif kind is LandmarkType.VA:
-        e = g_aoa / np.linalg.norm(g_aoa)
         H[0, 0:3] = -e
         H[0, 5:8] = e
         bs = np.asarray(bs_position, dtype=float)
         span_vec, span = _direction(x - bs, "BS-VA")
         nu = span_vec / span
-        R = np.eye(3) - 2.0 * np.outer(nu, nu)
-        N = (np.eye(3) - np.outer(nu, nu)) / span  # d nu / d x
+        nu_nu = np.outer(nu, nu)
+        R = _EYE3 - 2.0 * nu_nu
+        N = (_EYE3 - nu_nu) / span  # d nu / d x
         d = u - x
         g_aod = R @ d
         # g = R(nu(x)) d(x, u):  dg/du = R,  dg/dx per product rule.
@@ -287,9 +297,8 @@ def _measure_jacobian(u, kind: LandmarkType, x, bs_position) -> np.ndarray:
         bs = np.asarray(bs_position, dtype=float)
         leg1_vec, leg1 = _direction(x - bs, "BS-SP")
         e1 = leg1_vec / leg1
-        e2 = g_aoa / np.linalg.norm(g_aoa)
-        H[0, 0:3] = -e2
-        H[0, 5:8] = e1 + e2
+        H[0, 0:3] = -e
+        H[0, 5:8] = e1 + e
         d_az2, d_el2 = _angle_gradients(x - bs)
         H[3, 5:8] = d_az2
         H[4, 5:8] = d_el2
@@ -331,7 +340,8 @@ class ChannelModel:
     Wraps the channel geometry with the known BS anchor position and the
     detection model.  Any object with the same methods (``predict``,
     ``jacobians``, ``detection_probability``, ``invert``, ``wrap_residual``)
-    can be substituted, e.g. linear toys in tests.
+    can be substituted, e.g. linear toys in tests.  ``wrap_residual`` takes
+    one residual or a stack of them, one per row.
     """
 
     bs_position: np.ndarray

@@ -63,6 +63,21 @@ class Scenario:
                            np.asarray(self.noise_std, dtype=float))
         object.__setattr__(self, "vas", tuple(self.vas))
         object.__setattr__(self, "sps", tuple(self.sps))
+        # A range error caught here would otherwise end in a traceback, a
+        # numerical failure, or a silent run with wrong physics.
+        for kind, pd in self.p_detect.items():
+            if not 0.0 <= pd <= 1.0:
+                raise ValueError(f"p_detect of {kind.value} must be in [0, 1]")
+        if not 0.0 < self.fov_radius < math.inf:
+            raise ValueError("fov_radius must be finite and > 0")
+        if not 0.0 <= self.clutter_mean < math.inf:
+            raise ValueError("clutter_mean must be finite and >= 0")
+        if not all(0.0 < std < math.inf for std in self.noise_std.tolist()):
+            raise ValueError("noise_std entries must be finite and > 0")
+        if self.steps < 1:
+            raise ValueError("steps must be >= 1")
+        if not 0.0 <= self.dt < math.inf:
+            raise ValueError("dt must be finite and >= 0")
         for va, plane in self.vas:
             mirrored = mirror_bs(self.bs.position, plane.point, plane.normal)
             if not np.allclose(mirrored, va.position, atol=1e-9):

@@ -220,7 +220,16 @@ class ChildParts:
 
     def innovation(self, i: int, p: int, kind, z: np.ndarray) -> np.ndarray:
         """Wrapped residual of measurement ``p``, whose value is ``z``,
-        against landmark ``i``'s prediction as type ``kind``."""
+        against landmark ``i``'s prediction as type ``kind``.
+
+        The cost matrix keeps the residual of every type that contributed
+        to the pair's weight.  A stacked type that did not (zero detection
+        probability or weight, kept when ``type_prune`` is 0) is wrapped
+        here, once.
+        """
+        v = self.ctx.pair_residuals[(i, p)].get(kind)
+        if v is not None:
+            return v
         key = (i, p, kind)
         v = self._innovations.get(key)
         if v is None:

@@ -27,6 +27,7 @@ from rfslam.association import (
     misdetection_weight,
     murty_kbest,
     predict_types,
+    residual_blocks,
     weight_birth,
 )
 from rfslam.density import (
@@ -56,10 +57,17 @@ def toy_sensor(var=1.0):
     return GaussianComponent(np.zeros(1), np.array([[var]]))
 
 
+def detected_weight(bern, meas, preds, model):
+    """``log_weight_detected`` of one pair, with its residuals wrapped by
+    the function the cost matrix uses."""
+    return log_weight_detected(bern, meas, preds,
+                               residual_blocks(bern, preds, meas.z, model))
+
+
 def linear_detected_weight(bern, meas, sensor, model):
     """Linear detected weight via the function the cost matrix uses."""
     preds = predict_types(bern, sensor, model)
-    log_l, _, _ = log_weight_detected(bern, meas, preds, model)
+    log_l, _, _ = detected_weight(bern, meas, preds, model)
     return math.exp(log_l)
 
 
@@ -115,7 +123,7 @@ class TestWeightDetected:
     def test_zero_existence(self):
         bern = single_type_bernoulli(0.0, SP, [0.0], [[1.0]])
         meas = Measurement(np.zeros(1), np.eye(1))
-        log_l, logliks, _ = log_weight_detected(
+        log_l, logliks, _ = detected_weight(
             bern, meas, predict_types(bern, toy_sensor(), toy_model()),
             toy_model())
         assert log_l == -math.inf and logliks == {}
@@ -135,7 +143,7 @@ class TestWeightDetected:
         w = linear_detected_weight(bern, meas, toy_sensor(5.0), toy_model(0.9))
         assert w == pytest.approx(0.9 / math.sqrt(4 * math.pi), rel=1e-12)
         assert w == pytest.approx(0.2538853125964903, rel=1e-9)
-        _, logliks, mahal = log_weight_detected(
+        _, logliks, mahal = detected_weight(
             bern, meas, predict_types(bern, toy_sensor(5.0), toy_model(0.9)),
             toy_model(0.9))
         assert logliks[SP] == pytest.approx(-0.5 * math.log(4 * math.pi))
@@ -280,8 +288,8 @@ class TestBuildCostMatrix:
         for p, meas in enumerate(measurements):
             ld = linear_detected_weight(berns[0], meas, sensor, model)
             assert costs.matrix[p, 0] == pytest.approx(math.log(l0) - math.log(ld))
-            _, logliks, _ = log_weight_detected(berns[0], meas,
-                                                ctx.type_preds[0], model)
+            _, logliks, _ = detected_weight(berns[0], meas,
+                                            ctx.type_preds[0], model)
             assert ctx.pair_logliks[(0, p)] == logliks
             lb, _ = weight_birth(meas, sensor, {SP: 1.5}, 0.2, model)
             assert costs.matrix[p, 1 + p] == pytest.approx(-math.log(lb))
@@ -298,7 +306,9 @@ class TestBuildCostMatrix:
         assert np.isinf(costs.matrix[0, 0])
 
 
-def channel_association_case(seed, n_landmarks, n_meas, tight):
+def channel_association_case(seed, n_landmarks, n_meas, tight,
+                             varied_cov=False, zero_existence=False,
+                             degenerate=False):
     """Random channel-model association problem around the reference UE.
 
     Each landmark mixes one to three types with random SPD covariances; each
@@ -306,6 +316,10 @@ def channel_association_case(seed, n_landmarks, n_meas, tight):
     clutter.  With ``tight``, the sensor and landmark covariances are tiny
     and detections move one channel only, so S is nearly the diagonal R and
     the marginal bound of a pair nearly equals its full Mahalanobis distance.
+    ``varied_cov`` gives every measurement its own diagonal covariance,
+    ``zero_existence`` sets the first landmark's existence to zero, and
+    ``degenerate`` adds to the last landmark a type straight above the
+    sensor mean, whose prediction fails.
     """
     rng = np.random.default_rng(seed)
     model = ChannelModel(np.array([0.0, 0.0, 40.0]))
@@ -324,7 +338,17 @@ def channel_association_case(seed, n_landmarks, n_meas, tight):
                  for k, w in zip(kinds, psi)}
         berns.append(Bernoulli(float(rng.uniform(0.05, 1.0)),
                                LandmarkBelief(types)))
-    R = np.diag(np.array([0.1, 0.005, 0.005, 0.005, 0.005]) ** 2)
+    if zero_existence:
+        berns[0] = Bernoulli(0.0, berns[0].belief)
+    if degenerate:
+        types = dict(berns[-1].belief.types)
+        kind = next(iter(types))
+        types[kind] = TypeComponent(
+            types[kind].weight, sensor.mean[:3] + np.array([0.0, 0.0, 15.0]),
+            np.eye(3))
+        berns[-1] = Bernoulli(berns[-1].existence, LandmarkBelief(types))
+    std = np.array([0.1, 0.005, 0.005, 0.005, 0.005])
+    R = np.diag(std ** 2)
     measurements = []
     for _ in range(n_meas):
         bern = berns[int(rng.integers(n_landmarks))]
@@ -344,14 +368,133 @@ def channel_association_case(seed, n_landmarks, n_meas, tight):
             z[j] += rng.normal() * 6.0 * math.sqrt(R[j, j])
         else:
             z = z + rng.normal(size=5) * np.sqrt(np.diag(R)) * 4.0
-        measurements.append(Measurement(z, R))
+        cov = R
+        if varied_cov:
+            cov = np.diag((std * rng.uniform(0.5, 2.0, size=5)) ** 2)
+        measurements.append(Measurement(z, cov))
     hyp = GlobalHypothesis(1.0, tuple(berns))
     ppp = {BS: 0.0, VA: 1e-5, SP: 1e-5}
     return hyp, measurements, sensor, ppp, model
 
 
+def reference_log_weight_detected(bern, meas, preds, model, gate=None):
+    """The per-pair detected weight before the array pass: wrap each
+    contributing type's residual, bound the pair against the gate, then
+    factor."""
+    logliks = {}
+    best_mahal = math.inf
+    if bern.existence <= 0.0:
+        return -math.inf, logliks, best_mahal
+    residuals = []
+    for kind, comp in bern.belief.types.items():
+        pred = preds[kind]
+        if pred.p_detect <= 0.0 or comp.weight <= 0.0 or pred.z_pred is None:
+            continue
+        S = pred.hph + meas.covariance
+        v = model.wrap_residual(meas.z - pred.z_pred)
+        residuals.append((kind, comp.weight, pred.p_detect, v, S))
+    if gate is not None:
+        bounds = [float((v * v / S.diagonal()).max())
+                  for _, _, _, v, S in residuals]
+        if all(b > gate * (1.0 + 1e-9) for b in bounds):
+            return -math.inf, logliks, min(bounds, default=math.inf)
+    terms = []
+    for kind, weight, p_detect, v, S in residuals:
+        loglik, mahal = chol_logpdf(v, S)
+        logliks[kind] = loglik
+        best_mahal = min(best_mahal, mahal)
+        terms.append(math.log(weight) + math.log(p_detect) + loglik)
+    m = max(terms, default=-math.inf)
+    if math.isfinite(m):
+        m += math.log(sum(math.exp(t - m) for t in terms))
+    return math.log(bern.existence) + m, logliks, best_mahal
+
+
+def reference_cost_matrix(hypothesis, measurements, sensor, ppp, clutter,
+                          model, gate):
+    """The cost matrix as the per-pair loop built it: (matrix, sum of
+    ln l^{i,0}, pair log-likelihoods, pair residuals)."""
+    berns = hypothesis.bernoullis
+    n_prior, n_meas = len(berns), len(measurements)
+    matrix = np.full((n_meas, n_prior + n_meas), np.inf)
+    log_sum = 0.0
+    pair_logliks, pair_residuals = {}, {}
+    for i, bern in enumerate(berns):
+        preds = predict_types(bern, sensor, model)
+        log_l0 = math.log(misdetection_weight(bern, preds)[2])
+        log_sum += log_l0
+        for p, meas in enumerate(measurements):
+            log_l, logliks, mahal = reference_log_weight_detected(
+                bern, meas, preds, model, gate)
+            if log_l == -math.inf or (gate is not None and mahal > gate):
+                continue
+            pair_logliks[(i, p)] = logliks
+            pair_residuals[(i, p)] = {
+                k: model.wrap_residual(meas.z - preds[k].z_pred)
+                for k in logliks}
+            matrix[p, i] = log_l0 - log_l
+    for p, meas in enumerate(measurements):
+        _, cand = weight_birth(meas, sensor, ppp, clutter, model)
+        matrix[p, n_prior + p] = -cand.log_weight
+    return matrix, log_sum, pair_logliks, pair_residuals
+
+
+class TestArrayPass:
+    """``build_cost_matrix`` wraps and bounds all measurements of a landmark
+    type in one array pass; it must give the per-pair reference's bits."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           n_landmarks=st.integers(1, 5),
+           n_meas=st.integers(0, 6),
+           tight=st.booleans(),
+           varied_cov=st.booleans(),
+           zero_existence=st.booleans(),
+           degenerate=st.booleans(),
+           pick=st.integers(0, 10 ** 6),
+           gate_kind=st.sampled_from(["none", "default", -1e-9, 0.0, 1e-9]))
+    def test_bit_equal_to_per_pair_reference(self, seed, n_landmarks, n_meas,
+                                             tight, varied_cov,
+                                             zero_existence, degenerate,
+                                             pick, gate_kind):
+        hyp, meas, sensor, ppp, model = channel_association_case(
+            seed, n_landmarks, n_meas, tight, varied_cov=varied_cov,
+            zero_existence=zero_existence, degenerate=degenerate)
+        clutter = 1e-6
+        if gate_kind == "none":
+            gate = None
+        else:
+            gate = DEFAULT_GATE
+            finite = []
+            for bern in hyp.bernoullis:
+                preds = predict_types(bern, sensor, model)
+                for z in meas:
+                    _, _, m = reference_log_weight_detected(bern, z, preds,
+                                                            model)
+                    if math.isfinite(m):
+                        finite.append(m)
+            finite.sort()
+            if gate_kind != "default" and finite:
+                # Put the gate within 1e-9 of one pair's full distance.
+                gate = finite[pick % len(finite)] * (1.0 + gate_kind)
+
+        matrix, log_sum, logliks, residuals = reference_cost_matrix(
+            hyp, meas, sensor, ppp, clutter, model, gate)
+        costs, got_log_sum, ctx = build_cost_matrix(
+            hyp, meas, sensor, ppp, clutter, model, gate=gate)
+        assert costs.matrix.tobytes() == matrix.tobytes()
+        assert got_log_sum == log_sum
+        assert ctx.pair_logliks == logliks
+        assert ctx.pair_residuals.keys() == residuals.keys()
+        for key, rows in residuals.items():
+            got = ctx.pair_residuals[key]
+            assert list(got) == list(rows)
+            assert all(got[k].tobytes() == v.tobytes()
+                       for k, v in rows.items())
+
+
 class TestGatedCostMatrix:
-    """The pre-gate in ``log_weight_detected`` only skips work.
+    """The pre-gate in ``build_cost_matrix`` only skips work.
 
     ``build_cost_matrix(gate=g)`` must equal, bit for bit, the ungated
     matrix with the gate applied afterwards on each pair's full Mahalanobis
@@ -374,7 +517,7 @@ class TestGatedCostMatrix:
             hyp, meas, sensor, ppp, clutter, model, gate=None)
         mahal = {}
         for (i, p) in ctx.pair_logliks:
-            _, _, mahal[(i, p)] = log_weight_detected(
+            _, _, mahal[(i, p)] = detected_weight(
                 hyp.bernoullis[i], meas[p], ctx.type_preds[i], model)
         finite = sorted(m for m in mahal.values() if math.isfinite(m))
         if rel is None or not finite:
@@ -397,18 +540,22 @@ class TestGatedCostMatrix:
         assert gated_log_sum == log_sum
 
     def test_rejected_pair_is_not_factored(self, monkeypatch):
-        hyp, meas, sensor, ppp, model = channel_association_case(
+        hyp, meas, sensor, _, model = channel_association_case(
             3, 1, 1, tight=False)
         far = Measurement(meas[0].z + np.array([500.0, 0, 0, 0, 0]),
                           meas[0].covariance)
         preds = predict_types(hyp.bernoullis[0], sensor, model)
+        _, _, bound = reference_log_weight_detected(
+            hyp.bernoullis[0], far, preds, model, gate=DEFAULT_GATE)
+        assert bound > DEFAULT_GATE
         calls = []
         monkeypatch.setattr(association, "chol_logpdf",
                             lambda *a: calls.append(a))
-        log_l, logliks, bound = log_weight_detected(
-            hyp.bernoullis[0], far, preds, model, gate=DEFAULT_GATE)
-        assert (log_l, logliks, calls) == (-math.inf, {}, [])
-        assert bound > DEFAULT_GATE
+        # No birth rate, so the birth weight factors nothing either.
+        costs, _, ctx = build_cost_matrix(hyp, [far], sensor, {}, 1e-6,
+                                          model, gate=DEFAULT_GATE)
+        assert (costs.matrix[0, 0], ctx.pair_logliks, calls) == \
+            (np.inf, {}, [])
 
 
 class TestMurty:

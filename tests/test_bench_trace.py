@@ -1,0 +1,58 @@
+"""The benchmark's trace contract: every call site ``perfbench/bench_trace.py``
+substitutes exists, and a traced filter step records the layers it names.
+
+The benchmark times layers by swapping module and class attributes, so a
+refactor that renames or inlines one of them would otherwise break only the
+benchmark's own smoke test, or silently leave a per-layer metric at zero.
+This test reads ``perfbench/`` and changes nothing in it.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import rfslam.cli as cli
+from rfslam.sim import (default_scenario, generate_measurements,
+                        simulate_trajectory)
+
+BENCH_TRACE = (Path(__file__).resolve().parent.parent / "perfbench"
+               / "bench_trace.py")
+
+
+def load_bench_trace():
+    spec = importlib.util.spec_from_file_location("bench_trace", BENCH_TRACE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_substituted_call_site_exists():
+    bench_trace = load_bench_trace()
+    subs = bench_trace._substitutions(bench_trace.Tracer())
+    missing = [f"{getattr(owner, '__name__', owner)}.{name}"
+               for owner, name, _ in subs if name not in owner.__dict__]
+    assert missing == []
+
+
+def test_traced_update_step_records_every_association_layer():
+    bench_trace = load_bench_trace()
+    scenario = default_scenario(seed=1)
+    filter_cfg = cli.build_filter_config(scenario, cli.RunConfig())
+    density, sensor = cli.initial_state(scenario)
+    rng = np.random.default_rng(1)
+    trajectory = simulate_trajectory(scenario, rng)
+    measurements = list(generate_measurements(trajectory[1], scenario,
+                                              rng).measurements)
+    assert measurements
+    tracer = bench_trace.Tracer()
+    with bench_trace.traced(tracer):
+        density_pred, sensor_pred = cli.predict_step(density, sensor,
+                                                     filter_cfg)
+        cli.update_step(density_pred, sensor_pred, measurements, filter_cfg)
+    self_ms = tracer.self_ms()
+    for span in ("association.build_cost_matrix", "association.weight_birth",
+                 "geometry"):
+        assert self_ms[span] > 0.0, span
+    assert tracer.counts["chol_logpdf_calls"] > 0
+    assert tracer.counts["steps"] == 1

@@ -18,7 +18,7 @@ from rfslam.cli import (
     run,
     scenario_hash,
 )
-from rfslam.sim import default_scenario, save_scenario
+from rfslam.sim import default_scenario, save_scenario, scenario_to_dict
 
 
 def small_config(**kw):
@@ -294,6 +294,29 @@ class TestMain:
         cfg.write_text(json.dumps({"scenario": str(scen), "mc": 1,
                                    "out": str(tmp_path / "o")}))
         assert main(["run", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("p_detect", {"VA": 1.5}), ("p_detect", {"VA": -0.2}),
+        ("p_detect", {"SP": math.nan}), ("fov_radius", -5.0),
+        ("fov_radius", 0.0), ("fov_radius", math.inf),
+        ("clutter_mean", -1.0), ("clutter_mean", math.nan),
+        ("noise_std", [0.1, 0.005, math.nan, 0.005, 0.005]),
+        ("noise_std", [0.0, 0.005, 0.005, 0.005, 0.005]),
+        ("noise_std", [0.1, 0.005, 0.005, -0.005, 0.005]),
+        ("steps", 0), ("dt", -0.5), ("dt", math.inf)], ids=repr)
+    def test_out_of_range_scenario_exits_2(self, tmp_path, capsys, field,
+                                           value):
+        doc = scenario_to_dict(default_scenario(seed=1, steps=3))
+        doc[field] = {**doc[field], **value} if field == "p_detect" else value
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(doc))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": str(scen), "mc": 1,
+                                   "out": str(tmp_path / "o")}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert (f"configuration error: invalid scenario file: {field}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
 
     def test_scenario_file_accepted(self, tmp_path):
         scen = tmp_path / "scen.json"

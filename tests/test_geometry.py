@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rfslam import geometry
 from rfslam.geometry import (
     ChannelModel,
     DegenerateGeometryError,
@@ -321,6 +322,142 @@ class TestChannelModelRawPath:
                              good, x, LandmarkType.SP)):
                 with pytest.raises(ValueError, match="landmark position"):
                     call()
+
+
+def reference_finite_point(v, what):
+    v = np.asarray(v, dtype=float)
+    if v.shape != (3,) or not np.isfinite(v).all():
+        raise ValueError(f"{what} position must be a finite 3-vector")
+    return v
+
+
+def reference_angle_gradients(g):
+    gx, gy, gz = g
+    rho2 = gx * gx + gy * gy
+    r2 = rho2 + gz * gz
+    if rho2 < 1e-24:
+        raise DegenerateGeometryError("vertical direction: azimuth undefined")
+    rho = math.sqrt(rho2)
+    d_az = np.array([-gy / rho2, gx / rho2, 0.0])
+    d_el = np.array([-gx * gz / (rho * r2), -gy * gz / (rho * r2), rho / r2])
+    return d_az, d_el
+
+
+def reference_measure_jacobian(u, kind, x, bs_position):
+    """The 5x8 Jacobian as computed before the kernel cuts: one norm per
+    unit vector, fresh identities and outer products per term, and
+    numpy-scalar arithmetic in the angle gradients."""
+    H = np.zeros((5, 8))
+    H[0, 4] = 1.0
+    g_aoa, _ = geometry._direction(x - u, "UE-landmark")
+    d_az, d_el = reference_angle_gradients(g_aoa)
+    H[1, 0:3] = -d_az
+    H[1, 5:8] = d_az
+    H[1, 3] = -1.0
+    H[2, 0:3] = -d_el
+    H[2, 5:8] = d_el
+    if kind is LandmarkType.BS:
+        e = g_aoa / np.linalg.norm(g_aoa)
+        H[0, 0:3] = -e
+        H[0, 5:8] = e
+        d_az2, d_el2 = reference_angle_gradients(u - x)
+        H[3, 0:3] = d_az2
+        H[3, 5:8] = -d_az2
+        H[4, 0:3] = d_el2
+        H[4, 5:8] = -d_el2
+    elif kind is LandmarkType.VA:
+        e = g_aoa / np.linalg.norm(g_aoa)
+        H[0, 0:3] = -e
+        H[0, 5:8] = e
+        bs = np.asarray(bs_position, dtype=float)
+        span_vec, span = geometry._direction(x - bs, "BS-VA")
+        nu = span_vec / span
+        R = np.eye(3) - 2.0 * np.outer(nu, nu)
+        N = (np.eye(3) - np.outer(nu, nu)) / span
+        d = u - x
+        g_aod = R @ d
+        dg_dx = -R - 2.0 * (nu @ d) * N - 2.0 * np.outer(nu, N @ d)
+        d_az2, d_el2 = reference_angle_gradients(g_aod)
+        H[3, 0:3] = d_az2 @ R
+        H[3, 5:8] = d_az2 @ dg_dx
+        H[4, 0:3] = d_el2 @ R
+        H[4, 5:8] = d_el2 @ dg_dx
+    else:
+        bs = np.asarray(bs_position, dtype=float)
+        leg1_vec, leg1 = geometry._direction(x - bs, "BS-SP")
+        e1 = leg1_vec / leg1
+        e2 = g_aoa / np.linalg.norm(g_aoa)
+        H[0, 0:3] = -e2
+        H[0, 5:8] = e1 + e2
+        d_az2, d_el2 = reference_angle_gradients(x - bs)
+        H[3, 5:8] = d_az2
+        H[4, 5:8] = d_el2
+    return H
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the exception it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestKernelReference:
+    """The linearization kernels give the bits of the reference copies."""
+
+    @pytest.mark.parametrize("kind", list(LandmarkType))
+    def test_predict_and_jacobians_bit_equal(self, kind):
+        rng = np.random.default_rng(31)
+        model = ChannelModel(BS)
+        cases = []
+        for _ in range(200):
+            ue, lm = random_geometry(rng, kind)
+            cases.append((ue, lm.position))
+        # Near-vertical UE-landmark and BS-landmark directions, on both
+        # sides of the degeneracy thresholds.
+        for offset in (0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-9, 1e-6):
+            ue, _ = random_geometry(rng, kind)
+            cases.append((ue, ue.position + np.array([offset, 0.0, 25.0])))
+            cases.append((ue, BS + np.array([0.0, offset, 12.0])))
+        for ue, x in cases:
+            v = np.concatenate([ue.position, [ue.heading, ue.clock_bias]])
+            u = reference_finite_point(v[:3], "UE")
+            x = reference_finite_point(x, "landmark")
+            got = outcome(model.jacobians, v, x, kind)
+            ref = outcome(reference_measure_jacobian, u, kind, x, BS)
+            if isinstance(ref, tuple):
+                assert got == ref
+            else:
+                assert np.array_equal(got[0], ref[:, :5])
+                assert np.array_equal(got[1], ref[:, 5:])
+            got = outcome(model.predict, v, x, kind)
+            ref = outcome(geometry._measure, u, geometry._wrap_scalar(v[3]),
+                          float(v[4]), kind, x, BS)
+            if isinstance(ref, tuple):
+                assert got == ref
+            else:
+                assert np.array_equal(got, ref)
+
+    def test_vertical_direction_still_raises(self):
+        model = ChannelModel(BS)
+        v = np.array([10.0, -5.0, 0.0, 0.3, 200.0])
+        for kind in LandmarkType:
+            with pytest.raises(DegenerateGeometryError):
+                model.jacobians(v, v[:3] + np.array([0.0, 0.0, 20.0]), kind)
+
+    @pytest.mark.parametrize("value", [
+        [1.0, 2.0, 3.0], (0, -1, 5), np.array([1e308, -1e308, 0.0]),
+        [np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf],
+        [1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]], 5.0, [],
+        np.ones((3, 1))], ids=repr)
+    def test_finite_point_rejects_what_the_reference_rejects(self, value):
+        got = outcome(geometry._finite_point, value, "UE")
+        ref = outcome(reference_finite_point, value, "UE")
+        if isinstance(ref, tuple):
+            assert got == ref
+        else:
+            assert np.array_equal(got, ref) and got.dtype == ref.dtype
 
 
 class TestMeasurementType:

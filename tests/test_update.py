@@ -175,12 +175,12 @@ class TestBirthFromMeasurement:
         R = np.diag([0.01, 1e-4, 1e-4, 1e-4, 1e-4])
         meas = Measurement(z, R)
         sensor = GaussianComponent(ue.as_vector(), np.zeros((5, 5)))
-        comp, H_s, H_x = birth_from_measurement(meas, sensor, VA, model)
+        comp, H_x, _ = birth_from_measurement(meas, sensor, VA, model)
         from rfslam.geometry import measure_jacobian
         H = measure_jacobian(ue, Landmark(VA, comp.mean), BS_POS)
         Hx = H[:, 5:]
-        # The returned Jacobians are the ones at the newborn mean.
-        assert np.array_equal(H_s, H[:, :5]) and np.array_equal(H_x, Hx)
+        # The returned Jacobian is the one at the newborn mean.
+        assert np.array_equal(H_x, Hx)
         expected = np.linalg.inv(Hx.T @ np.linalg.inv(R) @ Hx)
         assert np.allclose(comp.covariance, expected, rtol=1e-8)
 
@@ -207,9 +207,13 @@ class TestBirthFromMeasurement:
                 meas = Measurement(z, R)
                 P = np.diag([0.3, 0.3, 0.0, 0.005, 0.3])
                 sensor = GaussianComponent(ue.as_vector(), P)
-                comp, _, _ = birth_from_measurement(meas, sensor, kind, model)
+                comp, H_x, hph_s = birth_from_measurement(meas, sensor,
+                                                          kind, model)
                 from rfslam.geometry import measure_jacobian
                 H = measure_jacobian(ue, Landmark(kind, comp.mean), BS_POS)
+                # Both parts are taken at the newborn mean.
+                assert np.array_equal(H_x, H[:, 5:])
+                assert np.array_equal(hph_s, H[:, :5] @ P @ H[:, :5].T)
                 prior_cov = np.zeros((8, 8))
                 prior_cov[:5, :5] = P
                 prior_cov[5:, 5:] = 1e8 * np.eye(3)
@@ -686,7 +690,7 @@ class TestStep:
         # l_detected and l_misdetected * l_birth.
         from rfslam.association import (log_weight_detected,
                                         misdetection_weight, predict_types,
-                                        weight_birth)
+                                        residual_blocks, weight_birth)
         rng = np.random.default_rng(77)
         model = LinearModel({SP: ([[0.4]], [[1.0]])}, 1, p_detect=0.7)
         cfg = make_config(model, gamma=2, gate=None, filter_kind=EK_PMBM,
@@ -699,7 +703,8 @@ class TestStep:
         posterior, _ = update_step(density, sensor, [meas], cfg)
         assert len(posterior.hypotheses) == 2
         preds = predict_types(bern, sensor, model)
-        l_det = math.exp(log_weight_detected(bern, meas, preds, model)[0])
+        l_det = math.exp(log_weight_detected(
+            bern, meas, preds, residual_blocks(bern, preds, meas.z, model))[0])
         l_mis = misdetection_weight(bern, preds)[2]
         l_birth, _ = weight_birth(meas, sensor, {SP: 0.8}, 0.05, model)
         expected = np.array([l_det, l_mis * l_birth])
@@ -799,12 +804,16 @@ class TestStep:
         assert len(set(map(id, calls["born"]))) == len(calls["born"])
         assert calls["misdetection_weight"] == len(hyp.bernoullis)
         assert calls["type_probs"] == len(set(misdetected)) + len(detected)
-        # One innovation per (landmark, measurement, stacked type).
+        # The innovations are the residual rows the cost matrix wrapped: one
+        # wrap per (landmark, measurement, stacked type) it did not wrap.
         stacked = [(i, p, kind) for (_, sigma, *_), (child, _) in children
                    for i, p in sigma.detected_pairs()
                    for kind in child.bernoullis[i].belief.types]
         assert len(stacked) > len(set(stacked))
-        assert calls["innovations"] == len(set(stacked))
+        ctx = children[0][0][0].ctx
+        assert calls["innovations"] == len(
+            {(i, p, k) for i, p, k in stacked
+             if k not in ctx.pair_residuals[(i, p)]})
 
         for (_, sigma), (child, child_sensor) in children:
             fresh = ChildParts(hyp, measurements, sensor_pred,
@@ -822,6 +831,32 @@ class TestStep:
                     assert comp.weight == other.weight
                     assert np.array_equal(comp.mean, other.mean)
                     assert np.array_equal(comp.covariance, other.covariance)
+
+    def test_innovation_of_every_stacked_type(self):
+        # With type_prune 0 a type that cannot explain the detection (pd 0)
+        # stays stacked.  The contributing type's residual is the row the
+        # cost matrix kept; the other one is wrapped on first use.
+        model = LinearModel({VA: ([[0.0]], [[1.0]]),
+                             SP: ([[0.0]], [[1.0]], [0.5])}, 1,
+                            p_detect={VA: 0.9, SP: 0.0})
+        cfg = make_config(model, gate=None, type_prune=0.0)
+        belief = LandmarkBelief({
+            VA: TypeComponent(0.5, np.zeros(1), np.eye(1)),
+            SP: TypeComponent(0.5, np.array([0.2]), np.eye(1))})
+        hyp = GlobalHypothesis(1.0, (Bernoulli(0.9, belief),))
+        sensor = GaussianComponent(np.zeros(1), np.eye(1))
+        meas = Measurement(np.array([0.3]), np.eye(1))
+        parts = ChildParts(hyp, [meas], sensor, {SP: 0.1}, cfg)
+        rows = parts.ctx.pair_residuals[(0, 0)]
+        assert list(rows) == [VA]
+        for kind in (VA, SP):
+            v = parts.innovation(0, 0, kind, meas.z)
+            z_pred = parts.ctx.type_preds[0][kind].z_pred
+            assert np.array_equal(v, meas.z - z_pred)
+            assert parts.innovation(0, 0, kind, meas.z) is v
+        assert parts.innovation(0, 0, VA, meas.z) is rows[VA]
+        child, _ = joint_update(parts, AssociationVector(1, (1, None)))
+        assert list(child.bernoullis[0].belief.types) == [VA, SP]
 
     def test_pmb_gamma1_equals_pmbm_gamma1(self):
         states = []
