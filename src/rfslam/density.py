@@ -5,7 +5,9 @@ uniform-intensity Poisson point process per landmark type for undetected
 landmarks, plus a weighted mixture of multi-Bernoulli hypotheses for
 landmarks detected at least once.  Each Bernoulli carries an existence
 probability and, per landmark type, a type probability with a Gaussian
-over the 3-D position.
+over the 3-D position.  ``mix_types`` is the one kernel that collapses
+weighted beliefs into one: the merge here, and the cell averaging and TOMB
+recombination of :mod:`rfslam.reduction`.
 """
 
 from __future__ import annotations
@@ -133,10 +135,10 @@ def absent_bernoulli() -> Bernoulli:
 MAP_REGION_VOLUME = 400.0 * 400.0 * 40.0
 
 
-def default_ppp_intensity(expected_undetected: float = 10.0,
-                          volume: float = MAP_REGION_VOLUME) -> dict:
-    """Uniform birth intensity: zero for the known BS, equal for VA and SP."""
-    rate = expected_undetected / volume
+def default_ppp_intensity() -> dict:
+    """Uniform birth intensity: zero for the known BS, and ten expected
+    undetected landmarks over the map region for VA and for SP."""
+    rate = 10.0 / MAP_REGION_VOLUME
     return {LandmarkType.BS: 0.0, LandmarkType.VA: rate, LandmarkType.SP: rate}
 
 
@@ -207,27 +209,41 @@ def moment_match(coefs, means, covs, norm: float):
     return mean, symmetrize(cov)
 
 
-def _moment_match_types(members: list) -> LandmarkBelief:
-    """Existence-and-type-weighted moment matching of Bernoulli beliefs."""
-    total_r = sum(b.existence for b in members)
+#: Mass below which a reduction cell or a mixed type carries no posterior mass.
+MIN_CELL_MASS = 1e-12
+
+
+def mix_types(members: list, total: float,
+              type_weights=None) -> LandmarkBelief:
+    """Type-weighted moment match of beliefs: the one kernel of the merge,
+    the cell averaging and the TOMB recombination.
+
+    ``members`` are ``(scale, belief)`` pairs.  For each type in
+    ``TYPE_ORDER``, a member holding the type gets the coefficient scale
+    times its type weight: the type probability, or ``type_weights[i](kind)``
+    for member ``i`` when given.  The type probability is the summed
+    coefficient over ``total`` (0 when ``total`` is not positive).  Below
+    ``MIN_CELL_MASS`` the type keeps the first member's Gaussian; above it
+    the members are moment matched.
+    """
     types = {}
     for kind in TYPE_ORDER:
-        weights, comps = [], []
-        for b in members:
-            comp = b.belief.types.get(kind)
-            if comp is None:
-                continue
-            weights.append(b.existence * comp.weight)
-            comps.append(comp)
+        coefs, comps = [], []
+        for i, (scale, belief) in enumerate(members):
+            comp = belief.types.get(kind)
+            if comp is not None:
+                coefs.append(scale * (comp.weight if type_weights is None
+                                      else type_weights[i](kind)))
+                comps.append(comp)
         if not comps:
             continue
-        wsum = sum(weights)
-        psi = wsum / total_r if total_r > 0 else 0.0
-        if wsum <= 0.0:
+        mass = sum(coefs)
+        psi = mass / total if total > 0.0 else 0.0
+        if mass < MIN_CELL_MASS:
             types[kind] = TypeComponent(psi, comps[0].mean, comps[0].covariance)
             continue
-        mean, cov = moment_match(weights, [c.mean for c in comps],
-                                 [c.covariance for c in comps], wsum)
+        mean, cov = moment_match(coefs, [c.mean for c in comps],
+                                 [c.covariance for c in comps], mass)
         types[kind] = TypeComponent(psi, mean, cov)
     return LandmarkBelief(types)
 
@@ -261,6 +277,7 @@ def merge_bernoullis(hypothesis: GlobalHypothesis,
         if len(group) == 1:
             merged.append(seed)
             continue
-        r = min(1.0, sum(b.existence for b in group))
-        merged.append(Bernoulli(r, _moment_match_types(group)))
+        total = sum(b.existence for b in group)
+        merged.append(Bernoulli(min(1.0, total), mix_types(
+            [(b.existence, b.belief) for b in group], total)))
     return replace(hypothesis, bernoullis=tuple(merged))

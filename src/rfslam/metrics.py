@@ -16,7 +16,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .density import PmbmDensity
-from .geometry import wrap_angle
 
 
 @dataclass(frozen=True)
@@ -88,26 +87,22 @@ def extract_map(density: PmbmDensity, existence_threshold: float):
     return out
 
 
-def rmse(errors, angular: bool = False) -> float:
-    """Root mean squared error; angular errors are wrapped first."""
+def rmse(errors) -> float:
+    """Root mean squared error."""
     e = np.asarray(errors, dtype=float)
     if e.size == 0:
         raise ValueError("rmse of empty input")
-    if angular:
-        e = wrap_angle(e)
     return float(np.sqrt(np.mean(np.square(e))))
 
 
-def mae_per_step(errors, angular: bool = False) -> np.ndarray:
+def mae_per_step(errors) -> np.ndarray:
     """Mean absolute error per step over Monte-Carlo runs.
 
-    ``errors`` has shape (runs, steps); angular errors are wrapped first.
+    ``errors`` has shape (runs, steps).
     """
     e = np.atleast_2d(np.asarray(errors, dtype=float))
     if e.size == 0:
         raise ValueError("mae of empty input")
-    if angular:
-        e = wrap_angle(e)
     return np.mean(np.abs(e), axis=0)
 
 

@@ -5,7 +5,8 @@ index set (prior landmarks followed by one slot per measurement).  The
 per-track, per-association conditional Bernoullis are averaged over the
 hypotheses sharing that association, weighted by hypothesis weight, and
 the track-oriented recombination collapses the mixture to a single
-multi-Bernoulli using the marginal association probabilities.
+multi-Bernoulli using the marginal association probabilities.  Both
+collapse their beliefs through ``density.mix_types``.
 
 Cells with exactly one contributing hypothesis are copied verbatim, which
 keeps the single-hypothesis reduction an exact identity.
@@ -17,18 +18,15 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .density import (
+    MIN_CELL_MASS,
     Bernoulli,
     GlobalHypothesis,
     LandmarkBelief,
     PmbmDensity,
     TypeComponent,
     absent_bernoulli,
-    moment_match,
+    mix_types,
 )
-from .geometry import TYPE_ORDER
-
-#: Cells with less marginal probability than this carry no posterior mass.
-MIN_CELL_MASS = 1e-12
 
 
 class InconsistentHypothesesError(ValueError):
@@ -46,8 +44,8 @@ class TrackCell:
     def type_mass(self, kind) -> float:
         """Sum of w * psi over the contributors that hold ``kind``.
 
-        Added left to right from zero in contributor order, so the
-        averaging and both recombinations see the same bits.
+        Added left to right from zero in contributor order, as ``mix_types``
+        sums the averaging's coefficients: the recombinations see its bits.
         """
         mass = 0.0
         for w, bern in self.contributors:
@@ -107,25 +105,9 @@ def align_hypotheses(density: PmbmDensity) -> TrackTable:
 def _average_cell(cell: TrackCell) -> Bernoulli:
     if len(cell.contributors) == 1:
         return cell.contributors[0][1]
-    beta = cell.beta
-    existence = sum(w * b.existence for w, b in cell.contributors) / beta
-    types = {}
-    for kind in TYPE_ORDER:
-        members = [(w, b.belief.types[kind]) for w, b in cell.contributors
-                   if kind in b.belief.types]
-        if not members:
-            continue
-        norm = cell.type_mass(kind)
-        psi = norm / beta
-        if norm < MIN_CELL_MASS:
-            comp = members[0][1]
-            types[kind] = TypeComponent(psi, comp.mean, comp.covariance)
-            continue
-        mean, cov = moment_match([w * c.weight for w, c in members],
-                                 [c.mean for _, c in members],
-                                 [c.covariance for _, c in members], norm)
-        types[kind] = TypeComponent(psi, mean, cov)
-    return Bernoulli(existence, LandmarkBelief(types))
+    existence = sum(w * b.existence for w, b in cell.contributors) / cell.beta
+    return Bernoulli(existence, mix_types(
+        [(w, b.belief) for w, b in cell.contributors], cell.beta))
 
 
 def average_conditionals(table: TrackTable) -> TrackTable:
@@ -139,16 +121,9 @@ def average_conditionals(table: TrackTable) -> TrackTable:
     return table
 
 
-def _uniform_belief(template: LandmarkBelief) -> LandmarkBelief:
-    kinds = list(template.types)
-    return LandmarkBelief({
-        k: TypeComponent(1.0 / len(kinds), c.mean, c.covariance)
-        for k, c in template.types.items()})
-
-
 def _recombine_prior_track(cells: dict) -> Bernoulli:
-    live = {q: c for q, c in cells.items()
-            if c.bernoulli is not None and c.beta >= MIN_CELL_MASS}
+    live = [c for c in cells.values()
+            if c.bernoulli is not None and c.beta >= MIN_CELL_MASS]
     if not live:
         raise InconsistentHypothesesError("prior track with no live cells")
     if len(live) == len(cells) == 1:
@@ -156,31 +131,13 @@ def _recombine_prior_track(cells: dict) -> Bernoulli:
         # marginal probability is one by the row-sum invariant; copy the
         # averaged Bernoulli verbatim instead of multiplying it by a
         # floating-point rendering of one.
-        (_, cell), = live.items()
-        return cell.bernoulli
-    existence = sum(c.beta * c.bernoulli.existence for c in live.values())
-    types = {}
-    for kind in TYPE_ORDER:
-        members = [(c.type_mass(kind), c.bernoulli)
-                   for c in live.values()
-                   if kind in c.bernoulli.belief.types]
-        if not members:
-            continue
-        norm = sum(bt * b.existence for bt, b in members)
-        psi = norm / existence if existence > 0.0 else 1.0 / len(TYPE_ORDER)
-        if norm < MIN_CELL_MASS:
-            comp = members[0][1].belief.types[kind]
-            types[kind] = TypeComponent(psi, comp.mean, comp.covariance)
-            continue
-        comps = [b.belief.types[kind] for _, b in members]
-        mean, cov = moment_match([bt * b.existence for bt, b in members],
-                                 [c.mean for c in comps],
-                                 [c.covariance for c in comps], norm)
-        types[kind] = TypeComponent(psi, mean, cov)
+        return live[0].bernoulli
+    existence = sum(c.beta * c.bernoulli.existence for c in live)
     if existence <= 0.0:
-        belief = _uniform_belief(live[next(iter(live))].bernoulli.belief)
-        return Bernoulli(0.0, belief)
-    return Bernoulli(min(1.0, existence), LandmarkBelief(types))
+        return absent_bernoulli()
+    return Bernoulli(min(1.0, existence), mix_types(
+        [(c.bernoulli.existence, c.bernoulli.belief) for c in live],
+        existence, [c.type_mass for c in live]))
 
 
 def _recombine_new_track(cells: dict) -> Bernoulli:

@@ -36,6 +36,16 @@ CLUTTER_VOLUME = 200.0 * (2.0 * math.pi) ** 2 * math.pi ** 2
 SENSING_RANGE = 200.0
 
 
+def _is_covariance_5x5(matrix: np.ndarray) -> bool:
+    """Finite, exactly symmetric and positive semi-definite up to eigenvalue
+    rounding (1e-12 of the largest magnitude)."""
+    if (matrix.shape != (5, 5) or not np.isfinite(matrix).all()
+            or not np.array_equal(matrix, matrix.T)):
+        return False
+    eig = np.linalg.eigvalsh(matrix)
+    return eig[0] >= -1e-12 * np.abs(eig).max()
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Ground truth: landmarks, UE initialization, motion and noise models."""
@@ -72,8 +82,20 @@ class Scenario:
             raise ValueError("fov_radius must be finite and > 0")
         if not 0.0 <= self.clutter_mean < math.inf:
             raise ValueError("clutter_mean must be finite and >= 0")
-        if not all(0.0 < std < math.inf for std in self.noise_std.tolist()):
-            raise ValueError("noise_std entries must be finite and > 0")
+        if self.noise_std.shape != (5,) or not all(
+                0.0 < std < math.inf for std in self.noise_std.tolist()):
+            raise ValueError("noise_std must be 5 entries, finite and > 0")
+        for name, cov in (("process_noise", self.process_noise),
+                          ("ue_init.cov", self.ue_init.covariance)):
+            if not _is_covariance_5x5(cov):
+                raise ValueError(f"{name} must be a finite, symmetric, "
+                                 "positive semi-definite 5x5 matrix")
+        mean = self.ue_init.mean
+        if mean.shape != (5,) or not np.isfinite(mean).all():
+            raise ValueError("ue_init.mean must be a finite 5-vector")
+        for name in ("speed", "turn_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if not 0.0 <= self.dt < math.inf:
@@ -94,8 +116,7 @@ class Scenario:
         return np.diag(self.noise_std ** 2)
 
 
-def default_scenario(seed: int = 0, noise_toa: float = 0.1,
-                     noise_angle: float = 0.005, steps: int = 40) -> Scenario:
+def default_scenario(seed: int = 0, steps: int = 40) -> Scenario:
     """The reference scenario: BS at [0, 0, 40], four walls, four scatterers.
 
     The UE starts at [70.7285, 0, 0] heading north with a 300 m clock bias
@@ -121,8 +142,7 @@ def default_scenario(seed: int = 0, noise_toa: float = 0.1,
         bs=bs, vas=vas, sps=sps, ue_init=ue_init,
         process_noise=np.diag([0.2, 0.2, 0.0, 0.001, 0.2]),
         speed=22.22, turn_rate=math.pi / 10.0, dt=0.5, steps=steps,
-        noise_std=np.array([noise_toa, noise_angle, noise_angle,
-                            noise_angle, noise_angle]),
+        noise_std=np.array([0.1, 0.005, 0.005, 0.005, 0.005]),
         seed=seed)
 
 

@@ -10,10 +10,11 @@ _W, _H = 720, 420
 _ML, _MR, _MT, _MB = 70, 20, 40, 55
 
 
-def _ticks(lo: float, hi: float, n: int = 6):
+def _ticks(lo: float, hi: float):
+    """About six round-numbered ticks covering [lo, hi]."""
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / max(n - 1, 1)
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:

@@ -303,11 +303,19 @@ class TestMain:
         ("noise_std", [0.1, 0.005, math.nan, 0.005, 0.005]),
         ("noise_std", [0.0, 0.005, 0.005, 0.005, 0.005]),
         ("noise_std", [0.1, 0.005, 0.005, -0.005, 0.005]),
-        ("steps", 0), ("dt", -0.5), ("dt", math.inf)], ids=repr)
+        ("steps", 0), ("dt", -0.5), ("dt", math.inf),
+        ("noise_std", [0.1, 0.005, 0.005]), ("speed", math.nan),
+        ("turn_rate", math.inf), ("process_noise", [[1.0]]),
+        ("process_noise", np.diag([0.2, 0.2, 0.0, math.nan, 0.2]).tolist()),
+        ("process_noise", (np.eye(5) + np.eye(5, k=1)).tolist()),
+        ("ue_init", {"cov": (-np.eye(5)).tolist()}),
+        ("ue_init", {"mean": [70.0, 0.0, 0.0]}),
+        ("ue_init", {"mean": [70.0, 0.0, 0.0, math.inf, 300.0]})], ids=repr)
     def test_out_of_range_scenario_exits_2(self, tmp_path, capsys, field,
                                            value):
         doc = scenario_to_dict(default_scenario(seed=1, steps=3))
-        doc[field] = {**doc[field], **value} if field == "p_detect" else value
+        doc[field] = ({**doc[field], **value} if field in ("p_detect", "ue_init")
+                      else value)
         scen = tmp_path / "scen.json"
         scen.write_text(json.dumps(doc))
         cfg = tmp_path / "cfg.json"

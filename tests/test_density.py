@@ -7,21 +7,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfslam import density as density_module
+from rfslam.association import AssociationVector
 from rfslam.density import (
+    MIN_CELL_MASS,
     Bernoulli,
     DegenerateDensityError,
     GlobalHypothesis,
     LandmarkBelief,
     PmbmDensity,
     TypeComponent,
+    absent_bernoulli,
     default_ppp_intensity,
     merge_bernoullis,
+    mix_types,
     moment_match,
     normalize_weights,
     prune,
     symmetrize,
 )
-from rfslam.geometry import LandmarkType
+from rfslam.geometry import TYPE_ORDER, LandmarkType
+from rfslam.reduction import (
+    InconsistentHypothesesError,
+    TrackCell,
+    TrackTable,
+    align_hypotheses,
+    average_conditionals,
+    tomb_recombine,
+)
 
 
 def bern(r, kind=LandmarkType.VA, mean=(0.0, 0.0, 0.0), cov=None, psi=1.0,
@@ -301,6 +313,273 @@ class TestMomentMatch:
         means[0][1] = -0.0
         covs = [np.eye(3) * rng.uniform(0.1, 2.0) for _ in range(n)]
         self.assert_matches_loop(coefs, means, covs, sum(coefs))
+
+
+# The three per-type loops ``mix_types`` replaced, kept as references.
+
+def loop_merge_types(members):
+    """The merge's loop: existence times type probability, floor ``<= 0``."""
+    total_r = sum(b.existence for b in members)
+    types = {}
+    for kind in TYPE_ORDER:
+        weights, comps = [], []
+        for b in members:
+            comp = b.belief.types.get(kind)
+            if comp is None:
+                continue
+            weights.append(b.existence * comp.weight)
+            comps.append(comp)
+        if not comps:
+            continue
+        wsum = sum(weights)
+        psi = wsum / total_r if total_r > 0 else 0.0
+        if wsum <= 0.0:
+            types[kind] = TypeComponent(psi, comps[0].mean, comps[0].covariance)
+            continue
+        mean, cov = moment_match(weights, [c.mean for c in comps],
+                                 [c.covariance for c in comps], wsum)
+        types[kind] = TypeComponent(psi, mean, cov)
+    return LandmarkBelief(types)
+
+
+def loop_average_cell(cell):
+    """The cell averaging's loop: hypothesis weight times type probability."""
+    if len(cell.contributors) == 1:
+        return cell.contributors[0][1]
+    beta = cell.beta
+    existence = sum(w * b.existence for w, b in cell.contributors) / beta
+    types = {}
+    for kind in TYPE_ORDER:
+        members = [(w, b.belief.types[kind]) for w, b in cell.contributors
+                   if kind in b.belief.types]
+        if not members:
+            continue
+        norm = cell.type_mass(kind)
+        psi = norm / beta
+        if norm < MIN_CELL_MASS:
+            comp = members[0][1]
+            types[kind] = TypeComponent(psi, comp.mean, comp.covariance)
+            continue
+        mean, cov = moment_match([w * c.weight for w, c in members],
+                                 [c.mean for _, c in members],
+                                 [c.covariance for _, c in members], norm)
+        types[kind] = TypeComponent(psi, mean, cov)
+    return Bernoulli(existence, LandmarkBelief(types))
+
+
+def loop_recombine_prior_track(cells):
+    """The TOMB loop: averaged existence times the cell's type mass; a
+    zero-existence track got uniform type probabilities."""
+    live = {q: c for q, c in cells.items()
+            if c.bernoulli is not None and c.beta >= MIN_CELL_MASS}
+    if not live:
+        raise InconsistentHypothesesError("prior track with no live cells")
+    if len(live) == len(cells) == 1:
+        (_, cell), = live.items()
+        return cell.bernoulli
+    existence = sum(c.beta * c.bernoulli.existence for c in live.values())
+    types = {}
+    for kind in TYPE_ORDER:
+        members = [(c.type_mass(kind), c.bernoulli)
+                   for c in live.values()
+                   if kind in c.bernoulli.belief.types]
+        if not members:
+            continue
+        norm = sum(bt * b.existence for bt, b in members)
+        psi = norm / existence if existence > 0.0 else 1.0 / len(TYPE_ORDER)
+        if norm < MIN_CELL_MASS:
+            comp = members[0][1].belief.types[kind]
+            types[kind] = TypeComponent(psi, comp.mean, comp.covariance)
+            continue
+        comps = [b.belief.types[kind] for _, b in members]
+        mean, cov = moment_match([bt * b.existence for bt, b in members],
+                                 [c.mean for c in comps],
+                                 [c.covariance for c in comps], norm)
+        types[kind] = TypeComponent(psi, mean, cov)
+    if existence <= 0.0:
+        template = live[next(iter(live))].bernoulli.belief
+        return Bernoulli(0.0, LandmarkBelief({
+            k: TypeComponent(1.0 / len(template.types), c.mean, c.covariance)
+            for k, c in template.types.items()}))
+    return Bernoulli(min(1.0, existence), LandmarkBelief(types))
+
+
+#: Values on both sides of ``MIN_CELL_MASS`` for scales and type weights.
+TINY = (0.0, 1e-13, 5e-13, 9.999e-13, 1e-12, 1.0001e-12, 3e-12)
+
+
+def draw_value(rng, tiny):
+    """A uniform draw in (0, 1], or with probability ``tiny`` a tiny one."""
+    if rng.uniform() < tiny:
+        return TINY[int(rng.integers(len(TINY)))]
+    return float(1.0 - rng.uniform())
+
+
+def random_members(rng, n, n_types, shared, tiny, zero_existence):
+    """``n`` Bernoullis over ``n_types`` types; with ``shared`` "all" they
+    are one object, with "some" about half repeat an earlier one."""
+    kinds = [TYPE_ORDER[i] for i in sorted(rng.choice(3, n_types, replace=False))]
+    members = []
+    for _ in range(n):
+        if members and (shared == "all"
+                        or (shared == "some" and rng.uniform() < 0.5)):
+            members.append(members[int(rng.integers(len(members)))])
+            continue
+        held = [k for k in kinds if rng.uniform() < 0.7] or [
+            kinds[int(rng.integers(len(kinds)))]]
+        types = {}
+        for kind in held:
+            a = rng.normal(size=(3, 3))
+            types[kind] = TypeComponent(
+                draw_value(rng, tiny),
+                rng.normal(size=3) * 10 ** rng.uniform(-1, 2),
+                a @ a.T + 1e-3 * np.eye(3))
+        existence = 0.0 if zero_existence else draw_value(rng, tiny)
+        members.append(Bernoulli(existence, LandmarkBelief(types)))
+    return members
+
+
+def assert_beliefs_bit_equal(got, want):
+    assert list(got.types) == list(want.types)
+    for kind, comp in got.types.items():
+        ref = want.types[kind]
+        assert comp.weight == ref.weight
+        assert comp.mean.tobytes() == ref.mean.tobytes()
+        assert comp.covariance.tobytes() == ref.covariance.tobytes()
+
+
+mixture_cases = dict(
+    seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12),
+    n_types=st.integers(1, 3), shared=st.sampled_from(["none", "some", "all"]),
+    tiny=st.sampled_from([0.0, 0.3, 1.0]), zero_existence=st.booleans())
+
+
+class TestMixTypes:
+    """``mix_types`` equals each loop it replaced bit for bit, except where
+    a declared edge case moved: the merge floor is ``MIN_CELL_MASS`` (was
+    ``<= 0``), and a zero-existence prior track is ``absent_bernoulli()``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(**mixture_cases)
+    def test_merge(self, seed, n, n_types, shared, tiny, zero_existence):
+        rng = np.random.default_rng(seed)
+        members = random_members(rng, n, n_types, shared, tiny, zero_existence)
+        # merge_bernoullis puts its seed, the strongest member, first.
+        first = max(range(n), key=lambda i: members[i].existence)
+        group = [members[first]] + members[:first] + members[first + 1:]
+        total = sum(b.existence for b in group)
+        got = mix_types([(b.existence, b.belief) for b in group], total)
+        want = loop_merge_types(group)
+        assert list(got.types) == list(want.types)
+        for kind, comp in got.types.items():
+            holders = [b for b in group if kind in b.belief.types]
+            mass = sum(b.existence * b.belief.types[kind].weight
+                       for b in holders)
+            ref = want.types[kind]
+            if 0.0 < mass < MIN_CELL_MASS:
+                ref = TypeComponent(ref.weight,
+                                    holders[0].belief.types[kind].mean,
+                                    holders[0].belief.types[kind].covariance)
+            assert_beliefs_bit_equal(LandmarkBelief({kind: comp}),
+                                     LandmarkBelief({kind: ref}))
+        if n > 1:
+            with mock.patch.object(density_module, "_merge_pair_gate",
+                                   lambda a, b, threshold: True):
+                merged, = merge_bernoullis(GlobalHypothesis(1.0, members),
+                                           1.0).bernoullis
+            assert merged.existence == min(1.0, total)
+            assert_beliefs_bit_equal(merged.belief, got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(**mixture_cases)
+    def test_average_cell(self, seed, n, n_types, shared, tiny,
+                          zero_existence):
+        rng = np.random.default_rng(seed)
+        members = random_members(rng, n, n_types, shared, tiny, zero_existence)
+        cell = TrackCell()
+        for bern in members:
+            w = draw_value(rng, tiny)
+            cell.beta += w
+            cell.contributors.append((w, bern))
+        average_conditionals(TrackTable(1, 0, [{0: cell}]))
+        if cell.beta < MIN_CELL_MASS:
+            assert cell.bernoulli is None
+            return
+        want = loop_average_cell(cell)
+        assert cell.bernoulli.existence == want.existence
+        assert_beliefs_bit_equal(cell.bernoulli.belief, want.belief)
+
+    @settings(max_examples=150, deadline=None)
+    @given(**mixture_cases, n_cells=st.integers(1, 4))
+    def test_recombine_prior_track(self, seed, n, n_types, shared, tiny,
+                                   zero_existence, n_cells):
+        rng = np.random.default_rng(seed)
+        members = random_members(rng, n, n_types, shared, tiny, zero_existence)
+        cells = {q: TrackCell() for q in range(n_cells)}
+        for bern in members:
+            cell = cells[int(rng.integers(n_cells))]
+            w = draw_value(rng, tiny)
+            cell.beta += w
+            cell.contributors.append((w, bern))
+        table = average_conditionals(TrackTable(1, 0, [cells]))
+        try:
+            want = loop_recombine_prior_track(cells)
+        except InconsistentHypothesesError:
+            with pytest.raises(InconsistentHypothesesError):
+                tomb_recombine(table)
+            return
+        got = tomb_recombine(table).bernoullis[0]
+        live = [c for c in cells.values()
+                if c.bernoulli is not None and c.beta >= MIN_CELL_MASS]
+        copied = len(live) == len(cells) == 1
+        if not copied and sum(c.beta * c.bernoulli.existence
+                              for c in live) <= 0.0:
+            want = absent_bernoulli()
+        assert got.existence == want.existence
+        assert_beliefs_bit_equal(got.belief, want.belief)
+
+    def test_zero_total_gives_zero_type_probability(self):
+        a, b = bern(0.0, mean=(1.0, 2.0, 3.0)), bern(0.0)
+        mixed = mix_types([(a.existence, a.belief), (b.existence, b.belief)],
+                          0.0)
+        comp = mixed.types[LandmarkType.VA]
+        assert comp.weight == 0.0
+        assert comp.mean is a.belief.types[LandmarkType.VA].mean
+
+    def test_merge_below_floor_keeps_first_gaussian(self):
+        # The merged VA mass 8e-13 lies in (0, MIN_CELL_MASS): the seed's
+        # Gaussian is kept.  The former ``<= 0`` floor moment matched it to
+        # the mean (0.375, 0, 0).
+        a = bern(5e-13, mean=(0.0, 0.0, 0.0), cov=np.eye(3))
+        b = bern(3e-13, mean=(1.0, 0.0, 0.0), cov=2.0 * np.eye(3))
+        merged, = merge_bernoullis(GlobalHypothesis(1.0, (b, a)),
+                                   50.0).bernoullis
+        comp = merged.belief.types[LandmarkType.VA]
+        assert merged.existence == 5e-13 + 3e-13
+        assert comp.weight == 1.0
+        assert comp.mean is a.belief.types[LandmarkType.VA].mean
+        assert comp.covariance is a.belief.types[LandmarkType.VA].covariance
+
+    def test_zero_existence_prior_track_is_the_placeholder(self):
+        # Two hypotheses disagree on the prior track's association, and each
+        # holds it with existence zero: the recombined track is the absent
+        # placeholder (formerly a uniform-type belief), and prune drops it.
+        track = bern(0.0, kind=LandmarkType.SP, psi=0.7,
+                     other=LandmarkType.VA)
+        hyps = (GlobalHypothesis(0.6, (track,),
+                                 assoc=AssociationVector(1, (0, None))),
+                GlobalHypothesis(0.4, (track,),
+                                 assoc=AssociationVector(1, (1, None))))
+        table = average_conditionals(align_hypotheses(
+            PmbmDensity(default_ppp_intensity(), hyps)))
+        recombined = tomb_recombine(table)
+        got = recombined.bernoullis[0]
+        want = absent_bernoulli()
+        assert got.existence == 0.0
+        assert_beliefs_bit_equal(got.belief, want.belief)
+        pruned = prune(PmbmDensity(default_ppp_intensity(), (recombined,)),
+                       1e-4, 1e-4, 10)  # FilterConfig's prune defaults
+        assert pruned.hypotheses[0].bernoullis == ()
 
 
 class TestSerialization:

@@ -1,15 +1,18 @@
 """Module layering: every import in the package sits at module level, every
-function parameter is read, and every definition has a caller.
+function parameter is read, every parameter default is passed by some call,
+and every definition has a caller.
 
 An import inside a function body hides a module cycle (it only works
 because it runs after both modules finished loading), so none is allowed.
 A parameter the body never reads is a dead input that callers still have
-to supply, so none is allowed either.  A function, class, method or
+to supply, so none is allowed either; nor is a parameter default that no
+call overrides, which is a setting with no user.  A function, class, method or
 property that neither the package nor the benchmark names is code only
 tests keep alive; the few the README documents as API are listed here.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -100,6 +103,66 @@ def unreferenced(modules: dict, referencing) -> list:
             if name not in used]
 
 
+def default_parameters(tree: ast.AST):
+    """(qualified name, call name, parameter, positional index or None) of
+    every parameter with a default.  A method's index leaves out
+    ``self``/``cls``, and ``__init__`` is called by its class name."""
+    methods = {id(inner): node.name for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) for inner in node.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = [a.arg for a in (*args.posonlyargs, *args.args)]
+        qualified = name = node.name
+        if id(node) in methods:
+            qualified = f"{methods[id(node)]}.{name}"
+            if positional[:1] in (["self"], ["cls"]):
+                positional = positional[1:]
+            if name == "__init__":
+                name = methods[id(node)]
+        for index in range(len(positional) - len(args.defaults),
+                           len(positional)):
+            yield qualified, name, positional[index], index
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield qualified, name, arg.arg, None
+
+
+def passed_arguments(trees) -> dict:
+    """Call name -> (keywords passed, most positional arguments passed) over
+    every call in ``trees``; ``*args`` or ``**kwargs`` pass everything."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            keywords, most = calls.get(name, (set(), 0))
+            keywords |= {kw.arg or "**" for kw in node.keywords}
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            calls[name] = (keywords,
+                           max(most, math.inf if starred else len(node.args)))
+    return calls
+
+
+def unpassed_defaults(modules: dict, calling) -> list:
+    """``module.function.parameter`` of every parameter default in
+    ``modules`` (name -> tree) that no call in ``calling`` passes, by
+    keyword or by position; calls match by name."""
+    calls = passed_arguments(calling)
+    found = []
+    for module, tree in modules.items():
+        for qualified, name, param, index in default_parameters(tree):
+            keywords, most = calls.get(name, (set(), 0))
+            if not (param in keywords or "**" in keywords
+                    or (index is not None and most > index)):
+                found.append(f"{module}.{qualified}.{param}")
+    return found
+
+
 def test_modules_found():
     assert {"association.py", "update.py", "motion.py"} <= {
         p.name for p in MODULES}
@@ -138,6 +201,31 @@ def test_every_definition_is_referenced():
     assert [name for name in found if name not in API_ONLY] == []
     # An allowlisted name that gained a caller leaves the list.
     assert [name for name in API_ONLY if name not in found] == []
+
+
+def test_every_parameter_default_is_passed():
+    modules = {p.stem: ast.parse(p.read_text(), filename=str(p))
+               for p in MODULES}
+    bench = [ast.parse(p.read_text(), filename=str(p)) for p in BENCH_SCRIPTS]
+    assert unpassed_defaults(modules, [*modules.values(), *bench]) == []
+
+
+def test_detector_sees_unpassed_defaults():
+    """Defaults no call overrides are flagged; keyword, positional,
+    starred and method calls (without ``self``) each count as passing.
+
+    Calls match by name, so a call to any function of the same name counts:
+    the guard can miss a dead default, never flag a live one.
+    """
+    tree = ast.parse(
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    return a\n\n"
+        "def g(x=0, y=1):\n    return x\n\n"
+        "class Box:\n"
+        "    def __init__(self, size=1, tag=None):\n        self.size = size\n\n"
+        "    def grow(self, by=1, cap=9):\n        return by\n\n"
+        "f(0, 5, d=6)\ng(*[1])\nBox(2).grow(3)\n")
+    assert unpassed_defaults({"toy": tree}, [tree]) == [
+        "toy.f.c", "toy.f.e", "toy.Box.__init__.tag", "toy.Box.grow.cap"]
 
 
 def test_detector_sees_unreferenced_definitions():

@@ -154,12 +154,6 @@ class TestErrorMetrics:
         assert rmse([3.0, 4.0]) == pytest.approx(math.sqrt(12.5))
         assert np.mean(np.abs([3.0, 4.0])) == pytest.approx(3.5)
 
-    def test_heading_wrap(self):
-        errors = [math.pi - 0.01, -math.pi + 0.01]
-        assert rmse(errors, angular=True) == pytest.approx(math.pi - 0.01)
-        wrapped = mae_per_step([[2 * math.pi + 0.01]], angular=True)
-        assert wrapped[0] == pytest.approx(0.01)
-
     def test_mae_shape(self):
         errors = np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
         out = mae_per_step(errors)
