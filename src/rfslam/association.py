@@ -222,7 +222,7 @@ def weight_birth(meas, sensor: GaussianComponent, ppp: dict,
                  clutter_intensity: float, model):
     """Local weight for "detected for the first time" plus birth data.
 
-    Returns ``(l_birth, BirthCandidate)``.  Every type with a positive PPP
+    Returns the :class:`BirthCandidate`.  Every type with a positive PPP
     rate can be born, except the BS, which is known.  Types whose geometric
     inversion fails contribute nothing; when no type survives the
     measurement is clutter-only (weight floor ``clutter_intensity``).
@@ -259,7 +259,7 @@ def weight_birth(meas, sensor: GaussianComponent, ppp: dict,
                  for k in rho}
     existence = rho_total / weight if weight > 0.0 else 0.0
     log_weight = math.log(weight) if weight > 0.0 else -math.inf
-    return weight, BirthCandidate(log_weight, existence, types)
+    return BirthCandidate(log_weight, existence, types)
 
 
 @dataclass(frozen=True)
@@ -399,7 +399,7 @@ def build_cost_matrix(hypothesis: GlobalHypothesis, measurements,
 
     births = []
     for p, meas in enumerate(measurements):
-        _, cand = weight_birth(meas, sensor, ppp, clutter_intensity, model)
+        cand = weight_birth(meas, sensor, ppp, clutter_intensity, model)
         births.append(cand)
         matrix[p, n_prior + p] = -cand.log_weight
 

@@ -75,6 +75,8 @@ class Scenario:
         object.__setattr__(self, "sps", tuple(self.sps))
         # A range error caught here would otherwise end in a traceback, a
         # numerical failure, or a silent run with wrong physics.
+        if set(self.p_detect) != set(LandmarkType):
+            raise ValueError("p_detect must name BS, VA and SP")
         for kind, pd in self.p_detect.items():
             if not 0.0 <= pd <= 1.0:
                 raise ValueError(f"p_detect of {kind.value} must be in [0, 1]")
@@ -240,10 +242,16 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
+    """The scenario a file describes; a key the file leaves out takes the
+    :class:`Scenario` default."""
     vas = tuple(
         (Landmark(LandmarkType.VA, entry["position"]),
          Plane(entry["plane_point"], entry["plane_normal"]))
         for entry in doc["vas"])
+    optional = {
+        "p_detect": lambda pd: {LandmarkType(k): float(v)
+                                for k, v in pd.items()},
+        "fov_radius": float, "clutter_mean": float, "seed": int}
     return Scenario(
         bs=Landmark(LandmarkType.BS, doc["bs"]),
         vas=vas,
@@ -256,11 +264,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         dt=float(doc["dt"]),
         steps=int(doc["steps"]),
         noise_std=np.array(doc["noise_std"]),
-        p_detect={LandmarkType(k): float(v)
-                  for k, v in doc.get("p_detect", {}).items()},
-        fov_radius=float(doc.get("fov_radius", 50.0)),
-        clutter_mean=float(doc.get("clutter_mean", 1.0)),
-        seed=int(doc.get("seed", 0)),
+        **{key: convert(doc[key]) for key, convert in optional.items()
+           if key in doc},
     )
 
 

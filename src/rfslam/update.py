@@ -174,11 +174,11 @@ class ChildParts:
     call and keeps its results: ``costs``, ``log_const`` (sum_i ln l^{i,0},
     which turns an association's cost back into its weight) and ``ctx``.
     A misdetected landmark's Bernoulli, a detected landmark's posterior type
-    probabilities and innovations, and a newborn Bernoulli are pure
-    functions of the hypothesis and the landmark and/or measurement, so
-    every ranked association of the hypothesis shares them (track-oriented
-    PMBM children share their per-track local hypotheses).  Each is built
-    on first use.
+    probabilities and its innovation per type (against ``measurements[p]``),
+    and a newborn Bernoulli are pure functions of the hypothesis and the
+    landmark and/or measurement, so every ranked association of the
+    hypothesis shares them (track-oriented PMBM children share their
+    per-track local hypotheses).  Each is built on first use.
     """
 
     def __init__(self, hypothesis: GlobalHypothesis, measurements,
@@ -218,9 +218,9 @@ class ChildParts:
                 psi, self.config.type_prune)
         return psi
 
-    def innovation(self, i: int, p: int, kind, z: np.ndarray) -> np.ndarray:
-        """Wrapped residual of measurement ``p``, whose value is ``z``,
-        against landmark ``i``'s prediction as type ``kind``.
+    def innovation(self, i: int, p: int, kind) -> np.ndarray:
+        """Wrapped residual of measurement ``p`` against landmark ``i``'s
+        prediction as type ``kind``.
 
         The cost matrix keeps the residual of every type that contributed
         to the pair's weight.  A stacked type that did not (zero detection
@@ -235,7 +235,7 @@ class ChildParts:
         if v is None:
             z_pred = self.ctx.type_preds[i][kind].z_pred
             v = self._innovations[key] = self.config.model.wrap_residual(
-                z - z_pred)
+                self.measurements[p].z - z_pred)
         return v
 
     def born(self, p: int) -> Bernoulli:
@@ -245,37 +245,6 @@ class ChildParts:
             bern = self._born[p] = _birth_bernoulli(self.ctx.births[p],
                                                    self.config)
         return bern
-
-
-@dataclass
-class JointState:
-    """Stacked sensor+landmark workspace of one joint update."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
-    slices: dict          # (landmark index, type) -> state slice
-
-
-def _assemble_joint(sensor: GaussianComponent, berns, stack_kinds: dict):
-    ds = sensor.dim
-    dims = [ds]
-    slices = {}
-    for i, kinds in stack_kinds.items():
-        for kind in kinds:
-            comp = berns[i].belief.types[kind]
-            start = sum(dims)
-            dims.append(comp.mean.size)
-            slices[(i, kind)] = slice(start, start + comp.mean.size)
-    total = sum(dims)
-    mean = np.zeros(total)
-    cov = np.zeros((total, total))
-    mean[:ds] = sensor.mean
-    cov[:ds, :ds] = sensor.covariance
-    for (i, kind), sl in slices.items():
-        comp = berns[i].belief.types[kind]
-        mean[sl] = comp.mean
-        cov[sl, sl] = comp.covariance
-    return JointState(mean, cov, slices)
 
 
 def _prune_type_probs(psi: dict, threshold: float) -> dict:
@@ -294,94 +263,95 @@ def joint_update(parts: ChildParts, sigma: AssociationVector):
     ``parts`` gives the hypothesis, the predicted sensor, the measurements,
     the config and the association context; ``sigma`` is one association of
     that hypothesis.  Returns ``(child hypothesis, sensor posterior)``.
-    The child keeps the parent weight; callers reweight.  A singular
-    innovation covariance is retried once with 1e-9 I added; raises
-    ``numpy.linalg.LinAlgError`` when it stays singular (the association is
-    then discarded).
+    The child keeps the parent weight; callers reweight.
+
+    One block per stacked (landmark, type) lays out the system: its slice of
+    the state, after the sensor's, and its rows, which replicate the
+    landmark's measurement.  A detected landmark stacks every type of its
+    pruned posterior that has a prediction; a type without one keeps its
+    prior Gaussian.  A singular innovation covariance is retried once with
+    1e-9 I added; raises ``numpy.linalg.LinAlgError`` when it stays singular
+    (the association is then discarded).
     """
     hypothesis, config = parts.hypothesis, parts.config
-    sensor_prior, measurements = parts.sensor, parts.measurements
+    sensor, measurements = parts.sensor, parts.measurements
     sigma.validate()
     berns = hypothesis.bernoullis
     if len(berns) != sigma.n_prior or len(measurements) != sigma.n_meas:
         raise ValueError("association vector inconsistent with inputs")
-    detected = sigma.detected_pairs()
+    detected = dict(sigma.detected_pairs())
     type_preds = parts.ctx.type_preds
 
     # Posterior type probabilities first: type components whose probability
     # collapses are dropped from the stack, so their replicated-measurement
     # rows cannot force a stale cross-type constraint onto the sensor.
-    psi_post = {i: parts.detected_type_probs(i, p) for i, p in detected}
+    psi_post = {i: parts.detected_type_probs(i, p) for i, p in detected.items()}
 
-    if detected:
-        stack_kinds = {}
-        for i, p in detected:
-            kinds = [k for k in psi_post[i]
-                     if type_preds[i][k].z_pred is not None]
-            if not kinds:
-                raise np.linalg.LinAlgError(
-                    f"landmark {i} detected but no type has valid geometry")
-            stack_kinds[i] = kinds
-        joint = _assemble_joint(sensor_prior, berns, stack_kinds)
-        n_state = joint.mean.size
-        row_dims = [(i, p, stack_kinds[i]) for i, p in detected]
-        n_rows = sum(len(kinds) * measurements[p].covariance.shape[0]
-                     for _, p, kinds in row_dims)
+    ds = sensor.dim
+    blocks = []   # (landmark, measurement, type, state slice, row slice)
+    spans = []    # (measurement, stacked types, row span) per landmark
+    n_state, n_rows = ds, 0
+    for i, p in detected.items():
+        kinds = [k for k in psi_post[i] if type_preds[i][k].z_pred is not None]
+        if not kinds:
+            raise np.linalg.LinAlgError(
+                f"landmark {i} detected but no type has valid geometry")
+        first, dz = n_rows, measurements[p].z.size
+        for kind in kinds:
+            dx = berns[i].belief.types[kind].mean.size
+            blocks.append((i, p, kind, slice(n_state, n_state + dx),
+                           slice(n_rows, n_rows + dz)))
+            n_state += dx
+            n_rows += dz
+        spans.append((p, len(kinds), slice(first, n_rows)))
+
+    sensor_post, posterior = sensor, {}
+    if blocks:
+        mean = np.zeros(n_state)
+        cov = np.zeros((n_state, n_state))
         H = np.zeros((n_rows, n_state))
         R = np.zeros((n_rows, n_rows))
         innovation = np.zeros(n_rows)
-        row = 0
-        ds = sensor_prior.dim
-        for i, p, kinds in row_dims:
-            meas = measurements[p]
-            dz = meas.z.size
-            block = slice(row, row + len(kinds) * dz)
-            # Replicated measurement noise is fully correlated across types.
-            R[block, block] = np.tile(meas.covariance, (len(kinds), len(kinds)))
-            for kind in kinds:
-                pred = type_preds[i][kind]
-                rows = slice(row, row + dz)
-                H[rows, :ds] = pred.H_s
-                H[rows, joint.slices[(i, kind)]] = pred.H_x
-                innovation[rows] = parts.innovation(i, p, kind, meas.z)
-                row += dz
-        S = H @ joint.covariance @ H.T + R
+        mean[:ds] = sensor.mean
+        cov[:ds, :ds] = sensor.covariance
+        for i, p, kind, state, rows in blocks:
+            comp, pred = berns[i].belief.types[kind], type_preds[i][kind]
+            mean[state] = comp.mean
+            cov[state, state] = comp.covariance
+            H[rows, :ds] = pred.H_s
+            H[rows, state] = pred.H_x
+            innovation[rows] = parts.innovation(i, p, kind)
+        # Replicated measurement noise is fully correlated across types.
+        for p, n_kinds, span in spans:
+            R[span, span] = np.tile(measurements[p].covariance,
+                                    (n_kinds, n_kinds))
+        S = H @ cov @ H.T + R
         try:
             factor = chol_factor(symmetrize(S))
         except np.linalg.LinAlgError:
             S = S + 1e-9 * np.eye(n_rows)
             factor = chol_factor(symmetrize(S))
-        PHt = joint.covariance @ H.T
+        PHt = cov @ H.T
         gain = chol_solve(factor, PHt.T).T
-        post_mean = joint.mean + gain @ innovation
+        post_mean = mean + gain @ innovation
         if config.joseph_form:
             A = np.eye(n_state) - gain @ H
-            post_cov = A @ joint.covariance @ A.T + gain @ R @ gain.T
+            post_cov = A @ cov @ A.T + gain @ R @ gain.T
         else:
-            post_cov = joint.covariance - gain @ PHt.T
+            post_cov = cov - gain @ PHt.T
         # Diagonal blocks of the symmetrized covariance are exactly symmetric.
         post_cov = symmetrize(post_cov)
         sensor_post = GaussianComponent(post_mean[:ds], post_cov[:ds, :ds])
-        posterior_comp = {
-            key: (post_mean[sl], post_cov[sl, sl])
-            for key, sl in joint.slices.items()
-        }
-    else:
-        sensor_post = sensor_prior
-        posterior_comp = {}
+        posterior = {(i, kind): (post_mean[state], post_cov[state, state])
+                     for i, _, kind, state, _ in blocks}
 
-    detected_by_landmark = dict(detected)
     new_berns = []
     for i, bern in enumerate(berns):
-        if i in detected_by_landmark:
-            types = {}
-            for kind, psi in psi_post[i].items():
-                if (i, kind) in posterior_comp:
-                    mean, cov = posterior_comp[(i, kind)]
-                else:
-                    comp = bern.belief.types[kind]
-                    mean, cov = comp.mean, comp.covariance
-                types[kind] = TypeComponent(psi, mean, cov)
+        if i in detected:
+            prior = bern.belief.types
+            types = {kind: TypeComponent(psi, *posterior.get(
+                         (i, kind), (prior[kind].mean, prior[kind].covariance)))
+                     for kind, psi in psi_post[i].items()}
             new_berns.append(Bernoulli(1.0, LandmarkBelief(types)))
         else:
             new_berns.append(parts.misdetected(i))

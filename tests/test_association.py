@@ -223,8 +223,8 @@ class TestWeightMisdetected:
 class TestWeightBirth:
     def test_zero_rates_gives_clutter_floor(self):
         meas = Measurement(np.zeros(1), np.eye(1))
-        w, cand = weight_birth(meas, toy_sensor(), {SP: 0.0}, 0.5, toy_model())
-        assert w == pytest.approx(0.5)
+        cand = weight_birth(meas, toy_sensor(), {SP: 0.0}, 0.5, toy_model())
+        assert cand.log_weight == pytest.approx(math.log(0.5))
         assert cand.existence == 0.0
         assert cand.types == {}
 
@@ -232,21 +232,22 @@ class TestWeightBirth:
         c = 1.0 / (4 * 200 * math.pi ** 4)
         assert c == pytest.approx(1.28325e-5, rel=1e-4)
         meas = Measurement(np.array([1000.0]), np.eye(1))  # far from any birth
-        w, _ = weight_birth(meas, toy_sensor(), {SP: 1e-6}, c, toy_model())
-        assert w >= c
+        cand = weight_birth(meas, toy_sensor(), {SP: 1e-6}, c, toy_model())
+        assert cand.log_weight >= math.log(c)
 
     def test_scalar_hand_evaluated(self):
         # h = s + x, sensor N(0, 0.25), R = 1, eta = 2, pd = 0.9, z = 0.3.
         model = LinearModel({SP: ([[1.0]], [[1.0]])}, dim=1, p_detect=0.9)
         sensor = GaussianComponent(np.zeros(1), np.array([[0.25]]))
         meas = Measurement(np.array([0.3]), np.eye(1))
-        w, cand = weight_birth(meas, sensor, {SP: 2.0}, 0.01, model)
+        cand = weight_birth(meas, sensor, {SP: 2.0}, 0.01, model)
         # Birth mean inverts exactly: u = z - s = 0.3; C = (P + R) = 1.25;
         # S = P + C + R = 2.5 and the predicted residual is 0.
         rho = 2.0 * 0.9 / math.sqrt(2 * math.pi * 2.5)
         assert cand.types[SP].mean[0] == pytest.approx(0.3)
         assert cand.types[SP].covariance[0, 0] == pytest.approx(1.25)
-        assert w == pytest.approx(0.01 + rho, rel=1e-12)
+        assert cand.log_weight == pytest.approx(math.log(0.01 + rho),
+                                                abs=1e-12)
         assert cand.existence == pytest.approx(rho / (0.01 + rho), rel=1e-12)
         assert cand.types[SP].weight == 1.0
 
@@ -268,8 +269,8 @@ class TestBuildCostMatrix:
         costs, const, ctx = build_cost_matrix(
             hyp, [meas], toy_sensor(), {SP: 1.0}, 0.1, toy_model())
         assert costs.matrix.shape == (1, 1)
-        w, _ = weight_birth(meas, toy_sensor(), {SP: 1.0}, 0.1, toy_model())
-        assert costs.matrix[0, 0] == pytest.approx(-math.log(w))
+        cand = weight_birth(meas, toy_sensor(), {SP: 1.0}, 0.1, toy_model())
+        assert costs.matrix[0, 0] == pytest.approx(-cand.log_weight)
         assert const == 0.0
 
     def test_entries_match_direct_weight_calls(self):
@@ -291,8 +292,8 @@ class TestBuildCostMatrix:
             _, logliks, _ = detected_weight(berns[0], meas,
                                             ctx.type_preds[0], model)
             assert ctx.pair_logliks[(0, p)] == logliks
-            lb, _ = weight_birth(meas, sensor, {SP: 1.5}, 0.2, model)
-            assert costs.matrix[p, 1 + p] == pytest.approx(-math.log(lb))
+            cand = weight_birth(meas, sensor, {SP: 1.5}, 0.2, model)
+            assert costs.matrix[p, 1 + p] == pytest.approx(-cand.log_weight)
         assert np.isinf(costs.matrix[0, 2]) and np.isinf(costs.matrix[1, 1])
 
     def test_gate_disables_far_pairs(self):
@@ -434,7 +435,7 @@ def reference_cost_matrix(hypothesis, measurements, sensor, ppp, clutter,
                 for k in logliks}
             matrix[p, i] = log_l0 - log_l
     for p, meas in enumerate(measurements):
-        _, cand = weight_birth(meas, sensor, ppp, clutter, model)
+        cand = weight_birth(meas, sensor, ppp, clutter, model)
         matrix[p, n_prior + p] = -cand.log_weight
     return matrix, log_sum, pair_logliks, pair_residuals
 

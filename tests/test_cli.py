@@ -326,6 +326,34 @@ class TestMain:
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
+    def test_partial_p_detect_exits_2(self, tmp_path, capsys):
+        doc = scenario_to_dict(default_scenario(seed=1, steps=3))
+        doc["p_detect"] = {"VA": 0.9}
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(doc))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": str(scen), "mc": 1,
+                                   "out": str(tmp_path / "o")}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert ("configuration error: invalid scenario file: p_detect must "
+                "name BS, VA and SP" in capsys.readouterr().err)
+
+    def test_scenario_file_without_p_detect_detects(self, tmp_path):
+        # Every type is detected at the scenario default of 0.9, so the BS
+        # is re-detected and the sensor stays on track (with nothing ever
+        # detected, the position RMSE is over 10 m).
+        doc = scenario_to_dict(default_scenario(seed=1))
+        del doc["p_detect"]
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(doc))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": str(scen), "mc": 1, "seed": 1,
+                                   "gamma": 1}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["rmse"]["position"] < 1.0
+
     def test_scenario_file_accepted(self, tmp_path):
         scen = tmp_path / "scen.json"
         save_scenario(default_scenario(seed=2, steps=5), scen)

@@ -1,14 +1,17 @@
 """Module layering: every import in the package sits at module level, every
 function parameter is read, every parameter default is passed by some call,
-and every definition has a caller.
+every position of a returned tuple is read, and every definition has a
+caller.
 
 An import inside a function body hides a module cycle (it only works
 because it runs after both modules finished loading), so none is allowed.
 A parameter the body never reads is a dead input that callers still have
 to supply, so none is allowed either; nor is a parameter default that no
-call overrides, which is a setting with no user.  A function, class, method or
-property that neither the package nor the benchmark names is code only
-tests keep alive; the few the README documents as API are listed here.
+call overrides, which is a setting with no user, nor a returned tuple
+position that every caller discards, which is an output with no reader.
+A function, class, method or property that neither the package nor the
+benchmark names is code only tests keep alive; the few the README
+documents as API are listed here.
 """
 
 import ast
@@ -103,12 +106,24 @@ def unreferenced(modules: dict, referencing) -> list:
             if name not in used]
 
 
+def method_classes(tree: ast.AST) -> dict:
+    """id of every definition in a class body -> the class name."""
+    return {id(inner): node.name for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) for inner in node.body}
+
+
+def call_name(call: ast.Call):
+    """The name a call matches by: the function's or the method's."""
+    func = call.func
+    return (func.id if isinstance(func, ast.Name) else
+            func.attr if isinstance(func, ast.Attribute) else None)
+
+
 def default_parameters(tree: ast.AST):
     """(qualified name, call name, parameter, positional index or None) of
     every parameter with a default.  A method's index leaves out
     ``self``/``cls``, and ``__init__`` is called by its class name."""
-    methods = {id(inner): node.name for node in ast.walk(tree)
-               if isinstance(node, ast.ClassDef) for inner in node.body}
+    methods = method_classes(tree)
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
@@ -137,9 +152,7 @@ def passed_arguments(trees) -> dict:
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            name = (func.id if isinstance(func, ast.Name) else
-                    func.attr if isinstance(func, ast.Attribute) else None)
+            name = call_name(node)
             keywords, most = calls.get(name, (set(), 0))
             keywords |= {kw.arg or "**" for kw in node.keywords}
             starred = any(isinstance(a, ast.Starred) for a in node.args)
@@ -160,6 +173,76 @@ def unpassed_defaults(modules: dict, calling) -> list:
             if not (param in keywords or "**" in keywords
                     or (index is not None and most > index)):
                 found.append(f"{module}.{qualified}.{param}")
+    return found
+
+
+def own_returns(func: ast.AST):
+    """The ``return`` statements of ``func`` outside its nested scopes."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Return):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def tuple_returns(tree: ast.AST):
+    """(qualified name, call name, length) of every function whose every
+    own ``return`` gives a tuple of one fixed length."""
+    methods = method_classes(tree)
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        lengths = {len(ret.value.elts) if isinstance(ret.value, ast.Tuple)
+                   and not any(isinstance(e, ast.Starred)
+                               for e in ret.value.elts) else None
+                   for ret in own_returns(node)}
+        if len(lengths) == 1 and None not in lengths:
+            qualified = (f"{methods[id(node)]}.{node.name}"
+                         if id(node) in methods else node.name)
+            yield qualified, node.name, lengths.pop()
+
+
+def unpackings(trees) -> dict:
+    """Call name -> one entry per call in ``trees``: the targets a plain
+    tuple assignment unpacks its result into, or None for any other use."""
+    uses = {}
+    for tree in trees:
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = call_name(node)
+            parent = parents.get(node)
+            targets = None
+            if (isinstance(parent, ast.Assign) and len(parent.targets) == 1
+                    and isinstance(parent.targets[0], (ast.Tuple, ast.List))):
+                targets = parent.targets[0].elts
+                if any(isinstance(e, ast.Starred) for e in targets):
+                    targets = None
+            uses.setdefault(name, []).append(targets)
+    return uses
+
+
+def unread_return_positions(modules: dict, calling) -> list:
+    """``module.function[position]`` of every position of a fixed-length
+    tuple result that every call in ``calling`` unpacks into ``_``; calls
+    match by name, and any other use of a result reads every position."""
+    uses = unpackings(calling)
+    found = []
+    for module, tree in modules.items():
+        for qualified, name, length in tuple_returns(tree):
+            calls = uses.get(name, [])
+            unread = set(range(length)) if calls else set()
+            for targets in calls:
+                if targets is None or len(targets) != length:
+                    targets = []
+                unread &= {k for k, e in enumerate(targets)
+                           if isinstance(e, ast.Name) and e.id == "_"}
+            found += [f"{module}.{qualified}[{k}]" for k in sorted(unread)]
     return found
 
 
@@ -226,6 +309,35 @@ def test_detector_sees_unpassed_defaults():
         "f(0, 5, d=6)\ng(*[1])\nBox(2).grow(3)\n")
     assert unpassed_defaults({"toy": tree}, [tree]) == [
         "toy.f.c", "toy.f.e", "toy.Box.__init__.tag", "toy.Box.grow.cap"]
+
+
+def test_every_returned_position_is_read():
+    modules = {p.stem: ast.parse(p.read_text(), filename=str(p))
+               for p in MODULES}
+    bench = [ast.parse(p.read_text(), filename=str(p)) for p in BENCH_SCRIPTS]
+    assert unread_return_positions(modules, [*modules.values(), *bench]) == []
+
+
+def test_detector_sees_unread_return_positions():
+    """A tuple position every call unpacks into ``_`` is flagged.  A
+    function that also returns another shape (here ``None``) or whose tuple
+    is a nested function's is not; a call used any other way, or one that
+    unpacks another length (a same-named method), reads every position."""
+    tree = ast.parse(
+        "def pair(x):\n    if x:\n        return 1, 2\n    return 3, 4\n\n"
+        "def triple():\n    return 1, 2, 3\n\n"
+        "def maybe(x):\n    if x:\n        return 1, 2\n    return None\n\n"
+        "def outer():\n    def inner():\n        return 1, 2\n"
+        "    return inner\n\n"
+        "class Box:\n    def size(self):\n        return 1, 2\n\n"
+        "    def both(self):\n        return 1, 2\n\n"
+        "class Crate:\n    def both(self):\n        return 1, 2, 3\n\n"
+        "_, a = pair(0)\n_, b = pair(1)\n"
+        "c, _, _ = triple()\nprint(triple())\n"
+        "_, d = maybe(1)\n_, e = outer()\n_, h = Box().size()\n"
+        "f, _ = Box().both()\n_, g, _ = Crate().both()\n")
+    assert unread_return_positions({"toy": tree}, [tree]) == [
+        "toy.pair[0]", "toy.Box.size[0]"]
 
 
 def test_detector_sees_unreferenced_definitions():

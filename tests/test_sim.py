@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -182,3 +183,18 @@ class TestScenarioIO:
         save_scenario(sc, path)
         sc2 = load_scenario(path)
         assert scenario_to_dict(sc2) == scenario_to_dict(sc)
+
+    def test_left_out_keys_take_the_scenario_defaults(self, tmp_path):
+        # A file without p_detect detects every type at 0.9, not never.
+        doc = scenario_to_dict(default_scenario(seed=1))
+        for key in ("p_detect", "fov_radius", "clutter_mean", "seed"):
+            del doc[key]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        sc = load_scenario(path)
+        assert sc.p_detect == {BS: 0.9, VA: 0.9, SP: 0.9}
+        assert (sc.fov_radius, sc.clutter_mean, sc.seed) == (50.0, 1.0, 0)
+
+    def test_partial_p_detect_rejected(self):
+        with pytest.raises(ValueError, match="p_detect must name BS, VA and SP"):
+            replace(default_scenario(), p_detect={VA: 0.9})

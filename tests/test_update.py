@@ -1,14 +1,19 @@
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 from conftest import LinearModel, check_density, single_type_bernoulli
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfslam.association import (
     AssociationVector,
     InfeasibleAssignmentError,
     birth_from_measurement,
+    chol_factor,
+    chol_solve,
+    murty_kbest,
 )
 from rfslam.density import (
     Bernoulli,
@@ -19,9 +24,11 @@ from rfslam.density import (
     TypeComponent,
     absent_bernoulli,
     default_ppp_intensity,
+    symmetrize,
 )
 from rfslam.geometry import (
     ChannelModel,
+    DegenerateGeometryError,
     Landmark,
     LandmarkType,
     Measurement,
@@ -555,6 +562,276 @@ class TestJointUpdate:
         assert np.allclose(sens_a.mean, sens_b.mean, atol=1e-12)
 
 
+@dataclass
+class JointState:
+    """Stacked sensor+landmark workspace of one joint update."""
+
+    mean: np.ndarray
+    covariance: np.ndarray
+    slices: dict          # (landmark index, type) -> state slice
+
+
+def assemble_joint(sensor, berns, stack_kinds):
+    ds = sensor.dim
+    dims = [ds]
+    slices = {}
+    for i, kinds in stack_kinds.items():
+        for kind in kinds:
+            comp = berns[i].belief.types[kind]
+            start = sum(dims)
+            dims.append(comp.mean.size)
+            slices[(i, kind)] = slice(start, start + comp.mean.size)
+    total = sum(dims)
+    mean = np.zeros(total)
+    cov = np.zeros((total, total))
+    mean[:ds] = sensor.mean
+    cov[:ds, :ds] = sensor.covariance
+    for (i, kind), sl in slices.items():
+        comp = berns[i].belief.types[kind]
+        mean[sl] = comp.mean
+        cov[sl, sl] = comp.covariance
+    return JointState(mean, cov, slices)
+
+
+def reference_joint_update(parts, sigma):
+    """The joint update as three layouts: the stacked types per landmark,
+    the state slices of ``assemble_joint`` and the row dimensions."""
+    hypothesis, config = parts.hypothesis, parts.config
+    sensor_prior, measurements = parts.sensor, parts.measurements
+    sigma.validate()
+    berns = hypothesis.bernoullis
+    if len(berns) != sigma.n_prior or len(measurements) != sigma.n_meas:
+        raise ValueError("association vector inconsistent with inputs")
+    detected = sigma.detected_pairs()
+    type_preds = parts.ctx.type_preds
+    psi_post = {i: parts.detected_type_probs(i, p) for i, p in detected}
+
+    if detected:
+        stack_kinds = {}
+        for i, p in detected:
+            kinds = [k for k in psi_post[i]
+                     if type_preds[i][k].z_pred is not None]
+            if not kinds:
+                raise np.linalg.LinAlgError(
+                    f"landmark {i} detected but no type has valid geometry")
+            stack_kinds[i] = kinds
+        joint = assemble_joint(sensor_prior, berns, stack_kinds)
+        n_state = joint.mean.size
+        row_dims = [(i, p, stack_kinds[i]) for i, p in detected]
+        n_rows = sum(len(kinds) * measurements[p].covariance.shape[0]
+                     for _, p, kinds in row_dims)
+        H = np.zeros((n_rows, n_state))
+        R = np.zeros((n_rows, n_rows))
+        innovation = np.zeros(n_rows)
+        row = 0
+        ds = sensor_prior.dim
+        for i, p, kinds in row_dims:
+            meas = measurements[p]
+            dz = meas.z.size
+            block = slice(row, row + len(kinds) * dz)
+            R[block, block] = np.tile(meas.covariance, (len(kinds), len(kinds)))
+            for kind in kinds:
+                pred = type_preds[i][kind]
+                rows = slice(row, row + dz)
+                H[rows, :ds] = pred.H_s
+                H[rows, joint.slices[(i, kind)]] = pred.H_x
+                innovation[rows] = parts.innovation(i, p, kind)
+                row += dz
+        S = H @ joint.covariance @ H.T + R
+        try:
+            factor = chol_factor(symmetrize(S))
+        except np.linalg.LinAlgError:
+            S = S + 1e-9 * np.eye(n_rows)
+            factor = chol_factor(symmetrize(S))
+        PHt = joint.covariance @ H.T
+        gain = chol_solve(factor, PHt.T).T
+        post_mean = joint.mean + gain @ innovation
+        if config.joseph_form:
+            A = np.eye(n_state) - gain @ H
+            post_cov = A @ joint.covariance @ A.T + gain @ R @ gain.T
+        else:
+            post_cov = joint.covariance - gain @ PHt.T
+        post_cov = symmetrize(post_cov)
+        sensor_post = GaussianComponent(post_mean[:ds], post_cov[:ds, :ds])
+        posterior_comp = {
+            key: (post_mean[sl], post_cov[sl, sl])
+            for key, sl in joint.slices.items()
+        }
+    else:
+        sensor_post = sensor_prior
+        posterior_comp = {}
+
+    detected_by_landmark = dict(detected)
+    new_berns = []
+    for i, bern in enumerate(berns):
+        if i in detected_by_landmark:
+            types = {}
+            for kind, psi in psi_post[i].items():
+                if (i, kind) in posterior_comp:
+                    mean, cov = posterior_comp[(i, kind)]
+                else:
+                    comp = bern.belief.types[kind]
+                    mean, cov = comp.mean, comp.covariance
+                types[kind] = TypeComponent(psi, mean, cov)
+            new_berns.append(Bernoulli(1.0, LandmarkBelief(types)))
+        else:
+            new_berns.append(parts.misdetected(i))
+
+    for p in sigma.born_measurements():
+        new_berns.append(parts.born(p))
+
+    child = GlobalHypothesis(hypothesis.weight, tuple(new_berns), assoc=sigma)
+    return child, sensor_post
+
+
+class DegenerateLinearModel(LinearModel):
+    """Linear toy whose ``degenerate`` types have no valid geometry."""
+
+    def __init__(self, mats, dim, p_detect, degenerate):
+        super().__init__(mats, dim, p_detect)
+        self.degenerate = degenerate
+
+    def predict(self, sensor_mean, lm_mean, kind):
+        if kind in self.degenerate:
+            raise DegenerateGeometryError(f"toy {kind.value} has no geometry")
+        return super().predict(sensor_mean, lm_mean, kind)
+
+
+def reference_toy(rng, n_landmarks, multi_type, pd_zero, degenerate):
+    """Random linear toy for the reference comparison: (model, sensor,
+    hypothesis, measurements).  Most landmarks get a measurement near the
+    prediction of one of their types; a clutter measurement may follow."""
+    ds, dz = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    mats = {kind: (rng.normal(size=(dz, ds)),
+                   rng.normal(size=(dz, int(rng.integers(1, 4)))),
+                   rng.normal(size=dz)) for kind in (BS, VA, SP)}
+    model = DegenerateLinearModel(
+        mats, dz, {kind: 0.0 if kind is pd_zero else 0.8
+                   for kind in (BS, VA, SP)}, {degenerate})
+    sensor_cov = rng.normal(size=(ds, ds))
+    sensor = GaussianComponent(rng.normal(size=ds),
+                               sensor_cov @ sensor_cov.T + ds * np.eye(ds))
+
+    def spd(n):
+        a = rng.normal(size=(n, n))
+        return a @ a.T + n * np.eye(n)
+
+    berns = []
+    for _ in range(n_landmarks):
+        kinds = ([VA, SP] + [BS] * int(rng.integers(0, 2)) if multi_type
+                 else [(BS, VA, SP)[int(rng.integers(0, 3))]])
+        psis = rng.dirichlet(np.ones(len(kinds)))
+        types = {}
+        for kind, psi in zip(kinds, psis):
+            dx = model.mats[kind][1].shape[1]
+            types[kind] = TypeComponent(psi, rng.normal(size=dx), spd(dx))
+        berns.append(Bernoulli(rng.uniform(0.3, 1.0), LandmarkBelief(types)))
+    measurements = []
+    for bern in berns:
+        if rng.uniform() < 0.8:
+            kind = list(bern.belief.types)[
+                int(rng.integers(0, len(bern.belief.types)))]
+            A, B, c = model.mats[kind]
+            z = (A @ sensor.mean + B @ bern.belief.types[kind].mean + c
+                 + 0.3 * rng.normal(size=dz))
+            measurements.append(Measurement(z, spd(dz)))
+    if rng.uniform() < 0.3:
+        measurements.append(Measurement(3.0 * rng.normal(size=dz), spd(dz)))
+    order = rng.permutation(len(measurements))
+    return (model, sensor, GlobalHypothesis(1.0, tuple(berns)),
+            [measurements[k] for k in order])
+
+
+def assert_children_bit_equal(got, want):
+    (child, sensor), (ref, ref_sensor) = got, want
+    assert np.array_equal(sensor.mean, ref_sensor.mean)
+    assert np.array_equal(sensor.covariance, ref_sensor.covariance)
+    assert child.weight == ref.weight and child.assoc is ref.assoc
+    assert len(child.bernoullis) == len(ref.bernoullis)
+    for a, b in zip(child.bernoullis, ref.bernoullis):
+        assert a.existence == b.existence
+        assert list(a.belief.types) == list(b.belief.types)
+        for kind, comp in a.belief.types.items():
+            other = b.belief.types[kind]
+            assert comp.weight == other.weight
+            assert np.array_equal(comp.mean, other.mean)
+            assert np.array_equal(comp.covariance, other.covariance)
+
+
+def update_outcome(update, parts, sigma):
+    """The update's ``(child, sensor)``, or the LinAlgError class it raised."""
+    try:
+        return update(parts, sigma)
+    except np.linalg.LinAlgError:
+        return np.linalg.LinAlgError
+
+
+class TestJointUpdateReference:
+    """``joint_update`` lays out its stacked system in one pass; it must
+    give the bits of the three-layout reference on every association the
+    filter ranks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_landmarks=st.integers(0, 3),
+           multi_type=st.booleans(), type_prune=st.sampled_from([0.0, 1e-4]),
+           pd_zero=st.sampled_from([None, VA, SP]),
+           degenerate=st.sampled_from([None, VA, SP]),
+           joseph_form=st.booleans())
+    def test_bit_equal_on_ranked_associations(
+            self, seed, n_landmarks, multi_type, type_prune, pd_zero,
+            degenerate, joseph_form):
+        rng = np.random.default_rng(seed)
+        model, sensor, hyp, measurements = reference_toy(
+            rng, n_landmarks, multi_type, pd_zero, degenerate)
+        cfg = make_config(model, gate=None, type_prune=type_prune,
+                          joseph_form=joseph_form)
+        for sigma, _ in murty_kbest(
+                child_parts(hyp, measurements, sensor, cfg).costs, 8):
+            # Fresh contexts: neither update sees pieces the other built.
+            got, want = (
+                update_outcome(update, child_parts(hyp, measurements, sensor,
+                                                   cfg), sigma)
+                for update in (joint_update, reference_joint_update))
+            if np.linalg.LinAlgError in (got, want):
+                assert got is want
+            else:
+                assert_children_bit_equal(got, want)
+
+    def test_both_raise_when_no_type_has_geometry(self):
+        # The cost matrix never ranks such a detection; forced, it raises.
+        model = DegenerateLinearModel({VA: ([[1.0]], [[1.0]]),
+                                       SP: ([[1.0]], [[1.0]])}, 1, 0.9, {SP})
+        hyp = GlobalHypothesis(1.0, (single_type_bernoulli(
+            0.9, SP, [0.0], [[1.0]]),))
+        sensor = GaussianComponent(np.zeros(1), np.eye(1))
+        meas = Measurement(np.array([0.3]), np.eye(1))
+        cfg = make_config(model, gate=None)
+        for update in (joint_update, reference_joint_update):
+            with pytest.raises(np.linalg.LinAlgError, match="valid geometry"):
+                update(child_parts(hyp, [meas], sensor, cfg),
+                       AssociationVector(1, (1, None)))
+
+    def test_bit_equal_when_regularized(self):
+        # The setup of TestJointUpdate.test_singular_innovation_is_regularized:
+        # the stacked innovation covariance is exactly singular.
+        model = LinearModel({VA: ([[0.0]], [[1.0]]), SP: ([[0.0]], [[1.0]])},
+                            1, p_detect=0.9)
+        bern = Bernoulli(0.8, LandmarkBelief({
+            VA: TypeComponent(0.5, np.zeros(1), np.zeros((1, 1))),
+            SP: TypeComponent(0.5, np.zeros(1), np.zeros((1, 1)))}))
+        hyp = GlobalHypothesis(1.0, (bern,))
+        sensor = GaussianComponent(np.zeros(1), np.eye(1))
+        meas = Measurement(np.array([0.3]), np.eye(1))
+        sigma = AssociationVector(1, (1, None))
+        for joseph_form in (False, True):
+            cfg = make_config(model, gate=None, type_prune=0.0,
+                              joseph_form=joseph_form)
+            assert_children_bit_equal(
+                joint_update(child_parts(hyp, [meas], sensor, cfg), sigma),
+                reference_joint_update(child_parts(hyp, [meas], sensor, cfg),
+                                       sigma))
+
+
 class TestStep:
     def channel_setup(self, filter_kind=EK_PMB, gamma=1):
         model = ChannelModel(BS_POS)
@@ -657,8 +934,8 @@ class TestStep:
         assert len(density_post.hypotheses) == 1
         hyp = density_post.hypotheses[0]
         assert len(hyp.bernoullis) == 1
-        lb, cand = weight_birth(meas, sensor_pred, empty.ppp_intensity,
-                                cfg.clutter_intensity, model)
+        cand = weight_birth(meas, sensor_pred, empty.ppp_intensity,
+                            cfg.clutter_intensity, model)
         assert hyp.bernoullis[0].existence == pytest.approx(cand.existence,
                                                             rel=1e-9)
         # A reflection and a scatterer at the incidence point are
@@ -703,11 +980,11 @@ class TestStep:
         posterior, _ = update_step(density, sensor, [meas], cfg)
         assert len(posterior.hypotheses) == 2
         preds = predict_types(bern, sensor, model)
-        l_det = math.exp(log_weight_detected(
-            bern, meas, preds, residual_blocks(bern, preds, meas.z, model))[0])
+        log_det = log_weight_detected(
+            bern, meas, preds, residual_blocks(bern, preds, meas.z, model))[0]
         l_mis = misdetection_weight(bern, preds)[2]
-        l_birth, _ = weight_birth(meas, sensor, {SP: 0.8}, 0.05, model)
-        expected = np.array([l_det, l_mis * l_birth])
+        cand = weight_birth(meas, sensor, {SP: 0.8}, 0.05, model)
+        expected = np.exp([log_det, math.log(l_mis) + cand.log_weight])
         expected /= expected.sum()
         got = sorted((h.weight for h in posterior.hypotheses), reverse=True)
         assert np.allclose(sorted(expected, reverse=True), got, rtol=1e-9)
@@ -850,11 +1127,11 @@ class TestStep:
         rows = parts.ctx.pair_residuals[(0, 0)]
         assert list(rows) == [VA]
         for kind in (VA, SP):
-            v = parts.innovation(0, 0, kind, meas.z)
+            v = parts.innovation(0, 0, kind)
             z_pred = parts.ctx.type_preds[0][kind].z_pred
             assert np.array_equal(v, meas.z - z_pred)
-            assert parts.innovation(0, 0, kind, meas.z) is v
-        assert parts.innovation(0, 0, VA, meas.z) is rows[VA]
+            assert parts.innovation(0, 0, kind) is v
+        assert parts.innovation(0, 0, VA) is rows[VA]
         child, _ = joint_update(parts, AssociationVector(1, (1, None)))
         assert list(child.bernoullis[0].belief.types) == [VA, SP]
 
