@@ -5,16 +5,20 @@ measurement can start a new landmark (or be clutter).  Each of the three
 local weights has one implementation here -- :func:`log_weight_detected`,
 :func:`misdetection_weight` and :func:`weight_birth` (with the newborn
 Gaussian from :func:`birth_from_measurement`) -- which the cost matrix and
-the joint update both use.  The resulting assignment problem is solved for
-the best ``gamma`` associations per global hypothesis by Murty's ranked
-partitioning on top of an optimal-assignment kernel (scipy's
-Jonker-Volgenant-style solver), in negative-log-weight (cost) domain.
+the joint update both use.  Each weight is a sum over landmark types, and a
+type's posterior probability is its term normalized: the weights return
+their per-type masses, which :func:`update_type_probs` normalizes.  The
+resulting assignment problem is solved for the best ``gamma`` associations
+per global hypothesis by Murty's ranked partitioning on top of an
+optimal-assignment kernel (scipy's Jonker-Volgenant-style solver), in
+negative-log-weight (cost) domain.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,7 +34,6 @@ from .density import (
     symmetrize,
 )
 from .geometry import MAX_P_DETECT, DegenerateGeometryError, LandmarkType
-from .multimodel import birth_type_probs
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -144,39 +147,62 @@ def log_weight_detected(bern: Bernoulli, meas, preds: dict, residuals: dict):
 
     ``residuals`` maps each contributing type to the pair's wrapped
     residual (one row of :func:`residual_blocks`).  Returns ``(ln l,
-    logliks, mahal)`` with l = r sum_type psi pd N(z; h, S), the per-type
-    log-likelihoods and the smallest squared Mahalanobis distance over the
-    types (the caller gates on it).  With no contributing type, or zero
-    existence, ln l is -inf.
+    masses, mahal)`` with l = r sum_type psi pd N(z; h, S).  A contributing
+    type's mass is its term over the largest one, exp(ln(psi pd N) - peak),
+    and every other type of the belief has mass 0.0; mahal is the smallest
+    squared Mahalanobis distance over the types (the caller gates on it).
+    With no contributing type, or zero existence, ln l is -inf and the
+    masses are empty.
     """
-    logliks = {}
     best_mahal = math.inf
     if bern.existence <= 0.0:
-        return -math.inf, logliks, best_mahal
-    terms = []
+        return -math.inf, {}, best_mahal
+    terms = {}
     types = bern.belief.types
     for kind, v in residuals.items():
         pred = preds[kind]
         loglik, mahal = chol_logpdf(v, pred.hph + meas.covariance)
-        logliks[kind] = loglik
         best_mahal = min(best_mahal, mahal)
-        terms.append(math.log(types[kind].weight) + math.log(pred.p_detect)
-                     + loglik)
-    return math.log(bern.existence) + _logsumexp(terms), logliks, best_mahal
+        terms[kind] = (math.log(types[kind].weight) + math.log(pred.p_detect)
+                       + loglik)
+    peak = max(terms.values(), default=-math.inf)
+    if not math.isfinite(peak):
+        return -math.inf, {}, best_mahal
+    masses = {k: math.exp(terms[k] - peak) if k in terms else 0.0
+              for k in types}
+    log_l = peak + math.log(sum(masses.values()))
+    return math.log(bern.existence) + log_l, masses, best_mahal
 
 
 def misdetection_weight(bern: Bernoulli, preds: dict):
     """Local weight for "not detected": l0 = (1 - r) + r sum_type psi (1 - pd).
 
-    Returns ``(p_detect, survive, l0)``: the per-type detection
-    probabilities clamped to ``MAX_P_DETECT`` (degenerate geometry counts
-    as pd = 0), survive = sum_type psi (1 - pd), and l0.
+    Returns ``(masses, survive, l0)``: the per-type masses psi (1 - pd),
+    with pd clamped to ``MAX_P_DETECT`` (degenerate geometry counts as
+    pd = 0), survive = their sum, and l0.  The masses are the factored
+    form ``(1 - pd) psi``, not the survival form ``1 - pd psi``: the
+    survival form has an interior fixed point that keeps pulling resolved
+    type probabilities back toward it, which destabilizes landmarks outside
+    the field of view.
     """
-    p_detect = {k: min(preds[k].p_detect, MAX_P_DETECT)
-                for k in bern.belief.types}
-    survive = sum(comp.weight * (1.0 - p_detect[k])
-                  for k, comp in bern.belief.types.items())
-    return p_detect, survive, (1.0 - bern.existence) + bern.existence * survive
+    masses = {k: comp.weight * (1.0 - min(preds[k].p_detect, MAX_P_DETECT))
+              for k, comp in bern.belief.types.items()}
+    survive = sum(masses.values())
+    return masses, survive, (1.0 - bern.existence) + bern.existence * survive
+
+
+def update_type_probs(masses: dict) -> dict:
+    """Posterior type probabilities: per-type masses normalized to one.
+
+    All-zero (or non-finite) mass falls back to uniform, with a
+    RuntimeWarning.
+    """
+    total = sum(masses.values())
+    if total <= 0.0 or not math.isfinite(total):
+        warnings.warn("all-zero type-probability mass; falling back to uniform",
+                      RuntimeWarning, stacklevel=2)
+        return {k: 1.0 / len(masses) for k in masses}
+    return {k: v / total for k, v in masses.items()}
 
 
 def birth_from_measurement(meas, sensor: GaussianComponent,
@@ -223,9 +249,11 @@ def weight_birth(meas, sensor: GaussianComponent, ppp: dict,
     """Local weight for "detected for the first time" plus birth data.
 
     Returns the :class:`BirthCandidate`.  Every type with a positive PPP
-    rate can be born, except the BS, which is known.  Types whose geometric
-    inversion fails contribute nothing; when no type survives the
-    measurement is clutter-only (weight floor ``clutter_intensity``).
+    rate can be born, except the BS, which is known; a newborn type's
+    probability is its share of sum_type rho (clutter never enters it).
+    Types whose geometric inversion fails contribute nothing; when no type
+    survives the measurement is clutter-only (weight floor
+    ``clutter_intensity``).
     """
     if clutter_intensity < 0.0:
         raise ValueError("clutter intensity must be nonnegative")
@@ -254,9 +282,8 @@ def weight_birth(meas, sensor: GaussianComponent, ppp: dict,
     weight = clutter_intensity + rho_total
     types = {}
     if rho_total > 0.0:
-        psi = birth_type_probs(rho)
-        types = {k: TypeComponent(psi[k], comps[k].mean, comps[k].covariance)
-                 for k in rho}
+        types = {k: TypeComponent(r / rho_total, comps[k].mean,
+                                  comps[k].covariance) for k, r in rho.items()}
     existence = rho_total / weight if weight > 0.0 else 0.0
     log_weight = math.log(weight) if weight > 0.0 else -math.inf
     return BirthCandidate(log_weight, existence, types)
@@ -333,7 +360,7 @@ class AssociationContext:
 
     type_preds: tuple        # per landmark: dict kind -> TypePrediction
     misdetection: tuple      # per landmark: misdetection_weight's triple
-    pair_logliks: dict       # (landmark, measurement) -> dict kind -> loglik
+    pair_masses: dict        # (landmark, measurement) -> dict kind -> mass
     pair_residuals: dict     # (landmark, measurement) -> dict kind -> residual
     births: tuple            # per measurement: BirthCandidate
 
@@ -365,7 +392,7 @@ def build_cost_matrix(hypothesis: GlobalHypothesis, measurements,
     misdetection = tuple(misdetection_weight(b, preds)
                          for b, preds in zip(berns, type_preds))
     misdetect_log_sum = 0.0
-    pair_logliks = {}
+    pair_masses = {}
     pair_residuals = {}
     limit = None if gate is None else gate * (1.0 + 1e-9)
     if n_meas:
@@ -389,11 +416,11 @@ def build_cost_matrix(hypothesis: GlobalHypothesis, measurements,
             candidates = np.flatnonzero(inside).tolist()
         for p in candidates:
             rows = {kind: block[p] for kind, block in blocks.items()}
-            log_l, logliks, mahal = log_weight_detected(
+            log_l, masses, mahal = log_weight_detected(
                 bern, measurements[p], preds, rows)
             if log_l == -math.inf or (gate is not None and mahal > gate):
                 continue
-            pair_logliks[(i, p)] = logliks
+            pair_masses[(i, p)] = masses
             pair_residuals[(i, p)] = rows
             matrix[p, i] = log_l0 - log_l
 
@@ -404,17 +431,10 @@ def build_cost_matrix(hypothesis: GlobalHypothesis, measurements,
         matrix[p, n_prior + p] = -cand.log_weight
 
     ctx = AssociationContext(type_preds=type_preds, misdetection=misdetection,
-                             pair_logliks=pair_logliks,
+                             pair_masses=pair_masses,
                              pair_residuals=pair_residuals,
                              births=tuple(births))
     return CostMatrix(matrix, n_prior), misdetect_log_sum, ctx
-
-
-def _logsumexp(terms) -> float:
-    m = max(terms, default=-math.inf)
-    if not math.isfinite(m):
-        return m
-    return m + math.log(sum(math.exp(t - m) for t in terms))
 
 
 def _solve_assignment(matrix: np.ndarray):

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .association import InfeasibleAssignmentError
+from .association import DEFAULT_GATE, InfeasibleAssignmentError
 from .density import (
     Bernoulli,
     DegenerateDensityError,
@@ -81,7 +81,7 @@ class RunConfig:
     out_dir: str = "."
     multi_model: bool = True
     joseph_form: bool = False
-    gate: float | None = 30.0
+    gate: float | None = DEFAULT_GATE
     noise_toa: float | None = None
     noise_angle: float | None = None
     extract_threshold: float = 0.5
@@ -304,20 +304,13 @@ def run(config: RunConfig) -> dict:
 
 
 def write_metrics_csv(path, report: dict) -> None:
-    per_step = report["per_step"]
-    timing = report["timing"]
-    lines = [METRICS_HEADER]
-    for i, step_idx in enumerate(per_step["step"]):
-        lines.append(",".join([
-            str(step_idx),
-            repr(per_step["gospa_va"][i]),
-            repr(per_step["gospa_sp"][i]),
-            repr(per_step["mae_pos"][i]),
-            repr(per_step["mae_heading"][i]),
-            repr(per_step["mae_bias"][i]),
-            repr(timing["per_step_ms_predict"][i]),
-            repr(timing["per_step_ms_update"][i]),
-        ]))
+    per_step, timing = report["per_step"], report["timing"]
+    columns = [per_step[k] for k in ("gospa_va", "gospa_sp", "mae_pos",
+                                     "mae_heading", "mae_bias")]
+    columns += [timing["per_step_ms_predict"], timing["per_step_ms_update"]]
+    lines = [METRICS_HEADER] + [
+        ",".join([str(step_idx)] + [repr(col[i]) for col in columns])
+        for i, step_idx in enumerate(per_step["step"])]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -329,10 +322,16 @@ def write_report(path, report: dict) -> None:
 
 
 def load_report(path) -> dict:
+    """A run report that :func:`compare` can read; any other file is a
+    ConfigError naming it."""
     with open(path) as fh:
-        report = json.load(fh)
-    if report.get("schema") != REPORT_SCHEMA:
-        raise ConfigError(f"unsupported report schema in {path}")
+        try:
+            report = json.load(fh)
+            if report["schema"] != REPORT_SCHEMA:
+                raise ValueError(f"unsupported schema {report['schema']!r}")
+            compare([report, report])  # reads every field a comparison needs
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{path} is not a run report: {exc!r}") from exc
     return report
 
 

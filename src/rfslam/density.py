@@ -73,9 +73,6 @@ class LandmarkBelief:
     def __post_init__(self):
         object.__setattr__(self, "types", _ordered_types(self.types))
 
-    def type_probs(self) -> dict:
-        return {k: c.weight for k, c in self.types.items()}
-
     def dominant_type(self) -> LandmarkType:
         return max(self.types, key=lambda k: self.types[k].weight)
 

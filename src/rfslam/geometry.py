@@ -170,6 +170,12 @@ def _azimuth_elevation(g) -> tuple[float, float]:
     return math.atan2(g[1], g[0]), math.atan2(g[2], rho)
 
 
+def _unit_direction(az: float, el: float) -> np.ndarray:
+    """Unit vector at azimuth ``az`` and elevation ``el``."""
+    return np.array([math.cos(el) * math.cos(az), math.cos(el) * math.sin(az),
+                     math.sin(el)])
+
+
 def _angle_gradients(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of azimuth and elevation of a direction vector w.r.t. it.
 
@@ -404,17 +410,9 @@ class ChannelModel:
         if path <= 0.0:
             return None
         if kind in (LandmarkType.BS, LandmarkType.VA):
-            az = z[1] + heading
-            el = z[2]
-            d = np.array([math.cos(el) * math.cos(az),
-                          math.cos(el) * math.sin(az),
-                          math.sin(el)])
-            return u + path * d
+            return u + path * _unit_direction(z[1] + heading, z[2])
         if kind is LandmarkType.SP:
-            az, el = z[3], z[4]
-            g = np.array([math.cos(el) * math.cos(az),
-                          math.cos(el) * math.sin(az),
-                          math.sin(el)])
+            g = _unit_direction(z[3], z[4])
             w = self.bs_position - u
             denom = 2.0 * (path + g @ w)
             if denom <= 1e-9:

@@ -112,18 +112,13 @@ def write_gospa_decomposition_csv(path, steps, parts_by_type) -> None:
     ``parts_by_type`` maps a type label to a dict with per-step lists under
     "localization", "missed" and "false".
     """
-    labels = sorted(parts_by_type)
-    header = ["step"]
-    for label in labels:
-        header += [f"{label}_localization", f"{label}_missed", f"{label}_false"]
-    lines = [",".join(header)]
-    for i, step_idx in enumerate(steps):
-        row = [str(step_idx)]
-        for label in labels:
-            parts = parts_by_type[label]
-            row += [repr(parts["localization"][i]), repr(parts["missed"][i]),
-                    repr(parts["false"][i])]
-        lines.append(",".join(row))
+    columns = [(label, part) for label in sorted(parts_by_type)
+               for part in ("localization", "missed", "false")]
+    lines = [",".join(["step"] + [f"{label}_{part}"
+                                  for label, part in columns])]
+    lines += [",".join([str(step_idx)] + [repr(parts_by_type[label][part][i])
+                                          for label, part in columns])
+              for i, step_idx in enumerate(steps)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -241,6 +241,23 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+#: JSON types of the scenario keys that hold one value, checked as the run
+#: config file checks its keys: a bool is no number, steps and seed take
+#: integers, and p_detect maps type names to numbers.
+_NUMBER = (float, int)
+_KEY_TYPES = {"speed": _NUMBER, "turn_rate": _NUMBER, "dt": _NUMBER,
+              "steps": (int,), "fov_radius": _NUMBER, "clutter_mean": _NUMBER,
+              "seed": (int,), "p_detect": (dict,)}
+_NOUNS = {float: "a number", int: "an integer", dict: "an object"}
+
+
+def _typed(name: str, value, kinds: tuple):
+    """``value`` as a ``kinds[0]``; ValueError on any other JSON type."""
+    if type(value) not in kinds:
+        raise ValueError(f"{name} must be {_NOUNS[kinds[0]]}, not {value!r}")
+    return kinds[0](value)
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     """The scenario a file describes; a key the file leaves out takes the
     :class:`Scenario` default."""
@@ -248,10 +265,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
         (Landmark(LandmarkType.VA, entry["position"]),
          Plane(entry["plane_point"], entry["plane_normal"]))
         for entry in doc["vas"])
-    optional = {
-        "p_detect": lambda pd: {LandmarkType(k): float(v)
-                                for k, v in pd.items()},
-        "fov_radius": float, "clutter_mean": float, "seed": int}
+    fields = {key: _typed(key, doc[key], kinds)
+              for key, kinds in _KEY_TYPES.items() if key in doc}
+    if "p_detect" in fields:
+        fields["p_detect"] = {LandmarkType(k): _typed(f"p_detect of {k}", v,
+                                                      _NUMBER)
+                              for k, v in fields["p_detect"].items()}
     return Scenario(
         bs=Landmark(LandmarkType.BS, doc["bs"]),
         vas=vas,
@@ -259,13 +278,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         ue_init=GaussianComponent(np.array(doc["ue_init"]["mean"]),
                                   np.array(doc["ue_init"]["cov"])),
         process_noise=np.array(doc["process_noise"]),
-        speed=float(doc["speed"]),
-        turn_rate=float(doc["turn_rate"]),
-        dt=float(doc["dt"]),
-        steps=int(doc["steps"]),
         noise_std=np.array(doc["noise_std"]),
-        **{key: convert(doc[key]) for key, convert in optional.items()
-           if key in doc},
+        **fields,
     )
 
 

@@ -7,18 +7,17 @@ the association cost matrix, rank the best ``gamma`` associations, and
 perform a joint extended-Kalman update of the sensor together with every
 re-detected landmark (all landmark types stacked, the measurement
 replicated per type with a fully correlated noise block).  The local
-weights, type predictions and birth candidates all come from the cost
-matrix in :mod:`rfslam.association`; misdetected landmarks reuse its
-misdetection weight and newborn landmarks its birth candidates, so every
-type with a positive PPP rate but the BS can be born.  One
-:class:`ChildParts` per hypothesis holds its cost matrix and the pieces a
-child takes unchanged from its parent (misdetected and newborn
+weights, their per-type masses, type predictions and birth candidates all
+come from the cost matrix in :mod:`rfslam.association`; misdetected
+landmarks reuse its misdetection weight and newborn landmarks its birth
+candidates, so every type with a positive PPP rate but the BS can be born.
+One :class:`ChildParts` per hypothesis holds its cost matrix and the
+pieces a child takes unchanged from its parent (misdetected and newborn
 Bernoullis, detected type posteriors), shared by all its ranked
 associations; it is :func:`joint_update`'s only input besides the
-association.  The sensor
-posterior is the moment-matched mixture over all children.  In PMB mode
-the resulting mixture is reduced back to a single hypothesis by the
-track-oriented recombination in :mod:`rfslam.reduction`.
+association.  The sensor posterior is the moment-matched mixture over all
+children.  In PMB mode the resulting mixture is reduced back to a single
+hypothesis by the track-oriented recombination in :mod:`rfslam.reduction`.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from .association import (
     chol_factor,
     chol_solve,
     murty_kbest,
+    update_type_probs,
 )
 from .density import (
     MAP_REGION_VOLUME,
@@ -55,10 +55,16 @@ from .density import (
 )
 from .geometry import LandmarkType
 from .motion import sensor_transition, sensor_transition_jacobian
-from .multimodel import update_type_probs
 
 EK_PMB = "ek-pmb"
 EK_PMBM = "ek-pmbm"
+
+#: Housekeeping after each update: the existence and hypothesis-weight
+#: pruning floors, the hypothesis cap and the merge gate of :mod:`density`.
+PRUNE_EXISTENCE = 1e-4
+PRUNE_HYPOTHESIS = 1e-4
+MAX_HYPOTHESES = 50
+MERGE_THRESHOLD = 50.0
 
 
 @dataclass(frozen=True)
@@ -73,10 +79,6 @@ class FilterConfig:
     gamma: int = 10                     # ranked associations per hypothesis
     filter_kind: str = EK_PMB
     clutter_intensity: float = 1.0 / (800.0 * math.pi ** 4)
-    prune_existence: float = 1e-4
-    prune_hypothesis: float = 1e-4
-    max_hypotheses: int = 50
-    merge_threshold: float = 50.0
     gate: Optional[float] = DEFAULT_GATE
     multi_model: bool = True            # False: hard type decision at birth
     joseph_form: bool = False
@@ -156,10 +158,9 @@ def _birth_bernoulli(candidate, config: FilterConfig) -> Bernoulli:
 
 def _misdetected_bernoulli(bern: Bernoulli, misdetection: tuple,
                            config: FilterConfig) -> Bernoulli:
-    p_detect, survive, l0 = misdetection
+    masses, survive, l0 = misdetection
     existence = bern.existence * survive / l0 if l0 > 0.0 else 0.0
-    psi = update_type_probs(bern.belief.type_probs(), p_detect)
-    psi = _prune_type_probs(psi, config.type_prune)
+    psi = _prune_type_probs(update_type_probs(masses), config.type_prune)
     types = {k: TypeComponent(psi[k], bern.belief.types[k].mean,
                               bern.belief.types[k].covariance)
              for k in psi}
@@ -205,17 +206,17 @@ class ChildParts:
         return bern
 
     def detected_type_probs(self, i: int, p: int) -> dict:
-        """Pruned posterior type probabilities of landmark ``i`` given ``p``."""
+        """Pruned posterior type probabilities of landmark ``i`` given ``p``;
+        LinAlgError when the cost matrix ruled the pair out."""
         psi = self._detected.get((i, p))
         if psi is None:
-            bern = self.hypothesis.bernoullis[i]
-            preds = self.ctx.type_preds[i]
-            psi = update_type_probs(
-                bern.belief.type_probs(),
-                {k: preds[k].p_detect for k in bern.belief.types},
-                self.ctx.pair_logliks.get((i, p), {}))
+            masses = self.ctx.pair_masses.get((i, p))
+            if masses is None:
+                raise np.linalg.LinAlgError(
+                    f"landmark {i} detected by measurement {p}, but no type "
+                    "with valid geometry explains it inside the gate")
             psi = self._detected[(i, p)] = _prune_type_probs(
-                psi, self.config.type_prune)
+                update_type_probs(masses), self.config.type_prune)
         return psi
 
     def innovation(self, i: int, p: int, kind) -> np.ndarray:
@@ -293,9 +294,6 @@ def joint_update(parts: ChildParts, sigma: AssociationVector):
     n_state, n_rows = ds, 0
     for i, p in detected.items():
         kinds = [k for k in psi_post[i] if type_preds[i][k].z_pred is not None]
-        if not kinds:
-            raise np.linalg.LinAlgError(
-                f"landmark {i} detected but no type has valid geometry")
         first, dz = n_rows, measurements[p].z.size
         for kind in kinds:
             dx = berns[i].belief.types[kind].mean.size
@@ -410,11 +408,10 @@ def update_step(density: PmbmDensity, sensor_pred: GaussianComponent,
         mb = reduction.tomb_recombine(table)
         posterior = PmbmDensity(ppp_post, (mb,))
 
-    posterior = prune(posterior, config.prune_existence,
-                      config.prune_hypothesis, config.max_hypotheses)
+    posterior = prune(posterior, PRUNE_EXISTENCE, PRUNE_HYPOTHESIS,
+                      MAX_HYPOTHESES)
     posterior = replace(posterior, hypotheses=tuple(
-        merge_bernoullis(h, config.merge_threshold)
-        for h in posterior.hypotheses))
+        merge_bernoullis(h, MERGE_THRESHOLD) for h in posterior.hypotheses))
     return posterior, sensor_post
 
 

@@ -107,7 +107,7 @@ def check_density(density: PmbmDensity, tol: float = 1e-9) -> None:
     for hyp in density.hypotheses:
         for bern in hyp.bernoullis:
             assert -tol <= bern.existence <= 1.0 + tol, "existence out of [0, 1]"
-            psis = list(bern.belief.type_probs().values())
+            psis = [c.weight for c in bern.belief.types.values()]
             assert abs(sum(psis) - 1.0) <= tol, "type probabilities must sum to 1"
             for comp in bern.belief.types.values():
                 c = comp.covariance

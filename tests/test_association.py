@@ -123,10 +123,10 @@ class TestWeightDetected:
     def test_zero_existence(self):
         bern = single_type_bernoulli(0.0, SP, [0.0], [[1.0]])
         meas = Measurement(np.zeros(1), np.eye(1))
-        log_l, logliks, _ = detected_weight(
+        log_l, masses, _ = detected_weight(
             bern, meas, predict_types(bern, toy_sensor(), toy_model()),
             toy_model())
-        assert log_l == -math.inf and logliks == {}
+        assert log_l == -math.inf and masses == {}
         assert linear_detected_weight(bern, meas, toy_sensor(),
                                       toy_model()) == 0.0
 
@@ -143,10 +143,10 @@ class TestWeightDetected:
         w = linear_detected_weight(bern, meas, toy_sensor(5.0), toy_model(0.9))
         assert w == pytest.approx(0.9 / math.sqrt(4 * math.pi), rel=1e-12)
         assert w == pytest.approx(0.2538853125964903, rel=1e-9)
-        _, logliks, mahal = detected_weight(
+        _, masses, mahal = detected_weight(
             bern, meas, predict_types(bern, toy_sensor(5.0), toy_model(0.9)),
             toy_model(0.9))
-        assert logliks[SP] == pytest.approx(-0.5 * math.log(4 * math.pi))
+        assert masses == {SP: 1.0}
         assert mahal == 0.0
 
     def test_two_type_belief_marginalizes(self):
@@ -210,9 +210,9 @@ class TestWeightMisdetected:
             SP: TypeComponent(0.4, np.zeros(1), np.eye(1)),
         })
         bern = Bernoulli(0.8, belief)
-        p_detect, survive, l0 = misdetection_weight(
+        masses, survive, l0 = misdetection_weight(
             bern, predict_types(bern, toy_sensor(), model))
-        assert p_detect == {VA: 0.9, SP: 0.0}
+        assert masses == {VA: 0.6 * (1.0 - 0.9), SP: 0.4}
         assert survive == pytest.approx(0.6 * 0.1 + 0.4 * 1.0, rel=1e-12)
         assert l0 == pytest.approx(0.2 + 0.8 * (0.06 + 0.4), rel=1e-12)
         _, const, _ = build_cost_matrix(GlobalHypothesis(1.0, (bern,)), [],
@@ -289,9 +289,9 @@ class TestBuildCostMatrix:
         for p, meas in enumerate(measurements):
             ld = linear_detected_weight(berns[0], meas, sensor, model)
             assert costs.matrix[p, 0] == pytest.approx(math.log(l0) - math.log(ld))
-            _, logliks, _ = detected_weight(berns[0], meas,
-                                            ctx.type_preds[0], model)
-            assert ctx.pair_logliks[(0, p)] == logliks
+            _, masses, _ = detected_weight(berns[0], meas,
+                                           ctx.type_preds[0], model)
+            assert ctx.pair_masses[(0, p)] == masses
             cand = weight_birth(meas, sensor, {SP: 1.5}, 0.2, model)
             assert costs.matrix[p, 1 + p] == pytest.approx(-cand.log_weight)
         assert np.isinf(costs.matrix[0, 2]) and np.isinf(costs.matrix[1, 1])
@@ -381,11 +381,10 @@ def channel_association_case(seed, n_landmarks, n_meas, tight,
 def reference_log_weight_detected(bern, meas, preds, model, gate=None):
     """The per-pair detected weight before the array pass: wrap each
     contributing type's residual, bound the pair against the gate, then
-    factor."""
-    logliks = {}
+    factor.  Returns (ln l, per-type masses, mahal)."""
     best_mahal = math.inf
     if bern.existence <= 0.0:
-        return -math.inf, logliks, best_mahal
+        return -math.inf, {}, best_mahal
     residuals = []
     for kind, comp in bern.belief.types.items():
         pred = preds[kind]
@@ -398,46 +397,50 @@ def reference_log_weight_detected(bern, meas, preds, model, gate=None):
         bounds = [float((v * v / S.diagonal()).max())
                   for _, _, _, v, S in residuals]
         if all(b > gate * (1.0 + 1e-9) for b in bounds):
-            return -math.inf, logliks, min(bounds, default=math.inf)
-    terms = []
+            return -math.inf, {}, min(bounds, default=math.inf)
+    terms = {}
     for kind, weight, p_detect, v, S in residuals:
         loglik, mahal = chol_logpdf(v, S)
-        logliks[kind] = loglik
         best_mahal = min(best_mahal, mahal)
-        terms.append(math.log(weight) + math.log(p_detect) + loglik)
-    m = max(terms, default=-math.inf)
-    if math.isfinite(m):
-        m += math.log(sum(math.exp(t - m) for t in terms))
-    return math.log(bern.existence) + m, logliks, best_mahal
+        terms[kind] = math.log(weight) + math.log(p_detect) + loglik
+    m = max(terms.values(), default=-math.inf)
+    if not math.isfinite(m):
+        return -math.inf, {}, best_mahal
+    masses = {k: math.exp(terms[k] - m) if k in terms else 0.0
+              for k in bern.belief.types}
+    m += math.log(sum(math.exp(t - m) for t in terms.values()))
+    return math.log(bern.existence) + m, masses, best_mahal
 
 
 def reference_cost_matrix(hypothesis, measurements, sensor, ppp, clutter,
                           model, gate):
     """The cost matrix as the per-pair loop built it: (matrix, sum of
-    ln l^{i,0}, pair log-likelihoods, pair residuals)."""
+    ln l^{i,0}, pair type masses, pair residuals)."""
     berns = hypothesis.bernoullis
     n_prior, n_meas = len(berns), len(measurements)
     matrix = np.full((n_meas, n_prior + n_meas), np.inf)
     log_sum = 0.0
-    pair_logliks, pair_residuals = {}, {}
+    pair_masses, pair_residuals = {}, {}
     for i, bern in enumerate(berns):
         preds = predict_types(bern, sensor, model)
         log_l0 = math.log(misdetection_weight(bern, preds)[2])
         log_sum += log_l0
         for p, meas in enumerate(measurements):
-            log_l, logliks, mahal = reference_log_weight_detected(
+            log_l, masses, mahal = reference_log_weight_detected(
                 bern, meas, preds, model, gate)
             if log_l == -math.inf or (gate is not None and mahal > gate):
                 continue
-            pair_logliks[(i, p)] = logliks
+            pair_masses[(i, p)] = masses
             pair_residuals[(i, p)] = {
                 k: model.wrap_residual(meas.z - preds[k].z_pred)
-                for k in logliks}
+                for k, comp in bern.belief.types.items()
+                if preds[k].p_detect > 0.0 and comp.weight > 0.0
+                and preds[k].z_pred is not None}
             matrix[p, i] = log_l0 - log_l
     for p, meas in enumerate(measurements):
         cand = weight_birth(meas, sensor, ppp, clutter, model)
         matrix[p, n_prior + p] = -cand.log_weight
-    return matrix, log_sum, pair_logliks, pair_residuals
+    return matrix, log_sum, pair_masses, pair_residuals
 
 
 class TestArrayPass:
@@ -479,13 +482,13 @@ class TestArrayPass:
                 # Put the gate within 1e-9 of one pair's full distance.
                 gate = finite[pick % len(finite)] * (1.0 + gate_kind)
 
-        matrix, log_sum, logliks, residuals = reference_cost_matrix(
+        matrix, log_sum, masses, residuals = reference_cost_matrix(
             hyp, meas, sensor, ppp, clutter, model, gate)
         costs, got_log_sum, ctx = build_cost_matrix(
             hyp, meas, sensor, ppp, clutter, model, gate=gate)
         assert costs.matrix.tobytes() == matrix.tobytes()
         assert got_log_sum == log_sum
-        assert ctx.pair_logliks == logliks
+        assert ctx.pair_masses == masses
         assert ctx.pair_residuals.keys() == residuals.keys()
         for key, rows in residuals.items():
             got = ctx.pair_residuals[key]
@@ -517,7 +520,7 @@ class TestGatedCostMatrix:
         ungated, log_sum, ctx = build_cost_matrix(
             hyp, meas, sensor, ppp, clutter, model, gate=None)
         mahal = {}
-        for (i, p) in ctx.pair_logliks:
+        for (i, p) in ctx.pair_masses:
             _, _, mahal[(i, p)] = detected_weight(
                 hyp.bernoullis[i], meas[p], ctx.type_preds[i], model)
         finite = sorted(m for m in mahal.values() if math.isfinite(m))
@@ -528,16 +531,16 @@ class TestGatedCostMatrix:
             gate = finite[pick % len(finite)] * (1.0 + rel)
 
         expected = ungated.matrix.copy()
-        expected_logliks = dict(ctx.pair_logliks)
+        expected_masses = dict(ctx.pair_masses)
         for (i, p), m in mahal.items():
             if m > gate:
                 expected[p, i] = np.inf
-                del expected_logliks[(i, p)]
+                del expected_masses[(i, p)]
 
         gated, gated_log_sum, gated_ctx = build_cost_matrix(
             hyp, meas, sensor, ppp, clutter, model, gate=gate)
         assert gated.matrix.tobytes() == expected.tobytes()
-        assert gated_ctx.pair_logliks == expected_logliks
+        assert gated_ctx.pair_masses == expected_masses
         assert gated_log_sum == log_sum
 
     def test_rejected_pair_is_not_factored(self, monkeypatch):
@@ -555,7 +558,7 @@ class TestGatedCostMatrix:
         # No birth rate, so the birth weight factors nothing either.
         costs, _, ctx = build_cost_matrix(hyp, [far], sensor, {}, 1e-6,
                                           model, gate=DEFAULT_GATE)
-        assert (costs.matrix[0, 0], ctx.pair_logliks, calls) == \
+        assert (costs.matrix[0, 0], ctx.pair_masses, calls) == \
             (np.inf, {}, [])
 
 
@@ -618,6 +621,37 @@ class TestMurty:
         matrix[:, 2:][np.eye(3, dtype=bool)] = rng.normal(size=3)
         for sigma, _ in murty_kbest(CostMatrix(matrix, 2), 8):
             sigma.validate()
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_meas=st.integers(1, 4),
+           n_prior=st.integers(0, 4), gamma=st.integers(1, 8))
+    def test_ties_and_infinite_cells_match_brute_force(self, seed, n_meas,
+                                                       n_prior, gamma):
+        # Integer costs 0-3 tie often, and their sums are exact.  A prior
+        # cell is infinite with probability 1/2, a birth cell with 0.3.
+        rng = np.random.default_rng(seed)
+        matrix = np.full((n_meas, n_prior + n_meas), np.inf)
+        prior = rng.integers(0, 4, size=(n_meas, n_prior)).astype(float)
+        prior[rng.uniform(size=prior.shape) < 0.5] = np.inf
+        matrix[:, :n_prior] = prior
+        birth = rng.integers(0, 4, size=n_meas).astype(float)
+        birth[rng.uniform(size=n_meas) < 0.3] = np.inf
+        matrix[:, n_prior:][np.eye(n_meas, dtype=bool)] = birth
+        costs = CostMatrix(matrix, n_prior)
+        brute = sorted(
+            c for c in (assignment_cost(matrix, s, n_prior)
+                        for s in enumerate_associations(n_prior, n_meas))
+            if math.isfinite(c))
+        if not brute:
+            with pytest.raises(InfeasibleAssignmentError):
+                murty_kbest(costs, gamma)
+            return
+        sols = murty_kbest(costs, gamma)
+        assert [c for _, c in sols] == brute[:gamma]
+        assert len({sigma.sigma for sigma, _ in sols}) == len(sols)
+        for sigma, cost in sols:
+            sigma.validate()
+            assert assignment_cost(matrix, sigma.sigma, n_prior) == cost
 
     def test_infeasible_row_raises(self):
         matrix = np.full((1, 2), np.inf)

@@ -281,6 +281,17 @@ class TestMain:
         assert ("numerical failure: a measurement row has no finite cost"
                 in capsys.readouterr().err)
 
+    def test_bad_report_files_exits_2(self, tmp_path, capsys):
+        # Not JSON, not a JSON object, and a report without its fields.
+        for name, text in (("broken.json", "{not json"),
+                           ("array.json", "[1, 2]"),
+                           ("bare.json", '{"schema": "rfslam-report/v1"}')):
+            bad = tmp_path / name
+            bad.write_text(text)
+            assert main(["compare", str(bad), str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: ") and str(bad) in err
+
     def test_missing_scenario_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": str(tmp_path / "missing.json"),
@@ -310,12 +321,15 @@ class TestMain:
         ("process_noise", (np.eye(5) + np.eye(5, k=1)).tolist()),
         ("ue_init", {"cov": (-np.eye(5)).tolist()}),
         ("ue_init", {"mean": [70.0, 0.0, 0.0]}),
-        ("ue_init", {"mean": [70.0, 0.0, 0.0, math.inf, 300.0]})], ids=repr)
+        ("ue_init", {"mean": [70.0, 0.0, 0.0, math.inf, 300.0]}),
+        ("steps", "3"), ("steps", True), ("steps", 2.7), ("seed", 1.9),
+        ("fov_radius", True), ("speed", "22.22"), ("p_detect", [0.9]),
+        ("p_detect", {"VA": True}), ("p_detect", {"SP": "0.9"})], ids=repr)
     def test_out_of_range_scenario_exits_2(self, tmp_path, capsys, field,
                                            value):
         doc = scenario_to_dict(default_scenario(seed=1, steps=3))
-        doc[field] = ({**doc[field], **value} if field in ("p_detect", "ue_init")
-                      else value)
+        merge = field in ("p_detect", "ue_init") and isinstance(value, dict)
+        doc[field] = {**doc[field], **value} if merge else value
         scen = tmp_path / "scen.json"
         scen.write_text(json.dumps(doc))
         cfg = tmp_path / "cfg.json"

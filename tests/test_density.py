@@ -156,7 +156,7 @@ class TestMerge:
         out = merge_bernoullis(GlobalHypothesis(1.0, (a, b)), 50.0)
         merged = out.bernoullis[0]
         assert merged.existence == pytest.approx(0.8)
-        probs = merged.belief.type_probs()
+        probs = {k: c.weight for k, c in merged.belief.types.items()}
         assert probs[LandmarkType.VA] == pytest.approx(0.75)
         assert sum(probs.values()) == pytest.approx(1.0)
 

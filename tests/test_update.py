@@ -39,6 +39,7 @@ from rfslam.motion import sensor_transition_jacobian
 from rfslam.update import (
     EK_PMB,
     EK_PMBM,
+    MAX_HYPOTHESES,
     ChildParts,
     FilterConfig,
     joint_update,
@@ -940,7 +941,8 @@ class TestStep:
                                                             rel=1e-9)
         # A reflection and a scatterer at the incidence point are
         # indistinguishable from one snapshot: the type stays ambiguous.
-        probs = hyp.bernoullis[0].belief.type_probs()
+        probs = {k: c.weight
+                 for k, c in hyp.bernoullis[0].belief.types.items()}
         assert probs[VA] == pytest.approx(0.5, abs=0.2)
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
 
@@ -957,7 +959,7 @@ class TestStep:
             density, sensor = step(density, sensor, list(zset.measurements),
                                    cfg)
             check_density(density, tol=1e-9)
-            assert len(density.hypotheses) <= cfg.max_hypotheses
+            assert len(density.hypotheses) <= MAX_HYPOTHESES
             max_hyps = max(max_hyps, len(density.hypotheses))
         assert max_hyps > 1  # the mixture genuinely branches
 
@@ -971,8 +973,7 @@ class TestStep:
         rng = np.random.default_rng(77)
         model = LinearModel({SP: ([[0.4]], [[1.0]])}, 1, p_detect=0.7)
         cfg = make_config(model, gamma=2, gate=None, filter_kind=EK_PMBM,
-                          clutter_intensity=0.05, prune_existence=0.0,
-                          prune_hypothesis=0.0)
+                          clutter_intensity=0.05)
         bern = single_type_bernoulli(0.6, SP, [0.3], [[0.8]])
         density = PmbmDensity({SP: 0.8}, (GlobalHypothesis(1.0, (bern,)),))
         sensor = GaussianComponent(np.zeros(1), np.array([[0.5]]))
