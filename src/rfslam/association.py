@@ -109,13 +109,13 @@ class TypePrediction:
 
 
 def predict_types(bern: Bernoulli, sensor: GaussianComponent, model) -> dict:
-    """Predicted measurement statistics for every type of a Bernoulli."""
+    """Predicted measurement statistics for every type of a Bernoulli, from
+    one ``model.linearize`` call per type."""
     preds = {}
     for kind, comp in bern.belief.types.items():
-        pd = model.detection_probability(sensor.mean, comp.mean, kind)
         try:
-            z_pred = model.predict(sensor.mean, comp.mean, kind)
-            H_s, H_x = model.jacobians(sensor.mean, comp.mean, kind)
+            pd, z_pred, H_s, H_x = model.linearize(sensor.mean, comp.mean,
+                                                   kind)
         except DegenerateGeometryError:
             preds[kind] = TypePrediction(0.0, None, None)
             continue
@@ -211,16 +211,17 @@ def birth_from_measurement(meas, sensor: GaussianComponent,
 
     Mean by geometric inversion at the sensor mean; covariance from the
     infinite-prior EK update, i.e. the inverse Fisher-style form
-    (Hx^T (Hs P Hs^T + R)^-1 Hx)^-1.  Returns ``(component, H_x, hph_s)``
-    with the landmark Jacobian and the sensor part Hs P Hs^T, both at the
-    newborn mean, or None when the measurement does not determine a
-    position (caller treats it as clutter-only).
+    (Hx^T (Hs P Hs^T + R)^-1 Hx)^-1.  Returns ``(component, prediction)``:
+    the :class:`TypePrediction` of the newborn at its own mean, from one
+    ``linearize`` call, with hph = Hs P Hs^T + Hx C Hx^T.  Returns None when
+    the measurement does not determine a position or the newborn's
+    geometry is degenerate (caller treats it as clutter-only).
     """
     mean = model.invert(meas.z, sensor.mean, kind)
     if mean is None:
         return None
     try:
-        H_s, H_x = model.jacobians(sensor.mean, mean, kind)
+        pd, z_pred, H_s, H_x = model.linearize(sensor.mean, mean, kind)
     except DegenerateGeometryError:
         return None
     hph_s = H_s @ sensor.covariance @ H_s.T
@@ -232,7 +233,8 @@ def birth_from_measurement(meas, sensor: GaussianComponent,
         return None
     component = GaussianComponent(np.asarray(mean, dtype=float),
                                   symmetrize(cov))
-    return component, H_x, hph_s
+    hph = hph_s + H_x @ component.covariance @ H_x.T
+    return component, TypePrediction(pd, z_pred, hph, H_s, H_x)
 
 
 @dataclass(frozen=True)
@@ -265,18 +267,12 @@ def weight_birth(meas, sensor: GaussianComponent, ppp: dict,
         birth = birth_from_measurement(meas, sensor, kind, model)
         if birth is None:
             continue
-        component, H_x, hph_s = birth
-        pd = model.detection_probability(sensor.mean, component.mean, kind)
-        if pd <= 0.0:
+        component, pred = birth
+        if pred.p_detect <= 0.0:
             continue
-        try:
-            z_pred = model.predict(sensor.mean, component.mean, kind)
-        except DegenerateGeometryError:
-            continue
-        S = hph_s + H_x @ component.covariance @ H_x.T + meas.covariance
-        v = model.wrap_residual(meas.z - z_pred)
-        loglik, _ = chol_logpdf(v, S)
-        rho[kind] = rate * pd * math.exp(loglik)
+        v = model.wrap_residual(meas.z - pred.z_pred)
+        loglik, _ = chol_logpdf(v, pred.hph + meas.covariance)
+        rho[kind] = rate * pred.p_detect * math.exp(loglik)
         comps[kind] = component
     rho_total = sum(rho.values())
     weight = clutter_intensity + rho_total
@@ -487,10 +483,12 @@ def murty_kbest(costs: CostMatrix, gamma: int):
     heap = []
     heapq.heappush(heap, (first[1], counter, costs.matrix, first[0]))
     results = []
-    while heap and len(results) < gamma:
+    while heap:
         cost, _, matrix, assignment = heapq.heappop(heap)
         results.append((_sigma_from_assignment(assignment, n_prior, n_meas),
                         float(cost)))
+        if len(results) == gamma:
+            break
         # Partition: child k forbids assignment pair k and forces pairs < k.
         partition = matrix
         for r in range(n_meas):

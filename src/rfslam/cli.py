@@ -170,9 +170,18 @@ def initial_state(scenario: Scenario):
     return density, sensor
 
 
+#: Failures of the filter's numerics: exit code 4.
+NUMERICAL_ERRORS = (np.linalg.LinAlgError, DegenerateDensityError,
+                    InfeasibleAssignmentError)
+
+
 def run_single(scenario: Scenario, filter_cfg: FilterConfig, seed: int,
                run_index: int, extract_threshold: float) -> dict:
-    """One Monte-Carlo realization; returns per-step estimates and timing."""
+    """One Monte-Carlo realization; returns per-step estimates and timing.
+
+    A numerical failure is raised again as its own type with the MC run
+    index and the 1-based step appended to its message.
+    """
     rng = np.random.default_rng([seed, run_index])
     trajectory = simulate_trajectory(scenario, rng)
     density, sensor = initial_state(scenario)
@@ -186,10 +195,16 @@ def run_single(scenario: Scenario, filter_cfg: FilterConfig, seed: int,
         truth = trajectory[k]
         zset = generate_measurements(truth, scenario, rng)
         t0 = time.perf_counter()
-        density_pred, sensor_pred = predict_step(density, sensor, filter_cfg)
-        t1 = time.perf_counter()
-        density, sensor = update_step(density_pred, sensor_pred,
-                                      list(zset.measurements), filter_cfg)
+        try:
+            density_pred, sensor_pred = predict_step(density, sensor,
+                                                     filter_cfg)
+            t1 = time.perf_counter()
+            density, sensor = update_step(density_pred, sensor_pred,
+                                          list(zset.measurements), filter_cfg)
+        except NUMERICAL_ERRORS as exc:
+            # Same type, so main still maps it to exit 4, and a plain message
+            # argument, so it pickles back from a worker process.
+            raise type(exc)(f"{exc} (MC run {run_index}, step {k})") from exc
         t2 = time.perf_counter()
         landmarks = extract_map(density, extract_threshold)
         est_va = [pos for pos, kind in landmarks if kind is LandmarkType.VA]
@@ -483,8 +498,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
-    except (np.linalg.LinAlgError, DegenerateDensityError,
-            InfeasibleAssignmentError) as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

@@ -156,8 +156,14 @@ def mirror_bs(bs_position, surface_point, surface_normal) -> np.ndarray:
     return x - 2.0 * nu * (nu @ x) + 2.0 * (mu @ nu) * nu
 
 
+def _norm(v: np.ndarray) -> float:
+    """Length of a real vector: ``np.linalg.norm``'s own formula for 1-D
+    input (the square root of ``v.dot(v)``), so the bits are the same."""
+    return math.sqrt(v.dot(v))
+
+
 def _direction(v, what: str) -> tuple[np.ndarray, float]:
-    n = float(np.linalg.norm(v))
+    n = _norm(v)
     if n < 1e-12:
         raise DegenerateGeometryError(f"zero-length {what} direction")
     return v, n
@@ -194,31 +200,109 @@ def _angle_gradients(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d_az, d_el
 
 
-def _path_geometry(u, kind: LandmarkType, x, bs_position):
-    """Return (path_length, aoa_direction, aod_direction) for the landmark kind.
+#: The UE-to-landmark and BS-to-landmark direction of each two-leg kind, as
+#: a degeneracy error names them.
+_LEG_NAMES = {LandmarkType.VA: ("UE-VA", "BS-VA"),
+              LandmarkType.SP: ("UE-SP", "BS-SP")}
 
-    ``u`` and ``x`` are the UE and landmark positions.  Directions are
-    unnormalized global-frame vectors: the AOA direction points from the UE
-    toward the apparent source, the AOD direction from the BS toward the
-    departure target.
+
+def _legs(u, kind: LandmarkType, x, bs_position):
+    """The vectors the prediction, its Jacobian and the visibility share.
+
+    Returns ``(g, n, d, b, span, nu)``: the AOA direction g = x - u from the
+    UE toward the apparent source with its length n, d = u - x, and for a VA
+    or SP the BS-to-landmark vector b = x - bs with its length span and unit
+    vector nu (a VA's surface normal); the last three are None for the BS.
+    Raises DegenerateGeometryError when g or b has (near-)zero length.
     """
     if kind is LandmarkType.BS:
-        d, rng = _direction(x - u, "UE-BS")
-        return rng, d, u - x
-    if kind is LandmarkType.VA:
-        d, rng = _direction(x - u, "UE-VA")
-        bs = np.asarray(bs_position, dtype=float)
-        nu_raw, span = _direction(x - bs, "BS-VA")
-        nu = nu_raw / span
+        g, n = _direction(x - u, "UE-BS")
+        return g, n, u - x, None, None, None
+    names = _LEG_NAMES.get(kind)
+    if names is None:
+        raise ValueError(f"unknown landmark kind {kind!r}")
+    g, n = _direction(x - u, names[0])
+    b, span = _direction(x - np.asarray(bs_position, dtype=float), names[1])
+    return g, n, u - x, b, span, b / span
+
+
+def _prediction(heading: float, bias: float, kind: LandmarkType,
+                legs) -> np.ndarray:
+    """Noise-free channel parameters from the :func:`_legs` of a path.
+
+    The AOD direction is an unnormalized global-frame vector from the BS
+    toward the departure target.
+    """
+    g, n, d, b, span, nu = legs
+    if kind is LandmarkType.BS:
+        path, g_aod = n, d
+    elif kind is LandmarkType.VA:
         # Mirroring VA->UE across the surface gives the BS->incidence ray.
-        aod = (u - x) - 2.0 * nu * (nu @ (u - x))
-        return rng, d, aod
-    if kind is LandmarkType.SP:
-        bs = np.asarray(bs_position, dtype=float)
-        d2, leg2 = _direction(x - u, "UE-SP")
-        _, leg1 = _direction(x - bs, "BS-SP")
-        return leg1 + leg2, d2, x - bs
-    raise ValueError(f"unknown landmark kind {kind!r}")
+        path, g_aod = n, d - 2.0 * nu * (nu @ d)
+    else:
+        path, g_aod = span + n, b
+    aoa_az, aoa_el = _azimuth_elevation(g)
+    aod_az, aod_el = _azimuth_elevation(g_aod)
+    return np.array([
+        path + bias,
+        _wrap_scalar(aoa_az - heading),
+        aoa_el,
+        aod_az,
+        aod_el,
+    ])
+
+
+#: Read-only 3x3 identity for the VA mirror Jacobian.
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
+
+
+def _jacobian(kind: LandmarkType, legs) -> np.ndarray:
+    """Analytic 5x8 Jacobian of :func:`_prediction` from the same legs.
+
+    Columns stack the joint state [ue position (3), heading, clock bias,
+    landmark position (3)].
+    """
+    g, n, d, b, span, nu = legs
+    H = np.zeros((5, 8))
+    H[0, 4] = 1.0  # bias enters the delay additively
+
+    # AOA rows: the apparent source is the landmark itself for every kind.
+    e = g / n
+    d_az, d_el = _angle_gradients(g)
+    H[1, 0:3] = -d_az
+    H[1, 5:8] = d_az
+    H[1, 3] = -1.0
+    H[2, 0:3] = -d_el
+    H[2, 5:8] = d_el
+    H[0, 0:3] = -e
+
+    if kind is LandmarkType.BS:
+        H[0, 5:8] = e
+        d_az2, d_el2 = _angle_gradients(d)
+        H[3, 0:3] = d_az2
+        H[3, 5:8] = -d_az2
+        H[4, 0:3] = d_el2
+        H[4, 5:8] = -d_el2
+    elif kind is LandmarkType.VA:
+        H[0, 5:8] = e
+        nu_nu = np.outer(nu, nu)
+        R = _EYE3 - 2.0 * nu_nu
+        N = (_EYE3 - nu_nu) / span  # d nu / d x
+        g_aod = R @ d
+        # g = R(nu(x)) d(x, u):  dg/du = R,  dg/dx per product rule.
+        dg_dx = -R - 2.0 * (nu @ d) * N - 2.0 * np.outer(nu, N @ d)
+        d_az2, d_el2 = _angle_gradients(g_aod)
+        H[3, 0:3] = d_az2 @ R
+        H[3, 5:8] = d_az2 @ dg_dx
+        H[4, 0:3] = d_el2 @ R
+        H[4, 5:8] = d_el2 @ dg_dx
+    else:
+        H[0, 5:8] = nu + e
+        d_az2, d_el2 = _angle_gradients(b)
+        H[3, 5:8] = d_az2
+        H[4, 5:8] = d_el2
+    return H
 
 
 def measure(ue: UEState, lm: Landmark, bs_position) -> np.ndarray:
@@ -233,16 +317,7 @@ def measure(ue: UEState, lm: Landmark, bs_position) -> np.ndarray:
 
 def _measure(u, heading: float, bias: float, kind: LandmarkType, x,
              bs_position) -> np.ndarray:
-    path, g_aoa, g_aod = _path_geometry(u, kind, x, bs_position)
-    aoa_az, aoa_el = _azimuth_elevation(g_aoa)
-    aod_az, aod_el = _azimuth_elevation(g_aod)
-    return np.array([
-        path + bias,
-        _wrap_scalar(aoa_az - heading),
-        aoa_el,
-        aod_az,
-        aod_el,
-    ])
+    return _prediction(heading, bias, kind, _legs(u, kind, x, bs_position))
 
 
 def measure_jacobian(ue: UEState, lm: Landmark, bs_position) -> np.ndarray:
@@ -251,66 +326,8 @@ def measure_jacobian(ue: UEState, lm: Landmark, bs_position) -> np.ndarray:
     Columns stack the joint state [ue position (3), heading, clock bias,
     landmark position (3)].
     """
-    return _measure_jacobian(ue.position, lm.kind, lm.position, bs_position)
-
-
-#: Read-only 3x3 identity for the VA mirror Jacobian.
-_EYE3 = np.eye(3)
-_EYE3.flags.writeable = False
-
-
-def _measure_jacobian(u, kind: LandmarkType, x, bs_position) -> np.ndarray:
-    H = np.zeros((5, 8))
-    H[0, 4] = 1.0  # bias enters the delay additively
-
-    # AOA rows: the apparent source is the landmark itself for every kind.
-    g_aoa, n_aoa = _direction(x - u, "UE-landmark")
-    e = g_aoa / n_aoa
-    d_az, d_el = _angle_gradients(g_aoa)
-    H[1, 0:3] = -d_az
-    H[1, 5:8] = d_az
-    H[1, 3] = -1.0
-    H[2, 0:3] = -d_el
-    H[2, 5:8] = d_el
-
-    if kind is LandmarkType.BS:
-        H[0, 0:3] = -e
-        H[0, 5:8] = e
-        d_az2, d_el2 = _angle_gradients(u - x)
-        H[3, 0:3] = d_az2
-        H[3, 5:8] = -d_az2
-        H[4, 0:3] = d_el2
-        H[4, 5:8] = -d_el2
-    elif kind is LandmarkType.VA:
-        H[0, 0:3] = -e
-        H[0, 5:8] = e
-        bs = np.asarray(bs_position, dtype=float)
-        span_vec, span = _direction(x - bs, "BS-VA")
-        nu = span_vec / span
-        nu_nu = np.outer(nu, nu)
-        R = _EYE3 - 2.0 * nu_nu
-        N = (_EYE3 - nu_nu) / span  # d nu / d x
-        d = u - x
-        g_aod = R @ d
-        # g = R(nu(x)) d(x, u):  dg/du = R,  dg/dx per product rule.
-        dg_dx = -R - 2.0 * (nu @ d) * N - 2.0 * np.outer(nu, N @ d)
-        d_az2, d_el2 = _angle_gradients(g_aod)
-        H[3, 0:3] = d_az2 @ R
-        H[3, 5:8] = d_az2 @ dg_dx
-        H[4, 0:3] = d_el2 @ R
-        H[4, 5:8] = d_el2 @ dg_dx
-    elif kind is LandmarkType.SP:
-        bs = np.asarray(bs_position, dtype=float)
-        leg1_vec, leg1 = _direction(x - bs, "BS-SP")
-        e1 = leg1_vec / leg1
-        H[0, 0:3] = -e
-        H[0, 5:8] = e1 + e
-        d_az2, d_el2 = _angle_gradients(x - bs)
-        H[3, 5:8] = d_az2
-        H[4, 5:8] = d_el2
-    else:
-        raise ValueError(f"unknown landmark kind {kind!r}")
-    return H
+    return _jacobian(lm.kind,
+                     _legs(ue.position, lm.kind, lm.position, bs_position))
 
 
 def detection_probability(ue: UEState, lm: Landmark, p_detect=0.9,
@@ -325,13 +342,16 @@ def detection_probability(ue: UEState, lm: Landmark, p_detect=0.9,
         pd = float(p_detect.get(lm.kind, 0.0))
     else:
         pd = float(p_detect)
-    return _visible(ue.position, lm.kind, lm.position, pd, fov_radius)
+    return _visible(lm.kind, _norm(lm.position - ue.position), pd,
+                    fov_radius)
 
 
-def _visible(u, kind: LandmarkType, x, pd: float, fov_radius: float) -> float:
-    if kind is LandmarkType.SP:
-        if np.linalg.norm(x - u) > fov_radius:
-            return 0.0
+def _visible(kind: LandmarkType, dist: float, pd: float,
+             fov_radius: float) -> float:
+    """``pd``, or 0.0 for an SP farther than ``fov_radius`` from the UE;
+    ``dist`` is the UE-landmark distance."""
+    if kind is LandmarkType.SP and dist > fov_radius:
+        return 0.0
     return pd
 
 
@@ -344,10 +364,12 @@ class ChannelModel:
     """Measurement-model facade the filter core works against.
 
     Wraps the channel geometry with the known BS anchor position and the
-    detection model.  Any object with the same methods (``predict``,
-    ``jacobians``, ``detection_probability``, ``invert``, ``wrap_residual``)
-    can be substituted, e.g. linear toys in tests.  ``wrap_residual`` takes
-    one residual or a stack of them, one per row.
+    detection model.  The filter calls three methods: ``linearize``,
+    ``invert`` and ``wrap_residual`` (and reads ``p_detect`` and
+    ``fov_radius`` when present), so any object with them can be
+    substituted, e.g. linear toys in tests.  ``wrap_residual`` takes one
+    residual or a stack of them, one per row.  ``predict``, ``jacobians``
+    and ``detection_probability`` give ``linearize``'s parts one at a time.
     """
 
     bs_position: np.ndarray
@@ -380,6 +402,22 @@ class ChannelModel:
         heading, bias = _wrap_scalar(float(v[3])), float(v[4])
         return _finite_point(v[:3], "UE"), heading, bias
 
+    def linearize(self, sensor_mean, lm_position, kind: LandmarkType):
+        """(p_detect, z_pred, H_sensor, H_landmark) at one sensor vector and
+        landmark position: :meth:`detection_probability`, :meth:`predict`
+        and :meth:`jacobians` from one decode and one pass over the path's
+        directions.  Raises DegenerateGeometryError whenever ``predict`` or
+        ``jacobians`` would, with the message of the first of the two to
+        raise."""
+        u, heading, bias = self._sensor(sensor_mean)
+        legs = _legs(u, kind, _finite_point(lm_position, "landmark"),
+                     self.bs_position)
+        pd = _visible(kind, legs[1], float(self.p_detect.get(kind, 0.0)),
+                      self.fov_radius)
+        z_pred = _prediction(heading, bias, kind, legs)
+        H = _jacobian(kind, legs)
+        return pd, z_pred, H[:, :5], H[:, 5:]
+
     def predict(self, sensor_mean, lm_position, kind: LandmarkType) -> np.ndarray:
         u, heading, bias = self._sensor(sensor_mean)
         return _measure(u, heading, bias, kind,
@@ -388,14 +426,15 @@ class ChannelModel:
     def jacobians(self, sensor_mean, lm_position, kind: LandmarkType):
         """(H_sensor, H_landmark) blocks of the measurement Jacobian."""
         u, _, _ = self._sensor(sensor_mean)
-        H = _measure_jacobian(u, kind, _finite_point(lm_position, "landmark"),
-                              self.bs_position)
+        x = _finite_point(lm_position, "landmark")
+        H = _jacobian(kind, _legs(u, kind, x, self.bs_position))
         return H[:, :5], H[:, 5:]
 
     def detection_probability(self, sensor_mean, lm_position,
                               kind: LandmarkType) -> float:
         u, _, _ = self._sensor(sensor_mean)
-        return _visible(u, kind, _finite_point(lm_position, "landmark"),
+        x = _finite_point(lm_position, "landmark")
+        return _visible(kind, _norm(x - u),
                         float(self.p_detect.get(kind, 0.0)), self.fov_radius)
 
     def invert(self, z, sensor_mean, kind: LandmarkType):

@@ -54,6 +54,13 @@ class LinearModel:
     def detection_probability(self, sensor_mean, lm_mean, kind):
         return float(self.p_detect.get(kind, 0.0))
 
+    def linearize(self, sensor_mean, lm_mean, kind):
+        """(p_detect, prediction, H_s, H_x) from the three methods above."""
+        pd = self.detection_probability(sensor_mean, lm_mean, kind)
+        z_pred = self.predict(sensor_mean, lm_mean, kind)
+        H_s, H_x = self.jacobians(sensor_mean, lm_mean, kind)
+        return pd, z_pred, H_s, H_x
+
     def invert(self, z, sensor_mean, kind):
         A, B, c = self.mats[kind]
         rhs = np.atleast_1d(z) - A @ np.atleast_1d(sensor_mean) - c

@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -562,6 +563,58 @@ class TestGatedCostMatrix:
             (np.inf, {}, [])
 
 
+def reference_murty_kbest(costs, gamma):
+    """``murty_kbest`` before it stopped at the gamma-th solution: it also
+    partitioned the last popped solution and discarded the children."""
+    if gamma < 1:
+        raise ValueError("gamma must be >= 1")
+    n_meas = costs.matrix.shape[0]
+    n_prior = costs.n_prior
+    if n_meas == 0:
+        return [(AssociationVector(n_prior, (0,) * n_prior), 0.0)]
+    if np.any(~np.isfinite(costs.matrix.min(axis=1))):
+        raise InfeasibleAssignmentError("a measurement row has no finite cost")
+    first = association._solve_assignment(costs.matrix)
+    if first is None:
+        raise InfeasibleAssignmentError("no feasible assignment exists")
+    counter = 0
+    heap = [(first[1], counter, costs.matrix, first[0])]
+    results = []
+    while heap and len(results) < gamma:
+        cost, _, matrix, assignment = heapq.heappop(heap)
+        results.append((association._sigma_from_assignment(
+            assignment, n_prior, n_meas), float(cost)))
+        partition = matrix
+        for r in range(n_meas):
+            c = int(assignment[r])
+            child = partition.copy()
+            child[r, c] = np.inf
+            solved = association._solve_assignment(child)
+            if solved is not None:
+                counter += 1
+                heapq.heappush(heap, (solved[1], counter, child, solved[0]))
+            partition = partition.copy()
+            forced_value = partition[r, c]
+            partition[r, :] = np.inf
+            partition[:, c] = np.inf
+            partition[r, c] = forced_value
+    return results
+
+
+def ties_and_infinite_cells(seed, n_meas, n_prior):
+    """Integer costs 0-3, which tie often and sum exactly; a prior cell is
+    infinite with probability 1/2, a birth cell with 0.3."""
+    rng = np.random.default_rng(seed)
+    matrix = np.full((n_meas, n_prior + n_meas), np.inf)
+    prior = rng.integers(0, 4, size=(n_meas, n_prior)).astype(float)
+    prior[rng.uniform(size=prior.shape) < 0.5] = np.inf
+    matrix[:, :n_prior] = prior
+    birth = rng.integers(0, 4, size=n_meas).astype(float)
+    birth[rng.uniform(size=n_meas) < 0.3] = np.inf
+    matrix[:, n_prior:][np.eye(n_meas, dtype=bool)] = birth
+    return CostMatrix(matrix, n_prior)
+
+
 class TestMurty:
     def test_single_cell(self):
         costs = CostMatrix(np.array([[0.7]]), 0)
@@ -652,6 +705,38 @@ class TestMurty:
         for sigma, cost in sols:
             sigma.validate()
             assert assignment_cost(matrix, sigma.sigma, n_prior) == cost
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_meas=st.integers(0, 4),
+           n_prior=st.integers(0, 4), gamma=st.integers(1, 8))
+    def test_rankings_match_the_reference(self, seed, n_meas, n_prior, gamma):
+        costs = ties_and_infinite_cells(seed, n_meas, n_prior)
+        try:
+            want = reference_murty_kbest(costs, gamma)
+        except InfeasibleAssignmentError as exc:
+            with pytest.raises(InfeasibleAssignmentError, match=str(exc)):
+                murty_kbest(costs, gamma)
+            return
+        got = murty_kbest(costs, gamma)
+        assert [(s.sigma, c) for s, c in got] == \
+            [(s.sigma, c) for s, c in want]
+
+    def test_gamma_one_solves_once(self, monkeypatch):
+        calls = []
+        solve = association._solve_assignment
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return solve(matrix)
+
+        monkeypatch.setattr(association, "_solve_assignment", counting)
+        rng = np.random.default_rng(24)
+        matrix = np.full((4, 7), np.inf)
+        matrix[:, :3] = rng.normal(size=(4, 3))
+        matrix[:, 3:][np.eye(4, dtype=bool)] = rng.normal(size=4)
+        (sol,) = murty_kbest(CostMatrix(matrix, 3), 1)
+        assert calls == [(4, 7)]
+        assert sol == reference_murty_kbest(CostMatrix(matrix, 3), 1)[0]
 
     def test_infeasible_row_raises(self):
         matrix = np.full((1, 2), np.inf)

@@ -281,6 +281,22 @@ class TestMain:
         assert ("numerical failure: a measurement row has no finite cost"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_numerical_failure_names_run_and_step(self, tmp_path, capsys,
+                                                  jobs):
+        # The setup of test_zero_clutter_failed_inversion_exits_4: the
+        # message locates the failure, also when a worker process raised it.
+        scen = tmp_path / "scen.json"
+        save_scenario(replace(default_scenario(seed=1, steps=5),
+                              clutter_mean=0.0), scen)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": str(scen), "mc": 1, "seed": 1,
+                                   "out": str(tmp_path / "o")}))
+        assert main(["run", "--config", str(cfg), "--noise-toa", "100",
+                     "--jobs", str(jobs)]) == 4
+        assert ("numerical failure: a measurement row has no finite cost "
+                "(MC run 0, step 2)\n" in capsys.readouterr().err)
+
     def test_bad_report_files_exits_2(self, tmp_path, capsys):
         # Not JSON, not a JSON object, and a report without its fields.
         for name, text in (("broken.json", "{not json"),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfslam import geometry
 from rfslam.geometry import (
@@ -458,6 +460,105 @@ class TestKernelReference:
             assert got == ref
         else:
             assert np.array_equal(got, ref) and got.dtype == ref.dtype
+
+
+def per_part_outcome(model, v, x, kind):
+    """``(p_detect, z_pred, H_s, H_x)`` from the three one-part methods in
+    the order the filter called them before ``linearize``, or the type and
+    message of the first exception."""
+    try:
+        pd = model.detection_probability(v, x, kind)
+        z_pred = model.predict(v, x, kind)
+        H_s, H_x = model.jacobians(v, x, kind)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return pd, z_pred, H_s, H_x
+
+
+#: Horizontal offsets of a near-vertical direction: zero, both sides of the
+#: 1e-12 length threshold of the angles and of the 1e-24 squared one of
+#: their gradients, and clear of both.
+NEAR_VERTICAL = (st.sampled_from([0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-6])
+                 | st.floats(5e-13, 2e-12))
+
+
+@st.composite
+def linearize_case(draw):
+    """(model, sensor vector, landmark position, kind) over generic and
+    edge geometries."""
+    kind = draw(st.sampled_from(list(LandmarkType)))
+    u = np.array([draw(st.integers(-80, 80)), draw(st.integers(-80, 80)),
+                  draw(st.sampled_from([0.0, 1.5]))], dtype=float)
+    heading = draw(st.floats(-30.0, 30.0))
+    bias = draw(st.floats(0.0, 400.0))
+    shape = draw(st.sampled_from(
+        ["generic", "fov", "above UE", "above BS", "non-finite UE",
+         "non-finite landmark"]))
+    fov = 50.0
+    if shape in ("above UE", "above BS"):
+        base = u if shape == "above UE" else BS
+        x = base + np.array([draw(NEAR_VERTICAL), draw(NEAR_VERTICAL),
+                             draw(st.sampled_from([0.0, 25.0, -12.0]))])
+    else:
+        x = np.array([draw(st.floats(-150.0, 250.0)),
+                      draw(st.floats(-200.0, 200.0)),
+                      draw(st.floats(0.0, 60.0))])
+    if shape == "fov":
+        # The SP at, just inside or just outside the field of view.
+        dist = float(np.linalg.norm(x - u))
+        fov = draw(st.sampled_from([dist, math.nextafter(dist, 0.0),
+                                    math.nextafter(dist, math.inf)]))
+    v = np.concatenate([u, [heading, bias]])
+    bad = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    if shape == "non-finite UE":
+        v[draw(st.integers(0, 2))] = bad
+    elif shape == "non-finite landmark":
+        x[draw(st.integers(0, 2))] = bad
+    return ChannelModel(BS, fov_radius=fov), v, x, kind
+
+
+class TestLinearize:
+    @settings(max_examples=1500, deadline=None)
+    @given(case=linearize_case())
+    def test_bit_equal_to_the_one_part_methods(self, case):
+        model, v, x, kind = case
+        got = outcome(model.linearize, v, x, kind)
+        ref = per_part_outcome(model, v, x, kind)
+        if len(ref) == 2:
+            assert got == ref
+            return
+        assert len(got) == 4
+        assert type(got[0]) is type(ref[0]) and got[0] == ref[0]
+        for a, b in zip(got[1:], ref[1:]):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+    def test_edge_cases_are_reached(self):
+        # The strategy's edge shapes give every outcome the comparison
+        # covers: visible and hidden SPs at the FOV edge, both degeneracy
+        # messages, and both non-finite messages.
+        model = ChannelModel(BS, fov_radius=50.0)
+        v = np.array([10.0, -5.0, 0.0, 9.0, 300.0])
+        x = v[:3] + np.array([30.0, 40.0, 0.0])   # 50 m away, exactly
+        assert model.linearize(v, x, LandmarkType.SP)[0] == 0.9
+        nearer = ChannelModel(BS, fov_radius=math.nextafter(50.0, 0.0))
+        assert nearer.linearize(v, x, LandmarkType.SP)[0] == 0.0
+        for kind, x, message in (
+                (LandmarkType.VA, v[:3] + [1e-13, 0.0, 25.0],
+                 "vertical direction: azimuth undefined"),
+                (LandmarkType.SP, v[:3].copy(), "zero-length UE-SP direction"),
+                (LandmarkType.SP, BS.copy(), "zero-length BS-SP direction")):
+            assert outcome(model.linearize, v, x, kind) == \
+                per_part_outcome(model, v, x, kind) == \
+                (DegenerateGeometryError, message)
+        for i, what in ((0, "UE"), (5, "landmark")):
+            w, y = v.copy(), np.array([60.0, 20.0, 10.0])
+            if i < 5:
+                w[i] = np.nan
+            else:
+                y[0] = np.inf
+            assert outcome(model.linearize, w, y, LandmarkType.BS) == \
+                per_part_outcome(model, w, y, LandmarkType.BS) == \
+                (ValueError, f"{what} position must be a finite 3-vector")
 
 
 class TestMeasurementType:

@@ -292,9 +292,10 @@ class TestTypePosteriorReference:
         for k, rate in ppp.items():
             if rate <= 0.0 or k is BS or model.p_detect[k] <= 0.0:
                 continue
-            comp, H_x, hph_s = birth_from_measurement(meas, sensor, k, model)
+            comp, pred = birth_from_measurement(meas, sensor, k, model)
             v = meas.z - model.predict(sensor.mean, comp.mean, k)
-            S = hph_s + H_x @ comp.covariance @ H_x.T + meas.covariance
+            S = (pred.H_s @ sensor.covariance @ pred.H_s.T
+                 + pred.H_x @ comp.covariance @ pred.H_x.T + meas.covariance)
             rho[k] = rate * model.p_detect[k] * math.exp(chol_logpdf(v, S)[0])
         if sum(rho.values()) <= 0.0:
             assert cand.types == {}

@@ -35,7 +35,7 @@ from rfslam.geometry import (
     UEState,
     measure,
 )
-from rfslam.motion import sensor_transition_jacobian
+from rfslam.motion import sensor_transition, sensor_transition_jacobian
 from rfslam.update import (
     EK_PMB,
     EK_PMBM,
@@ -171,7 +171,7 @@ class TestBirthFromMeasurement:
         z = measure(ue, Landmark(BS, BS_POS), BS_POS)
         meas = Measurement(z, np.diag([0.01, 1e-4, 1e-4, 1e-4, 1e-4]))
         sensor = GaussianComponent(ue.as_vector(), np.zeros((5, 5)))
-        comp, _, _ = birth_from_measurement(meas, sensor, BS, model)
+        comp, _ = birth_from_measurement(meas, sensor, BS, model)
         assert np.allclose(comp.mean, BS_POS, atol=1e-9)
 
     def test_perfect_sensor_limit(self):
@@ -183,12 +183,12 @@ class TestBirthFromMeasurement:
         R = np.diag([0.01, 1e-4, 1e-4, 1e-4, 1e-4])
         meas = Measurement(z, R)
         sensor = GaussianComponent(ue.as_vector(), np.zeros((5, 5)))
-        comp, H_x, _ = birth_from_measurement(meas, sensor, VA, model)
+        comp, pred = birth_from_measurement(meas, sensor, VA, model)
         from rfslam.geometry import measure_jacobian
         H = measure_jacobian(ue, Landmark(VA, comp.mean), BS_POS)
         Hx = H[:, 5:]
         # The returned Jacobian is the one at the newborn mean.
-        assert np.array_equal(H_x, Hx)
+        assert np.array_equal(pred.H_x, Hx)
         expected = np.linalg.inv(Hx.T @ np.linalg.inv(R) @ Hx)
         assert np.allclose(comp.covariance, expected, rtol=1e-8)
 
@@ -215,13 +215,15 @@ class TestBirthFromMeasurement:
                 meas = Measurement(z, R)
                 P = np.diag([0.3, 0.3, 0.0, 0.005, 0.3])
                 sensor = GaussianComponent(ue.as_vector(), P)
-                comp, H_x, hph_s = birth_from_measurement(meas, sensor,
-                                                          kind, model)
+                comp, pred = birth_from_measurement(meas, sensor, kind, model)
                 from rfslam.geometry import measure_jacobian
                 H = measure_jacobian(ue, Landmark(kind, comp.mean), BS_POS)
                 # Both parts are taken at the newborn mean.
-                assert np.array_equal(H_x, H[:, 5:])
-                assert np.array_equal(hph_s, H[:, :5] @ P @ H[:, :5].T)
+                assert np.array_equal(pred.H_s, H[:, :5])
+                assert np.array_equal(pred.H_x, H[:, 5:])
+                H_s, H_x = H[:, :5], H[:, 5:]
+                assert np.array_equal(pred.hph, H_s @ P @ H_s.T
+                                      + H_x @ comp.covariance @ H_x.T)
                 prior_cov = np.zeros((8, 8))
                 prior_cov[:5, :5] = P
                 prior_cov[5:, 5:] = 1e8 * np.eye(3)
@@ -831,6 +833,93 @@ class TestJointUpdateReference:
                 joint_update(child_parts(hyp, [meas], sensor, cfg), sigma),
                 reference_joint_update(child_parts(hyp, [meas], sensor, cfg),
                                        sigma))
+
+
+class LinearizeOnlyModel:
+    """The filter's whole model protocol and nothing else: ``linearize``,
+    ``invert`` and ``wrap_residual``, plus the ``p_detect`` table that
+    PPP thinning reads, delegated to a :class:`LinearModel`."""
+
+    __slots__ = ("linearize", "invert", "wrap_residual", "p_detect")
+
+    def __init__(self, model):
+        self.linearize = model.linearize
+        self.invert = model.invert
+        self.wrap_residual = model.wrap_residual
+        self.p_detect = model.p_detect
+
+
+def assert_densities_bit_equal(a, b):
+    assert a.ppp_intensity == b.ppp_intensity
+    assert len(a.hypotheses) == len(b.hypotheses)
+    for hyp, other in zip(a.hypotheses, b.hypotheses):
+        assert hyp.weight == other.weight
+        assert len(hyp.bernoullis) == len(other.bernoullis)
+        for x, y in zip(hyp.bernoullis, other.bernoullis):
+            assert x.existence == y.existence
+            assert list(x.belief.types) == list(y.belief.types)
+            for kind, comp in x.belief.types.items():
+                ref = y.belief.types[kind]
+                assert comp.weight == ref.weight
+                assert np.array_equal(comp.mean, ref.mean)
+                assert np.array_equal(comp.covariance, ref.covariance)
+
+
+class TestModelProtocol:
+    @pytest.mark.parametrize("filter_kind", [EK_PMB, EK_PMBM])
+    def test_step_needs_only_linearize_invert_wrap_residual(self,
+                                                            filter_kind):
+        # Three landmarks are born from their first measurements and then
+        # re-detected; a clutter measurement arrives every other step.  A
+        # model without predict, jacobians or detection_probability gives
+        # the full model's densities and sensors bit for bit.
+        rng = np.random.default_rng(41)
+        A = 0.1 * rng.normal(size=(3, 5))
+        full = LinearModel({VA: (A, np.eye(3)),
+                            SP: (A, 2.0 * np.eye(3), [1.0, -2.0, 0.5])}, 3,
+                           p_detect={VA: 0.9, SP: 0.8})
+        truth = [(VA, np.array([5.0, 1.0, 2.0])),
+                 (SP, np.array([-3.0, 4.0, 1.0])),
+                 (VA, np.array([0.0, -6.0, 3.0]))]
+        R = 0.01 * np.eye(3)
+        start = np.array([1.0, 2.0, 0.0, 0.3, 5.0])
+        sensor_true = start
+        steps = []
+        for k in range(6):
+            sensor_true = sensor_transition(sensor_true, 22.22,
+                                            math.pi / 10.0, 0.5)
+            zs = [Measurement(full.predict(sensor_true, x, kind)
+                              + 0.05 * rng.normal(size=3), R)
+                  for kind, x in truth if rng.uniform() < 0.9]
+            if k % 2:
+                zs.append(Measurement(10.0 * rng.normal(size=3), R))
+            steps.append([zs[j] for j in rng.permutation(len(zs))])
+        results = []
+        for model in (full, LinearizeOnlyModel(full)):
+            cfg = make_config(model, process_noise=0.01 * np.eye(5),
+                              filter_kind=filter_kind, gamma=3)
+            density = PmbmDensity({VA: 1e-3, SP: 1e-3},
+                                  (GlobalHypothesis(1.0, ()),))
+            sensor = GaussianComponent(start, 0.01 * np.eye(5))
+            trace = []
+            for zs in steps:
+                density, sensor = step(density, sensor, zs, cfg)
+                trace.append((density, sensor))
+            results.append(trace)
+        for (d_full, s_full), (d_min, s_min) in zip(*results):
+            assert_densities_bit_equal(d_min, d_full)
+            assert np.array_equal(s_min.mean, s_full.mean)
+            assert np.array_equal(s_min.covariance, s_full.covariance)
+        # Births happened, and re-detections shrank the newborn covariances.
+        first, last = results[0][0][0], results[0][-1][0]
+        born = max(first.hypotheses, key=lambda h: h.weight).bernoullis
+        final = max(last.hypotheses, key=lambda h: h.weight).bernoullis
+        assert sum(b.existence > 0.5 for b in final) >= 3
+        traces = [np.trace(c.covariance) for b in born if b.existence > 0.5
+                  for c in b.belief.types.values()]
+        later = [np.trace(c.covariance) for b in final if b.existence > 0.5
+                 for c in b.belief.types.values()]
+        assert traces and min(later) < min(traces)
 
 
 class TestStep:
