@@ -102,7 +102,7 @@ class TypePrediction:
     """Per-type predicted measurement and its sensor+landmark covariance part."""
 
     p_detect: float
-    z_pred: Optional[np.ndarray]   # None when the geometry is degenerate
+    z_pred: Optional[np.ndarray]   # None: degenerate geometry or p_detect 0
     hph: Optional[np.ndarray]      # H blkdiag(P, C) H^T (without R)
     H_s: Optional[np.ndarray] = None
     H_x: Optional[np.ndarray] = None
@@ -110,7 +110,8 @@ class TypePrediction:
 
 def predict_types(bern: Bernoulli, sensor: GaussianComponent, model) -> dict:
     """Predicted measurement statistics for every type of a Bernoulli, from
-    one ``model.linearize`` call per type."""
+    one ``model.linearize`` call per type.  A type the sensor cannot see
+    keeps its detection probability and has no prediction."""
     preds = {}
     for kind, comp in bern.belief.types.items():
         try:
@@ -118,6 +119,9 @@ def predict_types(bern: Bernoulli, sensor: GaussianComponent, model) -> dict:
                                                    kind)
         except DegenerateGeometryError:
             preds[kind] = TypePrediction(0.0, None, None)
+            continue
+        if z_pred is None:
+            preds[kind] = TypePrediction(pd, None, None)
             continue
         hph = H_s @ sensor.covariance @ H_s.T + H_x @ comp.covariance @ H_x.T
         preds[kind] = TypePrediction(pd, z_pred, hph, H_s, H_x)
@@ -214,8 +218,9 @@ def birth_from_measurement(meas, sensor: GaussianComponent,
     (Hx^T (Hs P Hs^T + R)^-1 Hx)^-1.  Returns ``(component, prediction)``:
     the :class:`TypePrediction` of the newborn at its own mean, from one
     ``linearize`` call, with hph = Hs P Hs^T + Hx C Hx^T.  Returns None when
-    the measurement does not determine a position or the newborn's
-    geometry is degenerate (caller treats it as clutter-only).
+    the measurement does not determine a position, the newborn's geometry
+    is degenerate, or the sensor cannot see it (detection probability 0);
+    the caller then treats the measurement as clutter-only for this type.
     """
     mean = model.invert(meas.z, sensor.mean, kind)
     if mean is None:
@@ -223,6 +228,8 @@ def birth_from_measurement(meas, sensor: GaussianComponent,
     try:
         pd, z_pred, H_s, H_x = model.linearize(sensor.mean, mean, kind)
     except DegenerateGeometryError:
+        return None
+    if pd <= 0.0:
         return None
     hph_s = H_s @ sensor.covariance @ H_s.T
     gain_cov = hph_s + meas.covariance
@@ -253,7 +260,8 @@ def weight_birth(meas, sensor: GaussianComponent, ppp: dict,
     Returns the :class:`BirthCandidate`.  Every type with a positive PPP
     rate can be born, except the BS, which is known; a newborn type's
     probability is its share of sum_type rho (clutter never enters it).
-    Types whose geometric inversion fails contribute nothing; when no type
+    Types without a newborn (:func:`birth_from_measurement` returns None)
+    contribute nothing; when no type
     survives the measurement is clutter-only (weight floor
     ``clutter_intensity``).
     """
@@ -268,8 +276,6 @@ def weight_birth(meas, sensor: GaussianComponent, ppp: dict,
         if birth is None:
             continue
         component, pred = birth
-        if pred.p_detect <= 0.0:
-            continue
         v = model.wrap_residual(meas.z - pred.z_pred)
         loglik, _ = chol_logpdf(v, pred.hph + meas.covariance)
         rho[kind] = rate * pred.p_detect * math.exp(loglik)

@@ -369,7 +369,8 @@ class ChannelModel:
     ``fov_radius`` when present), so any object with them can be
     substituted, e.g. linear toys in tests.  ``wrap_residual`` takes one
     residual or a stack of them, one per row.  ``predict``, ``jacobians``
-    and ``detection_probability`` give ``linearize``'s parts one at a time.
+    and ``detection_probability`` give ``linearize``'s parts one at a time
+    for a pair the sensor can see.
     """
 
     bs_position: np.ndarray
@@ -406,14 +407,20 @@ class ChannelModel:
         """(p_detect, z_pred, H_sensor, H_landmark) at one sensor vector and
         landmark position: :meth:`detection_probability`, :meth:`predict`
         and :meth:`jacobians` from one decode and one pass over the path's
-        directions.  Raises DegenerateGeometryError whenever ``predict`` or
-        ``jacobians`` would, with the message of the first of the two to
-        raise."""
+        directions.  A pair the sensor cannot see (p_detect 0, e.g. an SP
+        beyond ``fov_radius``) gives ``(p_detect, None, None, None)``: it
+        enters the filter only through its misdetection mass.  Raises
+        ValueError on non-finite input and DegenerateGeometryError on a
+        zero-length leg, for any pair; a visible pair raises
+        DegenerateGeometryError whenever ``predict`` or ``jacobians`` would,
+        with the message of the first of the two to raise."""
         u, heading, bias = self._sensor(sensor_mean)
         legs = _legs(u, kind, _finite_point(lm_position, "landmark"),
                      self.bs_position)
         pd = _visible(kind, legs[1], float(self.p_detect.get(kind, 0.0)),
                       self.fov_radius)
+        if pd <= 0.0:
+            return pd, None, None, None
         z_pred = _prediction(heading, bias, kind, legs)
         H = _jacobian(kind, legs)
         return pd, z_pred, H[:, :5], H[:, 5:]

@@ -23,6 +23,7 @@ from .geometry import (
     Measurement,
     Plane,
     UEState,
+    _wrap_scalar,
     detection_probability,
     measure,
     mirror_bs,
@@ -182,6 +183,11 @@ class MeasurementSet:
     labels: tuple
 
 
+def _clamp_elevation(el: float) -> float:
+    """``float(np.clip(el, -pi/2, pi/2))`` of one float, bit for bit."""
+    return min(max(el, -math.pi / 2), math.pi / 2)
+
+
 def generate_measurements(ue: UEState, scenario: Scenario,
                           rng) -> MeasurementSet:
     """Detections with additive noise, plus uniform Poisson clutter, shuffled."""
@@ -194,11 +200,10 @@ def generate_measurements(ue: UEState, scenario: Scenario,
         if rng.uniform() >= pd:
             continue
         z = measure(ue, lm, scenario.bs.position)
-        z = z + std * rng.standard_normal(5)
-        z[1] = wrap_angle(z[1])
-        z[3] = wrap_angle(z[3])
-        z[2] = float(np.clip(z[2], -math.pi / 2, math.pi / 2))
-        z[4] = float(np.clip(z[4], -math.pi / 2, math.pi / 2))
+        toa, aoa_az, aoa_el, aod_az, aod_el = (
+            z + std * rng.standard_normal(5)).tolist()
+        z = np.array([toa, _wrap_scalar(aoa_az), _clamp_elevation(aoa_el),
+                      _wrap_scalar(aod_az), _clamp_elevation(aod_el)])
         items.append((Measurement(z, cov), idx))
     for _ in range(rng.poisson(scenario.clutter_mean)):
         z = np.array([
@@ -258,12 +263,22 @@ def _typed(name: str, value, kinds: tuple):
     return kinds[0](value)
 
 
+def _numbers(name: str, value):
+    """A JSON number, or lists of them nested to any depth, with every entry
+    checked by :func:`_typed`: numpy would coerce a bool or a numeric
+    string.  Shapes are left to the scenario's own checks."""
+    if type(value) is list:
+        return [_numbers(name, v) for v in value]
+    return _typed(f"{name} entry", value, _NUMBER)
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     """The scenario a file describes; a key the file leaves out takes the
     :class:`Scenario` default."""
     vas = tuple(
-        (Landmark(LandmarkType.VA, entry["position"]),
-         Plane(entry["plane_point"], entry["plane_normal"]))
+        (Landmark(LandmarkType.VA, _numbers("vas position", entry["position"])),
+         Plane(_numbers("vas plane_point", entry["plane_point"]),
+               _numbers("vas plane_normal", entry["plane_normal"])))
         for entry in doc["vas"])
     fields = {key: _typed(key, doc[key], kinds)
               for key, kinds in _KEY_TYPES.items() if key in doc}
@@ -271,14 +286,16 @@ def scenario_from_dict(doc: dict) -> Scenario:
         fields["p_detect"] = {LandmarkType(k): _typed(f"p_detect of {k}", v,
                                                       _NUMBER)
                               for k, v in fields["p_detect"].items()}
+    ue_init = doc["ue_init"]
     return Scenario(
-        bs=Landmark(LandmarkType.BS, doc["bs"]),
+        bs=Landmark(LandmarkType.BS, _numbers("bs", doc["bs"])),
         vas=vas,
-        sps=tuple(Landmark(LandmarkType.SP, pos) for pos in doc["sps"]),
-        ue_init=GaussianComponent(np.array(doc["ue_init"]["mean"]),
-                                  np.array(doc["ue_init"]["cov"])),
-        process_noise=np.array(doc["process_noise"]),
-        noise_std=np.array(doc["noise_std"]),
+        sps=tuple(Landmark(LandmarkType.SP, _numbers("sps", pos))
+                  for pos in doc["sps"]),
+        ue_init=GaussianComponent(_numbers("ue_init.mean", ue_init["mean"]),
+                                  _numbers("ue_init.cov", ue_init["cov"])),
+        process_noise=_numbers("process_noise", doc["process_noise"]),
+        noise_std=_numbers("noise_std", doc["noise_std"]),
         **fields,
     )
 

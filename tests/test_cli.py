@@ -356,6 +356,34 @@ class TestMain:
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("bs", 0), False, "bs entry must be a number, not False"),
+        (("noise_std", 0), "0.1", "noise_std entry must be a number, not '0.1'"),
+        (("ue_init", "mean", 0), "70.7285",
+         "ue_init.mean entry must be a number, not '70.7285'"),
+        (("sps", 1, 2), None, "sps entry must be a number, not None"),
+        (("vas", 0, "plane_normal", 0), True,
+         "vas plane_normal entry must be a number, not True"),
+        (("process_noise", 4, 4), "0.2",
+         "process_noise entry must be a number, not '0.2'")], ids=repr)
+    def test_non_number_in_scenario_array_exits_2(self, tmp_path, capsys,
+                                                  path, value, message):
+        # numpy would coerce a bool or a numeric string into the array.
+        doc = scenario_to_dict(default_scenario(seed=1, steps=3))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(doc))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": str(scen), "mc": 1,
+                                   "out": str(tmp_path / "o")}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert (f"configuration error: invalid scenario file: {message}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_partial_p_detect_exits_2(self, tmp_path, capsys):
         doc = scenario_to_dict(default_scenario(seed=1, steps=3))
         doc["p_detect"] = {"VA": 0.9}

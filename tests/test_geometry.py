@@ -521,9 +521,16 @@ class TestLinearize:
     @settings(max_examples=1500, deadline=None)
     @given(case=linearize_case())
     def test_bit_equal_to_the_one_part_methods(self, case):
+        # A pair the sensor can see gives the one-part methods' bits; a
+        # hidden one gives no prediction, unless a check made before the
+        # visibility (non-finite input, zero-length leg) raises.
         model, v, x, kind = case
         got = outcome(model.linearize, v, x, kind)
         ref = per_part_outcome(model, v, x, kind)
+        raised_first = len(ref) == 2 and not ref[1].startswith("vertical")
+        if not raised_first and model.detection_probability(v, x, kind) == 0.0:
+            assert got == (0.0, None, None, None) and type(got[0]) is float
+            return
         if len(ref) == 2:
             assert got == ref
             return
@@ -534,14 +541,21 @@ class TestLinearize:
 
     def test_edge_cases_are_reached(self):
         # The strategy's edge shapes give every outcome the comparison
-        # covers: visible and hidden SPs at the FOV edge, both degeneracy
-        # messages, and both non-finite messages.
+        # covers: visible and hidden SPs at the FOV edge, a hidden SP in a
+        # vertical direction, both degeneracy messages, and both non-finite
+        # messages.
         model = ChannelModel(BS, fov_radius=50.0)
         v = np.array([10.0, -5.0, 0.0, 9.0, 300.0])
         x = v[:3] + np.array([30.0, 40.0, 0.0])   # 50 m away, exactly
         assert model.linearize(v, x, LandmarkType.SP)[0] == 0.9
         nearer = ChannelModel(BS, fov_radius=math.nextafter(50.0, 0.0))
-        assert nearer.linearize(v, x, LandmarkType.SP)[0] == 0.0
+        assert nearer.linearize(v, x, LandmarkType.SP) == \
+            (0.0, None, None, None)
+        above = v[:3] + np.array([0.0, 0.0, 60.0])   # straight up, hidden
+        assert per_part_outcome(model, v, above, LandmarkType.SP) == \
+            (DegenerateGeometryError, "vertical direction: azimuth undefined")
+        assert model.linearize(v, above, LandmarkType.SP) == \
+            (0.0, None, None, None)
         for kind, x, message in (
                 (LandmarkType.VA, v[:3] + [1e-13, 0.0, 25.0],
                  "vertical direction: azimuth undefined"),

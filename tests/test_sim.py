@@ -4,10 +4,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from rfslam.geometry import LandmarkType, UEState, measure, mirror_bs, wrap_angle
+from rfslam.geometry import (
+    LandmarkType,
+    UEState,
+    _wrap_scalar,
+    measure,
+    mirror_bs,
+    wrap_angle,
+)
 from rfslam.motion import sensor_transition
 from rfslam.sim import (
+    _clamp_elevation,
     default_scenario,
     generate_measurements,
     load_scenario,
@@ -198,3 +208,23 @@ class TestScenarioIO:
     def test_partial_p_detect_rejected(self):
         with pytest.raises(ValueError, match="p_detect must name BS, VA and SP"):
             replace(default_scenario(), p_detect={VA: 0.9})
+
+
+#: +-pi, +-pi/2 and the doubles one ulp to either side of each.
+ANGLE_EDGES = [math.nextafter(edge, toward) for edge in
+               (math.pi, -math.pi, math.pi / 2, -math.pi / 2)
+               for toward in (-math.inf, math.inf)] + \
+    [math.pi, -math.pi, math.pi / 2, -math.pi / 2, 0.0, -0.0]
+
+
+class TestScalarAngleKernels:
+    @given(a=st.sampled_from(ANGLE_EDGES) | st.floats(allow_nan=True,
+                                                      allow_infinity=False))
+    def test_bit_equal_to_the_array_expressions(self, a):
+        # generate_measurements wraps and clamps one float at a time.
+        def bits(x):
+            return np.float64(x).tobytes()
+
+        assert bits(_wrap_scalar(a)) == bits(wrap_angle(a))
+        assert bits(_clamp_elevation(a)) == \
+            bits(float(np.clip(a, -math.pi / 2, math.pi / 2)))

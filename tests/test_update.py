@@ -7,6 +7,7 @@ from conftest import LinearModel, check_density, single_type_bernoulli
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfslam import association, geometry
 from rfslam.association import (
     AssociationVector,
     InfeasibleAssignmentError,
@@ -15,6 +16,7 @@ from rfslam.association import (
     chol_solve,
     murty_kbest,
 )
+from rfslam.cli import RunConfig, build_filter_config, initial_state
 from rfslam.density import (
     Bernoulli,
     GaussianComponent,
@@ -36,6 +38,11 @@ from rfslam.geometry import (
     measure,
 )
 from rfslam.motion import sensor_transition, sensor_transition_jacobian
+from rfslam.sim import (
+    default_scenario,
+    generate_measurements,
+    simulate_trajectory,
+)
 from rfslam.update import (
     EK_PMB,
     EK_PMBM,
@@ -194,9 +201,14 @@ class TestBirthFromMeasurement:
 
     def test_matches_large_prior_ek_update(self):
         # Infinite-prior covariance equals a standard EK update with a huge
-        # landmark prior (1e8 I), within 1e-4 relative.
+        # landmark prior (1e8 I), within 1e-4 relative.  The SPs lie up to
+        # about 170 m from the UE, so the model's field of view covers them
+        # all; under the default 50 m one, exactly the SPs farther than 50 m
+        # (every draw here) have no newborn.
         rng = np.random.default_rng(9)
-        model = ChannelModel(BS_POS)
+        model = ChannelModel(BS_POS, fov_radius=500.0)
+        default_fov = ChannelModel(BS_POS)
+        hidden = []
         for kind in (VA, SP):
             for _ in range(10):
                 ue = UEState([rng.uniform(-60, 60), rng.uniform(-60, 60), 0.0],
@@ -216,6 +228,11 @@ class TestBirthFromMeasurement:
                 P = np.diag([0.3, 0.3, 0.0, 0.005, 0.3])
                 sensor = GaussianComponent(ue.as_vector(), P)
                 comp, pred = birth_from_measurement(meas, sensor, kind, model)
+                far = (kind is SP and np.linalg.norm(comp.mean - ue.position)
+                       > default_fov.fov_radius)
+                hidden.append(far)
+                assert (birth_from_measurement(meas, sensor, kind, default_fov)
+                        is None) == far
                 from rfslam.geometry import measure_jacobian
                 H = measure_jacobian(ue, Landmark(kind, comp.mean), BS_POS)
                 # Both parts are taken at the newborn mean.
@@ -234,6 +251,7 @@ class TestBirthFromMeasurement:
                 A = np.eye(8) - K @ H
                 post = A @ prior_cov @ A.T + K @ R @ K.T
                 assert np.allclose(comp.covariance, post[5:, 5:], rtol=1e-4)
+        assert any(hidden)
 
     def test_failed_inversion_returns_none(self):
         model = ChannelModel(BS_POS)
@@ -920,6 +938,133 @@ class TestModelProtocol:
         later = [np.trace(c.covariance) for b in final if b.existence > 0.5
                  for c in b.belief.types.values()]
         assert traces and min(later) < min(traces)
+
+
+class SeeAllChannelModel(ChannelModel):
+    """``ChannelModel`` linearizing every pair, visible or not: the
+    composition of the one-part methods that ``linearize`` replaced."""
+
+    def linearize(self, sensor_mean, lm_position, kind):
+        pd = self.detection_probability(sensor_mean, lm_position, kind)
+        z_pred = self.predict(sensor_mean, lm_position, kind)
+        H_s, H_x = self.jacobians(sensor_mean, lm_position, kind)
+        return pd, z_pred, H_s, H_x
+
+
+def scenario_run(scenario, filter_kind, gamma, model_cls=ChannelModel):
+    """(densities, sensors) of ``step`` over a simulated run of the
+    scenario, with the filter's model rebuilt as ``model_cls``."""
+    cfg = build_filter_config(scenario, RunConfig(filter_kind=filter_kind,
+                                                  gamma=gamma))
+    cfg = replace(cfg, model=model_cls(cfg.model.bs_position,
+                                       p_detect=cfg.model.p_detect,
+                                       fov_radius=cfg.model.fov_radius))
+    rng = np.random.default_rng([scenario.seed, 0])
+    density, sensor = initial_state(scenario)
+    trace = []
+    for truth in simulate_trajectory(scenario, rng)[1:]:
+        zset = generate_measurements(truth, scenario, rng)
+        density, sensor = step(density, sensor, list(zset.measurements), cfg)
+        trace.append((density, sensor))
+    return trace
+
+
+class TestInvisiblePairs:
+    """``ChannelModel.linearize`` gives no prediction for a pair with
+    p_detect 0 (an SP beyond the field of view), and the filter neither
+    linearizes such a pair nor builds such a newborn."""
+
+    @pytest.mark.parametrize("filter_kind, gamma", [(EK_PMB, 10),
+                                                    (EK_PMBM, 3)])
+    def test_filter_output_bit_equal_to_linearizing_every_pair(
+            self, monkeypatch, filter_kind, gamma):
+        # Under the default type_prune a hidden type's posterior of 0 is
+        # pruned before stacking, so its prediction was never read.
+        scenario = replace(default_scenario(seed=1, steps=15),
+                           clutter_mean=3.0)
+        want = scenario_run(scenario, filter_kind, gamma, SeeAllChannelModel)
+        hidden = []
+        linearize = ChannelModel.linearize
+
+        def counting(model, sensor_mean, lm_position, kind):
+            out = linearize(model, sensor_mean, lm_position, kind)
+            hidden.append(out[1] is None)
+            return out
+
+        monkeypatch.setattr(ChannelModel, "linearize", counting)
+        got = scenario_run(scenario, filter_kind, gamma)
+        assert any(hidden) and not all(hidden)
+        for (d_got, s_got), (d_want, s_want) in zip(got, want, strict=True):
+            assert_densities_bit_equal(d_got, d_want)
+            assert np.array_equal(s_got.mean, s_want.mean)
+            assert np.array_equal(s_got.covariance, s_want.covariance)
+
+    def test_hidden_type_keeps_its_prior_without_type_pruning(self):
+        # A landmark detected as its VA type also carries an SP type 120 m
+        # from the UE.  With type_prune 0 every type stays in the posterior;
+        # the hidden SP type has no prediction, so it is not stacked and
+        # keeps its prior Gaussian, while linearizing it would move it.
+        ue = UEState([70.7285, 0.0, 0.0], math.pi / 2, 300.0)
+        va, sp = np.array([200.0, 0.0, 40.0]), np.array([0.0, 99.0, 10.0])
+        cov = 0.5 * np.eye(3)
+        bern = Bernoulli(0.99, LandmarkBelief({
+            VA: TypeComponent(0.9, va, cov), SP: TypeComponent(0.1, sp, cov)}))
+        hyp = GlobalHypothesis(1.0, (bern,))
+        meas = [Measurement(measure(ue, Landmark(VA, va), BS_POS) + 0.01,
+                            np.diag([0.01, 1e-4, 1e-4, 1e-4, 1e-4]))]
+        sensor = GaussianComponent(ue.as_vector(),
+                                   np.diag([0.3, 0.3, 0.0, 0.005, 0.3]))
+        sigma = AssociationVector(1, (1, None))
+        posteriors = {}
+        for model in (ChannelModel(BS_POS), SeeAllChannelModel(BS_POS)):
+            cfg = make_config(model, type_prune=0.0)
+            child, _ = joint_update(child_parts(hyp, meas, sensor, cfg), sigma)
+            posteriors[type(model)] = child.bernoullis[0].belief.types
+        hidden = posteriors[ChannelModel][SP]
+        assert hidden.weight == 0.0
+        assert np.array_equal(hidden.mean, sp)
+        assert np.array_equal(hidden.covariance, cov)
+        assert not np.array_equal(posteriors[ChannelModel][VA].mean, va)
+        assert not np.array_equal(posteriors[SeeAllChannelModel][SP].mean, sp)
+
+    def test_no_hidden_sp_is_linearized_or_factorized(self, monkeypatch):
+        # Every Jacobian and every newborn factorization of a short PMB
+        # run, recorded by kind and distance from the sensor mean.
+        scenario = default_scenario(seed=1, steps=10)
+        fov = scenario.fov_radius
+        jacobians, newborns, factors = [], [], []
+        jacobian = geometry._jacobian
+        factor = association.chol_factor
+        birth = association.birth_from_measurement
+
+        def recording_jacobian(kind, legs):
+            jacobians.append((kind, legs[1]))
+            return jacobian(kind, legs)
+
+        def counting_factor(a):
+            factors.append(a.shape)
+            return factor(a)
+
+        def recording_birth(meas, sensor, kind, model):
+            mean = model.invert(meas.z, sensor.mean, kind)
+            before = len(factors)
+            out = birth(meas, sensor, kind, model)
+            if mean is not None:
+                dist = float(np.linalg.norm(mean - sensor.mean[:3]))
+                newborns.append((kind, dist, len(factors) - before))
+            return out
+
+        monkeypatch.setattr(geometry, "_jacobian", recording_jacobian)
+        monkeypatch.setattr(association, "chol_factor", counting_factor)
+        monkeypatch.setattr(association, "birth_from_measurement",
+                            recording_birth)
+        scenario_run(scenario, EK_PMB, 1)
+        sp_dists = [d for kind, d in jacobians if kind is SP]
+        assert sp_dists and max(sp_dists) <= fov
+        hidden = [n for kind, d, n in newborns if kind is SP and d > fov]
+        seen = [n for kind, d, n in newborns if kind is SP and d <= fov]
+        assert hidden and not any(hidden)
+        assert seen and all(n == 2 for n in seen)
 
 
 class TestStep:
