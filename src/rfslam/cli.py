@@ -45,6 +45,8 @@ from .metrics import (
 )
 from .sim import (
     Scenario,
+    _object,
+    _typed,
     default_scenario,
     generate_measurements,
     load_scenario,
@@ -67,6 +69,24 @@ TIMING_COLUMNS = ("ms_predict", "ms_update")
 
 class ConfigError(ValueError):
     """Invalid run configuration or scenario content."""
+
+
+#: Each config file key: (RunConfig field, JSON types, echoed in the report).
+#: An int for a float key is kept as written; out and jobs are environment.
+_CONFIG_KEYS = {
+    "scenario": ("scenario", (str,), True),
+    "filter": ("filter_kind", (str,), True),
+    "gamma": ("gamma", (int,), True),
+    "mc": ("mc_runs", (int,), True),
+    "seed": ("seed", (int,), True),
+    "out": ("out_dir", (str,), False),
+    "mm": ("multi_model", (bool,), True),
+    "joseph": ("joseph_form", (bool,), True),
+    "gate": ("gate", (float, int, type(None)), True),
+    "noise_toa": ("noise_toa", (float, int, type(None)), True),
+    "noise_angle": ("noise_angle", (float, int, type(None)), True),
+    "extract_threshold": ("extract_threshold", (float, int), True),
+    "jobs": ("jobs", (int,), False)}
 
 
 @dataclass(frozen=True)
@@ -107,16 +127,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be finite and > 0")
 
     def to_dict(self) -> dict:
-        # The output directory is environment, not experiment identity, so
-        # it stays out of the report echo.
-        return {
-            "scenario": self.scenario, "filter": self.filter_kind,
-            "gamma": self.gamma, "mc": self.mc_runs, "seed": self.seed,
-            "mm": self.multi_model,
-            "joseph": self.joseph_form, "gate": self.gate,
-            "noise_toa": self.noise_toa, "noise_angle": self.noise_angle,
-            "extract_threshold": self.extract_threshold,
-        }
+        return {key: getattr(self, name)
+                for key, (name, _, echoed) in _CONFIG_KEYS.items() if echoed}
 
 
 def _resolve_scenario(config: RunConfig) -> Scenario:
@@ -428,47 +440,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: The JSON value types each config key accepts.  A bool is not an int, and
-#: an int is a valid float that is kept as written, so the report echoes it.
-_CONFIG_KEYS = {
-    "scenario": (str,), "filter": (str,), "gamma": (int,), "mc": (int,),
-    "seed": (int,), "out": (str,), "mm": (bool,), "joseph": (bool,),
-    "gate": (float, int, type(None)), "noise_toa": (float, int, type(None)),
-    "noise_angle": (float, int, type(None)),
-    "extract_threshold": (float, int), "jobs": (int,),
-}
-
-_KEY_TO_FIELD = {"filter": "filter_kind", "mc": "mc_runs", "out": "out_dir",
-                 "mm": "multi_model", "joseph": "joseph_form"}
-
-
 def _config_from_sources(args) -> RunConfig:
     values: dict = {}
     if args.config:
-        try:
-            with open(args.config) as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid config file: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError("config file must hold a JSON object")
-        for key, value in doc.items():
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            if type(value) not in _CONFIG_KEYS[key]:
-                raise ConfigError(f"bad value {value!r} for key {key!r}")
-            values[_KEY_TO_FIELD.get(key, key)] = value
-    for field_name in ("filter_kind", "gamma", "mc_runs", "seed", "out_dir",
-                       "noise_toa", "noise_angle", "jobs"):
-        value = getattr(args, field_name, None)
-        if value is not None:
-            values[field_name] = value
-    if getattr(args, "mm", None) is not None:
+        with open(args.config) as fh:
+            try:
+                doc = _object("top level", json.load(fh), _CONFIG_KEYS)
+                for key, value in doc.items():
+                    name, kinds, _ = _CONFIG_KEYS[key]
+                    values[name] = _typed(key, value, kinds)
+            except ValueError as exc:
+                raise ConfigError(f"invalid config file: {exc}") from exc
+    # A flag's dest is the field it sets, and None where it is not given.
+    for name, _, _ in _CONFIG_KEYS.values():
+        if getattr(args, name, None) is not None:
+            values[name] = getattr(args, name)
+    if args.mm is not None:
         values["multi_model"] = args.mm == "on"
-    try:
-        return RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(**values)
 
 
 def main(argv=None) -> int:

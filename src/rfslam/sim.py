@@ -101,6 +101,8 @@ class Scenario:
                 raise ValueError(f"{name} must be finite")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.0 <= self.dt < math.inf:
             raise ValueError("dt must be finite and >= 0")
         for va, plane in self.vas:
@@ -246,21 +248,32 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
-#: JSON types of the scenario keys that hold one value, checked as the run
-#: config file checks its keys: a bool is no number, steps and seed take
-#: integers, and p_detect maps type names to numbers.
 _NUMBER = (float, int)
-_KEY_TYPES = {"speed": _NUMBER, "turn_rate": _NUMBER, "dt": _NUMBER,
-              "steps": (int,), "fov_radius": _NUMBER, "clutter_mean": _NUMBER,
-              "seed": (int,), "p_detect": (dict,)}
-_NOUNS = {float: "a number", int: "an integer", dict: "an object"}
+#: The JSON types each scenario-file key accepts, checked as the run config
+#: file checks its keys: a bool is no number, steps and seed take integers,
+#: and an array is a list whose entries :func:`_numbers` checks.
+_SCENARIO_KEYS = {
+    "bs": (list,), "vas": (list,), "sps": (list,), "ue_init": (dict,),
+    "process_noise": (list,), "noise_std": (list,), "p_detect": (dict,),
+    "speed": _NUMBER, "turn_rate": _NUMBER, "dt": _NUMBER, "steps": (int,),
+    "fov_radius": _NUMBER, "clutter_mean": _NUMBER, "seed": (int,)}
+_NOUNS = {float: "a number", int: "an integer", bool: "true or false",
+          str: "a string", list: "a list", dict: "an object"}
 
 
 def _typed(name: str, value, kinds: tuple):
-    """``value`` as a ``kinds[0]``; ValueError on any other JSON type."""
+    """``value`` as written; ValueError if its JSON type is not in ``kinds``."""
     if type(value) not in kinds:
         raise ValueError(f"{name} must be {_NOUNS[kinds[0]]}, not {value!r}")
-    return kinds[0](value)
+    return value
+
+
+def _object(name: str, value, keys) -> dict:
+    """``value`` if it is a JSON object with no key outside ``keys``."""
+    for key in _typed(name, value, (dict,)):
+        if key not in keys:
+            raise ValueError(f"{name} has unknown key {key!r}")
+    return value
 
 
 def _numbers(name: str, value):
@@ -275,27 +288,33 @@ def _numbers(name: str, value):
 def scenario_from_dict(doc: dict) -> Scenario:
     """The scenario a file describes; a key the file leaves out takes the
     :class:`Scenario` default."""
-    vas = tuple(
-        (Landmark(LandmarkType.VA, _numbers("vas position", entry["position"])),
-         Plane(_numbers("vas plane_point", entry["plane_point"]),
-               _numbers("vas plane_normal", entry["plane_normal"])))
-        for entry in doc["vas"])
-    fields = {key: _typed(key, doc[key], kinds)
-              for key, kinds in _KEY_TYPES.items() if key in doc}
+    fields = {}
+    for key, value in _object("top level", doc, _SCENARIO_KEYS).items():
+        kinds = _SCENARIO_KEYS[key]
+        # kinds[0] makes a number key a float also where the file has an int.
+        fields[key] = kinds[0](_typed(key, value, kinds))
     if "p_detect" in fields:
-        fields["p_detect"] = {LandmarkType(k): _typed(f"p_detect of {k}", v,
-                                                      _NUMBER)
-                              for k, v in fields["p_detect"].items()}
-    ue_init = doc["ue_init"]
+        fields["p_detect"] = {
+            LandmarkType(k): float(_typed(f"p_detect of {k}", v, _NUMBER))
+            for k, v in fields["p_detect"].items()}
+    vas = [_object("vas entry", entry, ("position", "plane_point",
+                                        "plane_normal"))
+           for entry in fields.pop("vas")]
+    ue_init = _object("ue_init", fields.pop("ue_init"), ("mean", "cov"))
     return Scenario(
-        bs=Landmark(LandmarkType.BS, _numbers("bs", doc["bs"])),
-        vas=vas,
+        bs=Landmark(LandmarkType.BS, _numbers("bs", fields.pop("bs"))),
+        vas=tuple(
+            (Landmark(LandmarkType.VA,
+                      _numbers("vas position", entry["position"])),
+             Plane(_numbers("vas plane_point", entry["plane_point"]),
+                   _numbers("vas plane_normal", entry["plane_normal"])))
+            for entry in vas),
         sps=tuple(Landmark(LandmarkType.SP, _numbers("sps", pos))
-                  for pos in doc["sps"]),
+                  for pos in fields.pop("sps")),
         ue_init=GaussianComponent(_numbers("ue_init.mean", ue_init["mean"]),
                                   _numbers("ue_init.cov", ue_init["cov"])),
-        process_noise=_numbers("process_noise", doc["process_noise"]),
-        noise_std=_numbers("noise_std", doc["noise_std"]),
+        process_noise=_numbers("process_noise", fields.pop("process_noise")),
+        noise_std=_numbers("noise_std", fields.pop("noise_std")),
         **fields,
     )
 

@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfslam.cli import (
     ConfigError,
@@ -340,7 +344,8 @@ class TestMain:
         ("ue_init", {"mean": [70.0, 0.0, 0.0, math.inf, 300.0]}),
         ("steps", "3"), ("steps", True), ("steps", 2.7), ("seed", 1.9),
         ("fov_radius", True), ("speed", "22.22"), ("p_detect", [0.9]),
-        ("p_detect", {"VA": True}), ("p_detect", {"SP": "0.9"})], ids=repr)
+        ("p_detect", {"VA": True}), ("p_detect", {"SP": "0.9"}),
+        ("vas", {}), ("sps", {}), ("seed", -4)], ids=repr)
     def test_out_of_range_scenario_exits_2(self, tmp_path, capsys, field,
                                            value):
         doc = scenario_to_dict(default_scenario(seed=1, steps=3))
@@ -374,6 +379,30 @@ class TestMain:
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = value
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(doc))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": str(scen), "mc": 1,
+                                   "out": str(tmp_path / "o")}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert (f"configuration error: invalid scenario file: {message}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("path, message", [
+        (("clutter_maen",), "top level has unknown key 'clutter_maen'"),
+        (("vas", 1, "plane_nromal"),
+         "vas entry has unknown key 'plane_nromal'"),
+        (("ue_init", "covariance"), "ue_init has unknown key 'covariance'")],
+        ids=repr)
+    def test_unknown_scenario_key_exits_2(self, tmp_path, capsys, path,
+                                          message):
+        # A misspelt key would otherwise leave its field at the default.
+        doc = scenario_to_dict(default_scenario(seed=1, steps=3))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = 50.0
         scen = tmp_path / "scen.json"
         scen.write_text(json.dumps(doc))
         cfg = tmp_path / "cfg.json"
@@ -422,3 +451,84 @@ class TestMain:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert len(report["per_step"]["step"]) == 5
+
+
+def _key_paths(doc, path=()):
+    """Every key path of a JSON document: into objects, and into the first
+    entry of a list of objects."""
+    for key, value in doc.items():
+        yield path + (key,)
+        if type(value) is dict:
+            yield from _key_paths(value, path + (key,))
+        elif type(value) is list and value and type(value[0]) is dict:
+            yield from _key_paths(value[0], path + (key, 0))
+
+
+def _json_kind(value):
+    return {bool: "bool", int: "number", float: "number", str: "string",
+            list: "list", dict: "object", type(None): "null"}[type(value)]
+
+
+SCENARIO_DOC = scenario_to_dict(default_scenario(seed=1, steps=3))
+CONFIG_DOC = {**RunConfig().to_dict(), "out": ".", "jobs": 1}
+#: Config keys that take a number or null; their default may be either.
+NULLABLE = {"gate", "noise_toa", "noise_angle"}
+#: Values of each JSON kind other than the valid one: a bool, a numeric
+#: string, null, and a list or an object in place of the other.
+WRONG = {
+    "bool": st.booleans(),
+    "string": st.one_of(st.integers(), st.floats(allow_nan=False)).map(str),
+    "null": st.none(),
+    "list": st.lists(st.floats(-10.0, 10.0), max_size=3),
+    "object": st.dictionaries(st.sampled_from(["a", "mean", "VA"]),
+                              st.floats(-10.0, 10.0), max_size=2),
+}
+
+
+class TestWrongJsonType:
+    """A value of the wrong JSON type, at any key of either file, is a
+    configuration error naming the key, and nothing is written."""
+
+    @staticmethod
+    def wrong_value(data, path, default):
+        valid = {_json_kind(default)}
+        if path[-1] in NULLABLE:
+            valid |= {"number", "null"}
+        return data.draw(st.one_of(
+            [strategy for kind, strategy in WRONG.items()
+             if kind not in valid]))
+
+    @staticmethod
+    def exits_2_naming(tmp, path, config):
+        cfg = tmp / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["run", "--config", str(cfg)]) == 2
+        assert err.getvalue().startswith("configuration error: ")
+        assert all(key in err.getvalue() for key in path if type(key) is str)
+        assert {p.name for p in tmp.iterdir()} <= {"cfg.json", "scen.json"}
+
+    @pytest.mark.parametrize("key", list(CONFIG_DOC))
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_config_key(self, tmp_path_factory, key, data):
+        tmp = tmp_path_factory.mktemp("cfg")
+        config = {"mc": 1, "out": str(tmp / "o"),
+                  key: self.wrong_value(data, (key,), CONFIG_DOC[key])}
+        self.exits_2_naming(tmp, (key,), config)
+
+    @pytest.mark.parametrize("path", list(_key_paths(SCENARIO_DOC)),
+                             ids=repr)
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_scenario_key(self, tmp_path_factory, path, data):
+        tmp = tmp_path_factory.mktemp("scen")
+        doc = json.loads(json.dumps(SCENARIO_DOC))
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = self.wrong_value(data, path, target[path[-1]])
+        (tmp / "scen.json").write_text(json.dumps(doc))
+        self.exits_2_naming(tmp, path, {"scenario": str(tmp / "scen.json"),
+                                        "mc": 1, "out": str(tmp / "o")})

@@ -1,14 +1,20 @@
 import json
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfslam.cli import scenario_hash
+from rfslam.density import GaussianComponent
 from rfslam.geometry import (
+    Landmark,
     LandmarkType,
+    Plane,
     UEState,
     _wrap_scalar,
     measure,
@@ -17,6 +23,7 @@ from rfslam.geometry import (
 )
 from rfslam.motion import sensor_transition
 from rfslam.sim import (
+    Scenario,
     _clamp_elevation,
     default_scenario,
     generate_measurements,
@@ -186,6 +193,63 @@ class TestGenerateMeasurements:
             assert abs(meas.z[0] - z_true[0]) < 1.0  # within noise, not clutter
 
 
+def _whole_as_int(doc):
+    """``doc`` with every whole float except -0.0 written as a JSON int."""
+    if type(doc) is dict:
+        return {k: _whole_as_int(v) for k, v in doc.items()}
+    if type(doc) is list:
+        return [_whole_as_int(v) for v in doc]
+    if type(doc) is float and doc.is_integer() and math.copysign(1, doc) > 0:
+        return int(doc)
+    return doc
+
+
+def reals(lo, hi):
+    """Finite floats in [lo, hi], often whole or a signed zero."""
+    return (st.sampled_from([x for x in (-0.0, 0.0, 1.0, 3.0, -2.0)
+                             if lo <= x <= hi])
+            | st.floats(lo, hi))
+
+
+def points():
+    return st.lists(reals(-150.0, 150.0), min_size=3, max_size=3)
+
+
+@st.composite
+def scenarios(draw):
+    """Valid scenarios: VAs mirrored across random walls, diagonal
+    covariances, every scalar within its range."""
+    bs = Landmark(BS, draw(points()))
+    vas = []
+    for point, normal in draw(st.lists(st.tuples(points(), points()),
+                                       max_size=4)):
+        normal = np.array(normal)
+        if np.linalg.norm(normal) < 1e-3:
+            normal = np.array([0.0, -0.0, 1.0])
+        plane = Plane(point, normal / np.linalg.norm(normal))
+        vas.append((Landmark(VA, mirror_bs(bs.position, plane.point,
+                                           plane.normal)), plane))
+
+    def diagonal():
+        return np.diag(draw(st.lists(reals(0.0, 10.0), min_size=5,
+                                     max_size=5)))
+
+    return Scenario(
+        bs=bs, vas=vas,
+        sps=[Landmark(SP, p) for p in draw(st.lists(points(), max_size=4))],
+        ue_init=GaussianComponent(
+            draw(st.lists(reals(-300.0, 300.0), min_size=5, max_size=5)),
+            diagonal()),
+        process_noise=diagonal(),
+        speed=draw(reals(-50.0, 50.0)), turn_rate=draw(reals(-3.0, 3.0)),
+        dt=draw(reals(0.0, 2.0)), steps=draw(st.integers(1, 100)),
+        noise_std=draw(st.lists(reals(1e-3, 10.0), min_size=5, max_size=5)),
+        p_detect={kind: draw(reals(0.0, 1.0)) for kind in LandmarkType},
+        fov_radius=draw(reals(1e-3, 500.0)),
+        clutter_mean=draw(reals(0.0, 50.0)),
+        seed=draw(st.integers(0, 2 ** 63)))
+
+
 class TestScenarioIO:
     def test_round_trip(self, tmp_path):
         sc = default_scenario(seed=77)
@@ -208,6 +272,21 @@ class TestScenarioIO:
     def test_partial_p_detect_rejected(self):
         with pytest.raises(ValueError, match="p_detect must name BS, VA and SP"):
             replace(default_scenario(), p_detect={VA: 0.9})
+
+    @settings(max_examples=60, deadline=None)
+    @given(scenario=scenarios())
+    def test_random_round_trip(self, scenario):
+        # JSON writes a whole float as 3.0; the loader must also read the 3
+        # a hand-written file may hold as the float, or the hash changes.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scenario.json"
+            save_scenario(scenario, path)
+            for text in (path.read_text(),
+                         json.dumps(_whole_as_int(scenario_to_dict(scenario)))):
+                path.write_text(text)
+                loaded = load_scenario(path)
+                assert scenario_to_dict(loaded) == scenario_to_dict(scenario)
+                assert scenario_hash(loaded) == scenario_hash(scenario)
 
 
 #: +-pi, +-pi/2 and the doubles one ulp to either side of each.
