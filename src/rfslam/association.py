@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.blas import ddot
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import linear_sum_assignment
 
@@ -45,6 +46,19 @@ class InfeasibleAssignmentError(ValueError):
     """A measurement row admits no finite-cost assignment."""
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """``np.isfinite(a).all()`` for a real array, at a fraction of its cost.
+
+    The BLAS sum of the squared entries is inf or NaN when an entry is, and
+    finite when every entry is unless it overflows; only a sum that is not
+    finite pays for the exact test.  The f2py ``ddot`` sets no numpy
+    warning on overflow, as ``ndarray.dot`` does.
+    """
+    flat = a.ravel("K")
+    return (not flat.size or math.isfinite(ddot(flat, flat))
+            or bool(np.isfinite(a).all()))
+
+
 def chol_factor(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive-definite matrix.
 
@@ -54,7 +68,7 @@ def chol_factor(a: np.ndarray) -> np.ndarray:
     Raises ValueError on non-finite input and LinAlgError when ``a`` is not
     positive definite.
     """
-    if not np.isfinite(a).all():
+    if not _all_finite(a):
         raise ValueError("array must not contain infs or NaNs")
     factor, info = dpotrf(a, lower=1, clean=0)
     if info > 0:
@@ -71,7 +85,7 @@ def chol_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     Bit-identical to ``scipy.linalg.cho_solve((factor, True), b)``; raises
     ValueError when either operand is not finite.
     """
-    if not (np.isfinite(factor).all() and np.isfinite(b).all()):
+    if not (_all_finite(factor) and _all_finite(b)):
         raise ValueError("array must not contain infs or NaNs")
     x, info = dpotrs(factor, b, lower=1)
     if info != 0:
@@ -92,7 +106,7 @@ def chol_logpdf(residual: np.ndarray, cov: np.ndarray) -> tuple[float, float]:
             f"singular innovation covariance ({cov.shape[0]}x{cov.shape[0]}): {exc}"
         ) from exc
     mahal = float(residual @ chol_solve(factor, residual))
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
+    logdet = 2.0 * float(np.log(factor.diagonal()).sum())
     k = residual.size
     return -0.5 * (k * LOG_2PI + logdet + mahal), mahal
 
@@ -209,6 +223,12 @@ def update_type_probs(masses: dict) -> dict:
     return {k: v / total for k, v in masses.items()}
 
 
+#: Read-only identity for the newborn covariance of a 3-D landmark, the
+#: landmark of every channel model; ``dpotrs`` solves into a copy.
+_EYE3 = np.eye(3)
+_EYE3.flags.writeable = False
+
+
 def birth_from_measurement(meas, sensor: GaussianComponent,
                            kind: LandmarkType, model):
     """Newborn landmark Gaussian from a single measurement.
@@ -235,11 +255,11 @@ def birth_from_measurement(meas, sensor: GaussianComponent,
     gain_cov = hph_s + meas.covariance
     try:
         info = H_x.T @ chol_solve(chol_factor(gain_cov), H_x)
-        cov = chol_solve(chol_factor(info), np.eye(info.shape[0]))
+        n = info.shape[0]
+        cov = chol_solve(chol_factor(info), _EYE3 if n == 3 else np.eye(n))
     except np.linalg.LinAlgError:
         return None
-    component = GaussianComponent(np.asarray(mean, dtype=float),
-                                  symmetrize(cov))
+    component = GaussianComponent(mean, symmetrize(cov))
     hph = hph_s + H_x @ component.covariance @ H_x.T
     return component, TypePrediction(pd, z_pred, hph, H_s, H_x)
 

@@ -245,6 +245,39 @@ def mix_types(members: list, total: float,
     return LandmarkBelief(types)
 
 
+#: Relative margin of the merge's array bound over the pair gate's own.
+MERGE_BOUND_MARGIN = 1e-6
+
+
+def _merge_candidates(berns, threshold: float) -> list:
+    """``near[i][j]``: False only where :func:`_merge_pair_gate` is sure to
+    reject the pair ``berns[i]``, ``berns[j]`` without a solve: their
+    dominant types differ, or the trace bound |d|^2 > threshold (1 + 1e-9)
+    min(tr C_i, tr C_j) holds.
+
+    One array pass bounds every pair, with a wider bound than the gate's.
+    Its |d|^2 sums the squares in numpy where the gate takes ``d @ d``
+    (BLAS), and the two sums round differently.  Each is within a relative
+    3u/(1 - 3u) (u = 2^-53) of the exact |d|^2, plus at most 5 subnormal
+    roundings of 2^-1075 each where products underflow, so a pair this
+    pass rejects has ``d @ d`` above the gate's bound: the relative margin
+    ``MERGE_BOUND_MARGIN`` covers the first term and the slack 1e-300 the
+    second.  A negative bound rejects every pair in both; a NaN bound or
+    distance compares False and keeps the pair.
+    """
+    kinds = [b.belief.dominant_type() for b in berns]
+    comps = [b.belief.types[k] for b, k in zip(berns, kinds)]
+    codes = np.array([TYPE_ORDER.index(k) for k in kinds])
+    means = np.array([c.mean for c in comps])
+    # The gate's traces: each sums its diagonal in the same order.
+    traces = np.array([c.covariance for c in comps]).trace(axis1=1, axis2=2)
+    d = means[:, None, :] - means[None, :, :]
+    bound = (threshold * (1.0 + MERGE_BOUND_MARGIN)
+             * np.minimum(traces[:, None], traces[None, :]) + 1e-300)
+    return ((codes[:, None] == codes)
+            & ~((d * d).sum(axis=-1) > bound)).tolist()
+
+
 def merge_bernoullis(hypothesis: GlobalHypothesis,
                      mahalanobis_threshold: float) -> GlobalHypothesis:
     """Merge same-dominant-type Bernoullis that are statistically close.
@@ -252,24 +285,32 @@ def merge_bernoullis(hypothesis: GlobalHypothesis,
     The gate is the symmetrized squared Mahalanobis distance between the
     dominant-type position means (evaluated under each covariance, maximum
     taken).  Merged components are moment matched with existence-and-type
-    weights; existence adds up, clamped at one.
+    weights; existence adds up, clamped at one.  Only the pairs that
+    :func:`_merge_candidates` keeps reach :func:`_merge_pair_gate`; the
+    others would fail it without a solve.
     """
     if mahalanobis_threshold <= 0.0:
         raise ValueError("merge threshold must be positive")
-    remaining = list(hypothesis.bernoullis)
+    berns = hypothesis.bernoullis
+    near = (_merge_candidates(berns, mahalanobis_threshold)
+            if len(berns) > 1 else [])
+    existence = [b.existence for b in berns]
+    remaining = list(range(len(berns)))
     merged = []
     while remaining:
-        # Seed with the strongest remaining component for determinism.
-        seed_idx = max(range(len(remaining)),
-                       key=lambda i: remaining[i].existence)
-        seed = remaining.pop(seed_idx)
+        # Seed with the strongest remaining component for determinism (the
+        # first of equals).
+        s = max(remaining, key=existence.__getitem__)
+        remaining.remove(s)
+        seed = berns[s]
         group = [seed]
         rest = []
-        for b in remaining:
-            if _merge_pair_gate(seed, b, mahalanobis_threshold):
-                group.append(b)
+        for j in remaining:
+            if near[s][j] and _merge_pair_gate(seed, berns[j],
+                                               mahalanobis_threshold):
+                group.append(berns[j])
             else:
-                rest.append(b)
+                rest.append(j)
         remaining = rest
         if len(group) == 1:
             merged.append(seed)

@@ -20,12 +20,12 @@ from .density import GaussianComponent
 from .geometry import (
     Landmark,
     LandmarkType,
-    Measurement,
     Plane,
     UEState,
     _wrap_scalar,
     detection_probability,
     measure,
+    measurements_with_covariance,
     mirror_bs,
     wrap_angle,
 )
@@ -195,7 +195,7 @@ def generate_measurements(ue: UEState, scenario: Scenario,
     """Detections with additive noise, plus uniform Poisson clutter, shuffled."""
     cov = scenario.measurement_covariance()
     std = scenario.noise_std
-    items = []
+    vectors, labels = [], []
     for idx, lm in enumerate(scenario.landmarks()):
         pd = detection_probability(ue, lm, scenario.p_detect,
                                    scenario.fov_radius)
@@ -204,22 +204,26 @@ def generate_measurements(ue: UEState, scenario: Scenario,
         z = measure(ue, lm, scenario.bs.position)
         toa, aoa_az, aoa_el, aod_az, aod_el = (
             z + std * rng.standard_normal(5)).tolist()
-        z = np.array([toa, _wrap_scalar(aoa_az), _clamp_elevation(aoa_el),
-                      _wrap_scalar(aod_az), _clamp_elevation(aod_el)])
-        items.append((Measurement(z, cov), idx))
+        vectors.append(np.array([toa, _wrap_scalar(aoa_az),
+                                 _clamp_elevation(aoa_el),
+                                 _wrap_scalar(aod_az),
+                                 _clamp_elevation(aod_el)]))
+        labels.append(idx)
     for _ in range(rng.poisson(scenario.clutter_mean)):
-        z = np.array([
+        vectors.append(np.array([
             rng.uniform(0.0, SENSING_RANGE),
             rng.uniform(-math.pi, math.pi),
             rng.uniform(-math.pi / 2, math.pi / 2),
             rng.uniform(-math.pi, math.pi),
             rng.uniform(-math.pi / 2, math.pi / 2),
-        ])
-        items.append((Measurement(z, cov), -1))
-    order = rng.permutation(len(items))
+        ]))
+        labels.append(-1)
+    # Every measurement of the step shares the one covariance.
+    measurements = measurements_with_covariance(vectors, cov)
+    order = rng.permutation(len(measurements))
     return MeasurementSet(
-        measurements=tuple(items[i][0] for i in order),
-        labels=tuple(items[i][1] for i in order))
+        measurements=tuple(measurements[i] for i in order),
+        labels=tuple(labels[i] for i in order))
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +266,17 @@ _NOUNS = {float: "a number", int: "an integer", bool: "true or false",
 
 
 def _typed(name: str, value, kinds: tuple):
-    """``value`` as written; ValueError if its JSON type is not in ``kinds``."""
+    """``value`` as written; ValueError if its JSON type is not in ``kinds``,
+    or if it is an integer for a number key that no float can hold (JSON
+    integers have no size limit)."""
     if type(value) not in kinds:
         raise ValueError(f"{name} must be {_NOUNS[kinds[0]]}, not {value!r}")
+    if type(value) is int and float in kinds:
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"{name} must be a number, not an integer too "
+                             "large for a float") from None
     return value
 
 

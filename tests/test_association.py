@@ -43,6 +43,7 @@ from rfslam.geometry import (
     DegenerateGeometryError,
     LandmarkType,
     Measurement,
+    wrap_angle,
 )
 
 BS = LandmarkType.BS
@@ -111,6 +112,67 @@ class TestCholeskyPair:
         with pytest.raises(ValueError):
             chol_solve(factor, b_bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises_at_every_position(self, bad):
+        # The operands the filter passes: a C-ordered matrix, the
+        # Fortran-ordered factor, a vector and a strided Jacobian block.
+        rng = np.random.default_rng(2)
+        a = random_spd(rng, 5)
+        factor = chol_factor(a)
+        b = rng.normal(size=5)
+        H = rng.normal(size=(5, 8))
+        for i in range(5):
+            for j in range(5):
+                a_bad, f_bad = a.copy(), factor.copy(order="F")
+                a_bad[i, j] = f_bad[i, j] = bad
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    chol_factor(a_bad)
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    chol_solve(f_bad, b)
+            b_bad = b.copy()
+            b_bad[i] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                chol_solve(factor, b_bad)
+            for j in range(3):
+                H_bad = H.copy()
+                H_bad[i, 5 + j] = bad
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    chol_solve(factor, H_bad[:, 5:])
+
+    @settings(max_examples=300, deadline=None)
+    @given(shape=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+           entries=st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                            min_size=36, max_size=36),
+           layout=st.sampled_from(["C", "F", "view", "vector"]))
+    def test_finiteness_test_equals_isfinite_all(self, shape, entries,
+                                                 layout):
+        # Any floats, huge ones included: the test never warns (pytest
+        # turns a RuntimeWarning into an error) and agrees everywhere.
+        a = np.array(entries).reshape(6, 6)[:shape[0], :shape[1]]
+        if layout == "C":
+            a = np.ascontiguousarray(a)
+        elif layout == "F":
+            a = np.asfortranarray(a)
+        elif layout == "vector":
+            a = a.ravel()
+        assert association._all_finite(a) == bool(np.isfinite(a).all())
+
+    def test_finite_operands_whose_squares_overflow_pass(self):
+        # Entries of +-1e308: the sum of squares overflows, the operands
+        # are finite, and the results are scipy's.
+        signs = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+        big = 1e308 * np.outer(signs, signs)
+        assert association._all_finite(big)
+        diag = np.diag(np.full(5, 1e308))
+        assert np.array_equal(chol_factor(diag),
+                              cho_factor(diag, lower=True)[0])
+        factor = chol_factor(4.0 * np.eye(5))
+        b = 1e308 * signs
+        assert np.array_equal(chol_solve(factor, b),
+                              cho_solve((factor, True), b))
+        assert np.array_equal(chol_solve(factor, big),
+                              cho_solve((factor, True), big))
+
     def test_indefinite_matrix_raises_linalg_error(self):
         a = np.diag([1.0, -1.0, 2.0])
         with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
@@ -118,6 +180,177 @@ class TestCholeskyPair:
         with pytest.raises(np.linalg.LinAlgError,
                            match="singular innovation covariance"):
             chol_logpdf(np.ones(3), a)
+
+
+def reference_chol_logpdf(residual, cov):
+    """``chol_logpdf`` before the leaner wrappers: scipy's factor and solve,
+    and the log-determinant through ``np.diag`` and ``np.sum``."""
+    factor = cho_factor(cov, lower=True)[0]
+    mahal = float(residual @ cho_solve((factor, True), residual))
+    logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
+    return -0.5 * (residual.size * association.LOG_2PI + logdet + mahal), mahal
+
+
+def reference_wrap_residual(model, v):
+    """``wrap_residual`` before the one-residual float path."""
+    if not isinstance(model, ChannelModel):
+        return model.wrap_residual(v)
+    v = np.array(v, dtype=float)
+    v[..., model.angle_components] = wrap_angle(v[..., model.angle_components])
+    return v
+
+
+def reference_birth_from_measurement(meas, sensor, kind, model):
+    """``birth_from_measurement`` with a fresh identity per newborn."""
+    mean = model.invert(meas.z, sensor.mean, kind)
+    if mean is None:
+        return None
+    try:
+        pd, z_pred, H_s, H_x = model.linearize(sensor.mean, mean, kind)
+    except DegenerateGeometryError:
+        return None
+    if pd <= 0.0:
+        return None
+    hph_s = H_s @ sensor.covariance @ H_s.T
+    gain_cov = hph_s + meas.covariance
+    try:
+        info = H_x.T @ cho_solve((cho_factor(gain_cov, lower=True)[0], True),
+                                 H_x)
+        cov = cho_solve((cho_factor(info, lower=True)[0], True),
+                        np.eye(info.shape[0]))
+    except np.linalg.LinAlgError:
+        return None
+    component = GaussianComponent(np.asarray(mean, dtype=float),
+                                  0.5 * (cov + cov.T))
+    hph = hph_s + H_x @ component.covariance @ H_x.T
+    return component, association.TypePrediction(pd, z_pred, hph, H_s, H_x)
+
+
+def reference_weight_birth(meas, sensor, ppp, clutter_intensity, model):
+    """``weight_birth`` on the reference newborn, wrap and density."""
+    rho, comps = {}, {}
+    for kind, rate in ppp.items():
+        if rate <= 0.0 or kind is BS:
+            continue
+        birth = reference_birth_from_measurement(meas, sensor, kind, model)
+        if birth is None:
+            continue
+        component, pred = birth
+        v = reference_wrap_residual(model, meas.z - pred.z_pred)
+        loglik, _ = reference_chol_logpdf(v, pred.hph + meas.covariance)
+        rho[kind] = rate * pred.p_detect * math.exp(loglik)
+        comps[kind] = component
+    rho_total = sum(rho.values())
+    weight = clutter_intensity + rho_total
+    types = {}
+    if rho_total > 0.0:
+        types = {k: TypeComponent(r / rho_total, comps[k].mean,
+                                  comps[k].covariance) for k, r in rho.items()}
+    existence = rho_total / weight if weight > 0.0 else 0.0
+    log_weight = math.log(weight) if weight > 0.0 else -math.inf
+    return association.BirthCandidate(log_weight, existence, types)
+
+
+def bits(x):
+    """The bytes of an array or float, None kept as None."""
+    return None if x is None else np.asarray(x, dtype=float).tobytes()
+
+
+@st.composite
+def birth_case(draw):
+    """(measurement, sensor, model): a VA or SP measured from a sensor
+    near the UE, with random SPD sensor and measurement covariances, under
+    the channel model or a 3-D linear toy."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from([VA, SP]))
+    ue = np.array([rng.uniform(-60, 60), rng.uniform(-60, 60), 0.0,
+                   rng.uniform(-math.pi, math.pi), rng.uniform(0, 300)])
+    a = rng.normal(size=(5, 5)) * 10 ** rng.uniform(-3, 0)
+    sensor = GaussianComponent(ue + rng.normal(size=5) * 0.3,
+                               a @ a.T + 1e-6 * np.eye(5))
+    c = rng.normal(size=(5, 5)) * 10 ** rng.uniform(-3, -1)
+    r = c @ c.T + np.diag([0.01, 1e-5, 1e-5, 1e-5, 1e-5])
+    if draw(st.booleans()):
+        model = ChannelModel(np.array([0.0, 0.0, 40.0]),
+                             fov_radius=draw(st.sampled_from([50.0, 500.0])))
+        x = (np.array([rng.uniform(120, 220), rng.uniform(-80, 80),
+                       rng.uniform(20, 60)]) if kind is VA else
+             np.array([rng.uniform(-110, 110), rng.uniform(-110, 110),
+                       rng.uniform(4, 16)]))
+        z = model.linearize(ue, x, kind)[1]
+        if z is None:   # hidden SP: measure it as the model would see it
+            z = ChannelModel(model.bs_position, fov_radius=1e9).linearize(
+                ue, x, kind)[1]
+        z = z + rng.normal(size=5) * np.sqrt(np.diag(r))
+    else:
+        model = LinearModel({VA: (rng.normal(size=(5, 5)),
+                                  rng.normal(size=(5, 3))),
+                             SP: (rng.normal(size=(5, 5)),
+                                  rng.normal(size=(5, 3)),
+                                  rng.normal(size=5))}, dim=5,
+                            p_detect={VA: 0.8, SP: 0.6})
+        z = rng.normal(size=5) * 10
+    return Measurement(z, r), sensor, model
+
+
+class TestLocalWeightReference:
+    """The newborn and Gaussian kernels give the bits of their reference
+    copies."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([1e-6, 1e-2, 1.0, 1e3]))
+    def test_chol_logpdf_bit_equal(self, n, seed, scale):
+        rng = np.random.default_rng(seed)
+        cov = random_spd(rng, n) * scale
+        residual = rng.normal(size=n) * math.sqrt(scale)
+        got = chol_logpdf(residual, cov)
+        want = reference_chol_logpdf(residual, cov)
+        assert bits(got[0]) == bits(want[0]) and bits(got[1]) == bits(want[1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=birth_case())
+    def test_birth_and_weight_bit_equal(self, case):
+        meas, sensor, model = case
+        for kind in (VA, SP):
+            got = association.birth_from_measurement(meas, sensor, kind,
+                                                     model)
+            want = reference_birth_from_measurement(meas, sensor, kind, model)
+            assert (got is None) == (want is None)
+            if got is None:
+                continue
+            (comp, pred), (ref_comp, ref_pred) = got, want
+            assert bits(comp.mean) == bits(ref_comp.mean)
+            assert bits(comp.covariance) == bits(ref_comp.covariance)
+            assert pred.p_detect == ref_pred.p_detect
+            for name in ("z_pred", "hph", "H_s", "H_x"):
+                assert bits(getattr(pred, name)) == \
+                    bits(getattr(ref_pred, name))
+        ppp = {BS: 1e-4, VA: 2.5e-6, SP: 4e-6}
+        got = weight_birth(meas, sensor, ppp, 1.3e-5, model)
+        want = reference_weight_birth(meas, sensor, ppp, 1.3e-5, model)
+        assert bits(got.log_weight) == bits(want.log_weight)
+        assert bits(got.existence) == bits(want.existence)
+        assert list(got.types) == list(want.types)
+        for kind, comp in got.types.items():
+            ref = want.types[kind]
+            assert bits(comp.weight) == bits(ref.weight)
+            assert bits(comp.mean) == bits(ref.mean)
+            assert bits(comp.covariance) == bits(ref.covariance)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.lists(
+        st.floats(-1e4, 1e4) | st.sampled_from(
+            [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, math.nan]),
+        min_size=5, max_size=5), min_size=1, max_size=4),
+        one=st.booleans())
+    def test_wrap_residual_bit_equal(self, rows, one):
+        model = ChannelModel(np.array([0.0, 0.0, 40.0]))
+        v = np.array(rows[0] if one else rows)
+        assert bits(model.wrap_residual(v)) == \
+            bits(reference_wrap_residual(model, v))
+        assert model.wrap_residual(v).shape == v.shape
 
 
 class TestWeightDetected:

@@ -259,6 +259,33 @@ class TestMain:
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
+    def test_config_integer_too_large_for_a_float_exits_2(self, tmp_path,
+                                                          capsys):
+        # JSON integers have no size limit; float() of this one overflows.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"mc": 1, "out": "%s", "gate": 1%s}'
+                       % (tmp_path / "o", "0" * 400))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert ("configuration error: invalid config file: gate must be a "
+                "number, not an integer too large for a float"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    def test_scenario_integer_too_large_for_a_float_exits_2(self, tmp_path,
+                                                            capsys):
+        doc = scenario_to_dict(default_scenario(seed=1, steps=3))
+        doc["speed"] = 10 ** 400
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(doc))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": str(scen), "mc": 1,
+                                   "out": str(tmp_path / "o")}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert ("configuration error: invalid scenario file: speed must be a "
+                "number, not an integer too large for a float"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_infeasible_assignment_exits_4(self, tmp_path, capsys,
                                            monkeypatch):
         import rfslam.cli

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -176,6 +177,32 @@ def solving_merge_gate(a, b, threshold):
     return max(da, db) <= threshold
 
 
+def reference_merge_bernoullis(hypothesis, threshold):
+    """The merge before its bounds: every remaining pair goes through the
+    solving gate, seed by seed."""
+    remaining = list(hypothesis.bernoullis)
+    merged = []
+    while remaining:
+        seed_idx = max(range(len(remaining)),
+                       key=lambda i: remaining[i].existence)
+        seed = remaining.pop(seed_idx)
+        group = [seed]
+        rest = []
+        for b in remaining:
+            if solving_merge_gate(seed, b, threshold):
+                group.append(b)
+            else:
+                rest.append(b)
+        remaining = rest
+        if len(group) == 1:
+            merged.append(seed)
+            continue
+        total = sum(b.existence for b in group)
+        merged.append(Bernoulli(min(1.0, total), mix_types(
+            [(b.existence, b.belief) for b in group], total)))
+    return GlobalHypothesis(hypothesis.weight, tuple(merged))
+
+
 def assert_bernoullis_bit_equal(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -234,9 +261,7 @@ class TestMergeGateBound:
         hyp = GlobalHypothesis(1.0, tuple(berns[i] for i in order))
 
         got = merge_bernoullis(hyp, threshold)
-        with mock.patch.object(density_module, "_merge_pair_gate",
-                               solving_merge_gate):
-            want = merge_bernoullis(hyp, threshold)
+        want = reference_merge_bernoullis(hyp, threshold)
         assert_bernoullis_bit_equal(got.bernoullis, want.bernoullis)
 
     def test_pair_on_the_gate_merges_despite_rounding(self):
@@ -250,6 +275,61 @@ class TestMergeGateBound:
         assert solving_merge_gate(a, b, 50.0)
         merged = merge_bernoullis(GlobalHypothesis(1.0, (a, b)), 50.0)
         assert len(merged.bernoullis) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([1e-162, 1e-160, 1e-155, 1e-3, 1.0, 1e3,
+                                  1e150]),
+           threshold=st.sampled_from([1.0, 50.0, 400.0, 3.7e-5]))
+    def test_array_bound_keeps_every_pair_the_gate_bound_keeps(
+            self, seed, scale, threshold):
+        # Second covariances whose traces put the gate's own bound,
+        # threshold (1 + 1e-9) tr C, within a few ulps of d @ d (the first
+        # covariance's trace is larger): every pair whose d @ d passes that
+        # bound must survive the array bound, which sums the squares in
+        # numpy.  Normal draws make the two sums differ in about a third of
+        # the pairs; the tiny scales take the squares below the normal
+        # range.
+        rng = np.random.default_rng(seed)
+        kept = 0
+        for _ in range(20):
+            d = rng.normal(size=3) * scale
+            dd = float(d @ d)
+            centre = dd / (threshold * (1.0 + 1e-9))
+            traces = [centre]
+            for toward in (-math.inf, math.inf):
+                trace = centre
+                for _ in range(4):
+                    trace = math.nextafter(trace, toward)
+                    traces.append(trace)
+            for trace in traces:
+                a = bern(0.9, mean=np.zeros(3),
+                         cov=np.diag([2.0 * trace + 1.0, 0.0, 0.0]))
+                b = bern(0.5, mean=-d, cov=np.diag([trace, 0.0, 0.0]))
+                near = density_module._merge_candidates((a, b), threshold)
+                if not dd > threshold * (1.0 + 1e-9) * trace:
+                    kept += 1
+                    assert near[0][1] and near[1][0]
+        assert kept > 0
+
+    def test_array_sum_rounds_within_the_stated_bound(self):
+        # The numpy sum of squares and d @ d do differ, by no more than
+        # the relative 2 * 3u / (1 - 3u) plus the subnormal slack that
+        # _merge_candidates' docstring states; MERGE_BOUND_MARGIN is far
+        # wider than the relative term.
+        rng = np.random.default_rng(5)
+        u = 2.0 ** -53
+        rel = 2.0 * 3.0 * u / (1.0 - 3.0 * u)
+        differ = 0
+        for scale in (1e-160, 1e-3, 1.0, 1e3, 1e150):
+            d = rng.normal(size=(4000, 3)) * scale
+            array_sum = (d * d).sum(axis=-1)
+            for row, s in zip(d, array_sum.tolist()):
+                dd = float(row @ row)
+                differ += s != dd
+                assert abs(s - dd) <= rel * max(s, dd) + 10 * 2.0 ** -1075
+        assert differ > 0
+        assert density_module.MERGE_BOUND_MARGIN > 1e6 * rel
 
     def test_far_pair_is_rejected_without_solving(self):
         a, b = bern(0.5), bern(0.5, mean=(20.0, 0.0, 0.0))
@@ -483,8 +563,12 @@ class TestMixTypes:
             assert_beliefs_bit_equal(LandmarkBelief({kind: comp}),
                                      LandmarkBelief({kind: ref}))
         if n > 1:
+            # Every pair passes both the array bound and the gate.
             with mock.patch.object(density_module, "_merge_pair_gate",
-                                   lambda a, b, threshold: True):
+                                   lambda a, b, threshold: True), \
+                    mock.patch.object(density_module, "_merge_candidates",
+                                      lambda berns, threshold:
+                                      [[True] * len(berns)] * len(berns)):
                 merged, = merge_bernoullis(GlobalHypothesis(1.0, members),
                                            1.0).bernoullis
             assert merged.existence == min(1.0, total)

@@ -405,41 +405,99 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def reference_measure(u, heading, bias, kind, x, bs_position):
+    """The prediction before the float kernels: the VA mirror as array
+    arithmetic, and azimuth and elevation from indexed numpy scalars."""
+    def azimuth_elevation(g):
+        rho = math.hypot(g[0], g[1])
+        if rho < 1e-12:
+            raise DegenerateGeometryError(
+                "vertical direction: azimuth undefined")
+        return math.atan2(g[1], g[0]), math.atan2(g[2], rho)
+
+    g, n, d, b, span, nu = geometry._legs(u, kind, x, bs_position)
+    if kind is LandmarkType.BS:
+        path, g_aod = n, d
+    elif kind is LandmarkType.VA:
+        path, g_aod = n, d - 2.0 * nu * (nu @ d)
+    else:
+        path, g_aod = span + n, b
+    aoa_az, aoa_el = azimuth_elevation(g)
+    aod_az, aod_el = azimuth_elevation(g_aod)
+    return np.array([path + bias, geometry._wrap_scalar(aoa_az - heading),
+                     aoa_el, aod_az, aod_el])
+
+
+#: Horizontal offsets of a near-vertical direction: zero, both sides of the
+#: 1e-12 length threshold of the angles and of the 1e-24 squared one of
+#: their gradients, and clear of both.
+NEAR_VERTICAL = (st.sampled_from([0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-6])
+                 | st.floats(5e-13, 2e-12))
+
+
+@st.composite
+def kernel_case(draw, kind):
+    """(sensor vector, landmark position) for ``kind``: generic geometry, a
+    BS at its own position, or the UE-landmark or BS-landmark direction
+    near vertical, never of zero length."""
+    u = np.array([draw(st.floats(-80.0, 80.0)), draw(st.floats(-80.0, 80.0)),
+                  draw(st.sampled_from([0.0, 1.5]))])
+    v = np.concatenate([u, [draw(st.floats(-30.0, 30.0)),
+                            draw(st.floats(0.0, 400.0))]])
+    shape = draw(st.sampled_from(
+        ["generic", "above UE", "above BS"]
+        + (["BS"] if kind is LandmarkType.BS else [])))
+    if shape == "generic":
+        x = np.array([draw(st.floats(-150.0, 250.0)),
+                      draw(st.floats(-200.0, 200.0)),
+                      draw(st.floats(2.0, 60.0))])
+    elif shape == "BS":
+        x = BS.copy()
+    else:
+        base = u if shape == "above UE" else BS
+        x = base + np.array([draw(NEAR_VERTICAL), draw(NEAR_VERTICAL),
+                             draw(st.sampled_from([25.0, -12.0, 1e-3]))])
+    return v, x
+
+
+def same_bits(got, ref):
+    """Equal outcomes: the same exception, or arrays of equal bytes (a
+    signed zero counts) and shape."""
+    if isinstance(ref, tuple):
+        return got == ref
+    return got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
 class TestKernelReference:
     """The linearization kernels give the bits of the reference copies."""
 
     @pytest.mark.parametrize("kind", list(LandmarkType))
-    def test_predict_and_jacobians_bit_equal(self, kind):
-        rng = np.random.default_rng(31)
-        model = ChannelModel(BS)
-        cases = []
-        for _ in range(200):
-            ue, lm = random_geometry(rng, kind)
-            cases.append((ue, lm.position))
-        # Near-vertical UE-landmark and BS-landmark directions, on both
-        # sides of the degeneracy thresholds.
-        for offset in (0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-9, 1e-6):
-            ue, _ = random_geometry(rng, kind)
-            cases.append((ue, ue.position + np.array([offset, 0.0, 25.0])))
-            cases.append((ue, BS + np.array([0.0, offset, 12.0])))
-        for ue, x in cases:
-            v = np.concatenate([ue.position, [ue.heading, ue.clock_bias]])
-            u = reference_finite_point(v[:3], "UE")
-            x = reference_finite_point(x, "landmark")
-            got = outcome(model.jacobians, v, x, kind)
-            ref = outcome(reference_measure_jacobian, u, kind, x, BS)
-            if isinstance(ref, tuple):
-                assert got == ref
-            else:
-                assert np.array_equal(got[0], ref[:, :5])
-                assert np.array_equal(got[1], ref[:, 5:])
-            got = outcome(model.predict, v, x, kind)
-            ref = outcome(geometry._measure, u, geometry._wrap_scalar(v[3]),
-                          float(v[4]), kind, x, BS)
-            if isinstance(ref, tuple):
-                assert got == ref
-            else:
-                assert np.array_equal(got, ref)
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_predict_and_jacobians_bit_equal(self, kind, data):
+        v, x = data.draw(kernel_case(kind))
+        # A FOV that sees every SP, so linearize gives every part.
+        model = ChannelModel(BS, fov_radius=1e9)
+        u = reference_finite_point(v[:3], "UE")
+        x = reference_finite_point(x, "landmark")
+        ref_h = outcome(reference_measure_jacobian, u, kind, x, BS)
+        ref_z = outcome(reference_measure, u, geometry._wrap_scalar(v[3]),
+                        float(v[4]), kind, x, BS)
+        jac = outcome(model.jacobians, v, x, kind)
+        if isinstance(ref_h, tuple):
+            assert jac == ref_h
+        else:
+            assert same_bits(jac[0], ref_h[:, :5])
+            assert same_bits(jac[1], ref_h[:, 5:])
+        assert same_bits(outcome(model.predict, v, x, kind), ref_z)
+        lin = outcome(model.linearize, v, x, kind)
+        if isinstance(ref_z, tuple) or isinstance(ref_h, tuple):
+            assert lin == (ref_z if isinstance(ref_z, tuple) else ref_h)
+            return
+        pd, z_pred, H_s, H_x = lin
+        assert pd == model.p_detect[kind]
+        assert same_bits(z_pred, ref_z)
+        assert same_bits(H_s, ref_h[:, :5]) and same_bits(H_x, ref_h[:, 5:])
 
     def test_vertical_direction_still_raises(self):
         model = ChannelModel(BS)
@@ -473,13 +531,6 @@ def per_part_outcome(model, v, x, kind):
     except ValueError as exc:
         return type(exc), str(exc)
     return pd, z_pred, H_s, H_x
-
-
-#: Horizontal offsets of a near-vertical direction: zero, both sides of the
-#: 1e-12 length threshold of the angles and of the 1e-24 squared one of
-#: their gradients, and clear of both.
-NEAR_VERTICAL = (st.sampled_from([0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-6])
-                 | st.floats(5e-13, 2e-12))
 
 
 @st.composite

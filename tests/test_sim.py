@@ -14,15 +14,20 @@ from rfslam.density import GaussianComponent
 from rfslam.geometry import (
     Landmark,
     LandmarkType,
+    Measurement,
     Plane,
     UEState,
     _wrap_scalar,
+    detection_probability,
     measure,
+    measurements_with_covariance,
     mirror_bs,
     wrap_angle,
 )
 from rfslam.motion import sensor_transition
 from rfslam.sim import (
+    SENSING_RANGE,
+    MeasurementSet,
     Scenario,
     _clamp_elevation,
     default_scenario,
@@ -191,6 +196,124 @@ class TestGenerateMeasurements:
                 continue
             z_true = measure(ue, landmarks[label], sc.bs.position)
             assert abs(meas.z[0] - z_true[0]) < 1.0  # within noise, not clutter
+
+
+def reference_generate_measurements(ue, scenario, rng):
+    """``generate_measurements`` building and checking every measurement on
+    its own."""
+    cov = scenario.measurement_covariance()
+    std = scenario.noise_std
+    items = []
+    for idx, lm in enumerate(scenario.landmarks()):
+        pd = detection_probability(ue, lm, scenario.p_detect,
+                                   scenario.fov_radius)
+        if rng.uniform() >= pd:
+            continue
+        z = measure(ue, lm, scenario.bs.position)
+        toa, aoa_az, aoa_el, aod_az, aod_el = (
+            z + std * rng.standard_normal(5)).tolist()
+        z = np.array([toa, _wrap_scalar(aoa_az), _clamp_elevation(aoa_el),
+                      _wrap_scalar(aod_az), _clamp_elevation(aod_el)])
+        items.append((Measurement(z, cov), idx))
+    for _ in range(rng.poisson(scenario.clutter_mean)):
+        z = np.array([
+            rng.uniform(0.0, SENSING_RANGE),
+            rng.uniform(-math.pi, math.pi),
+            rng.uniform(-math.pi / 2, math.pi / 2),
+            rng.uniform(-math.pi, math.pi),
+            rng.uniform(-math.pi / 2, math.pi / 2),
+        ])
+        items.append((Measurement(z, cov), -1))
+    order = rng.permutation(len(items))
+    return MeasurementSet(
+        measurements=tuple(items[i][0] for i in order),
+        labels=tuple(items[i][1] for i in order))
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the exception it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestSharedCovariance:
+    """A step's measurements share one covariance, checked once."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), clutter=st.sampled_from(
+        [0.0, 1.0, 10.0]), step=st.integers(0, 40))
+    def test_bit_equal_to_one_check_per_measurement(self, seed, clutter,
+                                                    step):
+        sc = replace(default_scenario(seed=seed % 100), clutter_mean=clutter)
+        ue = simulate_trajectory(sc, np.random.default_rng(seed))[step]
+        got_rng, ref_rng = (np.random.default_rng([seed, 1]),
+                            np.random.default_rng([seed, 1]))
+        got = generate_measurements(ue, sc, got_rng)
+        ref = reference_generate_measurements(ue, sc, ref_rng)
+        assert got.labels == ref.labels
+        assert len(got.measurements) == len(ref.measurements)
+        for a, b in zip(got.measurements, ref.measurements):
+            assert a.z.tobytes() == b.z.tobytes()
+            assert a.covariance.tobytes() == b.covariance.tobytes()
+        # The same draws, in the same order.
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_covariance_checked_once_per_call(self, monkeypatch):
+        sc = replace(default_scenario(seed=1), clutter_mean=10.0)
+        ue = UEState.from_vector(sc.ue_init.mean)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: calls.append(1) or eigvalsh(a))
+        out = generate_measurements(ue, sc, np.random.default_rng(4))
+        assert len(out.measurements) > 5 and len(calls) == 1
+        shared = {id(m.covariance) for m in out.measurements}
+        assert len(shared) == 1
+
+    @pytest.mark.parametrize("std, message", [
+        (1e-200, "measurement covariance must be positive definite"),
+        (1e200, "measurement and covariance must be finite")])
+    def test_noise_squares_out_of_range_fail_as_before(self, std, message):
+        # 1e-200 squares to 0.0 and 1e200 to inf: the scenario accepts the
+        # standard deviations, the first measurement built refuses them.
+        sc = replace(default_scenario(seed=1), clutter_mean=3.0,
+                     noise_std=np.array([0.1, std, 0.005, 0.005, 0.005]))
+        ue = UEState.from_vector(sc.ue_init.mean)
+        with np.errstate(over="ignore"):
+            got = outcome(generate_measurements, ue, sc,
+                          np.random.default_rng(3))
+            ref = outcome(reference_generate_measurements, ue, sc,
+                          np.random.default_rng(3))
+        assert got == ref == (ValueError, message)
+
+    @pytest.mark.parametrize("vectors, cov", [
+        ([], np.eye(5)),
+        ([np.zeros(5), np.ones(5)], np.eye(5)),
+        ([np.zeros(5), [0.0, 1.0, np.nan, 0.0, 0.0]], np.eye(5)),
+        ([np.zeros(5), [0.0, 1.0, 2.0, -np.inf, 0.0]], np.eye(5)),
+        ([np.zeros(5), np.zeros(4)], np.eye(5)),
+        ([np.zeros(5), np.zeros((5, 1))], np.eye(5)),
+        ([[np.inf, 0, 0, 0, 0], np.zeros(5)], np.diag([1.0, 1, 1, 1, -1])),
+        ([np.zeros(5), np.full(5, np.nan)], np.diag([1.0, 1, 1, 1, -1])),
+        ([np.zeros(5)], np.diag([1.0, 1, 1, 1, np.inf])),
+        ([np.zeros(2), np.ones(2)], np.array([[1.0, 1e-6], [0.0, 1.0]])),
+        ([np.zeros(3), [1, 2, 3]], 2.0 * np.eye(3))], ids=repr)
+    def test_same_result_or_error_as_building_each(self, vectors, cov):
+        def each(vectors, cov):
+            return [Measurement(z, cov) for z in vectors]
+
+        got = outcome(measurements_with_covariance, vectors, cov)
+        ref = outcome(each, vectors, cov)
+        if isinstance(ref, tuple):
+            assert got == ref
+            return
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert type(a) is Measurement
+            assert a.z.dtype == b.z.dtype and a.z.tobytes() == b.z.tobytes()
+            assert a.covariance.tobytes() == b.covariance.tobytes()
 
 
 def _whole_as_int(doc):
