@@ -355,20 +355,21 @@ class AssociationVector:
         return [p - 1 for p in self.sigma[self.n_prior:] if p is not None]
 
     def validate(self) -> None:
+        n_prior, sigma = self.n_prior, self.sigma
+        n_meas = len(sigma) - n_prior
         seen = []
-        for t, entry in enumerate(self.sigma):
-            if t < self.n_prior:
-                if entry is None or entry < 0 or entry > self.n_meas:
-                    raise ValueError(f"bad prior-slot entry {entry!r}")
-                if entry > 0:
-                    seen.append(entry)
-            else:
-                expected = t - self.n_prior + 1
-                if entry is not None and entry != expected:
-                    raise ValueError(f"birth slot {t} must map to {expected}")
-                if entry is not None:
-                    seen.append(entry)
-        if sorted(seen) != list(range(1, self.n_meas + 1)):
+        for entry in sigma[:n_prior]:
+            if entry is None or entry < 0 or entry > n_meas:
+                raise ValueError(f"bad prior-slot entry {entry!r}")
+            if entry > 0:
+                seen.append(entry)
+        for expected, entry in enumerate(sigma[n_prior:], 1):
+            if entry is not None:
+                if entry != expected:
+                    raise ValueError(f"birth slot {n_prior + expected - 1} "
+                                     f"must map to {expected}")
+                seen.append(entry)
+        if sorted(seen) != list(range(1, n_meas + 1)):
             raise ValueError("each measurement must appear exactly once")
 
 
@@ -476,8 +477,7 @@ def _solve_assignment(matrix: np.ndarray):
 def _sigma_from_assignment(assignment: np.ndarray, n_prior: int,
                            n_meas: int) -> AssociationVector:
     sigma = [0] * n_prior + [None] * n_meas
-    for r in range(n_meas):
-        c = int(assignment[r])
+    for r, c in enumerate(assignment.tolist()):
         if c < n_prior:
             sigma[c] = r + 1
         else:
@@ -491,6 +491,16 @@ def murty_kbest(costs: CostMatrix, gamma: int):
 
     The first solution is the optimal assignment.  Ties are resolved by
     expansion order, which is deterministic.
+
+    Child ``r`` of a popped solution forbids its cell in row ``r`` and
+    forces its cells in the rows above, so row ``r`` can only take a finite
+    cell at a column that no row ``<= r`` of the solution claims, while
+    every later row keeps its own cell.  One array test finds the children
+    whose row ``r`` has no such cell.  Such a child is dead: it is skipped
+    before any copy or solve, where solving it would only have failed, so
+    the heap and its tie counter see what they would without the skip.
+    The popped matrix is copied once into the partition, which forces each
+    pair in place up to the last live child.
     """
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
@@ -509,26 +519,36 @@ def murty_kbest(costs: CostMatrix, gamma: int):
     heap = []
     heapq.heappush(heap, (first[1], counter, costs.matrix, first[0]))
     results = []
+    rows = np.arange(n_meas)
     while heap:
         cost, _, matrix, assignment = heapq.heappop(heap)
         results.append((_sigma_from_assignment(assignment, n_prior, n_meas),
                         float(cost)))
         if len(results) == gamma:
             break
-        # Partition: child k forbids assignment pair k and forces pairs < k.
-        partition = matrix
-        for r in range(n_meas):
-            c = int(assignment[r])
-            child = partition.copy()
-            child[r, c] = np.inf
-            solved = _solve_assignment(child)
-            if solved is not None:
-                counter += 1
-                heapq.heappush(heap, (solved[1], counter, child, solved[0]))
-            # Force (r, c) for subsequent children.
-            partition = partition.copy()
-            forced_value = partition[r, c]
-            partition[r, :] = np.inf
-            partition[:, c] = np.inf
-            partition[r, c] = forced_value
+        # rank[c]: the row that claims column c, n_meas for a free column.
+        rank = np.full(n_cols, n_meas)
+        rank[assignment] = rows
+        alive = (np.isfinite(matrix)
+                 & (rank > rows[:, None])).any(axis=1).tolist()
+        if True not in alive:
+            continue
+        last = n_meas - 1 - alive[::-1].index(True)
+        # Partition: child r forbids pair r and forces pairs < r.
+        partition = matrix.copy()
+        for r, c in enumerate(assignment[:last + 1].tolist()):
+            if alive[r]:
+                child = partition.copy()
+                child[r, c] = np.inf
+                solved = _solve_assignment(child)
+                if solved is not None:
+                    counter += 1
+                    heapq.heappush(heap, (solved[1], counter, child,
+                                          solved[0]))
+            if r < last:
+                # Force (r, c) for the later children.
+                forced_value = partition[r, c]
+                partition[r, :] = np.inf
+                partition[:, c] = np.inf
+                partition[r, c] = forced_value
     return results

@@ -15,6 +15,7 @@ import concurrent.futures
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -125,6 +126,13 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0.0):
                 raise ConfigError(f"{name} must be finite and > 0")
+        # A noise std overrides the scenario's, which refuses a std whose
+        # square is not a finite, positive variance.
+        for name in ("noise_toa", "noise_angle"):
+            std = getattr(self, name)
+            if std is not None and not 0.0 < float(std) * float(std) < math.inf:
+                raise ConfigError(f"{name} must square to a variance finite "
+                                  "and > 0")
 
     def to_dict(self) -> dict:
         return {key: getattr(self, name)
@@ -250,11 +258,14 @@ def run(config: RunConfig) -> dict:
     filter_cfg = build_filter_config(scenario, config)
     tasks = [(scenario, filter_cfg, config.seed, i, config.extract_threshold)
              for i in range(config.mc_runs)]
-    if config.jobs == 1:
+    # More workers than runs or cores cannot help; each MC run seeds its own
+    # generator, so the worker count never changes the report.
+    workers = min(config.jobs, config.mc_runs, os.cpu_count() or 1)
+    if workers == 1:
         runs = [_worker(task) for task in tasks]
     else:
         with concurrent.futures.ProcessPoolExecutor(
-                max_workers=config.jobs) as pool:
+                max_workers=workers) as pool:
             runs = list(pool.map(_worker, tasks))
 
     steps = scenario.steps

@@ -117,14 +117,23 @@ class PmbmDensity:
         return max(self.hypotheses, key=lambda h: h.weight)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+_ABSENT = Bernoulli(0.0, LandmarkBelief({LandmarkType.VA: TypeComponent(
+    1.0, _read_only(np.zeros(3)), _read_only(1e6 * np.eye(3)))}))
+
+
 def absent_bernoulli() -> Bernoulli:
     """Zero-existence placeholder for a track slot that holds no landmark.
 
     Fills the slot of a measurement explained as clutter only and of a new
     track born in no hypothesis; :func:`prune` drops it before any output.
+    Every slot shares one instance, whose arrays are read-only.
     """
-    return Bernoulli(0.0, LandmarkBelief({
-        LandmarkType.VA: TypeComponent(1.0, np.zeros(3), 1e6 * np.eye(3))}))
+    return _ABSENT
 
 
 #: Default map-region volume for the uniform PPP: x, y in [-200, 200] m,

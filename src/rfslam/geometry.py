@@ -158,20 +158,17 @@ class Measurement:
 
 
 def measurements_with_covariance(vectors, covariance) -> list:
-    """``[Measurement(z, covariance) for z in vectors]``, with the shared
-    covariance checked once.
+    """``[Measurement(z, covariance) for z in vectors]`` for a covariance
+    that already passes :class:`Measurement`'s checks (finite, symmetric
+    within 1e-9, positive definite), as a scenario's does.
 
-    The first measurement runs every check of :class:`Measurement`; each
-    later one runs only the checks its own vector can still fail (shape and
-    finiteness), with the same messages.  So it raises the error the list
-    comprehension would raise.
+    The covariance is not checked again: each measurement runs only the
+    checks its own vector can fail (shape and finiteness), with the same
+    messages, and all of them share the one covariance array.
     """
+    cov = np.asarray(covariance, dtype=float)
     out = []
     for z in vectors:
-        if not out:
-            out.append(Measurement(z, covariance))
-            cov = out[0].covariance
-            continue
         z = np.asarray(z, dtype=float)
         if z.ndim != 1 or cov.shape != (z.size, z.size):
             raise ValueError("measurement/covariance shapes inconsistent")

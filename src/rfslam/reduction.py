@@ -94,7 +94,9 @@ def align_hypotheses(density: PmbmDensity) -> TrackTable:
         # The Bernoullis are the prior tracks' followed by the born ones'.
         berns = iter(hyp.bernoullis)
         for track, q in zip(cells, sigma.sigma):
-            cell = track.setdefault(q, TrackCell())
+            cell = track.get(q)
+            if cell is None:
+                cell = track[q] = TrackCell()
             cell.beta += hyp.weight
             # Only a not-born new track (q None) has no Bernoulli.
             if q is not None:

@@ -88,6 +88,17 @@ class Scenario:
         if self.noise_std.shape != (5,) or not all(
                 0.0 < std < math.inf for std in self.noise_std.tolist()):
             raise ValueError("noise_std must be 5 entries, finite and > 0")
+        # The one measurement covariance of every step, checked here once.
+        # A diagonal matrix is positive definite when its entries are, so a
+        # std whose square underflows to 0 or overflows to inf is refused.
+        with np.errstate(over="ignore"):
+            noise_cov = np.diag(self.noise_std ** 2)
+        if not all(0.0 < var < math.inf
+                   for var in noise_cov.diagonal().tolist()):
+            raise ValueError("noise_std must square to variances finite "
+                             "and > 0")
+        noise_cov.flags.writeable = False
+        object.__setattr__(self, "_measurement_cov", noise_cov)
         for name, cov in (("process_noise", self.process_noise),
                           ("ue_init.cov", self.ue_init.covariance)):
             if not _is_covariance_5x5(cov):
@@ -118,7 +129,8 @@ class Scenario:
         return ([self.bs] + [va for va, _ in self.vas] + list(self.sps))
 
     def measurement_covariance(self) -> np.ndarray:
-        return np.diag(self.noise_std ** 2)
+        """diag(noise_std^2), read-only: positive definite and finite."""
+        return self._measurement_cov
 
 
 def default_scenario(seed: int = 0, steps: int = 40) -> Scenario:
@@ -218,7 +230,7 @@ def generate_measurements(ue: UEState, scenario: Scenario,
             rng.uniform(-math.pi / 2, math.pi / 2),
         ]))
         labels.append(-1)
-    # Every measurement of the step shares the one covariance.
+    # Every measurement shares the scenario's covariance, checked with it.
     measurements = measurements_with_covariance(vectors, cov)
     order = rng.permutation(len(measurements))
     return MeasurementSet(

@@ -175,11 +175,11 @@ class ChildParts:
     call and keeps its results: ``costs``, ``log_const`` (sum_i ln l^{i,0},
     which turns an association's cost back into its weight) and ``ctx``.
     A misdetected landmark's Bernoulli, a detected landmark's posterior type
-    probabilities and its innovation per type (against ``measurements[p]``),
-    and a newborn Bernoulli are pure functions of the hypothesis and the
-    landmark and/or measurement, so every ranked association of the
-    hypothesis shares them (track-oriented PMBM children share their
-    per-track local hypotheses).  Each is built on first use.
+    probabilities, its innovation per type (against ``measurements[p]``) and
+    the types it stacks, and a newborn Bernoulli are pure functions of the
+    hypothesis and the landmark and/or measurement, so every ranked
+    association of the hypothesis shares them (track-oriented PMBM children
+    share their per-track local hypotheses).  Each is built on first use.
     """
 
     def __init__(self, hypothesis: GlobalHypothesis, measurements,
@@ -193,6 +193,7 @@ class ChildParts:
             config.model, gate=config.gate)
         self._misdetected = {}
         self._detected = {}
+        self._stacks = {}
         self._innovations = {}
         self._born = {}
 
@@ -239,6 +240,22 @@ class ChildParts:
                 self.measurements[p].z - z_pred)
         return v
 
+    def detection(self, i: int, p: int) -> tuple:
+        """``(psi, stack)`` of landmark ``i`` detected by ``p``: its pruned
+        posterior type probabilities, and one ``(kind, prior component,
+        prediction, innovation)`` per type of them with a prediction, in
+        their order -- the types the joint update stacks.  LinAlgError when
+        the cost matrix ruled the pair out."""
+        found = self._stacks.get((i, p))
+        if found is None:
+            psi = self.detected_type_probs(i, p)
+            comps = self.hypothesis.bernoullis[i].belief.types
+            preds = self.ctx.type_preds[i]
+            found = self._stacks[(i, p)] = (psi, tuple(
+                (kind, comps[kind], preds[kind], self.innovation(i, p, kind))
+                for kind in psi if preds[kind].z_pred is not None))
+        return found
+
     def born(self, p: int) -> Bernoulli:
         """The Bernoulli measurement ``p`` starts."""
         bern = self._born.get(p)
@@ -280,28 +297,29 @@ def joint_update(parts: ChildParts, sigma: AssociationVector):
     berns = hypothesis.bernoullis
     if len(berns) != sigma.n_prior or len(measurements) != sigma.n_meas:
         raise ValueError("association vector inconsistent with inputs")
-    detected = dict(sigma.detected_pairs())
-    type_preds = parts.ctx.type_preds
-
     # Posterior type probabilities first: type components whose probability
     # collapses are dropped from the stack, so their replicated-measurement
     # rows cannot force a stale cross-type constraint onto the sensor.
-    psi_post = {i: parts.detected_type_probs(i, p) for i, p in detected.items()}
+    detections = {i: (p, *parts.detection(i, p))
+                  for i, p in sigma.detected_pairs()}
 
     ds = sensor.dim
-    blocks = []   # (landmark, measurement, type, state slice, row slice)
-    spans = []    # (measurement, stacked types, row span) per landmark
+    # Per stacked type: (landmark, type, prior component, prediction,
+    # innovation, state slice, row slice); per landmark: (measurement
+    # covariance, stacked types, row span).
+    blocks, spans = [], []
     n_state, n_rows = ds, 0
-    for i, p in detected.items():
-        kinds = [k for k in psi_post[i] if type_preds[i][k].z_pred is not None]
-        first, dz = n_rows, measurements[p].z.size
-        for kind in kinds:
-            dx = berns[i].belief.types[kind].mean.size
-            blocks.append((i, p, kind, slice(n_state, n_state + dx),
+    for i, (p, _, stack) in detections.items():
+        first, cov_z = n_rows, measurements[p].covariance
+        dz = cov_z.shape[0]
+        for kind, comp, pred, v in stack:
+            dx = comp.mean.size
+            blocks.append((i, kind, comp, pred, v,
+                           slice(n_state, n_state + dx),
                            slice(n_rows, n_rows + dz)))
             n_state += dx
             n_rows += dz
-        spans.append((p, len(kinds), slice(first, n_rows)))
+        spans.append((cov_z, len(stack), slice(first, n_rows)))
 
     sensor_post, posterior = sensor, {}
     if blocks:
@@ -312,17 +330,21 @@ def joint_update(parts: ChildParts, sigma: AssociationVector):
         innovation = np.zeros(n_rows)
         mean[:ds] = sensor.mean
         cov[:ds, :ds] = sensor.covariance
-        for i, p, kind, state, rows in blocks:
-            comp, pred = berns[i].belief.types[kind], type_preds[i][kind]
+        for _, _, comp, pred, v, state, rows in blocks:
             mean[state] = comp.mean
             cov[state, state] = comp.covariance
             H[rows, :ds] = pred.H_s
             H[rows, state] = pred.H_x
-            innovation[rows] = parts.innovation(i, p, kind)
-        # Replicated measurement noise is fully correlated across types.
-        for p, n_kinds, span in spans:
-            R[span, span] = np.tile(measurements[p].covariance,
-                                    (n_kinds, n_kinds))
+            innovation[rows] = v
+        # Replicated measurement noise is fully correlated across types:
+        # every (type, type) block of a landmark's span is its covariance.
+        for cov_z, n_kinds, span in spans:
+            if n_kinds == 1:
+                R[span, span] = cov_z
+            else:
+                dz = cov_z.shape[0]
+                R[span, span].reshape(n_kinds, dz, n_kinds, dz)[...] = \
+                    cov_z[:, None, :]
         S = H @ cov @ H.T + R
         try:
             factor = chol_factor(symmetrize(S))
@@ -341,15 +363,15 @@ def joint_update(parts: ChildParts, sigma: AssociationVector):
         post_cov = symmetrize(post_cov)
         sensor_post = GaussianComponent(post_mean[:ds], post_cov[:ds, :ds])
         posterior = {(i, kind): (post_mean[state], post_cov[state, state])
-                     for i, _, kind, state, _ in blocks}
+                     for i, kind, _, _, _, state, _ in blocks}
 
     new_berns = []
     for i, bern in enumerate(berns):
-        if i in detected:
+        if i in detections:
             prior = bern.belief.types
             types = {kind: TypeComponent(psi, *posterior.get(
                          (i, kind), (prior[kind].mean, prior[kind].covariance)))
-                     for kind, psi in psi_post[i].items()}
+                     for kind, psi in detections[i][1].items()}
             new_berns.append(Bernoulli(1.0, LandmarkBelief(types)))
         else:
             new_berns.append(parts.misdetected(i))
@@ -398,7 +420,7 @@ def update_step(density: PmbmDensity, sensor_pred: GaussianComponent,
         [(w, sensor) for w, (_, _, sensor) in zip(weights, children)])
 
     ppp_post = thin_ppp(density.ppp_intensity, config)
-    hypotheses = tuple(replace(child, weight=w)
+    hypotheses = tuple(GlobalHypothesis(w, child.bernoullis, child.assoc)
                        for w, (_, child, _) in zip(weights, children))
     posterior = PmbmDensity(ppp_post, hypotheses)
 

@@ -971,13 +971,111 @@ class TestMurty:
         assert calls == [(4, 7)]
         assert sol == reference_murty_kbest(CostMatrix(matrix, 3), 1)[0]
 
+    @settings(max_examples=400, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_meas=st.integers(1, 5),
+           n_prior=st.integers(0, 4), gamma=st.integers(1, 8),
+           finite_births=st.booleans())
+    def test_dead_children_are_never_solved(self, seed, n_meas, n_prior,
+                                            gamma, finite_births):
+        costs = ties_and_infinite_cells(seed, n_meas, n_prior)
+        matrix = costs.matrix.copy()
+        rng = np.random.default_rng([seed, 1])
+        birth = matrix[:, n_prior:]
+        if finite_births:
+            # The filter's matrices: every measurement can be clutter.
+            birth[np.eye(n_meas, dtype=bool)] = rng.integers(0, 4, n_meas)
+        for r in range(n_meas):
+            if rng.uniform() < 0.3:
+                # A row with one finite cell: birth or clutter only, or,
+                # with an infinite birth cell, one landmark.
+                finite = np.flatnonzero(np.isfinite(matrix[r]))
+                keep = (n_prior + r if np.isfinite(birth[r, r])
+                        or not finite.size else int(rng.choice(finite)))
+                value = matrix[r, keep]
+                matrix[r] = np.inf
+                matrix[r, keep] = value if np.isfinite(value) else 1.0
+        costs = CostMatrix(matrix, n_prior)
+
+        def recorded(ranking):
+            calls = []
+            solve = association._solve_assignment
+
+            def recording(child):
+                solved = solve(child)
+                calls.append((child.copy(), solved is not None))
+                return solved
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(association, "_solve_assignment", recording)
+                try:
+                    return ranking(costs, gamma), calls
+                except InfeasibleAssignmentError as exc:
+                    return str(exc), calls
+
+        got, solved = recorded(murty_kbest)
+        want, ref_solved = recorded(reference_murty_kbest)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert [(s.sigma, c) for s, c in got] == \
+            [(s.sigma, c) for s, c in want]
+        # The reference also partitions the gamma-th solution.
+        if len(want) == gamma:
+            ref_solved = ref_solved[:-n_meas]
+        no_dead_row = [(m, ok) for m, ok in ref_solved
+                       if np.isfinite(m).any(axis=1).all()]
+        assert not any(ok for m, ok in ref_solved
+                       if not np.isfinite(m).any(axis=1).all())
+        assert [m.tobytes() for m, _ in solved] == \
+            [m.tobytes() for m, _ in no_dead_row]
+        feasible = sum(ok for _, ok in ref_solved)
+        if finite_births:
+            # A child with a finite cell in every row is then feasible.
+            assert len(solved) == feasible
+        else:
+            assert len(solved) >= feasible
+
     def test_infeasible_row_raises(self):
         matrix = np.full((1, 2), np.inf)
         with pytest.raises(InfeasibleAssignmentError):
             murty_kbest(CostMatrix(matrix, 1), 2)
 
 
+def reference_validate(sigma):
+    """``AssociationVector.validate`` as it was before it read ``n_meas``
+    once: one loop over all slots."""
+    seen = []
+    for t, entry in enumerate(sigma.sigma):
+        if t < sigma.n_prior:
+            if entry is None or entry < 0 or entry > sigma.n_meas:
+                raise ValueError(f"bad prior-slot entry {entry!r}")
+            if entry > 0:
+                seen.append(entry)
+        else:
+            expected = t - sigma.n_prior + 1
+            if entry is not None and entry != expected:
+                raise ValueError(f"birth slot {t} must map to {expected}")
+            if entry is not None:
+                seen.append(entry)
+    if sorted(seen) != list(range(1, sigma.n_meas + 1)):
+        raise ValueError("each measurement must appear exactly once")
+
+
 class TestAssociationVector:
+    @settings(max_examples=500, deadline=None)
+    @given(n_prior=st.integers(0, 4), entries=st.lists(
+        st.one_of(st.none(), st.integers(-1, 6)), max_size=8))
+    def test_validate_raises_what_the_reference_raises(self, n_prior,
+                                                       entries):
+        sigma = AssociationVector(n_prior, tuple(entries))
+        results = []
+        for check in (sigma.validate, lambda: reference_validate(sigma)):
+            try:
+                results.append(check())
+            except (ValueError, TypeError) as exc:
+                results.append((type(exc), str(exc)))
+        assert results[0] == results[1]
+
     def test_validate_rejects_duplicates(self):
         with pytest.raises(ValueError):
             AssociationVector(2, (1, 1, None, None)).validate()

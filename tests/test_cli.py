@@ -1,8 +1,10 @@
+import concurrent.futures
 import contextlib
 import hashlib
 import io
 import json
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -115,6 +117,39 @@ class TestRun:
         run(small_config(out_dir=str(b), mc_runs=3, jobs=2))
         assert deterministic_metrics_view((a / "metrics.csv").read_text()) == \
             deterministic_metrics_view((b / "metrics.csv").read_text())
+
+    @pytest.mark.parametrize("jobs, mc_runs, cpus, workers", [
+        (10_000, 3, 8, 3), (4, 3, 2, 2), (3, 3, None, 1), (2, 1, 8, 1),
+        (1, 3, 8, 1)])
+    def test_worker_count_is_bounded(self, tmp_path, monkeypatch, jobs,
+                                     mc_runs, cpus, workers):
+        # min(jobs, mc_runs, cpu_count() or 1) workers, and none at all
+        # (in-process) for one.  The pool runs its tasks in-process here.
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        got = run(small_config(out_dir=str(tmp_path / "a"), gamma=1,
+                               mc_runs=mc_runs, jobs=jobs))
+        assert pools == ([] if workers == 1 else [workers])
+        want = run(small_config(out_dir=str(tmp_path / "b"), gamma=1,
+                                mc_runs=mc_runs, jobs=1))
+        assert deterministic_report_view(got) == \
+            deterministic_report_view(want)
 
     def test_deterministic_view_strips_timing(self, small_report):
         out, report = small_report
@@ -283,6 +318,34 @@ class TestMain:
         assert main(["run", "--config", str(cfg)]) == 2
         assert ("configuration error: invalid scenario file: speed must be a "
                 "number, not an integer too large for a float"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", ["--noise-toa", "--noise-angle"])
+    @pytest.mark.parametrize("std", ["1e-200", "1e200"])
+    def test_noise_flag_whose_square_is_out_of_range_exits_2(
+            self, tmp_path, capsys, flag, std):
+        # Finite and > 0, but 1e-200 squares to 0 and 1e200 to inf.
+        out = tmp_path / "o"
+        assert main(["run", "--mc", "1", "--out", str(out), flag, std]) == 2
+        key = flag[2:].replace("-", "_")
+        assert (f"configuration error: {key} must square to a variance "
+                "finite and > 0" in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("std", [1e-200, 1e200])
+    def test_scenario_noise_whose_square_is_out_of_range_exits_2(
+            self, tmp_path, capsys, std):
+        doc = scenario_to_dict(default_scenario(seed=1, steps=3))
+        doc["noise_std"] = [std] * 5
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(doc))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": str(scen), "mc": 1,
+                                   "out": str(tmp_path / "o")}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert ("configuration error: invalid scenario file: noise_std must "
+                "square to variances finite and > 0"
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 

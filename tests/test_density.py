@@ -108,6 +108,27 @@ class TestPrune:
         with pytest.raises(DegenerateDensityError):
             prune(d, 1e-4, 1e-3, 10)
 
+    def test_absent_placeholder_is_dropped(self):
+        absent = absent_bernoulli()
+        d = density([0.7, 0.3], [[absent, bern(0.5), absent], [absent]])
+        out = prune(d, 1e-4, 1e-4, 10)
+        assert [[b.existence for b in h.bernoullis]
+                for h in out.hypotheses] == [[0.5], []]
+
+
+class TestAbsentBernoulli:
+    def test_one_instance_with_read_only_arrays(self):
+        absent = absent_bernoulli()
+        assert absent_bernoulli() is absent and absent.existence == 0.0
+        (kind, comp), = absent.belief.types.items()
+        assert kind is LandmarkType.VA and comp.weight == 1.0
+        assert np.array_equal(comp.mean, np.zeros(3))
+        assert np.array_equal(comp.covariance, 1e6 * np.eye(3))
+        for array in (comp.mean, comp.covariance):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
 
 class TestMerge:
     def test_identical_pair(self):

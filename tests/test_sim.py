@@ -260,7 +260,7 @@ class TestSharedCovariance:
         # The same draws, in the same order.
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
-    def test_covariance_checked_once_per_call(self, monkeypatch):
+    def test_covariance_checked_once_per_scenario(self, monkeypatch):
         sc = replace(default_scenario(seed=1), clutter_mean=10.0)
         ue = UEState.from_vector(sc.ue_init.mean)
         calls = []
@@ -268,25 +268,29 @@ class TestSharedCovariance:
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda a: calls.append(1) or eigvalsh(a))
         out = generate_measurements(ue, sc, np.random.default_rng(4))
-        assert len(out.measurements) > 5 and len(calls) == 1
-        shared = {id(m.covariance) for m in out.measurements}
-        assert len(shared) == 1
+        assert len(out.measurements) > 5 and not calls
+        cov = sc.measurement_covariance()
+        assert all(m.covariance is cov for m in out.measurements)
+        assert not cov.flags.writeable
+        assert cov.tobytes() == np.diag(sc.noise_std ** 2).tobytes()
+        # It passes every check of a measurement built on its own.
+        Measurement(np.zeros(5), cov)
 
-    @pytest.mark.parametrize("std, message", [
-        (1e-200, "measurement covariance must be positive definite"),
-        (1e200, "measurement and covariance must be finite")])
-    def test_noise_squares_out_of_range_fail_as_before(self, std, message):
-        # 1e-200 squares to 0.0 and 1e200 to inf: the scenario accepts the
-        # standard deviations, the first measurement built refuses them.
-        sc = replace(default_scenario(seed=1), clutter_mean=3.0,
-                     noise_std=np.array([0.1, std, 0.005, 0.005, 0.005]))
-        ue = UEState.from_vector(sc.ue_init.mean)
-        with np.errstate(over="ignore"):
-            got = outcome(generate_measurements, ue, sc,
-                          np.random.default_rng(3))
-            ref = outcome(reference_generate_measurements, ue, sc,
-                          np.random.default_rng(3))
-        assert got == ref == (ValueError, message)
+    @pytest.mark.parametrize("std", [1e-200, 1e200, 1e-170, 1.5e154])
+    def test_noise_squares_out_of_range_are_refused_by_the_scenario(
+            self, std):
+        # 1e-200 squares to 0.0 and 1e200 to inf, as do the others: no
+        # measurement could be built with their covariance.
+        with pytest.raises(ValueError, match="noise_std must square to "
+                           "variances finite and > 0"):
+            replace(default_scenario(seed=1),
+                    noise_std=np.array([0.1, 0.005, std, 0.005, 0.005]))
+
+    @pytest.mark.parametrize("std", [1e-150, 1e150])
+    def test_noise_squares_in_range_are_kept(self, std):
+        sc = replace(default_scenario(seed=1),
+                     noise_std=np.array([std, 0.005, 0.005, 0.005, 0.005]))
+        assert sc.measurement_covariance()[0, 0] == std * std
 
     @pytest.mark.parametrize("vectors, cov", [
         ([], np.eye(5)),
@@ -295,10 +299,8 @@ class TestSharedCovariance:
         ([np.zeros(5), [0.0, 1.0, 2.0, -np.inf, 0.0]], np.eye(5)),
         ([np.zeros(5), np.zeros(4)], np.eye(5)),
         ([np.zeros(5), np.zeros((5, 1))], np.eye(5)),
-        ([[np.inf, 0, 0, 0, 0], np.zeros(5)], np.diag([1.0, 1, 1, 1, -1])),
-        ([np.zeros(5), np.full(5, np.nan)], np.diag([1.0, 1, 1, 1, -1])),
-        ([np.zeros(5)], np.diag([1.0, 1, 1, 1, np.inf])),
-        ([np.zeros(2), np.ones(2)], np.array([[1.0, 1e-6], [0.0, 1.0]])),
+        ([[np.inf, 0, 0, 0, 0], np.zeros(5)], np.eye(5)),
+        ([np.zeros(2), np.ones(2)], np.array([[1.0, 1e-12], [0.0, 1.0]])),
         ([np.zeros(3), [1, 2, 3]], 2.0 * np.eye(3))], ids=repr)
     def test_same_result_or_error_as_building_each(self, vectors, cov):
         def each(vectors, cov):

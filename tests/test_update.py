@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfslam import association, geometry
+from rfslam import update as update_module
 from rfslam.association import (
     AssociationVector,
     InfeasibleAssignmentError,
@@ -763,10 +764,16 @@ def reference_toy(rng, n_landmarks, multi_type, pd_zero, degenerate):
             [measurements[k] for k in order])
 
 
+def same_bytes(a, b):
+    """Equal dtype, shape and bytes: signed zeros count."""
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
 def assert_children_bit_equal(got, want):
     (child, sensor), (ref, ref_sensor) = got, want
-    assert np.array_equal(sensor.mean, ref_sensor.mean)
-    assert np.array_equal(sensor.covariance, ref_sensor.covariance)
+    assert same_bytes(sensor.mean, ref_sensor.mean)
+    assert same_bytes(sensor.covariance, ref_sensor.covariance)
     assert child.weight == ref.weight and child.assoc is ref.assoc
     assert len(child.bernoullis) == len(ref.bernoullis)
     for a, b in zip(child.bernoullis, ref.bernoullis):
@@ -775,8 +782,8 @@ def assert_children_bit_equal(got, want):
         for kind, comp in a.belief.types.items():
             other = b.belief.types[kind]
             assert comp.weight == other.weight
-            assert np.array_equal(comp.mean, other.mean)
-            assert np.array_equal(comp.covariance, other.covariance)
+            assert same_bytes(comp.mean, other.mean)
+            assert same_bytes(comp.covariance, other.covariance)
 
 
 def update_outcome(update, parts, sigma):
@@ -787,10 +794,19 @@ def update_outcome(update, parts, sigma):
         return np.linalg.LinAlgError
 
 
+class RecordingParts(ChildParts):
+    """``ChildParts`` that keeps its PPP, so a test can build a fresh twin."""
+
+    def __init__(self, hypothesis, measurements, sensor, ppp, config):
+        super().__init__(hypothesis, measurements, sensor, ppp, config)
+        self.ppp = ppp
+
+
 class TestJointUpdateReference:
-    """``joint_update`` lays out its stacked system in one pass; it must
-    give the bits of the three-layout reference on every association the
-    filter ranks."""
+    """``joint_update`` lays out its stacked system in one pass and fills
+    each landmark's noise block in place; it must give the bytes of the
+    three-layout reference, which tiles the blocks with ``np.tile``, on
+    every association the filter ranks."""
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_landmarks=st.integers(0, 3),
@@ -817,6 +833,43 @@ class TestJointUpdateReference:
                 assert got is want
             else:
                 assert_children_bit_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("type_prune", [0.0, 1e-4])
+    @pytest.mark.parametrize("filter_kind", [EK_PMB, EK_PMBM])
+    def test_bit_equal_in_channel_model_runs(self, seed, type_prune,
+                                             filter_kind):
+        scenario = replace(default_scenario(seed=seed, steps=8),
+                           clutter_mean=3.0)
+        cfg = replace(build_filter_config(scenario, RunConfig(
+            filter_kind=filter_kind, gamma=5)), type_prune=type_prune)
+        rng = np.random.default_rng([seed, 0])
+        density, sensor = initial_state(scenario)
+        spans = []
+
+        def compared(parts, sigma):
+            fresh = ChildParts(parts.hypothesis, parts.measurements,
+                               parts.sensor, parts.ppp, parts.config)
+            got = update_outcome(joint_update, parts, sigma)
+            want = update_outcome(reference_joint_update, fresh, sigma)
+            if np.linalg.LinAlgError in (got, want):
+                assert got is want
+                raise np.linalg.LinAlgError("association dropped")
+            assert_children_bit_equal(got, want)
+            spans.extend(len(parts.detection(i, p)[1])
+                         for i, p in sigma.detected_pairs())
+            return got
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(update_module, "ChildParts", RecordingParts)
+            patch.setattr(update_module, "joint_update", compared)
+            for truth in simulate_trajectory(scenario, rng)[1:]:
+                zset = generate_measurements(truth, scenario, rng)
+                density, sensor = step(density, sensor,
+                                       list(zset.measurements), cfg)
+        # With no type pruned, a VA/SP newborn re-detected inside the FOV
+        # stacks both types, so its noise block spans two.
+        assert spans and (max(spans) > 1 or type_prune > 0.0)
 
     def test_both_raise_when_no_type_has_geometry(self):
         # The cost matrix never ranks such a detection; forced, it raises.
