@@ -45,6 +45,7 @@ from .metrics import (
     write_rmse_csv,
 )
 from .sim import (
+    MAX_CAMPAIGN_STEPS,
     Scenario,
     _object,
     _typed,
@@ -109,8 +110,9 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.mc_runs < 1:
-            raise ConfigError("mc_runs must be >= 1")
+        if not 1 <= self.mc_runs <= MAX_CAMPAIGN_STEPS:
+            raise ConfigError(f"mc_runs must be >= 1 and <= "
+                              f"{MAX_CAMPAIGN_STEPS}")
         if self.gamma < 1:
             raise ConfigError("gamma must be >= 1")
         if self.filter_kind not in (EK_PMB, EK_PMBM):
@@ -255,6 +257,9 @@ def run(config: RunConfig) -> dict:
     Returns the report document (also written to ``report.json``).
     """
     scenario = _resolve_scenario(config)
+    if config.mc_runs * scenario.steps > MAX_CAMPAIGN_STEPS:
+        raise ConfigError(f"mc_runs x steps must be <= {MAX_CAMPAIGN_STEPS}, "
+                          f"not {config.mc_runs} x {scenario.steps}")
     filter_cfg = build_filter_config(scenario, config)
     tasks = [(scenario, filter_cfg, config.seed, i, config.extract_threshold)
              for i in range(config.mc_runs)]

@@ -36,6 +36,16 @@ from .motion import sensor_transition
 CLUTTER_VOLUME = 200.0 * (2.0 * math.pi) ** 2 * math.pi ** 2
 SENSING_RANGE = 200.0
 
+#: Largest mean clutter count per step.  Each measurement is a row and a
+#: birth column of a dense float64 cost matrix per global hypothesis, so a
+#: step at this mean builds matrices of 8e8 bytes (0.8 GB) each.  (numpy's
+#: Poisson sampler refuses means above about 9.2e18.)
+MAX_CLUTTER_MEAN = 1e4
+#: Filter steps one campaign may hold over its MC runs (mc x steps).  A run
+#: keeps each step's record, about 2.5 kB with its part of the report text,
+#: until the campaign writes its report: 1 GB at this bound.
+MAX_CAMPAIGN_STEPS = 400_000
+
 
 def _is_covariance_5x5(matrix: np.ndarray) -> bool:
     """Finite, exactly symmetric and positive semi-definite up to eigenvalue
@@ -83,8 +93,9 @@ class Scenario:
                 raise ValueError(f"p_detect of {kind.value} must be in [0, 1]")
         if not 0.0 < self.fov_radius < math.inf:
             raise ValueError("fov_radius must be finite and > 0")
-        if not 0.0 <= self.clutter_mean < math.inf:
-            raise ValueError("clutter_mean must be finite and >= 0")
+        if not 0.0 <= self.clutter_mean <= MAX_CLUTTER_MEAN:
+            raise ValueError("clutter_mean must be >= 0 and <= "
+                             f"{MAX_CLUTTER_MEAN:g}")
         if self.noise_std.shape != (5,) or not all(
                 0.0 < std < math.inf for std in self.noise_std.tolist()):
             raise ValueError("noise_std must be 5 entries, finite and > 0")
@@ -110,8 +121,8 @@ class Scenario:
         for name in ("speed", "turn_rate"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        if not 1 <= self.steps <= MAX_CAMPAIGN_STEPS:
+            raise ValueError(f"steps must be >= 1 and <= {MAX_CAMPAIGN_STEPS}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if not 0.0 <= self.dt < math.inf:

@@ -51,8 +51,10 @@ def test_traced_update_step_records_every_association_layer():
                                                      filter_cfg)
         cli.update_step(density_pred, sensor_pred, measurements, filter_cfg)
     self_ms = tracer.self_ms()
+    # A renamed ranking entry point would leave association.murty_ms at 0.
     for span in ("association.build_cost_matrix", "association.weight_birth",
-                 "geometry"):
+                 "association.murty", "geometry"):
         assert self_ms[span] > 0.0, span
     assert tracer.counts["chol_logpdf_calls"] > 0
+    assert tracer.counts["murty_solutions"] > 0
     assert tracer.counts["steps"] == 1

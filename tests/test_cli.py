@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfslam import cli
 from rfslam.cli import (
     ConfigError,
     METRICS_HEADER,
@@ -24,7 +25,14 @@ from rfslam.cli import (
     run,
     scenario_hash,
 )
-from rfslam.sim import default_scenario, save_scenario, scenario_to_dict
+from rfslam.sim import (MAX_CAMPAIGN_STEPS, MAX_CLUTTER_MEAN,
+                        default_scenario, save_scenario, scenario_to_dict)
+
+
+def no_run(*args):
+    """``cli.run_single`` for a test whose campaign must be refused first:
+    a run that starts regardless fails at once, not after hours."""
+    raise AssertionError("the campaign started")
 
 
 def small_config(**kw):
@@ -291,6 +299,64 @@ class TestMain:
         assert main(["run", "--config", str(cfg)]) == 2
         (key,) = doc
         assert (f"configuration error: {key} must be"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("mc", [MAX_CAMPAIGN_STEPS + 1, 10 ** 400])
+    def test_mc_above_the_campaign_bound_exits_2(self, tmp_path, capsys,
+                                                  monkeypatch, mc):
+        monkeypatch.setattr(cli, "run_single", no_run)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"mc": %d, "out": "%s"}' % (mc, tmp_path / "o"))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert (f"configuration error: mc_runs must be >= 1 and <= "
+                f"{MAX_CAMPAIGN_STEPS}" in capsys.readouterr().err)
+        assert main(["run", "--mc", str(mc), "--out",
+                     str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("clutter_mean", 1e19), ("clutter_mean", MAX_CLUTTER_MEAN * 1.5),
+        ("steps", MAX_CAMPAIGN_STEPS + 1), ("steps", 10 ** 400)], ids=repr)
+    def test_scenario_above_its_bound_exits_2(self, tmp_path, capsys,
+                                              monkeypatch, field, value):
+        # clutter_mean 1e19 once ended in numpy's "lam value too large";
+        # steps had no upper bound at all.
+        monkeypatch.setattr(cli, "run_single", no_run)
+        doc = scenario_to_dict(default_scenario(seed=1, steps=3))
+        doc[field] = value
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(doc))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": str(scen), "mc": 1,
+                                   "out": str(tmp_path / "o")}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert (f"configuration error: invalid scenario file: {field} must "
+                f"be >= " in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    def test_bounds_admit_their_own_value(self):
+        scenario = replace(default_scenario(seed=1, steps=MAX_CAMPAIGN_STEPS),
+                           clutter_mean=MAX_CLUTTER_MEAN)
+        assert scenario.steps == MAX_CAMPAIGN_STEPS
+        assert RunConfig(mc_runs=MAX_CAMPAIGN_STEPS).mc_runs == \
+            MAX_CAMPAIGN_STEPS
+
+    def test_mc_times_steps_above_the_campaign_bound_exits_2(
+            self, tmp_path, capsys, monkeypatch):
+        # Each within its own bound, together one run record too many.
+        monkeypatch.setattr(cli, "run_single", no_run)
+        steps = 1000
+        doc = scenario_to_dict(default_scenario(seed=1, steps=steps))
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(doc))
+        cfg = tmp_path / "cfg.json"
+        mc = MAX_CAMPAIGN_STEPS // steps + 1
+        cfg.write_text(json.dumps({"scenario": str(scen), "mc": mc,
+                                   "out": str(tmp_path / "o")}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert (f"configuration error: mc_runs x steps must be <= "
+                f"{MAX_CAMPAIGN_STEPS}, not {mc} x {steps}"
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
