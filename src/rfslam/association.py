@@ -11,17 +11,14 @@ their per-type masses, which :func:`update_type_probs` normalizes.  The
 resulting assignment problem is solved for the best ``gamma`` associations
 per global hypothesis by Murty's ranked partitioning on top of an
 optimal-assignment kernel (scipy's Jonker-Volgenant-style solver), in
-negative-log-weight (cost) domain.  Measurements interact only through the
-landmarks they can share, so :func:`murty_kbest` ranks each cluster of rows
-that share no finite column on its own and merges the clusters' rankings;
-it returns Murty's ranking of the whole matrix bit for bit, and ranks the
-whole matrix where two merged costs are tied within a margin far above
+negative-log-weight (cost) domain.  :func:`murty_kbest` returns Murty's
+ranking bit for bit; when no two rows share a finite column it merges the
+rows' sorted cells instead, unless two costs lie within a margin far above
 rounding.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 import warnings
@@ -499,8 +496,9 @@ def _sigma_from_assignment(assignment, n_prior: int,
 def _murty(matrix: np.ndarray):
     """Murty's ranked assignments of ``matrix``, best first, on demand.
 
-    Yields ``(assignment, cost)`` by nondecreasing cost, where the cost is
-    the row-order sum ``_solve_assignment`` takes; ties are resolved by
+    Yields ``(assignment, cost)`` by nondecreasing cost, where the
+    assignment is a list of one column per row and the cost is the
+    row-order sum ``_solve_assignment`` takes; ties are resolved by
     expansion order, which is deterministic.  A solution is partitioned
     only when the next one is asked for.  Raises InfeasibleAssignmentError
     when no assignment is feasible.
@@ -524,7 +522,7 @@ def _murty(matrix: np.ndarray):
     heap = [(first[1], counter, matrix, first[0])]
     while heap:
         cost, _, matrix, assignment = heapq.heappop(heap)
-        yield assignment, float(cost)
+        yield assignment.tolist(), float(cost)
         # rank[c]: the row that claims column c, n_rows for a free column.
         rank = np.full(n_cols, n_rows)
         rank[assignment] = rows
@@ -552,21 +550,6 @@ def _murty(matrix: np.ndarray):
                 partition[r, c] = forced_value
 
 
-def _full_matrix_kbest(costs: CostMatrix, gamma: int):
-    """Murty's ranking of the whole cost matrix, input checks included:
-    the result :func:`murty_kbest` reproduces, and its fallback."""
-    if gamma < 1:
-        raise ValueError("gamma must be >= 1")
-    n_meas = costs.matrix.shape[0]
-    n_prior = costs.n_prior
-    if n_meas == 0:
-        return [(AssociationVector(n_prior, (0,) * n_prior), 0.0)]
-    if np.any(~np.isfinite(costs.matrix.min(axis=1))):
-        raise InfeasibleAssignmentError("a measurement row has no finite cost")
-    return [(_sigma_from_assignment(a.tolist(), n_prior, n_meas), cost)
-            for a, cost in islice(_murty(costs.matrix), gamma)]
-
-
 #: Costs ranked closer than this share of the matrix's cost scale, rows
 #: times its largest finite |cost|, count as tied (see :func:`murty_kbest`).
 TIE_MARGIN = 1e-9
@@ -578,180 +561,119 @@ def _tie_floor(matrix: np.ndarray, finite: np.ndarray) -> float:
     return TIE_MARGIN * matrix.shape[0] * float(top)
 
 
-def _row_minima(matrix: np.ndarray, mins: np.ndarray, total: float):
+def _row_minima(matrix: np.ndarray, finite: np.ndarray, mins: np.ndarray,
+                total: float):
     """``[(assignment, cost)]`` of each row's cheapest cell, or None.
 
     None unless those cells lie in distinct columns and every other cell
     of a row costs more than the row's minimum by over the tie floor: then
     the assignment is optimal, and any other costs more by over the floor.
-    ``mins`` are the row minima and ``total`` their sum, which is the
-    assignment's cost in row order.
+    ``finite`` masks the finite cells, ``mins`` are the row minima and
+    ``total`` their sum, which is the assignment's cost in row order.
     """
     best = matrix.argmin(axis=1).tolist()
     if len(set(best)) < len(best):
         return None
-    floor = _tie_floor(matrix, matrix < math.inf)
+    floor = _tie_floor(matrix, finite)
     if np.count_nonzero(matrix - mins[:, None] <= floor) > len(best):
         return None
     return [(best, total)]
 
 
-def _clusters(finite: np.ndarray) -> list:
-    """Rows joined by shared finite columns, transitively: lists of rows in
-    row order, ordered by their first row."""
-    label = list(range(finite.shape[0]))
-    shared = np.flatnonzero(finite.sum(axis=0) > 1)
-    if not shared.size:
-        return [[r] for r in label]
-    for column in finite[:, shared].T.tolist():
-        joined = {label[r] for r, f in enumerate(column) if f}
-        low = min(joined)
-        label = [low if lab in joined else lab for lab in label]
-    clusters = {}
-    for r, lab in enumerate(label):
-        clusters.setdefault(lab, []).append(r)
-    return list(clusters.values())
-
-
-def _cluster_options(matrix: np.ndarray, rows: list, columns: np.ndarray):
-    """Murty's ranking of one cluster: (its rows' columns, cost), best
-    first."""
-    for assignment, cost in _murty(matrix[np.ix_(rows, columns)]):
-        yield columns[assignment].tolist(), cost
-
-
-def _cluster_ranking(matrix: np.ndarray, k: int):
-    """The ``k`` best ``(assignment, cost)`` pairs merged from the clusters'
-    own rankings, or None when two consecutive costs lie within the tie
-    floor.  Every row needs a finite cell, and no cell may be NaN or -inf.
+def _row_ranking(matrix: np.ndarray, finite: np.ndarray, k: int):
+    """The ``k`` best ``(assignment, cost)`` pairs of a matrix whose rows
+    share no finite column, merged from each row's sorted cells, or None
+    when two consecutive costs lie within the tie floor.  ``finite`` masks
+    the finite cells; every row needs one, and no cell may be NaN or -inf.
     """
-    finite = matrix < math.inf
     row_index = np.arange(matrix.shape[0])
     order = np.argsort(matrix, axis=1, kind="stable")[:, :k]
-    by_cost = order.tolist()
-    sorted_costs = matrix[row_index[:, None], order].tolist()
-    assignment = [row[0] for row in by_cost]
-    # Clusters with a second option: a single row by its index, with its
-    # columns by cost, or a list of rows with lists of their columns.
-    rows_of, options_of, costs_of, more_of = [], [], [], []
-    for rows in _clusters(finite):
-        if len(rows) > 1:
-            columns = np.flatnonzero(finite[rows].any(axis=0))
-            more = _cluster_options(matrix, rows, columns)
-            best, cost = next(more)
-            for r, c in zip(rows, best):
-                assignment[r] = c
-            rows_of.append(rows)
-            options_of.append([best])
-            costs_of.append([cost])
-            more_of.append(more)
-            continue
-        (r,) = rows
-        n_options = bisect.bisect_left(sorted_costs[r], math.inf)
-        if n_options > 1:
-            rows_of.append(r)
-            options_of.append(by_cost[r][:n_options])
-            costs_of.append(sorted_costs[r])
-            more_of.append(None)
-
-    # (cost above the best, tie counter, option index per cluster, last
-    # cluster advanced, assignment).  A successor advances a cluster at or
-    # after the last one advanced, so each index vector is reached once.
-    heap = [(0.0, 0, [0] * len(rows_of), 0, assignment)]
+    sorted_costs = matrix[row_index[:, None], order]
+    n_options = np.count_nonzero(sorted_costs < math.inf, axis=1).tolist()
+    costs = sorted_costs.tolist()
+    movable = [r for r, n in enumerate(n_options) if n > 1]
+    # (cost above the best, tie counter, option index per row, last movable
+    # row advanced).  A successor advances a movable row at or after the
+    # last one advanced, so each index vector is reached once.
+    heap = [(0.0, 0, [0] * len(n_options), 0)]
     counter = 0
     ranked = []
     while heap:
-        above, _, index, last, assignment = heapq.heappop(heap)
-        ranked.append(assignment)
+        above, _, index, last = heapq.heappop(heap)
+        ranked.append(index)
         if len(ranked) == k:
             break
-        for j in range(last, len(rows_of)):
-            options, costs = options_of[j], costs_of[j]
-            i = index[j] + 1
-            if i == len(options):
-                option = None if more_of[j] is None else next(more_of[j],
-                                                              None)
-                if option is None:
-                    more_of[j] = None
-                    continue
-                options.append(option[0])
-                costs.append(option[1])
-            child = assignment.copy()
-            rows = rows_of[j]
-            if type(rows) is int:
-                child[rows] = options[i]
-            else:
-                for r, c in zip(rows, options[i]):
-                    child[r] = c
-            child_index = index.copy()
-            child_index[j] = i
-            counter += 1
-            heapq.heappush(heap, (above + (costs[i] - costs[i - 1]), counter,
-                                  child_index, j, child))
+        for j in range(last, len(movable)):
+            r = movable[j]
+            i = index[r] + 1
+            if i < n_options[r]:
+                child = index.copy()
+                child[r] = i
+                counter += 1
+                heapq.heappush(heap, (above + (costs[r][i] - costs[r][i - 1]),
+                                      counter, child, j))
+    assignments = order[row_index, np.array(ranked)]
     # The cost _solve_assignment takes, the full-matrix row-order sum: a
     # C-ordered 2-D sum along its rows gives each row its 1-D sum's bits.
-    keys = matrix[row_index, np.array(ranked)].sum(axis=1).tolist()
+    keys = matrix[row_index, assignments].sum(axis=1).tolist()
     if len(keys) > 1:
         floor = _tie_floor(matrix, finite)
         if any(not b - a > floor for a, b in zip(keys, keys[1:])):
             return None
-    return list(zip(ranked, keys))
+    return list(zip(assignments.tolist(), keys))
 
 
 def murty_kbest(costs: CostMatrix, gamma: int):
     """Ranked ``gamma``-best data associations by nondecreasing total cost.
 
-    The result is Murty's ranking of the whole matrix
-    (:func:`_full_matrix_kbest`): the same associations in the same order
-    with the same cost bits, and the same errors.  It is obtained cluster
-    by cluster.
+    The result is Murty's ranking of the whole matrix (:func:`_murty`):
+    the same associations in the same order with the same cost bits, and
+    the same errors.  Two kinds of matrix are ranked without it.
 
-    Clusters.  Rows interact only through columns that more than one of
-    them can take.  In the filter's matrices those are prior-landmark
-    columns, since a birth column is finite in its own row only.  The rows
-    split into clusters that share no finite column (Reid, IEEE TAC 1979),
-    so an association is one independent choice per cluster, and its cost
-    is the sum of theirs.  A row alone in its cluster ranks its finite
-    cells by sorting them; a forced row, with one finite cell, has one
-    option; a cluster of several rows is ranked by Murty (:func:`_murty`)
-    on its own rows and columns, one solution at a time, on demand.
-
-    Merge.  A heap over index vectors, one option index per cluster, pops
-    the ``gamma + 1`` best by their summed cluster costs; a successor
-    advances one cluster's index, so, up to rounding, it costs no less
-    than its parent.
-    Then each popped association gets the cost ``_solve_assignment`` gives
-    it, the full-matrix row-order sum, all in one array reduction: these
-    are the returned costs, and the fallback checks their order.  (Keying
-    the heap by those sums takes one reduction per pop, which made the
-    ranking about 30% slower inside the filter.)
-
-    Fallback.  The two orders, and Murty's, can differ only between costs
-    that are tied or within rounding of each other.  Rounding a sum of n
-    costs errs by at most about n * 1.1e-16 times the cost scale (rows
-    times the largest finite |cost|), and Murty's optimal-assignment
-    solves by the same order.  So when each of the ``gamma + 1`` costs
-    exceeds the one before by more than ``TIE_MARGIN`` (1e-9) times the
-    scale, the ``gamma`` best agree with Murty's, in the same order; the
-    extra candidate tells whether the ``gamma``-th is tied with the next.
-    Otherwise, exact ties included, the whole matrix goes through Murty.
-    So do the inputs whose checks raise or that have no measurement.  At
-    ``gamma`` 1 the cheapest cell of each row is the optimum when those
+    At ``gamma`` 1 the cheapest cell of each row is the optimum when those
     cells lie in distinct columns and each beats its row's other cells by
-    the margin (:func:`_row_minima`); otherwise one assignment solve
-    finds it.
+    a margin (:func:`_row_minima`).
+
+    Rows interact only through columns that more than one of them can
+    take; in the filter's matrices those are prior-landmark columns, since
+    a birth column is finite in its own row only.  When no column is
+    finite in two rows, an association is one independent choice of cell
+    per row and its cost is the sum of theirs, so :func:`_row_ranking`
+    merges the rows' sorted cells with a heap over index vectors and pops
+    the ``gamma + 1`` best.  Each gets the cost ``_solve_assignment`` gives
+    it, the full-matrix row-order sum.  The merge's order and Murty's can
+    differ only between costs that are tied or within rounding of each
+    other: rounding a sum of n costs errs by at most about n * 1.1e-16
+    times the cost scale (rows times the largest finite |cost|), and
+    Murty's optimal-assignment solves by the same order.  So when each
+    cost exceeds the one before by more than ``TIE_MARGIN`` (1e-9) times
+    the scale, the ``gamma`` best agree with Murty's, in the same order;
+    the extra candidate tells whether the ``gamma``-th is tied with the
+    next.
+
+    Everything else goes to Murty: a column finite in two rows, costs
+    within the margin, exact ties included, and row minima whose sum
+    overflows.
     """
+    if gamma < 1:
+        raise ValueError("gamma must be >= 1")
     matrix = costs.matrix
     n_meas = matrix.shape[0]
-    if gamma >= 1 and n_meas:
-        mins = matrix.min(axis=1)
-        # Finite unless a row has no finite cell, a cell is NaN or -inf, or
-        # the sum overflows; Murty then raises what it raises.
-        total = float(mins.sum())
-        if math.isfinite(total):
-            ranked = (_row_minima(matrix, mins, total) if gamma == 1
-                      else _cluster_ranking(matrix, gamma + 1))
-            if ranked is not None:
-                return [(_sigma_from_assignment(a, costs.n_prior, n_meas),
-                         cost) for a, cost in ranked[:gamma]]
-    return _full_matrix_kbest(costs, gamma)
+    n_prior = costs.n_prior
+    if n_meas == 0:
+        return [(AssociationVector(n_prior, (0,) * n_prior), 0.0)]
+    mins = matrix.min(axis=1)
+    total = float(mins.sum())
+    ranked = None
+    if math.isfinite(total):
+        finite = matrix < math.inf
+        if gamma == 1:
+            ranked = _row_minima(matrix, finite, mins, total)
+        elif finite.sum(axis=0).max() < 2:
+            ranked = _row_ranking(matrix, finite, gamma + 1)
+    elif not np.isfinite(mins).all():
+        # A row without a finite cell, or a NaN or -inf cell; else the sum
+        # overflowed, and Murty ranks the matrix.
+        raise InfeasibleAssignmentError("a measurement row has no finite cost")
+    return [(_sigma_from_assignment(a, n_prior, n_meas), cost)
+            for a, cost in islice(ranked or _murty(matrix), gamma)]

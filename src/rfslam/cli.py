@@ -48,6 +48,7 @@ from .sim import (
     MAX_CAMPAIGN_STEPS,
     Scenario,
     _object,
+    _read_json,
     _typed,
     default_scenario,
     generate_measurements,
@@ -367,14 +368,13 @@ def write_report(path, report: dict) -> None:
 def load_report(path) -> dict:
     """A run report that :func:`compare` can read; any other file is a
     ConfigError naming it."""
-    with open(path) as fh:
-        try:
-            report = json.load(fh)
-            if report["schema"] != REPORT_SCHEMA:
-                raise ValueError(f"unsupported schema {report['schema']!r}")
-            compare([report, report])  # reads every field a comparison needs
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{path} is not a run report: {exc!r}") from exc
+    try:
+        report = _read_json(path)
+        if report["schema"] != REPORT_SCHEMA:
+            raise ValueError(f"unsupported schema {report['schema']!r}")
+        compare([report, report])  # reads every field a comparison needs
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path} is not a run report: {exc!r}") from exc
     return report
 
 
@@ -459,14 +459,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_sources(args) -> RunConfig:
     values: dict = {}
     if args.config:
-        with open(args.config) as fh:
-            try:
-                doc = _object("top level", json.load(fh), _CONFIG_KEYS)
-                for key, value in doc.items():
-                    name, kinds, _ = _CONFIG_KEYS[key]
-                    values[name] = _typed(key, value, kinds)
-            except ValueError as exc:
-                raise ConfigError(f"invalid config file: {exc}") from exc
+        try:
+            doc = _object("top level", _read_json(args.config), _CONFIG_KEYS)
+            for key, value in doc.items():
+                name, kinds, _ = _CONFIG_KEYS[key]
+                values[name] = _typed(key, value, kinds)
+        except ValueError as exc:
+            raise ConfigError(f"invalid config file: {exc}") from exc
     # A flag's dest is the field it sets, and None where it is not given.
     for name, _, _ in _CONFIG_KEYS.values():
         if getattr(args, name, None) is not None:

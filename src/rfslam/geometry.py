@@ -201,9 +201,13 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+#: Shortest vector (m) whose direction the geometry takes.
+MIN_LEG = 1e-12
+
+
 def _direction(v, what: str) -> tuple[np.ndarray, float]:
     n = _norm(v)
-    if n < 1e-12:
+    if n < MIN_LEG:
         raise DegenerateGeometryError(f"zero-length {what} direction")
     return v, n
 

@@ -18,10 +18,12 @@ import numpy as np
 
 from .density import GaussianComponent
 from .geometry import (
+    MIN_LEG,
     Landmark,
     LandmarkType,
     Plane,
     UEState,
+    _norm,
     _wrap_scalar,
     detection_probability,
     measure,
@@ -131,6 +133,11 @@ class Scenario:
             mirrored = mirror_bs(self.bs.position, plane.point, plane.normal)
             if not np.allclose(mirrored, va.position, atol=1e-9):
                 raise ValueError("VA inconsistent with its reflecting surface")
+        for lm in self.landmarks()[1:]:
+            if _norm(lm.position - self.bs.position) < MIN_LEG:
+                raise ValueError(f"{lm.kind.value} at the BS position "
+                                 f"{lm.position.tolist()}: its BS-"
+                                 f"{lm.kind.value} direction is undefined")
 
     @property
     def clutter_intensity(self) -> float:
@@ -311,13 +318,16 @@ def _object(name: str, value, keys) -> dict:
     return value
 
 
-def _numbers(name: str, value):
-    """A JSON number, or lists of them nested to any depth, with every entry
-    checked by :func:`_typed`: numpy would coerce a bool or a numeric
-    string.  Shapes are left to the scenario's own checks."""
-    if type(value) is list:
-        return [_numbers(name, v) for v in value]
-    return _typed(f"{name} entry", value, _NUMBER)
+def _numbers(name: str, value, depth: int = 2):
+    """A JSON number, or lists of them nested at most ``depth`` deep (a
+    scenario's matrices are two), with every entry checked by
+    :func:`_typed`: numpy would coerce a bool or a numeric string.  Shapes
+    are left to the scenario's own checks."""
+    if type(value) is not list:
+        return _typed(f"{name} entry", value, _NUMBER)
+    if not depth:
+        raise ValueError(f"{name} nests lists deeper than a matrix")
+    return [_numbers(name, v, depth - 1) for v in value]
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -359,6 +369,15 @@ def save_scenario(scenario: Scenario, path) -> None:
         json.dump(scenario_to_dict(scenario), fh, indent=2, sort_keys=True)
 
 
-def load_scenario(path) -> Scenario:
+def _read_json(path):
+    """The JSON document in file ``path``; ValueError, as for any other
+    malformed document, when it nests too deeply to decode."""
     with open(path) as fh:
-        return scenario_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply to decode") from None
+
+
+def load_scenario(path) -> Scenario:
+    return scenario_from_dict(_read_json(path))

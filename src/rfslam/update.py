@@ -192,9 +192,7 @@ class ChildParts:
             hypothesis, measurements, sensor, ppp, config.clutter_intensity,
             config.model, gate=config.gate)
         self._misdetected = {}
-        self._detected = {}
-        self._stacks = {}
-        self._innovations = {}
+        self._detections = {}
         self._born = {}
 
     def misdetected(self, i: int) -> Bernoulli:
@@ -206,53 +204,36 @@ class ChildParts:
                 self.config)
         return bern
 
-    def detected_type_probs(self, i: int, p: int) -> dict:
-        """Pruned posterior type probabilities of landmark ``i`` given ``p``;
-        LinAlgError when the cost matrix ruled the pair out."""
-        psi = self._detected.get((i, p))
-        if psi is None:
-            masses = self.ctx.pair_masses.get((i, p))
-            if masses is None:
-                raise np.linalg.LinAlgError(
-                    f"landmark {i} detected by measurement {p}, but no type "
-                    "with valid geometry explains it inside the gate")
-            psi = self._detected[(i, p)] = _prune_type_probs(
-                update_type_probs(masses), self.config.type_prune)
-        return psi
-
-    def innovation(self, i: int, p: int, kind) -> np.ndarray:
-        """Wrapped residual of measurement ``p`` against landmark ``i``'s
-        prediction as type ``kind``.
-
-        The cost matrix keeps the residual of every type that contributed
-        to the pair's weight.  A stacked type that did not (zero detection
-        probability or weight, kept when ``type_prune`` is 0) is wrapped
-        here, once.
-        """
-        v = self.ctx.pair_residuals[(i, p)].get(kind)
-        if v is not None:
-            return v
-        key = (i, p, kind)
-        v = self._innovations.get(key)
-        if v is None:
-            z_pred = self.ctx.type_preds[i][kind].z_pred
-            v = self._innovations[key] = self.config.model.wrap_residual(
-                self.measurements[p].z - z_pred)
-        return v
-
     def detection(self, i: int, p: int) -> tuple:
         """``(psi, stack)`` of landmark ``i`` detected by ``p``: its pruned
         posterior type probabilities, and one ``(kind, prior component,
         prediction, innovation)`` per type of them with a prediction, in
         their order -- the types the joint update stacks.  LinAlgError when
-        the cost matrix ruled the pair out."""
-        found = self._stacks.get((i, p))
+        the cost matrix ruled the pair out.
+
+        The innovation is the wrapped residual of measurement ``p`` against
+        the type's prediction.  The cost matrix keeps the residual of every
+        type that contributed to the pair's weight; a stacked type that did
+        not (zero detection probability or weight, kept when ``type_prune``
+        is 0) is wrapped here.
+        """
+        found = self._detections.get((i, p))
         if found is None:
-            psi = self.detected_type_probs(i, p)
+            masses = self.ctx.pair_masses.get((i, p))
+            if masses is None:
+                raise np.linalg.LinAlgError(
+                    f"landmark {i} detected by measurement {p}, but no type "
+                    "with valid geometry explains it inside the gate")
+            psi = _prune_type_probs(update_type_probs(masses),
+                                    self.config.type_prune)
             comps = self.hypothesis.bernoullis[i].belief.types
             preds = self.ctx.type_preds[i]
-            found = self._stacks[(i, p)] = (psi, tuple(
-                (kind, comps[kind], preds[kind], self.innovation(i, p, kind))
+            kept = self.ctx.pair_residuals[(i, p)]
+            z = self.measurements[p].z
+            wrap = self.config.model.wrap_residual
+            found = self._detections[(i, p)] = (psi, tuple(
+                (kind, comps[kind], preds[kind],
+                 kept[kind] if kind in kept else wrap(z - preds[kind].z_pred))
                 for kind in psi if preds[kind].z_pred is not None))
         return found
 

@@ -841,6 +841,15 @@ def reference_murty_kbest(costs, gamma):
     return results
 
 
+def whole_matrix_kbest(costs, gamma):
+    """``murty_kbest`` with its shortcuts declining, so that ``_murty``
+    ranks every matrix, as it ranks one with a column shared by two rows."""
+    with pytest.MonkeyPatch.context() as patch:
+        for shortcut in ("_row_minima", "_row_ranking"):
+            patch.setattr(association, shortcut, lambda *args: None)
+        return murty_kbest(costs, gamma)
+
+
 def ties_and_infinite_cells(seed, n_meas, n_prior):
     """Integer costs 0-3, which tie often and sum exactly; a prior cell is
     infinite with probability 1/2, a birth cell with 0.3."""
@@ -1066,19 +1075,25 @@ class TestMurty:
         assert got == ranking_outcome(reference_murty_kbest, costs, gamma)
 
     def test_ties_and_only_ties_fall_back_to_the_full_matrix(self):
+        # Above gamma 1 only a matrix without a shared column is merged,
+        # and seeds 0-149 draw no such tie-heavy 4x4 matrix: hence 600.
         def fallbacks(kind, gamma):
             count = 0
-            for seed in range(150):
+            for seed in range(600):
                 costs = cost_matrices(kind, seed, 4, 4)
                 matrix, mins = costs.matrix, costs.matrix.min(axis=1)
+                finite = matrix < math.inf
                 try:
                     reference_murty_kbest(costs, gamma)
                 except InfeasibleAssignmentError:
                     continue
                 if gamma > 1:
-                    ranked = association._cluster_ranking(matrix, gamma + 1)
+                    if np.count_nonzero(finite, axis=0).max() > 1:
+                        continue    # a shared column: Murty ranks it
+                    ranked = association._row_ranking(matrix, finite,
+                                                      gamma + 1)
                 elif len(set(matrix.argmin(axis=1).tolist())) == 4:
-                    ranked = association._row_minima(matrix, mins,
+                    ranked = association._row_minima(matrix, finite, mins,
                                                      float(mins.sum()))
                 else:
                     continue    # rows want one column: one solve ranks it
@@ -1107,15 +1122,21 @@ class TestMurty:
         captured = captured_cost_matrices(filter_kind, scenario, 3)
         assert len(captured) >= 12
         shared = 0
+        murty = association._murty
         for costs in captured:
-            clusters = association._clusters(np.isfinite(costs.matrix))
-            shared += any(len(rows) > 1 for rows in clusters)
+            in_two_rows = np.isfinite(costs.matrix).sum(axis=0).max() > 1
+            shared += in_two_rows
             for gamma in (10, 50):
-                assert association._cluster_ranking(costs.matrix,
-                                                    gamma + 1) is not None
-                assert ranking_outcome(murty_kbest, costs, gamma) == \
-                    ranking_outcome(association._full_matrix_kbest, costs,
-                                    gamma)
+                calls = []
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(association, "_murty", lambda matrix: (
+                        calls.append(matrix.shape) or murty(matrix)))
+                    got = ranking_outcome(murty_kbest, costs, gamma)
+                # Murty ranks a matrix with a shared column; the merge
+                # ranks every other one and never falls back.
+                assert len(calls) == in_two_rows
+                assert got == ranking_outcome(reference_murty_kbest, costs,
+                                              gamma)
         assert shared > 0 or not stress
 
     def test_gamma_one_solves_once(self, monkeypatch):
@@ -1131,7 +1152,7 @@ class TestMurty:
         matrix = np.full((4, 7), np.inf)
         matrix[:, :3] = rng.normal(size=(4, 3))
         matrix[:, 3:][np.eye(4, dtype=bool)] = rng.normal(size=4)
-        (sol,) = association._full_matrix_kbest(CostMatrix(matrix, 3), 1)
+        (sol,) = whole_matrix_kbest(CostMatrix(matrix, 3), 1)
         assert calls == [(4, 7)]
         assert sol == reference_murty_kbest(CostMatrix(matrix, 3), 1)[0]
 
@@ -1176,7 +1197,7 @@ class TestMurty:
                 except InfeasibleAssignmentError as exc:
                     return str(exc), calls
 
-        got, solved = recorded(association._full_matrix_kbest)
+        got, solved = recorded(whole_matrix_kbest)
         want, ref_solved = recorded(reference_murty_kbest)
         if isinstance(want, str):
             assert got == want

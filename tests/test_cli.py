@@ -468,6 +468,68 @@ class TestMain:
             err = capsys.readouterr().err
             assert err.startswith("configuration error: ") and str(bad) in err
 
+    def test_deeply_nested_report_exits_2(self, tmp_path, capsys):
+        # The decoder runs out of recursion depth on this nesting.
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        assert main(["compare", str(deep), str(deep)]) == 2
+        assert (f"configuration error: {deep} is not a run report: "
+                "ValueError('JSON nested too deeply to decode')"
+                in capsys.readouterr().err)
+
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        assert main(["run", "--config", str(deep)]) == 2
+        assert ("configuration error: invalid config file: JSON nested too "
+                "deeply to decode" in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("depth, message", [
+        (200_000, "JSON nested too deeply to decode"),
+        (3, "bs nests lists deeper than a matrix"),
+        (500, "bs nests lists deeper than a matrix")])
+    def test_deeply_nested_scenario_exits_2(self, tmp_path, capsys,
+                                            monkeypatch, depth, message):
+        # The whole file, or a bs list that json decodes and the array
+        # reader used to meet with two Python frames per level.
+        monkeypatch.setattr(cli, "run_single", no_run)
+        nested = "[" * depth + "0.0" + "]" * depth
+        scen = tmp_path / "scen.json"
+        if depth > 1000:
+            scen.write_text(nested)
+        else:
+            doc = scenario_to_dict(default_scenario(seed=1, steps=3))
+            doc["bs"] = "nested"
+            scen.write_text(json.dumps(doc).replace('"nested"', nested))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": str(scen), "mc": 1,
+                                   "out": str(tmp_path / "o")}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert (f"configuration error: invalid scenario file: {message}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("kind", ["VA", "SP"])
+    def test_landmark_at_the_bs_exits_2(self, tmp_path, capsys, monkeypatch,
+                                        kind):
+        # Measurements of it ended in "zero-length BS-VA direction".
+        monkeypatch.setattr(cli, "run_single", no_run)
+        doc = scenario_to_dict(default_scenario(seed=1, steps=3))
+        if kind == "VA":
+            # Mirrored across a plane through the BS, the BS stays put.
+            doc["vas"][0] = {"position": doc["bs"], "plane_point": doc["bs"],
+                             "plane_normal": [1.0, 0.0, 0.0]}
+        else:
+            doc["sps"][0] = doc["bs"]
+            doc["fov_radius"] = 200.0
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(doc))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": str(scen), "mc": 1,
+                                   "out": str(tmp_path / "o")}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert (f"configuration error: invalid scenario file: {kind} at the "
+                "BS position [0.0, 0.0, 40.0]" in capsys.readouterr().err)
+
     def test_missing_scenario_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": str(tmp_path / "missing.json"),

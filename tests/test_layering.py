@@ -1,7 +1,7 @@
 """Module layering: every import in the package sits at module level, every
 function parameter is read, every parameter default is passed by some call,
-every position of a returned tuple is read, and every definition has a
-caller.
+every position of a returned tuple is read, every definition has a
+caller, and the code stays within its line budget.
 
 An import inside a function body hides a module cycle (it only works
 because it runs after both modules finished loading), so none is allowed.
@@ -11,11 +11,14 @@ call overrides, which is a setting with no user, nor a returned tuple
 position that every caller discards, which is an output with no reader.
 A function, class, method or property that neither the package nor the
 benchmark names is code only tests keep alive; the few the README
-documents as API are listed here.
+documents as API are listed here.  The line budget is a ratchet: a change
+that adds code lines raises it in its own diff and says why in CHANGES.md.
 """
 
 import ast
+import io
 import math
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -29,6 +32,32 @@ BENCH_SCRIPTS = sorted((ROOT / "perfbench").glob("*.py"))
 #: benchmark code calls: the acceptance gate's finite-difference oracle and
 #: the CSV projection that mirrors ``deterministic_report_view``.
 API_ONLY = ["cli.deterministic_metrics_view", "geometry.measure_jacobian"]
+
+#: Code lines of ``src/rfslam``, counted by :func:`code_lines`.
+CODE_LINE_BUDGET = 2154
+
+#: Tokens that hold no code.
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> int:
+    """Lines that hold a token of code: blank lines, comments and the
+    docstrings of modules, classes and functions do not count."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if (isinstance(first, ast.Expr)
+                    and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in NOT_CODE:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
 
 
 def function_level_imports(tree: ast.AST):
@@ -359,3 +388,18 @@ def test_detector_sees_unreferenced_definitions():
         "box = Box()\n")
     assert unreferenced({"toy": tree}, [tree]) == ["toy.orphan",
                                                     "toy.Box.spare"]
+
+
+def test_code_lines_within_budget():
+    total = sum(code_lines(path.read_text()) for path in MODULES)
+    assert total <= CODE_LINE_BUDGET
+
+
+def test_code_line_count_leaves_out_prose():
+    source = ('"""Module\ndocstring."""\n\n# A comment.\n'
+              'def f(a):\n    """One line."""\n'
+              '    text = """two\nlines"""  # counted\n'
+              '    return (a,\n\n            text)\n')
+    # def, both lines of the string that is no docstring, and the two
+    # lines of the return.
+    assert code_lines(source) == 5

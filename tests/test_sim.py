@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from rfslam.cli import scenario_hash
 from rfslam.density import GaussianComponent
 from rfslam.geometry import (
+    MIN_LEG,
     Landmark,
     LandmarkType,
     Measurement,
@@ -343,8 +344,13 @@ def points():
 @st.composite
 def scenarios(draw):
     """Valid scenarios: VAs mirrored across random walls, diagonal
-    covariances, every scalar within its range."""
+    covariances, every scalar within its range, and no VA or SP at the BS
+    (a wall through the BS mirrors it onto itself)."""
     bs = Landmark(BS, draw(points()))
+
+    def apart(position):
+        return np.linalg.norm(np.asarray(position) - bs.position) >= MIN_LEG
+
     vas = []
     for point, normal in draw(st.lists(st.tuples(points(), points()),
                                        max_size=4)):
@@ -352,8 +358,9 @@ def scenarios(draw):
         if np.linalg.norm(normal) < 1e-3:
             normal = np.array([0.0, -0.0, 1.0])
         plane = Plane(point, normal / np.linalg.norm(normal))
-        vas.append((Landmark(VA, mirror_bs(bs.position, plane.point,
-                                           plane.normal)), plane))
+        va = mirror_bs(bs.position, plane.point, plane.normal)
+        if apart(va):
+            vas.append((Landmark(VA, va), plane))
 
     def diagonal():
         return np.diag(draw(st.lists(reals(0.0, 10.0), min_size=5,
@@ -361,7 +368,8 @@ def scenarios(draw):
 
     return Scenario(
         bs=bs, vas=vas,
-        sps=[Landmark(SP, p) for p in draw(st.lists(points(), max_size=4))],
+        sps=[Landmark(SP, p) for p in draw(st.lists(points(), max_size=4))
+             if apart(p)],
         ue_init=GaussianComponent(
             draw(st.lists(reals(-300.0, 300.0), min_size=5, max_size=5)),
             diagonal()),
@@ -393,6 +401,30 @@ class TestScenarioIO:
         sc = load_scenario(path)
         assert sc.p_detect == {BS: 0.9, VA: 0.9, SP: 0.9}
         assert (sc.fov_radius, sc.clutter_mean, sc.seed) == (50.0, 1.0, 0)
+
+    @pytest.mark.parametrize("kind", [VA, SP])
+    def test_landmark_at_the_bs_rejected(self, kind):
+        # The threshold is the geometry's: 5e-13 m from the BS has no
+        # BS-landmark direction, 2e-12 m has one.
+        sc = default_scenario()
+
+        def with_landmark(offset):
+            position = sc.bs.position + [offset, 0.0, 0.0]
+            if kind is SP:
+                return replace(sc, sps=sc.sps + (Landmark(SP, position),))
+            # The wall halfway between the BS and the VA.
+            plane = Plane((sc.bs.position + position) / 2, [1.0, 0.0, 0.0])
+            va = mirror_bs(sc.bs.position, plane.point, plane.normal)
+            return replace(sc, vas=sc.vas + ((Landmark(VA, va), plane),))
+
+        for offset in (0.0, 5e-13):
+            with pytest.raises(ValueError, match=f"^{kind.value} at the BS "
+                               "position .*direction is undefined$"):
+                with_landmark(offset)
+        changed = with_landmark(2e-12)
+        landmark = changed.vas[-1][0] if kind is VA else changed.sps[-1]
+        measure(UEState([70.0, 0.0, 0.0], 0.0, 300.0), landmark,
+                sc.bs.position)
 
     def test_partial_p_detect_rejected(self):
         with pytest.raises(ValueError, match="p_detect must name BS, VA and SP"):

@@ -615,6 +615,11 @@ def assemble_joint(sensor, berns, stack_kinds):
     return JointState(mean, cov, slices)
 
 
+def innovations(parts, i, p):
+    """Each stacked type's innovation of landmark ``i`` detected by ``p``."""
+    return {kind: v for kind, _, _, v in parts.detection(i, p)[1]}
+
+
 def reference_joint_update(parts, sigma):
     """The joint update as three layouts: the stacked types per landmark,
     the state slices of ``assemble_joint`` and the row dimensions."""
@@ -626,7 +631,7 @@ def reference_joint_update(parts, sigma):
         raise ValueError("association vector inconsistent with inputs")
     detected = sigma.detected_pairs()
     type_preds = parts.ctx.type_preds
-    psi_post = {i: parts.detected_type_probs(i, p) for i, p in detected}
+    psi_post = {i: parts.detection(i, p)[0] for i, p in detected}
 
     if detected:
         stack_kinds = {}
@@ -657,7 +662,7 @@ def reference_joint_update(parts, sigma):
                 rows = slice(row, row + dz)
                 H[rows, :ds] = pred.H_s
                 H[rows, joint.slices[(i, kind)]] = pred.H_x
-                innovation[rows] = parts.innovation(i, p, kind)
+                innovation[rows] = innovations(parts, i, p)[kind]
                 row += dz
         S = H @ joint.covariance @ H.T + R
         try:
@@ -1415,11 +1420,11 @@ class TestStep:
         rows = parts.ctx.pair_residuals[(0, 0)]
         assert list(rows) == [VA]
         for kind in (VA, SP):
-            v = parts.innovation(0, 0, kind)
+            v = innovations(parts, 0, 0)[kind]
             z_pred = parts.ctx.type_preds[0][kind].z_pred
             assert np.array_equal(v, meas.z - z_pred)
-            assert parts.innovation(0, 0, kind) is v
-        assert parts.innovation(0, 0, VA) is rows[VA]
+            assert innovations(parts, 0, 0)[kind] is v
+        assert innovations(parts, 0, 0)[VA] is rows[VA]
         child, _ = joint_update(parts, AssociationVector(1, (1, None)))
         assert list(child.bernoullis[0].belief.types) == [VA, SP]
 
@@ -1454,3 +1459,43 @@ class TestStep:
                                       b.belief.types[kind].mean)
                 assert np.array_equal(a.belief.types[kind].covariance,
                                       b.belief.types[kind].covariance)
+
+
+#: The sensor's free components: x, y, heading and bias.  The height is
+#: known, with variance 0 by design.
+FREE = [0, 1, 3, 4]
+
+
+class TestRandomizedSteps:
+    @settings(max_examples=60, deadline=None)
+    @given(filter_kind=st.sampled_from([EK_PMB, EK_PMBM]),
+           clutter_mean=st.floats(0.0, 20.0),
+           p_detect=st.lists(st.floats(0.5, 1.0), min_size=3, max_size=3),
+           noise_scale=st.floats(0.1, 10.0),
+           fov_radius=st.floats(5.0, 300.0),
+           gamma=st.integers(1, 10),
+           silent=st.lists(st.booleans(), min_size=12, max_size=12),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_every_step_leaves_a_valid_density(
+            self, filter_kind, clutter_mean, p_detect, noise_scale,
+            fov_radius, gamma, silent, seed):
+        base = default_scenario(seed=1, steps=len(silent))
+        scenario = replace(
+            base, clutter_mean=clutter_mean,
+            p_detect=dict(zip(LandmarkType, p_detect)),
+            noise_std=base.noise_std * noise_scale, fov_radius=fov_radius)
+        cfg = build_filter_config(scenario, RunConfig(filter_kind=filter_kind,
+                                                      gamma=gamma))
+        rng = np.random.default_rng(seed)
+        density, sensor = initial_state(scenario)
+        trajectory = simulate_trajectory(scenario, rng)[1:]
+        for truth, no_measurement in zip(trajectory, silent):
+            zset = generate_measurements(truth, scenario, rng)
+            measurements = [] if no_measurement else list(zset.measurements)
+            density, sensor = step(density, sensor, measurements, cfg)
+            check_density(density)
+            assert np.isfinite(sensor.mean).all()
+            # Cholesky raises unless the free block is positive definite.
+            np.linalg.cholesky(sensor.covariance[np.ix_(FREE, FREE)])
+            assert not sensor.covariance[2].any()
+            assert not sensor.covariance[:, 2].any()
