@@ -12,9 +12,9 @@ resulting assignment problem is solved for the best ``gamma`` associations
 per global hypothesis by Murty's ranked partitioning on top of an
 optimal-assignment kernel (scipy's Jonker-Volgenant-style solver), in
 negative-log-weight (cost) domain.  :func:`murty_kbest` returns Murty's
-ranking bit for bit; when no two rows share a finite column it merges the
-rows' sorted cells instead, unless two costs lie within a margin far above
-rounding.
+ranking bit for bit; above ``gamma`` 1, when no two rows share a finite
+column, it merges the rows' sorted cells instead, unless two costs lie
+within a margin far above rounding.
 """
 
 from __future__ import annotations
@@ -555,31 +555,6 @@ def _murty(matrix: np.ndarray):
 TIE_MARGIN = 1e-9
 
 
-def _tie_floor(matrix: np.ndarray, finite: np.ndarray) -> float:
-    """``TIE_MARGIN`` times the cost scale; ``finite`` masks finite cells."""
-    top = np.abs(matrix).max(where=finite, initial=0.0)
-    return TIE_MARGIN * matrix.shape[0] * float(top)
-
-
-def _row_minima(matrix: np.ndarray, finite: np.ndarray, mins: np.ndarray,
-                total: float):
-    """``[(assignment, cost)]`` of each row's cheapest cell, or None.
-
-    None unless those cells lie in distinct columns and every other cell
-    of a row costs more than the row's minimum by over the tie floor: then
-    the assignment is optimal, and any other costs more by over the floor.
-    ``finite`` masks the finite cells, ``mins`` are the row minima and
-    ``total`` their sum, which is the assignment's cost in row order.
-    """
-    best = matrix.argmin(axis=1).tolist()
-    if len(set(best)) < len(best):
-        return None
-    floor = _tie_floor(matrix, finite)
-    if np.count_nonzero(matrix - mins[:, None] <= floor) > len(best):
-        return None
-    return [(best, total)]
-
-
 def _row_ranking(matrix: np.ndarray, finite: np.ndarray, k: int):
     """The ``k`` best ``(assignment, cost)`` pairs of a matrix whose rows
     share no finite column, merged from each row's sorted cells, or None
@@ -617,7 +592,8 @@ def _row_ranking(matrix: np.ndarray, finite: np.ndarray, k: int):
     # C-ordered 2-D sum along its rows gives each row its 1-D sum's bits.
     keys = matrix[row_index, assignments].sum(axis=1).tolist()
     if len(keys) > 1:
-        floor = _tie_floor(matrix, finite)
+        top = np.abs(matrix).max(where=finite, initial=0.0)
+        floor = TIE_MARGIN * matrix.shape[0] * float(top)
         if any(not b - a > floor for a, b in zip(keys, keys[1:])):
             return None
     return list(zip(assignments.tolist(), keys))
@@ -628,28 +604,26 @@ def murty_kbest(costs: CostMatrix, gamma: int):
 
     The result is Murty's ranking of the whole matrix (:func:`_murty`):
     the same associations in the same order with the same cost bits, and
-    the same errors.  Two kinds of matrix are ranked without it.
+    the same errors.  At ``gamma`` 1 it is one optimal-assignment solve,
+    since Murty partitions a solution only when the next is asked for.
 
-    At ``gamma`` 1 the cheapest cell of each row is the optimum when those
-    cells lie in distinct columns and each beats its row's other cells by
-    a margin (:func:`_row_minima`).
-
-    Rows interact only through columns that more than one of them can
-    take; in the filter's matrices those are prior-landmark columns, since
-    a birth column is finite in its own row only.  When no column is
-    finite in two rows, an association is one independent choice of cell
-    per row and its cost is the sum of theirs, so :func:`_row_ranking`
-    merges the rows' sorted cells with a heap over index vectors and pops
-    the ``gamma + 1`` best.  Each gets the cost ``_solve_assignment`` gives
-    it, the full-matrix row-order sum.  The merge's order and Murty's can
-    differ only between costs that are tied or within rounding of each
-    other: rounding a sum of n costs errs by at most about n * 1.1e-16
-    times the cost scale (rows times the largest finite |cost|), and
-    Murty's optimal-assignment solves by the same order.  So when each
-    cost exceeds the one before by more than ``TIE_MARGIN`` (1e-9) times
-    the scale, the ``gamma`` best agree with Murty's, in the same order;
-    the extra candidate tells whether the ``gamma``-th is tied with the
-    next.
+    Above ``gamma`` 1 one kind of matrix is ranked without Murty.  Rows
+    interact only through columns that more than one of them can take; in
+    the filter's matrices those are prior-landmark columns, since a birth
+    column is finite in its own row only.  When no column is finite in two
+    rows, an association is one independent choice of cell per row and its
+    cost is the sum of theirs, so :func:`_row_ranking` merges the rows'
+    sorted cells with a heap over index vectors and pops the ``gamma + 1``
+    best.  Each gets the cost ``_solve_assignment`` gives it, the
+    full-matrix row-order sum.  The merge's order and Murty's can differ
+    only between costs that are tied or within rounding of each other:
+    rounding a sum of n costs errs by at most about n * 1.1e-16 times the
+    cost scale (rows times the largest finite |cost|), and Murty's
+    optimal-assignment solves by the same order.  So when each cost
+    exceeds the one before by more than ``TIE_MARGIN`` (1e-9) times the
+    scale, the ``gamma`` best agree with Murty's, in the same order; the
+    extra candidate tells whether the ``gamma``-th is tied with the next,
+    which decides which of two tied associations Murty ranks ``gamma``-th.
 
     Everything else goes to Murty: a column finite in two rows, costs
     within the margin, exact ties included, and row minima whose sum
@@ -663,13 +637,10 @@ def murty_kbest(costs: CostMatrix, gamma: int):
     if n_meas == 0:
         return [(AssociationVector(n_prior, (0,) * n_prior), 0.0)]
     mins = matrix.min(axis=1)
-    total = float(mins.sum())
     ranked = None
-    if math.isfinite(total):
+    if math.isfinite(float(mins.sum())):
         finite = matrix < math.inf
-        if gamma == 1:
-            ranked = _row_minima(matrix, finite, mins, total)
-        elif finite.sum(axis=0).max() < 2:
+        if gamma > 1 and finite.sum(axis=0).max() < 2:
             ranked = _row_ranking(matrix, finite, gamma + 1)
     elif not np.isfinite(mins).all():
         # A row without a finite cell, or a NaN or -inf cell; else the sum

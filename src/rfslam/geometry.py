@@ -379,20 +379,17 @@ def measure_jacobian(ue: UEState, lm: Landmark, bs_position) -> np.ndarray:
                      _legs(ue.position, lm.kind, lm.position, bs_position))
 
 
-def detection_probability(ue: UEState, lm: Landmark, p_detect=0.9,
-                          fov_radius: float = 50.0) -> float:
+def detection_probability(ue: UEState, lm: Landmark, p_detect: dict,
+                          fov_radius: float) -> float:
     """Probability that the landmark produces a measurement.
 
     BS and VA paths are always visible; an SP is visible only within
-    ``fov_radius`` meters of the UE.  ``p_detect`` may be a scalar or a
-    mapping from :class:`LandmarkType`.
+    ``fov_radius`` meters of the UE.  ``p_detect`` maps each
+    :class:`LandmarkType` to its detection probability; a missing type is
+    never detected.
     """
-    if isinstance(p_detect, dict):
-        pd = float(p_detect.get(lm.kind, 0.0))
-    else:
-        pd = float(p_detect)
-    return _visible(lm.kind, _norm(lm.position - ue.position), pd,
-                    fov_radius)
+    return _visible(lm.kind, _norm(lm.position - ue.position),
+                    float(p_detect.get(lm.kind, 0.0)), fov_radius)
 
 
 def _visible(kind: LandmarkType, dist: float, pd: float,

@@ -842,11 +842,10 @@ def reference_murty_kbest(costs, gamma):
 
 
 def whole_matrix_kbest(costs, gamma):
-    """``murty_kbest`` with its shortcuts declining, so that ``_murty``
+    """``murty_kbest`` with the row merge declining, so that ``_murty``
     ranks every matrix, as it ranks one with a column shared by two rows."""
     with pytest.MonkeyPatch.context() as patch:
-        for shortcut in ("_row_minima", "_row_ranking"):
-            patch.setattr(association, shortcut, lambda *args: None)
+        patch.setattr(association, "_row_ranking", lambda *args: None)
         return murty_kbest(costs, gamma)
 
 
@@ -1036,14 +1035,25 @@ class TestMurty:
             ranking_outcome(reference_murty_kbest, costs, gamma)
 
     def test_a_tie_after_the_gamma_th_falls_back(self):
-        # Rows 0 and 2 share landmark 0.  The 4th and 5th best both cost
-        # 7, and the merge ranks them in the other order from Murty's, so
-        # at gamma 4 only the extra candidate shows the tie.
+        # The 4th and 5th best both cost 7.  Rows 0 and 2 share landmark
+        # 0, so Murty ranks this matrix and the merge never sees it; the
+        # merge's extra candidate is pinned by the test after this one.
         matrix = np.array([[0.0, np.inf, 3.0, np.inf, np.inf],
                            [np.inf, 1.0, np.inf, 3.0, np.inf],
                            [1.0, np.inf, np.inf, np.inf, 3.0]])
         costs = CostMatrix(matrix, 2)
         for gamma in range(1, 10):
+            assert ranking_outcome(murty_kbest, costs, gamma) == \
+                ranking_outcome(reference_murty_kbest, costs, gamma)
+
+    def test_the_extra_candidate_shows_a_tie_at_the_gamma_th(self):
+        # No column is finite in two rows, so the merge ranks this matrix.
+        # The 2nd and 3rd best both cost 0.7, and the merge ranks them in
+        # the other order from Murty's, so at gamma 2 only the candidate
+        # past the gamma-th shows the tie and sends the matrix to Murty.
+        costs = CostMatrix(np.array([[0.3, np.inf, 0.1, np.inf],
+                                     [np.inf, 0.6, np.inf, 0.4]]), 2)
+        for gamma in range(1, 5):
             assert ranking_outcome(murty_kbest, costs, gamma) == \
                 ranking_outcome(reference_murty_kbest, costs, gamma)
 
@@ -1071,36 +1081,30 @@ class TestMurty:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(association, "_solve_assignment", counting)
             got = ranking_outcome(murty_kbest, costs, gamma)
-        assert calls == []
+        # At gamma 1 Murty's first solve is the whole ranking.
+        assert calls == ([] if gamma > 1 else [matrix.shape])
         assert got == ranking_outcome(reference_murty_kbest, costs, gamma)
 
     def test_ties_and_only_ties_fall_back_to_the_full_matrix(self):
-        # Above gamma 1 only a matrix without a shared column is merged,
-        # and seeds 0-149 draw no such tie-heavy 4x4 matrix: hence 600.
+        # Only a matrix without a shared column is merged, and seeds 0-149
+        # draw no such tie-heavy 4x4 matrix: hence 600.
         def fallbacks(kind, gamma):
             count = 0
             for seed in range(600):
                 costs = cost_matrices(kind, seed, 4, 4)
-                matrix, mins = costs.matrix, costs.matrix.min(axis=1)
+                matrix = costs.matrix
                 finite = matrix < math.inf
                 try:
                     reference_murty_kbest(costs, gamma)
                 except InfeasibleAssignmentError:
                     continue
-                if gamma > 1:
-                    if np.count_nonzero(finite, axis=0).max() > 1:
-                        continue    # a shared column: Murty ranks it
-                    ranked = association._row_ranking(matrix, finite,
-                                                      gamma + 1)
-                elif len(set(matrix.argmin(axis=1).tolist())) == 4:
-                    ranked = association._row_minima(matrix, finite, mins,
-                                                     float(mins.sum()))
-                else:
-                    continue    # rows want one column: one solve ranks it
+                if np.count_nonzero(finite, axis=0).max() > 1:
+                    continue    # a shared column: Murty ranks it
+                ranked = association._row_ranking(matrix, finite, gamma + 1)
                 count += ranked is None
             return count
 
-        for gamma in (1, 2, 5):
+        for gamma in (2, 5):
             assert fallbacks("ties", gamma) > 0
             assert fallbacks("integer clusters", gamma) > 0
             assert fallbacks("real clusters", gamma) == 0
@@ -1152,7 +1156,7 @@ class TestMurty:
         matrix = np.full((4, 7), np.inf)
         matrix[:, :3] = rng.normal(size=(4, 3))
         matrix[:, 3:][np.eye(4, dtype=bool)] = rng.normal(size=4)
-        (sol,) = whole_matrix_kbest(CostMatrix(matrix, 3), 1)
+        (sol,) = murty_kbest(CostMatrix(matrix, 3), 1)
         assert calls == [(4, 7)]
         assert sol == reference_murty_kbest(CostMatrix(matrix, 3), 1)[0]
 

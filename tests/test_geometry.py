@@ -196,18 +196,22 @@ class TestDetectionProbability:
         ue = UEState([70.7285, 0, 0], 0.0, 0.0)
         sp = Landmark(LandmarkType.SP, [99.0, 0, 10.0])
         assert np.linalg.norm(sp.position - ue.position) == pytest.approx(30.0, abs=0.1)
-        assert detection_probability(ue, sp) == pytest.approx(0.9)
+        assert detection_probability(ue, sp, {LandmarkType.SP: 0.9},
+                                     50.0) == pytest.approx(0.9)
 
     def test_sp_outside_fov(self):
         ue = UEState([70.7285, 0, 0], 0.0, 0.0)
         sp = Landmark(LandmarkType.SP, [-99.0, 0, 10.0])
-        assert detection_probability(ue, sp) == 0.0
+        assert detection_probability(ue, sp, {LandmarkType.SP: 0.9},
+                                     50.0) == 0.0
 
     def test_bs_and_va_always_visible(self):
         ue = UEState([70.7285, 0, 0], 0.0, 0.0)
-        assert detection_probability(ue, Landmark(LandmarkType.BS, BS)) == 0.9
+        assert detection_probability(ue, Landmark(LandmarkType.BS, BS),
+                                     {LandmarkType.BS: 0.9}, 50.0) == 0.9
         far_va = Landmark(LandmarkType.VA, [-200.0, 0, 40.0])
-        assert detection_probability(ue, far_va) == 0.9
+        assert detection_probability(ue, far_va, {LandmarkType.VA: 0.9},
+                                     50.0) == 0.9
 
 
 class TestChannelModel:

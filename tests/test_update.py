@@ -1499,3 +1499,80 @@ class TestRandomizedSteps:
             np.linalg.cholesky(sensor.covariance[np.ix_(FREE, FREE)])
             assert not sensor.covariance[2].any()
             assert not sensor.covariance[:, 2].any()
+
+
+#: Largest difference the metamorphic relations allow, relative to the
+#: compared quantity's scale.  Permuting the inputs only reorders sums
+#: (cost-matrix rows and columns, the children's moment match), which moves
+#: the results by rounding, about 1e-16 per operation; a changed
+#: association moves them by the measurement noise, orders above this.
+PERMUTATION_TOL = 1e-9
+
+
+def close(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    scale = max(1.0, float(np.abs(b).max(initial=0.0)))
+    return a.shape == b.shape and float(
+        np.abs(a - b).max(initial=0.0)) <= PERMUTATION_TOL * scale
+
+
+def same_bernoulli(a, b) -> bool:
+    if not close(a.existence, b.existence) or \
+            a.belief.types.keys() != b.belief.types.keys():
+        return False
+    return all(close(a.belief.types[k].weight, b.belief.types[k].weight)
+               and close(a.belief.types[k].mean, b.belief.types[k].mean)
+               and close(a.belief.types[k].covariance,
+                         b.belief.types[k].covariance)
+               for k in a.belief.types)
+
+
+def assert_same_outcome(got, want):
+    """Equal sensor posteriors, and the best hypotheses' Bernoullis equal
+    as a set, both within ``PERMUTATION_TOL``."""
+    (got_density, got_sensor), (want_density, want_sensor) = got, want
+    assert close(got_sensor.mean, want_sensor.mean)
+    assert close(got_sensor.covariance, want_sensor.covariance)
+    unmatched = list(want_density.best_hypothesis().bernoullis)
+    for bern in got_density.best_hypothesis().bernoullis:
+        match = next((i for i, other in enumerate(unmatched)
+                      if same_bernoulli(bern, other)), None)
+        assert match is not None
+        unmatched.pop(match)
+    assert unmatched == []
+
+
+class TestMetamorphicRelations:
+    @pytest.mark.parametrize("filter_kind", [EK_PMB, EK_PMBM])
+    def test_permuted_measurements_and_priors_change_nothing(self,
+                                                             filter_kind):
+        # Each step is also run with its measurements permuted, and with
+        # every hypothesis's prior Bernoullis permuted; the campaign goes
+        # on from the unpermuted step.
+        steps = 0
+        for seed in range(4):
+            scenario = replace(default_scenario(seed=seed, steps=30),
+                               clutter_mean=3.0)
+            cfg = build_filter_config(scenario, RunConfig(
+                filter_kind=filter_kind, gamma=10))
+            rng = np.random.default_rng([seed, 0])
+            shuffle = np.random.default_rng([seed, 1])
+            density, sensor = initial_state(scenario)
+            for truth in simulate_trajectory(scenario, rng)[1:]:
+                zset = generate_measurements(truth, scenario, rng)
+                meas = list(zset.measurements)
+                want = step(density, sensor, meas, cfg)
+                permuted_meas = [meas[i] for i in
+                                 shuffle.permutation(len(meas))]
+                assert_same_outcome(
+                    step(density, sensor, permuted_meas, cfg), want)
+                permuted_priors = replace(density, hypotheses=tuple(
+                    replace(h, bernoullis=tuple(
+                        h.bernoullis[i] for i in
+                        shuffle.permutation(len(h.bernoullis))))
+                    for h in density.hypotheses))
+                assert_same_outcome(
+                    step(permuted_priors, sensor, meas, cfg), want)
+                density, sensor = want
+                steps += 1
+        assert steps == 4 * 30
