@@ -7,7 +7,27 @@ landmarks detected at least once.  Each Bernoulli carries an existence
 probability and, per landmark type, a type probability with a Gaussian
 over the 3-D position.  ``mix_types`` is the one kernel that collapses
 weighted beliefs into one: the merge here, and the cell averaging and TOMB
-recombination of :mod:`rfslam.reduction`.
+recombination of :mod:`rfslam.reduction`.  It takes every job of a stage
+and moment matches all of their (job, type) groups in one
+``moment_match`` call, which the sensor marginalization calls too.
+
+The batched match has the bits of matching each group alone, with its
+members added one after another, for two reasons.
+
+- Reduction order.  ``np.add.reduce`` adds pairwise, in eight partial
+  sums, along the innermost contiguous axis once it holds 8 or more terms.
+  Along any other axis each output element adds its terms one after
+  another in index order.  So the member axis is never the innermost one.
+- Padding.  A group shorter than the longest is padded, after its own
+  members, with zero coefficients on copies of its first member, so each
+  padded term is 0 x, a zero signed like x.  Adding a signed zero changes
+  no sum but -0.0, and a sum of doubles is -0.0 only when every term is
+  -0.0.  numpy 2.4 starts each sum from +0.0, add's identity, so no
+  running sum is -0.0.  A reduction that starts from its first term
+  reaches -0.0 only when every term is, the first member's c x among
+  them; as c is positive or +0, x is then negative or -0.0, and so is
+  0 x.  Either way each padded term adds an exact zero, as long as x is
+  finite (0 inf is NaN).
 """
 
 from __future__ import annotations
@@ -25,8 +45,9 @@ class DegenerateDensityError(ValueError):
 
 
 def symmetrize(cov: np.ndarray) -> np.ndarray:
-    """Numerical hygiene after updates: (C + C^T) / 2."""
-    return 0.5 * (cov + cov.T)
+    """Numerical hygiene after updates: (C + C^T) / 2, of one matrix or of
+    each in a stack."""
+    return 0.5 * (cov + cov.swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -197,61 +218,102 @@ def _merge_pair_gate(a: Bernoulli, b: Bernoulli, threshold: float) -> bool:
     return max(da, db) <= threshold
 
 
-def moment_match(coefs, means, covs, norm: float):
-    """Moment-matched (mean, covariance) of a weighted Gaussian mixture.
+def moment_match(groups):
+    """Moment-matched (mean, covariance) of every weighted Gaussian mixture
+    in ``groups``, all in one array pass.
 
+    ``groups`` holds ``(coefs, members, norm)`` triples: a list of
+    coefficients c_i, each positive or +0, a list of as many members
+    (anything with ``mean`` and ``covariance``, of one dimension d
+    throughout) and the normalizer.  For each group,
     mean = sum_i c_i m_i / norm and
     cov = sum_i c_i (C_i + (m_i - mean)(m_i - mean)^T) / norm, symmetrized.
-    ``np.add.reduce`` over the stacked members adds them one after another
-    from zero, as the built-in ``sum`` does, so the result is bit-identical
-    to the Python loop over the members.
+    Returns the means stacked (G, d) and the covariances (G, d, d).
+
+    Each group's sums equal, bit for bit, its members added one after
+    another (the module docstring gives the argument).  The member axis
+    leads: coefficients are (N, G), means (N, G, d) and covariances
+    (N, G, d, d) for the longest group's N members, so ``np.add.reduce``
+    over axis 0 adds one member's whole (G, ...) slab at a time.  Members
+    must be finite: a padded group whose first member is not may read NaN
+    where matching it alone reads inf (the other groups keep their bits).
     """
-    coefs = np.array(coefs, dtype=float)
-    means = np.array(means, dtype=float)
-    mean = np.add.reduce(coefs[:, None] * means, axis=0) / norm
+    width = max(len(coefs) for coefs, _, _ in groups)
+    # Row g of ``rows``: group g's members in ``flat``, then its first
+    # member again in each padded slot, whose coefficient is 0.
+    flat, padded, rows = [], [], []
+    for coefs, members, _ in groups:
+        pad = width - len(coefs)
+        rows += range(len(flat), len(flat) + len(coefs))
+        rows += [len(flat)] * pad
+        flat += members
+        padded += coefs + [0.0] * pad
+    dim = flat[0].mean.shape[0]
+    # Member-major (N, G).
+    rows = np.array(rows).reshape(-1, width).T
+    coefs = np.array(padded).reshape(-1, width).T[:, :, None]
+    means = np.concatenate([m.mean for m in flat]).reshape(-1, dim)
+    covs = np.concatenate([m.covariance for m in flat]).reshape(-1, dim, dim)
+    means, covs = means.take(rows, axis=0), covs.take(rows, axis=0)
+    norms = np.array([norm for _, _, norm in groups])[:, None]
+    mean = np.add.reduce(coefs * means, axis=0) / norms
     d = means - mean
-    spread = np.array(covs, dtype=float) + d[:, :, None] * d[:, None, :]
-    cov = np.add.reduce(coefs[:, None, None] * spread, axis=0) / norm
-    return mean, symmetrize(cov)
+    spread = covs + d[..., :, None] * d[..., None, :]
+    cov = symmetrize(np.add.reduce(coefs[..., None] * spread, axis=0)
+                     / norms[..., None])
+    return mean, cov
 
 
 #: Mass below which a reduction cell or a mixed type carries no posterior mass.
 MIN_CELL_MASS = 1e-12
 
 
-def mix_types(members: list, total: float,
-              type_weights=None) -> LandmarkBelief:
-    """Type-weighted moment match of beliefs: the one kernel of the merge,
-    the cell averaging and the TOMB recombination.
+def mix_types(jobs: list) -> list:
+    """Type-weighted moment match of beliefs, every job of a stage in one
+    :func:`moment_match` call: the one kernel of the merge, the cell
+    averaging and the TOMB recombination.
 
-    ``members`` are ``(scale, belief)`` pairs.  For each type in
-    ``TYPE_ORDER``, a member holding the type gets the coefficient scale
-    times its type weight: the type probability, or ``type_weights[i](kind)``
-    for member ``i`` when given.  The type probability is the summed
-    coefficient over ``total`` (0 when ``total`` is not positive).  Below
-    ``MIN_CELL_MASS`` the type keeps the first member's Gaussian; above it
-    the members are moment matched.
+    A job is ``(members, total, masses)``: ``members`` are ``(scale,
+    Bernoulli)`` pairs whose beliefs are mixed (the existence plays no
+    part), and ``masses`` is None or one ``{type: mass}`` dict per member.
+    For each type, a member holding it gets the coefficient scale
+    times its type weight: the type probability, or the member's entry in
+    ``masses``.  The type's mass is its coefficients summed left to right
+    from zero, and its probability is the mass over ``total`` (0 when
+    ``total`` is not positive).  Below ``MIN_CELL_MASS`` the type keeps the
+    first holder's Gaussian; above it the holders are moment matched.
+    Returns one ``(belief, masses)`` pair per job, where ``masses`` maps
+    each type the belief holds to its mass.
     """
-    types = {}
-    for kind in TYPE_ORDER:
-        coefs, comps = [], []
-        for i, (scale, belief) in enumerate(members):
-            comp = belief.types.get(kind)
-            if comp is not None:
-                coefs.append(scale * (comp.weight if type_weights is None
-                                      else type_weights[i](kind)))
-                comps.append(comp)
-        if not comps:
-            continue
-        mass = sum(coefs)
-        psi = mass / total if total > 0.0 else 0.0
-        if mass < MIN_CELL_MASS:
-            types[kind] = TypeComponent(psi, comps[0].mean, comps[0].covariance)
-            continue
-        mean, cov = moment_match(coefs, [c.mean for c in comps],
-                                 [c.covariance for c in comps], mass)
-        types[kind] = TypeComponent(psi, mean, cov)
-    return LandmarkBelief(types)
+    results, groups, slots = [], [], []
+    for members, total, masses in jobs:
+        held = {}
+        for i, (scale, bern) in enumerate(members):
+            for kind, comp in bern.belief.types.items():
+                group = held.get(kind)
+                if group is None:
+                    group = held[kind] = ([], [])
+                group[0].append(scale * (comp.weight if masses is None
+                                         else masses[i][kind]))
+                group[1].append(comp)
+        types, type_masses = {}, {}
+        for kind, (coefs, comps) in held.items():
+            mass = type_masses[kind] = sum(coefs)
+            psi = mass / total if total > 0.0 else 0.0
+            if mass < MIN_CELL_MASS:
+                types[kind] = TypeComponent(psi, comps[0].mean,
+                                            comps[0].covariance)
+            else:
+                types[kind] = psi
+                groups.append((coefs, comps, mass))
+                slots.append((types, kind))
+        results.append((types, type_masses))
+    if groups:
+        means, covs = moment_match(groups)
+        for (types, kind), mean, cov in zip(slots, means, covs):
+            types[kind] = TypeComponent(types[kind], mean, cov)
+    return [(LandmarkBelief(types), type_masses)
+            for types, type_masses in results]
 
 
 #: Relative margin of the merge's array bound over the pair gate's own.
@@ -325,6 +387,7 @@ def merge_bernoullis(hypothesis: GlobalHypothesis,
             merged.append(seed)
             continue
         total = sum(b.existence for b in group)
-        merged.append(Bernoulli(min(1.0, total), mix_types(
-            [(b.existence, b.belief) for b in group], total)))
+        (belief, _), = mix_types([([(b.existence, b) for b in group], total,
+                                   None)])
+        merged.append(Bernoulli(min(1.0, total), belief))
     return replace(hypothesis, bernoullis=tuple(merged))

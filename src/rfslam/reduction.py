@@ -6,7 +6,11 @@ per-track, per-association conditional Bernoullis are averaged over the
 hypotheses sharing that association, weighted by hypothesis weight, and
 the track-oriented recombination collapses the mixture to a single
 multi-Bernoulli using the marginal association probabilities.  Both
-collapse their beliefs through ``density.mix_types``.
+collapse their beliefs through ``density.mix_types``, one call per stage:
+the averaging sends every cell with several contributors, and the
+recombination every prior track that needs mixing.  The averaging keeps
+each cell's type masses (``TrackCell.masses``, the sums of w psi that
+normalize its types), and the recombinations weight by them.
 
 Cells with exactly one contributing hypothesis are copied verbatim, which
 keeps the single-hypothesis reduction an exact identity.
@@ -40,19 +44,10 @@ class TrackCell:
     beta: float = 0.0
     contributors: list = field(default_factory=list)  # (weight, Bernoulli)
     bernoulli: Optional[Bernoulli] = None             # set by averaging
-
-    def type_mass(self, kind) -> float:
-        """Sum of w * psi over the contributors that hold ``kind``.
-
-        Added left to right from zero in contributor order, as ``mix_types``
-        sums the averaging's coefficients: the recombinations see its bits.
-        """
-        mass = 0.0
-        for w, bern in self.contributors:
-            comp = bern.belief.types.get(kind)
-            if comp is not None:
-                mass += w * comp.weight
-        return mass
+    # Type -> sum of w * psi over the contributors that hold the type, added
+    # left to right from zero.  Set by averaging in a track of more than one
+    # cell, the only kind the recombinations weight.
+    masses: Optional[dict] = None
 
 
 @dataclass
@@ -104,42 +99,32 @@ def align_hypotheses(density: PmbmDensity) -> TrackTable:
     return TrackTable(n_prior, n_meas, cells)
 
 
-def _average_cell(cell: TrackCell) -> Bernoulli:
-    if len(cell.contributors) == 1:
-        return cell.contributors[0][1]
-    existence = sum(w * b.existence for w, b in cell.contributors) / cell.beta
-    return Bernoulli(existence, mix_types(
-        [(w, b.belief) for w, b in cell.contributors], cell.beta))
-
-
 def average_conditionals(table: TrackTable) -> TrackTable:
-    """Average the per-cell conditional Bernoullis over contributing hypotheses."""
+    """Average the per-cell conditional Bernoullis over contributing
+    hypotheses: a cell with one contributor is copied, and every other
+    cell goes into one :func:`mix_types` call."""
+    mixed, jobs = [], []
     for track in table.cells:
         for q, cell in track.items():
             if (q is None or not cell.contributors
                     or cell.beta < MIN_CELL_MASS):
                 continue
-            cell.bernoulli = _average_cell(cell)
+            if len(cell.contributors) == 1:
+                (w, bern), = cell.contributors
+                cell.bernoulli = bern
+                # The recombinations copy a track of one cell whole.
+                if len(track) > 1:
+                    cell.masses = {kind: w * comp.weight for kind, comp
+                                   in bern.belief.types.items()}
+                continue
+            mixed.append(cell)
+            jobs.append((cell.contributors, cell.beta, None))
+    for cell, (belief, masses) in zip(mixed, mix_types(jobs)):
+        existence = sum(w * b.existence
+                        for w, b in cell.contributors) / cell.beta
+        cell.bernoulli = Bernoulli(existence, belief)
+        cell.masses = masses
     return table
-
-
-def _recombine_prior_track(cells: dict) -> Bernoulli:
-    live = [c for c in cells.values()
-            if c.bernoulli is not None and c.beta >= MIN_CELL_MASS]
-    if not live:
-        raise InconsistentHypothesesError("prior track with no live cells")
-    if len(live) == len(cells) == 1:
-        # Every hypothesis agrees on this track's association, so its
-        # marginal probability is one by the row-sum invariant; copy the
-        # averaged Bernoulli verbatim instead of multiplying it by a
-        # floating-point rendering of one.
-        return live[0].bernoulli
-    existence = sum(c.beta * c.bernoulli.existence for c in live)
-    if existence <= 0.0:
-        return absent_bernoulli()
-    return Bernoulli(min(1.0, existence), mix_types(
-        [(c.bernoulli.existence, c.bernoulli.belief) for c in live],
-        existence, [c.type_mass for c in live]))
 
 
 def _recombine_new_track(cells: dict) -> Bernoulli:
@@ -155,17 +140,42 @@ def _recombine_new_track(cells: dict) -> Bernoulli:
     existence = cell.beta * bern.existence
     if bern.existence <= 0.0:
         return Bernoulli(0.0, bern.belief)
-    types = {k: TypeComponent(cell.type_mass(k) / cell.beta,
+    types = {k: TypeComponent(cell.masses[k] / cell.beta,
                               c.mean, c.covariance)
              for k, c in bern.belief.types.items()}
     return Bernoulli(existence, LandmarkBelief(types))
 
 
 def tomb_recombine(table: TrackTable) -> GlobalHypothesis:
-    """Collapse the track table to a single multi-Bernoulli hypothesis."""
-    berns = []
-    for t in range(table.n_prior):
-        berns.append(_recombine_prior_track(table.cells[t]))
+    """Collapse the track table to a single multi-Bernoulli hypothesis.
+
+    A prior track that needs mixing weights each live cell's averaged
+    belief by its existence times the cell's type masses; every such track
+    goes into one :func:`mix_types` call.
+    """
+    berns, slots, jobs = [], [], []
+    for cells in table.cells[:table.n_prior]:
+        live = [c for c in cells.values()
+                if c.bernoulli is not None and c.beta >= MIN_CELL_MASS]
+        if not live:
+            raise InconsistentHypothesesError("prior track with no live cells")
+        if len(live) == len(cells) == 1:
+            # Every hypothesis agrees on this track's association, so its
+            # marginal probability is one by the row-sum invariant; copy the
+            # averaged Bernoulli verbatim instead of multiplying it by a
+            # floating-point rendering of one.
+            berns.append(live[0].bernoulli)
+            continue
+        existence = sum(c.beta * c.bernoulli.existence for c in live)
+        if existence <= 0.0:
+            berns.append(absent_bernoulli())
+            continue
+        slots.append((len(berns), min(1.0, existence)))
+        berns.append(None)
+        jobs.append(([(c.bernoulli.existence, c.bernoulli) for c in live],
+                     existence, [c.masses for c in live]))
+    for (slot, existence), (belief, _) in zip(slots, mix_types(jobs)):
+        berns[slot] = Bernoulli(existence, belief)
     for t in range(table.n_prior, table.n_tracks):
         berns.append(_recombine_new_track(table.cells[t]))
     return GlobalHypothesis(1.0, tuple(berns), assoc=None)

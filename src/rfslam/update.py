@@ -136,9 +136,9 @@ def marginalize_sensor(children) -> GaussianComponent:
     if len(children) == 1:
         return children[0][1]
     # The weights already sum to one, and x / 1.0 is exact.
-    mean, cov = moment_match(weights, [g.mean for _, g in children],
-                             [g.covariance for _, g in children], 1.0)
-    return GaussianComponent(mean, cov)
+    mean, cov = moment_match(
+        [(weights.tolist(), [g for _, g in children], 1.0)])
+    return GaussianComponent(mean[0], cov[0])
 
 
 def _birth_bernoulli(candidate, config: FilterConfig) -> Bernoulli:

@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import check_density
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfslam import density as density_module
@@ -13,6 +13,7 @@ from rfslam.density import (
     MIN_CELL_MASS,
     Bernoulli,
     DegenerateDensityError,
+    GaussianComponent,
     GlobalHypothesis,
     LandmarkBelief,
     PmbmDensity,
@@ -219,8 +220,9 @@ def reference_merge_bernoullis(hypothesis, threshold):
             merged.append(seed)
             continue
         total = sum(b.existence for b in group)
-        merged.append(Bernoulli(min(1.0, total), mix_types(
-            [(b.existence, b.belief) for b in group], total)))
+        (belief, _), = mix_types(
+            [([(b.existence, b) for b in group], total, None)])
+        merged.append(Bernoulli(min(1.0, total), belief))
     return GlobalHypothesis(hypothesis.weight, tuple(merged))
 
 
@@ -373,7 +375,11 @@ class TestMomentMatch:
 
     @staticmethod
     def assert_matches_loop(coefs, means, covs, norm):
-        mean, cov = moment_match(coefs, means, covs, norm)
+        # Members given by the same arrays stay one object.
+        shared = {}
+        members = [shared.setdefault((id(m), id(c)), GaussianComponent(m, c))
+                   for m, c in zip(means, covs)]
+        (mean,), (cov,) = moment_match([(list(coefs), members, norm)])
         ref_mean, ref_cov = loop_moment_match(coefs, means, covs, norm)
         assert mean.tobytes() == ref_mean.tobytes()
         assert cov.tobytes() == ref_cov.tobytes()
@@ -437,10 +443,20 @@ def loop_merge_types(members):
         if wsum <= 0.0:
             types[kind] = TypeComponent(psi, comps[0].mean, comps[0].covariance)
             continue
-        mean, cov = moment_match(weights, [c.mean for c in comps],
-                                 [c.covariance for c in comps], wsum)
+        (mean,), (cov,) = moment_match([(weights, comps, wsum)])
         types[kind] = TypeComponent(psi, mean, cov)
     return LandmarkBelief(types)
+
+
+def loop_type_mass(contributors, kind):
+    """Sum of w * psi over the ``(w, Bernoulli)`` contributors that hold
+    ``kind``, added left to right from zero."""
+    mass = 0.0
+    for w, bern in contributors:
+        comp = bern.belief.types.get(kind)
+        if comp is not None:
+            mass += w * comp.weight
+    return mass
 
 
 def loop_average_cell(cell):
@@ -455,15 +471,14 @@ def loop_average_cell(cell):
                    if kind in b.belief.types]
         if not members:
             continue
-        norm = cell.type_mass(kind)
+        norm = loop_type_mass(cell.contributors, kind)
         psi = norm / beta
         if norm < MIN_CELL_MASS:
             comp = members[0][1]
             types[kind] = TypeComponent(psi, comp.mean, comp.covariance)
             continue
-        mean, cov = moment_match([w * c.weight for w, c in members],
-                                 [c.mean for _, c in members],
-                                 [c.covariance for _, c in members], norm)
+        (mean,), (cov,) = moment_match([([w * c.weight for w, c in members],
+                                          [c for _, c in members], norm)])
         types[kind] = TypeComponent(psi, mean, cov)
     return Bernoulli(existence, LandmarkBelief(types))
 
@@ -481,7 +496,7 @@ def loop_recombine_prior_track(cells):
     existence = sum(c.beta * c.bernoulli.existence for c in live.values())
     types = {}
     for kind in TYPE_ORDER:
-        members = [(c.type_mass(kind), c.bernoulli)
+        members = [(loop_type_mass(c.contributors, kind), c.bernoulli)
                    for c in live.values()
                    if kind in c.bernoulli.belief.types]
         if not members:
@@ -493,9 +508,8 @@ def loop_recombine_prior_track(cells):
             types[kind] = TypeComponent(psi, comp.mean, comp.covariance)
             continue
         comps = [b.belief.types[kind] for _, b in members]
-        mean, cov = moment_match([bt * b.existence for bt, b in members],
-                                 [c.mean for c in comps],
-                                 [c.covariance for c in comps], norm)
+        (mean,), (cov,) = moment_match(
+            [([bt * b.existence for bt, b in members], comps, norm)])
         types[kind] = TypeComponent(psi, mean, cov)
     if existence <= 0.0:
         template = live[next(iter(live))].bernoulli.belief
@@ -569,7 +583,8 @@ class TestMixTypes:
         first = max(range(n), key=lambda i: members[i].existence)
         group = [members[first]] + members[:first] + members[first + 1:]
         total = sum(b.existence for b in group)
-        got = mix_types([(b.existence, b.belief) for b in group], total)
+        (got, _), = mix_types(
+            [([(b.existence, b) for b in group], total, None)])
         want = loop_merge_types(group)
         assert list(got.types) == list(want.types)
         for kind, comp in got.types.items():
@@ -645,8 +660,8 @@ class TestMixTypes:
 
     def test_zero_total_gives_zero_type_probability(self):
         a, b = bern(0.0, mean=(1.0, 2.0, 3.0)), bern(0.0)
-        mixed = mix_types([(a.existence, a.belief), (b.existence, b.belief)],
-                          0.0)
+        (mixed, _), = mix_types(
+            [([(a.existence, a), (b.existence, b)], 0.0, None)])
         comp = mixed.types[LandmarkType.VA]
         assert comp.weight == 0.0
         assert comp.mean is a.belief.types[LandmarkType.VA].mean
@@ -685,6 +700,108 @@ class TestMixTypes:
         pruned = prune(PmbmDensity(default_ppp_intensity(), (recombined,)),
                        1e-4, 1e-4, 10)  # FilterConfig's prune defaults
         assert pruned.hypotheses[0].bernoullis == ()
+
+
+def loop_recombine_new_track(cells):
+    """A new track: its born cell with probability beta, each type
+    probability the cell's type mass over beta."""
+    born = [c for q, c in cells.items()
+            if q is not None and c.bernoulli is not None]
+    if not born:
+        return absent_bernoulli()
+    cell, = born
+    if len(cells) == 1:
+        return cell.bernoulli
+    if cell.bernoulli.existence <= 0.0:
+        return Bernoulli(0.0, cell.bernoulli.belief)
+    return Bernoulli(cell.beta * cell.bernoulli.existence, LandmarkBelief({
+        kind: TypeComponent(loop_type_mass(cell.contributors, kind)
+                            / cell.beta, comp.mean, comp.covariance)
+        for kind, comp in cell.bernoulli.belief.types.items()}))
+
+
+def random_table(rng, n_cells, n_types, shared, tiny, neg_zero):
+    """A track table of ``n_cells`` cells with 1-12 contributors each:
+    prior tracks of 1-4 cells and new tracks of one born cell, half of
+    them with a not-born cell too.  With ``neg_zero`` every drawn mean has
+    -0.0 in one coordinate, so all of a group's terms there are -0.0: the
+    one sum a padded +0.0 would flip, were it started from its first term
+    (see the ``rfslam.density`` docstring)."""
+    def cell():
+        c = TrackCell()
+        for bern in random_members(rng, int(rng.integers(1, 13)), n_types,
+                                   shared, tiny, rng.uniform() < 0.1):
+            if neg_zero is not None:
+                for comp in bern.belief.types.values():
+                    comp.mean[neg_zero] = -0.0
+            w = draw_value(rng, tiny)
+            c.beta += w
+            c.contributors.append((w, bern))
+        return c
+
+    prior, new = [], []
+    while n_cells:
+        if rng.uniform() < 0.3:
+            track = {0: cell()}
+            if rng.uniform() < 0.5:
+                track[None] = TrackCell(beta=draw_value(rng, tiny))
+            new.append(track)
+            n_cells -= 1
+        else:
+            k = min(n_cells, int(rng.integers(1, 5)))
+            prior.append({q: cell() for q in range(k)})
+            n_cells -= k
+    return TrackTable(len(prior), len(new), prior + new)
+
+
+class TestBatchedReduction:
+    """One ``mix_types`` call per stage equals the per-cell and per-track
+    loops bit for bit: the cells' groups have 1-12 members, past numpy's
+    8-term pairwise threshold, and the shorter ones are padded."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_cells=st.integers(1, 6),
+           n_types=st.integers(1, 3),
+           shared=st.sampled_from(["none", "some", "all"]),
+           tiny=st.sampled_from([0.0, 0.3]),
+           neg_zero=st.sampled_from([None, 0, 1, 2]))
+    @example(seed=7, n_cells=4, n_types=1, shared="all", tiny=0.0,
+             neg_zero=1)
+    @example(seed=11, n_cells=3, n_types=1, shared="none", tiny=0.0,
+             neg_zero=None)
+    def test_table_matches_per_cell_loops(self, seed, n_cells, n_types,
+                                          shared, tiny, neg_zero):
+        rng = np.random.default_rng(seed)
+        table = random_table(rng, n_cells, n_types, shared, tiny, neg_zero)
+        average_conditionals(table)
+        for track in table.cells:
+            for q, cell in track.items():
+                if q is None or cell.beta < MIN_CELL_MASS:
+                    assert cell.bernoulli is None
+                    continue
+                want = loop_average_cell(cell)
+                assert cell.bernoulli.existence == want.existence
+                assert_beliefs_bit_equal(cell.bernoulli.belief, want.belief)
+        prior = table.cells[:table.n_prior]
+        try:
+            want = [loop_recombine_prior_track(cells) for cells in prior]
+        except InconsistentHypothesesError:
+            with pytest.raises(InconsistentHypothesesError):
+                tomb_recombine(table)
+            return
+        for i, cells in enumerate(prior):
+            live = [c for c in cells.values()
+                    if c.bernoulli is not None and c.beta >= MIN_CELL_MASS]
+            if not len(live) == len(cells) == 1 and sum(
+                    c.beta * c.bernoulli.existence for c in live) <= 0.0:
+                want[i] = absent_bernoulli()
+        want += [loop_recombine_new_track(cells)
+                 for cells in table.cells[table.n_prior:]]
+        got = tomb_recombine(table).bernoullis
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.existence == w.existence
+            assert_beliefs_bit_equal(g.belief, w.belief)
 
 
 class TestSerialization:

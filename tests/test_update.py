@@ -35,6 +35,7 @@ from rfslam.geometry import (
     Landmark,
     LandmarkType,
     Measurement,
+    Plane,
     UEState,
     measure,
 )
@@ -1503,17 +1504,18 @@ class TestRandomizedSteps:
 
 #: Largest difference the metamorphic relations allow, relative to the
 #: compared quantity's scale.  Permuting the inputs only reorders sums
-#: (cost-matrix rows and columns, the children's moment match), which moves
-#: the results by rounding, about 1e-16 per operation; a changed
+#: (cost-matrix rows and columns, the children's moment match), and
+#: translating the scene only changes how its coordinates round; either
+#: moves the results by rounding, about 1e-16 per operation.  A changed
 #: association moves them by the measurement noise, orders above this.
-PERMUTATION_TOL = 1e-9
+RELATION_TOL = 1e-9
 
 
 def close(a, b) -> bool:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     scale = max(1.0, float(np.abs(b).max(initial=0.0)))
     return a.shape == b.shape and float(
-        np.abs(a - b).max(initial=0.0)) <= PERMUTATION_TOL * scale
+        np.abs(a - b).max(initial=0.0)) <= RELATION_TOL * scale
 
 
 def same_bernoulli(a, b) -> bool:
@@ -1529,7 +1531,7 @@ def same_bernoulli(a, b) -> bool:
 
 def assert_same_outcome(got, want):
     """Equal sensor posteriors, and the best hypotheses' Bernoullis equal
-    as a set, both within ``PERMUTATION_TOL``."""
+    as a set, both within ``RELATION_TOL``."""
     (got_density, got_sensor), (want_density, want_sensor) = got, want
     assert close(got_sensor.mean, want_sensor.mean)
     assert close(got_sensor.covariance, want_sensor.covariance)
@@ -1542,7 +1544,40 @@ def assert_same_outcome(got, want):
     assert unmatched == []
 
 
+def translated_scenario(scenario, shift):
+    """``scenario`` with its BS, landmarks, walls and UE start moved by
+    ``shift``."""
+    return replace(
+        scenario,
+        bs=Landmark(LandmarkType.BS, scenario.bs.position + shift),
+        vas=tuple((Landmark(LandmarkType.VA, va.position + shift),
+                   Plane(wall.point + shift, wall.normal))
+                  for va, wall in scenario.vas),
+        sps=tuple(Landmark(LandmarkType.SP, sp.position + shift)
+                  for sp in scenario.sps),
+        ue_init=GaussianComponent(
+            scenario.ue_init.mean + np.r_[shift, 0.0, 0.0],
+            scenario.ue_init.covariance))
+
+
+def translated_outcome(outcome, shift):
+    """The best hypothesis and the sensor of ``(density, sensor)`` with
+    every position moved by ``shift``."""
+    density, sensor = outcome
+    best = density.best_hypothesis()
+    berns = tuple(Bernoulli(b.existence, LandmarkBelief({
+        kind: TypeComponent(c.weight, c.mean + shift, c.covariance)
+        for kind, c in b.belief.types.items()})) for b in best.bernoullis)
+    return (replace(density, hypotheses=(replace(best, bernoullis=berns),)),
+            GaussianComponent(sensor.mean + np.r_[shift, 0.0, 0.0],
+                              sensor.covariance))
+
+
 class TestMetamorphicRelations:
+    #: Binary-exact, so the translated scene differs from the original
+    #: only by how its sums round.
+    SHIFT = np.array([40.5, -24.25, 8.0])
+
     @pytest.mark.parametrize("filter_kind", [EK_PMB, EK_PMBM])
     def test_permuted_measurements_and_priors_change_nothing(self,
                                                              filter_kind):
@@ -1574,5 +1609,33 @@ class TestMetamorphicRelations:
                 assert_same_outcome(
                     step(permuted_priors, sensor, meas, cfg), want)
                 density, sensor = want
+                steps += 1
+        assert steps == 4 * 30
+
+    @pytest.mark.parametrize("filter_kind", [EK_PMB, EK_PMBM])
+    def test_translated_scene_translates_the_estimates(self, filter_kind):
+        # The scene and its translate run as two campaigns on the same
+        # random draws; after every step the translate's sensor and best
+        # hypothesis, moved back, match the original's.
+        steps = 0
+        for seed in range(4):
+            scenario = replace(default_scenario(seed=seed, steps=30),
+                               clutter_mean=3.0)
+            runs = []
+            for scene in (scenario,
+                          translated_scenario(scenario, self.SHIFT)):
+                cfg = build_filter_config(scene, RunConfig(
+                    filter_kind=filter_kind, gamma=10))
+                rng = np.random.default_rng([seed, 0])
+                outcome = initial_state(scene)
+                outcomes = []
+                for truth in simulate_trajectory(scene, rng)[1:]:
+                    zset = generate_measurements(truth, scene, rng)
+                    outcome = step(*outcome, list(zset.measurements), cfg)
+                    outcomes.append(outcome)
+                runs.append(outcomes)
+            for want, got in zip(*runs):
+                assert_same_outcome(translated_outcome(got, -self.SHIFT),
+                                    want)
                 steps += 1
         assert steps == 4 * 30
