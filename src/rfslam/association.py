@@ -6,15 +6,16 @@ local weights has one implementation here -- :func:`log_weight_detected`,
 :func:`misdetection_weight` and :func:`weight_birth` (with the newborn
 Gaussian from :func:`birth_from_measurement`) -- which the cost matrix and
 the joint update both use.  Each weight is a sum over landmark types, and a
-type's posterior probability is its term normalized: the weights return
-their per-type masses, which :func:`update_type_probs` normalizes.  The
-resulting assignment problem is solved for the best ``gamma`` associations
-per global hypothesis by Murty's ranked partitioning on top of an
-optimal-assignment kernel (scipy's Jonker-Volgenant-style solver), in
-negative-log-weight (cost) domain.  :func:`murty_kbest` returns Murty's
-ranking bit for bit; above ``gamma`` 1, when no two rows share a finite
-column, it merges the rows' sorted cells instead, unless two costs lie
-within a margin far above rounding.
+type's posterior probability is its term normalized: all three weights
+return their per-type masses (a birth's are its per-type rates), which
+:func:`update_type_probs` normalizes.  The resulting assignment problem is
+solved for the best ``gamma`` associations per global hypothesis by
+Murty's ranked partitioning on top of an optimal-assignment kernel
+(scipy's Jonker-Volgenant-style solver), in negative-log-weight (cost)
+domain.  :func:`murty_kbest` returns Murty's ranking bit for bit; above
+``gamma`` 1, when no two rows share a finite column, it merges the rows'
+sorted cells instead, unless two costs lie within a margin far above
+rounding.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .density import (
     Bernoulli,
     GaussianComponent,
     GlobalHypothesis,
-    TypeComponent,
     symmetrize,
 )
 from .geometry import MAX_P_DETECT, DegenerateGeometryError, LandmarkType
@@ -147,34 +147,29 @@ def predict_types(bern: Bernoulli, sensor: GaussianComponent, model) -> dict:
 
 
 def residual_blocks(bern: Bernoulli, preds: dict, z, model) -> dict:
-    """Wrapped residuals ``z - h`` of every type that can explain a detection.
+    """Wrapped residuals ``z - h`` of every type that has a prediction.
 
-    A type contributes when its detection probability and weight are
-    positive and its geometry is valid.  ``z`` is one measurement vector or
-    a stack of them, one per row; each block has the shape of ``z``, and
-    its row for a measurement has the bits of wrapping that pair alone
-    (subtraction and the wrap are element-wise).
+    ``z`` is one measurement vector or a stack of them, one per row; each
+    block has the shape of ``z``, and its row for a measurement has the bits
+    of wrapping that pair alone (subtraction and the wrap are element-wise).
     """
-    blocks = {}
-    for kind, comp in bern.belief.types.items():
-        pred = preds[kind]
-        if (pred.p_detect > 0.0 and comp.weight > 0.0
-                and pred.z_pred is not None):
-            blocks[kind] = model.wrap_residual(z - pred.z_pred)
-    return blocks
+    return {kind: model.wrap_residual(z - preds[kind].z_pred)
+            for kind in bern.belief.types
+            if preds[kind].z_pred is not None}
 
 
 def log_weight_detected(bern: Bernoulli, meas, preds: dict, residuals: dict):
     """Local weight for "detected again", in log domain, for one pair.
 
-    ``residuals`` maps each contributing type to the pair's wrapped
-    residual (one row of :func:`residual_blocks`).  Returns ``(ln l,
-    masses, mahal)`` with l = r sum_type psi pd N(z; h, S).  A contributing
-    type's mass is its term over the largest one, exp(ln(psi pd N) - peak),
-    and every other type of the belief has mass 0.0; mahal is the smallest
-    squared Mahalanobis distance over the types (the caller gates on it).
-    With no contributing type, or zero existence, ln l is -inf and the
-    masses are empty.
+    ``residuals`` maps each type with a prediction to the pair's wrapped
+    residual (one row of :func:`residual_blocks`).  A type contributes when
+    its detection probability and weight are positive as well.  Returns
+    ``(ln l, masses, mahal)`` with l = r sum_type psi pd N(z; h, S).  A
+    contributing type's mass is its term over the largest one,
+    exp(ln(psi pd N) - peak), and every other type of the belief has mass
+    0.0; mahal is the smallest squared Mahalanobis distance over the
+    contributing types (the caller gates on it).  With no contributing
+    type, or zero existence, ln l is -inf and the masses are empty.
     """
     best_mahal = math.inf
     if bern.existence <= 0.0:
@@ -183,6 +178,8 @@ def log_weight_detected(bern: Bernoulli, meas, preds: dict, residuals: dict):
     types = bern.belief.types
     for kind, v in residuals.items():
         pred = preds[kind]
+        if not (pred.p_detect > 0.0 and types[kind].weight > 0.0):
+            continue
         loglik, mahal = chol_logpdf(v, pred.hph + meas.covariance)
         best_mahal = min(best_mahal, mahal)
         terms[kind] = (math.log(types[kind].weight) + math.log(pred.p_detect)
@@ -274,7 +271,8 @@ class BirthCandidate:
 
     log_weight: float          # ln l_B = ln(clutter + sum_type rho)
     existence: float           # rho_B / l_B
-    types: dict                # LandmarkType -> TypeComponent (psi_B, mean, cov)
+    masses: dict               # LandmarkType -> rho; {} when sum_type rho <= 0
+    comps: dict                # LandmarkType -> newborn GaussianComponent
 
 
 def weight_birth(meas, sensor: GaussianComponent, ppp: dict,
@@ -282,12 +280,12 @@ def weight_birth(meas, sensor: GaussianComponent, ppp: dict,
     """Local weight for "detected for the first time" plus birth data.
 
     Returns the :class:`BirthCandidate`.  Every type with a positive PPP
-    rate can be born, except the BS, which is known; a newborn type's
-    probability is its share of sum_type rho (clutter never enters it).
-    Types without a newborn (:func:`birth_from_measurement` returns None)
-    contribute nothing; when no type
-    survives the measurement is clutter-only (weight floor
-    ``clutter_intensity``).
+    rate can be born, except the BS, which is known; a type's mass is its
+    rate rho, so :func:`update_type_probs` gives each its share of
+    sum_type rho (clutter never enters it).  Types without a newborn
+    (:func:`birth_from_measurement` returns None) contribute nothing; when
+    sum_type rho is not positive the measurement is clutter-only (weight
+    floor ``clutter_intensity``) and the masses are empty.
     """
     if clutter_intensity < 0.0:
         raise ValueError("clutter intensity must be nonnegative")
@@ -306,13 +304,10 @@ def weight_birth(meas, sensor: GaussianComponent, ppp: dict,
         comps[kind] = component
     rho_total = sum(rho.values())
     weight = clutter_intensity + rho_total
-    types = {}
-    if rho_total > 0.0:
-        types = {k: TypeComponent(r / rho_total, comps[k].mean,
-                                  comps[k].covariance) for k, r in rho.items()}
     existence = rho_total / weight if weight > 0.0 else 0.0
     log_weight = math.log(weight) if weight > 0.0 else -math.inf
-    return BirthCandidate(log_weight, existence, types)
+    return BirthCandidate(log_weight, existence,
+                          rho if rho_total > 0.0 else {}, comps)
 
 
 @dataclass(frozen=True)
@@ -402,14 +397,19 @@ def build_cost_matrix(hypothesis: GlobalHypothesis, measurements,
     the second element, sum_i ln l^{i,0}, recovers unnormalized hypothesis
     weights from assignment costs.
 
-    Per landmark and contributing type, one array pass wraps the residuals
-    against every measurement and takes each pair's marginal bound
-    max_j v_j^2 / S_jj, which never exceeds v^T S^-1 v (a marginal's
+    Per landmark and type with a prediction, one array pass wraps the
+    residuals against every measurement and takes each pair's marginal
+    bound max_j v_j^2 / S_jj, which never exceeds v^T S^-1 v (a marginal's
     Mahalanobis distance is at most the joint one).  Only a pair that some
     type puts inside the gate, with a relative margin of 1e-9 that absorbs
     rounding, reaches :func:`log_weight_detected` and its factorizations;
     the gate on the full distance then keeps or drops exactly the pairs it
-    would without the bound.  A NaN bound compares False and is kept.
+    would without the bound.  A NaN bound compares False and is kept.  A
+    type that cannot contribute (zero detection probability or weight)
+    only adds pairs whose contributing types all lie beyond the gate, which
+    the full distance drops.  The wrapped rows of a kept pair are its
+    ``pair_residuals``: the innovation of every type the joint update
+    stacks.
     """
     berns = hypothesis.bernoullis
     n_prior, n_meas = len(berns), len(measurements)

@@ -360,13 +360,8 @@ def measure(ue: UEState, lm: Landmark, bs_position) -> np.ndarray:
     The TOA is the path length in meters plus the UE clock bias.  AOA
     azimuth is relative to the UE heading; all angles wrapped to (-pi, pi].
     """
-    return _measure(ue.position, ue.heading, ue.clock_bias, lm.kind,
-                    lm.position, bs_position)
-
-
-def _measure(u, heading: float, bias: float, kind: LandmarkType, x,
-             bs_position) -> np.ndarray:
-    return _prediction(heading, bias, kind, _legs(u, kind, x, bs_position))
+    return _prediction(ue.heading, ue.clock_bias, lm.kind,
+                       _legs(ue.position, lm.kind, lm.position, bs_position))
 
 
 def measure_jacobian(ue: UEState, lm: Landmark, bs_position) -> np.ndarray:
@@ -479,8 +474,9 @@ class ChannelModel:
 
     def predict(self, sensor_mean, lm_position, kind: LandmarkType) -> np.ndarray:
         u, heading, bias = self._sensor(sensor_mean)
-        return _measure(u, heading, bias, kind,
-                        _finite_point(lm_position, "landmark"), self.bs_position)
+        return _prediction(heading, bias, kind,
+                           _legs(u, kind, _finite_point(lm_position, "landmark"),
+                                 self.bs_position))
 
     def jacobians(self, sensor_mean, lm_position, kind: LandmarkType):
         """(H_sensor, H_landmark) blocks of the measurement Jacobian."""

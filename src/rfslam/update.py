@@ -11,6 +11,8 @@ weights, their per-type masses, type predictions and birth candidates all
 come from the cost matrix in :mod:`rfslam.association`; misdetected
 landmarks reuse its misdetection weight and newborn landmarks its birth
 candidates, so every type with a positive PPP rate but the BS can be born.
+All three local hypotheses turn their per-type masses into type
+probabilities by one rule, :func:`_type_posterior`.
 One :class:`ChildParts` per hypothesis holds its cost matrix and the
 pieces a child takes unchanged from its parent (misdetected and newborn
 Bernoullis, detected type posteriors), shared by all its ranked
@@ -141,30 +143,52 @@ def marginalize_sensor(children) -> GaussianComponent:
     return GaussianComponent(mean[0], cov[0])
 
 
+def _type_posterior(masses: dict, config: FilterConfig, hard: bool) -> dict:
+    """Posterior type probabilities of a local hypothesis from its per-type
+    masses.
+
+    :func:`update_type_probs` normalizes the masses; with ``hard`` (a birth
+    when ``multi_model`` is off) only the most probable type, the first of
+    equals, is kept.  Types below ``type_prune`` are then dropped, always
+    keeping the strongest, and the rest renormalized.
+    """
+    psi = update_type_probs(masses)
+    if hard:
+        best = max(psi, key=psi.get)
+        psi = {best: psi[best]}
+    kept = {k: v for k, v in psi.items() if v >= config.type_prune}
+    if not kept:
+        best = max(psi, key=psi.get)
+        kept = {best: psi[best]}
+    total = sum(kept.values())
+    return {k: v / total for k, v in kept.items()}
+
+
+def _local_bernoulli(existence: float, masses: dict, comps: dict,
+                     config: FilterConfig, hard: bool) -> Bernoulli:
+    """A misdetected or newborn Bernoulli: the type posterior of ``masses``
+    over the Gaussians ``comps`` holds per type."""
+    psi = _type_posterior(masses, config, hard)
+    return Bernoulli(existence, LandmarkBelief({
+        k: TypeComponent(psi[k], comps[k].mean, comps[k].covariance)
+        for k in psi}))
+
+
 def _birth_bernoulli(candidate, config: FilterConfig) -> Bernoulli:
-    if not candidate.types:
+    if not candidate.masses:
         # Measurement explained as clutter: keep the slot with zero existence.
         return absent_bernoulli()
-    types = candidate.types
-    if not config.multi_model and len(types) > 1:
-        kind = max(types, key=lambda k: types[k].weight)
-        types = {kind: types[kind]}
-    psi = _prune_type_probs({k: c.weight for k, c in types.items()},
-                            config.type_prune)
-    types = {k: TypeComponent(psi[k], types[k].mean, types[k].covariance)
-             for k in psi}
-    return Bernoulli(candidate.existence, LandmarkBelief(types))
+    return _local_bernoulli(candidate.existence, candidate.masses,
+                            candidate.comps, config,
+                            hard=not config.multi_model)
 
 
 def _misdetected_bernoulli(bern: Bernoulli, misdetection: tuple,
                            config: FilterConfig) -> Bernoulli:
     masses, survive, l0 = misdetection
     existence = bern.existence * survive / l0 if l0 > 0.0 else 0.0
-    psi = _prune_type_probs(update_type_probs(masses), config.type_prune)
-    types = {k: TypeComponent(psi[k], bern.belief.types[k].mean,
-                              bern.belief.types[k].covariance)
-             for k in psi}
-    return Bernoulli(existence, LandmarkBelief(types))
+    return _local_bernoulli(existence, masses, bern.belief.types, config,
+                            hard=False)
 
 
 class ChildParts:
@@ -212,10 +236,7 @@ class ChildParts:
         the cost matrix ruled the pair out.
 
         The innovation is the wrapped residual of measurement ``p`` against
-        the type's prediction.  The cost matrix keeps the residual of every
-        type that contributed to the pair's weight; a stacked type that did
-        not (zero detection probability or weight, kept when ``type_prune``
-        is 0) is wrapped here.
+        the type's prediction, the row the cost matrix kept for the pair.
         """
         found = self._detections.get((i, p))
         if found is None:
@@ -224,17 +245,13 @@ class ChildParts:
                 raise np.linalg.LinAlgError(
                     f"landmark {i} detected by measurement {p}, but no type "
                     "with valid geometry explains it inside the gate")
-            psi = _prune_type_probs(update_type_probs(masses),
-                                    self.config.type_prune)
+            psi = _type_posterior(masses, self.config, hard=False)
             comps = self.hypothesis.bernoullis[i].belief.types
             preds = self.ctx.type_preds[i]
-            kept = self.ctx.pair_residuals[(i, p)]
-            z = self.measurements[p].z
-            wrap = self.config.model.wrap_residual
+            rows = self.ctx.pair_residuals[(i, p)]
             found = self._detections[(i, p)] = (psi, tuple(
-                (kind, comps[kind], preds[kind],
-                 kept[kind] if kind in kept else wrap(z - preds[kind].z_pred))
-                for kind in psi if preds[kind].z_pred is not None))
+                (kind, comps[kind], preds[kind], rows[kind])
+                for kind in psi if kind in rows))
         return found
 
     def born(self, p: int) -> Bernoulli:
@@ -244,16 +261,6 @@ class ChildParts:
             bern = self._born[p] = _birth_bernoulli(self.ctx.births[p],
                                                    self.config)
         return bern
-
-
-def _prune_type_probs(psi: dict, threshold: float) -> dict:
-    """Drop negligible-probability types (always keeping the strongest)."""
-    kept = {k: v for k, v in psi.items() if v >= threshold}
-    if not kept:
-        best = max(psi, key=psi.get)
-        kept = {best: psi[best]}
-    total = sum(kept.values())
-    return {k: v / total for k, v in kept.items()}
 
 
 def joint_update(parts: ChildParts, sigma: AssociationVector):

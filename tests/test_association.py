@@ -31,6 +31,7 @@ from rfslam.association import (
     murty_kbest,
     predict_types,
     residual_blocks,
+    update_type_probs,
     weight_birth,
 )
 from rfslam.cli import RunConfig, build_filter_config, initial_state
@@ -234,7 +235,9 @@ def reference_birth_from_measurement(meas, sensor, kind, model):
 
 
 def reference_weight_birth(meas, sensor, ppp, clutter_intensity, model):
-    """``weight_birth`` on the reference newborn, wrap and density."""
+    """``weight_birth`` on the reference newborn, wrap and density, from
+    before it returned its masses: ``(log_weight, existence, types)`` with
+    each newborn type's share of sum_type rho in a TypeComponent."""
     rho, comps = {}, {}
     for kind, rate in ppp.items():
         if rate <= 0.0 or kind is BS:
@@ -255,7 +258,7 @@ def reference_weight_birth(meas, sensor, ppp, clutter_intensity, model):
                                   comps[k].covariance) for k, r in rho.items()}
     existence = rho_total / weight if weight > 0.0 else 0.0
     log_weight = math.log(weight) if weight > 0.0 else -math.inf
-    return association.BirthCandidate(log_weight, existence, types)
+    return log_weight, existence, types
 
 
 def bits(x):
@@ -336,15 +339,17 @@ class TestLocalWeightReference:
                     bits(getattr(ref_pred, name))
         ppp = {BS: 1e-4, VA: 2.5e-6, SP: 4e-6}
         got = weight_birth(meas, sensor, ppp, 1.3e-5, model)
-        want = reference_weight_birth(meas, sensor, ppp, 1.3e-5, model)
-        assert bits(got.log_weight) == bits(want.log_weight)
-        assert bits(got.existence) == bits(want.existence)
-        assert list(got.types) == list(want.types)
-        for kind, comp in got.types.items():
-            ref = want.types[kind]
-            assert bits(comp.weight) == bits(ref.weight)
-            assert bits(comp.mean) == bits(ref.mean)
-            assert bits(comp.covariance) == bits(ref.covariance)
+        log_weight, existence, types = reference_weight_birth(
+            meas, sensor, ppp, 1.3e-5, model)
+        assert bits(got.log_weight) == bits(log_weight)
+        assert bits(got.existence) == bits(existence)
+        psi = update_type_probs(got.masses) if got.masses else {}
+        assert list(psi) == list(types)
+        for kind, share in psi.items():
+            ref = types[kind]
+            assert bits(share) == bits(ref.weight)
+            assert bits(got.comps[kind].mean) == bits(ref.mean)
+            assert bits(got.comps[kind].covariance) == bits(ref.covariance)
 
     @settings(max_examples=300, deadline=None)
     @given(rows=st.lists(st.lists(
@@ -467,7 +472,7 @@ class TestWeightBirth:
         cand = weight_birth(meas, toy_sensor(), {SP: 0.0}, 0.5, toy_model())
         assert cand.log_weight == pytest.approx(math.log(0.5))
         assert cand.existence == 0.0
-        assert cand.types == {}
+        assert cand.masses == {} and cand.comps == {}
 
     def test_reference_clutter_intensity_floor(self):
         c = 1.0 / (4 * 200 * math.pi ** 4)
@@ -485,12 +490,13 @@ class TestWeightBirth:
         # Birth mean inverts exactly: u = z - s = 0.3; C = (P + R) = 1.25;
         # S = P + C + R = 2.5 and the predicted residual is 0.
         rho = 2.0 * 0.9 / math.sqrt(2 * math.pi * 2.5)
-        assert cand.types[SP].mean[0] == pytest.approx(0.3)
-        assert cand.types[SP].covariance[0, 0] == pytest.approx(1.25)
+        assert cand.comps[SP].mean[0] == pytest.approx(0.3)
+        assert cand.comps[SP].covariance[0, 0] == pytest.approx(1.25)
+        assert cand.masses[SP] == pytest.approx(rho, rel=1e-12)
         assert cand.log_weight == pytest.approx(math.log(0.01 + rho),
                                                 abs=1e-12)
         assert cand.existence == pytest.approx(rho / (0.01 + rho), rel=1e-12)
-        assert cand.types[SP].weight == 1.0
+        assert update_type_probs(cand.masses) == {SP: 1.0}
 
 
 class TestBuildCostMatrix:
@@ -674,9 +680,7 @@ def reference_cost_matrix(hypothesis, measurements, sensor, ppp, clutter,
             pair_masses[(i, p)] = masses
             pair_residuals[(i, p)] = {
                 k: model.wrap_residual(meas.z - preds[k].z_pred)
-                for k, comp in bern.belief.types.items()
-                if preds[k].p_detect > 0.0 and comp.weight > 0.0
-                and preds[k].z_pred is not None}
+                for k in bern.belief.types if preds[k].z_pred is not None}
             matrix[p, i] = log_l0 - log_l
     for p, meas in enumerate(measurements):
         cand = weight_birth(meas, sensor, ppp, clutter, model)

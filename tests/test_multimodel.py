@@ -3,7 +3,7 @@ type posteriors :func:`rfslam.association.update_type_probs` makes of them.
 
 A detection weighs each type by its detection probability and measurement
 likelihood; a misdetection down-weights types that should have been
-detected; a birth splits its rate over the types that explain the
+detected; a birth's masses are its rates over the types that explain the
 measurement.
 """
 
@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfslam.association import (
+    BirthCandidate,
     TypePrediction,
     birth_from_measurement,
     chol_logpdf,
@@ -32,8 +33,10 @@ from rfslam.density import (
     GaussianComponent,
     LandmarkBelief,
     TypeComponent,
+    absent_bernoulli,
 )
 from rfslam.geometry import MAX_P_DETECT, TYPE_ORDER, LandmarkType, Measurement
+from rfslam.update import FilterConfig, _birth_bernoulli
 
 BS, VA, SP = LandmarkType.BS, LandmarkType.VA, LandmarkType.SP
 SENSOR = GaussianComponent(np.zeros(1), np.eye(1))
@@ -139,7 +142,7 @@ def birth_psi(rates: dict, clutter: float) -> dict:
                          SP: ([[0.0]], [[1.0]], [0.6])}, 1, p_detect=0.9)
     meas = Measurement(np.array([0.2]), np.eye(1))
     cand = weight_birth(meas, SENSOR, rates, clutter, model)
-    return {k: c.weight for k, c in cand.types.items()}
+    return update_type_probs(cand.masses)
 
 
 class TestBirthTypeProbs:
@@ -298,7 +301,74 @@ class TestTypePosteriorReference:
                  + pred.H_x @ comp.covariance @ pred.H_x.T + meas.covariance)
             rho[k] = rate * model.p_detect[k] * math.exp(chol_logpdf(v, S)[0])
         if sum(rho.values()) <= 0.0:
-            assert cand.types == {}
+            assert cand.masses == {}
             return
-        assert bits({k: c.weight for k, c in cand.types.items()}) == bits(
+        assert bits(update_type_probs(cand.masses)) == bits(
             reference_birth_type_probs(rho))
+
+
+# ---------------------------------------------------------------------------
+# The newborn Bernoulli as it was built before births returned their masses:
+# ``weight_birth`` split the rates into TypeComponents, then the birth made
+# its hard type decision on their weights and pruned them.  Kept as the
+# reference the one type-posterior rule must reproduce bit for bit.
+
+def reference_prune_type_probs(psi: dict, threshold: float) -> dict:
+    kept = {k: v for k, v in psi.items() if v >= threshold}
+    if not kept:
+        best = max(psi, key=psi.get)
+        kept = {best: psi[best]}
+    total = sum(kept.values())
+    return {k: v / total for k, v in kept.items()}
+
+
+def reference_birth_bernoulli(rho: dict, comps: dict, existence: float,
+                              config) -> Bernoulli:
+    rho_total = sum(rho.values())
+    types = {}
+    if rho_total > 0.0:
+        types = {k: TypeComponent(r / rho_total, comps[k].mean,
+                                  comps[k].covariance) for k, r in rho.items()}
+    if not types:
+        return absent_bernoulli()
+    if not config.multi_model and len(types) > 1:
+        kind = max(types, key=lambda k: types[k].weight)
+        types = {kind: types[kind]}
+    psi = reference_prune_type_probs({k: c.weight for k, c in types.items()},
+                                     config.type_prune)
+    types = {k: TypeComponent(psi[k], types[k].mean, types[k].covariance)
+             for k in psi}
+    return Bernoulli(existence, LandmarkBelief(types))
+
+
+class TestBirthBernoulliReference:
+    @settings(max_examples=300, deadline=None)
+    @given(kinds=st.lists(st.sampled_from(TYPE_ORDER), min_size=1,
+                          max_size=3, unique=True),
+           rates=st.lists(st.sampled_from([0.0, 2.5e-6])
+                          | st.floats(1e-12, 1.0), min_size=3, max_size=3),
+           existence=st.floats(0.0, 1.0),
+           multi_model=st.booleans(),
+           type_prune=st.sampled_from([0.0, 1e-4]))
+    def test_bit_equal_to_reference(self, kinds, rates, existence,
+                                    multi_model, type_prune):
+        # Rates of 0.0 and repeated 2.5e-6 give zero and equal shares.
+        rho = dict(zip(kinds, rates))
+        comps = {k: GaussianComponent(np.array([float(j)]),
+                                      (j + 1.0) * np.eye(1))
+                 for j, k in enumerate(kinds)}
+        config = FilterConfig(model=None, process_noise=np.zeros((1, 1)),
+                              multi_model=multi_model, type_prune=type_prune)
+        # weight_birth's candidate: the rates are the masses, none when
+        # they sum to zero.
+        masses = rho if sum(rho.values()) > 0.0 else {}
+        got = _birth_bernoulli(BirthCandidate(0.0, existence, masses, comps),
+                               config)
+        want = reference_birth_bernoulli(rho, comps, existence, config)
+        assert got.existence.hex() == want.existence.hex()
+        assert list(got.belief.types) == list(want.belief.types)
+        for kind, comp in got.belief.types.items():
+            ref = want.belief.types[kind]
+            assert comp.weight.hex() == ref.weight.hex()
+            assert comp.mean.tobytes() == ref.mean.tobytes()
+            assert comp.covariance.tobytes() == ref.covariance.tobytes()

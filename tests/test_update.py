@@ -16,6 +16,7 @@ from rfslam.association import (
     chol_factor,
     chol_solve,
     murty_kbest,
+    update_type_probs,
 )
 from rfslam.cli import RunConfig, build_filter_config, initial_state
 from rfslam.density import (
@@ -1374,17 +1375,24 @@ class TestStep:
         assert len(calls["born"]) == len(set(born))
         assert len(set(map(id, calls["born"]))) == len(calls["born"])
         assert calls["misdetection_weight"] == len(hyp.bernoullis)
-        assert calls["type_probs"] == len(set(misdetected)) + len(detected)
-        # The innovations are the residual rows the cost matrix wrapped: one
-        # wrap per (landmark, measurement, stacked type) it did not wrap.
+        # One type posterior per misdetected landmark, detected pair and
+        # newborn (not per clutter-only birth slot).
+        parts = children[0][0][0]
+        newborn = {p for p in born if parts.ctx.births[p].masses}
+        assert calls["type_probs"] == (len(set(misdetected)) + len(detected)
+                                       + len(newborn))
+        # The innovations are the residual rows the cost matrix wrapped:
+        # every stacked type's is its row, and nothing is wrapped outside
+        # the cost matrix.
         stacked = [(i, p, kind) for (_, sigma, *_), (child, _) in children
                    for i, p in sigma.detected_pairs()
                    for kind in child.bernoullis[i].belief.types]
         assert len(stacked) > len(set(stacked))
-        ctx = children[0][0][0].ctx
-        assert calls["innovations"] == len(
-            {(i, p, k) for i, p, k in stacked
-             if k not in ctx.pair_residuals[(i, p)]})
+        assert calls["innovations"] == 0
+        for i, p in detected:
+            rows = parts.ctx.pair_residuals[(i, p)]
+            assert all(v is rows[kind]
+                       for kind, _, _, v in parts.detection(i, p)[1])
 
         for (_, sigma), (child, child_sensor) in children:
             fresh = ChildParts(hyp, measurements, sensor_pred,
@@ -1403,10 +1411,44 @@ class TestStep:
                     assert np.array_equal(comp.mean, other.mean)
                     assert np.array_equal(comp.covariance, other.covariance)
 
+    def test_hard_type_decision_births_one_type(self):
+        # multi_model off: every newborn keeps only its most probable type,
+        # at probability 1.0, in a cluttered reference run.
+        scenario = replace(default_scenario(seed=2, steps=8),
+                           clutter_mean=3.0)
+        cfg = build_filter_config(scenario, RunConfig(multi_model=False))
+        rng = np.random.default_rng([2, 0])
+        density, sensor = initial_state(scenario)
+        births = []
+        original = update_module._birth_bernoulli
+
+        def recorded(candidate, config):
+            bern = original(candidate, config)
+            births.append((candidate, bern))
+            return bern
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(update_module, "_birth_bernoulli", recorded)
+            for truth in simulate_trajectory(scenario, rng)[1:]:
+                zset = generate_measurements(truth, scenario, rng)
+                density, sensor = step(density, sensor,
+                                       list(zset.measurements), cfg)
+        # Some measurements could start either type, and some only clutter.
+        assert any(len(cand.masses) > 1 for cand, _ in births)
+        assert any(not cand.masses for cand, _ in births)
+        for cand, bern in births:
+            if not cand.masses:
+                assert bern is absent_bernoulli()
+                continue
+            ((kind, comp),) = bern.belief.types.items()
+            assert comp.weight == 1.0
+            psi = update_type_probs(cand.masses)
+            assert kind == max(psi, key=psi.get)
+
     def test_innovation_of_every_stacked_type(self):
         # With type_prune 0 a type that cannot explain the detection (pd 0)
-        # stays stacked.  The contributing type's residual is the row the
-        # cost matrix kept; the other one is wrapped on first use.
+        # stays stacked.  Its residual, like the contributing type's, is the
+        # row the cost matrix kept.
         model = LinearModel({VA: ([[0.0]], [[1.0]]),
                              SP: ([[0.0]], [[1.0]], [0.5])}, 1,
                             p_detect={VA: 0.9, SP: 0.0})
@@ -1419,13 +1461,13 @@ class TestStep:
         meas = Measurement(np.array([0.3]), np.eye(1))
         parts = ChildParts(hyp, [meas], sensor, {SP: 0.1}, cfg)
         rows = parts.ctx.pair_residuals[(0, 0)]
-        assert list(rows) == [VA]
+        assert list(rows) == [VA, SP]
         for kind in (VA, SP):
             v = innovations(parts, 0, 0)[kind]
             z_pred = parts.ctx.type_preds[0][kind].z_pred
-            assert np.array_equal(v, meas.z - z_pred)
+            assert v.tobytes() == (meas.z - z_pred).tobytes()
             assert innovations(parts, 0, 0)[kind] is v
-        assert innovations(parts, 0, 0)[VA] is rows[VA]
+            assert v is rows[kind]
         child, _ = joint_update(parts, AssociationVector(1, (1, None)))
         assert list(child.bernoullis[0].belief.types) == [VA, SP]
 
