@@ -4,10 +4,10 @@ Each previously detected landmark can be detected again, misdetected, or a
 measurement can start a new landmark (or be clutter).  Each of the three
 local weights has one implementation here -- :func:`log_weight_detected`,
 :func:`misdetection_weight` and :func:`weight_birth` (with the newborn
-Gaussian from :func:`birth_from_measurement`) -- which the cost matrix and
-the joint update both use.  Each weight is a sum over landmark types, and a
-type's posterior probability is its term normalized: all three weights
-return their per-type masses (a birth's are its per-type rates), which
+Gaussians from :func:`newborns`) -- which the cost matrix and the joint
+update both use.  Each weight is a sum over landmark types, and a type's
+posterior probability is its term normalized: all three weights return
+their per-type masses (a birth's are its per-type rates), which
 :func:`update_type_probs` normalizes.  The resulting assignment problem is
 solved for the best ``gamma`` associations per global hypothesis by
 Murty's ranked partitioning on top of an optimal-assignment kernel
@@ -16,6 +16,36 @@ domain.  :func:`murty_kbest` returns Murty's ranking bit for bit; above
 ``gamma`` 1, when no two rows share a finite column, it merges the rows'
 sorted cells instead, unless two costs lie within a margin far above
 rounding.
+
+:func:`build_cost_matrix` runs each linear-algebra stage once per
+hypothesis, over one stack of rows: the ``hph`` of every (landmark, type)
+prediction (:func:`predict_types`), the gate's wrapped residuals of every
+(landmark, type) row against every measurement, the Gaussian
+log-densities of every gated (pair, type) row (:func:`chol_logpdf`), and
+every (measurement, type) newborn's gain, information matrix, covariance
+and density (:func:`newborns`).  A stack holds one shape, so a model that
+gives its landmark types different dimensions gets one stack per
+dimension where the landmark dimension enters (the channel model's are
+all 3-D).  Two things stay per row, because they fix
+a row's bits: the geometry (``model.linearize`` and ``model.invert``),
+whose transcendental functions come from ``math``, and each Cholesky
+factorization and solve (LAPACK ``dpotrf``/``dpotrs`` take one matrix).
+Every output keeps the bits of the per-row code, by the rules of the
+:mod:`rfslam.geometry` docstring:
+
+* stacks passed through ``@`` are C-contiguous (or views that transpose
+  them); numpy then makes one BLAS call per slice, so each slice has the
+  bits of its own 2-D product, and a row dot ``(N,1,d) @ (N,d,1)`` is the
+  BLAS dot of the 1-D ``v @ x``;
+* a sum along the last axis of a C-contiguous stack (the log-determinant
+  of each factor) adds each row as the 1-D sum does, and element-wise
+  operations round alike in any shape;
+* no stack is reduced with ``np.einsum`` or ``(a * b).sum(axis)``, and no
+  factor comes from ``np.linalg.cholesky``: each rounds differently from
+  the BLAS dot and from ``dpotrf``;
+* transcendental functions stay where the per-row code had them: ``math``
+  per row in the geometry and the weights, ``np.log`` on the factors'
+  diagonals.
 """
 
 from __future__ import annotations
@@ -63,6 +93,23 @@ def _all_finite(a: np.ndarray) -> bool:
             or bool(np.isfinite(a).all()))
 
 
+def _dpotrf(a: np.ndarray) -> np.ndarray:
+    factor, info = dpotrf(a, lower=1, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    return factor
+
+
+def _dpotrs(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    x, info = dpotrs(factor, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
+
+
 def chol_factor(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive-definite matrix.
 
@@ -74,13 +121,7 @@ def chol_factor(a: np.ndarray) -> np.ndarray:
     """
     if not _all_finite(a):
         raise ValueError("array must not contain infs or NaNs")
-    factor, info = dpotrf(a, lower=1, clean=0)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrf")
-    return factor
+    return _dpotrf(a)
 
 
 def chol_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -91,28 +132,67 @@ def chol_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if not (_all_finite(factor) and _all_finite(b)):
         raise ValueError("array must not contain infs or NaNs")
-    x, info = dpotrs(factor, b, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrs")
-    return x
+    return _dpotrs(factor, b)
 
 
-def chol_logpdf(residual: np.ndarray, cov: np.ndarray) -> tuple[float, float]:
-    """(log Gaussian density, squared Mahalanobis) of a residual.
+def _solve_rows(stack: np.ndarray, rhs: np.ndarray, drop: bool):
+    """``(kept, factors, solutions)`` of a stack of symmetric matrices and a
+    stack of right-hand sides: per row, the :func:`chol_factor` factor and
+    the :func:`chol_solve` solution, with their bits.  A row that is not
+    positive definite raises LinAlgError, or with ``drop`` is left out of
+    ``kept``.  Each operand stack is tested for finiteness once, which
+    raises ValueError.  A factor needs no test: ``dpotrf`` stops at the
+    first pivot that is not positive or is NaN, and every entry of a
+    factor it completes is bounded by the square root of a diagonal entry.
+    """
+    if not (_all_finite(stack) and _all_finite(rhs)):
+        raise ValueError("array must not contain infs or NaNs")
+    kept, factors, solutions = [], [], []
+    for k, (a, b) in enumerate(zip(stack, rhs)):
+        try:
+            factor = _dpotrf(a)
+        except np.linalg.LinAlgError:
+            if drop:
+                continue
+            raise
+        kept.append(k)
+        factors.append(factor)
+        solutions.append(_dpotrs(factor, b))
+    return kept, factors, solutions
 
-    Raises LinAlgError with context when the covariance is not positive
-    definite.
+
+def chol_logpdf(residuals: np.ndarray, covs: np.ndarray) -> tuple[list, list]:
+    """(log Gaussian densities, squared Mahalanobis distances) of a nonempty
+    stack of residuals, one per row, each under its own covariance.
+
+    Every row gets its own ``dpotrf`` and ``dpotrs`` (:func:`_solve_rows`).
+    The distances are the rows' BLAS dots, one stacked ``(N,1,d) @
+    (N,d,1)`` product, and the log-determinants sum each factor's
+    log-diagonal along the last axis, so every row has the bits of its own
+    1-D computation.  Raises LinAlgError with context at the first
+    covariance that is not positive definite.
     """
     try:
-        factor = chol_factor(cov)
+        _, factors, solved = _solve_rows(covs, residuals, drop=False)
     except np.linalg.LinAlgError as exc:
+        d = covs.shape[1]
         raise np.linalg.LinAlgError(
-            f"singular innovation covariance ({cov.shape[0]}x{cov.shape[0]}): {exc}"
-        ) from exc
-    mahal = float(residual @ chol_solve(factor, residual))
-    logdet = 2.0 * float(np.log(factor.diagonal()).sum())
-    k = residual.size
-    return -0.5 * (k * LOG_2PI + logdet + mahal), mahal
+            f"singular innovation covariance ({d}x{d}): {exc}") from exc
+    mahal = (residuals[:, None, :] @ np.array(solved)[:, :, None])[:, 0, 0]
+    logdet = 2.0 * np.log(
+        np.array(factors).diagonal(axis1=1, axis2=2)).sum(axis=-1)
+    k = residuals.shape[1]
+    return (-0.5 * (k * LOG_2PI + logdet + mahal)).tolist(), mahal.tolist()
+
+
+def _shape_groups(blocks) -> list:
+    """Index lists of the rows of ``blocks`` that share a shape, in order:
+    a model may give each landmark type its own dimension, and a stack
+    holds one shape."""
+    groups = {}
+    for k, block in enumerate(blocks):
+        groups.setdefault(block.shape, []).append(k)
+    return list(groups.values())
 
 
 @dataclass(frozen=True)
@@ -126,46 +206,54 @@ class TypePrediction:
     H_x: Optional[np.ndarray] = None
 
 
-def predict_types(bern: Bernoulli, sensor: GaussianComponent, model) -> dict:
-    """Predicted measurement statistics for every type of a Bernoulli, from
-    one ``model.linearize`` call per type.  A type the sensor cannot see
-    keeps its detection probability and has no prediction."""
-    preds = {}
-    for kind, comp in bern.belief.types.items():
-        try:
-            pd, z_pred, H_s, H_x = model.linearize(sensor.mean, comp.mean,
-                                                   kind)
-        except DegenerateGeometryError:
-            preds[kind] = TypePrediction(0.0, None, None)
-            continue
-        if z_pred is None:
-            preds[kind] = TypePrediction(pd, None, None)
-            continue
-        hph = H_s @ sensor.covariance @ H_s.T + H_x @ comp.covariance @ H_x.T
-        preds[kind] = TypePrediction(pd, z_pred, hph, H_s, H_x)
-    return preds
+def predict_types(berns, sensor: GaussianComponent, model):
+    """Predicted measurement statistics for every type of every Bernoulli,
+    from one ``model.linearize`` call per (landmark, type) and one stacked
+    ``hph`` over all of them.  A type the sensor cannot see keeps its
+    detection probability and has no prediction.
 
-
-def residual_blocks(bern: Bernoulli, preds: dict, z, model) -> dict:
-    """Wrapped residuals ``z - h`` of every type that has a prediction.
-
-    ``z`` is one measurement vector or a stack of them, one per row; each
-    block has the shape of ``z``, and its row for a measurement has the bits
-    of wrapping that pair alone (subtraction and the wrap are element-wise).
+    Returns ``(preds, rows, hph)``: per landmark a dict kind ->
+    :class:`TypePrediction` in its belief's type order, the ``(landmark,
+    kind)`` of every type with a prediction, landmark by landmark, and their
+    stacked ``hph``, of which each prediction's ``hph`` is a row.
     """
-    return {kind: model.wrap_residual(z - preds[kind].z_pred)
-            for kind in bern.belief.types
-            if preds[kind].z_pred is not None}
+    preds = []
+    rows, parts = [], []
+    for i, bern in enumerate(berns):
+        types = {}
+        for kind, comp in bern.belief.types.items():
+            try:
+                pd, z_pred, H_s, H_x = model.linearize(sensor.mean, comp.mean,
+                                                       kind)
+            except DegenerateGeometryError:
+                pd, z_pred = 0.0, None
+            if z_pred is None:
+                types[kind] = TypePrediction(pd, None, None)
+            else:
+                types[kind] = None      # holds the type's place in order
+                rows.append((i, kind))
+                parts.append((pd, z_pred, H_s, H_x, comp.covariance))
+        preds.append(types)
+    if not rows:
+        return tuple(preds), rows, None
+    H_s = np.array([part[2] for part in parts])
+    hph = H_s @ sensor.covariance @ H_s.swapaxes(-1, -2)
+    for group in _shape_groups([part[3] for part in parts]):
+        H_x, lm_cov = (np.array([parts[k][j] for k in group]) for j in (3, 4))
+        hph[group] += H_x @ lm_cov @ H_x.swapaxes(-1, -2)
+    for (i, kind), (pd, z_pred, H_s, H_x, _), row in zip(rows, parts, hph):
+        preds[i][kind] = TypePrediction(pd, z_pred, row, H_s, H_x)
+    return tuple(preds), rows, hph
 
 
-def log_weight_detected(bern: Bernoulli, meas, preds: dict, residuals: dict):
+def log_weight_detected(bern: Bernoulli, preds: dict, densities: dict):
     """Local weight for "detected again", in log domain, for one pair.
 
-    ``residuals`` maps each type with a prediction to the pair's wrapped
-    residual (one row of :func:`residual_blocks`).  A type contributes when
-    its detection probability and weight are positive as well.  Returns
-    ``(ln l, masses, mahal)`` with l = r sum_type psi pd N(z; h, S).  A
-    contributing type's mass is its term over the largest one,
+    ``densities`` maps each contributing type -- one with a prediction and a
+    positive detection probability and weight -- to its ``(ln N(z; h, S),
+    squared Mahalanobis distance)``, rows of one :func:`chol_logpdf` call.
+    Returns ``(ln l, masses, mahal)`` with l = r sum_type psi pd N(z; h, S).
+    A contributing type's mass is its term over the largest one,
     exp(ln(psi pd N) - peak), and every other type of the belief has mass
     0.0; mahal is the smallest squared Mahalanobis distance over the
     contributing types (the caller gates on it).  With no contributing
@@ -176,14 +264,10 @@ def log_weight_detected(bern: Bernoulli, meas, preds: dict, residuals: dict):
         return -math.inf, {}, best_mahal
     terms = {}
     types = bern.belief.types
-    for kind, v in residuals.items():
-        pred = preds[kind]
-        if not (pred.p_detect > 0.0 and types[kind].weight > 0.0):
-            continue
-        loglik, mahal = chol_logpdf(v, pred.hph + meas.covariance)
+    for kind, (loglik, mahal) in densities.items():
         best_mahal = min(best_mahal, mahal)
-        terms[kind] = (math.log(types[kind].weight) + math.log(pred.p_detect)
-                       + loglik)
+        terms[kind] = (math.log(types[kind].weight)
+                       + math.log(preds[kind].p_detect) + loglik)
     peak = max(terms.values(), default=-math.inf)
     if not math.isfinite(peak):
         return -math.inf, {}, best_mahal
@@ -224,45 +308,76 @@ def update_type_probs(masses: dict) -> dict:
     return {k: v / total for k, v in masses.items()}
 
 
-#: Read-only identity for the newborn covariance of a 3-D landmark, the
-#: landmark of every channel model; ``dpotrs`` solves into a copy.
-_EYE3 = np.eye(3)
-_EYE3.flags.writeable = False
+def newborns(z_rows: np.ndarray, r_stack: np.ndarray,
+             sensor: GaussianComponent, ppp: dict, model) -> list:
+    """Newborn landmark Gaussians and birth densities of every measurement.
 
+    Every type with a positive PPP rate can be born, except the BS, which
+    is known.  The mean inverts the measurement at the sensor mean
+    (``model.invert``); one ``linearize`` call there gives the newborn's
+    prediction.  The covariance is the infinite-prior EK update, i.e. the
+    inverse Fisher-style form (Hx^T (Hs P Hs^T + R)^-1 Hx)^-1, and the
+    birth density is N(z; h, Hs P Hs^T + Hx C Hx^T + R).  A (measurement,
+    type) has no newborn when the measurement does not determine a
+    position, the newborn's geometry is degenerate, the sensor cannot see
+    it (detection probability 0), or its gain or information matrix is not
+    positive definite; the measurement is then clutter-only for that type.
 
-def birth_from_measurement(meas, sensor: GaussianComponent,
-                           kind: LandmarkType, model):
-    """Newborn landmark Gaussian from a single measurement.
-
-    Mean by geometric inversion at the sensor mean; covariance from the
-    infinite-prior EK update, i.e. the inverse Fisher-style form
-    (Hx^T (Hs P Hs^T + R)^-1 Hx)^-1.  Returns ``(component, prediction)``:
-    the :class:`TypePrediction` of the newborn at its own mean, from one
-    ``linearize`` call, with hph = Hs P Hs^T + Hx C Hx^T.  Returns None when
-    the measurement does not determine a position, the newborn's geometry
-    is degenerate, or the sensor cannot see it (detection probability 0);
-    the caller then treats the measurement as clutter-only for this type.
+    Returns per measurement ``(terms, comps)``: kind -> ``(rate, p_detect,
+    ln N)`` and kind -> newborn :class:`GaussianComponent`, in ``ppp``
+    order, for :func:`weight_birth`.
     """
-    mean = model.invert(meas.z, sensor.mean, kind)
-    if mean is None:
-        return None
-    try:
-        pd, z_pred, H_s, H_x = model.linearize(sensor.mean, mean, kind)
-    except DegenerateGeometryError:
-        return None
-    if pd <= 0.0:
-        return None
-    hph_s = H_s @ sensor.covariance @ H_s.T
-    gain_cov = hph_s + meas.covariance
-    try:
-        info = H_x.T @ chol_solve(chol_factor(gain_cov), H_x)
-        n = info.shape[0]
-        cov = chol_solve(chol_factor(info), _EYE3 if n == 3 else np.eye(n))
-    except np.linalg.LinAlgError:
-        return None
-    component = GaussianComponent(mean, symmetrize(cov))
-    hph = hph_s + H_x @ component.covariance @ H_x.T
-    return component, TypePrediction(pd, z_pred, hph, H_s, H_x)
+    found = []
+    for p, z in enumerate(z_rows):
+        for kind, rate in ppp.items():
+            if rate <= 0.0 or kind is LandmarkType.BS:
+                continue
+            mean = model.invert(z, sensor.mean, kind)
+            if mean is None:
+                continue
+            try:
+                pd, z_pred, H_s, H_x = model.linearize(sensor.mean, mean, kind)
+            except DegenerateGeometryError:
+                continue
+            if pd > 0.0:
+                found.append((p, kind, rate, pd, mean, z_pred, H_s, H_x))
+    born = sorted(b for group in _shape_groups([row[7] for row in found])
+                  for b in _newborn_stack(found, group, z_rows, r_stack,
+                                          sensor, model))
+    out = [({}, {}) for _ in z_rows]
+    for k, loglik, cov in born:
+        p, kind, rate, pd, mean = found[k][:5]
+        out[p][0][kind] = (rate, pd, loglik)
+        out[p][1][kind] = GaussianComponent(mean, cov)
+    return out
+
+
+def _newborn_stack(found, group, z_rows, r_stack, sensor, model) -> list:
+    """``(index, ln N, covariance)`` of each newborn among the :func:`newborns`
+    rows ``found[group]``, all of one landmark dimension, whose gain and
+    information matrices are positive definite."""
+    rows = [found[k] for k in group]
+    H_s, H_x = (np.array([row[j] for row in rows]) for j in (6, 7))
+    r_rows = r_stack[[row[0] for row in rows]]
+    hph_s = H_s @ sensor.covariance @ H_s.swapaxes(-1, -2)
+    live, _, solved = _solve_rows(hph_s + r_rows, H_x, drop=True)
+    if not live:
+        return []
+    H_x = H_x[live]
+    info = H_x.swapaxes(-1, -2) @ np.array(solved)
+    kept, _, inverses = _solve_rows(
+        info, np.eye(info.shape[-1])[None].repeat(len(info), axis=0),
+        drop=True)
+    if not kept:
+        return []
+    live = [live[j] for j in kept]
+    cov = symmetrize(np.array(inverses))
+    H_x = H_x[kept]
+    hph = hph_s[live] + H_x @ cov @ H_x.swapaxes(-1, -2)
+    v = model.wrap_residual(z_rows[[rows[k][0] for k in live]]
+                            - np.array([rows[k][5] for k in live]))
+    logliks, _ = chol_logpdf(v, hph + r_rows[live])
+    return [(group[k], loglik, c) for k, loglik, c in zip(live, logliks, cov)]
 
 
 @dataclass(frozen=True)
@@ -275,39 +390,46 @@ class BirthCandidate:
     comps: dict                # LandmarkType -> newborn GaussianComponent
 
 
-def weight_birth(meas, sensor: GaussianComponent, ppp: dict,
-                 clutter_intensity: float, model):
-    """Local weight for "detected for the first time" plus birth data.
+def weight_birth(terms: dict, comps: dict, clutter_intensity: float):
+    """Local weight for "detected for the first time" of one measurement.
 
-    Returns the :class:`BirthCandidate`.  Every type with a positive PPP
-    rate can be born, except the BS, which is known; a type's mass is its
-    rate rho, so :func:`update_type_probs` gives each its share of
-    sum_type rho (clutter never enters it).  Types without a newborn
-    (:func:`birth_from_measurement` returns None) contribute nothing; when
-    sum_type rho is not positive the measurement is clutter-only (weight
-    floor ``clutter_intensity``) and the masses are empty.
+    ``terms`` and ``comps`` are the measurement's :func:`newborns`.  Returns
+    the :class:`BirthCandidate`: a type's mass is its rate rho = eta pd N,
+    so :func:`update_type_probs` gives each its share of sum_type rho
+    (clutter never enters it).  When sum_type rho is not positive the
+    measurement is clutter-only (weight floor ``clutter_intensity``) and
+    the masses are empty, unless there is no clutter and every rho
+    underflowed: then ln l_B is the log-sum of the rates, the existence 1,
+    and the masses the rates over the largest, so a measurement that only a
+    newborn explains keeps a finite cost.  A density too large for a float
+    raises InfeasibleAssignmentError: the measurement's birth cost would be
+    -inf.
     """
     if clutter_intensity < 0.0:
         raise ValueError("clutter intensity must be nonnegative")
     rho = {}
-    comps = {}
-    for kind, rate in ppp.items():
-        if rate <= 0.0 or kind is LandmarkType.BS:
-            continue
-        birth = birth_from_measurement(meas, sensor, kind, model)
-        if birth is None:
-            continue
-        component, pred = birth
-        v = model.wrap_residual(meas.z - pred.z_pred)
-        loglik, _ = chol_logpdf(v, pred.hph + meas.covariance)
-        rho[kind] = rate * pred.p_detect * math.exp(loglik)
-        comps[kind] = component
+    for kind, (rate, pd, loglik) in terms.items():
+        try:
+            rho[kind] = rate * pd * math.exp(loglik)
+        except OverflowError:
+            raise InfeasibleAssignmentError(
+                f"birth density of a {kind.value} overflows "
+                f"(ln N = {loglik:.6g})") from None
     rho_total = sum(rho.values())
     weight = clutter_intensity + rho_total
-    existence = rho_total / weight if weight > 0.0 else 0.0
-    log_weight = math.log(weight) if weight > 0.0 else -math.inf
-    return BirthCandidate(log_weight, existence,
-                          rho if rho_total > 0.0 else {}, comps)
+    if weight > 0.0:
+        return BirthCandidate(math.log(weight), rho_total / weight,
+                              rho if rho_total > 0.0 else {}, comps)
+    # No clutter and every rate underflowed: the weight is the log-sum of
+    # the rates, and a type's mass its rate over the largest.
+    log_rho = {kind: math.log(rate) + math.log(pd) + loglik
+               for kind, (rate, pd, loglik) in terms.items()}
+    peak = max(log_rho.values(), default=-math.inf)
+    if not math.isfinite(peak):
+        return BirthCandidate(-math.inf, 0.0, {}, comps)
+    masses = {kind: math.exp(v - peak) for kind, v in log_rho.items()}
+    return BirthCandidate(peak + math.log(sum(masses.values())), 1.0,
+                          masses, comps)
 
 
 @dataclass(frozen=True)
@@ -397,71 +519,115 @@ def build_cost_matrix(hypothesis: GlobalHypothesis, measurements,
     the second element, sum_i ln l^{i,0}, recovers unnormalized hypothesis
     weights from assignment costs.
 
-    Per landmark and type with a prediction, one array pass wraps the
-    residuals against every measurement and takes each pair's marginal
-    bound max_j v_j^2 / S_jj, which never exceeds v^T S^-1 v (a marginal's
-    Mahalanobis distance is at most the joint one).  Only a pair that some
-    type puts inside the gate, with a relative margin of 1e-9 that absorbs
-    rounding, reaches :func:`log_weight_detected` and its factorizations;
-    the gate on the full distance then keeps or drops exactly the pairs it
-    would without the bound.  A NaN bound compares False and is kept.  A
-    type that cannot contribute (zero detection probability or weight)
-    only adds pairs whose contributing types all lie beyond the gate, which
-    the full distance drops.  The wrapped rows of a kept pair are its
-    ``pair_residuals``: the innovation of every type the joint update
-    stacks.
+    One wrapped-residual array covers every (landmark, type) row with a
+    prediction, of every landmark that exists, against every measurement,
+    and one pass takes each pair's marginal bound max_j v_j^2 / S_jj, which
+    never exceeds v^T S^-1 v (a marginal's Mahalanobis distance is at most
+    the joint one).  A landmark's candidates are the measurements that some
+    row of it puts inside the gate, with a relative margin of 1e-9 that
+    absorbs rounding; only their (pair, contributing type) rows reach
+    :func:`chol_logpdf`, in one call, and :func:`log_weight_detected`
+    combines each pair's rows.  The gate on the full distance then keeps or
+    drops exactly the pairs it would without the bound.  A NaN bound
+    compares False and is kept.  A type that cannot contribute (zero
+    detection probability or weight) only adds pairs whose contributing
+    types all lie beyond the gate, which the full distance drops.  The
+    wrapped rows of a kept pair are its ``pair_residuals``: the innovation
+    of every type the joint update stacks.  Each measurement's birth weight
+    is one :func:`weight_birth` call on its :func:`newborns`.
+
+    Raises ValueError on non-finite input and LinAlgError when an
+    innovation covariance is not positive definite; a newborn whose gain or
+    information matrix is not positive definite is dropped instead.
     """
     berns = hypothesis.bernoullis
     n_prior, n_meas = len(berns), len(measurements)
     matrix = np.full((n_meas, n_prior + n_meas), np.inf)
 
-    type_preds = tuple(predict_types(b, sensor, model) for b in berns)
+    type_preds, rows, hph = predict_types(berns, sensor, model)
     misdetection = tuple(misdetection_weight(b, preds)
                          for b, preds in zip(berns, type_preds))
-    misdetect_log_sum = 0.0
+    log_l0 = [math.log(m[2]) for m in misdetection]
     pair_masses = {}
     pair_residuals = {}
-    limit = None if gate is None else gate * (1.0 + 1e-9)
+    births = ()
     if n_meas:
         z_rows = np.array([meas.z for meas in measurements])
-        r_diag = np.array([meas.covariance.diagonal()
-                           for meas in measurements])
-    for i, bern in enumerate(berns):
-        log_l0 = math.log(misdetection[i][2])
-        misdetect_log_sum += log_l0
-        if not n_meas or bern.existence <= 0.0:
-            continue
-        preds = type_preds[i]
-        blocks = residual_blocks(bern, preds, z_rows, model)
-        if gate is None:
-            candidates = range(n_meas)
-        else:
-            inside = np.zeros(n_meas, dtype=bool)
-            for kind, block in blocks.items():
-                s_diag = preds[kind].hph.diagonal() + r_diag
-                inside |= ~((block * block / s_diag).max(axis=1) > limit)
-            candidates = np.flatnonzero(inside).tolist()
-        for p in candidates:
-            rows = {kind: block[p] for kind, block in blocks.items()}
-            log_l, masses, mahal = log_weight_detected(
-                bern, measurements[p], preds, rows)
-            if log_l == -math.inf or (gate is not None and mahal > gate):
-                continue
-            pair_masses[(i, p)] = masses
-            pair_residuals[(i, p)] = rows
-            matrix[p, i] = log_l0 - log_l
-
-    births = []
-    for p, meas in enumerate(measurements):
-        cand = weight_birth(meas, sensor, ppp, clutter_intensity, model)
-        births.append(cand)
-        matrix[p, n_prior + p] = -cand.log_weight
+        r_stack = np.array([meas.covariance for meas in measurements])
+        live = [k for k, (i, _) in enumerate(rows) if berns[i].existence > 0.0]
+        if live:
+            for i, p, log_l, masses, residuals in _detections(
+                    berns, type_preds, [rows[k] for k in live], hph[live],
+                    z_rows, r_stack, model, gate):
+                pair_masses[(i, p)] = masses
+                pair_residuals[(i, p)] = residuals
+                matrix[p, i] = log_l0[i] - log_l
+        births = tuple(weight_birth(terms, comps, clutter_intensity)
+                       for terms, comps in newborns(z_rows, r_stack, sensor,
+                                                    ppp, model))
+        matrix[:, n_prior:][np.diag_indices(n_meas)] = [
+            -cand.log_weight for cand in births]
 
     ctx = AssociationContext(type_preds=type_preds, misdetection=misdetection,
                              pair_masses=pair_masses,
                              pair_residuals=pair_residuals,
-                             births=tuple(births))
+                             births=births)
+    misdetect_log_sum = 0.0
+    for term in log_l0:
+        misdetect_log_sum += term
     return CostMatrix(matrix, n_prior), misdetect_log_sum, ctx
+
+
+def _detections(berns, type_preds, keys, hph, z_rows, r_stack, model, gate):
+    """``(landmark, measurement, ln l, masses, residuals)`` of every pair
+    the gate keeps, landmark by landmark.
+
+    ``keys`` holds the ``(landmark, kind)`` of each type row with a
+    prediction whose landmark exists, a landmark's rows consecutive, and
+    ``hph`` their stacked ``hph``.  One wrapped-residual array of shape
+    (rows, measurements, d) serves the bound, the densities and each kept
+    pair's ``residuals`` (kind -> its row of the array); one
+    :func:`chol_logpdf` call takes every (candidate pair, contributing
+    type) row.
+    """
+    z_pred = np.array([type_preds[i][kind].z_pred for i, kind in keys])
+    residuals = model.wrap_residual(z_rows - z_pred[:, None, :])
+    starts = [j for j, (i, _) in enumerate(keys)
+              if j == 0 or keys[j - 1][0] != i]
+    if gate is None:
+        inside = [[True] * len(z_rows)] * len(starts)
+    else:
+        s_diag = (hph.diagonal(axis1=1, axis2=2)[:, None, :]
+                  + r_stack.diagonal(axis1=1, axis2=2))
+        kept = ~((residuals * residuals / s_diag).max(axis=2)
+                 > gate * (1.0 + 1e-9))
+        inside = np.logical_or.reduceat(kept, starts).tolist()
+    # Per landmark: its rows, its contributing rows and its candidates.
+    groups = []
+    for start, end, flags in zip(starts, starts[1:] + [len(keys)], inside):
+        i = keys[start][0]
+        types, preds = berns[i].belief.types, type_preds[i]
+        groups.append((i, range(start, end),
+                       [j for j in range(start, end)
+                        if preds[keys[j][1]].p_detect > 0.0
+                        and types[keys[j][1]].weight > 0.0],
+                       [p for p, flag in enumerate(flags) if flag]))
+    stack = [(j, p) for _, _, contributing, candidates in groups
+             for p in candidates for j in contributing]
+    if not stack:
+        return
+    js, ps = (list(index) for index in zip(*stack))
+    densities = iter(zip(*chol_logpdf(residuals[js, ps],
+                                      hph[js] + r_stack[ps])))
+    for i, rows, contributing, candidates in groups:
+        for p in candidates:
+            log_l, masses, mahal = log_weight_detected(
+                berns[i], type_preds[i],
+                {keys[j][1]: next(densities) for j in contributing})
+            if log_l == -math.inf or (gate is not None and mahal > gate):
+                continue
+            yield i, p, log_l, masses, {keys[j][1]: residuals[j, p]
+                                        for j in rows}
 
 
 def _solve_assignment(matrix: np.ndarray):

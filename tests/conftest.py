@@ -1,18 +1,36 @@
-"""Shared test helpers: linear toy measurement models, small builders and
-the density invariant check."""
+"""Shared test helpers: linear toy measurement models, small builders, the
+association kernels for one Bernoulli, pair or measurement, their per-row
+references, and the density invariant check."""
 
 import itertools
+import math
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
+from rfslam import association
+from rfslam.association import (
+    BirthCandidate,
+    TypePrediction,
+    build_cost_matrix,
+    chol_logpdf,
+    log_weight_detected,
+)
 from rfslam.density import (
     Bernoulli,
+    GaussianComponent,
+    GlobalHypothesis,
     LandmarkBelief,
     PmbmDensity,
     TypeComponent,
     symmetrize,
 )
-from rfslam.geometry import LandmarkType
+from rfslam.geometry import (
+    ChannelModel,
+    DegenerateGeometryError,
+    LandmarkType,
+    wrap_angle,
+)
 
 
 class LinearModel:
@@ -68,6 +86,168 @@ class LinearModel:
         if rank < B.shape[1]:
             return None
         return sol
+
+
+# The association kernels as the cost matrix runs them, for one Bernoulli,
+# one pair or one measurement.  The cost matrix stacks a whole hypothesis;
+# these take a stack of one.
+
+def predict_types(bern, sensor, model):
+    """One Bernoulli's type predictions, from the stacked
+    :func:`rfslam.association.predict_types` of a hypothesis holding it."""
+    return association.predict_types((bern,), sensor, model)[0][0]
+
+
+def pair_densities(residuals: dict, covs: dict) -> dict:
+    """kind -> ``(ln N, squared Mahalanobis)`` of each residual under its
+    covariance, from one :func:`rfslam.association.chol_logpdf` call (none
+    for no residual)."""
+    if not residuals:
+        return {}
+    logliks, mahals = chol_logpdf(np.array(list(residuals.values())),
+                                  np.array([covs[k] for k in residuals]))
+    return dict(zip(residuals, zip(logliks, mahals)))
+
+
+def detected_weight(bern, meas, preds, model):
+    """:func:`rfslam.association.log_weight_detected` of one pair: each
+    contributing type's residual wrapped by the model and its density taken
+    in one ``chol_logpdf`` call, as the cost matrix takes them."""
+    kinds = [k for k, c in bern.belief.types.items()
+             if preds[k].z_pred is not None and preds[k].p_detect > 0.0
+             and c.weight > 0.0]
+    return log_weight_detected(bern, preds, pair_densities(
+        {k: model.wrap_residual(meas.z - preds[k].z_pred) for k in kinds},
+        {k: preds[k].hph + meas.covariance for k in kinds}))
+
+
+def birth_candidate(meas, sensor, ppp, clutter_intensity, model):
+    """The :class:`BirthCandidate` of one measurement, from the cost matrix
+    of a hypothesis without landmarks."""
+    _, _, ctx = build_cost_matrix(GlobalHypothesis(1.0, ()), [meas], sensor,
+                                  ppp, clutter_intensity, model)
+    return ctx.births[0]
+
+
+def newborn(meas, sensor, kind, model):
+    """``(component, prediction)`` of the newborn of ``kind`` that ``meas``
+    starts, or None when it has none.
+
+    The component is the cost matrix's (:func:`birth_candidate` at rate 1),
+    and the prediction the one its birth density uses: this checks that the
+    component has the bits of :func:`reference_birth_from_measurement` and
+    that the birth mass has the bits of rate * pd * N(z; h, hph + R) from
+    the reference prediction at the newborn mean.
+    """
+    cand = birth_candidate(meas, sensor, {kind: 1.0}, 0.0, model)
+    comp = cand.comps.get(kind)
+    want = reference_birth_from_measurement(meas, sensor, kind, model)
+    assert (comp is None) == (want is None)
+    if comp is None:
+        return None
+    want_comp, pred = want
+    assert comp.mean.tobytes() == want_comp.mean.tobytes()
+    assert comp.covariance.tobytes() == want_comp.covariance.tobytes()
+    v = reference_wrap_residual(model, meas.z - pred.z_pred)
+    loglik, _ = reference_chol_logpdf(v, pred.hph + meas.covariance)
+    mass = 1.0 * pred.p_detect * math.exp(loglik)
+    if mass > 0.0:
+        assert cand.masses.get(kind, 0.0) == mass
+    else:
+        # The density underflowed: without clutter the weight is ln(pd N).
+        assert cand.masses == {kind: 1.0}
+        assert cand.log_weight == math.log(pred.p_detect) + loglik
+    return comp, pred
+
+
+# The per-row code the cost matrix stacks, kept as references: every
+# stacked stage must give their bits.
+
+def reference_chol_logpdf(residual, cov):
+    """One residual's (log Gaussian density, squared Mahalanobis) through
+    scipy's factor and solve, and the log-determinant through ``np.diag``
+    and ``np.sum``."""
+    factor = cho_factor(cov, lower=True)[0]
+    mahal = float(residual @ cho_solve((factor, True), residual))
+    logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
+    return -0.5 * (residual.size * association.LOG_2PI + logdet + mahal), mahal
+
+
+def reference_wrap_residual(model, v):
+    """``wrap_residual`` before the one-residual float path."""
+    if not isinstance(model, ChannelModel):
+        return model.wrap_residual(v)
+    v = np.array(v, dtype=float)
+    v[..., model.angle_components] = wrap_angle(v[..., model.angle_components])
+    return v
+
+
+def reference_predict_types(bern, sensor, model):
+    """Predicted measurement statistics of one Bernoulli, one type at a time
+    with its own ``hph``."""
+    preds = {}
+    for kind, comp in bern.belief.types.items():
+        try:
+            pd, z_pred, H_s, H_x = model.linearize(sensor.mean, comp.mean,
+                                                   kind)
+        except DegenerateGeometryError:
+            preds[kind] = TypePrediction(0.0, None, None)
+            continue
+        if z_pred is None:
+            preds[kind] = TypePrediction(pd, None, None)
+            continue
+        hph = H_s @ sensor.covariance @ H_s.T + H_x @ comp.covariance @ H_x.T
+        preds[kind] = TypePrediction(pd, z_pred, hph, H_s, H_x)
+    return preds
+
+
+def reference_birth_from_measurement(meas, sensor, kind, model):
+    """One newborn: ``(component, prediction at its mean)``, or None, with
+    its own factorizations and a fresh identity."""
+    mean = model.invert(meas.z, sensor.mean, kind)
+    if mean is None:
+        return None
+    try:
+        pd, z_pred, H_s, H_x = model.linearize(sensor.mean, mean, kind)
+    except DegenerateGeometryError:
+        return None
+    if pd <= 0.0:
+        return None
+    hph_s = H_s @ sensor.covariance @ H_s.T
+    gain_cov = hph_s + meas.covariance
+    try:
+        info = H_x.T @ cho_solve((cho_factor(gain_cov, lower=True)[0], True),
+                                 H_x)
+        cov = cho_solve((cho_factor(info, lower=True)[0], True),
+                        np.eye(info.shape[0]))
+    except np.linalg.LinAlgError:
+        return None
+    component = GaussianComponent(np.asarray(mean, dtype=float),
+                                  0.5 * (cov + cov.T))
+    hph = hph_s + H_x @ component.covariance @ H_x.T
+    return component, TypePrediction(pd, z_pred, hph, H_s, H_x)
+
+
+def reference_birth_candidate(meas, sensor, ppp, clutter_intensity, model):
+    """One measurement's :class:`BirthCandidate` from the per-row newborns,
+    wrap and density."""
+    rho, comps = {}, {}
+    for kind, rate in ppp.items():
+        if rate <= 0.0 or kind is LandmarkType.BS:
+            continue
+        birth = reference_birth_from_measurement(meas, sensor, kind, model)
+        if birth is None:
+            continue
+        component, pred = birth
+        v = reference_wrap_residual(model, meas.z - pred.z_pred)
+        loglik, _ = reference_chol_logpdf(v, pred.hph + meas.covariance)
+        rho[kind] = rate * pred.p_detect * math.exp(loglik)
+        comps[kind] = component
+    rho_total = sum(rho.values())
+    weight = clutter_intensity + rho_total
+    return BirthCandidate(math.log(weight) if weight > 0.0 else -math.inf,
+                          rho_total / weight if weight > 0.0 else 0.0,
+                          rho if rho_total > 0.0 else {}, comps)
 
 
 def single_type_bernoulli(r, kind, mean, cov):

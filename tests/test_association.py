@@ -1,5 +1,6 @@
 import heapq
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,11 +10,20 @@ from hypothesis import strategies as st
 from conftest import (
     LinearModel,
     assignment_cost,
+    birth_candidate,
+    detected_weight,
     enumerate_associations,
+    newborn,
+    predict_types,
+    reference_birth_candidate,
+    reference_chol_logpdf,
+    reference_predict_types,
+    reference_wrap_residual,
     single_type_bernoulli,
 )
 
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from rfslam import association
 from rfslam import update as update_module
@@ -26,20 +36,22 @@ from rfslam.association import (
     chol_factor,
     chol_logpdf,
     chol_solve,
-    log_weight_detected,
     misdetection_weight,
     murty_kbest,
-    predict_types,
-    residual_blocks,
     update_type_probs,
-    weight_birth,
 )
-from rfslam.cli import RunConfig, build_filter_config, initial_state
+from rfslam.cli import (
+    NUMERICAL_ERRORS,
+    RunConfig,
+    build_filter_config,
+    initial_state,
+)
 from rfslam.density import (
     Bernoulli,
     GaussianComponent,
     GlobalHypothesis,
     LandmarkBelief,
+    PmbmDensity,
     TypeComponent,
 )
 from rfslam.geometry import (
@@ -48,7 +60,6 @@ from rfslam.geometry import (
     Landmark,
     LandmarkType,
     Measurement,
-    wrap_angle,
 )
 from rfslam.sim import (default_scenario, generate_measurements,
                         simulate_trajectory)
@@ -65,13 +76,6 @@ def toy_model(p_detect=0.9, a=0.0, b=1.0):
 
 def toy_sensor(var=1.0):
     return GaussianComponent(np.zeros(1), np.array([[var]]))
-
-
-def detected_weight(bern, meas, preds, model):
-    """``log_weight_detected`` of one pair, with its residuals wrapped by
-    the function the cost matrix uses."""
-    return log_weight_detected(bern, meas, preds,
-                               residual_blocks(bern, preds, meas.z, model))
 
 
 def linear_detected_weight(bern, meas, sensor, model):
@@ -187,78 +191,20 @@ class TestCholeskyPair:
             chol_factor(a)
         with pytest.raises(np.linalg.LinAlgError,
                            match="singular innovation covariance"):
-            chol_logpdf(np.ones(3), a)
-
-
-def reference_chol_logpdf(residual, cov):
-    """``chol_logpdf`` before the leaner wrappers: scipy's factor and solve,
-    and the log-determinant through ``np.diag`` and ``np.sum``."""
-    factor = cho_factor(cov, lower=True)[0]
-    mahal = float(residual @ cho_solve((factor, True), residual))
-    logdet = 2.0 * float(np.sum(np.log(np.diag(factor))))
-    return -0.5 * (residual.size * association.LOG_2PI + logdet + mahal), mahal
-
-
-def reference_wrap_residual(model, v):
-    """``wrap_residual`` before the one-residual float path."""
-    if not isinstance(model, ChannelModel):
-        return model.wrap_residual(v)
-    v = np.array(v, dtype=float)
-    v[..., model.angle_components] = wrap_angle(v[..., model.angle_components])
-    return v
-
-
-def reference_birth_from_measurement(meas, sensor, kind, model):
-    """``birth_from_measurement`` with a fresh identity per newborn."""
-    mean = model.invert(meas.z, sensor.mean, kind)
-    if mean is None:
-        return None
-    try:
-        pd, z_pred, H_s, H_x = model.linearize(sensor.mean, mean, kind)
-    except DegenerateGeometryError:
-        return None
-    if pd <= 0.0:
-        return None
-    hph_s = H_s @ sensor.covariance @ H_s.T
-    gain_cov = hph_s + meas.covariance
-    try:
-        info = H_x.T @ cho_solve((cho_factor(gain_cov, lower=True)[0], True),
-                                 H_x)
-        cov = cho_solve((cho_factor(info, lower=True)[0], True),
-                        np.eye(info.shape[0]))
-    except np.linalg.LinAlgError:
-        return None
-    component = GaussianComponent(np.asarray(mean, dtype=float),
-                                  0.5 * (cov + cov.T))
-    hph = hph_s + H_x @ component.covariance @ H_x.T
-    return component, association.TypePrediction(pd, z_pred, hph, H_s, H_x)
+            chol_logpdf(np.ones((1, 3)), a[None])
 
 
 def reference_weight_birth(meas, sensor, ppp, clutter_intensity, model):
     """``weight_birth`` on the reference newborn, wrap and density, from
     before it returned its masses: ``(log_weight, existence, types)`` with
     each newborn type's share of sum_type rho in a TypeComponent."""
-    rho, comps = {}, {}
-    for kind, rate in ppp.items():
-        if rate <= 0.0 or kind is BS:
-            continue
-        birth = reference_birth_from_measurement(meas, sensor, kind, model)
-        if birth is None:
-            continue
-        component, pred = birth
-        v = reference_wrap_residual(model, meas.z - pred.z_pred)
-        loglik, _ = reference_chol_logpdf(v, pred.hph + meas.covariance)
-        rho[kind] = rate * pred.p_detect * math.exp(loglik)
-        comps[kind] = component
-    rho_total = sum(rho.values())
-    weight = clutter_intensity + rho_total
-    types = {}
-    if rho_total > 0.0:
-        types = {k: TypeComponent(r / rho_total, comps[k].mean,
-                                  comps[k].covariance) for k, r in rho.items()}
-    existence = rho_total / weight if weight > 0.0 else 0.0
-    log_weight = math.log(weight) if weight > 0.0 else -math.inf
-    return log_weight, existence, types
+    cand = reference_birth_candidate(meas, sensor, ppp, clutter_intensity,
+                                     model)
+    rho_total = sum(cand.masses.values())
+    types = {k: TypeComponent(r / rho_total, cand.comps[k].mean,
+                              cand.comps[k].covariance)
+             for k, r in cand.masses.items()}
+    return cand.log_weight, cand.existence, types
 
 
 def bits(x):
@@ -304,41 +250,94 @@ def birth_case(draw):
     return Measurement(z, r), sensor, model
 
 
+class TestStackingPremise:
+    """Each stacked expression of ``build_cost_matrix`` equals its per-slice
+    2-D call bit for bit, with the operand layouts of the per-row code:
+    Jacobian blocks that are views of one ``(d, 8)`` array, and ``dpotrf``
+    and ``dpotrs`` results in Fortran order.  This is the premise of the
+    stacking (the ``rfslam.geometry`` bit rule), so a numpy or BLAS upgrade
+    that breaks it fails here by name and not only at the golden hashes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 16), seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3]))
+    def test_stacked_expressions_equal_per_slice_calls(self, n, seed, scale):
+        rng = np.random.default_rng(seed)
+        P = random_spd(rng, 5) * scale
+        H = rng.normal(size=(n, 5, 8)) * scale
+        C = np.array([random_spd(rng, 3) * scale for _ in range(n)])
+        R = np.array([random_spd(rng, 5) * scale for _ in range(n)])
+        v = rng.normal(size=(n, 5)) * scale
+        views = [(h[:, :5], h[:, 5:]) for h in H]
+        H_s, H_x = (np.array(block) for block in zip(*views))
+
+        def stack(per_slice):
+            return np.array([per_slice(k) for k in range(n)])
+
+        # Type predictions and newborns: H_s P H_s^T + H_x C H_x^T.
+        hph_s = H_s @ P @ H_s.swapaxes(-1, -2)
+        got = hph_s + H_x @ C @ H_x.swapaxes(-1, -2)
+        want = stack(lambda k: views[k][0] @ P @ views[k][0].T
+                     + views[k][1] @ C[k] @ views[k][1].T)
+        assert got.tobytes() == want.tobytes()
+        # Newborn information matrix: H_x^T (gain)^-1 H_x from the 5x3
+        # dpotrs solutions, each in Fortran order.
+        factors = [dpotrf(hph_s[k] + R[k], lower=1, clean=0)[0]
+                   for k in range(n)]
+        solved = [dpotrs(factors[k], views[k][1], lower=1)[0]
+                  for k in range(n)]
+        info = H_x.swapaxes(-1, -2) @ np.array(solved)
+        assert info.tobytes() == stack(
+            lambda k: views[k][1].T @ solved[k]).tobytes()
+        # Newborn prediction: hph_s + H_x cov H_x^T with a 3x3 covariance.
+        cov = 0.5 * (C + C.swapaxes(-1, -2))
+        got = hph_s + H_x @ cov @ H_x.swapaxes(-1, -2)
+        want = stack(lambda k: views[k][0] @ P @ views[k][0].T
+                     + views[k][1] @ (0.5 * (C[k] + C[k].T))
+                     @ views[k][1].T)
+        assert got.tobytes() == want.tobytes()
+        # Densities: row dots v^T S^-1 v and log-diagonal sums.
+        x = [dpotrs(factors[k], v[k], lower=1)[0] for k in range(n)]
+        dots = (v[:, None, :] @ np.array(x)[:, :, None])[:, 0, 0]
+        assert dots.tobytes() == stack(lambda k: v[k] @ x[k]).tobytes()
+        logdet = np.log(np.array(factors).diagonal(axis1=1, axis2=2)).sum(
+            axis=-1)
+        assert logdet.tobytes() == stack(
+            lambda k: np.log(factors[k].diagonal()).sum()).tobytes()
+
+
 class TestLocalWeightReference:
     """The newborn and Gaussian kernels give the bits of their reference
     copies."""
 
     @settings(max_examples=300, deadline=None)
-    @given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+    @given(n=st.integers(1, 8), rows=st.integers(1, 16),
+           seed=st.integers(0, 2 ** 32 - 1),
            scale=st.sampled_from([1e-6, 1e-2, 1.0, 1e3]))
-    def test_chol_logpdf_bit_equal(self, n, seed, scale):
+    def test_chol_logpdf_bit_equal(self, n, rows, seed, scale):
+        # A stack of rows, each with its own covariance and scale: every
+        # row has the bits of its own reference call.
         rng = np.random.default_rng(seed)
-        cov = random_spd(rng, n) * scale
-        residual = rng.normal(size=n) * math.sqrt(scale)
-        got = chol_logpdf(residual, cov)
-        want = reference_chol_logpdf(residual, cov)
-        assert bits(got[0]) == bits(want[0]) and bits(got[1]) == bits(want[1])
+        scales = scale * 10.0 ** rng.integers(-2, 3, size=rows)
+        covs = np.array([random_spd(rng, n) * s for s in scales])
+        residuals = rng.normal(size=(rows, n)) * np.sqrt(scales)[:, None]
+        logpdfs, mahals = chol_logpdf(residuals, covs)
+        for got_logpdf, got_mahal, v, cov in zip(logpdfs, mahals, residuals,
+                                                 covs):
+            want = reference_chol_logpdf(v, cov)
+            assert bits(got_logpdf) == bits(want[0])
+            assert bits(got_mahal) == bits(want[1])
 
     @settings(max_examples=300, deadline=None)
     @given(case=birth_case())
     def test_birth_and_weight_bit_equal(self, case):
         meas, sensor, model = case
         for kind in (VA, SP):
-            got = association.birth_from_measurement(meas, sensor, kind,
-                                                     model)
-            want = reference_birth_from_measurement(meas, sensor, kind, model)
-            assert (got is None) == (want is None)
-            if got is None:
-                continue
-            (comp, pred), (ref_comp, ref_pred) = got, want
-            assert bits(comp.mean) == bits(ref_comp.mean)
-            assert bits(comp.covariance) == bits(ref_comp.covariance)
-            assert pred.p_detect == ref_pred.p_detect
-            for name in ("z_pred", "hph", "H_s", "H_x"):
-                assert bits(getattr(pred, name)) == \
-                    bits(getattr(ref_pred, name))
+            # The cost matrix's newborn against the reference newborn, and
+            # its birth mass against the reference prediction's density.
+            newborn(meas, sensor, kind, model)
         ppp = {BS: 1e-4, VA: 2.5e-6, SP: 4e-6}
-        got = weight_birth(meas, sensor, ppp, 1.3e-5, model)
+        got = birth_candidate(meas, sensor, ppp, 1.3e-5, model)
         log_weight, existence, types = reference_weight_birth(
             meas, sensor, ppp, 1.3e-5, model)
         assert bits(got.log_weight) == bits(log_weight)
@@ -350,6 +349,9 @@ class TestLocalWeightReference:
             assert bits(share) == bits(ref.weight)
             assert bits(got.comps[kind].mean) == bits(ref.mean)
             assert bits(got.comps[kind].covariance) == bits(ref.covariance)
+        want = reference_birth_candidate(meas, sensor, ppp, 1.3e-5, model)
+        assert {k: bits(r) for k, r in got.masses.items()} == \
+            {k: bits(r) for k, r in want.masses.items()}
 
     @settings(max_examples=300, deadline=None)
     @given(rows=st.lists(st.lists(
@@ -469,7 +471,8 @@ class TestWeightMisdetected:
 class TestWeightBirth:
     def test_zero_rates_gives_clutter_floor(self):
         meas = Measurement(np.zeros(1), np.eye(1))
-        cand = weight_birth(meas, toy_sensor(), {SP: 0.0}, 0.5, toy_model())
+        cand = birth_candidate(meas, toy_sensor(), {SP: 0.0}, 0.5,
+                               toy_model())
         assert cand.log_weight == pytest.approx(math.log(0.5))
         assert cand.existence == 0.0
         assert cand.masses == {} and cand.comps == {}
@@ -478,7 +481,8 @@ class TestWeightBirth:
         c = 1.0 / (4 * 200 * math.pi ** 4)
         assert c == pytest.approx(1.28325e-5, rel=1e-4)
         meas = Measurement(np.array([1000.0]), np.eye(1))  # far from any birth
-        cand = weight_birth(meas, toy_sensor(), {SP: 1e-6}, c, toy_model())
+        cand = birth_candidate(meas, toy_sensor(), {SP: 1e-6}, c,
+                               toy_model())
         assert cand.log_weight >= math.log(c)
 
     def test_scalar_hand_evaluated(self):
@@ -486,7 +490,7 @@ class TestWeightBirth:
         model = LinearModel({SP: ([[1.0]], [[1.0]])}, dim=1, p_detect=0.9)
         sensor = GaussianComponent(np.zeros(1), np.array([[0.25]]))
         meas = Measurement(np.array([0.3]), np.eye(1))
-        cand = weight_birth(meas, sensor, {SP: 2.0}, 0.01, model)
+        cand = birth_candidate(meas, sensor, {SP: 2.0}, 0.01, model)
         # Birth mean inverts exactly: u = z - s = 0.3; C = (P + R) = 1.25;
         # S = P + C + R = 2.5 and the predicted residual is 0.
         rho = 2.0 * 0.9 / math.sqrt(2 * math.pi * 2.5)
@@ -497,6 +501,57 @@ class TestWeightBirth:
                                                 abs=1e-12)
         assert cand.existence == pytest.approx(rho / (0.01 + rho), rel=1e-12)
         assert update_type_probs(cand.masses) == {SP: 1.0}
+
+
+    def test_overflowing_birth_density_is_a_typed_error(self):
+        # A zero sensor covariance and R = 1e-300 I: the newborn's density
+        # N(z; h, 2e-300 I) is far beyond the float range.  The birth
+        # raises a numerical error the CLI maps to exit 4, and nothing on
+        # the way warns.
+        model = LinearModel({VA: (np.zeros((5, 5)), np.eye(5))}, dim=5)
+        sensor = GaussianComponent(np.zeros(5), np.zeros((5, 5)))
+        meas = Measurement(np.ones(5), 1e-300 * np.eye(5))
+        config = update_module.FilterConfig(model, np.zeros((5, 5)))
+        density = PmbmDensity({VA: 1.0}, (GlobalHypothesis(1.0, ()),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleAssignmentError, match="overflows"):
+                birth_candidate(meas, sensor, {VA: 1.0}, 0.0, model)
+            with pytest.raises(NUMERICAL_ERRORS):
+                update_module.update_step(density, sensor, [meas], config)
+
+    def test_underflowing_birth_density_without_clutter_is_born(self):
+        # R = 1e300 I: the newborn's density N(z; h, 2e300 I) underflows to
+        # 0.  Without clutter nothing else explains the measurement, so its
+        # birth weight is the log-sum of the rates, not ln 0, and it is born.
+        model = LinearModel({VA: (np.zeros((5, 5)), np.eye(5))}, dim=5)
+        sensor = GaussianComponent(np.zeros(5), np.zeros((5, 5)))
+        meas = Measurement(np.ones(5), 1e300 * np.eye(5))
+        loglik = -0.5 * 5 * (math.log(2.0 * math.pi) + math.log(2e300))
+        assert math.exp(loglik) == 0.0
+        cand = birth_candidate(meas, sensor, {VA: 1.0}, 0.0, model)
+        assert cand.log_weight == pytest.approx(math.log(0.9) + loglik,
+                                                rel=1e-12)
+        assert cand.existence == 1.0
+        assert cand.masses == {VA: 1.0}
+        # Two types: each mass is its rate over the largest.
+        cand = association.weight_birth(
+            {VA: (1.0, 1.0, -900.0), SP: (3.0, 1.0, -900.0)}, {}, 0.0)
+        assert cand.log_weight == pytest.approx(math.log(4.0) - 900.0,
+                                                rel=1e-12)
+        assert cand.masses == {VA: pytest.approx(1.0 / 3.0), SP: 1.0}
+        # With clutter the clutter weight is the floor, as before.
+        cand = association.weight_birth({VA: (1.0, 1.0, -900.0)}, {}, 0.5)
+        assert (cand.log_weight, cand.existence, cand.masses) == (
+            math.log(0.5), 0.0, {})
+        config = update_module.FilterConfig(model, np.zeros((5, 5)),
+                                            clutter_intensity=0.0)
+        density = PmbmDensity({VA: 1.0}, (GlobalHypothesis(1.0, ()),))
+        posterior, _ = update_module.update_step(density, sensor, [meas],
+                                                 config)
+        (bern,) = posterior.best_hypothesis().bernoullis
+        assert bern.existence == 1.0
+        assert np.array_equal(bern.belief.types[VA].mean, np.ones(5))
 
 
 class TestBuildCostMatrix:
@@ -516,7 +571,8 @@ class TestBuildCostMatrix:
         costs, const, ctx = build_cost_matrix(
             hyp, [meas], toy_sensor(), {SP: 1.0}, 0.1, toy_model())
         assert costs.matrix.shape == (1, 1)
-        cand = weight_birth(meas, toy_sensor(), {SP: 1.0}, 0.1, toy_model())
+        cand = birth_candidate(meas, toy_sensor(), {SP: 1.0}, 0.1,
+                               toy_model())
         assert costs.matrix[0, 0] == pytest.approx(-cand.log_weight)
         assert const == 0.0
 
@@ -539,7 +595,7 @@ class TestBuildCostMatrix:
             _, masses, _ = detected_weight(berns[0], meas,
                                            ctx.type_preds[0], model)
             assert ctx.pair_masses[(0, p)] == masses
-            cand = weight_birth(meas, sensor, {SP: 1.5}, 0.2, model)
+            cand = birth_candidate(meas, sensor, {SP: 1.5}, 0.2, model)
             assert costs.matrix[p, 1 + p] == pytest.approx(-cand.log_weight)
         assert np.isinf(costs.matrix[0, 2]) and np.isinf(costs.matrix[1, 1])
 
@@ -647,7 +703,7 @@ def reference_log_weight_detected(bern, meas, preds, model, gate=None):
             return -math.inf, {}, min(bounds, default=math.inf)
     terms = {}
     for kind, weight, p_detect, v, S in residuals:
-        loglik, mahal = chol_logpdf(v, S)
+        loglik, mahal = reference_chol_logpdf(v, S)
         best_mahal = min(best_mahal, mahal)
         terms[kind] = math.log(weight) + math.log(p_detect) + loglik
     m = max(terms.values(), default=-math.inf)
@@ -662,14 +718,17 @@ def reference_log_weight_detected(bern, meas, preds, model, gate=None):
 def reference_cost_matrix(hypothesis, measurements, sensor, ppp, clutter,
                           model, gate):
     """The cost matrix as the per-pair loop built it: (matrix, sum of
-    ln l^{i,0}, pair type masses, pair residuals)."""
+    ln l^{i,0}, pair type masses, pair residuals, type predictions per
+    landmark, birth candidates)."""
     berns = hypothesis.bernoullis
     n_prior, n_meas = len(berns), len(measurements)
     matrix = np.full((n_meas, n_prior + n_meas), np.inf)
     log_sum = 0.0
     pair_masses, pair_residuals = {}, {}
+    type_preds = []
     for i, bern in enumerate(berns):
-        preds = predict_types(bern, sensor, model)
+        preds = reference_predict_types(bern, sensor, model)
+        type_preds.append(preds)
         log_l0 = math.log(misdetection_weight(bern, preds)[2])
         log_sum += log_l0
         for p, meas in enumerate(measurements):
@@ -682,33 +741,80 @@ def reference_cost_matrix(hypothesis, measurements, sensor, ppp, clutter,
                 k: model.wrap_residual(meas.z - preds[k].z_pred)
                 for k in bern.belief.types if preds[k].z_pred is not None}
             matrix[p, i] = log_l0 - log_l
+    births = []
     for p, meas in enumerate(measurements):
-        cand = weight_birth(meas, sensor, ppp, clutter, model)
+        cand = reference_birth_candidate(meas, sensor, ppp, clutter, model)
+        births.append(cand)
         matrix[p, n_prior + p] = -cand.log_weight
-    return matrix, log_sum, pair_masses, pair_residuals
+    return (matrix, log_sum, pair_masses, pair_residuals, type_preds,
+            births)
+
+
+class RankLossModel(ChannelModel):
+    """The channel model with a landmark Jacobian of rank 0 more than 80 m
+    above the ground, where a newborn's information matrix then fails its
+    factorization (no prior landmark of ``channel_association_case`` is
+    there)."""
+
+    def linearize(self, sensor_mean, lm_position, kind):
+        pd, z_pred, H_s, H_x = super().linearize(sensor_mean, lm_position,
+                                                 kind)
+        if H_x is not None and lm_position[2] > 80.0:
+            H_x = np.zeros_like(H_x)
+        return pd, z_pred, H_s, H_x
+
+
+def with_birth_faults(seed, measurements, sensor, model):
+    """``(measurements, model)`` with four measurements added at random
+    places whose newborn of some type fails, beside the other type's and
+    the other measurements' live rows: one inverts to None for both types
+    (path below the clock bias), one is a true SP beyond the field of view
+    (its VA newborn lives), one has a vertical angle of arrival (its VA
+    newborn's geometry is degenerate) and one puts its VA newborn 93 m up,
+    where :class:`RankLossModel` makes its information matrix singular.
+    The last two depart from the BS toward the UE, so their SP newborns
+    lie in the field of view and live."""
+    rng = np.random.default_rng(seed + 1)
+    ue, bias = sensor.mean[:3], sensor.mean[4]
+    far_sp = ue + np.array([0.0, 90.0, 10.0])
+    R = np.diag(np.array([0.1, 0.005, 0.005, 0.005, 0.005]) ** 2)
+    faults = [
+        np.array([bias - 5.0, 0.1, 0.1, 0.1, 0.1]),
+        ChannelModel(model.bs_position, fov_radius=1e9).linearize(
+            sensor.mean, far_sp, SP)[1],
+        np.array([bias + 100.0, 0.3, math.pi / 2, 0.0, -0.46]),
+        np.array([bias + 100.0, 0.4, 1.2, 0.0, -0.46]),
+    ]
+    out = list(measurements)
+    for z in faults:
+        out.insert(int(rng.integers(len(out) + 1)), Measurement(z, R))
+    return out, RankLossModel(model.bs_position)
 
 
 class TestArrayPass:
-    """``build_cost_matrix`` wraps and bounds all measurements of a landmark
-    type in one array pass; it must give the per-pair reference's bits."""
+    """``build_cost_matrix`` runs each stage of a hypothesis over one stack
+    of rows; every output must have the per-pair reference's bits."""
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
-           n_landmarks=st.integers(1, 5),
-           n_meas=st.integers(0, 6),
+           n_landmarks=st.integers(1, 8),
+           n_meas=st.integers(0, 10),
            tight=st.booleans(),
            varied_cov=st.booleans(),
            zero_existence=st.booleans(),
            degenerate=st.booleans(),
+           birth_faults=st.booleans(),
            pick=st.integers(0, 10 ** 6),
            gate_kind=st.sampled_from(["none", "default", -1e-9, 0.0, 1e-9]))
     def test_bit_equal_to_per_pair_reference(self, seed, n_landmarks, n_meas,
                                              tight, varied_cov,
                                              zero_existence, degenerate,
-                                             pick, gate_kind):
+                                             birth_faults, pick, gate_kind):
         hyp, meas, sensor, ppp, model = channel_association_case(
             seed, n_landmarks, n_meas, tight, varied_cov=varied_cov,
             zero_existence=zero_existence, degenerate=degenerate)
+        if birth_faults:
+            meas, model = with_birth_faults(seed, meas, sensor, model)
         clutter = 1e-6
         if gate_kind == "none":
             gate = None
@@ -716,7 +822,7 @@ class TestArrayPass:
             gate = DEFAULT_GATE
             finite = []
             for bern in hyp.bernoullis:
-                preds = predict_types(bern, sensor, model)
+                preds = reference_predict_types(bern, sensor, model)
                 for z in meas:
                     _, _, m = reference_log_weight_detected(bern, z, preds,
                                                             model)
@@ -727,8 +833,9 @@ class TestArrayPass:
                 # Put the gate within 1e-9 of one pair's full distance.
                 gate = finite[pick % len(finite)] * (1.0 + gate_kind)
 
-        matrix, log_sum, masses, residuals = reference_cost_matrix(
-            hyp, meas, sensor, ppp, clutter, model, gate)
+        matrix, log_sum, masses, residuals, type_preds, births = \
+            reference_cost_matrix(hyp, meas, sensor, ppp, clutter, model,
+                                  gate)
         costs, got_log_sum, ctx = build_cost_matrix(
             hyp, meas, sensor, ppp, clutter, model, gate=gate)
         assert costs.matrix.tobytes() == matrix.tobytes()
@@ -740,6 +847,23 @@ class TestArrayPass:
             assert list(got) == list(rows)
             assert all(got[k].tobytes() == v.tobytes()
                        for k, v in rows.items())
+        for got, want in zip(ctx.type_preds, type_preds, strict=True):
+            assert list(got) == list(want)
+            for kind, pred in want.items():
+                assert got[kind].p_detect == pred.p_detect
+                for name in ("z_pred", "hph", "H_s", "H_x"):
+                    assert bits(getattr(got[kind], name)) == \
+                        bits(getattr(pred, name))
+        for got, want in zip(ctx.births, births, strict=True):
+            assert bits(got.log_weight) == bits(want.log_weight)
+            assert bits(got.existence) == bits(want.existence)
+            assert {k: bits(r) for k, r in got.masses.items()} == \
+                {k: bits(r) for k, r in want.masses.items()}
+            assert list(got.comps) == list(want.comps)
+            for kind, comp in want.comps.items():
+                assert bits(got.comps[kind].mean) == bits(comp.mean)
+                assert bits(got.comps[kind].covariance) == \
+                    bits(comp.covariance)
 
 
 class TestGatedCostMatrix:

@@ -435,7 +435,7 @@ class TestMain:
         save_scenario(replace(default_scenario(seed=1, steps=5),
                               clutter_mean=0.0), scen)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"scenario": str(scen), "mc": 1, "seed": 1,
+        cfg.write_text(json.dumps({"scenario": str(scen), "mc": 1, "seed": 2,
                                    "out": str(tmp_path / "o")}))
         assert main(["run", "--config", str(cfg), "--noise-toa", "100"]) == 4
         assert ("numerical failure: a measurement row has no finite cost"
@@ -450,12 +450,12 @@ class TestMain:
         save_scenario(replace(default_scenario(seed=1, steps=5),
                               clutter_mean=0.0), scen)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"scenario": str(scen), "mc": 1, "seed": 1,
+        cfg.write_text(json.dumps({"scenario": str(scen), "mc": 1, "seed": 2,
                                    "out": str(tmp_path / "o")}))
         assert main(["run", "--config", str(cfg), "--noise-toa", "100",
                      "--jobs", str(jobs)]) == 4
         assert ("numerical failure: a measurement row has no finite cost "
-                "(MC run 0, step 2)\n" in capsys.readouterr().err)
+                "(MC run 0, step 1)\n" in capsys.readouterr().err)
 
     def test_bad_report_files_exits_2(self, tmp_path, capsys):
         # Not JSON, not a JSON object, and a report without its fields.

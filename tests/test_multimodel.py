@@ -12,21 +12,24 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import LinearModel
+from conftest import (
+    LinearModel,
+    birth_candidate,
+    detected_weight,
+    newborn,
+    pair_densities,
+    predict_types,
+    reference_chol_logpdf,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfslam.association import (
     BirthCandidate,
     TypePrediction,
-    birth_from_measurement,
-    chol_logpdf,
     log_weight_detected,
     misdetection_weight,
-    predict_types,
-    residual_blocks,
     update_type_probs,
-    weight_birth,
 )
 from rfslam.density import (
     Bernoulli,
@@ -66,8 +69,7 @@ def misdetected(bern, model) -> dict:
 def detected(bern, model, z: float) -> dict:
     preds = predict_types(bern, SENSOR, model)
     meas = Measurement(np.array([z]), np.eye(1))
-    _, masses, _ = log_weight_detected(
-        bern, meas, preds, residual_blocks(bern, preds, meas.z, model))
+    _, masses, _ = detected_weight(bern, meas, preds, model)
     return update_type_probs(masses)
 
 
@@ -136,12 +138,12 @@ class TestUpdateTypeProbs:
 
 
 def birth_psi(rates: dict, clutter: float) -> dict:
-    """Newborn type probabilities from :func:`weight_birth`; h = x + c
+    """Newborn type probabilities of the birth weight; h = x + c
     puts the VA and SP births 0.3 and 0.6 from the measurement."""
     model = LinearModel({VA: ([[0.0]], [[1.0]], [0.3]),
                          SP: ([[0.0]], [[1.0]], [0.6])}, 1, p_detect=0.9)
     meas = Measurement(np.array([0.2]), np.eye(1))
-    cand = weight_birth(meas, SENSOR, rates, clutter, model)
+    cand = birth_candidate(meas, SENSOR, rates, clutter, model)
     return update_type_probs(cand.masses)
 
 
@@ -261,14 +263,15 @@ class TestTypePosteriorReference:
                      bern.belief.types.items()
                      if preds[k].p_detect > 0.0 and c.weight > 0.0
                      and preds[k].z_pred is not None}
-        log_l, masses, _ = log_weight_detected(bern, meas, preds, residuals)
+        densities = pair_densities(residuals, {
+            k: preds[k].hph + meas.covariance for k in residuals})
+        log_l, masses, _ = log_weight_detected(bern, preds, densities)
         if log_l == -math.inf:
             # No type explains the detection: the cost matrix drops the
             # pair and no posterior is taken.
             assert masses == {} and residuals == {}
             return
-        logliks = {k: chol_logpdf(v, preds[k].hph + meas.covariance)[0]
-                   for k, v in residuals.items()}
+        logliks = {k: densities[k][0] for k in residuals}
         assert bits(update_type_probs(masses)) == bits(
             reference_update_type_probs(
                 prior, {k: p.p_detect for k, p in preds.items()}, logliks))
@@ -289,17 +292,18 @@ class TestTypePosteriorReference:
         ppp = dict(zip(TYPE_ORDER, rates))
         sensor = GaussianComponent(np.zeros(1), np.array([[0.25]]))
         meas = Measurement(np.array([0.7]), np.eye(1))
-        cand = weight_birth(meas, sensor, ppp, clutter, model)
-        # The rates weight_birth splits: the BS is never born.
+        cand = birth_candidate(meas, sensor, ppp, clutter, model)
+        # The rates the birth weight splits: the BS is never born.
         rho = {}
         for k, rate in ppp.items():
             if rate <= 0.0 or k is BS or model.p_detect[k] <= 0.0:
                 continue
-            comp, pred = birth_from_measurement(meas, sensor, k, model)
+            comp, pred = newborn(meas, sensor, k, model)
             v = meas.z - model.predict(sensor.mean, comp.mean, k)
             S = (pred.H_s @ sensor.covariance @ pred.H_s.T
                  + pred.H_x @ comp.covariance @ pred.H_x.T + meas.covariance)
-            rho[k] = rate * model.p_detect[k] * math.exp(chol_logpdf(v, S)[0])
+            rho[k] = rate * model.p_detect[k] * math.exp(
+                reference_chol_logpdf(v, S)[0])
         if sum(rho.values()) <= 0.0:
             assert cand.masses == {}
             return

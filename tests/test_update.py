@@ -3,7 +3,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from conftest import LinearModel, check_density, single_type_bernoulli
+from conftest import (
+    LinearModel,
+    birth_candidate,
+    check_density,
+    detected_weight,
+    newborn,
+    predict_types,
+    reference_birth_from_measurement,
+    single_type_bernoulli,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +21,6 @@ from rfslam import update as update_module
 from rfslam.association import (
     AssociationVector,
     InfeasibleAssignmentError,
-    birth_from_measurement,
     chol_factor,
     chol_solve,
     murty_kbest,
@@ -181,7 +189,8 @@ class TestBirthFromMeasurement:
         z = measure(ue, Landmark(BS, BS_POS), BS_POS)
         meas = Measurement(z, np.diag([0.01, 1e-4, 1e-4, 1e-4, 1e-4]))
         sensor = GaussianComponent(ue.as_vector(), np.zeros((5, 5)))
-        comp, _ = birth_from_measurement(meas, sensor, BS, model)
+        # The filter bears no BS; the per-row newborn inverts it.
+        comp, _ = reference_birth_from_measurement(meas, sensor, BS, model)
         assert np.allclose(comp.mean, BS_POS, atol=1e-9)
 
     def test_perfect_sensor_limit(self):
@@ -193,7 +202,7 @@ class TestBirthFromMeasurement:
         R = np.diag([0.01, 1e-4, 1e-4, 1e-4, 1e-4])
         meas = Measurement(z, R)
         sensor = GaussianComponent(ue.as_vector(), np.zeros((5, 5)))
-        comp, pred = birth_from_measurement(meas, sensor, VA, model)
+        comp, pred = newborn(meas, sensor, VA, model)
         from rfslam.geometry import measure_jacobian
         H = measure_jacobian(ue, Landmark(VA, comp.mean), BS_POS)
         Hx = H[:, 5:]
@@ -230,11 +239,11 @@ class TestBirthFromMeasurement:
                 meas = Measurement(z, R)
                 P = np.diag([0.3, 0.3, 0.0, 0.005, 0.3])
                 sensor = GaussianComponent(ue.as_vector(), P)
-                comp, pred = birth_from_measurement(meas, sensor, kind, model)
+                comp, pred = newborn(meas, sensor, kind, model)
                 far = (kind is SP and np.linalg.norm(comp.mean - ue.position)
                        > default_fov.fov_radius)
                 hidden.append(far)
-                assert (birth_from_measurement(meas, sensor, kind, default_fov)
+                assert (newborn(meas, sensor, kind, default_fov)
                         is None) == far
                 from rfslam.geometry import measure_jacobian
                 H = measure_jacobian(ue, Landmark(kind, comp.mean), BS_POS)
@@ -262,7 +271,7 @@ class TestBirthFromMeasurement:
             np.array([10.0, 0.0, 0.0, 0.0, 300.0]), np.eye(5))
         z = np.array([100.0, 0.0, 0.0, 0.0, 0.0])  # path < bias
         meas = Measurement(z, np.eye(5))
-        assert birth_from_measurement(meas, sensor, VA, model) is None
+        assert newborn(meas, sensor, VA, model) is None
 
 
 class TestMarginalizeSensor:
@@ -1088,14 +1097,15 @@ class TestInvisiblePairs:
         assert not np.array_equal(posteriors[SeeAllChannelModel][SP].mean, sp)
 
     def test_no_hidden_sp_is_linearized_or_factorized(self, monkeypatch):
-        # Every Jacobian and every newborn factorization of a short PMB
-        # run, recorded by kind and distance from the sensor mean.
+        # Every Jacobian of a short PMB run, recorded by kind and distance
+        # from the sensor mean, and every newborn, recorded with whether it
+        # got a Gaussian, beside the factorizations of its newborn pass.
         scenario = default_scenario(seed=1, steps=10)
         fov = scenario.fov_radius
-        jacobians, newborns, factors = [], [], []
+        jacobians, births, passes, factors = [], [], [], []
         jacobian = geometry._jacobian
-        factor = association.chol_factor
-        birth = association.birth_from_measurement
+        factor = association._dpotrf
+        newborn_pass = association.newborns
 
         def recording_jacobian(kind, legs):
             jacobians.append((kind, legs[1]))
@@ -1105,26 +1115,34 @@ class TestInvisiblePairs:
             factors.append(a.shape)
             return factor(a)
 
-        def recording_birth(meas, sensor, kind, model):
-            mean = model.invert(meas.z, sensor.mean, kind)
+        def recording_newborns(z_rows, r_stack, sensor, ppp, model):
             before = len(factors)
-            out = birth(meas, sensor, kind, model)
-            if mean is not None:
-                dist = float(np.linalg.norm(mean - sensor.mean[:3]))
-                newborns.append((kind, dist, len(factors) - before))
+            out = newborn_pass(z_rows, r_stack, sensor, ppp, model)
+            for (_, comps), z in zip(out, z_rows):
+                for kind, rate in ppp.items():
+                    if rate <= 0.0 or kind is BS:
+                        continue
+                    mean = model.invert(z, sensor.mean, kind)
+                    if mean is not None:
+                        dist = float(np.linalg.norm(mean - sensor.mean[:3]))
+                        births.append((kind, dist, kind in comps))
+            passes.append((sum(len(comps) for _, comps in out),
+                           len(factors) - before))
             return out
 
         monkeypatch.setattr(geometry, "_jacobian", recording_jacobian)
-        monkeypatch.setattr(association, "chol_factor", counting_factor)
-        monkeypatch.setattr(association, "birth_from_measurement",
-                            recording_birth)
+        monkeypatch.setattr(association, "_dpotrf", counting_factor)
+        monkeypatch.setattr(association, "newborns", recording_newborns)
         scenario_run(scenario, EK_PMB, 1)
         sp_dists = [d for kind, d in jacobians if kind is SP]
         assert sp_dists and max(sp_dists) <= fov
-        hidden = [n for kind, d, n in newborns if kind is SP and d > fov]
-        seen = [n for kind, d, n in newborns if kind is SP and d <= fov]
+        hidden = [born for kind, d, born in births if kind is SP and d > fov]
+        seen = [born for kind, d, born in births if kind is SP and d <= fov]
         assert hidden and not any(hidden)
-        assert seen and all(n == 2 for n in seen)
+        assert seen and all(seen)
+        # Two factorizations per newborn Gaussian (gain and information
+        # matrix) and one for its density; a hidden newborn gets none.
+        assert passes and all(n == 3 * born for born, n in passes)
 
 
 class TestStep:
@@ -1217,7 +1235,6 @@ class TestStep:
         assert np.allclose(sensor_post.covariance, sensor_pred.covariance)
 
     def test_single_measurement_birth_trace(self):
-        from rfslam.association import weight_birth
         model, cfg, density, sensor = self.channel_setup(EK_PMBM)
         empty = PmbmDensity(density.ppp_intensity, (GlobalHypothesis(1.0, ()),))
         _, sensor_pred = predict_step(empty, sensor, cfg)
@@ -1229,8 +1246,8 @@ class TestStep:
         assert len(density_post.hypotheses) == 1
         hyp = density_post.hypotheses[0]
         assert len(hyp.bernoullis) == 1
-        cand = weight_birth(meas, sensor_pred, empty.ppp_intensity,
-                            cfg.clutter_intensity, model)
+        cand = birth_candidate(meas, sensor_pred, empty.ppp_intensity,
+                               cfg.clutter_intensity, model)
         assert hyp.bernoullis[0].existence == pytest.approx(cand.existence,
                                                             rel=1e-9)
         # A reflection and a scatterer at the incidence point are
@@ -1261,9 +1278,7 @@ class TestStep:
         # One prior landmark, one measurement, gamma 2: the two children are
         # "detected" and "misdetected + birth", with weights proportional to
         # l_detected and l_misdetected * l_birth.
-        from rfslam.association import (log_weight_detected,
-                                        misdetection_weight, predict_types,
-                                        residual_blocks, weight_birth)
+        from rfslam.association import misdetection_weight
         rng = np.random.default_rng(77)
         model = LinearModel({SP: ([[0.4]], [[1.0]])}, 1, p_detect=0.7)
         cfg = make_config(model, gamma=2, gate=None, filter_kind=EK_PMBM,
@@ -1275,10 +1290,9 @@ class TestStep:
         posterior, _ = update_step(density, sensor, [meas], cfg)
         assert len(posterior.hypotheses) == 2
         preds = predict_types(bern, sensor, model)
-        log_det = log_weight_detected(
-            bern, meas, preds, residual_blocks(bern, preds, meas.z, model))[0]
+        log_det = detected_weight(bern, meas, preds, model)[0]
         l_mis = misdetection_weight(bern, preds)[2]
-        cand = weight_birth(meas, sensor, {SP: 0.8}, 0.05, model)
+        cand = birth_candidate(meas, sensor, {SP: 0.8}, 0.05, model)
         expected = np.exp([log_det, math.log(l_mis) + cand.log_weight])
         expected /= expected.sum()
         got = sorted((h.weight for h in posterior.hypotheses), reverse=True)
