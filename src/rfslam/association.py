@@ -30,6 +30,9 @@ all 3-D).  Two things stay per row, because they fix
 a row's bits: the geometry (``model.linearize`` and ``model.invert``),
 whose transcendental functions come from ``math``, and each Cholesky
 factorization and solve (LAPACK ``dpotrf``/``dpotrs`` take one matrix).
+:func:`chol_solve` is the filter's one Cholesky entry: it factors and
+solves a stack row by row, and the joint update of :mod:`rfslam.update`
+passes its innovation covariance to it as a one-row stack.
 Every output keeps the bits of the per-row code, by the rules of the
 :mod:`rfslam.geometry` docstring:
 
@@ -66,6 +69,7 @@ from .density import (
     Bernoulli,
     GaussianComponent,
     GlobalHypothesis,
+    _shape_groups,
     symmetrize,
 )
 from .geometry import MAX_P_DETECT, DegenerateGeometryError, LandmarkType
@@ -103,61 +107,35 @@ def _dpotrf(a: np.ndarray) -> np.ndarray:
     return factor
 
 
-def _dpotrs(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x, info = dpotrs(factor, b, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrs")
-    return x
-
-
-def chol_factor(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive-definite matrix.
-
-    The LAPACK call ``scipy.linalg.cho_factor(a, lower=True)`` makes, without
-    its wrapper's per-call overhead, so the factor is bit-identical to
-    ``cho_factor(a, lower=True)[0]`` (the strict upper triangle keeps ``a``).
-    Raises ValueError on non-finite input and LinAlgError when ``a`` is not
-    positive definite.
-    """
-    if not _all_finite(a):
-        raise ValueError("array must not contain infs or NaNs")
-    return _dpotrf(a)
-
-
-def chol_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a x = b`` from the :func:`chol_factor` factor of ``a``.
-
-    Bit-identical to ``scipy.linalg.cho_solve((factor, True), b)``; raises
-    ValueError when either operand is not finite.
-    """
-    if not (_all_finite(factor) and _all_finite(b)):
-        raise ValueError("array must not contain infs or NaNs")
-    return _dpotrs(factor, b)
-
-
-def _solve_rows(stack: np.ndarray, rhs: np.ndarray, drop: bool):
+def chol_solve(stack: np.ndarray, rhs: np.ndarray, drop: bool = False):
     """``(kept, factors, solutions)`` of a stack of symmetric matrices and a
-    stack of right-hand sides: per row, the :func:`chol_factor` factor and
-    the :func:`chol_solve` solution, with their bits.  A row that is not
-    positive definite raises LinAlgError, or with ``drop`` is left out of
-    ``kept``.  Each operand stack is tested for finiteness once, which
-    raises ValueError.  A factor needs no test: ``dpotrf`` stops at the
-    first pivot that is not positive or is NaN, and every entry of a
-    factor it completes is bounded by the square root of a diagonal entry.
+    stack of right-hand sides: per row, the lower Cholesky factor and the
+    solution of ``a x = b``, bit-identical to ``scipy.linalg.cho_factor(a,
+    lower=True)[0]`` (the strict upper triangle keeps ``a``) and to
+    ``cho_solve`` on it, without the wrappers' per-call overhead.  A row
+    that is not positive definite raises LinAlgError, or with ``drop`` is
+    left out of ``kept``.  Each operand stack is tested for finiteness once,
+    which raises ValueError.  A factor needs no test: ``dpotrf`` stops at
+    the first pivot that is not positive or is NaN, and every entry of a
+    factor it completes is bounded by the square root of a diagonal entry,
+    so a completed factor of a finite matrix is finite.
     """
     if not (_all_finite(stack) and _all_finite(rhs)):
         raise ValueError("array must not contain infs or NaNs")
     kept, factors, solutions = [], [], []
-    for k, (a, b) in enumerate(zip(stack, rhs)):
+    for k in range(len(stack)):
         try:
-            factor = _dpotrf(a)
+            factor = _dpotrf(stack[k])
         except np.linalg.LinAlgError:
             if drop:
                 continue
             raise
+        x, info = dpotrs(factor, rhs[k], lower=1)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of dpotrs")
         kept.append(k)
         factors.append(factor)
-        solutions.append(_dpotrs(factor, b))
+        solutions.append(x)
     return kept, factors, solutions
 
 
@@ -165,7 +143,7 @@ def chol_logpdf(residuals: np.ndarray, covs: np.ndarray) -> tuple[list, list]:
     """(log Gaussian densities, squared Mahalanobis distances) of a nonempty
     stack of residuals, one per row, each under its own covariance.
 
-    Every row gets its own ``dpotrf`` and ``dpotrs`` (:func:`_solve_rows`).
+    Every row gets its own ``dpotrf`` and ``dpotrs`` (:func:`chol_solve`).
     The distances are the rows' BLAS dots, one stacked ``(N,1,d) @
     (N,d,1)`` product, and the log-determinants sum each factor's
     log-diagonal along the last axis, so every row has the bits of its own
@@ -173,7 +151,7 @@ def chol_logpdf(residuals: np.ndarray, covs: np.ndarray) -> tuple[list, list]:
     covariance that is not positive definite.
     """
     try:
-        _, factors, solved = _solve_rows(covs, residuals, drop=False)
+        _, factors, solved = chol_solve(covs, residuals)
     except np.linalg.LinAlgError as exc:
         d = covs.shape[1]
         raise np.linalg.LinAlgError(
@@ -183,16 +161,6 @@ def chol_logpdf(residuals: np.ndarray, covs: np.ndarray) -> tuple[list, list]:
         np.array(factors).diagonal(axis1=1, axis2=2)).sum(axis=-1)
     k = residuals.shape[1]
     return (-0.5 * (k * LOG_2PI + logdet + mahal)).tolist(), mahal.tolist()
-
-
-def _shape_groups(blocks) -> list:
-    """Index lists of the rows of ``blocks`` that share a shape, in order:
-    a model may give each landmark type its own dimension, and a stack
-    holds one shape."""
-    groups = {}
-    for k, block in enumerate(blocks):
-        groups.setdefault(block.shape, []).append(k)
-    return list(groups.values())
 
 
 @dataclass(frozen=True)
@@ -268,13 +236,23 @@ def log_weight_detected(bern: Bernoulli, preds: dict, densities: dict):
         best_mahal = min(best_mahal, mahal)
         terms[kind] = (math.log(types[kind].weight)
                        + math.log(preds[kind].p_detect) + loglik)
+    log_l, masses = _log_sum_exp(terms)
+    if not masses:
+        return -math.inf, {}, best_mahal
+    return (math.log(bern.existence) + log_l,
+            {k: masses.get(k, 0.0) for k in types}, best_mahal)
+
+
+def _log_sum_exp(terms: dict):
+    """``(ln sum_k exp(t_k), masses)`` of log-domain terms: a term's mass is
+    exp(t_k - peak), its share of the largest, and the log-sum is the peak
+    plus the log of their sum, added in ``terms`` order.  With no finite
+    peak the log-sum is -inf and the masses are empty."""
     peak = max(terms.values(), default=-math.inf)
     if not math.isfinite(peak):
-        return -math.inf, {}, best_mahal
-    masses = {k: math.exp(terms[k] - peak) if k in terms else 0.0
-              for k in types}
-    log_l = peak + math.log(sum(masses.values()))
-    return math.log(bern.existence) + log_l, masses, best_mahal
+        return -math.inf, {}
+    masses = {k: math.exp(t - peak) for k, t in terms.items()}
+    return peak + math.log(sum(masses.values())), masses
 
 
 def misdetection_weight(bern: Bernoulli, preds: dict):
@@ -360,12 +338,12 @@ def _newborn_stack(found, group, z_rows, r_stack, sensor, model) -> list:
     H_s, H_x = (np.array([row[j] for row in rows]) for j in (6, 7))
     r_rows = r_stack[[row[0] for row in rows]]
     hph_s = H_s @ sensor.covariance @ H_s.swapaxes(-1, -2)
-    live, _, solved = _solve_rows(hph_s + r_rows, H_x, drop=True)
+    live, _, solved = chol_solve(hph_s + r_rows, H_x, drop=True)
     if not live:
         return []
     H_x = H_x[live]
     info = H_x.swapaxes(-1, -2) @ np.array(solved)
-    kept, _, inverses = _solve_rows(
+    kept, _, inverses = chol_solve(
         info, np.eye(info.shape[-1])[None].repeat(len(info), axis=0),
         drop=True)
     if not kept:
@@ -422,14 +400,10 @@ def weight_birth(terms: dict, comps: dict, clutter_intensity: float):
                               rho if rho_total > 0.0 else {}, comps)
     # No clutter and every rate underflowed: the weight is the log-sum of
     # the rates, and a type's mass its rate over the largest.
-    log_rho = {kind: math.log(rate) + math.log(pd) + loglik
-               for kind, (rate, pd, loglik) in terms.items()}
-    peak = max(log_rho.values(), default=-math.inf)
-    if not math.isfinite(peak):
-        return BirthCandidate(-math.inf, 0.0, {}, comps)
-    masses = {kind: math.exp(v - peak) for kind, v in log_rho.items()}
-    return BirthCandidate(peak + math.log(sum(masses.values())), 1.0,
-                          masses, comps)
+    log_weight, masses = _log_sum_exp({
+        kind: math.log(rate) + math.log(pd) + loglik
+        for kind, (rate, pd, loglik) in terms.items()})
+    return BirthCandidate(log_weight, 1.0 if masses else 0.0, masses, comps)
 
 
 @dataclass(frozen=True)

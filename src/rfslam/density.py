@@ -9,7 +9,11 @@ over the 3-D position.  ``mix_types`` is the one kernel that collapses
 weighted beliefs into one: the merge here, and the cell averaging and TOMB
 recombination of :mod:`rfslam.reduction`.  It takes every job of a stage
 and moment matches all of their (job, type) groups in one
-``moment_match`` call, which the sensor marginalization calls too.
+``moment_match`` call per member dimension, which the sensor
+marginalization calls too.  A stack holds one shape, and a model may give
+its landmark types different dimensions; :func:`_shape_groups` splits
+rows by shape here and in :mod:`rfslam.association`.  The channel model's
+types are all 3-D, so each stage makes one call.
 
 The batched match has the bits of matching each group alone, with its
 members added one after another, for two reasons.
@@ -42,6 +46,16 @@ from .geometry import TYPE_ORDER, LandmarkType
 
 class DegenerateDensityError(ValueError):
     """All probability mass vanished (no hypotheses or all-zero weights)."""
+
+
+def _shape_groups(blocks) -> list:
+    """Index lists of the rows of ``blocks`` that share a shape, in order:
+    a model may give each landmark type its own dimension, and a stack
+    holds one shape."""
+    groups = {}
+    for k, block in enumerate(blocks):
+        groups.setdefault(block.shape, []).append(k)
+    return list(groups.values())
 
 
 def symmetrize(cov: np.ndarray) -> np.ndarray:
@@ -270,8 +284,8 @@ MIN_CELL_MASS = 1e-12
 
 def mix_types(jobs: list) -> list:
     """Type-weighted moment match of beliefs, every job of a stage in one
-    :func:`moment_match` call: the one kernel of the merge, the cell
-    averaging and the TOMB recombination.
+    :func:`moment_match` call per member dimension: the one kernel of the
+    merge, the cell averaging and the TOMB recombination.
 
     A job is ``(members, total, masses)``: ``members`` are ``(scale,
     Bernoulli)`` pairs whose beliefs are mixed (the existence plays no
@@ -308,9 +322,10 @@ def mix_types(jobs: list) -> list:
                 groups.append((coefs, comps, mass))
                 slots.append((types, kind))
         results.append((types, type_masses))
-    if groups:
-        means, covs = moment_match(groups)
-        for (types, kind), mean, cov in zip(slots, means, covs):
+    for group in _shape_groups([comps[0].mean for _, comps, _ in groups]):
+        means, covs = moment_match([groups[k] for k in group])
+        for k, mean, cov in zip(group, means, covs):
+            types, kind = slots[k]
             types[kind] = TypeComponent(types[kind], mean, cov)
     return [(LandmarkBelief(types), type_masses)
             for types, type_masses in results]
@@ -335,9 +350,20 @@ def _merge_candidates(berns, threshold: float) -> list:
     ``MERGE_BOUND_MARGIN`` covers the first term and the slack 1e-300 the
     second.  A negative bound rejects every pair in both; a NaN bound or
     distance compares False and keeps the pair.
+
+    A stack holds one shape, so when the dominant types differ in
+    dimension each dimension's Bernoullis are bounded by themselves.  A
+    pair across dimensions has two dominant types, which the gate never
+    merges, and is False.
     """
     kinds = [b.belief.dominant_type() for b in berns]
     comps = [b.belief.types[k] for b, k in zip(berns, kinds)]
+    if len({c.mean.shape for c in comps}) > 1:
+        near = np.zeros((len(berns),) * 2, dtype=bool)
+        for group in _shape_groups([c.mean for c in comps]):
+            near[np.ix_(group, group)] = _merge_candidates(
+                [berns[k] for k in group], threshold)
+        return near.tolist()
     codes = np.array([TYPE_ORDER.index(k) for k in kinds])
     means = np.array([c.mean for c in comps])
     # The gate's traces: each sums its diagonal in the same order.

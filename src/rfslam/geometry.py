@@ -418,10 +418,14 @@ class ChannelModel:
     detection model.  The filter calls three methods: ``linearize``,
     ``invert`` and ``wrap_residual`` (and reads ``p_detect`` and
     ``fov_radius`` when present), so any object with them can be
-    substituted, e.g. linear toys in tests.  ``wrap_residual`` takes one
-    residual or a stack of them, one per row.  ``predict``, ``jacobians``
-    and ``detection_probability`` give ``linearize``'s parts one at a time
-    for a pair the sensor can see.
+    substituted, e.g. linear toys in tests.  ``wrap_residual`` takes a
+    residual or a stack of them of any shape, the components on the last
+    axis, and wraps every angle with :func:`wrap_angle`, which gives
+    ``_wrap_scalar``'s bits.  ``predict``, ``jacobians`` and
+    ``detection_probability`` give ``linearize``'s parts one at a time for
+    a pair the sensor can see.  No filter code calls them: they stay only
+    because the benchmark's tracer wraps them by name, so add no caller;
+    they go when the tracer's name list drops them.
     """
 
     bs_position: np.ndarray
@@ -440,12 +444,6 @@ class ChannelModel:
 
     def wrap_residual(self, v: np.ndarray) -> np.ndarray:
         v = np.array(v, dtype=float)
-        if v.ndim == 1:
-            # One residual: wrap its angles as floats (_wrap_scalar).
-            values = v.tolist()
-            values[self.angle_components] = map(
-                _wrap_scalar, values[self.angle_components])
-            return np.array(values)
         v[..., self.angle_components] = wrap_angle(v[..., self.angle_components])
         return v
 

@@ -35,7 +35,6 @@ from .association import (
     DEFAULT_GATE,
     AssociationVector,
     build_cost_matrix,
-    chol_factor,
     chol_solve,
     murty_kbest,
     update_type_probs,
@@ -334,13 +333,14 @@ def joint_update(parts: ChildParts, sigma: AssociationVector):
                 R[span, span].reshape(n_kinds, dz, n_kinds, dz)[...] = \
                     cov_z[:, None, :]
         S = H @ cov @ H.T + R
+        PHt = cov @ H.T
+        # S K^T = (P H^T)^T, factored and solved as a one-row stack.
         try:
-            factor = chol_factor(symmetrize(S))
+            _, _, (gain,) = chol_solve(symmetrize(S)[None], PHt.T[None])
         except np.linalg.LinAlgError:
             S = S + 1e-9 * np.eye(n_rows)
-            factor = chol_factor(symmetrize(S))
-        PHt = cov @ H.T
-        gain = chol_solve(factor, PHt.T).T
+            _, _, (gain,) = chol_solve(symmetrize(S)[None], PHt.T[None])
+        gain = gain.T
         post_mean = mean + gain @ innovation
         if config.joseph_form:
             A = np.eye(n_state) - gain @ H

@@ -29,7 +29,7 @@ from rfslam.geometry import (
     ChannelModel,
     DegenerateGeometryError,
     LandmarkType,
-    wrap_angle,
+    _wrap_scalar,
 )
 
 
@@ -174,11 +174,14 @@ def reference_chol_logpdf(residual, cov):
 
 
 def reference_wrap_residual(model, v):
-    """``wrap_residual`` before the one-residual float path."""
+    """``ChannelModel.wrap_residual`` one float at a time: ``_wrap_scalar``
+    on every angle of every residual, in any shape."""
     if not isinstance(model, ChannelModel):
         return model.wrap_residual(v)
     v = np.array(v, dtype=float)
-    v[..., model.angle_components] = wrap_angle(v[..., model.angle_components])
+    for row in v.reshape(-1, v.shape[-1]):
+        row[model.angle_components] = [
+            _wrap_scalar(a) for a in row[model.angle_components].tolist()]
     return v
 
 

@@ -33,7 +33,6 @@ from rfslam.association import (
     CostMatrix,
     InfeasibleAssignmentError,
     build_cost_matrix,
-    chol_factor,
     chol_logpdf,
     chol_solve,
     misdetection_weight,
@@ -96,60 +95,75 @@ def random_spd(rng, n):
 
 
 class TestCholeskyPair:
+    """``chol_solve``, the one Cholesky entry, on one-row stacks (as the
+    joint update passes its innovation covariance) and multi-row stacks
+    (as the cost matrix passes its densities and newborns)."""
+
     @pytest.mark.parametrize("n", [3, 5, 60])
     def test_bit_equal_to_scipy_wrappers(self, n):
         rng = np.random.default_rng(n)
-        for _ in range(5):
-            a = random_spd(rng, n)
-            factor = chol_factor(a)
-            ref = cho_factor(a, lower=True)
-            assert np.array_equal(factor, ref[0])
-            for b in (rng.normal(size=n), rng.normal(size=(n, 4))):
-                assert np.array_equal(chol_solve(factor, b), cho_solve(ref, b))
+        for rows in (1, 1, 1, 4, 4):
+            stack = np.array([random_spd(rng, n) for _ in range(rows)])
+            # A stack of vectors, of matrices, and of the transposed views
+            # the joint update passes.
+            for rhs in (rng.normal(size=(rows, n)),
+                        rng.normal(size=(rows, n, 4)),
+                        rng.normal(size=(rows, n + 2, n)).swapaxes(1, 2)):
+                kept, factors, solutions = chol_solve(stack, rhs)
+                assert kept == list(range(rows))
+                for a, b, factor, x in zip(stack, rhs, factors, solutions):
+                    ref = cho_factor(a, lower=True)
+                    assert np.array_equal(factor, ref[0])
+                    assert np.array_equal(x, cho_solve(ref, b))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_operand_raises_value_error(self, bad):
         rng = np.random.default_rng(1)
-        a = random_spd(rng, 5)
-        b = rng.normal(size=5)
-        factor = chol_factor(a)
-        a_bad, factor_bad, b_bad = a.copy(), factor.copy(), b.copy()
-        a_bad[2, 2] = bad
-        factor_bad[3, 1] = bad
-        b_bad[4] = bad
+        stack = np.array([random_spd(rng, 5) for _ in range(2)])
+        b = rng.normal(size=(2, 5))
+        stack_bad, b_bad = stack.copy(), b.copy()
+        stack_bad[1, 2, 2] = bad
+        b_bad[0, 4] = bad
         with pytest.raises(ValueError):
-            chol_factor(a_bad)
+            chol_solve(stack_bad, b)
         with pytest.raises(ValueError):
-            chol_solve(factor_bad, b)
+            chol_solve(stack, b_bad)
         with pytest.raises(ValueError):
-            chol_solve(factor, b_bad)
+            chol_solve(stack_bad, b, drop=True)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_raises_at_every_position(self, bad):
-        # The operands the filter passes: a C-ordered matrix, the
-        # Fortran-ordered factor, a vector and a strided Jacobian block.
+        # The operands the filter passes: a C-ordered matrix stack, a stack
+        # of vectors, a stack of strided Jacobian blocks, and the one-row
+        # stack of the joint update, whose right-hand side is a transposed
+        # view.
         rng = np.random.default_rng(2)
-        a = random_spd(rng, 5)
-        factor = chol_factor(a)
-        b = rng.normal(size=5)
-        H = rng.normal(size=(5, 8))
-        for i in range(5):
-            for j in range(5):
-                a_bad, f_bad = a.copy(), factor.copy(order="F")
-                a_bad[i, j] = f_bad[i, j] = bad
-                with pytest.raises(ValueError, match="infs or NaNs"):
-                    chol_factor(a_bad)
-                with pytest.raises(ValueError, match="infs or NaNs"):
-                    chol_solve(f_bad, b)
-            b_bad = b.copy()
-            b_bad[i] = bad
+        stack = np.array([random_spd(rng, 5) for _ in range(2)])
+        b = rng.normal(size=(2, 5))
+        H = rng.normal(size=(2, 5, 8))
+        PHt = rng.normal(size=(7, 5))
+        for index in np.ndindex(stack.shape):
+            stack_bad = stack.copy()
+            stack_bad[index] = bad
             with pytest.raises(ValueError, match="infs or NaNs"):
-                chol_solve(factor, b_bad)
-            for j in range(3):
-                H_bad = H.copy()
-                H_bad[i, 5 + j] = bad
-                with pytest.raises(ValueError, match="infs or NaNs"):
-                    chol_solve(factor, H_bad[:, 5:])
+                chol_solve(stack_bad, b)
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                chol_solve(stack_bad[index[0]][None], PHt.T[None])
+        for index in np.ndindex(b.shape):
+            b_bad = b.copy()
+            b_bad[index] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                chol_solve(stack, b_bad)
+        for k, i, j in np.ndindex(2, 5, 3):
+            H_bad = H.copy()
+            H_bad[k, i, 5 + j] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                chol_solve(stack, H_bad[:, :, 5:])
+        for index in np.ndindex(PHt.shape):
+            PHt_bad = PHt.copy()
+            PHt_bad[index] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                chol_solve(stack[:1], PHt_bad.T[None])
 
     @settings(max_examples=300, deadline=None)
     @given(shape=st.tuples(st.integers(0, 6), st.integers(0, 6)),
@@ -176,19 +190,25 @@ class TestCholeskyPair:
         big = 1e308 * np.outer(signs, signs)
         assert association._all_finite(big)
         diag = np.diag(np.full(5, 1e308))
-        assert np.array_equal(chol_factor(diag),
-                              cho_factor(diag, lower=True)[0])
-        factor = chol_factor(4.0 * np.eye(5))
-        b = 1e308 * signs
-        assert np.array_equal(chol_solve(factor, b),
-                              cho_solve((factor, True), b))
-        assert np.array_equal(chol_solve(factor, big),
-                              cho_solve((factor, True), big))
+        _, (factor,), _ = chol_solve(diag[None], np.ones((1, 5)))
+        assert np.array_equal(factor, cho_factor(diag, lower=True)[0])
+        four = np.array([4.0 * np.eye(5)] * 2)
+        for rhs in (1e308 * signs, big):
+            _, (factor, _), solutions = chol_solve(four, np.array([rhs] * 2))
+            for x in solutions:
+                assert np.array_equal(x, cho_solve((factor, True), rhs))
 
     def test_indefinite_matrix_raises_linalg_error(self):
         a = np.diag([1.0, -1.0, 2.0])
         with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
-            chol_factor(a)
+            chol_solve(a[None], np.ones((1, 3)))
+        stack = np.array([np.eye(3), a, 2.0 * np.eye(3)])
+        with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
+            chol_solve(stack, np.ones((3, 3)))
+        # With ``drop`` the indefinite row is left out, and only it.
+        kept, factors, solutions = chol_solve(stack, np.ones((3, 3)),
+                                              drop=True)
+        assert kept == [0, 2] and len(factors) == len(solutions) == 2
         with pytest.raises(np.linalg.LinAlgError,
                            match="singular innovation covariance"):
             chol_logpdf(np.ones((1, 3)), a[None])

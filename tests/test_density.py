@@ -530,9 +530,11 @@ def draw_value(rng, tiny):
     return float(1.0 - rng.uniform())
 
 
-def random_members(rng, n, n_types, shared, tiny, zero_existence):
+def random_members(rng, n, n_types, shared, tiny, zero_existence,
+                   dims=None):
     """``n`` Bernoullis over ``n_types`` types; with ``shared`` "all" they
-    are one object, with "some" about half repeat an earlier one."""
+    are one object, with "some" about half repeat an earlier one.  ``dims``
+    maps each type to its dimension (3 for every type by default)."""
     kinds = [TYPE_ORDER[i] for i in sorted(rng.choice(3, n_types, replace=False))]
     members = []
     for _ in range(n):
@@ -544,11 +546,12 @@ def random_members(rng, n, n_types, shared, tiny, zero_existence):
             kinds[int(rng.integers(len(kinds)))]]
         types = {}
         for kind in held:
-            a = rng.normal(size=(3, 3))
+            dim = 3 if dims is None else dims[kind]
+            a = rng.normal(size=(dim, dim))
             types[kind] = TypeComponent(
                 draw_value(rng, tiny),
-                rng.normal(size=3) * 10 ** rng.uniform(-1, 2),
-                a @ a.T + 1e-3 * np.eye(3))
+                rng.normal(size=dim) * 10 ** rng.uniform(-1, 2),
+                a @ a.T + 1e-3 * np.eye(dim))
         existence = 0.0 if zero_existence else draw_value(rng, tiny)
         members.append(Bernoulli(existence, LandmarkBelief(types)))
     return members
@@ -700,6 +703,73 @@ class TestMixTypes:
         pruned = prune(PmbmDensity(default_ppp_intensity(), (recombined,)),
                        1e-4, 1e-4, 10)  # FilterConfig's prune defaults
         assert pruned.hypotheses[0].bernoullis == ()
+
+
+#: Each type's dimension in a model whose landmark types differ in it.
+#: None is 1-D: ``moment_match`` of a lone group of 1-D members sums them
+#: pairwise, as its member axis is then contiguous, which these bit-level
+#: comparisons would read as a shape-rule fault.
+MIXED_DIMS = {LandmarkType.BS: 3, LandmarkType.VA: 2, LandmarkType.SP: 4}
+
+
+def dominant_dim(b):
+    return b.belief.types[b.belief.dominant_type()].mean.size
+
+
+class TestMixedDimensions:
+    """Landmark types of different dimension: ``mix_types`` takes every job
+    of a stage at once and gives each type the bits of matching it alone,
+    and the merge bounds each dimension's Bernoullis by themselves."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(**mixture_cases, n_jobs=st.integers(1, 3))
+    def test_mix_types_matches_each_type_alone(self, seed, n, n_types, shared,
+                                               tiny, zero_existence, n_jobs):
+        rng = np.random.default_rng(seed)
+        jobs = []
+        for _ in range(n_jobs):
+            members = random_members(rng, n, n_types, shared, tiny,
+                                     zero_existence, dims=MIXED_DIMS)
+            scaled = [(draw_value(rng, tiny), b) for b in members]
+            jobs.append((scaled, sum(w for w, _ in scaled), None))
+        for (members, total, _), (got, masses) in zip(jobs, mix_types(jobs)):
+            for kind, comp in got.types.items():
+                alone = [(w, Bernoulli(b.existence, LandmarkBelief(
+                    {kind: b.belief.types[kind]})))
+                    for w, b in members if kind in b.belief.types]
+                (want, want_masses), = mix_types([(alone, total, None)])
+                assert masses[kind] == want_masses[kind]
+                assert_beliefs_bit_equal(LandmarkBelief({kind: comp}), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 10),
+           threshold=st.sampled_from([1.0, 50.0, 400.0]))
+    def test_merge_bounds_each_dimension_apart(self, seed, n, threshold):
+        rng = np.random.default_rng(seed)
+        va, sp = LandmarkType.VA, LandmarkType.SP
+        berns = []
+        for _ in range(n):
+            psi = float(rng.uniform(0.5, 1.0))
+            kinds = (va, sp) if rng.uniform() < 0.5 else (sp, va)
+            types = {}
+            for kind, weight in zip(kinds, (psi, 1.0 - psi)):
+                dim = MIXED_DIMS[kind]
+                types[kind] = TypeComponent(
+                    weight, rng.normal(size=dim) * 10 ** rng.uniform(-1, 1),
+                    10 ** rng.uniform(-0.5, 1) * np.eye(dim))
+            berns.append(Bernoulli(float(rng.uniform(0.01, 0.9)),
+                                   LandmarkBelief(types)))
+        near = density_module._merge_candidates(berns, threshold)
+        for i, a in enumerate(berns):
+            for j, b in enumerate(berns):
+                if dominant_dim(a) != dominant_dim(b):
+                    assert not near[i][j]
+                elif solving_merge_gate(a, b, threshold):
+                    assert near[i][j]
+        hyp = GlobalHypothesis(1.0, tuple(berns))
+        assert_bernoullis_bit_equal(
+            merge_bernoullis(hyp, threshold).bernoullis,
+            reference_merge_bernoullis(hyp, threshold).bernoullis)
 
 
 def loop_recombine_new_track(cells):

@@ -15,14 +15,13 @@ from conftest import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from rfslam import association, geometry
 from rfslam import update as update_module
 from rfslam.association import (
     AssociationVector,
     InfeasibleAssignmentError,
-    chol_factor,
-    chol_solve,
     murty_kbest,
     update_type_probs,
 )
@@ -548,7 +547,6 @@ class TestJointUpdate:
         # Two types with identical rows and zero landmark covariance make the
         # stacked innovation covariance [[R, R], [R, R]] exactly singular;
         # its factorization fails, the update adds 1e-9 I and goes on.
-        import rfslam.update as update
         model = LinearModel({VA: ([[0.0]], [[1.0]]), SP: ([[0.0]], [[1.0]])},
                             1, p_detect=0.9)
         cfg = make_config(model, gate=None, type_prune=0.0)
@@ -561,7 +559,7 @@ class TestJointUpdate:
         sigma = AssociationVector(1, (1, None))
         parts = child_parts(hyp, [meas], sensor, cfg)
         factorizations = []
-        factor = update.chol_factor
+        factor = association._dpotrf
 
         def recording(a):
             try:
@@ -572,7 +570,7 @@ class TestJointUpdate:
             factorizations.append("factored")
             return result
 
-        monkeypatch.setattr(update, "chol_factor", recording)
+        monkeypatch.setattr(association, "_dpotrf", recording)
         child, sensor_post = joint_update(parts, sigma)
         assert factorizations == ["LinAlgError", "factored"]
         assert np.all(np.isfinite(sensor_post.covariance))
@@ -677,12 +675,12 @@ def reference_joint_update(parts, sigma):
                 row += dz
         S = H @ joint.covariance @ H.T + R
         try:
-            factor = chol_factor(symmetrize(S))
+            factor = cho_factor(symmetrize(S), lower=True)
         except np.linalg.LinAlgError:
             S = S + 1e-9 * np.eye(n_rows)
-            factor = chol_factor(symmetrize(S))
+            factor = cho_factor(symmetrize(S), lower=True)
         PHt = joint.covariance @ H.T
-        gain = chol_solve(factor, PHt.T).T
+        gain = cho_solve(factor, PHt.T).T
         post_mean = joint.mean + gain @ innovation
         if config.joseph_form:
             A = np.eye(n_state) - gain @ H
@@ -1159,6 +1157,32 @@ class TestStep:
             np.array([70.7285, 0.0, 0.0, np.pi / 2, 300.0]),
             np.diag([0.3, 0.3, 0.0, 0.0052, 0.3]))
         return model, cfg, density, sensor
+
+    @pytest.mark.parametrize("filter_kind", [EK_PMB, EK_PMBM])
+    def test_types_of_different_dimension(self, filter_kind):
+        # A 1-D VA and a 2-D SP: the joint update stacks both, and the PMB
+        # reduction and the merge mix and bound each dimension by itself.
+        model = LinearModel({VA: ([[1.0]], [[1.0]]),
+                             SP: ([[1.0]], [[1.0, 0.5]])}, 1, p_detect=0.9)
+        cfg = make_config(model, process_noise=np.zeros((1, 1)), gamma=10,
+                          filter_kind=filter_kind, gate=None)
+        berns = tuple(Bernoulli(0.9, LandmarkBelief({
+            VA: TypeComponent(psi, np.full(1, x), np.eye(1)),
+            SP: TypeComponent(1.0 - psi, np.full(2, x), np.eye(2))}))
+            for psi, x in ((0.5, 0.0), (0.3, 1.0)))
+        density = PmbmDensity(default_ppp_intensity(),
+                              (GlobalHypothesis(1.0, berns),))
+        sensor = GaussianComponent(np.zeros(1), np.eye(1))
+        meas = [Measurement(np.array([z]), np.eye(1)) for z in (0.2, 2.1)]
+        posterior, sensor_post = update_step(density, sensor, meas, cfg)
+        check_density(posterior)
+        assert np.all(np.isfinite(sensor_post.covariance))
+        dims = {VA: 1, SP: 2}
+        for hyp in posterior.hypotheses:
+            for bern in hyp.bernoullis:
+                for kind, comp in bern.belief.types.items():
+                    assert comp.mean.shape == (dims[kind],)
+                    assert comp.covariance.shape == (dims[kind],) * 2
 
     def test_unexplained_measurement_without_clutter_is_infeasible(self):
         # The TOA lies below the 300 m clock bias, so neither birth type
