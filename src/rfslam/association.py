@@ -70,6 +70,7 @@ from .density import (
     GaussianComponent,
     GlobalHypothesis,
     _shape_groups,
+    sum_in_order,
     symmetrize,
 )
 from .geometry import MAX_P_DETECT, DegenerateGeometryError, LandmarkType
@@ -165,52 +166,49 @@ def chol_logpdf(residuals: np.ndarray, covs: np.ndarray) -> tuple[list, list]:
 
 @dataclass(frozen=True)
 class TypePrediction:
-    """Per-type predicted measurement and its sensor+landmark covariance part."""
+    """One type's ``model.linearize``: detection probability, predicted
+    measurement and the Jacobian's sensor and landmark blocks.  The last
+    three are None when the sensor cannot see the type or its geometry is
+    degenerate."""
 
     p_detect: float
-    z_pred: Optional[np.ndarray]   # None: degenerate geometry or p_detect 0
-    hph: Optional[np.ndarray]      # H blkdiag(P, C) H^T (without R)
-    H_s: Optional[np.ndarray] = None
-    H_x: Optional[np.ndarray] = None
+    z_pred: Optional[np.ndarray]
+    H_s: Optional[np.ndarray]
+    H_x: Optional[np.ndarray]
 
 
 def predict_types(berns, sensor: GaussianComponent, model):
     """Predicted measurement statistics for every type of every Bernoulli,
     from one ``model.linearize`` call per (landmark, type) and one stacked
     ``hph`` over all of them.  A type the sensor cannot see keeps its
-    detection probability and has no prediction.
+    detection probability and has no prediction; degenerate geometry counts
+    as detection probability 0.
 
     Returns ``(preds, rows, hph)``: per landmark a dict kind ->
     :class:`TypePrediction` in its belief's type order, the ``(landmark,
-    kind)`` of every type with a prediction, landmark by landmark, and their
-    stacked ``hph``, of which each prediction's ``hph`` is a row.
+    kind)`` of every type with a prediction, landmark by landmark, and
+    their H blkdiag(P, C) H^T (without R), stacked in ``rows`` order.
     """
-    preds = []
-    rows, parts = [], []
+    preds, rows, parts = [], [], []
     for i, bern in enumerate(berns):
         types = {}
         for kind, comp in bern.belief.types.items():
             try:
-                pd, z_pred, H_s, H_x = model.linearize(sensor.mean, comp.mean,
-                                                       kind)
+                types[kind] = pred = TypePrediction(*model.linearize(
+                    sensor.mean, comp.mean, kind))
             except DegenerateGeometryError:
-                pd, z_pred = 0.0, None
-            if z_pred is None:
-                types[kind] = TypePrediction(pd, None, None)
-            else:
-                types[kind] = None      # holds the type's place in order
+                types[kind] = pred = TypePrediction(0.0, None, None, None)
+            if pred.z_pred is not None:
                 rows.append((i, kind))
-                parts.append((pd, z_pred, H_s, H_x, comp.covariance))
+                parts.append((pred.H_s, pred.H_x, comp.covariance))
         preds.append(types)
     if not rows:
         return tuple(preds), rows, None
-    H_s = np.array([part[2] for part in parts])
+    H_s = np.array([part[0] for part in parts])
     hph = H_s @ sensor.covariance @ H_s.swapaxes(-1, -2)
-    for group in _shape_groups([part[3] for part in parts]):
-        H_x, lm_cov = (np.array([parts[k][j] for k in group]) for j in (3, 4))
+    for group in _shape_groups([part[1] for part in parts]):
+        H_x, lm_cov = (np.array([parts[k][j] for k in group]) for j in (1, 2))
         hph[group] += H_x @ lm_cov @ H_x.swapaxes(-1, -2)
-    for (i, kind), (pd, z_pred, H_s, H_x, _), row in zip(rows, parts, hph):
-        preds[i][kind] = TypePrediction(pd, z_pred, row, H_s, H_x)
     return tuple(preds), rows, hph
 
 
@@ -252,7 +250,7 @@ def _log_sum_exp(terms: dict):
     if not math.isfinite(peak):
         return -math.inf, {}
     masses = {k: math.exp(t - peak) for k, t in terms.items()}
-    return peak + math.log(sum(masses.values())), masses
+    return peak + math.log(sum_in_order(masses.values())), masses
 
 
 def misdetection_weight(bern: Bernoulli, preds: dict):
@@ -268,7 +266,7 @@ def misdetection_weight(bern: Bernoulli, preds: dict):
     """
     masses = {k: comp.weight * (1.0 - min(preds[k].p_detect, MAX_P_DETECT))
               for k, comp in bern.belief.types.items()}
-    survive = sum(masses.values())
+    survive = sum_in_order(masses.values())
     return masses, survive, (1.0 - bern.existence) + bern.existence * survive
 
 
@@ -278,7 +276,7 @@ def update_type_probs(masses: dict) -> dict:
     All-zero (or non-finite) mass falls back to uniform, with a
     RuntimeWarning.
     """
-    total = sum(masses.values())
+    total = sum_in_order(masses.values())
     if total <= 0.0 or not math.isfinite(total):
         warnings.warn("all-zero type-probability mass; falling back to uniform",
                       RuntimeWarning, stacklevel=2)
@@ -393,7 +391,7 @@ def weight_birth(terms: dict, comps: dict, clutter_intensity: float):
             raise InfeasibleAssignmentError(
                 f"birth density of a {kind.value} overflows "
                 f"(ln N = {loglik:.6g})") from None
-    rho_total = sum(rho.values())
+    rho_total = sum_in_order(rho.values())
     weight = clutter_intensity + rho_total
     if weight > 0.0:
         return BirthCandidate(math.log(weight), rho_total / weight,
@@ -472,14 +470,16 @@ class AssociationVector:
 class AssociationContext:
     """Reusable per-hypothesis association statistics.
 
-    Collected while building the cost matrix so the joint update and the
-    type-probability updates do not recompute predictions.
+    Collected while building the cost matrix, each fact once, so the joint
+    update and the local Bernoullis recompute nothing: the type predictions
+    (their stacked ``hph`` stays in the cost matrix), each landmark's
+    misdetection weight, each kept pair's detected masses and wrapped
+    residuals, and each measurement's birth candidate.
     """
 
     type_preds: tuple        # per landmark: dict kind -> TypePrediction
     misdetection: tuple      # per landmark: misdetection_weight's triple
-    pair_masses: dict        # (landmark, measurement) -> dict kind -> mass
-    pair_residuals: dict     # (landmark, measurement) -> dict kind -> residual
+    pairs: dict              # (landmark, measurement) -> (masses, residuals)
     births: tuple            # per measurement: BirthCandidate
 
 
@@ -505,10 +505,12 @@ def build_cost_matrix(hypothesis: GlobalHypothesis, measurements,
     drops exactly the pairs it would without the bound.  A NaN bound
     compares False and is kept.  A type that cannot contribute (zero
     detection probability or weight) only adds pairs whose contributing
-    types all lie beyond the gate, which the full distance drops.  The
-    wrapped rows of a kept pair are its ``pair_residuals``: the innovation
-    of every type the joint update stacks.  Each measurement's birth weight
-    is one :func:`weight_birth` call on its :func:`newborns`.
+    types all lie beyond the gate, which the full distance drops.  Each
+    kept pair's entry in ``AssociationContext.pairs`` holds its
+    :func:`log_weight_detected` masses and its wrapped rows, kind -> row:
+    the innovation of every type the joint update stacks.  Each
+    measurement's birth weight is one :func:`weight_birth` call on its
+    :func:`newborns`.
 
     Raises ValueError on non-finite input and LinAlgError when an
     innovation covariance is not positive definite; a newborn whose gain or
@@ -522,8 +524,7 @@ def build_cost_matrix(hypothesis: GlobalHypothesis, measurements,
     misdetection = tuple(misdetection_weight(b, preds)
                          for b, preds in zip(berns, type_preds))
     log_l0 = [math.log(m[2]) for m in misdetection]
-    pair_masses = {}
-    pair_residuals = {}
+    pairs = {}
     births = ()
     if n_meas:
         z_rows = np.array([meas.z for meas in measurements])
@@ -533,8 +534,7 @@ def build_cost_matrix(hypothesis: GlobalHypothesis, measurements,
             for i, p, log_l, masses, residuals in _detections(
                     berns, type_preds, [rows[k] for k in live], hph[live],
                     z_rows, r_stack, model, gate):
-                pair_masses[(i, p)] = masses
-                pair_residuals[(i, p)] = residuals
+                pairs[(i, p)] = masses, residuals
                 matrix[p, i] = log_l0[i] - log_l
         births = tuple(weight_birth(terms, comps, clutter_intensity)
                        for terms, comps in newborns(z_rows, r_stack, sensor,
@@ -543,13 +543,8 @@ def build_cost_matrix(hypothesis: GlobalHypothesis, measurements,
             -cand.log_weight for cand in births]
 
     ctx = AssociationContext(type_preds=type_preds, misdetection=misdetection,
-                             pair_masses=pair_masses,
-                             pair_residuals=pair_residuals,
-                             births=births)
-    misdetect_log_sum = 0.0
-    for term in log_l0:
-        misdetect_log_sum += term
-    return CostMatrix(matrix, n_prior), misdetect_log_sum, ctx
+                             pairs=pairs, births=births)
+    return CostMatrix(matrix, n_prior), sum_in_order(log_l0), ctx
 
 
 def _detections(berns, type_preds, keys, hph, z_rows, r_stack, model, gate):

@@ -21,7 +21,9 @@ members added one after another, for two reasons.
 - Reduction order.  ``np.add.reduce`` adds pairwise, in eight partial
   sums, along the innermost contiguous axis once it holds 8 or more terms.
   Along any other axis each output element adds its terms one after
-  another in index order.  So the member axis is never the innermost one.
+  another in index order.  So the member axis is never the innermost one,
+  nor the only axis longer than 1, which a lone group of 1-D members
+  would make it: such a group is matched beside a zero-coefficient dummy.
 - Padding.  A group shorter than the longest is padded, after its own
   members, with zero coefficients on copies of its first member, so each
   padded term is 0 x, a zero signed like x.  Adding a signed zero changes
@@ -56,6 +58,19 @@ def _shape_groups(blocks) -> list:
     for k, block in enumerate(blocks):
         groups.setdefault(block.shape, []).append(k)
     return list(groups.values())
+
+
+def sum_in_order(terms) -> float:
+    """The terms added one after another, left to right from +0.0.
+
+    Builtin ``sum`` of floats does this up to Python 3.11; from 3.12 it
+    compensates, which rounds differently, so the filter's float sums take
+    this loop instead to keep their bits on every interpreter.
+    """
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
 
 
 def symmetrize(cov: np.ndarray) -> np.ndarray:
@@ -187,7 +202,7 @@ def normalize_weights(density: PmbmDensity) -> PmbmDensity:
     """Rescale hypothesis weights to sum to one."""
     if not density.hypotheses:
         raise DegenerateDensityError("no hypotheses to normalize")
-    total = sum(h.weight for h in density.hypotheses)
+    total = sum_in_order(h.weight for h in density.hypotheses)
     if total <= 0.0:
         raise DegenerateDensityError("all hypothesis weights are zero")
     hyps = tuple(replace(h, weight=h.weight / total) for h in density.hypotheses)
@@ -251,7 +266,13 @@ def moment_match(groups):
     over axis 0 adds one member's whole (G, ...) slab at a time.  Members
     must be finite: a padded group whose first member is not may read NaN
     where matching it alone reads inf (the other groups keep their bits).
+    A lone group of 1-D members would leave the member axis the only one
+    longer than 1, which ``np.add.reduce`` sums pairwise; it is matched
+    beside a dummy group of one zero coefficient, whose row is dropped.
     """
+    if len(groups) == 1 and groups[0][1][0].mean.shape == (1,):
+        mean, cov = moment_match([*groups, ([0.0], groups[0][1][:1], 1.0)])
+        return mean[:1], cov[:1]
     width = max(len(coefs) for coefs, _, _ in groups)
     # Row g of ``rows``: group g's members in ``flat``, then its first
     # member again in each padded slot, whose coefficient is 0.
@@ -312,7 +333,7 @@ def mix_types(jobs: list) -> list:
                 group[1].append(comp)
         types, type_masses = {}, {}
         for kind, (coefs, comps) in held.items():
-            mass = type_masses[kind] = sum(coefs)
+            mass = type_masses[kind] = sum_in_order(coefs)
             psi = mass / total if total > 0.0 else 0.0
             if mass < MIN_CELL_MASS:
                 types[kind] = TypeComponent(psi, comps[0].mean,
@@ -412,7 +433,7 @@ def merge_bernoullis(hypothesis: GlobalHypothesis,
         if len(group) == 1:
             merged.append(seed)
             continue
-        total = sum(b.existence for b in group)
+        total = sum_in_order(b.existence for b in group)
         (belief, _), = mix_types([([(b.existence, b) for b in group], total,
                                    None)])
         merged.append(Bernoulli(min(1.0, total), belief))

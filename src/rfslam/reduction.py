@@ -30,6 +30,7 @@ from .density import (
     TypeComponent,
     absent_bernoulli,
     mix_types,
+    sum_in_order,
 )
 
 
@@ -120,8 +121,8 @@ def average_conditionals(table: TrackTable) -> TrackTable:
             mixed.append(cell)
             jobs.append((cell.contributors, cell.beta, None))
     for cell, (belief, masses) in zip(mixed, mix_types(jobs)):
-        existence = sum(w * b.existence
-                        for w, b in cell.contributors) / cell.beta
+        existence = sum_in_order(w * b.existence
+                                 for w, b in cell.contributors) / cell.beta
         cell.bernoulli = Bernoulli(existence, belief)
         cell.masses = masses
     return table
@@ -166,7 +167,8 @@ def tomb_recombine(table: TrackTable) -> GlobalHypothesis:
             # floating-point rendering of one.
             berns.append(live[0].bernoulli)
             continue
-        existence = sum(c.beta * c.bernoulli.existence for c in live)
+        existence = sum_in_order(c.beta * c.bernoulli.existence
+                                 for c in live)
         if existence <= 0.0:
             berns.append(absent_bernoulli())
             continue

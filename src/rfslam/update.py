@@ -52,6 +52,7 @@ from .density import (
     merge_bernoullis,
     moment_match,
     prune,
+    sum_in_order,
     symmetrize,
 )
 from .geometry import LandmarkType
@@ -159,7 +160,7 @@ def _type_posterior(masses: dict, config: FilterConfig, hard: bool) -> dict:
     if not kept:
         best = max(psi, key=psi.get)
         kept = {best: psi[best]}
-    total = sum(kept.values())
+    total = sum_in_order(kept.values())
     return {k: v / total for k, v in kept.items()}
 
 
@@ -171,23 +172,6 @@ def _local_bernoulli(existence: float, masses: dict, comps: dict,
     return Bernoulli(existence, LandmarkBelief({
         k: TypeComponent(psi[k], comps[k].mean, comps[k].covariance)
         for k in psi}))
-
-
-def _birth_bernoulli(candidate, config: FilterConfig) -> Bernoulli:
-    if not candidate.masses:
-        # Measurement explained as clutter: keep the slot with zero existence.
-        return absent_bernoulli()
-    return _local_bernoulli(candidate.existence, candidate.masses,
-                            candidate.comps, config,
-                            hard=not config.multi_model)
-
-
-def _misdetected_bernoulli(bern: Bernoulli, misdetection: tuple,
-                           config: FilterConfig) -> Bernoulli:
-    masses, survive, l0 = misdetection
-    existence = bern.existence * survive / l0 if l0 > 0.0 else 0.0
-    return _local_bernoulli(existence, masses, bern.belief.types, config,
-                            hard=False)
 
 
 class ChildParts:
@@ -202,7 +186,10 @@ class ChildParts:
     the types it stacks, and a newborn Bernoulli are pure functions of the
     hypothesis and the landmark and/or measurement, so every ranked
     association of the hypothesis shares them (track-oriented PMBM children
-    share their per-track local hypotheses).  Each is built on first use.
+    share their per-track local hypotheses).  Each is built on first use,
+    from the weights ``ctx`` holds: the two local Bernoullis by
+    :func:`_local_bernoulli` here, over the prior's type Gaussians or the
+    newborn ones.
     """
 
     def __init__(self, hypothesis: GlobalHypothesis, measurements,
@@ -222,9 +209,11 @@ class ChildParts:
         """Landmark ``i`` after a misdetection."""
         bern = self._misdetected.get(i)
         if bern is None:
-            bern = self._misdetected[i] = _misdetected_bernoulli(
-                self.hypothesis.bernoullis[i], self.ctx.misdetection[i],
-                self.config)
+            prior = self.hypothesis.bernoullis[i]
+            masses, survive, l0 = self.ctx.misdetection[i]
+            bern = self._misdetected[i] = _local_bernoulli(
+                prior.existence * survive / l0 if l0 > 0.0 else 0.0, masses,
+                prior.belief.types, self.config, hard=False)
         return bern
 
     def detection(self, i: int, p: int) -> tuple:
@@ -239,15 +228,15 @@ class ChildParts:
         """
         found = self._detections.get((i, p))
         if found is None:
-            masses = self.ctx.pair_masses.get((i, p))
-            if masses is None:
+            pair = self.ctx.pairs.get((i, p))
+            if pair is None:
                 raise np.linalg.LinAlgError(
                     f"landmark {i} detected by measurement {p}, but no type "
                     "with valid geometry explains it inside the gate")
+            masses, rows = pair
             psi = _type_posterior(masses, self.config, hard=False)
             comps = self.hypothesis.bernoullis[i].belief.types
             preds = self.ctx.type_preds[i]
-            rows = self.ctx.pair_residuals[(i, p)]
             found = self._detections[(i, p)] = (psi, tuple(
                 (kind, comps[kind], preds[kind], rows[kind])
                 for kind in psi if kind in rows))
@@ -257,8 +246,13 @@ class ChildParts:
         """The Bernoulli measurement ``p`` starts."""
         bern = self._born.get(p)
         if bern is None:
-            bern = self._born[p] = _birth_bernoulli(self.ctx.births[p],
-                                                   self.config)
+            cand = self.ctx.births[p]
+            # A measurement explained as clutter keeps its slot with zero
+            # existence.
+            bern = self._born[p] = (_local_bernoulli(
+                cand.existence, cand.masses, cand.comps, self.config,
+                hard=not self.config.multi_model) if cand.masses
+                else absent_bernoulli())
         return bern
 
 

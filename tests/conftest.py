@@ -4,6 +4,7 @@ references, and the density invariant check."""
 
 import itertools
 import math
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -11,7 +12,6 @@ from scipy.linalg import cho_factor, cho_solve
 from rfslam import association
 from rfslam.association import (
     BirthCandidate,
-    TypePrediction,
     build_cost_matrix,
     chol_logpdf,
     log_weight_detected,
@@ -88,14 +88,31 @@ class LinearModel:
         return sol
 
 
+class RowPrediction(NamedTuple):
+    """A type's prediction with its own ``hph`` (H blkdiag(P, C) H^T,
+    without R), as the per-row code held it.  The filter's
+    ``TypePrediction`` has no ``hph``: the cost matrix keeps the stack."""
+
+    p_detect: float
+    z_pred: Optional[np.ndarray]
+    hph: Optional[np.ndarray]
+    H_s: Optional[np.ndarray]
+    H_x: Optional[np.ndarray]
+
+
 # The association kernels as the cost matrix runs them, for one Bernoulli,
 # one pair or one measurement.  The cost matrix stacks a whole hypothesis;
 # these take a stack of one.
 
 def predict_types(bern, sensor, model):
-    """One Bernoulli's type predictions, from the stacked
-    :func:`rfslam.association.predict_types` of a hypothesis holding it."""
-    return association.predict_types((bern,), sensor, model)[0][0]
+    """One Bernoulli's type predictions, each with its row of the stacked
+    ``hph``, from :func:`rfslam.association.predict_types` of a hypothesis
+    holding it."""
+    (preds,), rows, hph = association.predict_types((bern,), sensor, model)
+    stacked = {kind: row for (_, kind), row in zip(rows, hph)} if rows else {}
+    return {kind: RowPrediction(pred.p_detect, pred.z_pred, stacked.get(kind),
+                                pred.H_s, pred.H_x)
+            for kind, pred in preds.items()}
 
 
 def pair_densities(residuals: dict, covs: dict) -> dict:
@@ -194,13 +211,13 @@ def reference_predict_types(bern, sensor, model):
             pd, z_pred, H_s, H_x = model.linearize(sensor.mean, comp.mean,
                                                    kind)
         except DegenerateGeometryError:
-            preds[kind] = TypePrediction(0.0, None, None)
+            preds[kind] = RowPrediction(0.0, None, None, None, None)
             continue
         if z_pred is None:
-            preds[kind] = TypePrediction(pd, None, None)
+            preds[kind] = RowPrediction(pd, None, None, None, None)
             continue
         hph = H_s @ sensor.covariance @ H_s.T + H_x @ comp.covariance @ H_x.T
-        preds[kind] = TypePrediction(pd, z_pred, hph, H_s, H_x)
+        preds[kind] = RowPrediction(pd, z_pred, hph, H_s, H_x)
     return preds
 
 
@@ -228,7 +245,7 @@ def reference_birth_from_measurement(meas, sensor, kind, model):
     component = GaussianComponent(np.asarray(mean, dtype=float),
                                   0.5 * (cov + cov.T))
     hph = hph_s + H_x @ component.covariance @ H_x.T
-    return component, TypePrediction(pd, z_pred, hph, H_s, H_x)
+    return component, RowPrediction(pd, z_pred, hph, H_s, H_x)
 
 
 def reference_birth_candidate(meas, sensor, ppp, clutter_intensity, model):

@@ -612,9 +612,9 @@ class TestBuildCostMatrix:
         for p, meas in enumerate(measurements):
             ld = linear_detected_weight(berns[0], meas, sensor, model)
             assert costs.matrix[p, 0] == pytest.approx(math.log(l0) - math.log(ld))
-            _, masses, _ = detected_weight(berns[0], meas,
-                                           ctx.type_preds[0], model)
-            assert ctx.pair_masses[(0, p)] == masses
+            _, masses, _ = detected_weight(
+                berns[0], meas, predict_types(berns[0], sensor, model), model)
+            assert ctx.pairs[(0, p)][0] == masses
             cand = birth_candidate(meas, sensor, {SP: 1.5}, 0.2, model)
             assert costs.matrix[p, 1 + p] == pytest.approx(-cand.log_weight)
         assert np.isinf(costs.matrix[0, 2]) and np.isinf(costs.matrix[1, 1])
@@ -738,13 +738,13 @@ def reference_log_weight_detected(bern, meas, preds, model, gate=None):
 def reference_cost_matrix(hypothesis, measurements, sensor, ppp, clutter,
                           model, gate):
     """The cost matrix as the per-pair loop built it: (matrix, sum of
-    ln l^{i,0}, pair type masses, pair residuals, type predictions per
+    ln l^{i,0}, (type masses, residuals) per kept pair, type predictions per
     landmark, birth candidates)."""
     berns = hypothesis.bernoullis
     n_prior, n_meas = len(berns), len(measurements)
     matrix = np.full((n_meas, n_prior + n_meas), np.inf)
     log_sum = 0.0
-    pair_masses, pair_residuals = {}, {}
+    pairs = {}
     type_preds = []
     for i, bern in enumerate(berns):
         preds = reference_predict_types(bern, sensor, model)
@@ -756,8 +756,7 @@ def reference_cost_matrix(hypothesis, measurements, sensor, ppp, clutter,
                 bern, meas, preds, model, gate)
             if log_l == -math.inf or (gate is not None and mahal > gate):
                 continue
-            pair_masses[(i, p)] = masses
-            pair_residuals[(i, p)] = {
+            pairs[(i, p)] = masses, {
                 k: model.wrap_residual(meas.z - preds[k].z_pred)
                 for k in bern.belief.types if preds[k].z_pred is not None}
             matrix[p, i] = log_l0 - log_l
@@ -766,8 +765,7 @@ def reference_cost_matrix(hypothesis, measurements, sensor, ppp, clutter,
         cand = reference_birth_candidate(meas, sensor, ppp, clutter, model)
         births.append(cand)
         matrix[p, n_prior + p] = -cand.log_weight
-    return (matrix, log_sum, pair_masses, pair_residuals, type_preds,
-            births)
+    return matrix, log_sum, pairs, type_preds, births
 
 
 class RankLossModel(ChannelModel):
@@ -853,27 +851,33 @@ class TestArrayPass:
                 # Put the gate within 1e-9 of one pair's full distance.
                 gate = finite[pick % len(finite)] * (1.0 + gate_kind)
 
-        matrix, log_sum, masses, residuals, type_preds, births = \
-            reference_cost_matrix(hyp, meas, sensor, ppp, clutter, model,
-                                  gate)
+        matrix, log_sum, pairs, type_preds, births = reference_cost_matrix(
+            hyp, meas, sensor, ppp, clutter, model, gate)
         costs, got_log_sum, ctx = build_cost_matrix(
             hyp, meas, sensor, ppp, clutter, model, gate=gate)
         assert costs.matrix.tobytes() == matrix.tobytes()
         assert got_log_sum == log_sum
-        assert ctx.pair_masses == masses
-        assert ctx.pair_residuals.keys() == residuals.keys()
-        for key, rows in residuals.items():
-            got = ctx.pair_residuals[key]
+        assert ctx.pairs.keys() == pairs.keys()
+        for key, (masses, rows) in pairs.items():
+            got_masses, got = ctx.pairs[key]
+            assert got_masses == masses
             assert list(got) == list(rows)
             assert all(got[k].tobytes() == v.tobytes()
                        for k, v in rows.items())
-        for got, want in zip(ctx.type_preds, type_preds, strict=True):
+        # The stacked hph, one row per type with a prediction, is the
+        # cost matrix's; each row has the bits of the type's own.
+        _, rows, hph = association.predict_types(hyp.bernoullis, sensor,
+                                                 model)
+        stacked = dict(zip(rows, hph)) if rows else {}
+        for i, (got, want) in enumerate(zip(ctx.type_preds, type_preds,
+                                            strict=True)):
             assert list(got) == list(want)
             for kind, pred in want.items():
                 assert got[kind].p_detect == pred.p_detect
-                for name in ("z_pred", "hph", "H_s", "H_x"):
+                for name in ("z_pred", "H_s", "H_x"):
                     assert bits(getattr(got[kind], name)) == \
                         bits(getattr(pred, name))
+                assert bits(stacked.get((i, kind))) == bits(pred.hph)
         for got, want in zip(ctx.births, births, strict=True):
             assert bits(got.log_weight) == bits(want.log_weight)
             assert bits(got.existence) == bits(want.existence)
@@ -909,9 +913,10 @@ class TestGatedCostMatrix:
         ungated, log_sum, ctx = build_cost_matrix(
             hyp, meas, sensor, ppp, clutter, model, gate=None)
         mahal = {}
-        for (i, p) in ctx.pair_masses:
+        for (i, p) in ctx.pairs:
             _, _, mahal[(i, p)] = detected_weight(
-                hyp.bernoullis[i], meas[p], ctx.type_preds[i], model)
+                hyp.bernoullis[i], meas[p],
+                predict_types(hyp.bernoullis[i], sensor, model), model)
         finite = sorted(m for m in mahal.values() if math.isfinite(m))
         if rel is None or not finite:
             gate = DEFAULT_GATE
@@ -920,16 +925,22 @@ class TestGatedCostMatrix:
             gate = finite[pick % len(finite)] * (1.0 + rel)
 
         expected = ungated.matrix.copy()
-        expected_masses = dict(ctx.pair_masses)
+        expected_pairs = dict(ctx.pairs)
         for (i, p), m in mahal.items():
             if m > gate:
                 expected[p, i] = np.inf
-                del expected_masses[(i, p)]
+                del expected_pairs[(i, p)]
 
         gated, gated_log_sum, gated_ctx = build_cost_matrix(
             hyp, meas, sensor, ppp, clutter, model, gate=gate)
         assert gated.matrix.tobytes() == expected.tobytes()
-        assert gated_ctx.pair_masses == expected_masses
+        assert gated_ctx.pairs.keys() == expected_pairs.keys()
+        for key, (masses, rows) in expected_pairs.items():
+            got_masses, got = gated_ctx.pairs[key]
+            assert got_masses == masses
+            assert list(got) == list(rows)
+            assert all(got[k].tobytes() == v.tobytes()
+                       for k, v in rows.items())
         assert gated_log_sum == log_sum
 
     def test_rejected_pair_is_not_factored(self, monkeypatch):
@@ -947,7 +958,7 @@ class TestGatedCostMatrix:
         # No birth rate, so the birth weight factors nothing either.
         costs, _, ctx = build_cost_matrix(hyp, [far], sensor, {}, 1e-6,
                                           model, gate=DEFAULT_GATE)
-        assert (costs.matrix[0, 0], ctx.pair_masses, calls) == \
+        assert (costs.matrix[0, 0], ctx.pairs, calls) == \
             (np.inf, {}, [])
 
 

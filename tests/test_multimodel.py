@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from conftest import (
     LinearModel,
+    RowPrediction,
     birth_candidate,
     detected_weight,
     newborn,
@@ -25,8 +26,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfslam.association import (
-    BirthCandidate,
-    TypePrediction,
     log_weight_detected,
     misdetection_weight,
     update_type_probs,
@@ -39,7 +38,7 @@ from rfslam.density import (
     absent_bernoulli,
 )
 from rfslam.geometry import MAX_P_DETECT, TYPE_ORDER, LandmarkType, Measurement
-from rfslam.update import FilterConfig, _birth_bernoulli
+from rfslam.update import FilterConfig, _local_bernoulli
 
 BS, VA, SP = LandmarkType.BS, LandmarkType.VA, LandmarkType.SP
 SENSOR = GaussianComponent(np.zeros(1), np.eye(1))
@@ -249,8 +248,9 @@ class TestTypePosteriorReference:
             for k, w in raw.items()}))
         preds = {}
         for k, (_, pd, degenerate, _, var) in draws.items():
-            preds[k] = (TypePrediction(0.0, None, None) if degenerate else
-                        TypePrediction(pd, np.zeros(1), np.array([[var]])))
+            preds[k] = (RowPrediction(0.0, None, None, None, None)
+                        if degenerate else RowPrediction(
+                            pd, np.zeros(1), np.array([[var]]), None, None))
         prior = {k: c.weight for k, c in bern.belief.types.items()}
 
         masses, _, _ = misdetection_weight(bern, preds)
@@ -364,11 +364,15 @@ class TestBirthBernoulliReference:
         config = FilterConfig(model=None, process_noise=np.zeros((1, 1)),
                               multi_model=multi_model, type_prune=type_prune)
         # weight_birth's candidate: the rates are the masses, none when
-        # they sum to zero.
-        masses = rho if sum(rho.values()) > 0.0 else {}
-        got = _birth_bernoulli(BirthCandidate(0.0, existence, masses, comps),
-                               config)
+        # they sum to zero.  A candidate without masses is clutter only and
+        # builds no Bernoulli (test_update.py's
+        # test_clutter_only_birth_slot_is_the_placeholder_and_pruned).
         want = reference_birth_bernoulli(rho, comps, existence, config)
+        if sum(rho.values()) <= 0.0:
+            assert want is absent_bernoulli()
+            return
+        got = _local_bernoulli(existence, rho, comps, config,
+                               hard=not multi_model)
         assert got.existence.hex() == want.existence.hex()
         assert list(got.belief.types) == list(want.belief.types)
         for kind, comp in got.belief.types.items():

@@ -1346,20 +1346,20 @@ class TestStep:
         _, sensor_pred = predict_step(density, sensor, cfg)
 
         original = {name: getattr(update, name) for name in (
-            "_misdetected_bernoulli", "_birth_bernoulli", "build_cost_matrix",
-            "update_type_probs", "joint_update")}
+            "_local_bernoulli", "build_cost_matrix", "update_type_probs",
+            "joint_update")}
         original_weight = association.misdetection_weight
         original_wrap = ChannelModel.wrap_residual
-        calls = {"misdetected": [], "born": [], "type_probs": 0,
-                 "misdetection_weight": 0, "innovations": 0}
+        calls = {"local": [], "type_probs": 0, "misdetection_weight": 0,
+                 "innovations": 0}
         children = []
         in_cost_matrix = []
 
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name].append(args[0])
-                return fn(*args)
-            return wrapper
+        def local_bernoulli(*args, **kwargs):
+            # The per-type Gaussians a build passes: a misdetection the
+            # prior's ``belief.types``, a birth its candidate's ``comps``.
+            calls["local"].append(args[2])
+            return original["_local_bernoulli"](*args, **kwargs)
 
         def cost_matrix(*args, **kwargs):
             in_cost_matrix.append(True)
@@ -1387,10 +1387,7 @@ class TestStep:
             children.append((args, out))
             return out
 
-        monkeypatch.setattr(update, "_misdetected_bernoulli", counted(
-            "misdetected", original["_misdetected_bernoulli"]))
-        monkeypatch.setattr(update, "_birth_bernoulli",
-                            counted("born", original["_birth_bernoulli"]))
+        monkeypatch.setattr(update, "_local_bernoulli", local_bernoulli)
         monkeypatch.setattr(update, "build_cost_matrix", cost_matrix)
         monkeypatch.setattr(association, "misdetection_weight", misdetection)
         monkeypatch.setattr(update, "update_type_probs", type_probs)
@@ -1408,15 +1405,23 @@ class TestStep:
         # Shared pieces exist, so the counts below test the sharing.
         assert len(misdetected) > len(set(misdetected))
         assert len(born) > len(set(born))
-        assert [id(b) for b in calls["misdetected"]] == \
-            [id(hyp.bernoullis[i]) for i in dict.fromkeys(misdetected)]
-        assert len(calls["born"]) == len(set(born))
-        assert len(set(map(id, calls["born"]))) == len(calls["born"])
+        parts = children[0][0][0]
+        # A clutter-only birth slot builds no Bernoulli.
+        newborn = {p for p in born if parts.ctx.births[p].masses}
+        misdetected_builds = [i for comps in calls["local"]
+                              for i, b in enumerate(hyp.bernoullis)
+                              if comps is b.belief.types]
+        born_builds = [p for comps in calls["local"]
+                       for p, cand in enumerate(parts.ctx.births)
+                       if comps is cand.comps]
+        assert len(misdetected_builds) + len(born_builds) == \
+            len(calls["local"])
+        assert misdetected_builds == list(dict.fromkeys(misdetected))
+        assert len(born_builds) == len(newborn)
+        assert set(born_builds) == newborn
         assert calls["misdetection_weight"] == len(hyp.bernoullis)
         # One type posterior per misdetected landmark, detected pair and
         # newborn (not per clutter-only birth slot).
-        parts = children[0][0][0]
-        newborn = {p for p in born if parts.ctx.births[p].masses}
         assert calls["type_probs"] == (len(set(misdetected)) + len(detected)
                                        + len(newborn))
         # The innovations are the residual rows the cost matrix wrapped:
@@ -1428,7 +1433,7 @@ class TestStep:
         assert len(stacked) > len(set(stacked))
         assert calls["innovations"] == 0
         for i, p in detected:
-            rows = parts.ctx.pair_residuals[(i, p)]
+            _, rows = parts.ctx.pairs[(i, p)]
             assert all(v is rows[kind]
                        for kind, _, _, v in parts.detection(i, p)[1])
 
@@ -1458,15 +1463,15 @@ class TestStep:
         rng = np.random.default_rng([2, 0])
         density, sensor = initial_state(scenario)
         births = []
-        original = update_module._birth_bernoulli
+        original = ChildParts.born
 
-        def recorded(candidate, config):
-            bern = original(candidate, config)
-            births.append((candidate, bern))
+        def recorded(parts, p):
+            bern = original(parts, p)
+            births.append((parts.ctx.births[p], bern))
             return bern
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(update_module, "_birth_bernoulli", recorded)
+            patch.setattr(ChildParts, "born", recorded)
             for truth in simulate_trajectory(scenario, rng)[1:]:
                 zset = generate_measurements(truth, scenario, rng)
                 density, sensor = step(density, sensor,
@@ -1498,7 +1503,7 @@ class TestStep:
         sensor = GaussianComponent(np.zeros(1), np.eye(1))
         meas = Measurement(np.array([0.3]), np.eye(1))
         parts = ChildParts(hyp, [meas], sensor, {SP: 0.1}, cfg)
-        rows = parts.ctx.pair_residuals[(0, 0)]
+        _, rows = parts.ctx.pairs[(0, 0)]
         assert list(rows) == [VA, SP]
         for kind in (VA, SP):
             v = innovations(parts, 0, 0)[kind]
@@ -1573,7 +1578,23 @@ class TestRandomizedSteps:
         for truth, no_measurement in zip(trajectory, silent):
             zset = generate_measurements(truth, scenario, rng)
             measurements = [] if no_measurement else list(zset.measurements)
-            density, sensor = step(density, sensor, measurements, cfg)
+            try:
+                posterior = step(density, sensor, measurements, cfg)
+            except InfeasibleAssignmentError:
+                # Without clutter (clutter_mean 0, or an intensity that
+                # underflows to 0) a measurement that no newborn inverts
+                # and no gate admits has no finite cost, by design
+                # (test_unexplained_measurement_without_clutter_is_infeasible).
+                # The step's own cost matrices must show such a row.
+                assert cfg.clutter_intensity == 0.0
+                _, sensor_pred = predict_step(density, sensor, cfg)
+                assert not all(
+                    np.isfinite(ChildParts(
+                        hyp, measurements, sensor_pred, density.ppp_intensity,
+                        cfg).costs.matrix).any(axis=1).all()
+                    for hyp in density.hypotheses)
+                return
+            density, sensor = posterior
             check_density(density)
             assert np.isfinite(sensor.mean).all()
             # Cholesky raises unless the free block is positive definite.
