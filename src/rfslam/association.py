@@ -8,14 +8,14 @@ Gaussians from :func:`newborns`) -- which the cost matrix and the joint
 update both use.  Each weight is a sum over landmark types, and a type's
 posterior probability is its term normalized: all three weights return
 their per-type masses (a birth's are its per-type rates), which
-:func:`update_type_probs` normalizes.  The resulting assignment problem is
-solved for the best ``gamma`` associations per global hypothesis by
-Murty's ranked partitioning on top of an optimal-assignment kernel
-(scipy's Jonker-Volgenant-style solver), in negative-log-weight (cost)
-domain.  :func:`murty_kbest` returns Murty's ranking bit for bit; above
-``gamma`` 1, when no two rows share a finite column, it merges the rows'
-sorted cells instead, unless two costs lie within a margin far above
-rounding.
+:func:`rfslam.update.update_type_probs` normalizes.  The resulting
+assignment problem is solved for the best ``gamma`` associations per
+global hypothesis by Murty's ranked partitioning on top of an
+optimal-assignment kernel (scipy's Jonker-Volgenant-style solver), in
+negative-log-weight (cost) domain.  :func:`murty_kbest` returns Murty's
+ranking bit for bit; above ``gamma`` 1, when no two rows share a finite
+column, it merges the rows' sorted cells instead, unless two costs lie
+within a margin far above rounding.
 
 :func:`build_cost_matrix` runs each linear-algebra stage once per
 hypothesis, over one stack of rows: the ``hph`` of every (landmark, type)
@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
@@ -270,20 +269,6 @@ def misdetection_weight(bern: Bernoulli, preds: dict):
     return masses, survive, (1.0 - bern.existence) + bern.existence * survive
 
 
-def update_type_probs(masses: dict) -> dict:
-    """Posterior type probabilities: per-type masses normalized to one.
-
-    All-zero (or non-finite) mass falls back to uniform, with a
-    RuntimeWarning.
-    """
-    total = sum_in_order(masses.values())
-    if total <= 0.0 or not math.isfinite(total):
-        warnings.warn("all-zero type-probability mass; falling back to uniform",
-                      RuntimeWarning, stacklevel=2)
-        return {k: 1.0 / len(masses) for k in masses}
-    return {k: v / total for k, v in masses.items()}
-
-
 def newborns(z_rows: np.ndarray, r_stack: np.ndarray,
              sensor: GaussianComponent, ppp: dict, model) -> list:
     """Newborn landmark Gaussians and birth densities of every measurement.
@@ -371,15 +356,15 @@ def weight_birth(terms: dict, comps: dict, clutter_intensity: float):
 
     ``terms`` and ``comps`` are the measurement's :func:`newborns`.  Returns
     the :class:`BirthCandidate`: a type's mass is its rate rho = eta pd N,
-    so :func:`update_type_probs` gives each its share of sum_type rho
-    (clutter never enters it).  When sum_type rho is not positive the
-    measurement is clutter-only (weight floor ``clutter_intensity``) and
-    the masses are empty, unless there is no clutter and every rho
-    underflowed: then ln l_B is the log-sum of the rates, the existence 1,
-    and the masses the rates over the largest, so a measurement that only a
-    newborn explains keeps a finite cost.  A density too large for a float
-    raises InfeasibleAssignmentError: the measurement's birth cost would be
-    -inf.
+    so :func:`rfslam.update.update_type_probs` gives each its share of
+    sum_type rho (clutter never enters it).  When sum_type rho is not
+    positive the measurement is clutter-only (weight floor
+    ``clutter_intensity``) and the masses are empty, unless there is no
+    clutter and every rho underflowed: then ln l_B is the log-sum of the
+    rates, the existence 1, and the masses the rates over the largest, so a
+    measurement that only a newborn explains keeps a finite cost.  A
+    density too large for a float raises InfeasibleAssignmentError: the
+    measurement's birth cost would be -inf.
     """
     if clutter_intensity < 0.0:
         raise ValueError("clutter intensity must be nonnegative")
@@ -494,19 +479,20 @@ def build_cost_matrix(hypothesis: GlobalHypothesis, measurements,
     weights from assignment costs.
 
     One wrapped-residual array covers every (landmark, type) row with a
-    prediction, of every landmark that exists, against every measurement,
-    and one pass takes each pair's marginal bound max_j v_j^2 / S_jj, which
-    never exceeds v^T S^-1 v (a marginal's Mahalanobis distance is at most
-    the joint one).  A landmark's candidates are the measurements that some
-    row of it puts inside the gate, with a relative margin of 1e-9 that
-    absorbs rounding; only their (pair, contributing type) rows reach
-    :func:`chol_logpdf`, in one call, and :func:`log_weight_detected`
-    combines each pair's rows.  The gate on the full distance then keeps or
-    drops exactly the pairs it would without the bound.  A NaN bound
-    compares False and is kept.  A type that cannot contribute (zero
-    detection probability or weight) only adds pairs whose contributing
-    types all lie beyond the gate, which the full distance drops.  Each
-    kept pair's entry in ``AssociationContext.pairs`` holds its
+    prediction against every measurement, and one pass takes each pair's
+    marginal bound max_j v_j^2 / S_jj, which never exceeds v^T S^-1 v (a
+    marginal's Mahalanobis distance is at most the joint one).  A
+    landmark's candidates are the measurements that some row of it puts
+    inside the gate, with a relative margin of 1e-9 that absorbs rounding;
+    only their (pair, contributing type) rows reach :func:`chol_logpdf`, in
+    one call, and :func:`log_weight_detected` combines each pair's rows.
+    The gate on the full distance then keeps or drops exactly the pairs it
+    would without the bound.  A NaN bound compares False and is kept.  A
+    type that cannot contribute (zero detection probability or weight)
+    only adds pairs whose contributing types all lie beyond the gate, which
+    the full distance drops, and a landmark with existence 0 has
+    ln l = -inf, so its cells stay +inf.
+    Each kept pair's entry in ``AssociationContext.pairs`` holds its
     :func:`log_weight_detected` masses and its wrapped rows, kind -> row:
     the innovation of every type the joint update stacks.  Each
     measurement's birth weight is one :func:`weight_birth` call on its
@@ -529,11 +515,10 @@ def build_cost_matrix(hypothesis: GlobalHypothesis, measurements,
     if n_meas:
         z_rows = np.array([meas.z for meas in measurements])
         r_stack = np.array([meas.covariance for meas in measurements])
-        live = [k for k, (i, _) in enumerate(rows) if berns[i].existence > 0.0]
-        if live:
+        if rows:
             for i, p, log_l, masses, residuals in _detections(
-                    berns, type_preds, [rows[k] for k in live], hph[live],
-                    z_rows, r_stack, model, gate):
+                    berns, type_preds, rows, hph, z_rows, r_stack, model,
+                    gate):
                 pairs[(i, p)] = masses, residuals
                 matrix[p, i] = log_l0[i] - log_l
         births = tuple(weight_birth(terms, comps, clutter_intensity)
@@ -552,8 +537,8 @@ def _detections(berns, type_preds, keys, hph, z_rows, r_stack, model, gate):
     the gate keeps, landmark by landmark.
 
     ``keys`` holds the ``(landmark, kind)`` of each type row with a
-    prediction whose landmark exists, a landmark's rows consecutive, and
-    ``hph`` their stacked ``hph``.  One wrapped-residual array of shape
+    prediction, a landmark's rows consecutive, and ``hph`` their stacked
+    ``hph``.  One wrapped-residual array of shape
     (rows, measurements, d) serves the bound, the densities and each kept
     pair's ``residuals`` (kind -> its row of the array); one
     :func:`chol_logpdf` call takes every (candidate pair, contributing

@@ -227,11 +227,10 @@ def prune(density: PmbmDensity, bernoulli_threshold: float,
     return normalize_weights(replace(density, hypotheses=tuple(kept)))
 
 
-def _merge_pair_gate(a: Bernoulli, b: Bernoulli, threshold: float) -> bool:
-    ka, kb = a.belief.dominant_type(), b.belief.dominant_type()
-    if ka is not kb:
-        return False
-    ca, cb = a.belief.types[ka], b.belief.types[kb]
+def _merge_pair_gate(ca: TypeComponent, cb: TypeComponent,
+                     threshold: float) -> bool:
+    """Whether two dominant components of one type lie within the merge
+    gate: d^T C^-1 d <= threshold under each covariance."""
     d = ca.mean - cb.mean
     # For an SPD C, d^T C^-1 d >= |d|^2 / lambda_max(C) >= |d|^2 / tr(C), so
     # a pair this far apart fails the gate under either covariance and needs
@@ -356,11 +355,12 @@ def mix_types(jobs: list) -> list:
 MERGE_BOUND_MARGIN = 1e-6
 
 
-def _merge_candidates(berns, threshold: float) -> list:
-    """``near[i][j]``: False only where :func:`_merge_pair_gate` is sure to
-    reject the pair ``berns[i]``, ``berns[j]`` without a solve: their
-    dominant types differ, or the trace bound |d|^2 > threshold (1 + 1e-9)
-    min(tr C_i, tr C_j) holds.
+def _merge_candidates(kinds, comps, threshold: float) -> list:
+    """``near[i][j]``: False where Bernoullis i and j may not merge: their
+    dominant types ``kinds`` differ, or :func:`_merge_pair_gate` is sure to
+    reject their dominant components ``comps`` without a solve, because
+    the trace bound |d|^2 > threshold (1 + 1e-9) min(tr C_i, tr C_j)
+    holds.
 
     One array pass bounds every pair, with a wider bound than the gate's.
     Its |d|^2 sums the squares in numpy where the gate takes ``d @ d``
@@ -374,16 +374,14 @@ def _merge_candidates(berns, threshold: float) -> list:
 
     A stack holds one shape, so when the dominant types differ in
     dimension each dimension's Bernoullis are bounded by themselves.  A
-    pair across dimensions has two dominant types, which the gate never
-    merges, and is False.
+    pair across dimensions has two dominant types and is False.
     """
-    kinds = [b.belief.dominant_type() for b in berns]
-    comps = [b.belief.types[k] for b, k in zip(berns, kinds)]
     if len({c.mean.shape for c in comps}) > 1:
-        near = np.zeros((len(berns),) * 2, dtype=bool)
+        near = np.zeros((len(comps),) * 2, dtype=bool)
         for group in _shape_groups([c.mean for c in comps]):
             near[np.ix_(group, group)] = _merge_candidates(
-                [berns[k] for k in group], threshold)
+                [kinds[k] for k in group], [comps[k] for k in group],
+                threshold)
         return near.tolist()
     codes = np.array([TYPE_ORDER.index(k) for k in kinds])
     means = np.array([c.mean for c in comps])
@@ -403,14 +401,17 @@ def merge_bernoullis(hypothesis: GlobalHypothesis,
     The gate is the symmetrized squared Mahalanobis distance between the
     dominant-type position means (evaluated under each covariance, maximum
     taken).  Merged components are moment matched with existence-and-type
-    weights; existence adds up, clamped at one.  Only the pairs that
-    :func:`_merge_candidates` keeps reach :func:`_merge_pair_gate`; the
+    weights; existence adds up, clamped at one.  Each Bernoulli's dominant
+    type and component are found once; only the pairs of one type that
+    :func:`_merge_candidates` keeps reach :func:`_merge_pair_gate`, as the
     others would fail it without a solve.
     """
     if mahalanobis_threshold <= 0.0:
         raise ValueError("merge threshold must be positive")
     berns = hypothesis.bernoullis
-    near = (_merge_candidates(berns, mahalanobis_threshold)
+    kinds = [b.belief.dominant_type() for b in berns]
+    comps = [b.belief.types[k] for b, k in zip(berns, kinds)]
+    near = (_merge_candidates(kinds, comps, mahalanobis_threshold)
             if len(berns) > 1 else [])
     existence = [b.existence for b in berns]
     remaining = list(range(len(berns)))
@@ -424,7 +425,7 @@ def merge_bernoullis(hypothesis: GlobalHypothesis,
         group = [seed]
         rest = []
         for j in remaining:
-            if near[s][j] and _merge_pair_gate(seed, berns[j],
+            if near[s][j] and _merge_pair_gate(comps[s], comps[j],
                                                mahalanobis_threshold):
                 group.append(berns[j])
             else:

@@ -153,13 +153,9 @@ class Measurement:
     covariance: np.ndarray
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
         cov = np.asarray(self.covariance, dtype=float)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "covariance", cov)
-        if z.ndim != 1 or cov.shape != (z.size, z.size):
-            raise ValueError("measurement/covariance shapes inconsistent")
-        if not (np.isfinite(z).all() and np.isfinite(cov).all()):
+        _set_vector(self, self.z, cov)
+        if not np.isfinite(cov).all():
             raise ValueError("measurement and covariance must be finite")
         if np.max(np.abs(cov - cov.T)) > 1e-9:
             raise ValueError("measurement covariance must be symmetric within 1e-9")
@@ -167,28 +163,31 @@ class Measurement:
             raise ValueError("measurement covariance must be positive definite")
 
 
+def _set_vector(meas: Measurement, z, cov: np.ndarray) -> Measurement:
+    """Set ``meas``'s vector ``z`` and covariance ``cov`` once the vector
+    has the covariance's size and is finite: the checks a measurement's
+    vector can fail."""
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 1 or cov.shape != (z.size, z.size):
+        raise ValueError("measurement/covariance shapes inconsistent")
+    if not all(map(math.isfinite, z.tolist())):
+        raise ValueError("measurement and covariance must be finite")
+    object.__setattr__(meas, "z", z)
+    object.__setattr__(meas, "covariance", cov)
+    return meas
+
+
 def measurements_with_covariance(vectors, covariance) -> list:
     """``[Measurement(z, covariance) for z in vectors]`` for a covariance
     that already passes :class:`Measurement`'s checks (finite, symmetric
     within 1e-9, positive definite), as a scenario's does.
 
-    The covariance is not checked again: each measurement runs only the
-    checks its own vector can fail (shape and finiteness), with the same
-    messages, and all of them share the one covariance array.
+    The covariance is not checked again: each measurement runs only
+    :func:`_set_vector`'s checks, and all of them share the one covariance
+    array.
     """
     cov = np.asarray(covariance, dtype=float)
-    out = []
-    for z in vectors:
-        z = np.asarray(z, dtype=float)
-        if z.ndim != 1 or cov.shape != (z.size, z.size):
-            raise ValueError("measurement/covariance shapes inconsistent")
-        if not all(map(math.isfinite, z.tolist())):
-            raise ValueError("measurement and covariance must be finite")
-        meas = object.__new__(Measurement)
-        object.__setattr__(meas, "z", z)
-        object.__setattr__(meas, "covariance", cov)
-        out.append(meas)
-    return out
+    return [_set_vector(object.__new__(Measurement), z, cov) for z in vectors]
 
 
 def mirror_bs(bs_position, surface_point, surface_normal) -> np.ndarray:

@@ -43,8 +43,6 @@ def gospa(estimates, truth, params: GospaParams = GospaParams()):
     m, n = est.shape[0], tru.shape[0]
     p = params.exponent
     penalty = params.cutoff ** p / params.alpha
-    if m == 0 and n == 0:
-        return 0.0, {"localization": 0.0, "missed": 0.0, "false": 0.0}
     size = m + n
     costs = np.full((size, size), np.inf)
     if m and n:

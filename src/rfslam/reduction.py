@@ -64,10 +64,6 @@ class TrackTable:
     n_meas: int
     cells: list  # per track: q -> TrackCell
 
-    @property
-    def n_tracks(self) -> int:
-        return self.n_prior + self.n_meas
-
 
 def align_hypotheses(density: PmbmDensity) -> TrackTable:
     """Express all hypotheses over the common track set and collect betas."""
@@ -178,6 +174,6 @@ def tomb_recombine(table: TrackTable) -> GlobalHypothesis:
                      existence, [c.masses for c in live]))
     for (slot, existence), (belief, _) in zip(slots, mix_types(jobs)):
         berns[slot] = Bernoulli(existence, belief)
-    for t in range(table.n_prior, table.n_tracks):
-        berns.append(_recombine_new_track(table.cells[t]))
+    for cells in table.cells[table.n_prior:]:
+        berns.append(_recombine_new_track(cells))
     return GlobalHypothesis(1.0, tuple(berns), assoc=None)

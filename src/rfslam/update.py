@@ -12,7 +12,8 @@ come from the cost matrix in :mod:`rfslam.association`; misdetected
 landmarks reuse its misdetection weight and newborn landmarks its birth
 candidates, so every type with a positive PPP rate but the BS can be born.
 All three local hypotheses turn their per-type masses into type
-probabilities by one rule, :func:`_type_posterior`.
+probabilities by one rule, :func:`_type_posterior`, which normalizes them
+with :func:`update_type_probs`.
 One :class:`ChildParts` per hypothesis holds its cost matrix and the
 pieces a child takes unchanged from its parent (misdetected and newborn
 Bernoullis, detected type posteriors), shared by all its ranked
@@ -25,6 +26,7 @@ hypothesis by the track-oriented recombination in :mod:`rfslam.reduction`.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -37,7 +39,6 @@ from .association import (
     build_cost_matrix,
     chol_solve,
     murty_kbest,
-    update_type_probs,
 )
 from .density import (
     MAP_REGION_VOLUME,
@@ -101,16 +102,6 @@ class FilterConfig:
             raise ValueError(f"unknown filter kind {self.filter_kind!r}")
 
 
-def predict_sensor(belief: GaussianComponent,
-                   config: FilterConfig) -> GaussianComponent:
-    """EK prediction through the turn model: mean v(m), covariance FPF^T + Q."""
-    motion = (config.speed, config.turn_rate, config.dt)
-    mean = sensor_transition(belief.mean, *motion)
-    F = sensor_transition_jacobian(belief.mean, *motion)
-    cov = symmetrize(F @ belief.covariance @ F.T + config.process_noise)
-    return GaussianComponent(mean, cov)
-
-
 def thin_ppp(ppp: dict, config: FilterConfig) -> dict:
     """Scale undetected-landmark rates by the constant misdetection mass.
 
@@ -141,6 +132,20 @@ def marginalize_sensor(children) -> GaussianComponent:
     mean, cov = moment_match(
         [(weights.tolist(), [g for _, g in children], 1.0)])
     return GaussianComponent(mean[0], cov[0])
+
+
+def update_type_probs(masses: dict) -> dict:
+    """Posterior type probabilities: per-type masses normalized to one.
+
+    All-zero (or non-finite) mass falls back to uniform, with a
+    RuntimeWarning.
+    """
+    total = sum_in_order(masses.values())
+    if total <= 0.0 or not math.isfinite(total):
+        warnings.warn("all-zero type-probability mass; falling back to uniform",
+                      RuntimeWarning, stacklevel=2)
+        return {k: 1.0 / len(masses) for k in masses}
+    return {k: v / total for k, v in masses.items()}
 
 
 def _type_posterior(masses: dict, config: FilterConfig, hard: bool) -> dict:
@@ -367,8 +372,14 @@ def joint_update(parts: ChildParts, sigma: AssociationVector):
 
 def predict_step(density: PmbmDensity, sensor: GaussianComponent,
                  config: FilterConfig):
-    """Prediction half of one filter step."""
-    return density, predict_sensor(sensor, config)
+    """Prediction half of one filter step: the density passes through, and
+    the sensor takes the EK prediction through the turn model, mean v(m)
+    and covariance FPF^T + Q."""
+    motion = (config.speed, config.turn_rate, config.dt)
+    F = sensor_transition_jacobian(sensor.mean, *motion)
+    return density, GaussianComponent(
+        sensor_transition(sensor.mean, *motion),
+        symmetrize(F @ sensor.covariance @ F.T + config.process_noise))
 
 
 def update_step(density: PmbmDensity, sensor_pred: GaussianComponent,

@@ -7,6 +7,7 @@ import math
 from typing import NamedTuple, Optional
 
 import numpy as np
+import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from rfslam import association
@@ -23,6 +24,7 @@ from rfslam.density import (
     LandmarkBelief,
     PmbmDensity,
     TypeComponent,
+    sum_in_order,
     symmetrize,
 )
 from rfslam.geometry import (
@@ -263,7 +265,7 @@ def reference_birth_candidate(meas, sensor, ppp, clutter_intensity, model):
         loglik, _ = reference_chol_logpdf(v, pred.hph + meas.covariance)
         rho[kind] = rate * pred.p_detect * math.exp(loglik)
         comps[kind] = component
-    rho_total = sum(rho.values())
+    rho_total = sum_in_order(rho.values())
     weight = clutter_intensity + rho_total
     return BirthCandidate(math.log(weight) if weight > 0.0 else -math.inf,
                           rho_total / weight if weight > 0.0 else 0.0,
@@ -321,3 +323,55 @@ def check_density(density: PmbmDensity, tol: float = 1e-9) -> None:
                 assert np.max(np.abs(c - c.T)) <= tol, "covariance asymmetric"
                 assert np.min(np.linalg.eigvalsh(symmetrize(c))) >= -tol, \
                     "covariance indefinite"
+
+
+def compensated_sum(iterable, /, start=0):
+    """Builtin ``sum`` as CPython 3.12 and later compute it: integers add
+    exactly; a float total then carries a Neumaier compensation term while
+    the items are floats or ints, and adds the first other item, and every
+    one after it, with plain ``+``."""
+    items = iter(iterable)
+    total = start
+    if type(total) is int:
+        for item in items:
+            total = total + item
+            if type(total) is not int:
+                break
+    if type(total) is float:
+        comp, rest = 0.0, ()
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                if abs(total) >= abs(item):
+                    comp += (total - t) + item
+                else:
+                    comp += (item - t) + total
+                total = t
+            elif type(item) in (int, bool):
+                total += item
+            else:
+                rest = (item,)
+                break
+        if comp and math.isfinite(comp):
+            total += comp
+        for item in rest:
+            total = total + item
+    for item in items:
+        total = total + item
+    return total
+
+
+@pytest.fixture(autouse=True, scope="module")
+def compensated_builtin_sum(request):
+    """Every test module, and the helpers here, add with Python 3.12's
+    ``sum`` on any interpreter.
+
+    The filter adds floats left to right on every interpreter
+    (``density.sum_in_order``).  A bit-for-bit reference that added with
+    builtin ``sum`` would match it only before 3.12, so a reference must
+    add left to right of its own accord to pass here.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(globals(), "sum", compensated_sum)
+        patch.setattr(request.module, "sum", compensated_sum, raising=False)
+        yield

@@ -37,7 +37,6 @@ from rfslam.association import (
     chol_solve,
     misdetection_weight,
     murty_kbest,
-    update_type_probs,
 )
 from rfslam.cli import (
     NUMERICAL_ERRORS,
@@ -52,6 +51,7 @@ from rfslam.density import (
     LandmarkBelief,
     PmbmDensity,
     TypeComponent,
+    sum_in_order,
 )
 from rfslam.geometry import (
     ChannelModel,
@@ -62,7 +62,7 @@ from rfslam.geometry import (
 )
 from rfslam.sim import (default_scenario, generate_measurements,
                         simulate_trajectory)
-from rfslam.update import EK_PMB, EK_PMBM, step
+from rfslam.update import EK_PMB, EK_PMBM, step, update_type_probs
 
 BS = LandmarkType.BS
 SP = LandmarkType.SP
@@ -220,7 +220,7 @@ def reference_weight_birth(meas, sensor, ppp, clutter_intensity, model):
     each newborn type's share of sum_type rho in a TypeComponent."""
     cand = reference_birth_candidate(meas, sensor, ppp, clutter_intensity,
                                      model)
-    rho_total = sum(cand.masses.values())
+    rho_total = sum_in_order(cand.masses.values())
     types = {k: TypeComponent(r / rho_total, cand.comps[k].mean,
                               cand.comps[k].covariance)
              for k, r in cand.masses.items()}
@@ -731,7 +731,7 @@ def reference_log_weight_detected(bern, meas, preds, model, gate=None):
         return -math.inf, {}, best_mahal
     masses = {k: math.exp(terms[k] - m) if k in terms else 0.0
               for k in bern.belief.types}
-    m += math.log(sum(math.exp(t - m) for t in terms.values()))
+    m += math.log(sum_in_order(math.exp(t - m) for t in terms.values()))
     return math.log(bern.existence) + m, masses, best_mahal
 
 

@@ -25,6 +25,7 @@ from rfslam.density import (
     moment_match,
     normalize_weights,
     prune,
+    sum_in_order,
     symmetrize,
 )
 from rfslam.geometry import TYPE_ORDER, LandmarkType
@@ -184,6 +185,13 @@ class TestMerge:
         assert sum(probs.values()) == pytest.approx(1.0)
 
 
+def merge_candidates(berns, threshold):
+    """The merge's array bound over ``berns``' dominant components."""
+    kinds = [b.belief.dominant_type() for b in berns]
+    return density_module._merge_candidates(
+        kinds, [b.belief.types[k] for b, k in zip(berns, kinds)], threshold)
+
+
 def solving_merge_gate(a, b, threshold):
     """The merge gate without its trace bound: both solves, every pair."""
     ka, kb = a.belief.dominant_type(), b.belief.dominant_type()
@@ -219,7 +227,7 @@ def reference_merge_bernoullis(hypothesis, threshold):
         if len(group) == 1:
             merged.append(seed)
             continue
-        total = sum(b.existence for b in group)
+        total = sum_in_order(b.existence for b in group)
         (belief, _), = mix_types(
             [([(b.existence, b) for b in group], total, None)])
         merged.append(Bernoulli(min(1.0, total), belief))
@@ -329,7 +337,7 @@ class TestMergeGateBound:
                 a = bern(0.9, mean=np.zeros(3),
                          cov=np.diag([2.0 * trace + 1.0, 0.0, 0.0]))
                 b = bern(0.5, mean=-d, cov=np.diag([trace, 0.0, 0.0]))
-                near = density_module._merge_candidates((a, b), threshold)
+                near = merge_candidates((a, b), threshold)
                 if not dd > threshold * (1.0 + 1e-9) * trace:
                     kept += 1
                     assert near[0][1] and near[1][0]
@@ -368,6 +376,16 @@ def loop_moment_match(coefs, means, covs, norm):
     cov = sum(w * (c + np.outer(m - mean, m - mean))
               for w, m, c in zip(coefs, means, covs)) / norm
     return mean, symmetrize(cov)
+
+
+class TestSumInOrder:
+    def test_adds_left_to_right_where_builtin_sum_compensates(self):
+        # Test modules add with Python 3.12's ``sum`` on every interpreter
+        # (conftest.compensated_builtin_sum), so a reference that needs the
+        # filter's bits must add in order too.
+        terms = [0.1] * 10
+        assert sum_in_order(terms) == 0.9999999999999999
+        assert sum(terms) == 1.0
 
 
 class TestMomentMatch:
@@ -441,7 +459,7 @@ class TestMomentMatch:
 
 def loop_merge_types(members):
     """The merge's loop: existence times type probability, floor ``<= 0``."""
-    total_r = sum(b.existence for b in members)
+    total_r = sum_in_order(b.existence for b in members)
     types = {}
     for kind in TYPE_ORDER:
         weights, comps = [], []
@@ -453,7 +471,7 @@ def loop_merge_types(members):
             comps.append(comp)
         if not comps:
             continue
-        wsum = sum(weights)
+        wsum = sum_in_order(weights)
         psi = wsum / total_r if total_r > 0 else 0.0
         if wsum <= 0.0:
             types[kind] = TypeComponent(psi, comps[0].mean, comps[0].covariance)
@@ -479,7 +497,8 @@ def loop_average_cell(cell):
     if len(cell.contributors) == 1:
         return cell.contributors[0][1]
     beta = cell.beta
-    existence = sum(w * b.existence for w, b in cell.contributors) / beta
+    existence = sum_in_order(
+        w * b.existence for w, b in cell.contributors) / beta
     types = {}
     for kind in TYPE_ORDER:
         members = [(w, b.belief.types[kind]) for w, b in cell.contributors
@@ -508,7 +527,8 @@ def loop_recombine_prior_track(cells):
     if len(live) == len(cells) == 1:
         (_, cell), = live.items()
         return cell.bernoulli
-    existence = sum(c.beta * c.bernoulli.existence for c in live.values())
+    existence = sum_in_order(c.beta * c.bernoulli.existence
+                             for c in live.values())
     types = {}
     for kind in TYPE_ORDER:
         members = [(loop_type_mass(c.contributors, kind), c.bernoulli)
@@ -516,7 +536,7 @@ def loop_recombine_prior_track(cells):
                    if kind in c.bernoulli.belief.types]
         if not members:
             continue
-        norm = sum(bt * b.existence for bt, b in members)
+        norm = sum_in_order(bt * b.existence for bt, b in members)
         psi = norm / existence if existence > 0.0 else 1.0 / len(TYPE_ORDER)
         if norm < MIN_CELL_MASS:
             comp = members[0][1].belief.types[kind]
@@ -600,15 +620,15 @@ class TestMixTypes:
         # merge_bernoullis puts its seed, the strongest member, first.
         first = max(range(n), key=lambda i: members[i].existence)
         group = [members[first]] + members[:first] + members[first + 1:]
-        total = sum(b.existence for b in group)
+        total = sum_in_order(b.existence for b in group)
         (got, _), = mix_types(
             [([(b.existence, b) for b in group], total, None)])
         want = loop_merge_types(group)
         assert list(got.types) == list(want.types)
         for kind, comp in got.types.items():
             holders = [b for b in group if kind in b.belief.types]
-            mass = sum(b.existence * b.belief.types[kind].weight
-                       for b in holders)
+            mass = sum_in_order(b.existence * b.belief.types[kind].weight
+                                for b in holders)
             ref = want.types[kind]
             if 0.0 < mass < MIN_CELL_MASS:
                 ref = TypeComponent(ref.weight,
@@ -619,10 +639,10 @@ class TestMixTypes:
         if n > 1:
             # Every pair passes both the array bound and the gate.
             with mock.patch.object(density_module, "_merge_pair_gate",
-                                   lambda a, b, threshold: True), \
+                                   lambda ca, cb, threshold: True), \
                     mock.patch.object(density_module, "_merge_candidates",
-                                      lambda berns, threshold:
-                                      [[True] * len(berns)] * len(berns)):
+                                      lambda kinds, comps, threshold:
+                                      [[True] * len(kinds)] * len(kinds)):
                 merged, = merge_bernoullis(GlobalHypothesis(1.0, members),
                                            1.0).bernoullis
             assert merged.existence == min(1.0, total)
@@ -670,8 +690,8 @@ class TestMixTypes:
         live = [c for c in cells.values()
                 if c.bernoulli is not None and c.beta >= MIN_CELL_MASS]
         copied = len(live) == len(cells) == 1
-        if not copied and sum(c.beta * c.bernoulli.existence
-                              for c in live) <= 0.0:
+        if not copied and sum_in_order(c.beta * c.bernoulli.existence
+                                       for c in live) <= 0.0:
             want = absent_bernoulli()
         assert got.existence == want.existence
         assert_beliefs_bit_equal(got.belief, want.belief)
@@ -772,7 +792,7 @@ class TestMixedDimensions:
                     10 ** rng.uniform(-0.5, 1) * np.eye(dim))
             berns.append(Bernoulli(float(rng.uniform(0.01, 0.9)),
                                    LandmarkBelief(types)))
-        near = density_module._merge_candidates(berns, threshold)
+        near = merge_candidates(berns, threshold)
         for i, a in enumerate(berns):
             for j, b in enumerate(berns):
                 if dominant_dim(a) != dominant_dim(b):
@@ -875,7 +895,7 @@ class TestBatchedReduction:
         for i, cells in enumerate(prior):
             live = [c for c in cells.values()
                     if c.bernoulli is not None and c.beta >= MIN_CELL_MASS]
-            if not len(live) == len(cells) == 1 and sum(
+            if not len(live) == len(cells) == 1 and sum_in_order(
                     c.beta * c.bernoulli.existence for c in live) <= 0.0:
                 want[i] = absent_bernoulli()
         want += [loop_recombine_new_track(cells)

@@ -41,7 +41,7 @@ BENCH_SCRIPTS = sorted((ROOT / "perfbench").glob("*.py"))
 API_ONLY = ["cli.deterministic_metrics_view", "geometry.measure_jacobian"]
 
 #: Code lines of ``src/rfslam``, counted by :func:`code_lines`.
-CODE_LINE_BUDGET = 2215
+CODE_LINE_BUDGET = 2197
 
 #: Tokens that hold no code.
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,

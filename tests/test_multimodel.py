@@ -1,5 +1,5 @@
 """Multi-model landmark types: each local weight's per-type masses and the
-type posteriors :func:`rfslam.association.update_type_probs` makes of them.
+type posteriors :func:`rfslam.update.update_type_probs` makes of them.
 
 A detection weighs each type by its detection probability and measurement
 likelihood; a misdetection down-weights types that should have been
@@ -25,20 +25,17 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfslam.association import (
-    log_weight_detected,
-    misdetection_weight,
-    update_type_probs,
-)
+from rfslam.association import log_weight_detected, misdetection_weight
 from rfslam.density import (
     Bernoulli,
     GaussianComponent,
     LandmarkBelief,
     TypeComponent,
     absent_bernoulli,
+    sum_in_order,
 )
 from rfslam.geometry import MAX_P_DETECT, TYPE_ORDER, LandmarkType, Measurement
-from rfslam.update import FilterConfig, _local_bernoulli
+from rfslam.update import FilterConfig, _local_bernoulli, update_type_probs
 
 BS, VA, SP = LandmarkType.BS, LandmarkType.VA, LandmarkType.SP
 SENSOR = GaussianComponent(np.zeros(1), np.eye(1))
@@ -172,7 +169,7 @@ class TestBirthTypeProbs:
 # the masses must reproduce bit for bit.
 
 def _reference_normalize(masses: dict) -> dict:
-    total = sum(masses.values())
+    total = sum_in_order(masses.values())
     if total <= 0.0 or not math.isfinite(total):
         warnings.warn("all-zero type-probability mass; falling back to uniform",
                       RuntimeWarning, stacklevel=3)
@@ -206,7 +203,7 @@ def reference_update_type_probs(prior_probs: dict, p_detect: dict,
 
 
 def reference_birth_type_probs(rho_by_type: dict) -> dict:
-    total = sum(rho_by_type.values())
+    total = sum_in_order(rho_by_type.values())
     if total <= 0.0:
         raise ValueError("birth rejected: zero total birth mass")
     return {k: rho_by_type[k] / total
@@ -322,13 +319,13 @@ def reference_prune_type_probs(psi: dict, threshold: float) -> dict:
     if not kept:
         best = max(psi, key=psi.get)
         kept = {best: psi[best]}
-    total = sum(kept.values())
+    total = sum_in_order(kept.values())
     return {k: v / total for k, v in kept.items()}
 
 
 def reference_birth_bernoulli(rho: dict, comps: dict, existence: float,
                               config) -> Bernoulli:
-    rho_total = sum(rho.values())
+    rho_total = sum_in_order(rho.values())
     types = {}
     if rho_total > 0.0:
         types = {k: TypeComponent(r / rho_total, comps[k].mean,

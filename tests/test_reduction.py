@@ -56,8 +56,8 @@ class TestAlign:
         rng = np.random.default_rng(0)
         density = build_pmbm(rng, 2, 2, n_hyp=1)
         table = align_hypotheses(density)
-        for t in range(table.n_tracks):
-            cells = table.cells[t]
+        assert len(table.cells) == table.n_prior + table.n_meas
+        for cells in table.cells:
             assert len(cells) == 1
             assert next(iter(cells.values())).beta == pytest.approx(1.0)
 

@@ -23,7 +23,6 @@ from rfslam.association import (
     AssociationVector,
     InfeasibleAssignmentError,
     murty_kbest,
-    update_type_probs,
 )
 from rfslam.cli import RunConfig, build_filter_config, initial_state
 from rfslam.density import (
@@ -61,11 +60,11 @@ from rfslam.update import (
     FilterConfig,
     joint_update,
     marginalize_sensor,
-    predict_sensor,
     predict_step,
     step,
     thin_ppp,
     update_step,
+    update_type_probs,
 )
 
 BS, VA, SP = LandmarkType.BS, LandmarkType.VA, LandmarkType.SP
@@ -93,11 +92,15 @@ def conditioning_oracle(prior_mean, prior_cov, H, R, z, offset):
 
 
 class TestPredictSensor:
+    #: The map half of the prediction passes it through (TestPredictMap).
+    density = PmbmDensity(default_ppp_intensity(),
+                          (GlobalHypothesis(1.0, ()),))
+
     def test_turn_model_closed_form(self):
         cfg = make_config(LinearModel({SP: ([[0.0]], [[1.0]])}, 1))
         belief = GaussianComponent(
             np.array([70.7285, 0.0, 0.0, np.pi / 2, 300.0]), np.eye(5))
-        out = predict_sensor(belief, cfg)
+        out = predict_step(self.density, belief, cfg)[1]
         ratio = 22.22 / (np.pi / 10)
         expected = np.array([
             70.7285 + ratio * (math.cos(np.pi / 20) - 1.0),
@@ -114,7 +117,7 @@ class TestPredictSensor:
         cfg = make_config(LinearModel({SP: ([[0.0]], [[1.0]])}, 1), dt=0.0)
         belief = GaussianComponent(np.array([1.0, 2.0, 0.0, 0.3, 5.0]),
                                    np.diag([1.0, 2, 3, 4, 5]))
-        out = predict_sensor(belief, cfg)
+        out = predict_step(self.density, belief, cfg)[1]
         assert np.allclose(out.mean, belief.mean)
         assert np.allclose(out.covariance, belief.covariance)
 
@@ -126,7 +129,7 @@ class TestPredictSensor:
                                    0.5 * np.eye(5))
         F = sensor_transition_jacobian(belief.mean, cfg.speed, cfg.turn_rate,
                                        cfg.dt)
-        out = predict_sensor(belief, cfg)
+        out = predict_step(self.density, belief, cfg)[1]
         assert np.allclose(out.covariance - F @ belief.covariance @ F.T, q,
                            atol=1e-12)
 
@@ -135,7 +138,7 @@ class TestPredictSensor:
                           turn_rate=0.0, speed=10.0, dt=0.5)
         belief = GaussianComponent(np.array([0.0, 0.0, 0.0, np.pi / 4, 0.0]),
                                    np.eye(5))
-        out = predict_sensor(belief, cfg)
+        out = predict_step(self.density, belief, cfg)[1]
         assert out.mean[0] == pytest.approx(5.0 * math.cos(np.pi / 4))
         assert out.mean[1] == pytest.approx(5.0 * math.sin(np.pi / 4))
 
