@@ -364,10 +364,9 @@ def weight_birth(terms: dict, comps: dict, clutter_intensity: float):
     rates, the existence 1, and the masses the rates over the largest, so a
     measurement that only a newborn explains keeps a finite cost.  A
     density too large for a float raises InfeasibleAssignmentError: the
-    measurement's birth cost would be -inf.
+    measurement's birth cost would be -inf.  ``clutter_intensity`` is finite
+    and >= 0, as :class:`rfslam.update.FilterConfig` checks.
     """
-    if clutter_intensity < 0.0:
-        raise ValueError("clutter intensity must be nonnegative")
     rho = {}
     for kind, (rate, pd, loglik) in terms.items():
         try:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .association import DEFAULT_GATE, InfeasibleAssignmentError
+from .association import InfeasibleAssignmentError
 from .density import (
     Bernoulli,
     DegenerateDensityError,
@@ -69,6 +69,9 @@ METRICS_HEADER = ("step,gospa_va,gospa_sp,mae_pos,mae_heading,mae_bias,"
 #: is bit-reproducible for a fixed (config, seed).
 TIMING_COLUMNS = ("ms_predict", "ms_update")
 
+#: The existence from which a landmark enters the estimated map.
+EXTRACT_THRESHOLD = 0.5
+
 
 class ConfigError(ValueError):
     """Invalid run configuration or scenario content."""
@@ -84,11 +87,8 @@ _CONFIG_KEYS = {
     "seed": ("seed", (int,), True),
     "out": ("out_dir", (str,), False),
     "mm": ("multi_model", (bool,), True),
-    "joseph": ("joseph_form", (bool,), True),
-    "gate": ("gate", (float, int, type(None)), True),
     "noise_toa": ("noise_toa", (float, int, type(None)), True),
     "noise_angle": ("noise_angle", (float, int, type(None)), True),
-    "extract_threshold": ("extract_threshold", (float, int), True),
     "jobs": ("jobs", (int,), False)}
 
 
@@ -103,11 +103,8 @@ class RunConfig:
     seed: int = 0
     out_dir: str = "."
     multi_model: bool = True
-    joseph_form: bool = False
-    gate: float | None = DEFAULT_GATE
     noise_toa: float | None = None
     noise_angle: float | None = None
-    extract_threshold: float = 0.5
     jobs: int = 1
 
     def __post_init__(self):
@@ -118,21 +115,17 @@ class RunConfig:
             raise ConfigError("gamma must be >= 1")
         if self.filter_kind not in (EK_PMB, EK_PMBM):
             raise ConfigError(f"unknown filter kind {self.filter_kind!r}")
-        if not 0.0 < self.extract_threshold < 1.0:
-            raise ConfigError("extract_threshold must lie in (0, 1)")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
-        # A None gate disables gating; a None noise std keeps the scenario's.
-        for name in ("gate", "noise_toa", "noise_angle"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"{name} must be finite and > 0")
-        # A noise std overrides the scenario's, which refuses a std whose
-        # square is not a finite, positive variance.
+        # A None noise std keeps the scenario's; any other overrides it, and
+        # the scenario refuses a std whose square is not a finite, positive
+        # variance.
         for name in ("noise_toa", "noise_angle"):
             std = getattr(self, name)
+            if std is not None and not (math.isfinite(std) and std > 0.0):
+                raise ConfigError(f"{name} must be finite and > 0")
             if std is not None and not 0.0 < float(std) * float(std) < math.inf:
                 raise ConfigError(f"{name} must square to a variance finite "
                                   "and > 0")
@@ -175,9 +168,7 @@ def build_filter_config(scenario: Scenario, config: RunConfig) -> FilterConfig:
         gamma=config.gamma,
         filter_kind=config.filter_kind,
         clutter_intensity=scenario.clutter_intensity,
-        gate=config.gate,
         multi_model=config.multi_model,
-        joseph_form=config.joseph_form,
     )
 
 
@@ -262,7 +253,7 @@ def run(config: RunConfig) -> dict:
         raise ConfigError(f"mc_runs x steps must be <= {MAX_CAMPAIGN_STEPS}, "
                           f"not {config.mc_runs} x {scenario.steps}")
     filter_cfg = build_filter_config(scenario, config)
-    tasks = [(scenario, filter_cfg, config.seed, i, config.extract_threshold)
+    tasks = [(scenario, filter_cfg, config.seed, i, EXTRACT_THRESHOLD)
              for i in range(config.mc_runs)]
     # More workers than runs or cores cannot help; each MC run seeds its own
     # generator, so the worker count never changes the report.

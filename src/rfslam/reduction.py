@@ -56,12 +56,11 @@ class TrackTable:
     """Marginal association table over tracks.
 
     Prior tracks are 0..n_prior-1 with local associations q in
-    {0 (misdetected), 1..n_meas}; new tracks n_prior..n_prior+n_meas-1 have
-    q in {their own measurement, None (not born)}.
+    {0 (misdetected), 1..m} for m measurements; the m new tracks that follow
+    have q in {their own measurement, None (not born)}.
     """
 
     n_prior: int
-    n_meas: int
     cells: list  # per track: q -> TrackCell
 
 
@@ -93,7 +92,7 @@ def align_hypotheses(density: PmbmDensity) -> TrackTable:
             # Only a not-born new track (q None) has no Bernoulli.
             if q is not None:
                 cell.contributors.append((hyp.weight, next(berns)))
-    return TrackTable(n_prior, n_meas, cells)
+    return TrackTable(n_prior, cells)
 
 
 def average_conditionals(table: TrackTable) -> TrackTable:

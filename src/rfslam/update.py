@@ -84,7 +84,6 @@ class FilterConfig:
     clutter_intensity: float = 1.0 / (800.0 * math.pi ** 4)
     gate: Optional[float] = DEFAULT_GATE
     multi_model: bool = True            # False: hard type decision at birth
-    joseph_form: bool = False
     # Landmark-type components below this posterior probability are dropped
     # (their replicated measurement rows would otherwise keep enforcing a
     # stale zero-noise cross-type constraint on the sensor).  0 keeps every
@@ -100,6 +99,9 @@ class FilterConfig:
             raise ValueError("gamma must be >= 1")
         if self.filter_kind not in (EK_PMB, EK_PMBM):
             raise ValueError(f"unknown filter kind {self.filter_kind!r}")
+        if not (math.isfinite(self.clutter_intensity)
+                and self.clutter_intensity >= 0.0):
+            raise ValueError("clutter intensity must be finite and >= 0")
 
 
 def thin_ppp(ppp: dict, config: FilterConfig) -> dict:
@@ -277,7 +279,7 @@ def joint_update(parts: ChildParts, sigma: AssociationVector):
     1e-9 I added; raises ``numpy.linalg.LinAlgError`` when it stays singular
     (the association is then discarded).
     """
-    hypothesis, config = parts.hypothesis, parts.config
+    hypothesis = parts.hypothesis
     sensor, measurements = parts.sensor, parts.measurements
     sigma.validate()
     berns = hypothesis.bernoullis
@@ -325,12 +327,9 @@ def joint_update(parts: ChildParts, sigma: AssociationVector):
         # Replicated measurement noise is fully correlated across types:
         # every (type, type) block of a landmark's span is its covariance.
         for cov_z, n_kinds, span in spans:
-            if n_kinds == 1:
-                R[span, span] = cov_z
-            else:
-                dz = cov_z.shape[0]
-                R[span, span].reshape(n_kinds, dz, n_kinds, dz)[...] = \
-                    cov_z[:, None, :]
+            dz = cov_z.shape[0]
+            R[span, span].reshape(n_kinds, dz, n_kinds, dz)[...] = \
+                cov_z[:, None, :]
         S = H @ cov @ H.T + R
         PHt = cov @ H.T
         # S K^T = (P H^T)^T, factored and solved as a one-row stack.
@@ -341,13 +340,8 @@ def joint_update(parts: ChildParts, sigma: AssociationVector):
             _, _, (gain,) = chol_solve(symmetrize(S)[None], PHt.T[None])
         gain = gain.T
         post_mean = mean + gain @ innovation
-        if config.joseph_form:
-            A = np.eye(n_state) - gain @ H
-            post_cov = A @ cov @ A.T + gain @ R @ gain.T
-        else:
-            post_cov = cov - gain @ PHt.T
         # Diagonal blocks of the symmetrized covariance are exactly symmetric.
-        post_cov = symmetrize(post_cov)
+        post_cov = symmetrize(cov - gain @ PHt.T)
         sensor_post = GaussianComponent(post_mean[:ds], post_cov[:ds, :ds])
         posterior = {(i, kind): (post_mean[state], post_cov[state, state])
                      for i, kind, _, _, _, state, _ in blocks}

@@ -178,12 +178,12 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize("filter_kind, gamma, digest", [
         ("ek-pmb", 10,
-         "6fc54d0df6d6573a9f4745a208843887ad04d17371a4c896b509acba6e35ce7d"),
+         "b0ec63490d204b2bbe2f2dbebaef1834d65906a30e77e63c2943683fb10ea6a8"),
         ("ek-pmb", 1,
-         "c936e6d8c7ae8b3c57b4765d178cad149dc99a430b1783425a3797a3da805c02"),
+         "174beff598cb716707424c5bdf7dafd723548099bec9ee3d3e08636adec8a806"),
         ("ek-pmbm", 10,
-         "3d84b4709546e41e1068a1e16ca82318a1cb7e6b51a9e8889559c8b148fa799e"),
-    ])
+         "e341b5bcc983c499566526f3b8ad540043b5afc97078ee09a297d494e8cb6935"),
+    ], ids=["ek-pmb-10", "ek-pmb-1", "ek-pmbm-10"])
     def test_report_hash_pinned(self, tmp_path, filter_kind, gamma, digest):
         report = run(RunConfig(filter_kind=filter_kind, gamma=gamma,
                                mc_runs=5, seed=1, jobs=1,
@@ -204,7 +204,7 @@ class TestGoldenOutput:
                                out_dir=str(tmp_path)))
         view = json.dumps(deterministic_report_view(report), sort_keys=True)
         assert hashlib.sha256(view.encode()).hexdigest() == (
-            "f692d7c5c0f73fa90f535b88fb397926debe246e9db9e547e5bf10ec00c17698")
+            "94797f6c3a651892c1d7a48ffe0f4d3e06ae291b117d28abfbf8a2ff9835a1c2")
 
 
 class TestCompare:
@@ -258,7 +258,7 @@ class TestMain:
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"filter": "ek-pmbm", "gamma": 3,
-                                        "mc": 2, "seed": 4, "gate": 30}))
+                                        "mc": 2, "seed": 4, "noise_toa": 1}))
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg_path), "--gamma", "1",
                      "--out", str(out)]) == 0
@@ -266,7 +266,7 @@ class TestMain:
         assert report["config"]["gamma"] == 1
         assert report["config"]["filter"] == "ek-pmbm"
         # An int for a float key is kept as written.
-        assert type(report["config"]["gate"]) is int
+        assert type(report["config"]["noise_toa"]) is int
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -277,8 +277,7 @@ class TestMain:
         assert main(["run", "--mc", "0", "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("doc", [
-        {"mc": 2.5}, {"gate": "wide"}, {"mm": "off"},
-        {"extract_threshold": 1.5}])
+        {"mc": 2.5}, {"noise_toa": "wide"}, {"mm": "off"}])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, doc):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"mc": 1, "out": str(tmp_path / "o"),
@@ -288,8 +287,7 @@ class TestMain:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("doc", [
-        {"seed": -1}, {"gate": 0}, {"gate": -5.0}, {"gate": math.nan},
-        {"gate": math.inf}, {"noise_toa": 0.0}, {"noise_toa": -1.0},
+        {"seed": -1}, {"noise_toa": 0.0}, {"noise_toa": -1.0},
         {"noise_toa": math.nan}, {"noise_angle": 0.0},
         {"noise_angle": math.inf}, {"jobs": 0}, {"jobs": -3}], ids=json.dumps)
     def test_out_of_range_config_exits_2(self, tmp_path, capsys, doc):
@@ -364,11 +362,11 @@ class TestMain:
                                                           capsys):
         # JSON integers have no size limit; float() of this one overflows.
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"mc": 1, "out": "%s", "gate": 1%s}'
+        cfg.write_text('{"mc": 1, "out": "%s", "noise_toa": 1%s}'
                        % (tmp_path / "o", "0" * 400))
         assert main(["run", "--config", str(cfg)]) == 2
-        assert ("configuration error: invalid config file: gate must be a "
-                "number, not an integer too large for a float"
+        assert ("configuration error: invalid config file: noise_toa must be "
+                "a number, not an integer too large for a float"
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
@@ -690,7 +688,11 @@ def _json_kind(value):
 SCENARIO_DOC = scenario_to_dict(default_scenario(seed=1, steps=3))
 CONFIG_DOC = {**RunConfig().to_dict(), "out": ".", "jobs": 1}
 #: Config keys that take a number or null; their default may be either.
-NULLABLE = {"gate", "noise_toa", "noise_angle"}
+NULLABLE = {"noise_toa", "noise_angle"}
+#: Keys the config file no longer takes, with the value each last took: the
+#: gate and the extraction threshold are fixed, and the update has one
+#: covariance form.
+REMOVED_KEYS = {"gate": 30, "joseph": False, "extract_threshold": 0.5}
 #: Values of each JSON kind other than the valid one: a bool, a numeric
 #: string, null, and a list or an object in place of the other.
 WRONG = {
@@ -705,7 +707,9 @@ WRONG = {
 
 class TestWrongJsonType:
     """A value of the wrong JSON type, at any key of either file, is a
-    configuration error naming the key, and nothing is written."""
+    configuration error naming the key, and nothing is written.  At a key
+    the config file no longer takes every value is wrong, even the one it
+    last took."""
 
     @staticmethod
     def wrong_value(data, path, default):
@@ -727,14 +731,17 @@ class TestWrongJsonType:
         assert all(key in err.getvalue() for key in path if type(key) is str)
         assert {p.name for p in tmp.iterdir()} <= {"cfg.json", "scen.json"}
 
-    @pytest.mark.parametrize("key", list(CONFIG_DOC))
+    @pytest.mark.parametrize("key", [*CONFIG_DOC, *REMOVED_KEYS])
     @settings(max_examples=12, deadline=None)
     @given(data=st.data())
     def test_config_key(self, tmp_path_factory, key, data):
         tmp = tmp_path_factory.mktemp("cfg")
-        config = {"mc": 1, "out": str(tmp / "o"),
-                  key: self.wrong_value(data, (key,), CONFIG_DOC[key])}
-        self.exits_2_naming(tmp, (key,), config)
+        value = (data.draw(st.one_of(st.just(REMOVED_KEYS[key]),
+                                     *WRONG.values()))
+                 if key in REMOVED_KEYS
+                 else self.wrong_value(data, (key,), CONFIG_DOC[key]))
+        self.exits_2_naming(tmp, (key,),
+                            {"mc": 1, "out": str(tmp / "o"), key: value})
 
     @pytest.mark.parametrize("path", list(_key_paths(SCENARIO_DOC)),
                              ids=repr)

@@ -659,7 +659,7 @@ class TestMixTypes:
             w = draw_value(rng, tiny)
             cell.beta += w
             cell.contributors.append((w, bern))
-        average_conditionals(TrackTable(1, 0, [{0: cell}]))
+        average_conditionals(TrackTable(1, [{0: cell}]))
         if cell.beta < MIN_CELL_MASS:
             assert cell.bernoulli is None
             return
@@ -679,7 +679,7 @@ class TestMixTypes:
             w = draw_value(rng, tiny)
             cell.beta += w
             cell.contributors.append((w, bern))
-        table = average_conditionals(TrackTable(1, 0, [cells]))
+        table = average_conditionals(TrackTable(1, [cells]))
         try:
             want = loop_recombine_prior_track(cells)
         except InconsistentHypothesesError:
@@ -854,7 +854,7 @@ def random_table(rng, n_cells, n_types, shared, tiny, neg_zero):
             k = min(n_cells, int(rng.integers(1, 5)))
             prior.append({q: cell() for q in range(k)})
             n_cells -= k
-    return TrackTable(len(prior), len(new), prior + new)
+    return TrackTable(len(prior), prior + new)
 
 
 class TestBatchedReduction:

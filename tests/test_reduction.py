@@ -56,7 +56,7 @@ class TestAlign:
         rng = np.random.default_rng(0)
         density = build_pmbm(rng, 2, 2, n_hyp=1)
         table = align_hypotheses(density)
-        assert len(table.cells) == table.n_prior + table.n_meas
+        assert (table.n_prior, len(table.cells) - table.n_prior) == (2, 2)
         for cells in table.cells:
             assert len(cells) == 1
             assert next(iter(cells.values())).beta == pytest.approx(1.0)

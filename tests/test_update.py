@@ -91,6 +91,23 @@ def conditioning_oracle(prior_mean, prior_cov, H, R, z, offset):
     return mean, cov
 
 
+class TestFilterConfig:
+    @pytest.mark.parametrize("clutter", [-1.0, math.nan, math.inf])
+    def test_refuses_clutter_intensity_not_finite_and_nonnegative(self,
+                                                                  clutter):
+        # A NaN once passed the birth weight's own test and ended the step
+        # in "a measurement row has no finite cost".
+        with pytest.raises(ValueError, match="clutter intensity must be "
+                                             "finite and >= 0"):
+            make_config(LinearModel({VA: ([[1.0]], [[1.0]])}, 1),
+                        clutter_intensity=clutter)
+
+    def test_zero_clutter_intensity_builds(self):
+        cfg = make_config(LinearModel({VA: ([[1.0]], [[1.0]])}, 1),
+                          clutter_intensity=0.0)
+        assert cfg.clutter_intensity == 0.0
+
+
 class TestPredictSensor:
     #: The map half of the prediction passes it through (TestPredictMap).
     density = PmbmDensity(default_ppp_intensity(),
@@ -580,21 +597,6 @@ class TestJointUpdate:
         for comp in child.bernoullis[0].belief.types.values():
             assert np.all(np.isfinite(comp.mean))
 
-    def test_joseph_form_agrees(self):
-        rng = np.random.default_rng(43)
-        model, cfg, sensor, hyp = linear_setup(rng, 2)
-        cfg_j = make_config(model, gate=None, joseph_form=True)
-        dz = model.dim
-        measurements = [Measurement(rng.normal(size=dz), np.eye(dz))
-                        for _ in range(2)]
-        sigma = AssociationVector(2, (1, 2, None, None))
-        parts = child_parts(hyp, measurements, sensor, cfg)
-        child_a, sens_a = joint_update(parts, sigma)
-        parts = child_parts(hyp, measurements, sensor, cfg_j)
-        child_b, sens_b = joint_update(parts, sigma)
-        assert np.allclose(sens_a.covariance, sens_b.covariance, atol=1e-9)
-        assert np.allclose(sens_a.mean, sens_b.mean, atol=1e-12)
-
 
 @dataclass
 class JointState:
@@ -635,7 +637,7 @@ def innovations(parts, i, p):
 def reference_joint_update(parts, sigma):
     """The joint update as three layouts: the stacked types per landmark,
     the state slices of ``assemble_joint`` and the row dimensions."""
-    hypothesis, config = parts.hypothesis, parts.config
+    hypothesis = parts.hypothesis
     sensor_prior, measurements = parts.sensor, parts.measurements
     sigma.validate()
     berns = hypothesis.bernoullis
@@ -685,12 +687,7 @@ def reference_joint_update(parts, sigma):
         PHt = joint.covariance @ H.T
         gain = cho_solve(factor, PHt.T).T
         post_mean = joint.mean + gain @ innovation
-        if config.joseph_form:
-            A = np.eye(n_state) - gain @ H
-            post_cov = A @ joint.covariance @ A.T + gain @ R @ gain.T
-        else:
-            post_cov = joint.covariance - gain @ PHt.T
-        post_cov = symmetrize(post_cov)
+        post_cov = symmetrize(joint.covariance - gain @ PHt.T)
         sensor_post = GaussianComponent(post_mean[:ds], post_cov[:ds, :ds])
         posterior_comp = {
             key: (post_mean[sl], post_cov[sl, sl])
@@ -829,16 +826,14 @@ class TestJointUpdateReference:
     @given(seed=st.integers(0, 2 ** 32 - 1), n_landmarks=st.integers(0, 3),
            multi_type=st.booleans(), type_prune=st.sampled_from([0.0, 1e-4]),
            pd_zero=st.sampled_from([None, VA, SP]),
-           degenerate=st.sampled_from([None, VA, SP]),
-           joseph_form=st.booleans())
+           degenerate=st.sampled_from([None, VA, SP]))
     def test_bit_equal_on_ranked_associations(
             self, seed, n_landmarks, multi_type, type_prune, pd_zero,
-            degenerate, joseph_form):
+            degenerate):
         rng = np.random.default_rng(seed)
         model, sensor, hyp, measurements = reference_toy(
             rng, n_landmarks, multi_type, pd_zero, degenerate)
-        cfg = make_config(model, gate=None, type_prune=type_prune,
-                          joseph_form=joseph_form)
+        cfg = make_config(model, gate=None, type_prune=type_prune)
         for sigma, _ in murty_kbest(
                 child_parts(hyp, measurements, sensor, cfg).costs, 8):
             # Fresh contexts: neither update sees pieces the other built.
@@ -914,13 +909,11 @@ class TestJointUpdateReference:
         sensor = GaussianComponent(np.zeros(1), np.eye(1))
         meas = Measurement(np.array([0.3]), np.eye(1))
         sigma = AssociationVector(1, (1, None))
-        for joseph_form in (False, True):
-            cfg = make_config(model, gate=None, type_prune=0.0,
-                              joseph_form=joseph_form)
-            assert_children_bit_equal(
-                joint_update(child_parts(hyp, [meas], sensor, cfg), sigma),
-                reference_joint_update(child_parts(hyp, [meas], sensor, cfg),
-                                       sigma))
+        cfg = make_config(model, gate=None, type_prune=0.0)
+        assert_children_bit_equal(
+            joint_update(child_parts(hyp, [meas], sensor, cfg), sigma),
+            reference_joint_update(child_parts(hyp, [meas], sensor, cfg),
+                                   sigma))
 
 
 class LinearizeOnlyModel:
