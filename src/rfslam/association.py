@@ -17,22 +17,22 @@ ranking bit for bit; above ``gamma`` 1, when no two rows share a finite
 column, it merges the rows' sorted cells instead, unless two costs lie
 within a margin far above rounding.
 
-:func:`build_cost_matrix` runs each linear-algebra stage once per
-hypothesis, over one stack of rows: the ``hph`` of every (landmark, type)
-prediction (:func:`predict_types`), the gate's wrapped residuals of every
-(landmark, type) row against every measurement, the Gaussian
-log-densities of every gated (pair, type) row (:func:`chol_logpdf`), and
-every (measurement, type) newborn's gain, information matrix, covariance
-and density (:func:`newborns`).  A stack holds one shape, so a model that
-gives its landmark types different dimensions gets one stack per
-dimension where the landmark dimension enters (the channel model's are
-all 3-D).  Two things stay per row, because they fix
-a row's bits: the geometry (``model.linearize`` and ``model.invert``),
-whose transcendental functions come from ``math``, and each Cholesky
-factorization and solve (LAPACK ``dpotrf``/``dpotrs`` take one matrix).
-:func:`chol_solve` is the filter's one Cholesky entry: it factors and
-solves a stack row by row, and the joint update of :mod:`rfslam.update`
-passes its innovation covariance to it as a one-row stack.
+:func:`build_cost_matrix` runs each stage once per hypothesis, over one
+stack of rows: the geometry, with one ``model.invert`` call and one
+``model.linearize`` call per landmark type (:func:`linearize_types`), the
+``hph`` of every (landmark, type) prediction (:func:`predict_types`), the
+gate's wrapped residuals of every (landmark, type) row against every
+measurement, the Gaussian log-densities of every gated (pair, type) row
+(:func:`chol_logpdf`), and every (measurement, type) newborn's gain,
+information matrix, covariance and density (:func:`newborns`).  A stack
+holds one shape, so a model that gives its landmark types different
+dimensions gets one stack per dimension where the landmark dimension
+enters (the channel model's are all 3-D).  Each Cholesky factorization
+and solve stays per row, because LAPACK ``dpotrf``/``dpotrs`` take one
+matrix.  :func:`chol_solve` is the filter's one Cholesky entry: it
+factors and solves a stack row by row, and the joint update of
+:mod:`rfslam.update` passes its innovation covariance to it as a one-row
+stack.
 Every output keeps the bits of the per-row code, by the rules of the
 :mod:`rfslam.geometry` docstring:
 
@@ -47,14 +47,14 @@ Every output keeps the bits of the per-row code, by the rules of the
   factor comes from ``np.linalg.cholesky``: each rounds differently from
   the BLAS dot and from ``dpotrf``;
 * transcendental functions stay where the per-row code had them: ``math``
-  per row in the geometry and the weights, ``np.log`` on the factors'
-  diagonals.
+  per row in the weights, ``np.log`` on the factors' diagonals.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
@@ -72,7 +72,7 @@ from .density import (
     sum_in_order,
     symmetrize,
 )
-from .geometry import MAX_P_DETECT, DegenerateGeometryError, LandmarkType
+from .geometry import MAX_P_DETECT, LandmarkType
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -165,10 +165,10 @@ def chol_logpdf(residuals: np.ndarray, covs: np.ndarray) -> tuple[list, list]:
 
 @dataclass(frozen=True)
 class TypePrediction:
-    """One type's ``model.linearize``: detection probability, predicted
-    measurement and the Jacobian's sensor and landmark blocks.  The last
-    three are None when the sensor cannot see the type or its geometry is
-    degenerate."""
+    """One (landmark, type) row of ``model.linearize``: detection
+    probability, predicted measurement and the Jacobian's sensor and
+    landmark blocks.  The last three are None when the sensor cannot see
+    the type or its geometry is degenerate."""
 
     p_detect: float
     z_pred: Optional[np.ndarray]
@@ -176,39 +176,75 @@ class TypePrediction:
     H_x: Optional[np.ndarray]
 
 
-def predict_types(berns, sensor: GaussianComponent, model):
-    """Predicted measurement statistics for every type of every Bernoulli,
-    from one ``model.linearize`` call per (landmark, type) and one stacked
-    ``hph`` over all of them.  A type the sensor cannot see keeps its
-    detection probability and has no prediction; degenerate geometry counts
-    as detection probability 0.
+def linearize_types(berns, z_rows: np.ndarray, sensor: GaussianComponent,
+                    ppp: dict, model) -> dict:
+    """Every type's geometry at the sensor mean: one ``model.invert`` call
+    per type that can be born, over every measurement, and one
+    ``model.linearize`` call per type, over the type's landmark rows in
+    landmark order and then its newborn rows in measurement order.  Every
+    type with a positive PPP rate can be born, except the BS, which is
+    known.
 
-    Returns ``(preds, rows, hph)``: per landmark a dict kind ->
+    Returns kind -> ``(members, born, means, linearization)``: the
+    ``(landmark, component)`` of each landmark row, the measurement of
+    each newborn row, their means, and the ``linearize`` result.
+    """
+    members = {}
+    for i, bern in enumerate(berns):
+        for kind, comp in bern.belief.types.items():
+            members.setdefault(kind, []).append((i, comp))
+    births = {kind: model.invert(z_rows, sensor.mean, kind)
+              for kind, rate in ppp.items()
+              if rate > 0.0 and kind is not LandmarkType.BS and len(z_rows)}
+    types = {}
+    for kind in {**members, **births}:
+        rows = members.get(kind, [])
+        born, means = births.get(kind, ([], []))
+        if rows or born:
+            types[kind] = rows, born, means, model.linearize(
+                sensor.mean, np.array([c.mean for _, c in rows] + list(means)),
+                kind)
+    return types
+
+
+def predict_types(berns, sensor: GaussianComponent, types: dict):
+    """Predicted measurement statistics for every type of every Bernoulli,
+    from :func:`linearize_types`, and one stacked ``hph`` per type.  A type
+    the sensor cannot see keeps its detection probability and has no
+    prediction; degenerate geometry counts as detection probability 0.
+
+    Returns ``(preds, rows, z_pred, hph)``: per landmark a dict kind ->
     :class:`TypePrediction` in its belief's type order, the ``(landmark,
     kind)`` of every type with a prediction, landmark by landmark, and
-    their H blkdiag(P, C) H^T (without R), stacked in ``rows`` order.
+    their predictions and H blkdiag(P, C) H^T (without R), stacked in
+    ``rows`` order.
     """
-    preds, rows, parts = [], [], []
-    for i, bern in enumerate(berns):
-        types = {}
-        for kind, comp in bern.belief.types.items():
-            try:
-                types[kind] = pred = TypePrediction(*model.linearize(
-                    sensor.mean, comp.mean, kind))
-            except DegenerateGeometryError:
-                types[kind] = pred = TypePrediction(0.0, None, None, None)
-            if pred.z_pred is not None:
-                rows.append((i, kind))
-                parts.append((pred.H_s, pred.H_x, comp.covariance))
-        preds.append(types)
+    preds = [dict.fromkeys(bern.belief.types) for bern in berns]
+    where, parts = {}, []
+    for kind, (members, _, _, (p_detect, seen, z_pred, H_s, H_x)) in \
+            types.items():
+        m = bisect_left(seen, len(members))
+        row = dict(zip(seen[:m], range(m)))
+        for k, (i, _) in enumerate(members):
+            r = row.get(k)
+            if r is None:
+                preds[i][kind] = TypePrediction(p_detect[k], None, None, None)
+            else:
+                preds[i][kind] = TypePrediction(p_detect[k], z_pred[r],
+                                                H_s[r], H_x[r])
+                where[(i, kind)] = len(where)
+        if m:
+            lm_cov = np.array([members[k][1].covariance for k in seen[:m]])
+            parts.append((z_pred[:m], H_s[:m],
+                          H_x[:m] @ lm_cov @ H_x[:m].swapaxes(-1, -2)))
+    rows = [(i, kind) for i, types_i in enumerate(preds)
+            for kind, pred in types_i.items() if pred.z_pred is not None]
     if not rows:
-        return tuple(preds), rows, None
-    H_s = np.array([part[0] for part in parts])
-    hph = H_s @ sensor.covariance @ H_s.swapaxes(-1, -2)
-    for group in _shape_groups([part[1] for part in parts]):
-        H_x, lm_cov = (np.array([parts[k][j] for k in group]) for j in (1, 2))
-        hph[group] += H_x @ lm_cov @ H_x.swapaxes(-1, -2)
-    return tuple(preds), rows, hph
+        return tuple(preds), rows, None, None
+    order = [where[key] for key in rows]
+    z_pred, H_s, hxh = (np.concatenate(part) for part in zip(*parts))
+    hph = H_s @ sensor.covariance @ H_s.swapaxes(-1, -2) + hxh
+    return tuple(preds), rows, z_pred[order], hph[order]
 
 
 def log_weight_detected(bern: Bernoulli, preds: dict, densities: dict):
@@ -269,57 +305,61 @@ def misdetection_weight(bern: Bernoulli, preds: dict):
     return masses, survive, (1.0 - bern.existence) + bern.existence * survive
 
 
-def newborns(z_rows: np.ndarray, r_stack: np.ndarray,
-             sensor: GaussianComponent, ppp: dict, model) -> list:
+def newborns(types: dict, ppp: dict, z_rows: np.ndarray,
+             r_stack: np.ndarray, sensor: GaussianComponent, model) -> list:
     """Newborn landmark Gaussians and birth densities of every measurement.
 
-    Every type with a positive PPP rate can be born, except the BS, which
-    is known.  The mean inverts the measurement at the sensor mean
-    (``model.invert``); one ``linearize`` call there gives the newborn's
-    prediction.  The covariance is the infinite-prior EK update, i.e. the
-    inverse Fisher-style form (Hx^T (Hs P Hs^T + R)^-1 Hx)^-1, and the
-    birth density is N(z; h, Hs P Hs^T + Hx C Hx^T + R).  A (measurement,
-    type) has no newborn when the measurement does not determine a
-    position, the newborn's geometry is degenerate, the sensor cannot see
-    it (detection probability 0), or its gain or information matrix is not
-    positive definite; the measurement is then clutter-only for that type.
+    The mean inverts the measurement at the sensor mean, and the
+    prediction there is the newborn row of the type's ``linearize``
+    (:func:`linearize_types`).  The covariance is the infinite-prior EK
+    update, i.e. the inverse Fisher-style form (Hx^T (Hs P Hs^T + R)^-1
+    Hx)^-1, and the birth density is N(z; h, Hs P Hs^T + Hx C Hx^T + R).
+    A (measurement, type) has no newborn when the measurement does not
+    determine a position, the newborn's geometry is degenerate, the sensor
+    cannot see it (detection probability 0), or its gain or information
+    matrix is not positive definite; the measurement is then clutter-only
+    for that type.
 
     Returns per measurement ``(terms, comps)``: kind -> ``(rate, p_detect,
     ln N)`` and kind -> newborn :class:`GaussianComponent`, in ``ppp``
     order, for :func:`weight_birth`.
     """
-    found = []
-    for p, z in enumerate(z_rows):
-        for kind, rate in ppp.items():
-            if rate <= 0.0 or kind is LandmarkType.BS:
-                continue
-            mean = model.invert(z, sensor.mean, kind)
-            if mean is None:
-                continue
-            try:
-                pd, z_pred, H_s, H_x = model.linearize(sensor.mean, mean, kind)
-            except DegenerateGeometryError:
-                continue
-            if pd > 0.0:
-                found.append((p, kind, rate, pd, mean, z_pred, H_s, H_x))
-    born = sorted(b for group in _shape_groups([row[7] for row in found])
-                  for b in _newborn_stack(found, group, z_rows, r_stack,
-                                          sensor, model))
+    found, parts = [], []
+    for kind, rate in ppp.items():
+        if kind not in types:
+            continue
+        members, born, means, (p_detect, seen, z_pred, H_s, H_x) = types[kind]
+        m = bisect_left(seen, len(members))
+        live = [r for r in range(m, len(seen)) if p_detect[seen[r]] > 0.0]
+        if live:
+            pick = slice(m, None) if len(live) == len(seen) - m else live
+            parts.append((range(len(found), len(found) + len(live)),
+                          z_pred[pick], H_s[pick], H_x[pick]))
+            found += [(born[b], kind, rate, p_detect[seen[r]], means[b])
+                      for r, b in ((r, seen[r] - len(members)) for r in live)]
+    # One stack per landmark dimension, every type's newborns in it.
+    kept = []
+    for group in _shape_groups([part[3][0] for part in parts]):
+        rows, *stacks = zip(*(parts[k] for k in group))
+        rows = [k for part in rows for k in part]
+        kept += [(rows[b], loglik, cov) for b, loglik, cov in _newborn_stack(
+            [found[k][0] for k in rows], *map(np.concatenate, stacks), z_rows,
+            r_stack, sensor, model)]
     out = [({}, {}) for _ in z_rows]
-    for k, loglik, cov in born:
-        p, kind, rate, pd, mean = found[k][:5]
+    for k, loglik, cov in sorted(kept):
+        p, kind, rate, pd, mean = found[k]
         out[p][0][kind] = (rate, pd, loglik)
         out[p][1][kind] = GaussianComponent(mean, cov)
     return out
 
 
-def _newborn_stack(found, group, z_rows, r_stack, sensor, model) -> list:
-    """``(index, ln N, covariance)`` of each newborn among the :func:`newborns`
-    rows ``found[group]``, all of one landmark dimension, whose gain and
-    information matrices are positive definite."""
-    rows = [found[k] for k in group]
-    H_s, H_x = (np.array([row[j] for row in rows]) for j in (6, 7))
-    r_rows = r_stack[[row[0] for row in rows]]
+def _newborn_stack(meas, z_pred, H_s, H_x, z_rows, r_stack, sensor,
+                   model) -> list:
+    """``(row, ln N, covariance)`` of each newborn row, of measurement
+    ``meas[row]`` with prediction ``z_pred[row]`` and Jacobian blocks
+    ``H_s[row]`` and ``H_x[row]``, whose gain and information matrices are
+    positive definite."""
+    r_rows = r_stack[meas]
     hph_s = H_s @ sensor.covariance @ H_s.swapaxes(-1, -2)
     live, _, solved = chol_solve(hph_s + r_rows, H_x, drop=True)
     if not live:
@@ -335,10 +375,9 @@ def _newborn_stack(found, group, z_rows, r_stack, sensor, model) -> list:
     cov = symmetrize(np.array(inverses))
     H_x = H_x[kept]
     hph = hph_s[live] + H_x @ cov @ H_x.swapaxes(-1, -2)
-    v = model.wrap_residual(z_rows[[rows[k][0] for k in live]]
-                            - np.array([rows[k][5] for k in live]))
+    v = model.wrap_residual(z_rows[[meas[k] for k in live]] - z_pred[live])
     logliks, _ = chol_logpdf(v, hph + r_rows[live])
-    return [(group[k], loglik, c) for k, loglik, c in zip(live, logliks, cov)]
+    return list(zip(live, logliks, cov))
 
 
 @dataclass(frozen=True)
@@ -505,24 +544,25 @@ def build_cost_matrix(hypothesis: GlobalHypothesis, measurements,
     n_prior, n_meas = len(berns), len(measurements)
     matrix = np.full((n_meas, n_prior + n_meas), np.inf)
 
-    type_preds, rows, hph = predict_types(berns, sensor, model)
+    z_rows = np.array([meas.z for meas in measurements])
+    types = linearize_types(berns, z_rows, sensor, ppp, model)
+    type_preds, rows, z_pred, hph = predict_types(berns, sensor, types)
     misdetection = tuple(misdetection_weight(b, preds)
                          for b, preds in zip(berns, type_preds))
     log_l0 = [math.log(m[2]) for m in misdetection]
     pairs = {}
     births = ()
     if n_meas:
-        z_rows = np.array([meas.z for meas in measurements])
         r_stack = np.array([meas.covariance for meas in measurements])
         if rows:
             for i, p, log_l, masses, residuals in _detections(
-                    berns, type_preds, rows, hph, z_rows, r_stack, model,
-                    gate):
+                    berns, type_preds, rows, z_pred, hph, z_rows, r_stack,
+                    model, gate):
                 pairs[(i, p)] = masses, residuals
                 matrix[p, i] = log_l0[i] - log_l
         births = tuple(weight_birth(terms, comps, clutter_intensity)
-                       for terms, comps in newborns(z_rows, r_stack, sensor,
-                                                    ppp, model))
+                       for terms, comps in newborns(types, ppp, z_rows,
+                                                    r_stack, sensor, model))
         matrix[:, n_prior:][np.diag_indices(n_meas)] = [
             -cand.log_weight for cand in births]
 
@@ -531,19 +571,20 @@ def build_cost_matrix(hypothesis: GlobalHypothesis, measurements,
     return CostMatrix(matrix, n_prior), sum_in_order(log_l0), ctx
 
 
-def _detections(berns, type_preds, keys, hph, z_rows, r_stack, model, gate):
+def _detections(berns, type_preds, keys, z_pred, hph, z_rows, r_stack, model,
+                gate):
     """``(landmark, measurement, ln l, masses, residuals)`` of every pair
     the gate keeps, landmark by landmark.
 
     ``keys`` holds the ``(landmark, kind)`` of each type row with a
-    prediction, a landmark's rows consecutive, and ``hph`` their stacked
-    ``hph``.  One wrapped-residual array of shape
+    prediction, a landmark's rows consecutive, and ``z_pred`` and ``hph``
+    their stacked predictions and ``hph``.  One wrapped-residual array of
+    shape
     (rows, measurements, d) serves the bound, the densities and each kept
     pair's ``residuals`` (kind -> its row of the array); one
     :func:`chol_logpdf` call takes every (candidate pair, contributing
     type) row.
     """
-    z_pred = np.array([type_preds[i][kind].z_pred for i, kind in keys])
     residuals = model.wrap_residual(z_rows - z_pred[:, None, :])
     starts = [j for j, (i, _) in enumerate(keys)
               if j == 0 or keys[j - 1][0] != i]

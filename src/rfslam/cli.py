@@ -108,6 +108,12 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        # Built in library code, a field gets the config reader's type check.
+        for key, (name, kinds, _) in _CONFIG_KEYS.items():
+            try:
+                _typed(key, getattr(self, name), kinds)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         if not 1 <= self.mc_runs <= MAX_CAMPAIGN_STEPS:
             raise ConfigError(f"mc_runs must be >= 1 and <= "
                               f"{MAX_CAMPAIGN_STEPS}")

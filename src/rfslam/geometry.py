@@ -16,30 +16,41 @@ frame, the UE array is assumed level) and angle of departure at the BS
 (global frame).  Azimuth conventions are atan2(dy, dx); elevation is
 atan2(dz, hypot(dx, dy)).
 
-The linearization kernels run once per (landmark, type) and per newborn, on
-3-vectors, so numpy's per-call cost outweighs their arithmetic.  They follow
-one rule, which keeps their results bit for bit:
+The linearization kernel (:func:`_channel`) runs once per landmark type
+on a stack of rows, a hypothesis's landmarks of the type followed by its
+newborns.  Each row keeps the bits it has alone, whatever else the stack
+holds, by one rule:
 
 * an element-wise float64 operation (``+ - * /``, negation, ``sqrt``)
-  rounds the same in numpy and on Python floats, so element-wise work may
-  move to Python floats;
+  rounds the same on a stack as on one row, in numpy or on Python floats,
+  so element-wise work runs on the stack;
+* numpy's transcendental functions do not round as ``math``'s do: over
+  200,000 draws, ``np.arctan2`` differed from ``math.atan2`` in 14,780 and
+  ``np.hypot`` from ``math.hypot`` in 1,146 (numpy 2.4.6, x86-64).  So
+  ``math.atan2``, ``math.hypot``, ``math.cos`` and ``math.sin`` and the
+  modulo of :func:`_wrap_scalar` run per row, in one Python loop over
+  ``.tolist()``, and no numpy transcendental function appears here;
 * a BLAS reduction does not round as a sequential Python sum does: over
   20,000 draws of standard normal operands, a 3-term numpy dot differed
   from the Python sum of its products in 6,674, and a 3x3 matrix-vector
-  product in 13,984 (numpy 2.4 with OpenBLAS, x86-64);
-* so every reduction (``v.dot(v)`` in :func:`_norm`, the dot and
-  matrix-vector products of the VA Jacobian) stays the same numpy call on
-  the same operands;
+  product in 13,984 (numpy 2.4 with OpenBLAS, x86-64).  So every reduction
+  (the leg lengths' dots, ``nu . d``, the VA mirror products ``R d`` and
+  ``N d`` and the gradient-times-matrix rows) is a numpy ``@``, each with
+  the shapes of its one-row form;
 * a stacked ``@`` is the same call: on C-contiguous stacks (or views that
   transpose them) numpy makes one BLAS call per slice, so each slice has
   the bits of its own 2-D product, and ``(N,1,d) @ (N,d,1)`` gives each
-  row the BLAS dot of ``v @ x``.  :mod:`rfslam.association` stacks its
-  linear algebra by this clause;
+  row the BLAS dot of ``v @ x``; writing the product into rows of the
+  Jacobian blocks (``np.matmul(..., out=...)``) makes the same call.
+  :mod:`rfslam.association` stacks its linear algebra by this clause;
 * other stacked reductions are not: over 2,000 row dots of standard-normal
   5-vectors, ``np.einsum("ij,ij->i", a, b)`` differed from the BLAS dot in
   1,038 and ``(a * b).sum(axis=1)`` in 847, and over 3,000 random 5x5
   positive-definite matrices ``np.linalg.cholesky`` differed from scipy's
   ``dpotrf`` in 359 (numpy 2.4 with OpenBLAS, x86-64).
+
+A row with degenerate geometry leaves the stack before any division, so no
+stack divides by zero.
 """
 
 from __future__ import annotations
@@ -210,157 +221,159 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row dots of a C-contiguous (N, d) stack with a like stack or with
+    one d-vector: one stacked ``@``, so each is the BLAS dot of its row."""
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]
+
+
 #: Shortest vector (m) whose direction the geometry takes.
 MIN_LEG = 1e-12
 
-
-def _direction(v, what: str) -> tuple[np.ndarray, float]:
-    n = _norm(v)
-    if n < MIN_LEG:
-        raise DegenerateGeometryError(f"zero-length {what} direction")
-    return v, n
+_EYE3 = np.eye(3)
 
 
-def _azimuth_elevation(gx: float, gy: float, gz: float) -> tuple[float, float]:
-    rho = math.hypot(gx, gy)
-    if rho < 1e-12:
-        raise DegenerateGeometryError("vertical direction: azimuth undefined")
-    return math.atan2(gy, gx), math.atan2(gz, rho)
+#: Signs that turn (gy, gx) into (-gy, gx), exactly.
+_FLIP = np.array([-1.0, 1.0])
 
 
-def _unit_direction(az: float, el: float) -> np.ndarray:
-    """Unit vector at azimuth ``az`` and elevation ``el``."""
-    return np.array([math.cos(el) * math.cos(az), math.cos(el) * math.sin(az),
-                     math.sin(el)])
+def _angle_gradients(g: np.ndarray, rho2: np.ndarray) -> np.ndarray:
+    """Gradients of the azimuth and of the elevation of each row of a
+    direction stack ``g`` (N x 3) with respect to it, stacked 2 x N x 3;
+    ``rho2`` holds each row's squared horizontal length, at least 1e-24."""
+    r2 = rho2 + g[:, 2] * g[:, 2]
+    rho = np.sqrt(rho2)
+    out = np.empty((2, len(g), 3))
+    # (-gy, gx, 0) / rho2 and (-gx gz, -gy gz) / (rho r2), rho / r2.
+    out[0, :, :2] = g[:, 1::-1] * _FLIP / rho2[:, None]
+    out[0, :, 2] = 0.0
+    out[1, :, :2] = -g[:, :2] * g[:, 2:] / (rho * r2)[:, None]
+    out[1, :, 2] = rho / r2
+    return out
 
 
-def _angle_gradients(gx: float, gy: float, gz: float):
-    """Gradients of the azimuth and of the elevation of a direction vector
-    (gx, gy, gz) with respect to it, as two 3-tuples of floats."""
-    rho2 = gx * gx + gy * gy
-    r2 = rho2 + gz * gz
-    if rho2 < 1e-24:
-        raise DegenerateGeometryError("vertical direction: azimuth undefined")
-    rho = math.sqrt(rho2)
-    rho_r2 = rho * r2
-    return ((-gy / rho2, gx / rho2, 0.0),
-            (-gx * gz / rho_r2, -gy * gz / rho_r2, rho / r2))
+def _channel(u, heading: float, bias: float, X: np.ndarray,
+             kind: LandmarkType, bs: np.ndarray, fov: float,
+             jacobians: bool):
+    """``(seen, z_pred, H_s, H_x)`` of the paths to the landmark positions
+    ``X`` (N x 3) of one kind, from a UE at ``u`` with the heading and
+    clock bias given.
 
-
-#: The UE-to-landmark and BS-to-landmark direction of each two-leg kind, as
-#: a degeneracy error names them.
-_LEG_NAMES = {LandmarkType.VA: ("UE-VA", "BS-VA"),
-              LandmarkType.SP: ("UE-SP", "BS-SP")}
-
-
-def _legs(u, kind: LandmarkType, x, bs_position):
-    """The vectors the prediction, its Jacobian and the visibility share.
-
-    Returns ``(g, n, d, b, span, nu)``: the AOA direction g = x - u from the
-    UE toward the apparent source with its length n, d = u - x, and for a VA
-    or SP the BS-to-landmark vector b = x - bs with its length span and unit
-    vector nu (a VA's surface normal); the last three are None for the BS.
-    Raises DegenerateGeometryError when g or b has (near-)zero length.
+    ``seen`` lists the rows kept, ascending; ``z_pred`` stacks their
+    channel parameters (M x 5) and, with ``jacobians``, ``H_s`` and
+    ``H_x`` the sensor and landmark blocks of their Jacobians (M x 5 x 5,
+    M x 5 x 3; else None).  The Jacobian's columns are [ue position (3),
+    heading, clock bias] and the landmark position.  A row is dropped
+    before any division when its SP lies farther than ``fov`` from the UE
+    or a direction it needs is degenerate: a leg shorter than ``MIN_LEG``,
+    or a vertical direction whose azimuth it takes (horizontal length
+    below 1e-12) or, with ``jacobians``, differentiates (squared length
+    below 1e-24).
     """
-    if kind is LandmarkType.BS:
-        g, n = _direction(x - u, "UE-BS")
-        return g, n, u - x, None, None, None
-    names = _LEG_NAMES.get(kind)
-    if names is None:
+    if kind not in TYPE_ORDER:
         raise ValueError(f"unknown landmark kind {kind!r}")
-    g, n = _direction(x - u, names[0])
-    b, span = _direction(x - np.asarray(bs_position, dtype=float), names[1])
-    return g, n, u - x, b, span, b / span
-
-
-def _prediction(heading: float, bias: float, kind: LandmarkType,
-                legs) -> np.ndarray:
-    """Noise-free channel parameters from the :func:`_legs` of a path.
-
-    The AOD direction is an unnormalized global-frame vector from the BS
-    toward the departure target.
-    """
-    g, n, d, b, span, nu = legs
-    if kind is LandmarkType.BS:
-        path, g_aod = n, d.tolist()
-    elif kind is LandmarkType.VA:
-        # Mirroring VA->UE across the surface gives the BS->incidence ray,
-        # d - 2 nu (nu . d).
-        s = float(nu @ d)
-        path = n
-        g_aod = [di - 2.0 * ni * s for di, ni in zip(d.tolist(), nu.tolist())]
-    else:
-        path, g_aod = span + n, b.tolist()
-    aoa_az, aoa_el = _azimuth_elevation(*g.tolist())
-    aod_az, aod_el = _azimuth_elevation(*g_aod)
-    return np.array([
-        path + bias,
-        _wrap_scalar(aoa_az - heading),
-        aoa_el,
-        aod_az,
-        aod_el,
-    ])
-
-
-#: The 3x3 identity in row-major order, for the VA mirror Jacobian.
-_EYE3_FLAT = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
-
-
-def _matrix(values, rows: int) -> np.ndarray:
-    """C-ordered float array of ``rows`` rows from row-major ``values``."""
-    return np.array(values).reshape(rows, -1)
-
-
-def _jacobian(kind: LandmarkType, legs) -> np.ndarray:
-    """Analytic 5x8 Jacobian of :func:`_prediction` from the same legs.
-
-    Columns stack the joint state [ue position (3), heading, clock bias,
-    landmark position (3)].  Each entry is the element-wise expression of
-    the array code it replaces, evaluated on Python floats; the VA block
-    keeps its numpy dot and matrix-vector products (see the module
-    docstring).
-    """
-    g, n, d, b, span, nu = legs
-    gx, gy, gz = g.tolist()
+    # The legs: g = x - u toward the apparent source with its length n, and
+    # for a VA or SP the BS-to-landmark vector b with its length span.
+    g = X - u
+    n = np.sqrt(_dots(g, g))
+    keep = n >= MIN_LEG
+    b = span = None
+    if kind is LandmarkType.SP:
+        keep &= n <= fov
+    if kind is not LandmarkType.BS:
+        b = X - bs
+        span = np.sqrt(_dots(b, b))
+        keep &= span >= MIN_LEG
+    seen = np.arange(len(X))
+    if not keep.all():
+        seen, X, g, n, b, span = (a if a is None else a[keep]
+                                  for a in (seen, X, g, n, b, span))
+    d = u - X
+    nu = s = R = N = None
+    path, g_aod = n, d
+    if kind is LandmarkType.VA:
+        # Mirroring VA->UE across the surface (unit normal nu) gives the
+        # BS->incidence ray, d - 2 nu (nu . d).
+        nu = b / span[:, None]
+        s = _dots(nu, d)
+        g_aod = d - 2.0 * nu * s[:, None]
+    elif kind is LandmarkType.SP:
+        nu = b / span[:, None]
+        path, g_aod = span + n, b
+    if jacobians:
+        g_jac = g_aod
+        if kind is LandmarkType.VA:
+            # The same ray as the product R d, with R = I - 2 nu nu^T, and
+            # d nu / d x = N = (I - nu nu^T) / span.
+            outer = nu[:, :, None] * nu[:, None, :]
+            R = _EYE3 - 2.0 * outer
+            N = (_EYE3 - outer) / span[:, None, None]
+            g_jac = (R @ d[:, :, None])[:, :, 0]
+        # The directions whose angles are differentiated, AOA then AOD, and
+        # their squared horizontal lengths.
+        dirs = np.concatenate([g, g_jac])
+        rho2 = dirs[:, 0] * dirs[:, 0] + dirs[:, 1] * dirs[:, 1]
+    # The transcendental functions, per row on Python floats, with the
+    # horizontal lengths that test for a vertical direction.
+    rows, rhos = [], []
+    for toa, (gx, gy, gz), (ax, ay, az) in zip(
+            (path + bias).tolist(), g.tolist(), g_aod.tolist()):
+        rho, rho_aod = math.hypot(gx, gy), math.hypot(ax, ay)
+        rows.append((toa, _wrap_scalar(math.atan2(gy, gx) - heading),
+                     math.atan2(gz, rho), math.atan2(ay, ax),
+                     math.atan2(az, rho_aod)))
+        rhos.append(min(rho, rho_aod))
+    z_pred = np.array(rows).reshape(len(rows), 5)
+    if min(rhos, default=1.0) < 1e-12 or (
+            jacobians and rho2.min(initial=1.0) < 1e-24):
+        ok = ~(np.array(rhos) < 1e-12)
+        if jacobians:
+            ok &= ~(rho2 < 1e-24).reshape(2, -1).any(axis=0)
+            dirs, rho2 = dirs[np.tile(ok, 2)], rho2[np.tile(ok, 2)]
+        seen, z_pred, g, n, d, nu, s, R, N = (
+            a if a is None else a[ok]
+            for a in (seen, z_pred, g, n, d, nu, s, R, N))
+    if not jacobians:
+        return seen.tolist(), z_pred, None, None
+    M = len(g)
+    H_s, H_x = np.zeros((M, 5, 5)), np.empty((M, 5, 3))
+    H_s[:, 0, 4], H_s[:, 1, 3] = 1.0, -1.0
     # Delay row: the bias enters additively, the positions through the unit
     # AOA direction e (and for an SP the unit BS-SP direction nu as well).
-    ex, ey, ez = gx / n, gy / n, gz / n
     # AOA rows: the apparent source is the landmark itself for every kind.
-    (ax, ay, az), (lx, ly, lz) = _angle_gradients(gx, gy, gz)
-    head = [-ex, -ey, -ez, 0.0, 1.0]
-    aoa = [-ax, -ay, -az, -1.0, 0.0, ax, ay, az,
-           -lx, -ly, -lz, 0.0, 0.0, lx, ly, lz]
-
+    grads = _angle_gradients(dirs, rho2)
+    e = g / n[:, None]
+    H_x[:, 0], H_x[:, 1:3] = e, grads[:, :M].swapaxes(0, 1)
+    np.negative(H_x[:, :3], out=H_s[:, :3, :3])
+    if kind is LandmarkType.SP:
+        np.add(nu, e, out=H_x[:, 0])
+    aod = grads[:, M:]
     if kind is LandmarkType.BS:
-        (px, py, pz), (qx, qy, qz) = _angle_gradients(*d.tolist())
-        return _matrix([*head, ex, ey, ez, *aoa,
-                        px, py, pz, 0.0, 0.0, -px, -py, -pz,
-                        qx, qy, qz, 0.0, 0.0, -qx, -qy, -qz], 5)
-    if kind is LandmarkType.VA:
-        # g = R(nu(x)) d(x, u) with R = I - 2 nu nu^T:  dg/du = R, and dg/dx
-        # by the product rule with d nu / d x = N = (I - nu nu^T) / span.
-        nus = nu.tolist()
-        outer = [ni * nj for ni in nus for nj in nus]
-        r_flat = [e - 2.0 * o for e, o in zip(_EYE3_FLAT, outer)]
-        n_flat = [(e - o) / span for e, o in zip(_EYE3_FLAT, outer)]
-        R, N = _matrix(r_flat, 3), _matrix(n_flat, 3)
-        g_aod = R @ d
-        c = 2.0 * float(nu @ d)
-        nd = (N @ d).tolist()
-        nu_nd = [ni * w for ni in nus for w in nd]
-        dg_dx = _matrix([-r - c * m - 2.0 * o
-                         for r, m, o in zip(r_flat, n_flat, nu_nd)], 3)
-        d_az2, d_el2 = map(np.array, _angle_gradients(*g_aod.tolist()))
-        return _matrix([*head, ex, ey, ez, *aoa,
-                        *(d_az2 @ R).tolist(), 0.0, 0.0,
-                        *(d_az2 @ dg_dx).tolist(),
-                        *(d_el2 @ R).tolist(), 0.0, 0.0,
-                        *(d_el2 @ dg_dx).tolist()], 5)
-    nx, ny, nz = nu.tolist()
-    (px, py, pz), (qx, qy, qz) = _angle_gradients(*b.tolist())
-    return _matrix([*head, nx + ex, ny + ey, nz + ez, *aoa,
-                    0.0, 0.0, 0.0, 0.0, 0.0, px, py, pz,
-                    0.0, 0.0, 0.0, 0.0, 0.0, qx, qy, qz], 5)
+        H_s[:, 3:, :3] = aod.swapaxes(0, 1)
+        np.negative(H_s[:, 3:, :3], out=H_x[:, 3:])
+    elif kind is LandmarkType.VA:
+        # g_aod = R(nu(x)) d(x, u): dg/du = R, and dg/dx by the product rule.
+        nd = (N @ d[:, :, None])[:, :, 0]
+        dg_dx = (-R - (2.0 * s)[:, None, None] * N
+                 - 2.0 * (nu[:, :, None] * nd[:, None, :]))
+        for row, grad in zip((3, 4), aod[:, :, None]):
+            np.matmul(grad, R, out=H_s[:, row:row + 1, :3])
+            np.matmul(grad, dg_dx, out=H_x[:, row:row + 1])
+    else:
+        H_x[:, 3:] = aod.swapaxes(0, 1)
+    return seen.tolist(), z_pred, H_s, H_x
+
+
+def _one_row(u, heading: float, bias: float, x, kind: LandmarkType, bs,
+             jacobians: bool) -> list:
+    """``[z_pred, H_s, H_x]`` of one path by :func:`_channel`, with no
+    field-of-view cut; raises DegenerateGeometryError where it has none."""
+    seen, *stacks = _channel(u, heading, bias, x[None], kind,
+                             np.asarray(bs, dtype=float), math.inf, jacobians)
+    if not seen:
+        raise DegenerateGeometryError(
+            "degenerate geometry: a zero-length or vertical direction")
+    return [a if a is None else a[0] for a in stacks]
 
 
 def measure(ue: UEState, lm: Landmark, bs_position) -> np.ndarray:
@@ -369,8 +382,8 @@ def measure(ue: UEState, lm: Landmark, bs_position) -> np.ndarray:
     The TOA is the path length in meters plus the UE clock bias.  AOA
     azimuth is relative to the UE heading; all angles wrapped to (-pi, pi].
     """
-    return _prediction(ue.heading, ue.clock_bias, lm.kind,
-                       _legs(ue.position, lm.kind, lm.position, bs_position))
+    return _one_row(ue.position, ue.heading, ue.clock_bias, lm.position,
+                    lm.kind, bs_position, False)[0]
 
 
 def measure_jacobian(ue: UEState, lm: Landmark, bs_position) -> np.ndarray:
@@ -379,8 +392,24 @@ def measure_jacobian(ue: UEState, lm: Landmark, bs_position) -> np.ndarray:
     Columns stack the joint state [ue position (3), heading, clock bias,
     landmark position (3)].
     """
-    return _jacobian(lm.kind,
-                     _legs(ue.position, lm.kind, lm.position, bs_position))
+    return np.concatenate(_one_row(ue.position, ue.heading, ue.clock_bias,
+                                   lm.position, lm.kind, bs_position,
+                                   True)[1:], axis=1)
+
+
+def measure_all(ue: UEState, landmarks, bs_position) -> list:
+    """:func:`measure` of every landmark, or None where its geometry is
+    degenerate, from one stacked pass per kind."""
+    out = [None] * len(landmarks)
+    for kind in TYPE_ORDER:
+        index = [k for k, lm in enumerate(landmarks) if lm.kind is kind]
+        seen, z_pred, _, _ = _channel(
+            ue.position, ue.heading, ue.clock_bias, np.array(
+                [landmarks[k].position for k in index]).reshape(-1, 3),
+            kind, np.asarray(bs_position, dtype=float), math.inf, False)
+        for k, z in zip(seen, z_pred):
+            out[index[k]] = z
+    return out
 
 
 def detection_probability(ue: UEState, lm: Landmark, p_detect: dict,
@@ -392,17 +421,10 @@ def detection_probability(ue: UEState, lm: Landmark, p_detect: dict,
     :class:`LandmarkType` to its detection probability; a missing type is
     never detected.
     """
-    return _visible(lm.kind, _norm(lm.position - ue.position),
-                    float(p_detect.get(lm.kind, 0.0)), fov_radius)
-
-
-def _visible(kind: LandmarkType, dist: float, pd: float,
-             fov_radius: float) -> float:
-    """``pd``, or 0.0 for an SP farther than ``fov_radius`` from the UE;
-    ``dist`` is the UE-landmark distance."""
-    if kind is LandmarkType.SP and dist > fov_radius:
+    if lm.kind is LandmarkType.SP and _norm(lm.position - ue.position) > \
+            fov_radius:
         return 0.0
-    return pd
+    return float(p_detect.get(lm.kind, 0.0))
 
 
 # Clamp keeping misdetection weights strictly positive even for p_detect = 1.
@@ -414,17 +436,19 @@ class ChannelModel:
     """Measurement-model facade the filter core works against.
 
     Wraps the channel geometry with the known BS anchor position and the
-    detection model.  The filter calls three methods: ``linearize``,
-    ``invert`` and ``wrap_residual`` (and reads ``p_detect`` and
-    ``fov_radius`` when present), so any object with them can be
-    substituted, e.g. linear toys in tests.  ``wrap_residual`` takes a
-    residual or a stack of them of any shape, the components on the last
-    axis, and wraps every angle with :func:`wrap_angle`, which gives
-    ``_wrap_scalar``'s bits.  ``predict``, ``jacobians`` and
-    ``detection_probability`` give ``linearize``'s parts one at a time for
-    a pair the sensor can see.  No filter code calls them: they stay only
-    because the benchmark's tracer wraps them by name, so add no caller;
-    they go when the tracer's name list drops them.
+    detection model.  The filter calls three methods, each on a stack of
+    rows: ``linearize`` (landmark positions), ``invert`` (measurements)
+    and ``wrap_residual`` (and reads ``p_detect`` and ``fov_radius`` when
+    present), so any object with them can be substituted, e.g. linear toys
+    in tests.  ``wrap_residual`` takes a residual or a stack of them of any
+    shape, the components on the last axis, and wraps every angle with
+    :func:`wrap_angle`, which gives ``_wrap_scalar``'s bits.  ``predict``,
+    ``jacobians`` and ``detection_probability`` are one-row calls of the
+    same kernel: ``predict`` and ``jacobians`` take no field-of-view cut
+    and raise DegenerateGeometryError where ``linearize`` would give no
+    prediction.  No filter code calls them: they stay only because the
+    benchmark's tracer wraps them by name, so add no caller; they go when
+    the tracer's name list drops them.
     """
 
     bs_position: np.ndarray
@@ -447,8 +471,8 @@ class ChannelModel:
         return v
 
     # The methods below take the raw sensor vector [x, y, z, heading, bias]
-    # and landmark position, and check them as UEState.from_vector and
-    # Landmark would, without building either object on every call.
+    # and check it as UEState.from_vector would, once per call, without
+    # building a UEState.
 
     @staticmethod
     def _sensor(sensor_mean):
@@ -457,69 +481,75 @@ class ChannelModel:
         heading, bias = _wrap_scalar(float(v[3])), float(v[4])
         return _finite_point(v[:3], "UE"), heading, bias
 
-    def linearize(self, sensor_mean, lm_position, kind: LandmarkType):
-        """(p_detect, z_pred, H_sensor, H_landmark) at one sensor vector and
-        landmark position: :meth:`detection_probability`, :meth:`predict`
-        and :meth:`jacobians` from one decode and one pass over the path's
-        directions.  A pair the sensor cannot see (p_detect 0, e.g. an SP
-        beyond ``fov_radius``) gives ``(p_detect, None, None, None)``: it
-        enters the filter only through its misdetection mass.  Raises
-        ValueError on non-finite input and DegenerateGeometryError on a
-        zero-length leg, for any pair; a visible pair raises
-        DegenerateGeometryError whenever ``predict`` or ``jacobians`` would,
-        with the message of the first of the two to raise."""
+    def linearize(self, sensor_mean, positions, kind: LandmarkType):
+        """``(p_detect, seen, z_pred, H_s, H_x)`` of N landmark positions of
+        one kind (an N x 3 stack) at one sensor vector, from one decode and
+        one stacked pass (:func:`_channel`).
+
+        ``p_detect`` holds each row's detection probability, and ``seen``
+        the rows with a prediction, ascending; ``z_pred`` (M x 5), ``H_s``
+        (M x 5 x 5) and ``H_x`` (M x 5 x 3) stack their predictions and
+        Jacobian blocks, C-contiguous.  A row the sensor cannot see (an SP
+        beyond ``fov_radius``) or with degenerate geometry has p_detect 0
+        and no prediction: it enters the filter only through its
+        misdetection mass.  Raises ValueError on a non-finite sensor
+        position or landmark row."""
         u, heading, bias = self._sensor(sensor_mean)
-        legs = _legs(u, kind, _finite_point(lm_position, "landmark"),
-                     self.bs_position)
-        pd = _visible(kind, legs[1], float(self.p_detect.get(kind, 0.0)),
-                      self.fov_radius)
-        if pd <= 0.0:
-            return pd, None, None, None
-        z_pred = _prediction(heading, bias, kind, legs)
-        H = _jacobian(kind, legs)
-        return pd, z_pred, H[:, :5], H[:, 5:]
+        X = np.asarray(positions, dtype=float)
+        if X.ndim != 2 or X.shape[1] != 3 or not np.isfinite(X).all():
+            raise ValueError("landmark position must be a finite 3-vector")
+        pd = float(self.p_detect.get(kind, 0.0))
+        seen, z_pred, H_s, H_x = _channel(
+            u, heading, bias, X if pd > 0.0 else X[:0], kind,
+            self.bs_position, self.fov_radius, True)
+        p_detect = [0.0 if pd > 0.0 else pd] * len(X)
+        for k in seen:
+            p_detect[k] = pd
+        return p_detect, seen, z_pred, H_s, H_x
 
     def predict(self, sensor_mean, lm_position, kind: LandmarkType) -> np.ndarray:
         u, heading, bias = self._sensor(sensor_mean)
-        return _prediction(heading, bias, kind,
-                           _legs(u, kind, _finite_point(lm_position, "landmark"),
-                                 self.bs_position))
+        return _one_row(u, heading, bias,
+                        _finite_point(lm_position, "landmark"), kind,
+                        self.bs_position, False)[0]
 
     def jacobians(self, sensor_mean, lm_position, kind: LandmarkType):
         """(H_sensor, H_landmark) blocks of the measurement Jacobian."""
-        u, _, _ = self._sensor(sensor_mean)
-        x = _finite_point(lm_position, "landmark")
-        H = _jacobian(kind, _legs(u, kind, x, self.bs_position))
-        return H[:, :5], H[:, 5:]
+        u, heading, bias = self._sensor(sensor_mean)
+        return tuple(_one_row(u, heading, bias,
+                              _finite_point(lm_position, "landmark"), kind,
+                              self.bs_position, True)[1:])
 
     def detection_probability(self, sensor_mean, lm_position,
                               kind: LandmarkType) -> float:
-        u, _, _ = self._sensor(sensor_mean)
-        x = _finite_point(lm_position, "landmark")
-        return _visible(kind, _norm(x - u),
-                        float(self.p_detect.get(kind, 0.0)), self.fov_radius)
+        return self.linearize(sensor_mean,
+                              _finite_point(lm_position, "landmark")[None],
+                              kind)[0][0]
 
-    def invert(self, z, sensor_mean, kind: LandmarkType):
-        """Invert a measurement to a landmark position at the sensor mean.
-
-        Returns None when the geometry does not admit a solution (the caller
-        treats the measurement as clutter-only).
-        """
-        z = np.asarray(z, dtype=float)
+    def invert(self, z_rows, sensor_mean, kind: LandmarkType):
+        """``(rows, means)``: the rows of a stack of measurements (P x 5)
+        that invert to a landmark position at the sensor mean, ascending,
+        and those positions (K x 3).  A row whose geometry admits no
+        solution is left out (the caller treats it as clutter-only for the
+        kind)."""
+        z = np.asarray(z_rows, dtype=float)
         u, heading, bias = self._sensor(sensor_mean)
-        path = z[0] - bias
-        if path <= 0.0:
-            return None
-        if kind in (LandmarkType.BS, LandmarkType.VA):
-            return u + path * _unit_direction(z[1] + heading, z[2])
-        if kind is LandmarkType.SP:
-            g = _unit_direction(z[3], z[4])
-            w = self.bs_position - u
-            denom = 2.0 * (path + g @ w)
-            if denom <= 1e-9:
-                return None
-            s = (path * path - float(w @ w)) / denom
-            if s <= 0.0 or s >= path:
-                return None
-            return self.bs_position + s * g
-        raise ValueError(f"unknown landmark kind {kind!r}")
+        if kind not in TYPE_ORDER:
+            raise ValueError(f"unknown landmark kind {kind!r}")
+        path = z[:, 0] - bias
+        az, el = ((z[:, 3], z[:, 4]) if kind is LandmarkType.SP
+                  else (z[:, 1] + heading, z[:, 2]))
+        g = np.array([(math.cos(e) * math.cos(a), math.cos(e) * math.sin(a),
+                       math.sin(e)) for a, e in zip(az.tolist(), el.tolist())
+                      ]).reshape(len(z), 3)
+        ok = path > 0.0
+        if kind is not LandmarkType.SP:
+            rows = np.flatnonzero(ok)
+            return rows.tolist(), u + path[rows, None] * g[rows]
+        w = self.bs_position - u
+        denom = 2.0 * (path + _dots(g, w))
+        rows = np.flatnonzero(ok & (denom > 1e-9))
+        path, g = path[rows], g[rows]
+        s = (path * path - float(w @ w)) / denom[rows]
+        keep = (s > 0.0) & (s < path)
+        return rows[keep].tolist(), self.bs_position + s[keep, None] * g[keep]

@@ -19,6 +19,7 @@ import numpy as np
 from .density import GaussianComponent
 from .geometry import (
     MIN_LEG,
+    DegenerateGeometryError,
     Landmark,
     LandmarkType,
     Plane,
@@ -26,7 +27,7 @@ from .geometry import (
     _norm,
     _wrap_scalar,
     detection_probability,
-    measure,
+    measure_all,
     measurements_with_covariance,
     mirror_bs,
     wrap_angle,
@@ -226,12 +227,15 @@ def generate_measurements(ue: UEState, scenario: Scenario,
     cov = scenario.measurement_covariance()
     std = scenario.noise_std
     vectors, labels = [], []
-    for idx, lm in enumerate(scenario.landmarks()):
+    landmarks = scenario.landmarks()
+    truth = measure_all(ue, landmarks, scenario.bs.position)
+    for idx, (lm, z) in enumerate(zip(landmarks, truth)):
         pd = detection_probability(ue, lm, scenario.p_detect,
                                    scenario.fov_radius)
         if rng.uniform() >= pd:
             continue
-        z = measure(ue, lm, scenario.bs.position)
+        if z is None:
+            raise DegenerateGeometryError(f"degenerate {lm.kind.value} path")
         toa, aoa_az, aoa_el, aod_az, aod_el = (
             z + std * rng.standard_normal(5)).tolist()
         vectors.append(np.array([toa, _wrap_scalar(aoa_az),

@@ -74,20 +74,52 @@ class LinearModel:
     def detection_probability(self, sensor_mean, lm_mean, kind):
         return float(self.p_detect.get(kind, 0.0))
 
-    def linearize(self, sensor_mean, lm_mean, kind):
-        """(p_detect, prediction, H_s, H_x) from the three methods above."""
-        pd = self.detection_probability(sensor_mean, lm_mean, kind)
-        z_pred = self.predict(sensor_mean, lm_mean, kind)
-        H_s, H_x = self.jacobians(sensor_mean, lm_mean, kind)
-        return pd, z_pred, H_s, H_x
+    def linearize(self, sensor_mean, positions, kind):
+        """``(p_detect, seen, z_pred, H_s, H_x)`` of a stack of landmark
+        means, each row from the three methods above; a row whose
+        ``predict`` raises DegenerateGeometryError has p_detect 0 and no
+        prediction."""
+        A, B, _ = self.mats[kind]
+        p_detect, seen, z_pred = [], [], []
+        for k, x in enumerate(positions):
+            try:
+                z_pred.append(self.predict(sensor_mean, x, kind))
+            except DegenerateGeometryError:
+                p_detect.append(0.0)
+                continue
+            p_detect.append(self.detection_probability(sensor_mean, x, kind))
+            seen.append(k)
+        m = len(seen)
+        return (p_detect, seen, np.array(z_pred).reshape(m, A.shape[0]),
+                np.repeat(A[None], m, axis=0), np.repeat(B[None], m, axis=0))
 
-    def invert(self, z, sensor_mean, kind):
+    def invert(self, z_rows, sensor_mean, kind):
+        """``(rows, means)`` of the measurements that determine a landmark
+        mean by least squares."""
         A, B, c = self.mats[kind]
-        rhs = np.atleast_1d(z) - A @ np.atleast_1d(sensor_mean) - c
-        sol, _, rank, _ = np.linalg.lstsq(B, rhs, rcond=None)
-        if rank < B.shape[1]:
-            return None
-        return sol
+        rows, means = [], []
+        for p, z in enumerate(z_rows):
+            rhs = np.atleast_1d(z) - A @ np.atleast_1d(sensor_mean) - c
+            sol, _, rank, _ = np.linalg.lstsq(B, rhs, rcond=None)
+            if rank == B.shape[1]:
+                rows.append(p)
+                means.append(sol)
+        return rows, np.array(means).reshape(len(rows), B.shape[1])
+
+
+def linearize_one(model, sensor_mean, mean, kind):
+    """One row of ``model.linearize``: ``(p_detect, z_pred, H_s, H_x)``,
+    the last three None when the row has no prediction."""
+    (pd,), seen, z_pred, H_s, H_x = model.linearize(
+        sensor_mean, np.asarray(mean, dtype=float)[None], kind)
+    return (pd, z_pred[0], H_s[0], H_x[0]) if seen else (pd, None, None, None)
+
+
+def invert_one(model, z, sensor_mean, kind):
+    """One row of ``model.invert``: the landmark mean, or None."""
+    rows, means = model.invert(np.asarray(z, dtype=float)[None], sensor_mean,
+                               kind)
+    return means[0] if rows else None
 
 
 class RowPrediction(NamedTuple):
@@ -106,11 +138,20 @@ class RowPrediction(NamedTuple):
 # one pair or one measurement.  The cost matrix stacks a whole hypothesis;
 # these take a stack of one.
 
+def stacked_predict_types(berns, sensor, model):
+    """``(preds, rows, hph)`` of :func:`rfslam.association.predict_types`
+    over the Bernoullis' one ``linearize`` call per type."""
+    preds, rows, _, hph = association.predict_types(
+        berns, sensor, association.linearize_types(berns, np.empty(0), sensor,
+                                                   {}, model))
+    return preds, rows, hph
+
+
 def predict_types(bern, sensor, model):
     """One Bernoulli's type predictions, each with its row of the stacked
     ``hph``, from :func:`rfslam.association.predict_types` of a hypothesis
     holding it."""
-    (preds,), rows, hph = association.predict_types((bern,), sensor, model)
+    (preds,), rows, hph = stacked_predict_types((bern,), sensor, model)
     stacked = {kind: row for (_, kind), row in zip(rows, hph)} if rows else {}
     return {kind: RowPrediction(pred.p_detect, pred.z_pred, stacked.get(kind),
                                 pred.H_s, pred.H_x)
@@ -209,12 +250,8 @@ def reference_predict_types(bern, sensor, model):
     with its own ``hph``."""
     preds = {}
     for kind, comp in bern.belief.types.items():
-        try:
-            pd, z_pred, H_s, H_x = model.linearize(sensor.mean, comp.mean,
-                                                   kind)
-        except DegenerateGeometryError:
-            preds[kind] = RowPrediction(0.0, None, None, None, None)
-            continue
+        pd, z_pred, H_s, H_x = linearize_one(model, sensor.mean, comp.mean,
+                                             kind)
         if z_pred is None:
             preds[kind] = RowPrediction(pd, None, None, None, None)
             continue
@@ -226,14 +263,11 @@ def reference_predict_types(bern, sensor, model):
 def reference_birth_from_measurement(meas, sensor, kind, model):
     """One newborn: ``(component, prediction at its mean)``, or None, with
     its own factorizations and a fresh identity."""
-    mean = model.invert(meas.z, sensor.mean, kind)
+    mean = invert_one(model, meas.z, sensor.mean, kind)
     if mean is None:
         return None
-    try:
-        pd, z_pred, H_s, H_x = model.linearize(sensor.mean, mean, kind)
-    except DegenerateGeometryError:
-        return None
-    if pd <= 0.0:
+    pd, z_pred, H_s, H_x = linearize_one(model, sensor.mean, mean, kind)
+    if z_pred is None or pd <= 0.0:
         return None
     hph_s = H_s @ sensor.covariance @ H_s.T
     gain_cov = hph_s + meas.covariance

@@ -13,6 +13,7 @@ from conftest import (
     birth_candidate,
     detected_weight,
     enumerate_associations,
+    linearize_one,
     newborn,
     predict_types,
     reference_birth_candidate,
@@ -20,6 +21,7 @@ from conftest import (
     reference_predict_types,
     reference_wrap_residual,
     single_type_bernoulli,
+    stacked_predict_types,
 )
 
 from scipy.linalg import cho_factor, cho_solve
@@ -254,10 +256,10 @@ def birth_case(draw):
                        rng.uniform(20, 60)]) if kind is VA else
              np.array([rng.uniform(-110, 110), rng.uniform(-110, 110),
                        rng.uniform(4, 16)]))
-        z = model.linearize(ue, x, kind)[1]
+        z = linearize_one(model, ue, x, kind)[1]
         if z is None:   # hidden SP: measure it as the model would see it
-            z = ChannelModel(model.bs_position, fov_radius=1e9).linearize(
-                ue, x, kind)[1]
+            z = linearize_one(ChannelModel(model.bs_position, fov_radius=1e9),
+                              ue, x, kind)[1]
         z = z + rng.normal(size=5) * np.sqrt(np.diag(r))
     else:
         model = LinearModel({VA: (rng.normal(size=(5, 5)),
@@ -774,12 +776,11 @@ class RankLossModel(ChannelModel):
     factorization (no prior landmark of ``channel_association_case`` is
     there)."""
 
-    def linearize(self, sensor_mean, lm_position, kind):
-        pd, z_pred, H_s, H_x = super().linearize(sensor_mean, lm_position,
-                                                 kind)
-        if H_x is not None and lm_position[2] > 80.0:
-            H_x = np.zeros_like(H_x)
-        return pd, z_pred, H_s, H_x
+    def linearize(self, sensor_mean, positions, kind):
+        p_detect, seen, z_pred, H_s, H_x = super().linearize(
+            sensor_mean, positions, kind)
+        H_x[np.asarray(positions)[seen, 2] > 80.0] = 0.0
+        return p_detect, seen, z_pred, H_s, H_x
 
 
 def with_birth_faults(seed, measurements, sensor, model):
@@ -798,8 +799,8 @@ def with_birth_faults(seed, measurements, sensor, model):
     R = np.diag(np.array([0.1, 0.005, 0.005, 0.005, 0.005]) ** 2)
     faults = [
         np.array([bias - 5.0, 0.1, 0.1, 0.1, 0.1]),
-        ChannelModel(model.bs_position, fov_radius=1e9).linearize(
-            sensor.mean, far_sp, SP)[1],
+        linearize_one(ChannelModel(model.bs_position, fov_radius=1e9),
+                      sensor.mean, far_sp, SP)[1],
         np.array([bias + 100.0, 0.3, math.pi / 2, 0.0, -0.46]),
         np.array([bias + 100.0, 0.4, 1.2, 0.0, -0.46]),
     ]
@@ -866,8 +867,7 @@ class TestArrayPass:
                        for k, v in rows.items())
         # The stacked hph, one row per type with a prediction, is the
         # cost matrix's; each row has the bits of the type's own.
-        _, rows, hph = association.predict_types(hyp.bernoullis, sensor,
-                                                 model)
+        _, rows, hph = stacked_predict_types(hyp.bernoullis, sensor, model)
         stacked = dict(zip(rows, hph)) if rows else {}
         for i, (got, want) in enumerate(zip(ctx.type_preds, type_preds,
                                             strict=True)):

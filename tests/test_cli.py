@@ -340,6 +340,18 @@ class TestMain:
         assert RunConfig(mc_runs=MAX_CAMPAIGN_STEPS).mc_runs == \
             MAX_CAMPAIGN_STEPS
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"noise_toa": 10 ** 400}, "noise_toa must be a number, not an "
+         "integer too large for a float"),
+        ({"gamma": 2.5}, "gamma must be an integer, not 2.5"),
+        ({"gamma": True}, "gamma must be an integer, not True")],
+        ids=["huge noise_toa", "fractional gamma", "bool gamma"])
+    def test_library_config_gets_the_readers_type_check(self, fields,
+                                                         message):
+        with pytest.raises(ConfigError) as info:
+            RunConfig(**fields)
+        assert str(info.value) == message
+
     def test_mc_times_steps_above_the_campaign_bound_exits_2(
             self, tmp_path, capsys, monkeypatch):
         # Each within its own bound, together one run record too many.

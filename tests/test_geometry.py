@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import invert_one
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -225,7 +226,7 @@ class TestChannelModel:
         for kind in (LandmarkType.BS, LandmarkType.VA):
             ue, lm = random_geometry(rng, kind)
             z = measure(ue, lm, BS)
-            rec = model.invert(z, ue.as_vector(), kind)
+            rec = invert_one(model, z, ue.as_vector(), kind)
             assert np.allclose(rec, lm.position, atol=1e-9)
 
     def test_invert_sp_recovers_position(self):
@@ -234,7 +235,7 @@ class TestChannelModel:
         for _ in range(25):
             ue, lm = random_geometry(rng, LandmarkType.SP)
             z = measure(ue, lm, BS)
-            rec = model.invert(z, ue.as_vector(), LandmarkType.SP)
+            rec = invert_one(model, z, ue.as_vector(), LandmarkType.SP)
             assert rec is not None
             assert np.allclose(rec, lm.position, atol=1e-8)
 
@@ -242,7 +243,7 @@ class TestChannelModel:
         model = ChannelModel(BS)
         ue = UEState([10.0, 0, 0], 0.0, 300.0)
         z = np.array([200.0, 0.0, 0.0, 0.0, 0.0])  # path shorter than bias
-        assert model.invert(z, ue.as_vector(), LandmarkType.BS) is None
+        assert invert_one(model, z, ue.as_vector(), LandmarkType.BS) is None
 
     def test_wrap_residual_only_touches_angles(self):
         model = ChannelModel(BS)
@@ -276,6 +277,132 @@ def invert_reference(model, z, ue, kind):
     return model.bs_position + s * g
 
 
+# The per-row kernels that the stacked ``geometry._channel`` replaced, kept
+# as its bit reference: one (UE, landmark) pair at a time, element-wise
+# work on Python floats, and the numpy dot and matrix-vector products of
+# the VA Jacobian on 1-D and 2-D operands.
+
+def row_direction(v, what):
+    n = math.sqrt(v.dot(v))
+    if n < geometry.MIN_LEG:
+        raise DegenerateGeometryError(f"zero-length {what} direction")
+    return v, n
+
+
+def row_azimuth_elevation(gx, gy, gz):
+    rho = math.hypot(gx, gy)
+    if rho < 1e-12:
+        raise DegenerateGeometryError("vertical direction: azimuth undefined")
+    return math.atan2(gy, gx), math.atan2(gz, rho)
+
+
+def row_angle_gradients(gx, gy, gz):
+    rho2 = gx * gx + gy * gy
+    r2 = rho2 + gz * gz
+    if rho2 < 1e-24:
+        raise DegenerateGeometryError("vertical direction: azimuth undefined")
+    rho = math.sqrt(rho2)
+    rho_r2 = rho * r2
+    return ((-gy / rho2, gx / rho2, 0.0),
+            (-gx * gz / rho_r2, -gy * gz / rho_r2, rho / r2))
+
+
+ROW_LEG_NAMES = {LandmarkType.VA: ("UE-VA", "BS-VA"),
+                 LandmarkType.SP: ("UE-SP", "BS-SP")}
+
+
+def row_legs(u, kind, x, bs_position):
+    """``(g, n, d, b, span, nu)`` of one path (None for the BS's last
+    three)."""
+    if kind is LandmarkType.BS:
+        g, n = row_direction(x - u, "UE-BS")
+        return g, n, u - x, None, None, None
+    names = ROW_LEG_NAMES[kind]
+    g, n = row_direction(x - u, names[0])
+    b, span = row_direction(x - np.asarray(bs_position, dtype=float),
+                            names[1])
+    return g, n, u - x, b, span, b / span
+
+
+def row_prediction(heading, bias, kind, legs):
+    g, n, d, b, span, nu = legs
+    if kind is LandmarkType.BS:
+        path, g_aod = n, d.tolist()
+    elif kind is LandmarkType.VA:
+        s = float(nu @ d)
+        path = n
+        g_aod = [di - 2.0 * ni * s for di, ni in zip(d.tolist(), nu.tolist())]
+    else:
+        path, g_aod = span + n, b.tolist()
+    aoa_az, aoa_el = row_azimuth_elevation(*g.tolist())
+    aod_az, aod_el = row_azimuth_elevation(*g_aod)
+    return np.array([path + bias, geometry._wrap_scalar(aoa_az - heading),
+                     aoa_el, aod_az, aod_el])
+
+
+ROW_EYE3_FLAT = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+
+
+def row_matrix(values, rows):
+    return np.array(values).reshape(rows, -1)
+
+
+def row_jacobian(kind, legs):
+    """The 5x8 Jacobian of :func:`row_prediction` from the same legs."""
+    g, n, d, b, span, nu = legs
+    gx, gy, gz = g.tolist()
+    ex, ey, ez = gx / n, gy / n, gz / n
+    (ax, ay, az), (lx, ly, lz) = row_angle_gradients(gx, gy, gz)
+    head = [-ex, -ey, -ez, 0.0, 1.0]
+    aoa = [-ax, -ay, -az, -1.0, 0.0, ax, ay, az,
+           -lx, -ly, -lz, 0.0, 0.0, lx, ly, lz]
+    if kind is LandmarkType.BS:
+        (px, py, pz), (qx, qy, qz) = row_angle_gradients(*d.tolist())
+        return row_matrix([*head, ex, ey, ez, *aoa,
+                           px, py, pz, 0.0, 0.0, -px, -py, -pz,
+                           qx, qy, qz, 0.0, 0.0, -qx, -qy, -qz], 5)
+    if kind is LandmarkType.VA:
+        nus = nu.tolist()
+        outer = [ni * nj for ni in nus for nj in nus]
+        r_flat = [e - 2.0 * o for e, o in zip(ROW_EYE3_FLAT, outer)]
+        n_flat = [(e - o) / span for e, o in zip(ROW_EYE3_FLAT, outer)]
+        R, N = row_matrix(r_flat, 3), row_matrix(n_flat, 3)
+        g_aod = R @ d
+        c = 2.0 * float(nu @ d)
+        nd = (N @ d).tolist()
+        nu_nd = [ni * w for ni in nus for w in nd]
+        dg_dx = row_matrix([-r - c * m - 2.0 * o
+                            for r, m, o in zip(r_flat, n_flat, nu_nd)], 3)
+        d_az2, d_el2 = map(np.array, row_angle_gradients(*g_aod.tolist()))
+        return row_matrix([*head, ex, ey, ez, *aoa,
+                           *(d_az2 @ R).tolist(), 0.0, 0.0,
+                           *(d_az2 @ dg_dx).tolist(),
+                           *(d_el2 @ R).tolist(), 0.0, 0.0,
+                           *(d_el2 @ dg_dx).tolist()], 5)
+    nx, ny, nz = nu.tolist()
+    (px, py, pz), (qx, qy, qz) = row_angle_gradients(*b.tolist())
+    return row_matrix([*head, nx + ex, ny + ey, nz + ez, *aoa,
+                       0.0, 0.0, 0.0, 0.0, 0.0, px, py, pz,
+                       0.0, 0.0, 0.0, 0.0, 0.0, qx, qy, qz], 5)
+
+
+def row_linearize(model, v, x, kind):
+    """``ChannelModel.linearize`` of one pair as the per-row code gave it to
+    the filter: ``(p_detect, z_pred, H)``, with ``(0.0, None, None)`` for a
+    pair the sensor cannot see or with degenerate geometry."""
+    u = reference_finite_point(v[:3], "UE")
+    x = reference_finite_point(x, "landmark")
+    try:
+        legs = row_legs(u, kind, x, model.bs_position)
+        if kind is LandmarkType.SP and legs[1] > model.fov_radius:
+            return 0.0, None, None
+        z = row_prediction(geometry._wrap_scalar(float(v[3])), float(v[4]),
+                           kind, legs)
+        return model.p_detect[kind], z, row_jacobian(kind, legs)
+    except DegenerateGeometryError:
+        return 0.0, None, None
+
+
 class TestChannelModelRawPath:
     """The model methods take the raw sensor vector; they must give what the
     validated UEState/Landmark functions give, bit for bit."""
@@ -299,7 +426,7 @@ class TestChannelModelRawPath:
             assert model.detection_probability(v, lm.position, kind) == \
                 detection_probability(ue, lm, model.p_detect, model.fov_radius)
             z = measure(ue, lm, BS) + rng.normal(0.0, 0.01, size=5)
-            got = model.invert(z, v, kind)
+            got = invert_one(model, z, v, kind)
             ref = invert_reference(model, z, ue, kind)
             assert (got is None) == (ref is None)
             if ref is not None:
@@ -316,7 +443,7 @@ class TestChannelModelRawPath:
                          lambda: model.jacobians(v, lm, LandmarkType.SP),
                          lambda: model.detection_probability(
                              v, lm, LandmarkType.SP),
-                         lambda: model.invert(np.ones(5) * 400.0, v,
+                         lambda: model.invert(np.ones((1, 5)) * 400.0, v,
                                               LandmarkType.BS)):
                 with pytest.raises(ValueError, match="UE position"):
                     call()
@@ -355,7 +482,7 @@ def reference_measure_jacobian(u, kind, x, bs_position):
     numpy-scalar arithmetic in the angle gradients."""
     H = np.zeros((5, 8))
     H[0, 4] = 1.0
-    g_aoa, _ = geometry._direction(x - u, "UE-landmark")
+    g_aoa, _ = row_direction(x - u, "UE-landmark")
     d_az, d_el = reference_angle_gradients(g_aoa)
     H[1, 0:3] = -d_az
     H[1, 5:8] = d_az
@@ -376,7 +503,7 @@ def reference_measure_jacobian(u, kind, x, bs_position):
         H[0, 0:3] = -e
         H[0, 5:8] = e
         bs = np.asarray(bs_position, dtype=float)
-        span_vec, span = geometry._direction(x - bs, "BS-VA")
+        span_vec, span = row_direction(x - bs, "BS-VA")
         nu = span_vec / span
         R = np.eye(3) - 2.0 * np.outer(nu, nu)
         N = (np.eye(3) - np.outer(nu, nu)) / span
@@ -390,7 +517,7 @@ def reference_measure_jacobian(u, kind, x, bs_position):
         H[4, 5:8] = d_el2 @ dg_dx
     else:
         bs = np.asarray(bs_position, dtype=float)
-        leg1_vec, leg1 = geometry._direction(x - bs, "BS-SP")
+        leg1_vec, leg1 = row_direction(x - bs, "BS-SP")
         e1 = leg1_vec / leg1
         e2 = g_aoa / np.linalg.norm(g_aoa)
         H[0, 0:3] = -e2
@@ -419,7 +546,7 @@ def reference_measure(u, heading, bias, kind, x, bs_position):
                 "vertical direction: azimuth undefined")
         return math.atan2(g[1], g[0]), math.atan2(g[2], rho)
 
-    g, n, d, b, span, nu = geometry._legs(u, kind, x, bs_position)
+    g, n, d, b, span, nu = row_legs(u, kind, x, bs_position)
     if kind is LandmarkType.BS:
         path, g_aod = n, d
     elif kind is LandmarkType.VA:
@@ -487,21 +614,30 @@ class TestKernelReference:
         ref_h = outcome(reference_measure_jacobian, u, kind, x, BS)
         ref_z = outcome(reference_measure, u, geometry._wrap_scalar(v[3]),
                         float(v[4]), kind, x, BS)
-        jac = outcome(model.jacobians, v, x, kind)
-        if isinstance(ref_h, tuple):
-            assert jac == ref_h
+        # A degenerate pair raises DegenerateGeometryError from the one-row
+        # methods without naming its direction: ``predict`` where the
+        # prediction's reference raises, ``jacobians`` where either
+        # reference does.  ``linearize`` gives it p_detect 0 and no
+        # prediction.
+        degenerate = isinstance(ref_z, tuple) or isinstance(ref_h, tuple)
+        z_out = outcome(model.predict, v, x, kind)
+        if isinstance(ref_z, tuple):
+            assert z_out[0] is DegenerateGeometryError
         else:
-            assert same_bits(jac[0], ref_h[:, :5])
-            assert same_bits(jac[1], ref_h[:, 5:])
-        assert same_bits(outcome(model.predict, v, x, kind), ref_z)
-        lin = outcome(model.linearize, v, x, kind)
-        if isinstance(ref_z, tuple) or isinstance(ref_h, tuple):
-            assert lin == (ref_z if isinstance(ref_z, tuple) else ref_h)
+            assert same_bits(z_out, ref_z)
+        jac = outcome(model.jacobians, v, x, kind)
+        lin = model.linearize(v, x[None], kind)
+        if degenerate:
+            assert jac[0] is DegenerateGeometryError
+            assert lin[:2] == ([0.0], [])
             return
-        pd, z_pred, H_s, H_x = lin
-        assert pd == model.p_detect[kind]
-        assert same_bits(z_pred, ref_z)
-        assert same_bits(H_s, ref_h[:, :5]) and same_bits(H_x, ref_h[:, 5:])
+        assert same_bits(jac[0], ref_h[:, :5])
+        assert same_bits(jac[1], ref_h[:, 5:])
+        (pd,), seen, z_pred, H_s, H_x = lin
+        assert pd == model.p_detect[kind] and seen == [0]
+        assert same_bits(z_pred[0], ref_z)
+        assert same_bits(H_s[0], ref_h[:, :5])
+        assert same_bits(H_x[0], ref_h[:, 5:])
 
     def test_vertical_direction_still_raises(self):
         model = ChannelModel(BS)
@@ -572,62 +708,223 @@ def linearize_case(draw):
     return ChannelModel(BS, fov_radius=fov), v, x, kind
 
 
+def row_raise(model, v, x, kind):
+    """The message of the per-row reference's DegenerateGeometryError for a
+    pair at any field of view, or None."""
+    try:
+        legs = row_legs(v[:3], kind, x, model.bs_position)
+        row_prediction(0.0, 0.0, kind, legs)
+        row_jacobian(kind, legs)
+    except DegenerateGeometryError as exc:
+        return str(exc)
+    return None
+
+
 class TestLinearize:
     @settings(max_examples=1500, deadline=None)
     @given(case=linearize_case())
     def test_bit_equal_to_the_one_part_methods(self, case):
-        # A pair the sensor can see gives the one-part methods' bits; a
-        # hidden one gives no prediction, unless a check made before the
-        # visibility (non-finite input, zero-length leg) raises.
+        # A pair the sensor can see gives the one-part methods' bits and
+        # the per-row reference's; a hidden one, or one with degenerate
+        # geometry (where a one-part method raises), has p_detect 0 and no
+        # prediction.  Non-finite input raises as the one-part methods do.
         model, v, x, kind = case
-        got = outcome(model.linearize, v, x, kind)
+        got = outcome(model.linearize, v, x[None], kind)
         ref = per_part_outcome(model, v, x, kind)
-        raised_first = len(ref) == 2 and not ref[1].startswith("vertical")
-        if not raised_first and model.detection_probability(v, x, kind) == 0.0:
-            assert got == (0.0, None, None, None) and type(got[0]) is float
-            return
-        if len(ref) == 2:
+        if len(ref) == 2 and ref[0] is not DegenerateGeometryError:
             assert got == ref
             return
-        assert len(got) == 4
-        assert type(got[0]) is type(ref[0]) and got[0] == ref[0]
-        for a, b in zip(got[1:], ref[1:]):
+        pd, z_pred, H = row_linearize(model, v, x, kind)
+        if len(ref) == 2 or ref[0] == 0.0:
+            p_detect, seen, *stacks = got
+            assert p_detect == [0.0] and type(p_detect[0]) is float
+            assert seen == [] and z_pred is None
+            assert [a.shape for a in stacks] == [(0, 5), (0, 5, 5), (0, 5, 3)]
+            return
+        (got_pd,), seen, *stacks = got
+        assert type(got_pd) is type(ref[0]) and got_pd == ref[0] == pd
+        assert seen == [0]
+        for a, b, c in zip([a[0] for a in stacks], ref[1:],
+                           (z_pred, H[:, :5], H[:, 5:])):
             assert a.shape == b.shape and np.array_equal(a, b)
+            assert same_bits(a, c)
 
     def test_edge_cases_are_reached(self):
         # The strategy's edge shapes give every outcome the comparison
         # covers: visible and hidden SPs at the FOV edge, a hidden SP in a
-        # vertical direction, both degeneracy messages, and both non-finite
-        # messages.
+        # vertical direction, a vertical and both zero-length degeneracies
+        # (named by the per-row reference), and both non-finite messages.
         model = ChannelModel(BS, fov_radius=50.0)
         v = np.array([10.0, -5.0, 0.0, 9.0, 300.0])
         x = v[:3] + np.array([30.0, 40.0, 0.0])   # 50 m away, exactly
-        assert model.linearize(v, x, LandmarkType.SP)[0] == 0.9
+        assert model.linearize(v, x[None], LandmarkType.SP)[:2] == ([0.9], [0])
         nearer = ChannelModel(BS, fov_radius=math.nextafter(50.0, 0.0))
-        assert nearer.linearize(v, x, LandmarkType.SP) == \
-            (0.0, None, None, None)
+        assert nearer.linearize(v, x[None], LandmarkType.SP)[:2] == \
+            ([0.0], [])
         above = v[:3] + np.array([0.0, 0.0, 60.0])   # straight up, hidden
-        assert per_part_outcome(model, v, above, LandmarkType.SP) == \
-            (DegenerateGeometryError, "vertical direction: azimuth undefined")
-        assert model.linearize(v, above, LandmarkType.SP) == \
-            (0.0, None, None, None)
         for kind, x, message in (
+                (LandmarkType.SP, above,
+                 "vertical direction: azimuth undefined"),
                 (LandmarkType.VA, v[:3] + [1e-13, 0.0, 25.0],
                  "vertical direction: azimuth undefined"),
                 (LandmarkType.SP, v[:3].copy(), "zero-length UE-SP direction"),
                 (LandmarkType.SP, BS.copy(), "zero-length BS-SP direction")):
-            assert outcome(model.linearize, v, x, kind) == \
-                per_part_outcome(model, v, x, kind) == \
-                (DegenerateGeometryError, message)
+            assert row_raise(model, v, x, kind) == message
+            assert per_part_outcome(model, v, x, kind)[0] is \
+                DegenerateGeometryError
+            assert model.linearize(v, x[None], kind)[:2] == ([0.0], [])
         for i, what in ((0, "UE"), (5, "landmark")):
             w, y = v.copy(), np.array([60.0, 20.0, 10.0])
             if i < 5:
                 w[i] = np.nan
             else:
                 y[0] = np.inf
-            assert outcome(model.linearize, w, y, LandmarkType.BS) == \
+            assert outcome(model.linearize, w, y[None], LandmarkType.BS) == \
                 per_part_outcome(model, w, y, LandmarkType.BS) == \
                 (ValueError, f"{what} position must be a finite 3-vector")
+
+
+#: Shapes of one row of a drawn stack.
+ROW_SHAPES = ("generic", "generic", "generic", "above UE", "above BS",
+              "non-finite")
+
+
+def generic_point(draw):
+    return np.array([draw(st.floats(-150.0, 250.0)),
+                     draw(st.floats(-200.0, 200.0)),
+                     draw(st.floats(0.0, 60.0))])
+
+
+@st.composite
+def stack_case(draw):
+    """(model, sensor vector, kind, rows) of one ``linearize`` call: 0-12
+    landmark rows of one kind that mix generic rows, SPs hidden beyond the
+    field of view or at its edge (``nextafter`` of a row's distance, as in
+    :func:`linearize_case`), rows nearly straight above the UE or the BS
+    (both vertical-direction degeneracies, and zero-length legs) and
+    non-finite rows."""
+    kind = draw(st.sampled_from(list(LandmarkType)))
+    u = np.array([draw(st.integers(-80, 80)), draw(st.integers(-80, 80)),
+                  draw(st.sampled_from([0.0, 1.5]))], dtype=float)
+    v = np.concatenate([u, [draw(st.floats(-30.0, 30.0)),
+                            draw(st.floats(0.0, 400.0))]])
+    rows = []
+    for shape in draw(st.lists(st.sampled_from(ROW_SHAPES), max_size=12)):
+        if shape in ("above UE", "above BS"):
+            base = u if shape == "above UE" else BS
+            x = base + np.array([draw(NEAR_VERTICAL), draw(NEAR_VERTICAL),
+                                 draw(st.sampled_from([0.0, 25.0, -12.0]))])
+        else:
+            x = generic_point(draw)
+        if shape == "non-finite":
+            x[draw(st.integers(0, 2))] = draw(
+                st.sampled_from([np.nan, np.inf, -np.inf]))
+        rows.append(x)
+    fov = 50.0
+    finite = [x for x in rows if np.isfinite(x).all()]
+    if finite and draw(st.booleans()):
+        dist = float(np.linalg.norm(draw(st.sampled_from(finite)) - u))
+        fov = draw(st.sampled_from([dist, math.nextafter(dist, 0.0),
+                                    math.nextafter(dist, math.inf)]))
+    return ChannelModel(BS, fov_radius=fov), v, kind, rows
+
+
+def assert_rows_match_reference(model, v, kind, X, got):
+    """Each row of one ``linearize`` result against :func:`row_linearize`:
+    a row the sensor sees has the reference's detection probability and the
+    bytes of its prediction and Jacobian blocks (signed zeros count); a
+    hidden or degenerate row has p_detect 0 and no prediction."""
+    p_detect, seen, z_pred, H_s, H_x = got
+    assert len(p_detect) == len(X)
+    assert z_pred.shape == (len(seen), 5)
+    assert H_s.shape == (len(seen), 5, 5) and H_x.shape == (len(seen), 5, 3)
+    assert H_s.flags.c_contiguous and H_x.flags.c_contiguous
+    r = 0
+    for k, x in enumerate(X):
+        pd, z, H = row_linearize(model, v, x, kind)
+        assert type(p_detect[k]) is float and p_detect[k] == pd
+        if z is None:
+            assert k not in seen
+            continue
+        assert seen[r] == k
+        assert same_bits(z_pred[r], z)
+        assert same_bits(H_s[r], H[:, :5]) and same_bits(H_x[r], H[:, 5:])
+        r += 1
+    assert r == len(seen)
+
+
+def row_bytes(got):
+    """Row index -> (p_detect, bytes of its prediction and blocks, or None)."""
+    p_detect, seen, *stacks = got
+    found = {k: tuple(a[r].tobytes() for a in stacks)
+             for r, k in enumerate(seen)}
+    return {k: (pd, found.get(k)) for k, pd in enumerate(p_detect)}
+
+
+class TestStackedKernel:
+    """``ChannelModel.linearize`` and ``invert`` on stacks of rows: every row
+    has the per-row reference's bits, whatever else the stack holds."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=stack_case(), data=st.data())
+    def test_rows_bit_equal_to_the_per_row_reference(self, case, data):
+        model, v, kind, rows = case
+        X = np.array(rows).reshape(len(rows), 3)
+        finite = np.isfinite(X).all(axis=1)
+        if not finite.all():
+            assert outcome(model.linearize, v, X, kind) == \
+                (ValueError, "landmark position must be a finite 3-vector")
+            X = X[finite]
+        got = model.linearize(v, X, kind)
+        assert_rows_match_reference(model, v, kind, X, got)
+        # Permuting or padding the stack leaves each row's bytes alone.
+        want = row_bytes(got)
+        order = data.draw(st.permutations(range(len(X))))
+        permuted = row_bytes(model.linearize(v, X[order], kind))
+        assert {order[j]: out for j, out in permuted.items()} == want
+        before = [generic_point(data.draw) for _ in range(
+            data.draw(st.integers(0, 3)))]
+        after = [generic_point(data.draw) for _ in range(
+            data.draw(st.integers(1, 3)))]
+        padded = row_bytes(model.linearize(
+            v, np.array(before + list(X) + after), kind))
+        assert {k: padded[len(before) + k] for k in want} == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_invert_rows_bit_equal_to_the_reference(self, data):
+        kind = data.draw(st.sampled_from(list(LandmarkType)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        ue, _ = random_geometry(rng, kind)
+        v = ue.as_vector()
+        model = ChannelModel(BS)
+        z_rows = []
+        for shape in data.draw(st.lists(st.sampled_from(
+                ["landmark", "landmark", "short path", "random"]),
+                max_size=12)):
+            if shape == "landmark":
+                z = measure(ue, random_geometry(rng, kind)[1], BS)
+                z = z + rng.normal(0.0, 0.01, size=5)
+            elif shape == "short path":
+                z = np.array([ue.clock_bias - rng.uniform(0.0, 5.0),
+                              *rng.uniform(-3.0, 3.0, size=4)])
+            else:
+                z = np.array([ue.clock_bias + rng.uniform(0.0, 300.0),
+                              *rng.uniform(-3.0, 3.0, size=4)])
+            z_rows.append(z)
+        Z = np.array(z_rows).reshape(len(z_rows), 5)
+        rows, means = model.invert(Z, v, kind)
+        assert means.shape == (len(rows), 3) and rows == sorted(rows)
+        got = dict(zip(rows, means))
+        for p, z in enumerate(Z):
+            ref = invert_reference(model, z, ue, kind)
+            assert (p in got) == (ref is not None)
+            if ref is not None:
+                assert same_bits(got[p], ref)
+        order = data.draw(st.permutations(range(len(Z))))
+        rows_p, means_p = model.invert(Z[order], v, kind)
+        assert {order[j]: m.tobytes() for j, m in zip(rows_p, means_p)} == \
+            {p: m.tobytes() for p, m in got.items()}
 
 
 class TestMeasurementType:

@@ -8,6 +8,7 @@ from conftest import (
     birth_candidate,
     check_density,
     detected_weight,
+    invert_one,
     newborn,
     predict_types,
     reference_birth_from_measurement,
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from rfslam import association, geometry
+from rfslam import association
 from rfslam import update as update_module
 from rfslam.association import (
     AssociationVector,
@@ -1005,13 +1006,14 @@ class TestModelProtocol:
 
 class SeeAllChannelModel(ChannelModel):
     """``ChannelModel`` linearizing every pair, visible or not: the
-    composition of the one-part methods that ``linearize`` replaced."""
+    detection probabilities of its field of view, with the predictions of
+    the same model without one."""
 
-    def linearize(self, sensor_mean, lm_position, kind):
-        pd = self.detection_probability(sensor_mean, lm_position, kind)
-        z_pred = self.predict(sensor_mean, lm_position, kind)
-        H_s, H_x = self.jacobians(sensor_mean, lm_position, kind)
-        return pd, z_pred, H_s, H_x
+    def linearize(self, sensor_mean, positions, kind):
+        p_detect = super().linearize(sensor_mean, positions, kind)[0]
+        return (p_detect, *ChannelModel.linearize(
+            replace(self, fov_radius=math.inf), sensor_mean, positions,
+            kind)[1:])
 
 
 def scenario_run(scenario, filter_kind, gamma, model_cls=ChannelModel):
@@ -1049,9 +1051,9 @@ class TestInvisiblePairs:
         hidden = []
         linearize = ChannelModel.linearize
 
-        def counting(model, sensor_mean, lm_position, kind):
-            out = linearize(model, sensor_mean, lm_position, kind)
-            hidden.append(out[1] is None)
+        def counting(model, sensor_mean, positions, kind):
+            out = linearize(model, sensor_mean, positions, kind)
+            hidden.extend(k not in out[1] for k in range(len(positions)))
             return out
 
         monkeypatch.setattr(ChannelModel, "linearize", counting)
@@ -1091,44 +1093,44 @@ class TestInvisiblePairs:
         assert not np.array_equal(posteriors[SeeAllChannelModel][SP].mean, sp)
 
     def test_no_hidden_sp_is_linearized_or_factorized(self, monkeypatch):
-        # Every Jacobian of a short PMB run, recorded by kind and distance
-        # from the sensor mean, and every newborn, recorded with whether it
-        # got a Gaussian, beside the factorizations of its newborn pass.
+        # Every row of a short PMB run that gets a prediction and Jacobian,
+        # recorded by kind and distance from the sensor mean, and every
+        # newborn, recorded with whether it got a Gaussian, beside the
+        # factorizations of its newborn pass.
         scenario = default_scenario(seed=1, steps=10)
         fov = scenario.fov_radius
-        jacobians, births, passes, factors = [], [], [], []
-        jacobian = geometry._jacobian
+        predicted, births, passes, factors = [], [], [], []
+        linearize = ChannelModel.linearize
         factor = association._dpotrf
         newborn_pass = association.newborns
 
-        def recording_jacobian(kind, legs):
-            jacobians.append((kind, legs[1]))
-            return jacobian(kind, legs)
+        def recording_linearize(model, sensor_mean, positions, kind):
+            out = linearize(model, sensor_mean, positions, kind)
+            predicted.extend(
+                (kind, float(np.linalg.norm(positions[k] - sensor_mean[:3])))
+                for k in out[1])
+            return out
 
         def counting_factor(a):
             factors.append(a.shape)
             return factor(a)
 
-        def recording_newborns(z_rows, r_stack, sensor, ppp, model):
+        def recording_newborns(types, ppp, z_rows, r_stack, sensor, model):
             before = len(factors)
-            out = newborn_pass(z_rows, r_stack, sensor, ppp, model)
-            for (_, comps), z in zip(out, z_rows):
-                for kind, rate in ppp.items():
-                    if rate <= 0.0 or kind is BS:
-                        continue
-                    mean = model.invert(z, sensor.mean, kind)
-                    if mean is not None:
-                        dist = float(np.linalg.norm(mean - sensor.mean[:3]))
-                        births.append((kind, dist, kind in comps))
+            out = newborn_pass(types, ppp, z_rows, r_stack, sensor, model)
+            for kind, (_, born, means, _) in types.items():
+                for p, mean in zip(born, means):
+                    dist = float(np.linalg.norm(mean - sensor.mean[:3]))
+                    births.append((kind, dist, kind in out[p][1]))
             passes.append((sum(len(comps) for _, comps in out),
                            len(factors) - before))
             return out
 
-        monkeypatch.setattr(geometry, "_jacobian", recording_jacobian)
+        monkeypatch.setattr(ChannelModel, "linearize", recording_linearize)
         monkeypatch.setattr(association, "_dpotrf", counting_factor)
         monkeypatch.setattr(association, "newborns", recording_newborns)
         scenario_run(scenario, EK_PMB, 1)
-        sp_dists = [d for kind, d in jacobians if kind is SP]
+        sp_dists = [d for kind, d in predicted if kind is SP]
         assert sp_dists and max(sp_dists) <= fov
         hidden = [born for kind, d, born in births if kind is SP and d > fov]
         seen = [born for kind, d, born in births if kind is SP and d <= fov]
@@ -1137,6 +1139,53 @@ class TestInvisiblePairs:
         # Two factorizations per newborn Gaussian (gain and information
         # matrix) and one for its density; a hidden newborn gets none.
         assert passes and all(n == 3 * born for born, n in passes)
+
+
+class TestGeometryCalls:
+    @pytest.mark.parametrize("filter_kind, gamma", [(EK_PMB, 10),
+                                                    (EK_PMBM, 3)])
+    def test_one_linearize_and_invert_per_type_per_hypothesis(
+            self, monkeypatch, filter_kind, gamma):
+        # Every model call of every update_step of a short run, keyed by
+        # step, hypothesis, method and landmark type: no key repeats.
+        scenario = default_scenario(seed=1, steps=8)
+        calls, current = [], []
+        cost_matrix = update_module.build_cost_matrix
+
+        def per_hypothesis(*args, **kwargs):
+            current.append(len(current))
+            return cost_matrix(*args, **kwargs)
+
+        def recording(name, method):
+            def wrapped(model, *args):
+                calls.append((len(steps), current[-1], name, args[-1]))
+                return method(model, *args)
+            return wrapped
+
+        steps = []
+        update = update_module.update_step
+
+        def counting_steps(*args):
+            steps.append(None)
+            return update(*args)
+
+        monkeypatch.setattr(update_module, "build_cost_matrix", per_hypothesis)
+        monkeypatch.setattr(update_module, "update_step", counting_steps)
+        for name in ("linearize", "invert"):
+            monkeypatch.setattr(ChannelModel, name,
+                                recording(name, getattr(ChannelModel, name)))
+        scenario_run(scenario, filter_kind, gamma)
+        assert len(steps) == scenario.steps
+        assert len(set(calls)) == len(calls)
+        assert {(name, kind) for _, _, name, kind in calls} == {
+            ("linearize", BS), ("linearize", VA), ("linearize", SP),
+            ("invert", VA), ("invert", SP)}
+        per_step = {}
+        for step_index, h, _, _ in calls:
+            per_step.setdefault(step_index, set()).add(h)
+        # The PMBM mixture puts more than one hypothesis in some step.
+        most = max(len(hs) for hs in per_step.values())
+        assert most > 1 if filter_kind == EK_PMBM else most == 1
 
 
 class TestStep:
@@ -1187,8 +1236,8 @@ class TestStep:
         model, cfg, density, sensor = self.channel_setup()
         z = np.array([100.0, 1.0, 0.2, 1.0, 0.2])
         meas = [Measurement(z, np.diag([1e-2] + [2.5e-5] * 4))]
-        assert model.invert(z, sensor.mean, VA) is None
-        assert model.invert(z, sensor.mean, SP) is None
+        assert invert_one(model, z, sensor.mean, VA) is None
+        assert invert_one(model, z, sensor.mean, SP) is None
         with pytest.raises(InfeasibleAssignmentError, match="no finite cost"):
             update_step(density, sensor, meas,
                         replace(cfg, clutter_intensity=0.0))
@@ -1238,7 +1287,7 @@ class TestStep:
                               (GlobalHypothesis(1.0, ()),))
         sensor = GaussianComponent(np.zeros(1), np.eye(1))
         meas = Measurement(np.array([0.2]), np.eye(1))
-        assert model.invert(meas.z, sensor.mean, BS) is not None
+        assert invert_one(model, meas.z, sensor.mean, BS) is not None
         posterior, _ = update_step(density, sensor, [meas], cfg)
         (hyp,) = posterior.hypotheses
         (born,) = hyp.bernoullis
