@@ -18,16 +18,18 @@ column, it merges the rows' sorted cells instead, unless two costs lie
 within a margin far above rounding.
 
 :func:`build_cost_matrix` runs each stage once per hypothesis, over one
-stack of rows: the geometry, with one ``model.invert`` call and one
-``model.linearize`` call per landmark type (:func:`linearize_types`), the
-``hph`` of every (landmark, type) prediction (:func:`predict_types`), the
-gate's wrapped residuals of every (landmark, type) row against every
+stack of rows: the geometry, with one ``model.invert`` call over every
+birth type and one ``model.linearize`` call over every landmark type and
+newborn (:func:`linearize_types`), the ``hph`` of every (landmark, type)
+prediction read in that stack's order (:func:`predict_types`), the gate's
+wrapped residuals of every (landmark, type) row against every
 measurement, the Gaussian log-densities of every gated (pair, type) row
 (:func:`chol_logpdf`), and every (measurement, type) newborn's gain,
-information matrix, covariance and density (:func:`newborns`).  A stack
-holds one shape, so a model that gives its landmark types different
-dimensions gets one stack per dimension where the landmark dimension
-enters (the channel model's are all 3-D).  Each Cholesky factorization
+information matrix, covariance and density, the stack's newborn tail
+(:func:`newborns`).  A stack holds one shape, so a model that gives its
+landmark types different dimensions gets one ``linearize`` call and one
+stack per dimension where the landmark dimension enters (the channel
+model's are all 3-D).  Each Cholesky factorization
 and solve stays per row, because LAPACK ``dpotrf``/``dpotrs`` take one
 matrix.  :func:`chol_solve` is the filter's one Cholesky entry: it
 factors and solves a stack row by row, and the joint update of
@@ -166,85 +168,103 @@ def chol_logpdf(residuals: np.ndarray, covs: np.ndarray) -> tuple[list, list]:
 @dataclass(frozen=True)
 class TypePrediction:
     """One (landmark, type) row of ``model.linearize``: detection
-    probability, predicted measurement and the Jacobian's sensor and
-    landmark blocks.  The last three are None when the sensor cannot see
-    the type or its geometry is degenerate."""
+    probability and the Jacobian's sensor and landmark blocks, None when
+    the sensor cannot see the type or its geometry is degenerate.  The
+    predicted measurements stay in :func:`predict_types`'s stack."""
 
     p_detect: float
-    z_pred: Optional[np.ndarray]
     H_s: Optional[np.ndarray]
     H_x: Optional[np.ndarray]
 
 
 def linearize_types(berns, z_rows: np.ndarray, sensor: GaussianComponent,
-                    ppp: dict, model) -> dict:
-    """Every type's geometry at the sensor mean: one ``model.invert`` call
-    per type that can be born, over every measurement, and one
-    ``model.linearize`` call per type, over the type's landmark rows in
-    landmark order and then its newborn rows in measurement order.  Every
-    type with a positive PPP rate can be born, except the BS, which is
-    known.
+                    ppp: dict, model):
+    """Every row's geometry at the sensor mean: one ``model.invert`` call
+    over every measurement for every type that can be born, and one
+    ``model.linearize`` call over one stack of rows, the landmark rows in
+    landmark order (each belief's types in its type order) and then the
+    newborn rows in ``invert``'s order.  Every type with a positive PPP
+    rate can be born, except the BS, which is known.
 
-    Returns kind -> ``(members, born, means, linearization)``: the
-    ``(landmark, component)`` of each landmark row, the measurement of
-    each newborn row, their means, and the ``linearize`` result.
+    Returns ``(members, born, means, linearization)``: the ``(landmark,
+    kind, component)`` of each landmark row, the ``(kind, measurement)``
+    and the mean of each newborn row, and the ``linearize`` result over
+    the stack (:func:`_linearize_stack`).
     """
-    members = {}
-    for i, bern in enumerate(berns):
-        for kind, comp in bern.belief.types.items():
-            members.setdefault(kind, []).append((i, comp))
-    births = {kind: model.invert(z_rows, sensor.mean, kind)
-              for kind, rate in ppp.items()
-              if rate > 0.0 and kind is not LandmarkType.BS and len(z_rows)}
-    types = {}
-    for kind in {**members, **births}:
-        rows = members.get(kind, [])
-        born, means = births.get(kind, ([], []))
-        if rows or born:
-            types[kind] = rows, born, means, model.linearize(
-                sensor.mean, np.array([c.mean for _, c in rows] + list(means)),
-                kind)
-    return types
+    members = [(i, kind, comp) for i, bern in enumerate(berns)
+               for kind, comp in bern.belief.types.items()]
+    kinds = [kind for kind, rate in ppp.items()
+             if rate > 0.0 and kind is not LandmarkType.BS]
+    born, means = (model.invert(z_rows, sensor.mean, kinds)
+                   if kinds and len(z_rows) else ([], []))
+    return members, born, means, _linearize_stack(
+        model, sensor.mean, [c.mean for _, _, c in members] + list(means),
+        [kind for _, kind, _ in members] + [kind for kind, _ in born])
 
 
-def predict_types(berns, sensor: GaussianComponent, types: dict):
+def _linearize_stack(model, sensor_mean, positions: list, kinds: list):
+    """``model.linearize`` of a stack of rows: one call when every position
+    has one dimension, as the channel model's do.  A model whose types
+    differ in dimension gets one call per dimension, merged back into stack
+    order; ``H_x`` is then a list of per-row blocks
+    (:func:`_dimension_stacks`)."""
+    groups = _shape_groups(positions)
+    if len(groups) == 1:
+        return model.linearize(sensor_mean, np.array(positions), kinds)
+    p_detect, found = [0.0] * len(positions), {}
+    for group in groups:
+        pd, seen, *stacks = model.linearize(
+            sensor_mean, np.array([positions[k] for k in group]),
+            [kinds[k] for k in group])
+        for r, k in enumerate(group):
+            p_detect[k] = pd[r]
+        found.update((group[k], [a[r] for a in stacks])
+                     for r, k in enumerate(seen))
+    seen = sorted(found)
+    z_pred, H_s, H_x = ([found[k][j] for k in seen] for j in range(3))
+    return p_detect, seen, np.array(z_pred), np.array(H_s), H_x
+
+
+def _dimension_stacks(H_x, rows: list) -> list:
+    """``(block, H_x stack)`` per landmark dimension of the prediction rows
+    ``rows``: all of them when ``H_x`` is one stack, else a block per
+    shape of its per-row blocks, in first-seen order."""
+    if isinstance(H_x, np.ndarray):
+        return [(rows, H_x[rows])] if rows else []
+    return [(block, np.array([H_x[r] for r in block]))
+            for block in ([rows[j] for j in group] for group in
+                          _shape_groups([H_x[r] for r in rows]))]
+
+
+def predict_types(berns, sensor: GaussianComponent, geometry):
     """Predicted measurement statistics for every type of every Bernoulli,
-    from :func:`linearize_types`, and one stacked ``hph`` per type.  A type
-    the sensor cannot see keeps its detection probability and has no
-    prediction; degenerate geometry counts as detection probability 0.
+    read from the landmark rows of :func:`linearize_types`, and one
+    stacked ``hph``.  A type the sensor cannot see keeps its detection
+    probability and has no prediction; degenerate geometry counts as
+    detection probability 0.
 
     Returns ``(preds, rows, z_pred, hph)``: per landmark a dict kind ->
     :class:`TypePrediction` in its belief's type order, the ``(landmark,
     kind)`` of every type with a prediction, landmark by landmark, and
     their predictions and H blkdiag(P, C) H^T (without R), stacked in
-    ``rows`` order.
+    ``rows`` order -- the order of the landmark rows of the linearization.
     """
+    members, _, _, (p_detect, seen, z_pred, H_s, H_x) = geometry
     preds = [dict.fromkeys(bern.belief.types) for bern in berns]
-    where, parts = {}, []
-    for kind, (members, _, _, (p_detect, seen, z_pred, H_s, H_x)) in \
-            types.items():
-        m = bisect_left(seen, len(members))
-        row = dict(zip(seen[:m], range(m)))
-        for k, (i, _) in enumerate(members):
-            r = row.get(k)
-            if r is None:
-                preds[i][kind] = TypePrediction(p_detect[k], None, None, None)
-            else:
-                preds[i][kind] = TypePrediction(p_detect[k], z_pred[r],
-                                                H_s[r], H_x[r])
-                where[(i, kind)] = len(where)
-        if m:
-            lm_cov = np.array([members[k][1].covariance for k in seen[:m]])
-            parts.append((z_pred[:m], H_s[:m],
-                          H_x[:m] @ lm_cov @ H_x[:m].swapaxes(-1, -2)))
-    rows = [(i, kind) for i, types_i in enumerate(preds)
-            for kind, pred in types_i.items() if pred.z_pred is not None]
+    m = bisect_left(seen, len(members))
+    row = dict(zip(seen[:m], range(m)))
+    for k, (i, kind, _) in enumerate(members):
+        r = row.get(k)
+        preds[i][kind] = (TypePrediction(p_detect[k], None, None) if r is None
+                          else TypePrediction(p_detect[k], H_s[r], H_x[r]))
+    rows = [members[k][:2] for k in seen[:m]]
     if not rows:
         return tuple(preds), rows, None, None
-    order = [where[key] for key in rows]
-    z_pred, H_s, hxh = (np.concatenate(part) for part in zip(*parts))
-    hph = H_s @ sensor.covariance @ H_s.swapaxes(-1, -2) + hxh
-    return tuple(preds), rows, z_pred[order], hph[order]
+    hph = H_s[:m] @ sensor.covariance @ H_s[:m].swapaxes(-1, -2)
+    for block, H in _dimension_stacks(H_x, list(range(m))):
+        C = np.array([members[seen[r]][2].covariance for r in block])
+        hph[block] += H @ C @ H.swapaxes(-1, -2)
+    return tuple(preds), rows, z_pred[:m], hph
 
 
 def log_weight_detected(bern: Bernoulli, preds: dict, densities: dict):
@@ -305,12 +325,12 @@ def misdetection_weight(bern: Bernoulli, preds: dict):
     return masses, survive, (1.0 - bern.existence) + bern.existence * survive
 
 
-def newborns(types: dict, ppp: dict, z_rows: np.ndarray,
-             r_stack: np.ndarray, sensor: GaussianComponent, model) -> list:
+def newborns(geometry, ppp: dict, z_rows: np.ndarray, r_stack: np.ndarray,
+             sensor: GaussianComponent, model) -> list:
     """Newborn landmark Gaussians and birth densities of every measurement.
 
     The mean inverts the measurement at the sensor mean, and the
-    prediction there is the newborn row of the type's ``linearize``
+    prediction there is the newborn row of the hypothesis's ``linearize``
     (:func:`linearize_types`).  The covariance is the infinite-prior EK
     update, i.e. the inverse Fisher-style form (Hx^T (Hs P Hs^T + R)^-1
     Hx)^-1, and the birth density is N(z; h, Hs P Hs^T + Hx C Hx^T + R).
@@ -318,37 +338,27 @@ def newborns(types: dict, ppp: dict, z_rows: np.ndarray,
     determine a position, the newborn's geometry is degenerate, the sensor
     cannot see it (detection probability 0), or its gain or information
     matrix is not positive definite; the measurement is then clutter-only
-    for that type.
+    for that type.  Every newborn row is in one stack per landmark
+    dimension: the tail of the linearization.
 
     Returns per measurement ``(terms, comps)``: kind -> ``(rate, p_detect,
     ln N)`` and kind -> newborn :class:`GaussianComponent`, in ``ppp``
     order, for :func:`weight_birth`.
     """
-    found, parts = [], []
-    for kind, rate in ppp.items():
-        if kind not in types:
-            continue
-        members, born, means, (p_detect, seen, z_pred, H_s, H_x) = types[kind]
-        m = bisect_left(seen, len(members))
-        live = [r for r in range(m, len(seen)) if p_detect[seen[r]] > 0.0]
-        if live:
-            pick = slice(m, None) if len(live) == len(seen) - m else live
-            parts.append((range(len(found), len(found) + len(live)),
-                          z_pred[pick], H_s[pick], H_x[pick]))
-            found += [(born[b], kind, rate, p_detect[seen[r]], means[b])
-                      for r, b in ((r, seen[r] - len(members)) for r in live)]
-    # One stack per landmark dimension, every type's newborns in it.
+    members, born, means, (p_detect, seen, z_pred, H_s, H_x) = geometry
+    n = len(members)
+    live = [r for r in range(bisect_left(seen, n), len(seen))
+            if p_detect[seen[r]] > 0.0]
     kept = []
-    for group in _shape_groups([part[3][0] for part in parts]):
-        rows, *stacks = zip(*(parts[k] for k in group))
-        rows = [k for part in rows for k in part]
-        kept += [(rows[b], loglik, cov) for b, loglik, cov in _newborn_stack(
-            [found[k][0] for k in rows], *map(np.concatenate, stacks), z_rows,
-            r_stack, sensor, model)]
+    for block, H in _dimension_stacks(H_x, live):
+        kept += [(block[b], loglik, cov) for b, loglik, cov in _newborn_stack(
+            [born[seen[r] - n][1] for r in block], z_pred[block],
+            H_s[block], H, z_rows, r_stack, sensor, model)]
     out = [({}, {}) for _ in z_rows]
-    for k, loglik, cov in sorted(kept):
-        p, kind, rate, pd, mean = found[k]
-        out[p][0][kind] = (rate, pd, loglik)
+    # Stack order is ppp order, then measurement order.
+    for r, loglik, cov in sorted(kept):
+        (kind, p), mean = born[seen[r] - n], means[seen[r] - n]
+        out[p][0][kind] = (ppp[kind], p_detect[seen[r]], loglik)
         out[p][1][kind] = GaussianComponent(mean, cov)
     return out
 
@@ -545,8 +555,8 @@ def build_cost_matrix(hypothesis: GlobalHypothesis, measurements,
     matrix = np.full((n_meas, n_prior + n_meas), np.inf)
 
     z_rows = np.array([meas.z for meas in measurements])
-    types = linearize_types(berns, z_rows, sensor, ppp, model)
-    type_preds, rows, z_pred, hph = predict_types(berns, sensor, types)
+    geometry = linearize_types(berns, z_rows, sensor, ppp, model)
+    type_preds, rows, z_pred, hph = predict_types(berns, sensor, geometry)
     misdetection = tuple(misdetection_weight(b, preds)
                          for b, preds in zip(berns, type_preds))
     log_l0 = [math.log(m[2]) for m in misdetection]
@@ -561,7 +571,7 @@ def build_cost_matrix(hypothesis: GlobalHypothesis, measurements,
                 pairs[(i, p)] = masses, residuals
                 matrix[p, i] = log_l0[i] - log_l
         births = tuple(weight_birth(terms, comps, clutter_intensity)
-                       for terms, comps in newborns(types, ppp, z_rows,
+                       for terms, comps in newborns(geometry, ppp, z_rows,
                                                     r_stack, sensor, model))
         matrix[:, n_prior:][np.diag_indices(n_meas)] = [
             -cand.log_weight for cand in births]

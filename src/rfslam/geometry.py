@@ -16,10 +16,14 @@ frame, the UE array is assumed level) and angle of departure at the BS
 (global frame).  Azimuth conventions are atan2(dy, dx); elevation is
 atan2(dz, hypot(dx, dy)).
 
-The linearization kernel (:func:`_channel`) runs once per landmark type
-on a stack of rows, a hypothesis's landmarks of the type followed by its
-newborns.  Each row keeps the bits it has alone, whatever else the stack
-holds, by one rule:
+The linearization kernel (:func:`_channel`) runs once per hypothesis on
+one stack of rows of every kind, the hypothesis's landmarks followed by
+its newborns.  It groups the rows by kind, BS then VA then SP: the work
+every kind shares (the legs, the per-row transcendental loop, the angle
+gradients and the common Jacobian rows) runs once on the whole stack, and
+the kind-specific work (the VA mirror products, the SP's second leg, the
+BS's angle-of-departure rows) on the kind's contiguous slice.  Each row
+keeps the bits it has alone, whatever else the stack holds, by one rule:
 
 * an element-wise float64 operation (``+ - * /``, negation, ``sqrt``)
   rounds the same on a stack as on one row, in numpy or on Python floats,
@@ -50,7 +54,7 @@ holds, by one rule:
   ``dpotrf`` in 359 (numpy 2.4 with OpenBLAS, x86-64).
 
 A row with degenerate geometry leaves the stack before any division, so no
-stack divides by zero.
+stack divides by zero; the kind slices are counted again after it leaves.
 """
 
 from __future__ import annotations
@@ -252,66 +256,70 @@ def _angle_gradients(g: np.ndarray, rho2: np.ndarray) -> np.ndarray:
     return out
 
 
-def _channel(u, heading: float, bias: float, X: np.ndarray,
-             kind: LandmarkType, bs: np.ndarray, fov: float,
-             jacobians: bool):
+def _channel(u, heading: float, bias: float, X: np.ndarray, kinds,
+             live, bs: np.ndarray, fov: float, jacobians: bool):
     """``(seen, z_pred, H_s, H_x)`` of the paths to the landmark positions
-    ``X`` (N x 3) of one kind, from a UE at ``u`` with the heading and
-    clock bias given.
+    ``X`` (N x 3), of kinds ``kinds`` (one per row), from a UE at ``u``
+    with the heading and clock bias given.
 
     ``seen`` lists the rows kept, ascending; ``z_pred`` stacks their
     channel parameters (M x 5) and, with ``jacobians``, ``H_s`` and
     ``H_x`` the sensor and landmark blocks of their Jacobians (M x 5 x 5,
-    M x 5 x 3; else None).  The Jacobian's columns are [ue position (3),
-    heading, clock bias] and the landmark position.  A row is dropped
-    before any division when its SP lies farther than ``fov`` from the UE
-    or a direction it needs is degenerate: a leg shorter than ``MIN_LEG``,
-    or a vertical direction whose azimuth it takes (horizontal length
-    below 1e-12) or, with ``jacobians``, differentiates (squared length
-    below 1e-24).
+    M x 5 x 3; else None), in ``seen`` order.  The Jacobian's columns are
+    [ue position (3), heading, clock bias] and the landmark position.
+    Only rows of the kinds in ``live`` are kept.  A row is dropped before
+    any division when its SP lies farther than ``fov`` from the UE or a
+    direction it needs is degenerate: a leg shorter than ``MIN_LEG``, or a
+    vertical direction whose azimuth it takes (horizontal length below
+    1e-12) or, with ``jacobians``, differentiates (squared length below
+    1e-24).
+
+    The rows are grouped by kind, BS then VA then SP, so each kind's rows
+    are one contiguous slice: the work every kind shares runs once on the
+    whole stack, and the kind-specific work on its slice.  ``nu`` and the
+    BS-to-landmark leg are formed on the VA and SP rows only: a BS row
+    needs neither, and the anchor at the BS position has a leg of length
+    0.
     """
-    if kind not in TYPE_ORDER:
-        raise ValueError(f"unknown landmark kind {kind!r}")
+    if not set(kinds) <= set(TYPE_ORDER):
+        raise ValueError(f"unknown landmark kind in {kinds!r}")
+    groups = [[k for k, kind in enumerate(kinds) if kind is t]
+              if t in live else [] for t in TYPE_ORDER]
+    nb, nv = len(groups[0]), len(groups[1])
+    seen = np.array(groups[0] + groups[1] + groups[2], dtype=int)
+    X = X[seen]
     # The legs: g = x - u toward the apparent source with its length n, and
     # for a VA or SP the BS-to-landmark vector b with its length span.
     g = X - u
     n = np.sqrt(_dots(g, g))
+    b = X[nb:] - bs
+    span = np.sqrt(_dots(b, b))
     keep = n >= MIN_LEG
-    b = span = None
-    if kind is LandmarkType.SP:
-        keep &= n <= fov
-    if kind is not LandmarkType.BS:
-        b = X - bs
-        span = np.sqrt(_dots(b, b))
-        keep &= span >= MIN_LEG
-    seen = np.arange(len(X))
+    keep[nb:] &= span >= MIN_LEG
+    keep[nb + nv:] &= n[nb + nv:] <= fov
     if not keep.all():
-        seen, X, g, n, b, span = (a if a is None else a[keep]
-                                  for a in (seen, X, g, n, b, span))
+        b, span = b[keep[nb:]], span[keep[nb:]]
+        nb, nv = int(keep[:nb].sum()), int(keep[nb:nb + nv].sum())
+        seen, X, g, n = seen[keep], X[keep], g[keep], n[keep]
+    va, sp = slice(nb, nb + nv), slice(nb + nv, None)
     d = u - X
-    nu = s = R = N = None
-    path, g_aod = n, d
-    if kind is LandmarkType.VA:
-        # Mirroring VA->UE across the surface (unit normal nu) gives the
-        # BS->incidence ray, d - 2 nu (nu . d).
-        nu = b / span[:, None]
-        s = _dots(nu, d)
-        g_aod = d - 2.0 * nu * s[:, None]
-    elif kind is LandmarkType.SP:
-        nu = b / span[:, None]
-        path, g_aod = span + n, b
+    # Mirroring VA->UE across the surface (unit normal nu) gives the
+    # BS->incidence ray, d - 2 nu (nu . d); an SP's second leg is b.
+    nu = b / span[:, None]
+    s = _dots(nu[:nv], d[va])
+    path = np.concatenate([n[:nb + nv], span[nv:] + n[sp]])
+    g_aod = np.concatenate([d[:nb], d[va] - 2.0 * nu[:nv] * s[:, None],
+                            b[nv:]])
     if jacobians:
-        g_jac = g_aod
-        if kind is LandmarkType.VA:
-            # The same ray as the product R d, with R = I - 2 nu nu^T, and
-            # d nu / d x = N = (I - nu nu^T) / span.
-            outer = nu[:, :, None] * nu[:, None, :]
-            R = _EYE3 - 2.0 * outer
-            N = (_EYE3 - outer) / span[:, None, None]
-            g_jac = (R @ d[:, :, None])[:, :, 0]
+        # The VA ray as the product R d, with R = I - 2 nu nu^T, and
+        # d nu / d x = N = (I - nu nu^T) / span.
+        outer = nu[:nv, :, None] * nu[:nv, None, :]
+        R = _EYE3 - 2.0 * outer
+        N = (_EYE3 - outer) / span[:nv, None, None]
         # The directions whose angles are differentiated, AOA then AOD, and
         # their squared horizontal lengths.
-        dirs = np.concatenate([g, g_jac])
+        dirs = np.concatenate([g, d[:nb], (R @ d[va][:, :, None])[:, :, 0],
+                               b[nv:]])
         rho2 = dirs[:, 0] * dirs[:, 0] + dirs[:, 1] * dirs[:, 1]
     # The transcendental functions, per row on Python floats, with the
     # horizontal lengths that test for a vertical direction.
@@ -330,11 +338,16 @@ def _channel(u, heading: float, bias: float, X: np.ndarray,
         if jacobians:
             ok &= ~(rho2 < 1e-24).reshape(2, -1).any(axis=0)
             dirs, rho2 = dirs[np.tile(ok, 2)], rho2[np.tile(ok, 2)]
-        seen, z_pred, g, n, d, nu, s, R, N = (
-            a if a is None else a[ok]
-            for a in (seen, z_pred, g, n, d, nu, s, R, N))
+            R, N = R[ok[va]], N[ok[va]]
+        seen, z_pred, g, n, d = (a[ok] for a in (seen, z_pred, g, n, d))
+        nu, s = nu[ok[nb:]], s[ok[va]]
+        nb, nv = int(ok[:nb].sum()), int(ok[nb:nb + nv].sum())
+        va, sp = slice(nb, nb + nv), slice(nb + nv, None)
+    # Back to input order: seen ascending.
+    back = np.argsort(seen, kind="stable")
+    seen = seen[back].tolist()
     if not jacobians:
-        return seen.tolist(), z_pred, None, None
+        return seen, z_pred[back], None, None
     M = len(g)
     H_s, H_x = np.zeros((M, 5, 5)), np.empty((M, 5, 3))
     H_s[:, 0, 4], H_s[:, 1, 3] = 1.0, -1.0
@@ -345,30 +358,27 @@ def _channel(u, heading: float, bias: float, X: np.ndarray,
     e = g / n[:, None]
     H_x[:, 0], H_x[:, 1:3] = e, grads[:, :M].swapaxes(0, 1)
     np.negative(H_x[:, :3], out=H_s[:, :3, :3])
-    if kind is LandmarkType.SP:
-        np.add(nu, e, out=H_x[:, 0])
+    np.add(nu[nv:], e[sp], out=H_x[sp, 0])
     aod = grads[:, M:]
-    if kind is LandmarkType.BS:
-        H_s[:, 3:, :3] = aod.swapaxes(0, 1)
-        np.negative(H_s[:, 3:, :3], out=H_x[:, 3:])
-    elif kind is LandmarkType.VA:
-        # g_aod = R(nu(x)) d(x, u): dg/du = R, and dg/dx by the product rule.
-        nd = (N @ d[:, :, None])[:, :, 0]
-        dg_dx = (-R - (2.0 * s)[:, None, None] * N
-                 - 2.0 * (nu[:, :, None] * nd[:, None, :]))
-        for row, grad in zip((3, 4), aod[:, :, None]):
-            np.matmul(grad, R, out=H_s[:, row:row + 1, :3])
-            np.matmul(grad, dg_dx, out=H_x[:, row:row + 1])
-    else:
-        H_x[:, 3:] = aod.swapaxes(0, 1)
-    return seen.tolist(), z_pred, H_s, H_x
+    H_s[:nb, 3:, :3] = aod[:, :nb].swapaxes(0, 1)
+    np.negative(H_s[:nb, 3:, :3], out=H_x[:nb, 3:])
+    # VA: g_aod = R(nu(x)) d(x, u): dg/du = R, and dg/dx by the product
+    # rule.
+    nd = (N @ d[va][:, :, None])[:, :, 0]
+    dg_dx = (-R - (2.0 * s)[:, None, None] * N
+             - 2.0 * (nu[:nv, :, None] * nd[:, None, :]))
+    for row, grad in zip((3, 4), aod[:, va, None]):
+        np.matmul(grad, R, out=H_s[va, row:row + 1, :3])
+        np.matmul(grad, dg_dx, out=H_x[va, row:row + 1])
+    H_x[sp, 3:] = aod[:, sp].swapaxes(0, 1)
+    return seen, z_pred[back], H_s[back], H_x[back]
 
 
 def _one_row(u, heading: float, bias: float, x, kind: LandmarkType, bs,
              jacobians: bool) -> list:
     """``[z_pred, H_s, H_x]`` of one path by :func:`_channel`, with no
     field-of-view cut; raises DegenerateGeometryError where it has none."""
-    seen, *stacks = _channel(u, heading, bias, x[None], kind,
+    seen, *stacks = _channel(u, heading, bias, x[None], (kind,), TYPE_ORDER,
                              np.asarray(bs, dtype=float), math.inf, jacobians)
     if not seen:
         raise DegenerateGeometryError(
@@ -399,17 +409,14 @@ def measure_jacobian(ue: UEState, lm: Landmark, bs_position) -> np.ndarray:
 
 def measure_all(ue: UEState, landmarks, bs_position) -> list:
     """:func:`measure` of every landmark, or None where its geometry is
-    degenerate, from one stacked pass per kind."""
-    out = [None] * len(landmarks)
-    for kind in TYPE_ORDER:
-        index = [k for k, lm in enumerate(landmarks) if lm.kind is kind]
-        seen, z_pred, _, _ = _channel(
-            ue.position, ue.heading, ue.clock_bias, np.array(
-                [landmarks[k].position for k in index]).reshape(-1, 3),
-            kind, np.asarray(bs_position, dtype=float), math.inf, False)
-        for k, z in zip(seen, z_pred):
-            out[index[k]] = z
-    return out
+    degenerate, from one stacked pass."""
+    seen, z_pred, _, _ = _channel(
+        ue.position, ue.heading, ue.clock_bias,
+        np.array([lm.position for lm in landmarks]).reshape(-1, 3),
+        [lm.kind for lm in landmarks], TYPE_ORDER,
+        np.asarray(bs_position, dtype=float), math.inf, False)
+    found = dict(zip(seen, z_pred))
+    return [found.get(k) for k in range(len(landmarks))]
 
 
 def detection_probability(ue: UEState, lm: Landmark, p_detect: dict,
@@ -436,19 +443,24 @@ class ChannelModel:
     """Measurement-model facade the filter core works against.
 
     Wraps the channel geometry with the known BS anchor position and the
-    detection model.  The filter calls three methods, each on a stack of
-    rows: ``linearize`` (landmark positions), ``invert`` (measurements)
-    and ``wrap_residual`` (and reads ``p_detect`` and ``fov_radius`` when
-    present), so any object with them can be substituted, e.g. linear toys
-    in tests.  ``wrap_residual`` takes a residual or a stack of them of any
-    shape, the components on the last axis, and wraps every angle with
-    :func:`wrap_angle`, which gives ``_wrap_scalar``'s bits.  ``predict``,
-    ``jacobians`` and ``detection_probability`` are one-row calls of the
-    same kernel: ``predict`` and ``jacobians`` take no field-of-view cut
-    and raise DegenerateGeometryError where ``linearize`` would give no
-    prediction.  No filter code calls them: they stay only because the
-    benchmark's tracer wraps them by name, so add no caller; they go when
-    the tracer's name list drops them.
+    detection model.  The filter calls three methods, each once per
+    hypothesis on a stack of rows: ``linearize`` (landmark positions of any
+    kinds, one kind per row), ``invert`` (every measurement for every birth
+    kind) and ``wrap_residual`` (and reads ``p_detect`` and ``fov_radius``
+    when present), so any object with them can be substituted, e.g. linear
+    toys in tests.  ``wrap_residual`` takes a residual or a stack of them
+    of any shape, the components on the last axis, and wraps every angle
+    with :func:`wrap_angle`, which gives ``_wrap_scalar``'s bits.
+    ``predict``, ``jacobians`` and ``detection_probability`` are one-row
+    calls of the same kernel: ``predict`` and ``jacobians`` take no
+    field-of-view cut and raise DegenerateGeometryError where ``linearize``
+    would give no prediction.  No filter code calls them: they stay only
+    because the benchmark's tracer wraps them by name, so add no caller;
+    they go when the tracer's name list drops them.
+
+    ``p_detect`` values must lie in [0, 1] (1 is clamped to
+    ``MAX_P_DETECT``) and ``fov_radius`` must be positive (``math.inf``
+    sees every SP); anything else raises ValueError.
     """
 
     bs_position: np.ndarray
@@ -459,8 +471,12 @@ class ChannelModel:
     def __post_init__(self):
         object.__setattr__(self, "bs_position",
                            np.asarray(self.bs_position, dtype=float))
+        if not all(0.0 <= pd <= 1.0 for pd in self.p_detect.values()):
+            raise ValueError("every p_detect must be in [0, 1]")
         clamped = {k: min(float(v), MAX_P_DETECT) for k, v in self.p_detect.items()}
         object.__setattr__(self, "p_detect", clamped)
+        if not self.fov_radius > 0.0:
+            raise ValueError("fov_radius must be > 0")
 
     #: Angular measurement components (residuals wrapped).
     angle_components = slice(1, 5)
@@ -481,31 +497,35 @@ class ChannelModel:
         heading, bias = _wrap_scalar(float(v[3])), float(v[4])
         return _finite_point(v[:3], "UE"), heading, bias
 
-    def linearize(self, sensor_mean, positions, kind: LandmarkType):
-        """``(p_detect, seen, z_pred, H_s, H_x)`` of N landmark positions of
-        one kind (an N x 3 stack) at one sensor vector, from one decode and
-        one stacked pass (:func:`_channel`).
+    def linearize(self, sensor_mean, positions, kinds):
+        """``(p_detect, seen, z_pred, H_s, H_x)`` of N landmark positions
+        (an N x 3 stack, rows in any order) of the kinds ``kinds`` (one per
+        row) at one sensor vector, from one decode and one stacked pass
+        (:func:`_channel`).
 
         ``p_detect`` holds each row's detection probability, and ``seen``
         the rows with a prediction, ascending; ``z_pred`` (M x 5), ``H_s``
         (M x 5 x 5) and ``H_x`` (M x 5 x 3) stack their predictions and
-        Jacobian blocks, C-contiguous.  A row the sensor cannot see (an SP
-        beyond ``fov_radius``) or with degenerate geometry has p_detect 0
-        and no prediction: it enters the filter only through its
-        misdetection mass.  Raises ValueError on a non-finite sensor
-        position or landmark row."""
+        Jacobian blocks, C-contiguous.  A row the sensor cannot see (its
+        kind has detection probability 0, or it is an SP beyond
+        ``fov_radius``) or with degenerate geometry has p_detect 0 and no
+        prediction: it enters the filter only through its misdetection
+        mass.  Raises ValueError on a non-finite sensor position or
+        landmark row, an unknown kind, or a kind count that is not the
+        row count."""
         u, heading, bias = self._sensor(sensor_mean)
         X = np.asarray(positions, dtype=float)
         if X.ndim != 2 or X.shape[1] != 3 or not np.isfinite(X).all():
             raise ValueError("landmark position must be a finite 3-vector")
-        pd = float(self.p_detect.get(kind, 0.0))
+        if len(kinds) != len(X):
+            raise ValueError("linearize takes one landmark kind per row")
         seen, z_pred, H_s, H_x = _channel(
-            u, heading, bias, X if pd > 0.0 else X[:0], kind,
+            u, heading, bias, X, kinds,
+            [k for k in TYPE_ORDER if self.p_detect.get(k, 0.0) > 0.0],
             self.bs_position, self.fov_radius, True)
-        p_detect = [0.0 if pd > 0.0 else pd] * len(X)
-        for k in seen:
-            p_detect[k] = pd
-        return p_detect, seen, z_pred, H_s, H_x
+        kept = set(seen)
+        return ([self.p_detect[kind] if k in kept else 0.0
+                 for k, kind in enumerate(kinds)], seen, z_pred, H_s, H_x)
 
     def predict(self, sensor_mean, lm_position, kind: LandmarkType) -> np.ndarray:
         u, heading, bias = self._sensor(sensor_mean)
@@ -524,32 +544,44 @@ class ChannelModel:
                               kind: LandmarkType) -> float:
         return self.linearize(sensor_mean,
                               _finite_point(lm_position, "landmark")[None],
-                              kind)[0][0]
+                              (kind,))[0][0]
 
-    def invert(self, z_rows, sensor_mean, kind: LandmarkType):
-        """``(rows, means)``: the rows of a stack of measurements (P x 5)
-        that invert to a landmark position at the sensor mean, ascending,
-        and those positions (K x 3).  A row whose geometry admits no
-        solution is left out (the caller treats it as clutter-only for the
-        kind)."""
+    def invert(self, z_rows, sensor_mean, kinds):
+        """``(rows, means)``: the ``(kind, measurement)`` rows of a stack of
+        measurements (P x 5) that invert to a landmark position at the
+        sensor mean, for every kind of ``kinds`` -- ordered by ``kinds``,
+        then by measurement -- and those positions (K x 3).  An SP inverts
+        along its angle of departure, any other kind along its angle of
+        arrival, all in one trig loop.  A row whose geometry admits no
+        solution is left out (the caller treats the measurement as
+        clutter-only for the kind)."""
         z = np.asarray(z_rows, dtype=float)
         u, heading, bias = self._sensor(sensor_mean)
-        if kind not in TYPE_ORDER:
-            raise ValueError(f"unknown landmark kind {kind!r}")
+        if not set(kinds) <= set(TYPE_ORDER):
+            raise ValueError(f"unknown landmark kind in {kinds!r}")
+        arrival = list(zip((z[:, 1] + heading).tolist(), z[:, 2].tolist()))
+        departure = list(zip(z[:, 3].tolist(), z[:, 4].tolist()))
+        rays = np.array([(math.cos(e) * math.cos(a),
+                          math.cos(e) * math.sin(a), math.sin(e))
+                         for kind in kinds for a, e in
+                         (departure if kind is LandmarkType.SP else arrival)
+                         ]).reshape(len(kinds), len(z), 3)
         path = z[:, 0] - bias
-        az, el = ((z[:, 3], z[:, 4]) if kind is LandmarkType.SP
-                  else (z[:, 1] + heading, z[:, 2]))
-        g = np.array([(math.cos(e) * math.cos(a), math.cos(e) * math.sin(a),
-                       math.sin(e)) for a, e in zip(az.tolist(), el.tolist())
-                      ]).reshape(len(z), 3)
-        ok = path > 0.0
-        if kind is not LandmarkType.SP:
-            rows = np.flatnonzero(ok)
-            return rows.tolist(), u + path[rows, None] * g[rows]
+        found = (path > 0.0).nonzero()[0]
         w = self.bs_position - u
-        denom = 2.0 * (path + _dots(g, w))
-        rows = np.flatnonzero(ok & (denom > 1e-9))
-        path, g = path[rows], g[rows]
-        s = (path * path - float(w @ w)) / denom[rows]
-        keep = (s > 0.0) & (s < path)
-        return rows[keep].tolist(), self.bs_position + s[keep, None] * g[keep]
+        rows, means = [], [np.empty((0, 3))]
+        for kind, g in zip(kinds, rays):
+            r = found
+            if kind is LandmarkType.SP:
+                # The SP lies on the departure ray at the distance s from
+                # the BS at which its two legs add up to the path.
+                denom = 2.0 * (path[r] + _dots(g[r], w))
+                r, denom = r[denom > 1e-9], denom[denom > 1e-9]
+                s = (path[r] * path[r] - float(w @ w)) / denom
+                fits = (s > 0.0) & (s < path[r])
+                r = r[fits]
+                means.append(self.bs_position + s[fits, None] * g[r])
+            else:
+                means.append(u + path[r, None] * g[r])
+            rows += [(kind, p) for p in r.tolist()]
+        return rows, np.concatenate(means)

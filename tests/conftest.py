@@ -74,51 +74,52 @@ class LinearModel:
     def detection_probability(self, sensor_mean, lm_mean, kind):
         return float(self.p_detect.get(kind, 0.0))
 
-    def linearize(self, sensor_mean, positions, kind):
+    def linearize(self, sensor_mean, positions, kinds):
         """``(p_detect, seen, z_pred, H_s, H_x)`` of a stack of landmark
-        means, each row from the three methods above; a row whose
-        ``predict`` raises DegenerateGeometryError has p_detect 0 and no
-        prediction."""
-        A, B, _ = self.mats[kind]
-        p_detect, seen, z_pred = [], [], []
-        for k, x in enumerate(positions):
+        means, one kind per row, each row from the three methods above; a
+        row whose ``predict`` raises DegenerateGeometryError has p_detect 0
+        and no prediction."""
+        p_detect, seen, found = [], [], []
+        for k, (x, kind) in enumerate(zip(positions, kinds)):
             try:
-                z_pred.append(self.predict(sensor_mean, x, kind))
+                z_pred = self.predict(sensor_mean, x, kind)
             except DegenerateGeometryError:
                 p_detect.append(0.0)
                 continue
             p_detect.append(self.detection_probability(sensor_mean, x, kind))
             seen.append(k)
-        m = len(seen)
-        return (p_detect, seen, np.array(z_pred).reshape(m, A.shape[0]),
-                np.repeat(A[None], m, axis=0), np.repeat(B[None], m, axis=0))
+            found.append((z_pred, *self.jacobians(sensor_mean, x, kind)))
+        return (p_detect, seen, *(np.array([row[j] for row in found])
+                                  for j in range(3)))
 
-    def invert(self, z_rows, sensor_mean, kind):
-        """``(rows, means)`` of the measurements that determine a landmark
-        mean by least squares."""
-        A, B, c = self.mats[kind]
+    def invert(self, z_rows, sensor_mean, kinds):
+        """``(rows, means)``: the ``(kind, measurement)`` of every
+        measurement that determines a landmark mean by least squares, kind
+        by kind, and those means."""
         rows, means = [], []
-        for p, z in enumerate(z_rows):
-            rhs = np.atleast_1d(z) - A @ np.atleast_1d(sensor_mean) - c
-            sol, _, rank, _ = np.linalg.lstsq(B, rhs, rcond=None)
-            if rank == B.shape[1]:
-                rows.append(p)
-                means.append(sol)
-        return rows, np.array(means).reshape(len(rows), B.shape[1])
+        for kind in kinds:
+            A, B, c = self.mats[kind]
+            for p, z in enumerate(z_rows):
+                rhs = np.atleast_1d(z) - A @ np.atleast_1d(sensor_mean) - c
+                sol, _, rank, _ = np.linalg.lstsq(B, rhs, rcond=None)
+                if rank == B.shape[1]:
+                    rows.append((kind, p))
+                    means.append(sol)
+        return rows, means
 
 
 def linearize_one(model, sensor_mean, mean, kind):
     """One row of ``model.linearize``: ``(p_detect, z_pred, H_s, H_x)``,
     the last three None when the row has no prediction."""
     (pd,), seen, z_pred, H_s, H_x = model.linearize(
-        sensor_mean, np.asarray(mean, dtype=float)[None], kind)
+        sensor_mean, np.asarray(mean, dtype=float)[None], (kind,))
     return (pd, z_pred[0], H_s[0], H_x[0]) if seen else (pd, None, None, None)
 
 
 def invert_one(model, z, sensor_mean, kind):
     """One row of ``model.invert``: the landmark mean, or None."""
     rows, means = model.invert(np.asarray(z, dtype=float)[None], sensor_mean,
-                               kind)
+                               (kind,))
     return means[0] if rows else None
 
 
@@ -139,21 +140,24 @@ class RowPrediction(NamedTuple):
 # these take a stack of one.
 
 def stacked_predict_types(berns, sensor, model):
-    """``(preds, rows, hph)`` of :func:`rfslam.association.predict_types`
-    over the Bernoullis' one ``linearize`` call per type."""
-    preds, rows, _, hph = association.predict_types(
+    """``(preds, rows, z_pred, hph)`` of
+    :func:`rfslam.association.predict_types` over the Bernoullis' one
+    ``linearize`` call."""
+    return association.predict_types(
         berns, sensor, association.linearize_types(berns, np.empty(0), sensor,
                                                    {}, model))
-    return preds, rows, hph
 
 
 def predict_types(bern, sensor, model):
-    """One Bernoulli's type predictions, each with its row of the stacked
-    ``hph``, from :func:`rfslam.association.predict_types` of a hypothesis
-    holding it."""
-    (preds,), rows, hph = stacked_predict_types((bern,), sensor, model)
-    stacked = {kind: row for (_, kind), row in zip(rows, hph)} if rows else {}
-    return {kind: RowPrediction(pred.p_detect, pred.z_pred, stacked.get(kind),
+    """One Bernoulli's type predictions, each with its rows of the stacked
+    ``z_pred`` and ``hph``, from :func:`rfslam.association.predict_types`
+    of a hypothesis holding it."""
+    (preds,), rows, z_pred, hph = stacked_predict_types((bern,), sensor,
+                                                        model)
+    stacked = ({kind: (z, s) for (_, kind), z, s in zip(rows, z_pred, hph)}
+               if rows else {})
+    return {kind: RowPrediction(pred.p_detect,
+                                *stacked.get(kind, (None, None)),
                                 pred.H_s, pred.H_x)
             for kind, pred in preds.items()}
 

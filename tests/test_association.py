@@ -776,9 +776,9 @@ class RankLossModel(ChannelModel):
     factorization (no prior landmark of ``channel_association_case`` is
     there)."""
 
-    def linearize(self, sensor_mean, positions, kind):
+    def linearize(self, sensor_mean, positions, kinds):
         p_detect, seen, z_pred, H_s, H_x = super().linearize(
-            sensor_mean, positions, kind)
+            sensor_mean, positions, kinds)
         H_x[np.asarray(positions)[seen, 2] > 80.0] = 0.0
         return p_detect, seen, z_pred, H_s, H_x
 
@@ -865,19 +865,22 @@ class TestArrayPass:
             assert list(got) == list(rows)
             assert all(got[k].tobytes() == v.tobytes()
                        for k, v in rows.items())
-        # The stacked hph, one row per type with a prediction, is the
-        # cost matrix's; each row has the bits of the type's own.
-        _, rows, hph = stacked_predict_types(hyp.bernoullis, sensor, model)
-        stacked = dict(zip(rows, hph)) if rows else {}
+        # The stacked z_pred and hph, one row per type with a prediction,
+        # are the cost matrix's; each row has the bits of the type's own.
+        _, rows, z_pred, hph = stacked_predict_types(hyp.bernoullis, sensor,
+                                                     model)
+        stacked = dict(zip(rows, zip(z_pred, hph))) if rows else {}
         for i, (got, want) in enumerate(zip(ctx.type_preds, type_preds,
                                             strict=True)):
             assert list(got) == list(want)
             for kind, pred in want.items():
                 assert got[kind].p_detect == pred.p_detect
-                for name in ("z_pred", "H_s", "H_x"):
+                for name in ("H_s", "H_x"):
                     assert bits(getattr(got[kind], name)) == \
                         bits(getattr(pred, name))
-                assert bits(stacked.get((i, kind))) == bits(pred.hph)
+                z, row = stacked.get((i, kind), (None, None))
+                assert bits(z) == bits(pred.z_pred)
+                assert bits(row) == bits(pred.hph)
         for got, want in zip(ctx.births, births, strict=True):
             assert bits(got.log_weight) == bits(want.log_weight)
             assert bits(got.existence) == bits(want.existence)

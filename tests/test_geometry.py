@@ -16,6 +16,7 @@ from rfslam.geometry import (
     UEState,
     detection_probability,
     measure,
+    measure_all,
     measure_jacobian,
     mirror_bs,
     wrap_angle,
@@ -220,6 +221,30 @@ class TestChannelModel:
         model = ChannelModel(BS, p_detect={k: 1.0 for k in LandmarkType})
         assert model.p_detect[LandmarkType.BS] < 1.0
 
+    @pytest.mark.parametrize("value", [-0.2, math.nan, 1.5, -math.inf,
+                                       math.inf], ids=repr)
+    def test_rejects_p_detect_outside_unit_interval(self, value):
+        # A negative rate would grow the PPP under thinning, and a NaN one
+        # would make it NaN.
+        p_detect = {LandmarkType.BS: 0.9, LandmarkType.VA: value,
+                    LandmarkType.SP: 0.9}
+        with pytest.raises(ValueError, match=r"p_detect must be in \[0, 1\]"):
+            ChannelModel(BS, p_detect=p_detect)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, -math.inf],
+                             ids=repr)
+    def test_rejects_fov_radius_that_is_not_positive(self, value):
+        with pytest.raises(ValueError, match="fov_radius must be > 0"):
+            ChannelModel(BS, fov_radius=value)
+
+    def test_accepts_unit_interval_and_infinite_fov(self):
+        model = ChannelModel(BS, p_detect={LandmarkType.BS: 0.0,
+                                           LandmarkType.VA: 1.0},
+                             fov_radius=math.inf)
+        assert model.p_detect == {LandmarkType.BS: 0.0,
+                                  LandmarkType.VA: geometry.MAX_P_DETECT}
+        assert model.fov_radius == math.inf
+
     def test_invert_los_recovers_position(self):
         rng = np.random.default_rng(7)
         model = ChannelModel(BS)
@@ -389,16 +414,19 @@ def row_jacobian(kind, legs):
 def row_linearize(model, v, x, kind):
     """``ChannelModel.linearize`` of one pair as the per-row code gave it to
     the filter: ``(p_detect, z_pred, H)``, with ``(0.0, None, None)`` for a
-    pair the sensor cannot see or with degenerate geometry."""
+    pair the sensor cannot see (its kind has detection probability 0, or it
+    is an SP beyond the field of view) or with degenerate geometry."""
     u = reference_finite_point(v[:3], "UE")
     x = reference_finite_point(x, "landmark")
+    pd = model.p_detect.get(kind, 0.0)
     try:
         legs = row_legs(u, kind, x, model.bs_position)
-        if kind is LandmarkType.SP and legs[1] > model.fov_radius:
+        if pd <= 0.0 or (kind is LandmarkType.SP
+                         and legs[1] > model.fov_radius):
             return 0.0, None, None
         z = row_prediction(geometry._wrap_scalar(float(v[3])), float(v[4]),
                            kind, legs)
-        return model.p_detect[kind], z, row_jacobian(kind, legs)
+        return pd, z, row_jacobian(kind, legs)
     except DegenerateGeometryError:
         return 0.0, None, None
 
@@ -444,7 +472,7 @@ class TestChannelModelRawPath:
                          lambda: model.detection_probability(
                              v, lm, LandmarkType.SP),
                          lambda: model.invert(np.ones((1, 5)) * 400.0, v,
-                                              LandmarkType.BS)):
+                                              (LandmarkType.BS,))):
                 with pytest.raises(ValueError, match="UE position"):
                     call()
             x = lm.copy()
@@ -626,7 +654,7 @@ class TestKernelReference:
         else:
             assert same_bits(z_out, ref_z)
         jac = outcome(model.jacobians, v, x, kind)
-        lin = model.linearize(v, x[None], kind)
+        lin = model.linearize(v, x[None], (kind,))
         if degenerate:
             assert jac[0] is DegenerateGeometryError
             assert lin[:2] == ([0.0], [])
@@ -673,6 +701,14 @@ def per_part_outcome(model, v, x, kind):
     return pd, z_pred, H_s, H_x
 
 
+def fov_edges(dist):
+    """A field of view at, just inside or just outside a row's distance
+    ``dist``, never below the smallest positive radius."""
+    return st.sampled_from([f for f in (dist, math.nextafter(dist, 0.0),
+                                        math.nextafter(dist, math.inf))
+                            if f > 0.0])
+
+
 @st.composite
 def linearize_case(draw):
     """(model, sensor vector, landmark position, kind) over generic and
@@ -696,9 +732,7 @@ def linearize_case(draw):
                       draw(st.floats(0.0, 60.0))])
     if shape == "fov":
         # The SP at, just inside or just outside the field of view.
-        dist = float(np.linalg.norm(x - u))
-        fov = draw(st.sampled_from([dist, math.nextafter(dist, 0.0),
-                                    math.nextafter(dist, math.inf)]))
+        fov = draw(fov_edges(float(np.linalg.norm(x - u))))
     v = np.concatenate([u, [heading, bias]])
     bad = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
     if shape == "non-finite UE":
@@ -729,7 +763,7 @@ class TestLinearize:
         # geometry (where a one-part method raises), has p_detect 0 and no
         # prediction.  Non-finite input raises as the one-part methods do.
         model, v, x, kind = case
-        got = outcome(model.linearize, v, x[None], kind)
+        got = outcome(model.linearize, v, x[None], (kind,))
         ref = per_part_outcome(model, v, x, kind)
         if len(ref) == 2 and ref[0] is not DegenerateGeometryError:
             assert got == ref
@@ -757,10 +791,10 @@ class TestLinearize:
         model = ChannelModel(BS, fov_radius=50.0)
         v = np.array([10.0, -5.0, 0.0, 9.0, 300.0])
         x = v[:3] + np.array([30.0, 40.0, 0.0])   # 50 m away, exactly
-        assert model.linearize(v, x[None], LandmarkType.SP)[:2] == ([0.9], [0])
+        SP = (LandmarkType.SP,)
+        assert model.linearize(v, x[None], SP)[:2] == ([0.9], [0])
         nearer = ChannelModel(BS, fov_radius=math.nextafter(50.0, 0.0))
-        assert nearer.linearize(v, x[None], LandmarkType.SP)[:2] == \
-            ([0.0], [])
+        assert nearer.linearize(v, x[None], SP)[:2] == ([0.0], [])
         above = v[:3] + np.array([0.0, 0.0, 60.0])   # straight up, hidden
         for kind, x, message in (
                 (LandmarkType.SP, above,
@@ -772,14 +806,15 @@ class TestLinearize:
             assert row_raise(model, v, x, kind) == message
             assert per_part_outcome(model, v, x, kind)[0] is \
                 DegenerateGeometryError
-            assert model.linearize(v, x[None], kind)[:2] == ([0.0], [])
+            assert model.linearize(v, x[None], (kind,))[:2] == ([0.0], [])
         for i, what in ((0, "UE"), (5, "landmark")):
             w, y = v.copy(), np.array([60.0, 20.0, 10.0])
             if i < 5:
                 w[i] = np.nan
             else:
                 y[0] = np.inf
-            assert outcome(model.linearize, w, y[None], LandmarkType.BS) == \
+            assert outcome(model.linearize, w, y[None],
+                           (LandmarkType.BS,)) == \
                 per_part_outcome(model, w, y, LandmarkType.BS) == \
                 (ValueError, f"{what} position must be a finite 3-vector")
 
@@ -797,18 +832,18 @@ def generic_point(draw):
 
 @st.composite
 def stack_case(draw):
-    """(model, sensor vector, kind, rows) of one ``linearize`` call: 0-12
-    landmark rows of one kind that mix generic rows, SPs hidden beyond the
-    field of view or at its edge (``nextafter`` of a row's distance, as in
-    :func:`linearize_case`), rows nearly straight above the UE or the BS
-    (both vertical-direction degeneracies, and zero-length legs) and
-    non-finite rows."""
-    kind = draw(st.sampled_from(list(LandmarkType)))
+    """(model, sensor vector, kinds, rows) of one ``linearize`` call: 0-12
+    landmark rows of shuffled kinds that mix generic rows, SPs hidden
+    beyond the field of view or at its edge (``nextafter`` of an SP row's
+    distance, as in :func:`linearize_case`), rows nearly straight above the
+    UE or the BS (both vertical-direction degeneracies, and zero-length
+    legs) and non-finite rows; one kind may have detection probability 0
+    or none."""
     u = np.array([draw(st.integers(-80, 80)), draw(st.integers(-80, 80)),
                   draw(st.sampled_from([0.0, 1.5]))], dtype=float)
     v = np.concatenate([u, [draw(st.floats(-30.0, 30.0)),
                             draw(st.floats(0.0, 400.0))]])
-    rows = []
+    rows, kinds = [], []
     for shape in draw(st.lists(st.sampled_from(ROW_SHAPES), max_size=12)):
         if shape in ("above UE", "above BS"):
             base = u if shape == "above UE" else BS
@@ -820,16 +855,24 @@ def stack_case(draw):
             x[draw(st.integers(0, 2))] = draw(
                 st.sampled_from([np.nan, np.inf, -np.inf]))
         rows.append(x)
+        kinds.append(draw(st.sampled_from(list(LandmarkType))))
     fov = 50.0
-    finite = [x for x in rows if np.isfinite(x).all()]
-    if finite and draw(st.booleans()):
-        dist = float(np.linalg.norm(draw(st.sampled_from(finite)) - u))
-        fov = draw(st.sampled_from([dist, math.nextafter(dist, 0.0),
-                                    math.nextafter(dist, math.inf)]))
-    return ChannelModel(BS, fov_radius=fov), v, kind, rows
+    sps = [x for x, kind in zip(rows, kinds)
+           if kind is LandmarkType.SP and np.isfinite(x).all()]
+    if sps and draw(st.booleans()):
+        fov = draw(fov_edges(float(np.linalg.norm(draw(st.sampled_from(sps))
+                                                  - u))))
+    p_detect = {kind: 0.9 for kind in LandmarkType}
+    blind = draw(st.sampled_from([None, *LandmarkType]))
+    if blind is not None:
+        if draw(st.booleans()):
+            p_detect[blind] = 0.0
+        else:
+            del p_detect[blind]
+    return ChannelModel(BS, p_detect=p_detect, fov_radius=fov), v, kinds, rows
 
 
-def assert_rows_match_reference(model, v, kind, X, got):
+def assert_rows_match_reference(model, v, kinds, X, got):
     """Each row of one ``linearize`` result against :func:`row_linearize`:
     a row the sensor sees has the reference's detection probability and the
     bytes of its prediction and Jacobian blocks (signed zeros count); a
@@ -841,7 +884,7 @@ def assert_rows_match_reference(model, v, kind, X, got):
     assert H_s.flags.c_contiguous and H_x.flags.c_contiguous
     r = 0
     for k, x in enumerate(X):
-        pd, z, H = row_linearize(model, v, x, kind)
+        pd, z, H = row_linearize(model, v, x, kinds[k])
         assert type(p_detect[k]) is float and p_detect[k] == pd
         if z is None:
             assert k not in seen
@@ -861,41 +904,66 @@ def row_bytes(got):
     return {k: (pd, found.get(k)) for k, pd in enumerate(p_detect)}
 
 
-class TestStackedKernel:
-    """``ChannelModel.linearize`` and ``invert`` on stacks of rows: every row
-    has the per-row reference's bits, whatever else the stack holds."""
+def kind_list(draw, n):
+    return [draw(st.sampled_from(list(LandmarkType))) for _ in range(n)]
 
-    @settings(max_examples=400, deadline=None)
+
+class TestStackedKernel:
+    """``ChannelModel.linearize`` and ``invert`` on stacks of rows of mixed
+    kinds: every row has the per-row reference's bits and a one-row call's,
+    whatever else the stack holds."""
+
+    @settings(max_examples=500, deadline=None)
     @given(case=stack_case(), data=st.data())
     def test_rows_bit_equal_to_the_per_row_reference(self, case, data):
-        model, v, kind, rows = case
+        model, v, kinds, rows = case
         X = np.array(rows).reshape(len(rows), 3)
         finite = np.isfinite(X).all(axis=1)
         if not finite.all():
-            assert outcome(model.linearize, v, X, kind) == \
+            assert outcome(model.linearize, v, X, kinds) == \
                 (ValueError, "landmark position must be a finite 3-vector")
             X = X[finite]
-        got = model.linearize(v, X, kind)
-        assert_rows_match_reference(model, v, kind, X, got)
-        # Permuting or padding the stack leaves each row's bytes alone.
+            kinds = [kind for kind, ok in zip(kinds, finite) if ok]
+        got = model.linearize(v, X, kinds)
+        assert_rows_match_reference(model, v, kinds, X, got)
         want = row_bytes(got)
+        for k in range(len(X)):
+            assert row_bytes(model.linearize(v, X[k:k + 1], kinds[k:k + 1])
+                             ) == {0: want[k]}
+        # Permuting or padding the stack leaves each row's bytes alone.
         order = data.draw(st.permutations(range(len(X))))
-        permuted = row_bytes(model.linearize(v, X[order], kind))
+        permuted = row_bytes(model.linearize(v, X[order],
+                                             [kinds[j] for j in order]))
         assert {order[j]: out for j, out in permuted.items()} == want
         before = [generic_point(data.draw) for _ in range(
             data.draw(st.integers(0, 3)))]
         after = [generic_point(data.draw) for _ in range(
             data.draw(st.integers(1, 3)))]
         padded = row_bytes(model.linearize(
-            v, np.array(before + list(X) + after), kind))
+            v, np.array(before + list(X) + after),
+            kind_list(data.draw, len(before)) + kinds
+            + kind_list(data.draw, len(after))))
         assert {k: padded[len(before) + k] for k in want} == want
+
+    def test_unknown_or_missing_kind_raises(self):
+        model = ChannelModel(BS)
+        v = np.array([10.0, -5.0, 0.0, 0.3, 200.0])
+        X = np.array([[60.0, 20.0, 10.0], [80.0, 0.0, 5.0]])
+        for call in (lambda: model.linearize(v, X, [LandmarkType.VA, "SP"]),
+                     lambda: model.invert(np.ones((1, 5)), v, ["SP"])):
+            with pytest.raises(ValueError, match="unknown landmark kind"):
+                call()
+        for kinds in ([LandmarkType.VA], [LandmarkType.SP] * 3):
+            with pytest.raises(ValueError, match="one landmark kind per row"):
+                model.linearize(v, X, kinds)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_invert_rows_bit_equal_to_the_reference(self, data):
-        kind = data.draw(st.sampled_from(list(LandmarkType)))
+        kinds = data.draw(st.lists(st.sampled_from(list(LandmarkType)),
+                                   unique=True, max_size=3))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        ue, _ = random_geometry(rng, kind)
+        ue, _ = random_geometry(rng, LandmarkType.BS)
         v = ue.as_vector()
         model = ChannelModel(BS)
         z_rows = []
@@ -903,6 +971,7 @@ class TestStackedKernel:
                 ["landmark", "landmark", "short path", "random"]),
                 max_size=12)):
             if shape == "landmark":
+                kind = data.draw(st.sampled_from(list(LandmarkType)))
                 z = measure(ue, random_geometry(rng, kind)[1], BS)
                 z = z + rng.normal(0.0, 0.01, size=5)
             elif shape == "short path":
@@ -913,18 +982,60 @@ class TestStackedKernel:
                               *rng.uniform(-3.0, 3.0, size=4)])
             z_rows.append(z)
         Z = np.array(z_rows).reshape(len(z_rows), 5)
-        rows, means = model.invert(Z, v, kind)
-        assert means.shape == (len(rows), 3) and rows == sorted(rows)
+        rows, means = model.invert(Z, v, kinds)
+        # Ordered by kinds, then by measurement.
+        assert means.shape == (len(rows), 3)
+        assert rows == sorted(set(rows),
+                              key=lambda row: (kinds.index(row[0]), row[1]))
         got = dict(zip(rows, means))
-        for p, z in enumerate(Z):
-            ref = invert_reference(model, z, ue, kind)
-            assert (p in got) == (ref is not None)
-            if ref is not None:
-                assert same_bits(got[p], ref)
+        for kind in kinds:
+            for p, z in enumerate(Z):
+                ref = invert_reference(model, z, ue, kind)
+                assert ((kind, p) in got) == (ref is not None)
+                if ref is not None:
+                    assert same_bits(got[(kind, p)], ref)
+                    assert same_bits(invert_one(model, z, v, kind), ref)
         order = data.draw(st.permutations(range(len(Z))))
-        rows_p, means_p = model.invert(Z[order], v, kind)
-        assert {order[j]: m.tobytes() for j, m in zip(rows_p, means_p)} == \
-            {p: m.tobytes() for p, m in got.items()}
+        rows_p, means_p = model.invert(Z[order], v, kinds)
+        assert {(kind, order[j]): m.tobytes()
+                for (kind, j), m in zip(rows_p, means_p)} == \
+            {key: m.tobytes() for key, m in got.items()}
+
+
+@st.composite
+def landmark_list(draw):
+    """(UE, landmarks): 0-12 landmarks of shuffled kinds, generic or nearly
+    straight above the UE or the BS, zero-length legs included."""
+    ue = UEState([draw(st.integers(-80, 80)), draw(st.integers(-80, 80)),
+                  draw(st.sampled_from([0.0, 1.5]))],
+                 draw(st.floats(-30.0, 30.0)), draw(st.floats(0.0, 400.0)))
+    landmarks = []
+    for shape in draw(st.lists(st.sampled_from(ROW_SHAPES[:-1]),
+                               max_size=12)):
+        if shape == "generic":
+            x = generic_point(draw)
+        else:
+            base = ue.position if shape == "above UE" else BS
+            x = base + np.array([draw(NEAR_VERTICAL), draw(NEAR_VERTICAL),
+                                 draw(st.sampled_from([0.0, 25.0, -12.0]))])
+        landmarks.append(Landmark(draw(st.sampled_from(list(LandmarkType))),
+                                  x))
+    return ue, landmarks
+
+
+class TestMeasureAll:
+    @settings(max_examples=300, deadline=None)
+    @given(case=landmark_list())
+    def test_each_entry_is_measure_of_its_landmark(self, case):
+        ue, landmarks = case
+        got = measure_all(ue, landmarks, BS)
+        assert len(got) == len(landmarks)
+        for lm, z in zip(landmarks, got):
+            ref = outcome(measure, ue, lm, BS)
+            if isinstance(ref, tuple):
+                assert ref[0] is DegenerateGeometryError and z is None
+            else:
+                assert same_bits(z, ref)
 
 
 class TestMeasurementType:

@@ -48,7 +48,7 @@ BENCH_SCRIPTS = sorted((ROOT / "perfbench").glob("*.py"))
 API_ONLY = ["cli.deterministic_metrics_view", "geometry.measure_jacobian"]
 
 #: Code lines of ``src/rfslam``, counted by :func:`code_lines`.
-CODE_LINE_BUDGET = 2234
+CODE_LINE_BUDGET = 2232
 
 #: Fields of the two settings objects.
 SETTINGS_FIELDS = {RunConfig: 10, FilterConfig: 11}

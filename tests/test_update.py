@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from conftest import (
     check_density,
     detected_weight,
     invert_one,
+    linearize_one,
     newborn,
     predict_types,
     reference_birth_from_measurement,
@@ -652,7 +654,7 @@ def reference_joint_update(parts, sigma):
         stack_kinds = {}
         for i, p in detected:
             kinds = [k for k in psi_post[i]
-                     if type_preds[i][k].z_pred is not None]
+                     if type_preds[i][k].H_s is not None]
             if not kinds:
                 raise np.linalg.LinAlgError(
                     f"landmark {i} detected but no type has valid geometry")
@@ -1009,11 +1011,11 @@ class SeeAllChannelModel(ChannelModel):
     detection probabilities of its field of view, with the predictions of
     the same model without one."""
 
-    def linearize(self, sensor_mean, positions, kind):
-        p_detect = super().linearize(sensor_mean, positions, kind)[0]
+    def linearize(self, sensor_mean, positions, kinds):
+        p_detect = super().linearize(sensor_mean, positions, kinds)[0]
         return (p_detect, *ChannelModel.linearize(
             replace(self, fov_radius=math.inf), sensor_mean, positions,
-            kind)[1:])
+            kinds)[1:])
 
 
 def scenario_run(scenario, filter_kind, gamma, model_cls=ChannelModel):
@@ -1051,8 +1053,8 @@ class TestInvisiblePairs:
         hidden = []
         linearize = ChannelModel.linearize
 
-        def counting(model, sensor_mean, positions, kind):
-            out = linearize(model, sensor_mean, positions, kind)
+        def counting(model, sensor_mean, positions, kinds):
+            out = linearize(model, sensor_mean, positions, kinds)
             hidden.extend(k not in out[1] for k in range(len(positions)))
             return out
 
@@ -1104,10 +1106,11 @@ class TestInvisiblePairs:
         factor = association._dpotrf
         newborn_pass = association.newborns
 
-        def recording_linearize(model, sensor_mean, positions, kind):
-            out = linearize(model, sensor_mean, positions, kind)
+        def recording_linearize(model, sensor_mean, positions, kinds):
+            out = linearize(model, sensor_mean, positions, kinds)
             predicted.extend(
-                (kind, float(np.linalg.norm(positions[k] - sensor_mean[:3])))
+                (kinds[k],
+                 float(np.linalg.norm(positions[k] - sensor_mean[:3])))
                 for k in out[1])
             return out
 
@@ -1115,13 +1118,14 @@ class TestInvisiblePairs:
             factors.append(a.shape)
             return factor(a)
 
-        def recording_newborns(types, ppp, z_rows, r_stack, sensor, model):
+        def recording_newborns(geometry, ppp, z_rows, r_stack, sensor,
+                               model):
             before = len(factors)
-            out = newborn_pass(types, ppp, z_rows, r_stack, sensor, model)
-            for kind, (_, born, means, _) in types.items():
-                for p, mean in zip(born, means):
-                    dist = float(np.linalg.norm(mean - sensor.mean[:3]))
-                    births.append((kind, dist, kind in out[p][1]))
+            out = newborn_pass(geometry, ppp, z_rows, r_stack, sensor, model)
+            _, born, means, _ = geometry
+            for (kind, p), mean in zip(born, means):
+                dist = float(np.linalg.norm(mean - sensor.mean[:3]))
+                births.append((kind, dist, kind in out[p][1]))
             passes.append((sum(len(comps) for _, comps in out),
                            len(factors) - before))
             return out
@@ -1144,21 +1148,25 @@ class TestInvisiblePairs:
 class TestGeometryCalls:
     @pytest.mark.parametrize("filter_kind, gamma", [(EK_PMB, 10),
                                                     (EK_PMBM, 3)])
-    def test_one_linearize_and_invert_per_type_per_hypothesis(
+    def test_one_linearize_and_invert_per_hypothesis(
             self, monkeypatch, filter_kind, gamma):
         # Every model call of every update_step of a short run, keyed by
-        # step, hypothesis, method and landmark type: no key repeats.
+        # step and hypothesis: exactly one linearize call per hypothesis,
+        # over every landmark type, and at most one invert call, over both
+        # birth types.
         scenario = default_scenario(seed=1, steps=8)
-        calls, current = [], []
+        calls, current, hypotheses = [], [], []
         cost_matrix = update_module.build_cost_matrix
 
         def per_hypothesis(*args, **kwargs):
             current.append(len(current))
+            hypotheses.append((len(steps), current[-1]))
             return cost_matrix(*args, **kwargs)
 
         def recording(name, method):
             def wrapped(model, *args):
-                calls.append((len(steps), current[-1], name, args[-1]))
+                calls.append((len(steps), current[-1], name,
+                              frozenset(args[-1])))
                 return method(model, *args)
             return wrapped
 
@@ -1176,12 +1184,18 @@ class TestGeometryCalls:
                                 recording(name, getattr(ChannelModel, name)))
         scenario_run(scenario, filter_kind, gamma)
         assert len(steps) == scenario.steps
-        assert len(set(calls)) == len(calls)
-        assert {(name, kind) for _, _, name, kind in calls} == {
-            ("linearize", BS), ("linearize", VA), ("linearize", SP),
-            ("invert", VA), ("invert", SP)}
+        linearized, inverted = (
+            Counter((k, h) for k, h, called, _ in calls if called == name)
+            for name in ("linearize", "invert"))
+        assert linearized == Counter(hypotheses)
+        assert set(inverted) <= set(hypotheses)
+        assert max(inverted.values()) == 1
+        assert {kinds for _, _, name, kinds in calls if name == "invert"} == {
+            frozenset({VA, SP})}
+        assert any(kinds == {BS, VA, SP} for _, _, name, kinds in calls
+                   if name == "linearize")
         per_step = {}
-        for step_index, h, _, _ in calls:
+        for step_index, h in hypotheses:
             per_step.setdefault(step_index, set()).add(h)
         # The PMBM mixture puts more than one hypothesis in some step.
         most = max(len(hs) for hs in per_step.values())
@@ -1552,7 +1566,8 @@ class TestStep:
         assert list(rows) == [VA, SP]
         for kind in (VA, SP):
             v = innovations(parts, 0, 0)[kind]
-            z_pred = parts.ctx.type_preds[0][kind].z_pred
+            z_pred = linearize_one(model, sensor.mean,
+                                   belief.types[kind].mean, kind)[1]
             assert v.tobytes() == (meas.z - z_pred).tobytes()
             assert innovations(parts, 0, 0)[kind] is v
             assert v is rows[kind]
