@@ -464,9 +464,6 @@ class AssociationVector:
     n_prior: int
     sigma: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", tuple(self.sigma))
-
     @property
     def n_meas(self) -> int:
         return len(self.sigma) - self.n_prior

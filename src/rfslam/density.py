@@ -15,6 +15,13 @@ its landmark types different dimensions; :func:`_shape_groups` splits
 rows by shape here and in :mod:`rfslam.association`.  The channel model's
 types are all 3-D, so each stage makes one call.
 
+The containers hold what they are given and convert nothing: means and
+covariances are float64 ndarrays, ``bernoullis`` and ``hypotheses`` are
+tuples, and every per-type dict (a belief's ``types``, the PPP rates)
+iterates in ``TYPE_ORDER``.  ``Scenario``, ``cli.initial_state`` and the
+filter build them so; :func:`mix_types`, the one path that can interleave
+types across its members, puts each belief it builds back in that order.
+
 The batched match has the bits of matching each group alone, with its
 members added one after another, for two reasons.
 
@@ -86,11 +93,6 @@ class GaussianComponent:
     mean: np.ndarray
     covariance: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
-        object.__setattr__(self, "covariance",
-                           np.asarray(self.covariance, dtype=float))
-
     @property
     def dim(self) -> int:
         return self.mean.size
@@ -104,11 +106,6 @@ class TypeComponent:
     mean: np.ndarray
     covariance: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
-        object.__setattr__(self, "covariance",
-                           np.asarray(self.covariance, dtype=float))
-
 
 def _ordered_types(types: dict) -> dict:
     return {k: types[k] for k in TYPE_ORDER if k in types}
@@ -118,10 +115,7 @@ def _ordered_types(types: dict) -> dict:
 class LandmarkBelief:
     """Mixture over landmark types; type probabilities sum to one."""
 
-    types: dict  # LandmarkType -> TypeComponent
-
-    def __post_init__(self):
-        object.__setattr__(self, "types", _ordered_types(self.types))
+    types: dict  # LandmarkType -> TypeComponent, in TYPE_ORDER
 
     def dominant_type(self) -> LandmarkType:
         return max(self.types, key=lambda k: self.types[k].weight)
@@ -147,9 +141,6 @@ class GlobalHypothesis:
     bernoullis: tuple
     assoc: Optional[Any] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "bernoullis", tuple(self.bernoullis))
-
 
 @dataclass(frozen=True)
 class PmbmDensity:
@@ -157,11 +148,6 @@ class PmbmDensity:
 
     ppp_intensity: dict  # LandmarkType -> rate (expected landmarks / volume)
     hypotheses: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "ppp_intensity",
-                           _ordered_types(dict(self.ppp_intensity)))
-        object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
 
     def best_hypothesis(self) -> GlobalHypothesis:
         return max(self.hypotheses, key=lambda h: h.weight)
@@ -347,7 +333,7 @@ def mix_types(jobs: list) -> list:
         for k, mean, cov in zip(group, means, covs):
             types, kind = slots[k]
             types[kind] = TypeComponent(types[kind], mean, cov)
-    return [(LandmarkBelief(types), type_masses)
+    return [(LandmarkBelief(_ordered_types(types)), type_masses)
             for types, type_masses in results]
 
 
@@ -372,26 +358,22 @@ def _merge_candidates(kinds, comps, threshold: float) -> list:
     second.  A negative bound rejects every pair in both; a NaN bound or
     distance compares False and keeps the pair.
 
-    A stack holds one shape, so when the dominant types differ in
-    dimension each dimension's Bernoullis are bounded by themselves.  A
-    pair across dimensions has two dominant types and is False.
+    A stack holds one shape, so each dimension's Bernoullis are bounded
+    by themselves (:func:`_shape_groups`).  A pair across dimensions has
+    two dominant types and is False.
     """
-    if len({c.mean.shape for c in comps}) > 1:
-        near = np.zeros((len(comps),) * 2, dtype=bool)
-        for group in _shape_groups([c.mean for c in comps]):
-            near[np.ix_(group, group)] = _merge_candidates(
-                [kinds[k] for k in group], [comps[k] for k in group],
-                threshold)
-        return near.tolist()
     codes = np.array([TYPE_ORDER.index(k) for k in kinds])
-    means = np.array([c.mean for c in comps])
-    # The gate's traces: each sums its diagonal in the same order.
-    traces = np.array([c.covariance for c in comps]).trace(axis1=1, axis2=2)
-    d = means[:, None, :] - means[None, :, :]
-    bound = (threshold * (1.0 + MERGE_BOUND_MARGIN)
-             * np.minimum(traces[:, None], traces[None, :]) + 1e-300)
-    return ((codes[:, None] == codes)
-            & ~((d * d).sum(axis=-1) > bound)).tolist()
+    near = codes[:, None] == codes
+    for group in _shape_groups([c.mean for c in comps]):
+        means = np.array([comps[k].mean for k in group])
+        # The gate's traces: each sums its diagonal in the same order.
+        traces = np.array([comps[k].covariance for k in group]).trace(
+            axis1=1, axis2=2)
+        d = means[:, None, :] - means[None, :, :]
+        bound = (threshold * (1.0 + MERGE_BOUND_MARGIN)
+                 * np.minimum(traces[:, None], traces[None, :]) + 1e-300)
+        near[np.ix_(group, group)] &= ~((d * d).sum(axis=-1) > bound)
+    return near.tolist()
 
 
 def merge_bernoullis(hypothesis: GlobalHypothesis,

@@ -407,31 +407,18 @@ def measure_jacobian(ue: UEState, lm: Landmark, bs_position) -> np.ndarray:
                                    True)[1:], axis=1)
 
 
-def measure_all(ue: UEState, landmarks, bs_position) -> list:
-    """:func:`measure` of every landmark, or None where its geometry is
-    degenerate, from one stacked pass."""
+def measure_all(ue: UEState, landmarks, bs_position,
+                fov_radius: float) -> list:
+    """:func:`measure` of every landmark the UE can see, from one stacked
+    pass: None where the geometry is degenerate or an SP lies farther than
+    ``fov_radius`` from the UE."""
     seen, z_pred, _, _ = _channel(
         ue.position, ue.heading, ue.clock_bias,
         np.array([lm.position for lm in landmarks]).reshape(-1, 3),
         [lm.kind for lm in landmarks], TYPE_ORDER,
-        np.asarray(bs_position, dtype=float), math.inf, False)
+        np.asarray(bs_position, dtype=float), fov_radius, False)
     found = dict(zip(seen, z_pred))
     return [found.get(k) for k in range(len(landmarks))]
-
-
-def detection_probability(ue: UEState, lm: Landmark, p_detect: dict,
-                          fov_radius: float) -> float:
-    """Probability that the landmark produces a measurement.
-
-    BS and VA paths are always visible; an SP is visible only within
-    ``fov_radius`` meters of the UE.  ``p_detect`` maps each
-    :class:`LandmarkType` to its detection probability; a missing type is
-    never detected.
-    """
-    if lm.kind is LandmarkType.SP and _norm(lm.position - ue.position) > \
-            fov_radius:
-        return 0.0
-    return float(p_detect.get(lm.kind, 0.0))
 
 
 # Clamp keeping misdetection weights strictly positive even for p_detect = 1.

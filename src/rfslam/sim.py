@@ -19,14 +19,12 @@ import numpy as np
 from .density import GaussianComponent
 from .geometry import (
     MIN_LEG,
-    DegenerateGeometryError,
     Landmark,
     LandmarkType,
     Plane,
     UEState,
     _norm,
     _wrap_scalar,
-    detection_probability,
     measure_all,
     measurements_with_covariance,
     mirror_bs,
@@ -85,6 +83,9 @@ class Scenario:
                            np.asarray(self.process_noise, dtype=float))
         object.__setattr__(self, "noise_std",
                            np.asarray(self.noise_std, dtype=float))
+        object.__setattr__(self, "ue_init", GaussianComponent(
+            np.asarray(self.ue_init.mean, dtype=float),
+            np.asarray(self.ue_init.covariance, dtype=float)))
         object.__setattr__(self, "vas", tuple(self.vas))
         object.__setattr__(self, "sps", tuple(self.sps))
         # A range error caught here would otherwise end in a traceback, a
@@ -228,14 +229,14 @@ def generate_measurements(ue: UEState, scenario: Scenario,
     std = scenario.noise_std
     vectors, labels = [], []
     landmarks = scenario.landmarks()
-    truth = measure_all(ue, landmarks, scenario.bs.position)
+    truth = measure_all(ue, landmarks, scenario.bs.position,
+                        scenario.fov_radius)
     for idx, (lm, z) in enumerate(zip(landmarks, truth)):
-        pd = detection_probability(ue, lm, scenario.p_detect,
-                                   scenario.fov_radius)
+        # An SP beyond the field of view, or a path the geometry cannot
+        # form, is missed: the filter's detection rule.
+        pd = 0.0 if z is None else scenario.p_detect[lm.kind]
         if rng.uniform() >= pd:
             continue
-        if z is None:
-            raise DegenerateGeometryError(f"degenerate {lm.kind.value} path")
         toa, aoa_az, aoa_el, aod_az, aod_el = (
             z + std * rng.standard_normal(5)).tolist()
         vectors.append(np.array([toa, _wrap_scalar(aoa_az),

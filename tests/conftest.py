@@ -28,6 +28,7 @@ from rfslam.density import (
     symmetrize,
 )
 from rfslam.geometry import (
+    TYPE_ORDER,
     ChannelModel,
     DegenerateGeometryError,
     LandmarkType,
@@ -345,19 +346,36 @@ def assignment_cost(matrix, sigma, n_prior):
     return cost
 
 
+def in_type_order(types: dict) -> bool:
+    """Whether a per-type dict iterates in ``TYPE_ORDER``."""
+    return list(types) == [k for k in TYPE_ORDER if k in types]
+
+
 def check_density(density: PmbmDensity, tol: float = 1e-9) -> None:
-    """Raise AssertionError when a structural invariant is violated."""
+    """Raise AssertionError when a structural invariant is violated,
+    including the container contract the constructors do not enforce:
+    tuples of hypotheses and Bernoullis, per-type dicts in ``TYPE_ORDER``
+    and float64 ndarray means and covariances of matching shape."""
+    assert type(density.hypotheses) is tuple, "hypotheses must be a tuple"
+    assert in_type_order(density.ppp_intensity), "PPP rates out of type order"
     weights = [h.weight for h in density.hypotheses]
     assert abs(sum(weights) - 1.0) <= tol, "hypothesis weights must sum to 1"
     for rate in density.ppp_intensity.values():
         assert rate >= 0.0, "PPP intensity must be nonnegative"
     for hyp in density.hypotheses:
+        assert type(hyp.bernoullis) is tuple, "bernoullis must be a tuple"
         for bern in hyp.bernoullis:
             assert -tol <= bern.existence <= 1.0 + tol, "existence out of [0, 1]"
+            assert in_type_order(bern.belief.types), "types out of type order"
             psis = [c.weight for c in bern.belief.types.values()]
             assert abs(sum(psis) - 1.0) <= tol, "type probabilities must sum to 1"
             for comp in bern.belief.types.values():
                 c = comp.covariance
+                for a in (comp.mean, c):
+                    assert type(a) is np.ndarray and a.dtype == np.float64, \
+                        "means and covariances must be float64 ndarrays"
+                assert comp.mean.ndim == 1 and c.shape == comp.mean.shape * 2, \
+                    "covariance shape must match its mean"
                 assert np.max(np.abs(c - c.T)) <= tol, "covariance asymmetric"
                 assert np.min(np.linalg.eigvalsh(symmetrize(c))) >= -tol, \
                     "covariance indefinite"

@@ -84,6 +84,7 @@ class TestPrune:
         out = prune(d, 1e-4, 1e-4, 10)
         assert len(out.hypotheses[0].bernoullis) == 1
         assert out.hypotheses[0].bernoullis[0].existence == 0.5
+        check_density(out)
 
     def test_unchanged_when_all_above(self):
         d = density([0.5], [[bern(0.3), bern(0.9)]])
@@ -104,6 +105,7 @@ class TestPrune:
         out = prune(d, 1e-4, 1e-4, 10)
         for before, after in zip(d.hypotheses, out.hypotheses):
             assert len(after.bernoullis) <= len(before.bernoullis)
+        check_density(out)
 
     def test_all_pruned_raises(self):
         d = density([1e-9], [[]])

@@ -14,7 +14,6 @@ from rfslam.geometry import (
     LandmarkType,
     Measurement,
     UEState,
-    detection_probability,
     measure,
     measure_all,
     measure_jacobian,
@@ -194,26 +193,32 @@ class TestMeasureJacobian:
 
 
 class TestDetectionProbability:
+    """The field of view: ``measure_all`` leaves out an SP beyond it, which
+    the simulator then misses, and ``ChannelModel`` gives it p_detect 0."""
+
+    UE = UEState([70.7285, 0, 0], 0.0, 0.0)
+    MODEL = ChannelModel(BS, {k: 0.9 for k in LandmarkType}, 50.0)
+
+    def visible(self, lm):
+        z, = measure_all(self.UE, [lm], BS, 50.0)
+        pd = self.MODEL.detection_probability(self.UE.as_vector(),
+                                              lm.position, lm.kind)
+        assert (z is not None) == (pd > 0.0)
+        return pd
+
     def test_sp_inside_fov(self):
-        ue = UEState([70.7285, 0, 0], 0.0, 0.0)
         sp = Landmark(LandmarkType.SP, [99.0, 0, 10.0])
-        assert np.linalg.norm(sp.position - ue.position) == pytest.approx(30.0, abs=0.1)
-        assert detection_probability(ue, sp, {LandmarkType.SP: 0.9},
-                                     50.0) == pytest.approx(0.9)
+        assert np.linalg.norm(sp.position - self.UE.position) == \
+            pytest.approx(30.0, abs=0.1)
+        assert self.visible(sp) == pytest.approx(0.9)
 
     def test_sp_outside_fov(self):
-        ue = UEState([70.7285, 0, 0], 0.0, 0.0)
-        sp = Landmark(LandmarkType.SP, [-99.0, 0, 10.0])
-        assert detection_probability(ue, sp, {LandmarkType.SP: 0.9},
-                                     50.0) == 0.0
+        assert self.visible(Landmark(LandmarkType.SP, [-99.0, 0, 10.0])) == 0.0
 
     def test_bs_and_va_always_visible(self):
-        ue = UEState([70.7285, 0, 0], 0.0, 0.0)
-        assert detection_probability(ue, Landmark(LandmarkType.BS, BS),
-                                     {LandmarkType.BS: 0.9}, 50.0) == 0.9
-        far_va = Landmark(LandmarkType.VA, [-200.0, 0, 40.0])
-        assert detection_probability(ue, far_va, {LandmarkType.VA: 0.9},
-                                     50.0) == 0.9
+        assert self.visible(Landmark(LandmarkType.BS, BS)) == 0.9
+        assert self.visible(Landmark(LandmarkType.VA, [-200.0, 0, 40.0])) \
+            == 0.9
 
 
 class TestChannelModel:
@@ -452,7 +457,7 @@ class TestChannelModelRawPath:
             assert np.array_equal(H_s, H[:, :5])
             assert np.array_equal(H_x, H[:, 5:])
             assert model.detection_probability(v, lm.position, kind) == \
-                detection_probability(ue, lm, model.p_detect, model.fov_radius)
+                row_linearize(model, v, lm.position, kind)[0]
             z = measure(ue, lm, BS) + rng.normal(0.0, 0.01, size=5)
             got = invert_one(model, z, v, kind)
             ref = invert_reference(model, z, ue, kind)
@@ -1025,15 +1030,18 @@ def landmark_list(draw):
 
 class TestMeasureAll:
     @settings(max_examples=300, deadline=None)
-    @given(case=landmark_list())
-    def test_each_entry_is_measure_of_its_landmark(self, case):
+    @given(case=landmark_list(), fov=st.sampled_from([math.inf, 60.5, 150.5]))
+    def test_each_entry_is_measure_of_its_landmark(self, case, fov):
         ue, landmarks = case
-        got = measure_all(ue, landmarks, BS)
+        got = measure_all(ue, landmarks, BS, fov)
         assert len(got) == len(landmarks)
         for lm, z in zip(landmarks, got):
             ref = outcome(measure, ue, lm, BS)
             if isinstance(ref, tuple):
                 assert ref[0] is DegenerateGeometryError and z is None
+            elif lm.kind is LandmarkType.SP and row_direction(
+                    lm.position - ue.position, "UE-SP")[1] > fov:
+                assert z is None
             else:
                 assert same_bits(z, ref)
 

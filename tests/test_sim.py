@@ -19,7 +19,6 @@ from rfslam.geometry import (
     Plane,
     UEState,
     _wrap_scalar,
-    detection_probability,
     measure,
     measurements_with_covariance,
     mirror_bs,
@@ -127,6 +126,16 @@ class TestGenerateMeasurements:
         out = generate_measurements(ue, sc, rng)
         assert out.measurements == ()
 
+    def test_a_path_the_geometry_cannot_form_is_missed(self):
+        # Straight under the BS the direct path is vertical and has no
+        # azimuth: it is missed, as the filter's predictions assume, while
+        # the four VAs are seen and the SPs lie beyond the field of view.
+        sc = replace(default_scenario(), clutter_mean=0.0,
+                     p_detect={k: 1.0 for k in LandmarkType})
+        ue = UEState([0.0, 0.0, 0.0], sc.ue_init.mean[3], sc.ue_init.mean[4])
+        out = generate_measurements(ue, sc, np.random.default_rng(0))
+        assert sorted(out.labels) == [1, 2, 3, 4]
+
     def test_noiseless_measurements_satisfy_measure(self):
         sc = default_scenario()
         sc = replace(sc, noise_std=np.full(5, 1e-9), clutter_mean=0.0,
@@ -199,6 +208,15 @@ class TestGenerateMeasurements:
             assert abs(meas.z[0] - z_true[0]) < 1.0  # within noise, not clutter
 
 
+def reference_detection_probability(ue, lm, scenario):
+    """The simulator's detection rule for a path it can form: the type's
+    ``p_detect``, or 0 for an SP beyond the field of view."""
+    if lm.kind is LandmarkType.SP and np.linalg.norm(
+            lm.position - ue.position) > scenario.fov_radius:
+        return 0.0
+    return scenario.p_detect[lm.kind]
+
+
 def reference_generate_measurements(ue, scenario, rng):
     """``generate_measurements`` building and checking every measurement on
     its own."""
@@ -206,8 +224,7 @@ def reference_generate_measurements(ue, scenario, rng):
     std = scenario.noise_std
     items = []
     for idx, lm in enumerate(scenario.landmarks()):
-        pd = detection_probability(ue, lm, scenario.p_detect,
-                                   scenario.fov_radius)
+        pd = reference_detection_probability(ue, lm, scenario)
         if rng.uniform() >= pd:
             continue
         z = measure(ue, lm, scenario.bs.position)
