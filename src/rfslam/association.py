@@ -26,15 +26,15 @@ wrapped residuals of every (landmark, type) row against every
 measurement, the Gaussian log-densities of every gated (pair, type) row
 (:func:`chol_logpdf`), and every (measurement, type) newborn's gain,
 information matrix, covariance and density, the stack's newborn tail
-(:func:`newborns`).  A stack holds one shape, so a model that gives its
-landmark types different dimensions gets one ``linearize`` call and one
-stack per dimension where the landmark dimension enters (the channel
-model's are all 3-D).  Each Cholesky factorization
-and solve stays per row, because LAPACK ``dpotrf``/``dpotrs`` take one
-matrix.  :func:`chol_solve` is the filter's one Cholesky entry: it
-factors and solves a stack row by row, and the joint update of
-:mod:`rfslam.update` passes its innovation covariance to it as a one-row
-stack.
+(:func:`newborns`).  A model that gives its landmark types different
+dimensions returns ``H_x`` as a list of per-row blocks, and a stage where
+the landmark dimension enters takes one stack per dimension
+(:func:`_dimension_stacks`; the channel model's are all 3-D).  Each
+Cholesky factorization and solve stays per row, because LAPACK
+``dpotrf``/``dpotrs`` take one matrix.  :func:`chol_solve` is the
+filter's one Cholesky entry: it factors and solves a stack row by row,
+and the joint update of :mod:`rfslam.update` passes its innovation
+covariance to it as a one-row stack.
 Every output keeps the bits of the per-row code, by the rules of the
 :mod:`rfslam.geometry` docstring:
 
@@ -181,15 +181,16 @@ def linearize_types(berns, z_rows: np.ndarray, sensor: GaussianComponent,
                     ppp: dict, model):
     """Every row's geometry at the sensor mean: one ``model.invert`` call
     over every measurement for every type that can be born, and one
-    ``model.linearize`` call over one stack of rows, the landmark rows in
+    ``model.linearize`` call over one sequence of rows, the landmark rows in
     landmark order (each belief's types in its type order) and then the
-    newborn rows in ``invert``'s order.  Every type with a positive PPP
-    rate can be born, except the BS, which is known.
+    newborn rows in ``invert``'s order, whatever their dimensions and
+    however many, none included.  Every type with a positive PPP rate can
+    be born, except the BS, which is known.
 
     Returns ``(members, born, means, linearization)``: the ``(landmark,
     kind, component)`` of each landmark row, the ``(kind, measurement)``
     and the mean of each newborn row, and the ``linearize`` result over
-    the stack (:func:`_linearize_stack`).
+    the rows.
     """
     members = [(i, kind, comp) for i, bern in enumerate(berns)
                for kind, comp in bern.belief.types.items()]
@@ -197,32 +198,9 @@ def linearize_types(berns, z_rows: np.ndarray, sensor: GaussianComponent,
              if rate > 0.0 and kind is not LandmarkType.BS]
     born, means = (model.invert(z_rows, sensor.mean, kinds)
                    if kinds and len(z_rows) else ([], []))
-    return members, born, means, _linearize_stack(
-        model, sensor.mean, [c.mean for _, _, c in members] + list(means),
+    return members, born, means, model.linearize(
+        sensor.mean, [c.mean for _, _, c in members] + list(means),
         [kind for _, kind, _ in members] + [kind for kind, _ in born])
-
-
-def _linearize_stack(model, sensor_mean, positions: list, kinds: list):
-    """``model.linearize`` of a stack of rows: one call when every position
-    has one dimension, as the channel model's do.  A model whose types
-    differ in dimension gets one call per dimension, merged back into stack
-    order; ``H_x`` is then a list of per-row blocks
-    (:func:`_dimension_stacks`)."""
-    groups = _shape_groups(positions)
-    if len(groups) == 1:
-        return model.linearize(sensor_mean, np.array(positions), kinds)
-    p_detect, found = [0.0] * len(positions), {}
-    for group in groups:
-        pd, seen, *stacks = model.linearize(
-            sensor_mean, np.array([positions[k] for k in group]),
-            [kinds[k] for k in group])
-        for r, k in enumerate(group):
-            p_detect[k] = pd[r]
-        found.update((group[k], [a[r] for a in stacks])
-                     for r, k in enumerate(seen))
-    seen = sorted(found)
-    z_pred, H_s, H_x = ([found[k][j] for k in seen] for j in range(3))
-    return p_detect, seen, np.array(z_pred), np.array(H_s), H_x
 
 
 def _dimension_stacks(H_x, rows: list) -> list:

@@ -486,9 +486,9 @@ class ChannelModel:
 
     def linearize(self, sensor_mean, positions, kinds):
         """``(p_detect, seen, z_pred, H_s, H_x)`` of N landmark positions
-        (an N x 3 stack, rows in any order) of the kinds ``kinds`` (one per
-        row) at one sensor vector, from one decode and one stacked pass
-        (:func:`_channel`).
+        (a sequence of 3-vectors or an N x 3 stack, rows in any order, N = 0
+        included) of the kinds ``kinds`` (one per row) at one sensor
+        vector, from one decode and one stacked pass (:func:`_channel`).
 
         ``p_detect`` holds each row's detection probability, and ``seen``
         the rows with a prediction, ascending; ``z_pred`` (M x 5), ``H_s``
@@ -502,6 +502,8 @@ class ChannelModel:
         row count."""
         u, heading, bias = self._sensor(sensor_mean)
         X = np.asarray(positions, dtype=float)
+        if X.shape == (0,):
+            X = X.reshape(0, 3)
         if X.ndim != 2 or X.shape[1] != 3 or not np.isfinite(X).all():
             raise ValueError("landmark position must be a finite 3-vector")
         if len(kinds) != len(X):

@@ -25,8 +25,8 @@ class GospaParams:
     exponent: float = 2.0   # distance power
 
     def __post_init__(self):
-        if self.cutoff <= 0.0 or not 0.0 < self.alpha <= 2.0 \
-                or self.exponent < 1.0:
+        if not (0.0 < self.cutoff < np.inf and 0.0 < self.alpha <= 2.0
+                and 1.0 <= self.exponent < np.inf):
             raise ValueError("invalid GOSPA parameters")
 
 

@@ -93,8 +93,14 @@ class FilterConfig:
     def __post_init__(self):
         object.__setattr__(self, "process_noise",
                            np.asarray(self.process_noise, dtype=float))
-        if self.dt < 0.0:
-            raise ValueError("dt must be nonnegative")
+        if not 0.0 <= self.dt < math.inf:
+            raise ValueError("dt must be finite and >= 0")
+        if not (math.isfinite(self.speed) and math.isfinite(self.turn_rate)):
+            raise ValueError("speed and turn_rate must be finite")
+        if self.gate is not None and not 0.0 < self.gate < math.inf:
+            raise ValueError("gate must be None or finite and > 0")
+        if not 0.0 <= self.type_prune < 1.0:
+            raise ValueError("type_prune must be in [0, 1)")
         if self.gamma < 1:
             raise ValueError("gamma must be >= 1")
         if self.filter_kind not in (EK_PMB, EK_PMBM):

@@ -40,7 +40,9 @@ class LinearModel:
     """Linear toy measurement model: h(s, x) = A s + B x + c per type.
 
     Dimension-agnostic stand-in for the channel geometry, used to check the
-    filter core against closed-form Gaussian conditioning.
+    filter core against closed-form Gaussian conditioning.  Its types may
+    differ in landmark dimension: one ``linearize`` call then takes rows of
+    every dimension and returns their ``H_x`` blocks as a list.
     """
 
     def __init__(self, mats, dim, p_detect=0.9):
@@ -76,10 +78,11 @@ class LinearModel:
         return float(self.p_detect.get(kind, 0.0))
 
     def linearize(self, sensor_mean, positions, kinds):
-        """``(p_detect, seen, z_pred, H_s, H_x)`` of a stack of landmark
+        """``(p_detect, seen, z_pred, H_s, H_x)`` of a sequence of landmark
         means, one kind per row, each row from the three methods above; a
         row whose ``predict`` raises DegenerateGeometryError has p_detect 0
-        and no prediction."""
+        and no prediction.  ``H_x`` is a list of per-row blocks when the
+        predicted rows' types differ in dimension, else one stack."""
         p_detect, seen, found = [], [], []
         for k, (x, kind) in enumerate(zip(positions, kinds)):
             try:
@@ -90,8 +93,10 @@ class LinearModel:
             p_detect.append(self.detection_probability(sensor_mean, x, kind))
             seen.append(k)
             found.append((z_pred, *self.jacobians(sensor_mean, x, kind)))
-        return (p_detect, seen, *(np.array([row[j] for row in found])
-                                  for j in range(3)))
+        z_pred, H_s, H_x = ([row[j] for row in found] for j in range(3))
+        mixed = len({h.shape for h in H_x}) > 1
+        return (p_detect, seen, np.array(z_pred), np.array(H_s),
+                H_x if mixed else np.array(H_x))
 
     def invert(self, z_rows, sensor_mean, kinds):
         """``(rows, means)``: the ``(kind, measurement)`` of every

@@ -962,6 +962,21 @@ class TestStackedKernel:
             with pytest.raises(ValueError, match="one landmark kind per row"):
                 model.linearize(v, X, kinds)
 
+    def test_no_rows_give_empty_stacks(self):
+        # A hypothesis with no landmark and no newborn reaches linearize as
+        # an empty sequence; a stack of rows that are not 3-vectors still
+        # raises, empty or not.
+        model = ChannelModel(BS)
+        v = np.array([10.0, -5.0, 0.0, 0.3, 200.0])
+        for X in ([], np.empty((0, 3))):
+            p_detect, seen, z_pred, H_s, H_x = model.linearize(v, X, [])
+            assert p_detect == [] and seen == []
+            assert (z_pred.shape, H_s.shape, H_x.shape) == (
+                (0, 5), (0, 5, 5), (0, 5, 3))
+        for X in (np.empty((0, 2)), np.ones(3), np.ones((1, 2))):
+            with pytest.raises(ValueError, match="finite 3-vector"):
+                model.linearize(v, X, [LandmarkType.VA] * len(X))
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_invert_rows_bit_equal_to_the_reference(self, data):

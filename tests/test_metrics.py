@@ -111,6 +111,15 @@ class TestGospa:
         with pytest.raises(ValueError):
             GospaParams(exponent=0.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("cutoff", math.nan), ("cutoff", math.inf),
+        ("exponent", math.nan), ("exponent", math.inf)])
+    def test_non_finite_params_refused(self, field, value):
+        # A NaN once passed and made gospa raise scipy's "invalid numeric
+        # entries"; an infinite cutoff made it return NaN.
+        with pytest.raises(ValueError, match="invalid GOSPA parameters"):
+            GospaParams(**{field: value})
+
 
 class TestExtractMap:
     def test_empty_density(self):

@@ -110,6 +110,19 @@ class TestFilterConfig:
                           clutter_intensity=0.0)
         assert cfg.clutter_intensity == 0.0
 
+    @pytest.mark.parametrize("field, value", [
+        ("gate", -5.0), ("gate", 0.0), ("gate", math.nan), ("gate", math.inf),
+        ("type_prune", -0.1), ("type_prune", 1.0), ("type_prune", math.nan),
+        ("dt", math.nan), ("dt", math.inf), ("speed", math.inf),
+        ("speed", math.nan), ("turn_rate", math.nan),
+        ("turn_rate", -math.inf)])
+    def test_refuses_values_that_corrupt_or_fail_a_run(self, field, value):
+        # Each once built: a negative gate ran with every pair gated out,
+        # a NaN gate ran as no gate, and a NaN dt, speed or turn rate
+        # failed in the first step.
+        with pytest.raises(ValueError, match=f"{field} .*must be"):
+            make_config(ChannelModel(BS_POS), **{field: value})
+
 
 class TestPredictSensor:
     #: The map half of the prediction passes it through (TestPredictMap).
@@ -1145,7 +1158,62 @@ class TestInvisiblePairs:
         assert passes and all(n == 3 * born for born, n in passes)
 
 
+def mixed_dimension_case(filter_kind):
+    """``update_step`` arguments with a 1-D VA and a 2-D SP type: two
+    landmarks holding both, and two measurements."""
+    model = LinearModel({VA: ([[1.0]], [[1.0]]),
+                         SP: ([[1.0]], [[1.0, 0.5]])}, 1, p_detect=0.9)
+    cfg = make_config(model, process_noise=np.zeros((1, 1)), gamma=10,
+                      filter_kind=filter_kind, gate=None)
+    berns = tuple(Bernoulli(0.9, LandmarkBelief({
+        VA: TypeComponent(psi, np.full(1, x), np.eye(1)),
+        SP: TypeComponent(1.0 - psi, np.full(2, x), np.eye(2))}))
+        for psi, x in ((0.5, 0.0), (0.3, 1.0)))
+    density = PmbmDensity(default_ppp_intensity(),
+                          (GlobalHypothesis(1.0, berns),))
+    sensor = GaussianComponent(np.zeros(1), np.eye(1))
+    meas = [Measurement(np.array([z]), np.eye(1)) for z in (0.2, 2.1)]
+    return density, sensor, meas, cfg
+
+
+def empty_hypothesis_case(filter_kind):
+    """``update_step`` arguments with no landmark and no measurement: the
+    hypothesis has no row to linearize."""
+    cfg = make_config(ChannelModel(BS_POS), filter_kind=filter_kind)
+    density = PmbmDensity(default_ppp_intensity(),
+                          (GlobalHypothesis(1.0, ()),))
+    sensor = GaussianComponent(
+        np.array([70.7285, 0.0, 0.0, np.pi / 2, 300.0]),
+        np.diag([0.3, 0.3, 0.0, 0.0052, 0.3]))
+    return density, sensor, [], cfg
+
+
 class TestGeometryCalls:
+    @pytest.mark.parametrize("case", [mixed_dimension_case,
+                                      empty_hypothesis_case])
+    @pytest.mark.parametrize("filter_kind", [EK_PMB, EK_PMBM])
+    def test_one_linearize_whatever_the_rows(self, monkeypatch, case,
+                                             filter_kind):
+        # Rows of two landmark dimensions, or none at all: still exactly
+        # one linearize call per hypothesis.
+        density, sensor, meas, cfg = case(filter_kind)
+        calls = []
+        cost_matrix = update_module.build_cost_matrix
+        linearize = type(cfg.model).linearize
+
+        def per_hypothesis(*args, **kwargs):
+            calls.append(0)
+            return cost_matrix(*args, **kwargs)
+
+        def counting(model, *args):
+            calls[-1] += 1
+            return linearize(model, *args)
+
+        monkeypatch.setattr(update_module, "build_cost_matrix", per_hypothesis)
+        monkeypatch.setattr(type(cfg.model), "linearize", counting)
+        update_step(density, sensor, meas, cfg)
+        assert calls == [1] * len(density.hypotheses)
+
     @pytest.mark.parametrize("filter_kind, gamma", [(EK_PMB, 10),
                                                     (EK_PMBM, 3)])
     def test_one_linearize_and_invert_per_hypothesis(
@@ -1221,19 +1289,8 @@ class TestStep:
     def test_types_of_different_dimension(self, filter_kind):
         # A 1-D VA and a 2-D SP: the joint update stacks both, and the PMB
         # reduction and the merge mix and bound each dimension by itself.
-        model = LinearModel({VA: ([[1.0]], [[1.0]]),
-                             SP: ([[1.0]], [[1.0, 0.5]])}, 1, p_detect=0.9)
-        cfg = make_config(model, process_noise=np.zeros((1, 1)), gamma=10,
-                          filter_kind=filter_kind, gate=None)
-        berns = tuple(Bernoulli(0.9, LandmarkBelief({
-            VA: TypeComponent(psi, np.full(1, x), np.eye(1)),
-            SP: TypeComponent(1.0 - psi, np.full(2, x), np.eye(2))}))
-            for psi, x in ((0.5, 0.0), (0.3, 1.0)))
-        density = PmbmDensity(default_ppp_intensity(),
-                              (GlobalHypothesis(1.0, berns),))
-        sensor = GaussianComponent(np.zeros(1), np.eye(1))
-        meas = [Measurement(np.array([z]), np.eye(1)) for z in (0.2, 2.1)]
-        posterior, sensor_post = update_step(density, sensor, meas, cfg)
+        posterior, sensor_post = update_step(
+            *mixed_dimension_case(filter_kind))
         check_density(posterior)
         assert np.all(np.isfinite(sensor_post.covariance))
         dims = {VA: 1, SP: 2}
