@@ -1,9 +1,9 @@
 """Random-finite-set SLAM: PMB/PMBM filters with joint EK updates.
 
 The package maps one module per concern: channel geometry, RFS densities,
-data association (with the landmark-type posteriors), the receiver motion
-model, the filter core, the PMB reduction, the scenario simulator,
-evaluation metrics, and the batch CLI.
+data association, the receiver motion model, the filter core (with the
+landmark-type posteriors), the PMB reduction, the scenario simulator,
+evaluation metrics, SVG plots, and the batch CLI.
 """
 
 from .density import (

@@ -1,55 +1,14 @@
 """Data association: local weights, cost matrix, ranked k-best assignment.
 
-Each previously detected landmark can be detected again, misdetected, or a
-measurement can start a new landmark (or be clutter).  Each of the three
-local weights has one implementation here -- :func:`log_weight_detected`,
-:func:`misdetection_weight` and :func:`weight_birth` (with the newborn
-Gaussians from :func:`newborns`) -- which the cost matrix and the joint
-update both use.  Each weight is a sum over landmark types, and a type's
-posterior probability is its term normalized: all three weights return
-their per-type masses (a birth's are its per-type rates), which
-:func:`rfslam.update.update_type_probs` normalizes.  The resulting
-assignment problem is solved for the best ``gamma`` associations per
-global hypothesis by Murty's ranked partitioning on top of an
-optimal-assignment kernel (scipy's Jonker-Volgenant-style solver), in
-negative-log-weight (cost) domain.  :func:`murty_kbest` returns Murty's
-ranking bit for bit; above ``gamma`` 1, when no two rows share a finite
-column, it merges the rows' sorted cells instead, unless two costs lie
-within a margin far above rounding.
-
-:func:`build_cost_matrix` runs each stage once per hypothesis, over one
-stack of rows: the geometry, with one ``model.invert`` call over every
-birth type and one ``model.linearize`` call over every landmark type and
-newborn (:func:`linearize_types`), the ``hph`` of every (landmark, type)
-prediction read in that stack's order (:func:`predict_types`), the gate's
-wrapped residuals of every (landmark, type) row against every
-measurement, the Gaussian log-densities of every gated (pair, type) row
-(:func:`chol_logpdf`), and every (measurement, type) newborn's gain,
-information matrix, covariance and density, the stack's newborn tail
-(:func:`newborns`).  A model that gives its landmark types different
-dimensions returns ``H_x`` as a list of per-row blocks, and a stage where
-the landmark dimension enters takes one stack per dimension
-(:func:`_dimension_stacks`; the channel model's are all 3-D).  Each
-Cholesky factorization and solve stays per row, because LAPACK
-``dpotrf``/``dpotrs`` take one matrix.  :func:`chol_solve` is the
-filter's one Cholesky entry: it factors and solves a stack row by row,
-and the joint update of :mod:`rfslam.update` passes its innovation
-covariance to it as a one-row stack.
-Every output keeps the bits of the per-row code, by the rules of the
-:mod:`rfslam.geometry` docstring:
-
-* stacks passed through ``@`` are C-contiguous (or views that transpose
-  them); numpy then makes one BLAS call per slice, so each slice has the
-  bits of its own 2-D product, and a row dot ``(N,1,d) @ (N,d,1)`` is the
-  BLAS dot of the 1-D ``v @ x``;
-* a sum along the last axis of a C-contiguous stack (the log-determinant
-  of each factor) adds each row as the 1-D sum does, and element-wise
-  operations round alike in any shape;
-* no stack is reduced with ``np.einsum`` or ``(a * b).sum(axis)``, and no
-  factor comes from ``np.linalg.cholesky``: each rounds differently from
-  the BLAS dot and from ``dpotrf``;
-* transcendental functions stay where the per-row code had them: ``math``
-  per row in the weights, ``np.log`` on the factors' diagonals.
+Each previously detected landmark can be detected again or misdetected,
+and each measurement can start a new landmark or be clutter.  Each local
+weight has one implementation, which the cost matrix and the joint update
+both use: :func:`log_weight_detected`, :func:`misdetection_weight` and
+:func:`weight_birth`, each returning its per-type masses.
+:func:`build_cost_matrix` builds a hypothesis's costs, :func:`murty_kbest`
+ranks its best ``gamma`` associations, and :func:`chol_solve` is the
+filter's one Cholesky entry.  Stacked work keeps each row's bits by the
+bit rules of :mod:`rfslam.geometry`.
 """
 
 from __future__ import annotations
@@ -180,17 +139,14 @@ class TypePrediction:
 def linearize_types(berns, z_rows: np.ndarray, sensor: GaussianComponent,
                     ppp: dict, model):
     """Every row's geometry at the sensor mean: one ``model.invert`` call
-    over every measurement for every type that can be born, and one
-    ``model.linearize`` call over one sequence of rows, the landmark rows in
-    landmark order (each belief's types in its type order) and then the
-    newborn rows in ``invert``'s order, whatever their dimensions and
-    however many, none included.  Every type with a positive PPP rate can
-    be born, except the BS, which is known.
+    over every measurement for every birth type (a positive PPP rate, and
+    not the known BS), and one ``model.linearize`` call over the landmark
+    rows, landmark by landmark in each belief's type order, then the
+    newborn rows in ``invert``'s order.
 
     Returns ``(members, born, means, linearization)``: the ``(landmark,
     kind, component)`` of each landmark row, the ``(kind, measurement)``
-    and the mean of each newborn row, and the ``linearize`` result over
-    the rows.
+    and the mean of each newborn row, and the ``linearize`` result.
     """
     members = [(i, kind, comp) for i, bern in enumerate(berns)
                for kind, comp in bern.belief.types.items()]
@@ -316,8 +272,7 @@ def newborns(geometry, ppp: dict, z_rows: np.ndarray, r_stack: np.ndarray,
     determine a position, the newborn's geometry is degenerate, the sensor
     cannot see it (detection probability 0), or its gain or information
     matrix is not positive definite; the measurement is then clutter-only
-    for that type.  Every newborn row is in one stack per landmark
-    dimension: the tail of the linearization.
+    for that type.
 
     Returns per measurement ``(terms, comps)``: kind -> ``(rate, p_detect,
     ln N)`` and kind -> newborn :class:`GaussianComponent`, in ``ppp``
@@ -382,9 +337,8 @@ def weight_birth(terms: dict, comps: dict, clutter_intensity: float):
     """Local weight for "detected for the first time" of one measurement.
 
     ``terms`` and ``comps`` are the measurement's :func:`newborns`.  Returns
-    the :class:`BirthCandidate`: a type's mass is its rate rho = eta pd N,
-    so :func:`rfslam.update.update_type_probs` gives each its share of
-    sum_type rho (clutter never enters it).  When sum_type rho is not
+    the :class:`BirthCandidate`: a type's mass is its rate rho = eta pd N
+    (clutter never enters it).  When sum_type rho is not
     positive the measurement is clutter-only (weight floor
     ``clutter_intensity``) and the masses are empty, unless there is no
     clutter and every rho underflowed: then ln l_B is the log-sum of the
@@ -501,25 +455,13 @@ def build_cost_matrix(hypothesis: GlobalHypothesis, measurements,
     the second element, sum_i ln l^{i,0}, recovers unnormalized hypothesis
     weights from assignment costs.
 
-    One wrapped-residual array covers every (landmark, type) row with a
-    prediction against every measurement, and one pass takes each pair's
-    marginal bound max_j v_j^2 / S_jj, which never exceeds v^T S^-1 v (a
-    marginal's Mahalanobis distance is at most the joint one).  A
-    landmark's candidates are the measurements that some row of it puts
-    inside the gate, with a relative margin of 1e-9 that absorbs rounding;
-    only their (pair, contributing type) rows reach :func:`chol_logpdf`, in
-    one call, and :func:`log_weight_detected` combines each pair's rows.
-    The gate on the full distance then keeps or drops exactly the pairs it
-    would without the bound.  A NaN bound compares False and is kept.  A
-    type that cannot contribute (zero detection probability or weight)
-    only adds pairs whose contributing types all lie beyond the gate, which
-    the full distance drops, and a landmark with existence 0 has
-    ln l = -inf, so its cells stay +inf.
-    Each kept pair's entry in ``AssociationContext.pairs`` holds its
-    :func:`log_weight_detected` masses and its wrapped rows, kind -> row:
-    the innovation of every type the joint update stacks.  Each
-    measurement's birth weight is one :func:`weight_birth` call on its
-    :func:`newborns`.
+    Each stage runs once, over one stack of rows: the geometry
+    (:func:`linearize_types`), the type predictions and their ``hph``
+    (:func:`predict_types`), the misdetection weights, the gated
+    detections (:func:`_detections`), and the newborns (:func:`newborns`)
+    with one :func:`weight_birth` call per measurement.  A stage where the
+    landmark dimension enters takes one stack per dimension
+    (:func:`_dimension_stacks`).
 
     Raises ValueError on non-finite input and LinAlgError when an
     innovation covariance is not positive definite; a newborn whose gain or
@@ -559,16 +501,25 @@ def build_cost_matrix(hypothesis: GlobalHypothesis, measurements,
 def _detections(berns, type_preds, keys, z_pred, hph, z_rows, r_stack, model,
                 gate):
     """``(landmark, measurement, ln l, masses, residuals)`` of every pair
-    the gate keeps, landmark by landmark.
+    the gate keeps, landmark by landmark: its :func:`log_weight_detected`
+    masses and its wrapped rows, kind -> row, the innovation of every type
+    the joint update stacks.
 
     ``keys`` holds the ``(landmark, kind)`` of each type row with a
     prediction, a landmark's rows consecutive, and ``z_pred`` and ``hph``
-    their stacked predictions and ``hph``.  One wrapped-residual array of
-    shape
-    (rows, measurements, d) serves the bound, the densities and each kept
-    pair's ``residuals`` (kind -> its row of the array); one
-    :func:`chol_logpdf` call takes every (candidate pair, contributing
-    type) row.
+    their stacked predictions and ``hph``.  One wrapped-residual array
+    (rows, measurements, d) serves the bound, the densities and the rows.
+    One pass takes each pair's marginal bound max_j v_j^2 / S_jj, which
+    never exceeds v^T S^-1 v (a marginal's Mahalanobis distance is at most
+    the joint one).  A landmark's candidates are the measurements that
+    some row of it puts inside the gate, with a relative margin of 1e-9
+    that absorbs rounding; only their (pair, contributing type) rows reach
+    :func:`chol_logpdf`, in one call.  The gate on the full distance then
+    keeps or drops exactly the pairs it would without the bound.  A NaN
+    bound compares False and is kept.  A type that cannot contribute (zero
+    detection probability or weight) only adds pairs whose contributing
+    types all lie beyond the gate, which the full distance drops, and a
+    landmark with existence 0 has ln l = -inf, so its cells stay +inf.
     """
     residuals = model.wrap_residual(z_rows - z_pred[:, None, :])
     starts = [j for j, (i, _) in enumerate(keys)

@@ -5,42 +5,8 @@ uniform-intensity Poisson point process per landmark type for undetected
 landmarks, plus a weighted mixture of multi-Bernoulli hypotheses for
 landmarks detected at least once.  Each Bernoulli carries an existence
 probability and, per landmark type, a type probability with a Gaussian
-over the 3-D position.  ``mix_types`` is the one kernel that collapses
-weighted beliefs into one: the merge here, and the cell averaging and TOMB
-recombination of :mod:`rfslam.reduction`.  It takes every job of a stage
-and moment matches all of their (job, type) groups in one
-``moment_match`` call per member dimension, which the sensor
-marginalization calls too.  A stack holds one shape, and a model may give
-its landmark types different dimensions; :func:`_shape_groups` splits
-rows by shape here and in :mod:`rfslam.association`.  The channel model's
-types are all 3-D, so each stage makes one call.
-
-The containers hold what they are given and convert nothing: means and
-covariances are float64 ndarrays, ``bernoullis`` and ``hypotheses`` are
-tuples, and every per-type dict (a belief's ``types``, the PPP rates)
-iterates in ``TYPE_ORDER``.  ``Scenario``, ``cli.initial_state`` and the
-filter build them so; :func:`mix_types`, the one path that can interleave
-types across its members, puts each belief it builds back in that order.
-
-The batched match has the bits of matching each group alone, with its
-members added one after another, for two reasons.
-
-- Reduction order.  ``np.add.reduce`` adds pairwise, in eight partial
-  sums, along the innermost contiguous axis once it holds 8 or more terms.
-  Along any other axis each output element adds its terms one after
-  another in index order.  So the member axis is never the innermost one,
-  nor the only axis longer than 1, which a lone group of 1-D members
-  would make it: such a group is matched beside a zero-coefficient dummy.
-- Padding.  A group shorter than the longest is padded, after its own
-  members, with zero coefficients on copies of its first member, so each
-  padded term is 0 x, a zero signed like x.  Adding a signed zero changes
-  no sum but -0.0, and a sum of doubles is -0.0 only when every term is
-  -0.0.  numpy 2.4 starts each sum from +0.0, add's identity, so no
-  running sum is -0.0.  A reduction that starts from its first term
-  reaches -0.0 only when every term is, the first member's c x among
-  them; as c is positive or +0, x is then negative or -0.0, and so is
-  0 x.  Either way each padded term adds an exact zero, as long as x is
-  finite (0 inf is NaN).
+over the 3-D position.  README's "Library use" states the containers'
+contract.
 """
 
 from __future__ import annotations
@@ -244,16 +210,31 @@ def moment_match(groups):
     cov = sum_i c_i (C_i + (m_i - mean)(m_i - mean)^T) / norm, symmetrized.
     Returns the means stacked (G, d) and the covariances (G, d, d).
 
-    Each group's sums equal, bit for bit, its members added one after
-    another (the module docstring gives the argument).  The member axis
-    leads: coefficients are (N, G), means (N, G, d) and covariances
-    (N, G, d, d) for the longest group's N members, so ``np.add.reduce``
-    over axis 0 adds one member's whole (G, ...) slab at a time.  Members
-    must be finite: a padded group whose first member is not may read NaN
-    where matching it alone reads inf (the other groups keep their bits).
-    A lone group of 1-D members would leave the member axis the only one
-    longer than 1, which ``np.add.reduce`` sums pairwise; it is matched
-    beside a dummy group of one zero coefficient, whose row is dropped.
+    The member axis leads: coefficients are (N, G), means (N, G, d) and
+    covariances (N, G, d, d) for the longest group's N members, so
+    ``np.add.reduce`` over axis 0 adds one member's whole (G, ...) slab at
+    a time.  Each group's sums equal, bit for bit, its members added one
+    after another, for two reasons.
+
+    - Reduction order.  ``np.add.reduce`` adds pairwise, in eight partial
+      sums, along the innermost contiguous axis once it holds 8 or more
+      terms; along any other axis each output element adds its terms one
+      after another in index order.  So the member axis is never the
+      innermost one, nor the only axis longer than 1, which a lone group
+      of 1-D members would make it: such a group is matched beside a dummy
+      group of one zero coefficient, whose row is dropped.
+    - Padding.  A group shorter than the longest is padded, after its own
+      members, with zero coefficients on copies of its first member, so
+      each padded term is 0 x, a zero signed like x.  Adding a signed zero
+      changes no sum but -0.0, and a sum of doubles is -0.0 only when
+      every term is -0.0.  numpy 2.4 starts each sum from +0.0, add's
+      identity, so no running sum is -0.0.  A reduction that starts from
+      its first term reaches -0.0 only when every term is, the first
+      member's c x among them; as c is positive or +0, x is then negative
+      or -0.0, and so is 0 x.  Either way each padded term adds an exact
+      zero, as long as x is finite (0 inf is NaN).  So members must be
+      finite: a padded group whose first member is not may read NaN where
+      matching it alone reads inf (the other groups keep their bits).
     """
     if len(groups) == 1 and groups[0][1][0].mean.shape == (1,):
         mean, cov = moment_match([*groups, ([0.0], groups[0][1][:1], 1.0)])
@@ -302,8 +283,8 @@ def mix_types(jobs: list) -> list:
     from zero, and its probability is the mass over ``total`` (0 when
     ``total`` is not positive).  Below ``MIN_CELL_MASS`` the type keeps the
     first holder's Gaussian; above it the holders are moment matched.
-    Returns one ``(belief, masses)`` pair per job, where ``masses`` maps
-    each type the belief holds to its mass.
+    Returns one ``(belief, masses)`` pair per job, the belief's types in
+    ``TYPE_ORDER``, where ``masses`` maps each type it holds to its mass.
     """
     results, groups, slots = [], [], []
     for members, total, masses in jobs:

@@ -16,45 +16,23 @@ frame, the UE array is assumed level) and angle of departure at the BS
 (global frame).  Azimuth conventions are atan2(dy, dx); elevation is
 atan2(dz, hypot(dx, dy)).
 
-The linearization kernel (:func:`_channel`) runs once per hypothesis on
-one stack of rows of every kind, the hypothesis's landmarks followed by
-its newborns.  It groups the rows by kind, BS then VA then SP: the work
-every kind shares (the legs, the per-row transcendental loop, the angle
-gradients and the common Jacobian rows) runs once on the whole stack, and
-the kind-specific work (the VA mirror products, the SP's second leg, the
-BS's angle-of-departure rows) on the kind's contiguous slice.  Each row
-keeps the bits it has alone, whatever else the stack holds, by one rule:
+The bit rules, which the layering guards and the bit-for-bit reference
+tests enforce: a stacked kernel gives each row the bits it has alone,
+whatever else the stack holds, here and in :mod:`rfslam.association`.
 
-* an element-wise float64 operation (``+ - * /``, negation, ``sqrt``)
-  rounds the same on a stack as on one row, in numpy or on Python floats,
-  so element-wise work runs on the stack;
-* numpy's transcendental functions do not round as ``math``'s do: over
-  200,000 draws, ``np.arctan2`` differed from ``math.atan2`` in 14,780 and
-  ``np.hypot`` from ``math.hypot`` in 1,146 (numpy 2.4.6, x86-64).  So
-  ``math.atan2``, ``math.hypot``, ``math.cos`` and ``math.sin`` and the
-  modulo of :func:`_wrap_scalar` run per row, in one Python loop over
-  ``.tolist()``, and no numpy transcendental function appears here;
-* a BLAS reduction does not round as a sequential Python sum does: over
-  20,000 draws of standard normal operands, a 3-term numpy dot differed
-  from the Python sum of its products in 6,674, and a 3x3 matrix-vector
-  product in 13,984 (numpy 2.4 with OpenBLAS, x86-64).  So every reduction
-  (the leg lengths' dots, ``nu . d``, the VA mirror products ``R d`` and
-  ``N d`` and the gradient-times-matrix rows) is a numpy ``@``, each with
-  the shapes of its one-row form;
-* a stacked ``@`` is the same call: on C-contiguous stacks (or views that
-  transpose them) numpy makes one BLAS call per slice, so each slice has
-  the bits of its own 2-D product, and ``(N,1,d) @ (N,d,1)`` gives each
-  row the BLAS dot of ``v @ x``; writing the product into rows of the
-  Jacobian blocks (``np.matmul(..., out=...)``) makes the same call.
-  :mod:`rfslam.association` stacks its linear algebra by this clause;
-* other stacked reductions are not: over 2,000 row dots of standard-normal
-  5-vectors, ``np.einsum("ij,ij->i", a, b)`` differed from the BLAS dot in
-  1,038 and ``(a * b).sum(axis=1)`` in 847, and over 3,000 random 5x5
-  positive-definite matrices ``np.linalg.cholesky`` differed from scipy's
-  ``dpotrf`` in 359 (numpy 2.4 with OpenBLAS, x86-64).
-
-A row with degenerate geometry leaves the stack before any division, so no
-stack divides by zero; the kind slices are counted again after it leaves.
+* Element-wise float64 work (``+ - * /``, negation, ``sqrt``) rounds
+  alike in any shape, so it runs on the stack.
+* Transcendental functions keep the per-row code's source, as numpy's and
+  ``math``'s round differently: ``math`` per row on Python floats here
+  (``atan2``, ``hypot``, ``cos``, ``sin``, :func:`_wrap_scalar`'s modulo)
+  and in the local weights, ``np.log`` on Cholesky factors' diagonals.
+* Every reduction is a BLAS ``@`` with the shapes of its one-row form.  On
+  C-contiguous stacks, or views that transpose them, a stacked ``@`` (or
+  ``np.matmul`` with ``out=``) makes one BLAS call per slice, so
+  ``(N,1,d) @ (N,d,1)`` gives each row the dot ``v @ x``; a sum along the
+  last axis of a C-contiguous stack adds each row as its 1-D sum does.
+* No ``np.einsum``, ``(a * b).sum(axis)`` or ``np.linalg.cholesky``: each
+  rounds differently from the BLAS dot or from ``dpotrf``.
 """
 
 from __future__ import annotations
@@ -427,23 +405,16 @@ MAX_P_DETECT = 1.0 - 1e-9
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Measurement-model facade the filter core works against.
+    """Measurement-model facade the filter core works against: the channel
+    geometry with the known BS position and the detection model.  Any
+    object with the methods README's "Library use" lists can take its
+    place.
 
-    Wraps the channel geometry with the known BS anchor position and the
-    detection model.  The filter calls three methods, each once per
-    hypothesis on a stack of rows: ``linearize`` (landmark positions of any
-    kinds, one kind per row), ``invert`` (every measurement for every birth
-    kind) and ``wrap_residual`` (and reads ``p_detect`` and ``fov_radius``
-    when present), so any object with them can be substituted, e.g. linear
-    toys in tests.  ``wrap_residual`` takes a residual or a stack of them
-    of any shape, the components on the last axis, and wraps every angle
-    with :func:`wrap_angle`, which gives ``_wrap_scalar``'s bits.
     ``predict``, ``jacobians`` and ``detection_probability`` are one-row
     calls of the same kernel: ``predict`` and ``jacobians`` take no
     field-of-view cut and raise DegenerateGeometryError where ``linearize``
     would give no prediction.  No filter code calls them: they stay only
-    because the benchmark's tracer wraps them by name, so add no caller;
-    they go when the tracer's name list drops them.
+    because the benchmark's tracer wraps them by name, so add no caller.
 
     ``p_detect`` values must lie in [0, 1] (1 is clamped to
     ``MAX_P_DETECT``) and ``fov_radius`` must be positive (``math.inf``

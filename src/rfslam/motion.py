@@ -14,6 +14,16 @@ import numpy as np
 from .geometry import wrap_angle
 
 
+def _is_covariance_5x5(matrix: np.ndarray) -> bool:
+    """Finite, exactly symmetric and positive semi-definite up to eigenvalue
+    rounding (1e-12 of the largest magnitude)."""
+    if (matrix.shape != (5, 5) or not np.isfinite(matrix).all()
+            or not np.array_equal(matrix, matrix.T)):
+        return False
+    eig = np.linalg.eigvalsh(matrix)
+    return eig[0] >= -1e-12 * np.abs(eig).max()
+
+
 def sensor_transition(state: np.ndarray, speed: float, turn_rate: float,
                       dt: float) -> np.ndarray:
     """Constant turn-rate transition of [x, y, z, heading, bias]."""

@@ -5,12 +5,9 @@ index set (prior landmarks followed by one slot per measurement).  The
 per-track, per-association conditional Bernoullis are averaged over the
 hypotheses sharing that association, weighted by hypothesis weight, and
 the track-oriented recombination collapses the mixture to a single
-multi-Bernoulli using the marginal association probabilities.  Both
-collapse their beliefs through ``density.mix_types``, one call per stage:
-the averaging sends every cell with several contributors, and the
-recombination every prior track that needs mixing.  The averaging keeps
-each cell's type masses (``TrackCell.masses``, the sums of w psi that
-normalize its types), and the recombinations weight by them.
+multi-Bernoulli using the marginal association probabilities.  The
+averaging keeps each cell's type masses (``TrackCell.masses``, the sums
+of w psi that normalize its types), and the recombinations weight by them.
 
 Cells with exactly one contributing hypothesis are copied verbatim, which
 keeps the single-hypothesis reduction an exact identity.

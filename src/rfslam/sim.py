@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,7 @@ from .geometry import (
     mirror_bs,
     wrap_angle,
 )
-from .motion import sensor_transition
+from .motion import _is_covariance_5x5, sensor_transition
 
 #: Measurement-space volume for clutter: range 200 m x azimuth 2pi x
 #: elevation pi, twice (arrival and departure).  Intensity = mean / volume.
@@ -46,16 +47,6 @@ MAX_CLUTTER_MEAN = 1e4
 #: keeps each step's record, about 2.5 kB with its part of the report text,
 #: until the campaign writes its report: 1 GB at this bound.
 MAX_CAMPAIGN_STEPS = 400_000
-
-
-def _is_covariance_5x5(matrix: np.ndarray) -> bool:
-    """Finite, exactly symmetric and positive semi-definite up to eigenvalue
-    rounding (1e-12 of the largest magnitude)."""
-    if (matrix.shape != (5, 5) or not np.isfinite(matrix).all()
-            or not np.array_equal(matrix, matrix.T)):
-        return False
-    eig = np.linalg.eigvalsh(matrix)
-    return eig[0] >= -1e-12 * np.abs(eig).max()
 
 
 @dataclass(frozen=True)
@@ -125,6 +116,12 @@ class Scenario:
         for name in ("speed", "turn_rate"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        for name in ("steps", "seed"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{name} must be an integer")
+            object.__setattr__(self, name, int(value))
         if not 1 <= self.steps <= MAX_CAMPAIGN_STEPS:
             raise ValueError(f"steps must be >= 1 and <= {MAX_CAMPAIGN_STEPS}")
         if self.seed < 0:

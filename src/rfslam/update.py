@@ -7,18 +7,9 @@ the association cost matrix, rank the best ``gamma`` associations, and
 perform a joint extended-Kalman update of the sensor together with every
 re-detected landmark (all landmark types stacked, the measurement
 replicated per type with a fully correlated noise block).  The local
-weights, their per-type masses, type predictions and birth candidates all
-come from the cost matrix in :mod:`rfslam.association`; misdetected
-landmarks reuse its misdetection weight and newborn landmarks its birth
-candidates, so every type with a positive PPP rate but the BS can be born.
-All three local hypotheses turn their per-type masses into type
-probabilities by one rule, :func:`_type_posterior`, which normalizes them
-with :func:`update_type_probs`.
-One :class:`ChildParts` per hypothesis holds its cost matrix and the
-pieces a child takes unchanged from its parent (misdetected and newborn
-Bernoullis, detected type posteriors), shared by all its ranked
-associations; it is :func:`joint_update`'s only input besides the
-association.  The sensor posterior is the moment-matched mixture over all
+weights, type predictions and birth candidates all come from the cost
+matrix of :mod:`rfslam.association`, held by one :class:`ChildParts` per
+hypothesis.  The sensor posterior is the moment-matched mixture over all
 children.  In PMB mode the resulting mixture is reduced back to a single
 hypothesis by the track-oriented recombination in :mod:`rfslam.reduction`.
 """
@@ -26,6 +17,7 @@ hypothesis by the track-oriented recombination in :mod:`rfslam.reduction`.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -57,7 +49,11 @@ from .density import (
     symmetrize,
 )
 from .geometry import LandmarkType
-from .motion import sensor_transition, sensor_transition_jacobian
+from .motion import (
+    _is_covariance_5x5,
+    sensor_transition,
+    sensor_transition_jacobian,
+)
 
 EK_PMB = "ek-pmb"
 EK_PMBM = "ek-pmbm"
@@ -101,8 +97,15 @@ class FilterConfig:
             raise ValueError("gate must be None or finite and > 0")
         if not 0.0 <= self.type_prune < 1.0:
             raise ValueError("type_prune must be in [0, 1)")
-        if self.gamma < 1:
-            raise ValueError("gamma must be >= 1")
+        if (isinstance(self.gamma, bool)
+                or not isinstance(self.gamma, numbers.Integral)
+                or self.gamma < 1):
+            raise ValueError("gamma must be an integer >= 1")
+        if not isinstance(self.multi_model, bool):
+            raise ValueError("multi_model must be a bool")
+        if not _is_covariance_5x5(self.process_noise):
+            raise ValueError("process_noise must be a finite, symmetric, "
+                             "positive semi-definite 5x5 matrix")
         if self.filter_kind not in (EK_PMB, EK_PMBM):
             raise ValueError(f"unknown filter kind {self.filter_kind!r}")
         if not (math.isfinite(self.clutter_intensity)
@@ -158,7 +161,8 @@ def update_type_probs(masses: dict) -> dict:
 
 def _type_posterior(masses: dict, config: FilterConfig, hard: bool) -> dict:
     """Posterior type probabilities of a local hypothesis from its per-type
-    masses.
+    masses: the one rule of all three local hypotheses (detected,
+    misdetected, newborn), each of whose local weights returns its masses.
 
     :func:`update_type_probs` normalizes the masses; with ``hard`` (a birth
     when ``multi_model`` is off) only the most probable type, the first of
@@ -200,9 +204,7 @@ class ChildParts:
     hypothesis and the landmark and/or measurement, so every ranked
     association of the hypothesis shares them (track-oriented PMBM children
     share their per-track local hypotheses).  Each is built on first use,
-    from the weights ``ctx`` holds: the two local Bernoullis by
-    :func:`_local_bernoulli` here, over the prior's type Gaussians or the
-    newborn ones.
+    from the weights ``ctx`` holds.
     """
 
     def __init__(self, hypothesis: GlobalHypothesis, measurements,
@@ -235,9 +237,6 @@ class ChildParts:
         prediction, innovation)`` per type of them with a prediction, in
         their order -- the types the joint update stacks.  LinAlgError when
         the cost matrix ruled the pair out.
-
-        The innovation is the wrapped residual of measurement ``p`` against
-        the type's prediction, the row the cost matrix kept for the pair.
         """
         found = self._detections.get((i, p))
         if found is None:

@@ -2,7 +2,9 @@
 function parameter is read, every parameter default is passed by some call,
 every position of a returned tuple is read, every definition has a
 caller, every dataclass field has a reader, one module factors matrices,
-no module calls builtin ``sum``, and the code stays within its line budget.
+no module calls builtin ``sum``, every docstring cross-reference resolves,
+README's Layout table names every module, and the code stays within its
+line budgets.
 
 An import inside a function body hides a module cycle (it only works
 because it runs after both modules finished loading), so none is allowed.
@@ -18,8 +20,9 @@ LAPACK itself, would round differently or skip its finiteness test, so
 none may come back.  A dataclass field that nothing reads is a copy kept
 for no one.  Builtin ``sum`` of floats is compensated from Python 3.12 on,
 so a float sum takes ``density.sum_in_order``, which adds left to right
-on every interpreter.  The line budget is a ratchet: a change
-that adds code lines raises it in its own diff and says why in CHANGES.md.
+on every interpreter.  The line budgets, of code lines and of all lines,
+are ratchets: a change that adds lines raises its budget in its own diff
+and says why in CHANGES.md.
 The field counts of the two settings objects, ``RunConfig`` and
 ``FilterConfig``, are pinned the same way: a new setting raises its
 constant in its own diff and names its user in CHANGES.md.
@@ -29,6 +32,7 @@ import ast
 import dataclasses
 import io
 import math
+import re
 import tokenize
 from pathlib import Path
 
@@ -48,7 +52,11 @@ BENCH_SCRIPTS = sorted((ROOT / "perfbench").glob("*.py"))
 API_ONLY = ["cli.deterministic_metrics_view", "geometry.measure_jacobian"]
 
 #: Code lines of ``src/rfslam``, counted by :func:`code_lines`.
-CODE_LINE_BUDGET = 2196
+CODE_LINE_BUDGET = 2215
+
+#: All lines of ``src/rfslam``, as ``wc -l`` counts them: code, docstrings,
+#: comments and blank lines.
+TOTAL_LINE_BUDGET = 3531
 
 #: Fields of the two settings objects.
 SETTINGS_FIELDS = {RunConfig: 10, FilterConfig: 11}
@@ -510,6 +518,91 @@ def test_detector_sees_builtin_sums():
 def test_code_lines_within_budget():
     total = sum(code_lines(path.read_text()) for path in MODULES)
     assert total <= CODE_LINE_BUDGET
+
+
+def test_total_lines_within_budget():
+    total = sum(path.read_text().count("\n") for path in MODULES)
+    assert total <= TOTAL_LINE_BUDGET
+
+
+def layout_modules(readme: str) -> list:
+    """The modules the rows of README's Layout table name, in order."""
+    table = readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `rfslam\.(\w+)` \|", table, re.MULTILINE)
+
+
+def test_layout_table_names_every_module():
+    named = layout_modules((ROOT / "README.md").read_text())
+    assert sorted(named) == sorted(p.stem for p in MODULES
+                                   if p.stem != "__init__")
+
+
+#: A cross-reference in a docstring or a ``#:`` comment: its role and its
+#: target.
+CROSS_REFERENCE = re.compile(r":(func|class|mod|data):`~?\.?([\w.]+)`")
+
+
+def definitions(tree: ast.AST) -> set:
+    """Names a module or class body defines: functions, classes and
+    assigned names, and each class's own as ``Class.name``."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                names |= {f"{node.name}.{name}" for name in definitions(node)}
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif (isinstance(node, ast.AnnAssign)
+              and isinstance(node.target, ast.Name)):
+            names.add(node.target.id)
+    return names
+
+
+def broken_references(sources: dict) -> list:
+    """``module: role:`target``` of every cross-reference in ``sources``
+    (module name -> source) that names no module of the package or no
+    definition.  A target resolves, ``rfslam.`` prefix dropped, as a
+    module, as a definition of its own module or a name that module
+    imports from a sibling that defines it, or as ``module.name``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined = {module: definitions(tree) for module, tree in trees.items()}
+    found = []
+    for module, tree in trees.items():
+        known = set(defined[module])
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                known |= {a.asname or a.name for a in node.names
+                          if a.name in defined.get(node.module, ())}
+        for role, target in CROSS_REFERENCE.findall(sources[module]):
+            name = target.removeprefix("rfslam.")
+            owner, _, rest = name.partition(".")
+            if not (name in trees if role == "mod" else
+                    name in known or rest in defined.get(owner, ())):
+                found.append(f"{module}: {role}:`{target}`")
+    return found
+
+
+def test_every_cross_reference_resolves():
+    assert broken_references({p.stem: p.read_text() for p in MODULES}) == []
+
+
+def test_detector_sees_broken_references():
+    sources = {
+        "toy": ('"""Uses :func:`helper`, :class:`Box`, :func:`Box.size`,\n'
+                ':data:`LIMIT`, :func:`shared`, :mod:`rfslam.other`,\n'
+                ':func:`other.shared`, :func:`~rfslam.other.shared`;\n'
+                'not :func:`gone`, :func:`Box.gone`, :mod:`nowhere`,\n'
+                ':func:`other.gone` or :func:`missing`."""\n'
+                "from .other import missing, shared\n"
+                "LIMIT = 3\n\ndef helper():\n    return LIMIT\n\n"
+                "class Box:\n    def size(self):\n        return 1\n"),
+        "other": "def shared():\n    return 1\n",
+    }
+    assert broken_references(sources) == [
+        "toy: func:`gone`", "toy: func:`Box.gone`", "toy: mod:`nowhere`",
+        "toy: func:`other.gone`", "toy: func:`missing`"]
 
 
 @pytest.mark.parametrize("settings", SETTINGS_FIELDS,

@@ -358,7 +358,7 @@ class TestBirthBernoulliReference:
         comps = {k: GaussianComponent(np.array([float(j)]),
                                       (j + 1.0) * np.eye(1))
                  for j, k in enumerate(kinds)}
-        config = FilterConfig(model=None, process_noise=np.zeros((1, 1)),
+        config = FilterConfig(model=None, process_noise=np.zeros((5, 5)),
                               multi_model=multi_model, type_prune=type_prune)
         # weight_birth's candidate: the rates are the masses, none when
         # they sum to zero.  A candidate without masses is clutter only and

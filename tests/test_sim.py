@@ -447,6 +447,22 @@ class TestScenarioIO:
         with pytest.raises(ValueError, match="p_detect must name BS, VA and SP"):
             replace(default_scenario(), p_detect={VA: 0.9})
 
+    @pytest.mark.parametrize("field, value", [
+        ("steps", 5.0), ("steps", True), ("seed", 1.5), ("seed", True)])
+    def test_non_integer_steps_and_seed_rejected(self, field, value):
+        # Each once built: steps 5.0 failed in run_single, steps True ran
+        # one step, and a seed 1.5 or True was echoed as given.
+        with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+            replace(default_scenario(seed=1, steps=5), **{field: value})
+
+    def test_numpy_integer_steps_and_seed_saved_as_int(self):
+        # Once kept as np.int64, which the JSON writer refuses.
+        sc = replace(default_scenario(seed=1, steps=5), steps=np.int64(5),
+                     seed=np.int64(2))
+        doc = scenario_to_dict(sc)
+        assert (doc["steps"], doc["seed"]) == (5, 2)
+        assert json.loads(json.dumps(doc))["steps"] == 5
+
     @settings(max_examples=60, deadline=None)
     @given(scenario=scenarios())
     def test_random_round_trip(self, scenario):

@@ -115,13 +115,19 @@ class TestFilterConfig:
         ("type_prune", -0.1), ("type_prune", 1.0), ("type_prune", math.nan),
         ("dt", math.nan), ("dt", math.inf), ("speed", math.inf),
         ("speed", math.nan), ("turn_rate", math.nan),
-        ("turn_rate", -math.inf)])
+        ("turn_rate", -math.inf), ("gamma", 2.5), ("gamma", True),
+        ("multi_model", "no"), ("process_noise", np.full((5, 5), math.nan)),
+        ("process_noise", -np.eye(5)), ("process_noise", np.eye(3))])
     def test_refuses_values_that_corrupt_or_fail_a_run(self, field, value):
         # Each once built: a negative gate ran with every pair gated out,
-        # a NaN gate ran as no gate, and a NaN dt, speed or turn rate
-        # failed in the first step.
+        # a NaN gate ran as no gate, gamma True ran as 1 and multi_model
+        # "no" as on, and a NaN dt, speed or turn rate, gamma 2.5 and each
+        # process noise failed in the first step.
         with pytest.raises(ValueError, match=f"{field} .*must be"):
             make_config(ChannelModel(BS_POS), **{field: value})
+
+    def test_numpy_integer_gamma_builds(self):
+        assert make_config(ChannelModel(BS_POS), gamma=np.int64(3)).gamma == 3
 
 
 class TestPredictSensor:
@@ -1163,8 +1169,7 @@ def mixed_dimension_case(filter_kind):
     landmarks holding both, and two measurements."""
     model = LinearModel({VA: ([[1.0]], [[1.0]]),
                          SP: ([[1.0]], [[1.0, 0.5]])}, 1, p_detect=0.9)
-    cfg = make_config(model, process_noise=np.zeros((1, 1)), gamma=10,
-                      filter_kind=filter_kind, gate=None)
+    cfg = make_config(model, gamma=10, filter_kind=filter_kind, gate=None)
     berns = tuple(Bernoulli(0.9, LandmarkBelief({
         VA: TypeComponent(psi, np.full(1, x), np.eye(1)),
         SP: TypeComponent(1.0 - psi, np.full(2, x), np.eye(2))}))
