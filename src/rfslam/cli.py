@@ -41,8 +41,6 @@ from .metrics import (
     gospa,
     mae_per_step,
     rmse,
-    write_gospa_decomposition_csv,
-    write_rmse_csv,
 )
 from .sim import (
     MAX_CAMPAIGN_STEPS,
@@ -344,16 +342,39 @@ def run(config: RunConfig) -> dict:
     return report
 
 
+def _write_csv(path, header: str, rows) -> None:
+    """A CSV table: the header line, then one line per row of cells.  A
+    float's ``str`` is its ``repr``, so every value is written exactly."""
+    lines = [header] + [",".join(map(str, row)) for row in rows]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_metrics_csv(path, report: dict) -> None:
     per_step, timing = report["per_step"], report["timing"]
     columns = [per_step[k] for k in ("gospa_va", "gospa_sp", "mae_pos",
                                      "mae_heading", "mae_bias")]
     columns += [timing["per_step_ms_predict"], timing["per_step_ms_update"]]
-    lines = [METRICS_HEADER] + [
-        ",".join([str(step_idx)] + [repr(col[i]) for col in columns])
-        for i, step_idx in enumerate(per_step["step"])]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, METRICS_HEADER, zip(per_step["step"], *columns))
+
+
+def write_gospa_decomposition_csv(path, steps, parts_by_type) -> None:
+    """Per-step GOSPA decomposition, one column group per landmark type.
+
+    ``parts_by_type`` maps a type label to a dict with per-step lists under
+    "localization", "missed" and "false".
+    """
+    columns = [(label, part) for label in sorted(parts_by_type)
+               for part in ("localization", "missed", "false")]
+    _write_csv(path, ",".join(["step"] + [f"{label}_{part}"
+                                          for label, part in columns]),
+               zip(steps, *(parts_by_type[label][part]
+                            for label, part in columns)))
+
+
+def write_rmse_csv(path, rmse_by_quantity: dict) -> None:
+    """Final RMSE table: one row per estimated quantity."""
+    _write_csv(path, "quantity,rmse", sorted(rmse_by_quantity.items()))
 
 
 def write_report(path, report: dict) -> None:

@@ -150,33 +150,25 @@ def default_ppp_intensity() -> dict:
     return {LandmarkType.BS: 0.0, LandmarkType.VA: rate, LandmarkType.SP: rate}
 
 
-def normalize_weights(density: PmbmDensity) -> PmbmDensity:
-    """Rescale hypothesis weights to sum to one."""
-    if not density.hypotheses:
-        raise DegenerateDensityError("no hypotheses to normalize")
-    total = sum_in_order(h.weight for h in density.hypotheses)
-    if total <= 0.0:
-        raise DegenerateDensityError("all hypothesis weights are zero")
-    hyps = tuple(replace(h, weight=h.weight / total) for h in density.hypotheses)
-    return replace(density, hypotheses=hyps)
-
-
 def prune(density: PmbmDensity, bernoulli_threshold: float,
           hypothesis_threshold: float, max_hypotheses: int) -> PmbmDensity:
-    """Drop low-existence Bernoullis and low-weight hypotheses, cap, renormalize."""
+    """Drop low-existence Bernoullis and low-weight hypotheses, keep the
+    ``max_hypotheses`` heaviest first, and renormalize their weights."""
     if not (0.0 <= bernoulli_threshold < 1.0 and 0.0 <= hypothesis_threshold < 1.0):
         raise ValueError("thresholds must lie in [0, 1)")
-    kept = []
-    for hyp in density.hypotheses:
-        berns = tuple(b for b in hyp.bernoullis
-                      if b.existence >= bernoulli_threshold)
-        kept.append(replace(hyp, bernoullis=berns))
-    kept = [h for h in kept if h.weight >= hypothesis_threshold]
+    kept = [h for h in density.hypotheses if h.weight >= hypothesis_threshold]
     kept.sort(key=lambda h: -h.weight)
     kept = kept[:max_hypotheses]
     if not kept:
         raise DegenerateDensityError("pruning removed every hypothesis")
-    return normalize_weights(replace(density, hypotheses=tuple(kept)))
+    total = sum_in_order(h.weight for h in kept)
+    if total <= 0.0:
+        raise DegenerateDensityError("all hypothesis weights are zero")
+    return replace(density, hypotheses=tuple(
+        replace(h, weight=h.weight / total,
+                bernoullis=tuple(b for b in h.bernoullis
+                                 if b.existence >= bernoulli_threshold))
+        for h in kept))
 
 
 def _merge_pair_gate(ca: TypeComponent, cb: TypeComponent,
@@ -184,12 +176,6 @@ def _merge_pair_gate(ca: TypeComponent, cb: TypeComponent,
     """Whether two dominant components of one type lie within the merge
     gate: d^T C^-1 d <= threshold under each covariance."""
     d = ca.mean - cb.mean
-    # For an SPD C, d^T C^-1 d >= |d|^2 / lambda_max(C) >= |d|^2 / tr(C), so
-    # a pair this far apart fails the gate under either covariance and needs
-    # no solve; the relative margin 1e-9 absorbs rounding.
-    if float(d @ d) > threshold * (1.0 + 1e-9) * min(
-            ca.covariance.trace(), cb.covariance.trace()):
-        return False
     try:
         da = float(d @ np.linalg.solve(ca.covariance, d))
         db = float(d @ np.linalg.solve(cb.covariance, d))
@@ -318,26 +304,26 @@ def mix_types(jobs: list) -> list:
             for types, type_masses in results]
 
 
-#: Relative margin of the merge's array bound over the pair gate's own.
+#: Relative margin of the merge's trace bound over the exact one.
 MERGE_BOUND_MARGIN = 1e-6
 
 
 def _merge_candidates(kinds, comps, threshold: float) -> list:
     """``near[i][j]``: False where Bernoullis i and j may not merge: their
     dominant types ``kinds`` differ, or :func:`_merge_pair_gate` is sure to
-    reject their dominant components ``comps`` without a solve, because
-    the trace bound |d|^2 > threshold (1 + 1e-9) min(tr C_i, tr C_j)
-    holds.
+    reject their dominant components ``comps``.  This is the only bound
+    before the gate's solves.
 
-    One array pass bounds every pair, with a wider bound than the gate's.
-    Its |d|^2 sums the squares in numpy where the gate takes ``d @ d``
-    (BLAS), and the two sums round differently.  Each is within a relative
-    3u/(1 - 3u) (u = 2^-53) of the exact |d|^2, plus at most 5 subnormal
-    roundings of 2^-1075 each where products underflow, so a pair this
-    pass rejects has ``d @ d`` above the gate's bound: the relative margin
-    ``MERGE_BOUND_MARGIN`` covers the first term and the slack 1e-300 the
-    second.  A negative bound rejects every pair in both; a NaN bound or
-    distance compares False and keeps the pair.
+    For an SPD C, d^T C^-1 d >= |d|^2 / lambda_max(C) >= |d|^2 / tr(C), so
+    a pair with |d|^2 > threshold min(tr C_i, tr C_j) fails the gate under
+    either covariance.  One array pass bounds every pair, with margins.
+    Its |d|^2 sums the squares in numpy, within a relative 3u/(1 - 3u)
+    (u = 2^-53) of the exact |d|^2, plus at most 5 subnormal roundings of
+    2^-1075 each where products underflow.  The relative margin
+    ``MERGE_BOUND_MARGIN`` covers the first term and leaves 1e-9 for the
+    solves' own rounding; the slack 1e-300 covers the second.  A negative
+    bound rejects every pair; a NaN bound or distance compares False and
+    keeps the pair.
 
     A stack holds one shape, so each dimension's Bernoullis are bounded
     by themselves (:func:`_shape_groups`).  A pair across dimensions has
@@ -347,7 +333,6 @@ def _merge_candidates(kinds, comps, threshold: float) -> list:
     near = codes[:, None] == codes
     for group in _shape_groups([c.mean for c in comps]):
         means = np.array([comps[k].mean for k in group])
-        # The gate's traces: each sums its diagonal in the same order.
         traces = np.array([comps[k].covariance for k in group]).trace(
             axis1=1, axis2=2)
         d = means[:, None, :] - means[None, :, :]
@@ -366,8 +351,8 @@ def merge_bernoullis(hypothesis: GlobalHypothesis,
     taken).  Merged components are moment matched with existence-and-type
     weights; existence adds up, clamped at one.  Each Bernoulli's dominant
     type and component are found once; only the pairs of one type that
-    :func:`_merge_candidates` keeps reach :func:`_merge_pair_gate`, as the
-    others would fail it without a solve.
+    :func:`_merge_candidates` keeps reach :func:`_merge_pair_gate`'s
+    solves, as the others would fail them.
     """
     if mahalanobis_threshold <= 0.0:
         raise ValueError("merge threshold must be positive")

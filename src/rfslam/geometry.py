@@ -20,12 +20,13 @@ The bit rules, which the layering guards and the bit-for-bit reference
 tests enforce: a stacked kernel gives each row the bits it has alone,
 whatever else the stack holds, here and in :mod:`rfslam.association`.
 
-* Element-wise float64 work (``+ - * /``, negation, ``sqrt``) rounds
-  alike in any shape, so it runs on the stack.
+* Element-wise float64 work (``+ - * /``, negation, ``sqrt`` and
+  :func:`wrap_angle`'s floored ``%``) rounds alike in any shape, and on a
+  Python float as in numpy, so it runs on the stack.
 * Transcendental functions keep the per-row code's source, as numpy's and
   ``math``'s round differently: ``math`` per row on Python floats here
-  (``atan2``, ``hypot``, ``cos``, ``sin``, :func:`_wrap_scalar`'s modulo)
-  and in the local weights, ``np.log`` on Cholesky factors' diagonals.
+  (``atan2``, ``hypot``, ``cos``, ``sin``) and in the local weights,
+  ``np.log`` on Cholesky factors' diagonals.
 * Every reduction is a BLAS ``@`` with the shapes of its one-row form.  On
   C-contiguous stacks, or views that transpose them, a stacked ``@`` (or
   ``np.matmul`` with ``out=``) makes one BLAS call per slice, so
@@ -66,16 +67,8 @@ TYPE_ORDER = (LandmarkType.BS, LandmarkType.VA, LandmarkType.SP)
 
 
 def wrap_angle(a):
-    """Wrap an angle (or array of angles) to (-pi, pi]."""
-    w = np.pi - np.mod(np.pi - np.asarray(a, dtype=float), TWO_PI)
-    if np.ndim(a) == 0:
-        return float(w)
-    return w
-
-
-def _wrap_scalar(a: float) -> float:
-    """:func:`wrap_angle` of one float, bit for bit: Python's float ``%``
-    and ``np.mod`` are both the floored fmod."""
+    """Wrap an angle (a float, a numpy scalar or an array) to (-pi, pi]:
+    Python's float ``%`` and numpy's are the same floored fmod."""
     return math.pi - (math.pi - a) % TWO_PI
 
 
@@ -197,12 +190,6 @@ def mirror_bs(bs_position, surface_point, surface_normal) -> np.ndarray:
     return x - 2.0 * nu * (nu @ x) + 2.0 * (mu @ nu) * nu
 
 
-def _norm(v: np.ndarray) -> float:
-    """Length of a real vector: ``np.linalg.norm``'s own formula for 1-D
-    input (the square root of ``v.dot(v)``), so the bits are the same."""
-    return math.sqrt(v.dot(v))
-
-
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row dots of a C-contiguous (N, d) stack with a like stack or with
     one d-vector: one stacked ``@``, so each is the BLAS dot of its row."""
@@ -246,11 +233,12 @@ def _channel(u, heading: float, bias: float, X: np.ndarray, kinds,
     M x 5 x 3; else None), in ``seen`` order.  The Jacobian's columns are
     [ue position (3), heading, clock bias] and the landmark position.
     Only rows of the kinds in ``live`` are kept.  A row is dropped before
-    any division when its SP lies farther than ``fov`` from the UE or a
-    direction it needs is degenerate: a leg shorter than ``MIN_LEG``, or a
-    vertical direction whose azimuth it takes (horizontal length below
-    1e-12) or, with ``jacobians``, differentiates (squared length below
-    1e-24).
+    any division when its SP lies farther than ``fov`` from the UE or a leg
+    is shorter than ``MIN_LEG``.  A row with a vertical direction whose
+    azimuth it takes (horizontal length below 1e-12) or, with
+    ``jacobians``, differentiates (squared length below 1e-24) stays in
+    the stacks, with a squared length of 1 so that no gradient divides by
+    0, and is left out of the output.
 
     The rows are grouped by kind, BS then VA then SP, so each kind's rows
     are one contiguous slice: the work every kind shares runs once on the
@@ -301,28 +289,23 @@ def _channel(u, heading: float, bias: float, X: np.ndarray, kinds,
         rho2 = dirs[:, 0] * dirs[:, 0] + dirs[:, 1] * dirs[:, 1]
     # The transcendental functions, per row on Python floats, with the
     # horizontal lengths that test for a vertical direction.
-    rows, rhos = [], []
+    rows, ok = [], []
     for toa, (gx, gy, gz), (ax, ay, az) in zip(
             (path + bias).tolist(), g.tolist(), g_aod.tolist()):
         rho, rho_aod = math.hypot(gx, gy), math.hypot(ax, ay)
-        rows.append((toa, _wrap_scalar(math.atan2(gy, gx) - heading),
+        rows.append((toa, wrap_angle(math.atan2(gy, gx) - heading),
                      math.atan2(gz, rho), math.atan2(ay, ax),
                      math.atan2(az, rho_aod)))
-        rhos.append(min(rho, rho_aod))
+        ok.append(not min(rho, rho_aod) < 1e-12)
     z_pred = np.array(rows).reshape(len(rows), 5)
-    if min(rhos, default=1.0) < 1e-12 or (
-            jacobians and rho2.min(initial=1.0) < 1e-24):
-        ok = ~(np.array(rhos) < 1e-12)
-        if jacobians:
-            ok &= ~(rho2 < 1e-24).reshape(2, -1).any(axis=0)
-            dirs, rho2 = dirs[np.tile(ok, 2)], rho2[np.tile(ok, 2)]
-            R, N = R[ok[va]], N[ok[va]]
-        seen, z_pred, g, n, d = (a[ok] for a in (seen, z_pred, g, n, d))
-        nu, s = nu[ok[nb:]], s[ok[va]]
-        nb, nv = int(ok[:nb].sum()), int(ok[nb:nb + nv].sum())
-        va, sp = slice(nb, nb + nv), slice(nb + nv, None)
-    # Back to input order: seen ascending.
+    ok = np.array(ok, dtype=bool)
+    if jacobians:
+        flat = rho2 < 1e-24
+        ok &= ~flat.reshape(2, -1).any(axis=0)
+        rho2[flat] = 1.0
+    # Back to input order, seen ascending, without the vertical rows.
     back = np.argsort(seen, kind="stable")
+    back = back[ok[back]]
     seen = seen[back].tolist()
     if not jacobians:
         return seen, z_pred[back], None, None
@@ -452,7 +435,7 @@ class ChannelModel:
     def _sensor(sensor_mean):
         """(position, wrapped heading, clock bias) of a sensor vector."""
         v = np.asarray(sensor_mean, dtype=float)
-        heading, bias = _wrap_scalar(float(v[3])), float(v[4])
+        heading, bias = wrap_angle(float(v[3])), float(v[4])
         return _finite_point(v[:3], "UE"), heading, bias
 
     def linearize(self, sensor_mean, positions, kinds):

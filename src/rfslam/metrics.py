@@ -102,29 +102,3 @@ def mae_per_step(errors) -> np.ndarray:
     if e.size == 0:
         raise ValueError("mae of empty input")
     return np.mean(np.abs(e), axis=0)
-
-
-def write_gospa_decomposition_csv(path, steps, parts_by_type) -> None:
-    """Per-step GOSPA decomposition, one column group per landmark type.
-
-    ``parts_by_type`` maps a type label to a dict with per-step lists under
-    "localization", "missed" and "false".
-    """
-    columns = [(label, part) for label in sorted(parts_by_type)
-               for part in ("localization", "missed", "false")]
-    lines = [",".join(["step"] + [f"{label}_{part}"
-                                  for label, part in columns])]
-    lines += [",".join([str(step_idx)] + [repr(parts_by_type[label][part][i])
-                                          for label, part in columns])
-              for i, step_idx in enumerate(steps)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_rmse_csv(path, rmse_by_quantity: dict) -> None:
-    """Final RMSE table: one row per estimated quantity."""
-    lines = ["quantity,rmse"]
-    for name in sorted(rmse_by_quantity):
-        lines.append(f"{name},{rmse_by_quantity[name]!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -24,8 +24,6 @@ from .geometry import (
     LandmarkType,
     Plane,
     UEState,
-    _norm,
-    _wrap_scalar,
     measure_all,
     measurements_with_covariance,
     mirror_bs,
@@ -133,7 +131,7 @@ class Scenario:
             if not np.allclose(mirrored, va.position, atol=1e-9):
                 raise ValueError("VA inconsistent with its reflecting surface")
         for lm in self.landmarks()[1:]:
-            if _norm(lm.position - self.bs.position) < MIN_LEG:
+            if np.linalg.norm(lm.position - self.bs.position) < MIN_LEG:
                 raise ValueError(f"{lm.kind.value} at the BS position "
                                  f"{lm.position.tolist()}: its BS-"
                                  f"{lm.kind.value} direction is undefined")
@@ -187,10 +185,9 @@ def _sample_gaussian(rng, cov: np.ndarray) -> np.ndarray:
     return vecs @ (scale * rng.standard_normal(cov.shape[0]))
 
 
-def simulate_trajectory(scenario: Scenario, rng=None):
-    """Ground-truth UE states [s_0 .. s_steps] under the noisy turn model."""
-    if rng is None:
-        rng = np.random.default_rng(scenario.seed)
+def simulate_trajectory(scenario: Scenario, rng):
+    """Ground-truth UE states [s_0 .. s_steps] under the noisy turn model,
+    with process noise drawn from the generator ``rng``."""
     states = [UEState.from_vector(scenario.ue_init.mean)]
     for _ in range(scenario.steps):
         vec = sensor_transition(states[-1].as_vector(), scenario.speed,
@@ -236,9 +233,9 @@ def generate_measurements(ue: UEState, scenario: Scenario,
             continue
         toa, aoa_az, aoa_el, aod_az, aod_el = (
             z + std * rng.standard_normal(5)).tolist()
-        vectors.append(np.array([toa, _wrap_scalar(aoa_az),
+        vectors.append(np.array([toa, wrap_angle(aoa_az),
                                  _clamp_elevation(aoa_el),
-                                 _wrap_scalar(aod_az),
+                                 wrap_angle(aod_az),
                                  _clamp_elevation(aod_el)]))
         labels.append(idx)
     for _ in range(rng.poisson(scenario.clutter_mean)):

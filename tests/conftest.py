@@ -32,7 +32,6 @@ from rfslam.geometry import (
     ChannelModel,
     DegenerateGeometryError,
     LandmarkType,
-    _wrap_scalar,
 )
 
 
@@ -243,15 +242,22 @@ def reference_chol_logpdf(residual, cov):
     return -0.5 * (residual.size * association.LOG_2PI + logdet + mahal), mahal
 
 
+def reference_wrap(a: float) -> float:
+    """One angle wrapped to (-pi, pi] by the floored modulo, the scalar form
+    the package's wrap is checked against."""
+    return math.pi - (math.pi - a) % (2.0 * math.pi)
+
+
 def reference_wrap_residual(model, v):
-    """``ChannelModel.wrap_residual`` one float at a time: ``_wrap_scalar``
-    on every angle of every residual, in any shape."""
+    """``ChannelModel.wrap_residual`` one float at a time:
+    :func:`reference_wrap` on every angle of every residual, in any
+    shape."""
     if not isinstance(model, ChannelModel):
         return model.wrap_residual(v)
     v = np.array(v, dtype=float)
     for row in v.reshape(-1, v.shape[-1]):
         row[model.angle_components] = [
-            _wrap_scalar(a) for a in row[model.angle_components].tolist()]
+            reference_wrap(a) for a in row[model.angle_components].tolist()]
     return v
 
 

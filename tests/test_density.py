@@ -23,7 +23,6 @@ from rfslam.density import (
     merge_bernoullis,
     mix_types,
     moment_match,
-    normalize_weights,
     prune,
     sum_in_order,
     symmetrize,
@@ -55,27 +54,34 @@ def density(weights, bern_lists, ppp=None):
     return PmbmDensity(ppp, hyps)
 
 
+def normalize(d):
+    """``prune`` with nothing to drop: its weight normalization alone."""
+    return prune(d, 0.0, 0.0, len(d.hypotheses))
+
+
 class TestNormalize:
     def test_uniform_rescale(self):
-        d = normalize_weights(density([2.0, 2.0], [[], []]))
+        d = normalize(density([2.0, 2.0], [[], []]))
         assert [h.weight for h in d.hypotheses] == [0.5, 0.5]
 
     def test_single_hypothesis(self):
-        d = normalize_weights(density([0.3], [[]]))
+        d = normalize(density([0.3], [[]]))
         assert d.hypotheses[0].weight == 1.0
 
     def test_ratio_preserved(self):
-        d = normalize_weights(density([1.0, 3.0], [[], []]))
-        assert [h.weight for h in d.hypotheses] == [0.25, 0.75]
+        # prune puts the heavier hypothesis first.
+        d = normalize(density([1.0, 3.0], [[], []]))
+        assert [h.weight for h in d.hypotheses] == [0.75, 0.25]
 
     def test_idempotent(self):
-        d = normalize_weights(density([1.0, 3.0], [[], []]))
-        d2 = normalize_weights(d)
+        d = normalize(density([1.0, 3.0], [[], []]))
+        d2 = normalize(d)
         assert [h.weight for h in d2.hypotheses] == [h.weight for h in d.hypotheses]
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateDensityError):
-            normalize_weights(density([0.0, 0.0], [[], []]))
+        with pytest.raises(DegenerateDensityError,
+                           match="all hypothesis weights are zero"):
+            normalize(density([0.0, 0.0], [[], []]))
 
 
 class TestPrune:
@@ -195,7 +201,7 @@ def merge_candidates(berns, threshold):
 
 
 def solving_merge_gate(a, b, threshold):
-    """The merge gate without its trace bound: both solves, every pair."""
+    """The merge gate with no bound before it: both solves, every pair."""
     ka, kb = a.belief.dominant_type(), b.belief.dominant_type()
     if ka is not kb:
         return False
@@ -249,7 +255,7 @@ def assert_bernoullis_bit_equal(got, want):
 
 
 class TestMergeGateBound:
-    """The trace bound in the merge gate only skips solves."""
+    """The merge's trace bound only skips solves."""
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -316,13 +322,13 @@ class TestMergeGateBound:
            threshold=st.sampled_from([1.0, 50.0, 400.0, 3.7e-5]))
     def test_array_bound_keeps_every_pair_the_gate_bound_keeps(
             self, seed, scale, threshold):
-        # Second covariances whose traces put the gate's own bound,
-        # threshold (1 + 1e-9) tr C, within a few ulps of d @ d (the first
-        # covariance's trace is larger): every pair whose d @ d passes that
-        # bound must survive the array bound, which sums the squares in
-        # numpy.  Normal draws make the two sums differ in about a third of
-        # the pairs; the tiny scales take the squares below the normal
-        # range.
+        # Second covariances whose traces put the bound that leaves the
+        # solves 1e-9 for rounding, threshold (1 + 1e-9) tr C, within a few
+        # ulps of d @ d (the first covariance's trace is larger): every
+        # pair whose d @ d passes that bound must survive the array bound,
+        # which sums the squares in numpy.  Normal draws make the two sums
+        # differ in about a third of the pairs; the tiny scales take the
+        # squares below the normal range.
         rng = np.random.default_rng(seed)
         kept = 0
         for _ in range(20):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import invert_one
+from conftest import invert_one, reference_wrap
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -366,7 +366,7 @@ def row_prediction(heading, bias, kind, legs):
         path, g_aod = span + n, b.tolist()
     aoa_az, aoa_el = row_azimuth_elevation(*g.tolist())
     aod_az, aod_el = row_azimuth_elevation(*g_aod)
-    return np.array([path + bias, geometry._wrap_scalar(aoa_az - heading),
+    return np.array([path + bias, reference_wrap(aoa_az - heading),
                      aoa_el, aod_az, aod_el])
 
 
@@ -429,7 +429,7 @@ def row_linearize(model, v, x, kind):
         if pd <= 0.0 or (kind is LandmarkType.SP
                          and legs[1] > model.fov_radius):
             return 0.0, None, None
-        z = row_prediction(geometry._wrap_scalar(float(v[3])), float(v[4]),
+        z = row_prediction(reference_wrap(float(v[3])), float(v[4]),
                            kind, legs)
         return pd, z, row_jacobian(kind, legs)
     except DegenerateGeometryError:
@@ -588,7 +588,7 @@ def reference_measure(u, heading, bias, kind, x, bs_position):
         path, g_aod = span + n, b
     aoa_az, aoa_el = azimuth_elevation(g)
     aod_az, aod_el = azimuth_elevation(g_aod)
-    return np.array([path + bias, geometry._wrap_scalar(aoa_az - heading),
+    return np.array([path + bias, reference_wrap(aoa_az - heading),
                      aoa_el, aod_az, aod_el])
 
 
@@ -645,7 +645,7 @@ class TestKernelReference:
         u = reference_finite_point(v[:3], "UE")
         x = reference_finite_point(x, "landmark")
         ref_h = outcome(reference_measure_jacobian, u, kind, x, BS)
-        ref_z = outcome(reference_measure, u, geometry._wrap_scalar(v[3]),
+        ref_z = outcome(reference_measure, u, reference_wrap(v[3]),
                         float(v[4]), kind, x, BS)
         # A degenerate pair raises DegenerateGeometryError from the one-row
         # methods without naming its direction: ``predict`` where the

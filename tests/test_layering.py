@@ -2,9 +2,9 @@
 function parameter is read, every parameter default is passed by some call,
 every position of a returned tuple is read, every definition has a
 caller, every dataclass field has a reader, one module factors matrices,
-no module calls builtin ``sum``, every docstring cross-reference resolves,
-README's Layout table names every module, and the code stays within its
-line budgets.
+one function wraps angles, no module calls builtin ``sum``, every
+docstring cross-reference resolves, README's Layout table names every
+module, and the code stays within its line budgets.
 
 An import inside a function body hides a module cycle (it only works
 because it runs after both modules finished loading), so none is allowed.
@@ -17,12 +17,13 @@ benchmark names is code only tests keep alive; the few the README
 documents as API are listed here.  ``association.chol_solve`` is the one
 Cholesky entry: a second path, through numpy's or scipy's wrappers or
 LAPACK itself, would round differently or skip its finiteness test, so
-none may come back.  A dataclass field that nothing reads is a copy kept
-for no one.  Builtin ``sum`` of floats is compensated from Python 3.12 on,
-so a float sum takes ``density.sum_in_order``, which adds left to right
-on every interpreter.  The line budgets, of code lines and of all lines,
-are ratchets: a change that adds lines raises its budget in its own diff
-and says why in CHANGES.md.
+none may come back.  ``geometry.wrap_angle`` is the one modulo by 2 pi,
+so every angle wraps by one rule.  A dataclass field that nothing reads
+is a copy kept for no one.  Builtin ``sum`` of floats is compensated from
+Python 3.12 on, so a float sum takes ``density.sum_in_order``, which adds
+left to right on every interpreter.  The line budgets, of code lines
+and of all lines, are ratchets: a change that adds lines raises its
+budget in its own diff and says why in CHANGES.md.
 The field counts of the two settings objects, ``RunConfig`` and
 ``FilterConfig``, are pinned the same way: a new setting raises its
 constant in its own diff and names its user in CHANGES.md.
@@ -52,11 +53,11 @@ BENCH_SCRIPTS = sorted((ROOT / "perfbench").glob("*.py"))
 API_ONLY = ["cli.deterministic_metrics_view", "geometry.measure_jacobian"]
 
 #: Code lines of ``src/rfslam``, counted by :func:`code_lines`.
-CODE_LINE_BUDGET = 2215
+CODE_LINE_BUDGET = 2181
 
 #: All lines of ``src/rfslam``, as ``wc -l`` counts them: code, docstrings,
 #: comments and blank lines.
-TOTAL_LINE_BUDGET = 3531
+TOTAL_LINE_BUDGET = 3491
 
 #: Fields of the two settings objects.
 SETTINGS_FIELDS = {RunConfig: 10, FilterConfig: 11}
@@ -650,6 +651,61 @@ def test_detector_sees_numpy_transcendentals():
                      "e = np.log(x) + np.exp(y)\nf = x.sin\n")
     assert numpy_transcendentals(tree) == [
         ("arctan2", 1), ("hypot", 3), ("log", 5), ("exp", 5)]
+
+
+#: Calls that take a modulo: ``np.mod``, ``np.remainder``, ``math.fmod``.
+MODULO_CALLS = {"mod", "remainder", "fmod"}
+
+
+def is_two_pi(node: ast.AST) -> bool:
+    """Whether ``node`` is the name ``TWO_PI`` (bare or an attribute) or a
+    product of the constant 2 and a name ``pi``."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        factors = {type(f).__name__: f for f in (node.left, node.right)}
+        pi = factors.get("Attribute", factors.get("Name"))
+        return (getattr(factors.get("Constant"), "value", None) == 2
+                and getattr(pi, "attr", getattr(pi, "id", None)) == "pi")
+    return getattr(node, "id", getattr(node, "attr", None)) == "TWO_PI"
+
+
+def two_pi_modulos(tree: ast.AST, owner=None) -> list:
+    """(innermost enclosing function or None, line) of every ``%``,
+    ``%=`` and modulo call in ``tree`` whose divisor is 2 pi."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        divisor = None
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                node.op, ast.Mod):
+            divisor = getattr(node, "right", getattr(node, "value", None))
+        elif (isinstance(node, ast.Call) and call_name(node) in MODULO_CALLS
+              and len(node.args) == 2):
+            divisor = node.args[1]
+        if divisor is not None and is_two_pi(divisor):
+            found.append((owner, node.lineno))
+        found += two_pi_modulos(node, node.name if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+    return found
+
+
+def test_one_angle_wrap():
+    # Angles wrap in one place: a second modulo by 2 pi is a second rule.
+    found = {p.stem: two_pi_modulos(ast.parse(p.read_text(),
+                                              filename=str(p)))
+             for p in MODULES}
+    assert [owner for owner, _ in found.pop("geometry")] == ["wrap_angle"]
+    assert {module: sites for module, sites in found.items() if sites} == {}
+
+
+def test_detector_sees_two_pi_modulos():
+    tree = ast.parse(
+        "a = x % TWO_PI\nb = np.mod(x, geometry.TWO_PI)\n"
+        "def f(x):\n    return math.fmod(x, 2.0 * math.pi)\n"
+        "def g(x):\n    def h():\n        x %= 2 * np.pi\n"
+        "    return np.remainder(x, TWO_PI), x % 3, np.mod(x, PI)\n"
+        "c = x % (np.pi * 2)\nd = f'{x % TWO_PI}'\ne = x % (3 * np.pi)\n")
+    assert two_pi_modulos(tree) == [
+        (None, 1), (None, 2), ("f", 4), ("h", 7), ("g", 8), (None, 9),
+        (None, 10)]
 
 
 def test_one_cholesky_path():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import reference_wrap
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,6 @@ from rfslam.geometry import (
     Measurement,
     Plane,
     UEState,
-    _wrap_scalar,
     measure,
     measurements_with_covariance,
     mirror_bs,
@@ -82,7 +82,7 @@ class TestTrajectory:
     def test_noiseless_matches_prediction_chain(self):
         sc = default_scenario()
         sc = replace(sc, process_noise=np.zeros((5, 5)))
-        states = simulate_trajectory(sc)
+        states = simulate_trajectory(sc, np.random.default_rng(sc.seed))
         vec = sc.ue_init.mean.copy()
         for state in states[1:]:
             vec = sensor_transition(vec, sc.speed, sc.turn_rate, sc.dt)
@@ -90,14 +90,14 @@ class TestTrajectory:
 
     def test_heading_increment_per_step(self):
         sc = replace(default_scenario(), process_noise=np.zeros((5, 5)))
-        states = simulate_trajectory(sc)
+        states = simulate_trajectory(sc, np.random.default_rng(sc.seed))
         for a, b in zip(states, states[1:]):
             assert wrap_angle(b.heading - a.heading) == pytest.approx(
                 math.pi / 20, abs=1e-12)
 
     def test_full_loop_in_40_steps(self):
         sc = replace(default_scenario(), process_noise=np.zeros((5, 5)))
-        states = simulate_trajectory(sc)
+        states = simulate_trajectory(sc, np.random.default_rng(sc.seed))
         assert len(states) == 41
         # 40 * pi/20 = 2 pi: back to the start pose.
         assert states[-1].heading == pytest.approx(states[0].heading, abs=1e-9)
@@ -105,14 +105,14 @@ class TestTrajectory:
 
     def test_seeded_determinism(self):
         sc = default_scenario(seed=123)
-        a = simulate_trajectory(sc)
-        b = simulate_trajectory(sc)
+        a = simulate_trajectory(sc, np.random.default_rng(sc.seed))
+        b = simulate_trajectory(sc, np.random.default_rng(sc.seed))
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.as_vector(), sb.as_vector())
 
     def test_z_never_moves(self):
         sc = default_scenario(seed=5)
-        for state in simulate_trajectory(sc):
+        for state in simulate_trajectory(sc, np.random.default_rng(sc.seed)):
             assert state.position[2] == 0.0
 
 
@@ -230,8 +230,8 @@ def reference_generate_measurements(ue, scenario, rng):
         z = measure(ue, lm, scenario.bs.position)
         toa, aoa_az, aoa_el, aod_az, aod_el = (
             z + std * rng.standard_normal(5)).tolist()
-        z = np.array([toa, _wrap_scalar(aoa_az), _clamp_elevation(aoa_el),
-                      _wrap_scalar(aod_az), _clamp_elevation(aod_el)])
+        z = np.array([toa, reference_wrap(aoa_az), _clamp_elevation(aoa_el),
+                      reference_wrap(aod_az), _clamp_elevation(aod_el)])
         items.append((Measurement(z, cov), idx))
     for _ in range(rng.poisson(scenario.clutter_mean)):
         z = np.array([
@@ -486,14 +486,31 @@ ANGLE_EDGES = [math.nextafter(edge, toward) for edge in
     [math.pi, -math.pi, math.pi / 2, -math.pi / 2, 0.0, -0.0]
 
 
+#: Angles to wrap: the edges, odd multiples of pi up to 1e6 in magnitude,
+#: NaN and any float of magnitude up to 1e6.
+WRAP_DRAWS = (
+    st.sampled_from(ANGLE_EDGES + [k * math.pi for k in (-3, -2, 2, 3)])
+    | st.integers(-159155, 159154).map(lambda k: (2 * k + 1) * math.pi)
+    | st.just(math.nan) | st.floats(-1e6, 1e6))
+
+
 class TestScalarAngleKernels:
     @given(a=st.sampled_from(ANGLE_EDGES) | st.floats(allow_nan=True,
                                                       allow_infinity=False))
     def test_bit_equal_to_the_array_expressions(self, a):
-        # generate_measurements wraps and clamps one float at a time.
+        # generate_measurements clamps one float at a time.
         def bits(x):
             return np.float64(x).tobytes()
 
-        assert bits(_wrap_scalar(a)) == bits(wrap_angle(a))
         assert bits(_clamp_elevation(a)) == \
             bits(float(np.clip(a, -math.pi / 2, math.pi / 2)))
+
+    @given(a=WRAP_DRAWS)
+    def test_wrap_angle_bit_equal_in_every_form(self, a):
+        # The array expression wrap_angle took before it served floats.
+        want = (np.pi - np.mod(np.pi - np.array([a]), 2.0 * np.pi)).tobytes()
+        wrapped = wrap_angle(a)
+        assert type(wrapped) is float
+        for got in (wrapped, wrap_angle(np.float64(a)),
+                    wrap_angle(np.array([a]))):
+            assert np.asarray(got, dtype=float).reshape(1).tobytes() == want
