@@ -342,12 +342,15 @@ def run(config: RunConfig) -> dict:
     return report
 
 
-def _write_csv(path, header: str, rows) -> None:
+def _csv_text(header: str, rows) -> str:
     """A CSV table: the header line, then one line per row of cells.  A
     float's ``str`` is its ``repr``, so every value is written exactly."""
-    lines = [header] + [",".join(map(str, row)) for row in rows]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "".join(line + "\n" for line in
+                   [header] + [",".join(map(str, row)) for row in rows])
+
+
+def _write_csv(path, header: str, rows) -> None:
+    Path(path).write_text(_csv_text(header, rows))
 
 
 def write_metrics_csv(path, report: dict) -> None:
@@ -435,10 +438,8 @@ def compare(reports: list) -> tuple[str, str]:
         ("mean_ms_update", [r["timing"]["mean_ms_update"] for r in reports]),
         ("mean_ms_total", [r["timing"]["mean_ms_total"] for r in reports]),
     ]
-    csv_lines = ["metric," + ",".join(labels)]
-    for name, values in rows:
-        csv_lines.append(name + "," + ",".join(repr(v) for v in values))
-    csv_text = "\n".join(csv_lines) + "\n"
+    csv_text = _csv_text("metric," + ",".join(labels),
+                         [(name, *values) for name, values in rows])
     width = max(len(name) for name, _ in rows) + 2
     col = max(max(len(lbl) for lbl in labels) + 2, 14)
     text_lines = [" " * width + "".join(lbl.rjust(col) for lbl in labels)]

@@ -3,15 +3,14 @@
 One step runs the recursion: predict the sensor through the constant-turn
 model of :mod:`rfslam.motion` (the map is static, so the density passes
 through the prediction unchanged), then for each global hypothesis build
-the association cost matrix, rank the best ``gamma`` associations, and
-perform a joint extended-Kalman update of the sensor together with every
-re-detected landmark (all landmark types stacked, the measurement
-replicated per type with a fully correlated noise block).  The local
-weights, type predictions and birth candidates all come from the cost
-matrix of :mod:`rfslam.association`, held by one :class:`ChildParts` per
-hypothesis.  The sensor posterior is the moment-matched mixture over all
-children.  In PMB mode the resulting mixture is reduced back to a single
-hypothesis by the track-oriented recombination in :mod:`rfslam.reduction`.
+the association cost matrix of :mod:`rfslam.association` (one
+:class:`ChildParts`), rank the best ``gamma`` associations, and update the
+sensor jointly with every re-detected landmark, in information form: the
+terms of each detected pair once per hypothesis, then every ranked
+association in one stacked pass (:func:`joint_update`).  An association
+that detects a pair with a singular innovation covariance is dropped.  The
+sensor posterior is the moment-matched mixture over all children; PMB
+reduces them to one hypothesis (:mod:`rfslam.reduction`).
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -133,7 +133,6 @@ def thin_ppp(ppp: dict, config: FilterConfig) -> dict:
 
 def marginalize_sensor(children) -> GaussianComponent:
     """Moment-matched sensor Gaussian over weighted per-association posteriors."""
-    children = list(children)
     weights = np.array([w for w, _ in children])
     if abs(weights.sum() - 1.0) > 1e-6:
         raise ValueError("child weights must sum to 1 within 1e-6")
@@ -160,23 +159,17 @@ def update_type_probs(masses: dict) -> dict:
 
 
 def _type_posterior(masses: dict, config: FilterConfig, hard: bool) -> dict:
-    """Posterior type probabilities of a local hypothesis from its per-type
-    masses: the one rule of all three local hypotheses (detected,
-    misdetected, newborn), each of whose local weights returns its masses.
-
-    :func:`update_type_probs` normalizes the masses; with ``hard`` (a birth
-    when ``multi_model`` is off) only the most probable type, the first of
-    equals, is kept.  Types below ``type_prune`` are then dropped, always
-    keeping the strongest, and the rest renormalized.
-    """
+    """Posterior type probabilities of a local hypothesis (detected,
+    misdetected or newborn) from the per-type masses its local weight
+    returns: :func:`update_type_probs` of them, without the types below
+    ``type_prune``, renormalized.  The strongest type, the first of equals,
+    always stays, and with ``hard`` (a birth when ``multi_model`` is off)
+    only it stays."""
     psi = update_type_probs(masses)
-    if hard:
-        best = max(psi, key=psi.get)
-        psi = {best: psi[best]}
-    kept = {k: v for k, v in psi.items() if v >= config.type_prune}
-    if not kept:
-        best = max(psi, key=psi.get)
-        kept = {best: psi[best]}
+    best = max(psi, key=psi.get)
+    kept = {} if hard else {k: v for k, v in psi.items()
+                            if v >= config.type_prune}
+    kept = kept or {best: psi[best]}
     total = sum_in_order(kept.values())
     return {k: v / total for k, v in kept.items()}
 
@@ -196,29 +189,23 @@ class ChildParts:
     that no association changes.
 
     The constructor makes the hypothesis's one :func:`build_cost_matrix`
-    call and keeps its results: ``costs``, ``log_const`` (sum_i ln l^{i,0},
-    which turns an association's cost back into its weight) and ``ctx``.
-    A misdetected landmark's Bernoulli, a detected landmark's posterior type
-    probabilities, its innovation per type (against ``measurements[p]``) and
-    the types it stacks, and a newborn Bernoulli are pure functions of the
-    hypothesis and the landmark and/or measurement, so every ranked
-    association of the hypothesis shares them (track-oriented PMBM children
-    share their per-track local hypotheses).  Each is built on first use,
-    from the weights ``ctx`` holds.
+    and :func:`murty_kbest` calls and keeps ``costs``, ``log_const`` (sum_i
+    ln l^{i,0}, which turns a cost back into a weight), ``ctx`` and
+    ``ranked``; :func:`joint_update` keeps its results in ``posteriors``.
+    Every ranked association shares a misdetected or newborn Bernoulli
+    (track-oriented children share their per-track local hypotheses), built
+    on first use from the weights ``ctx`` holds.
     """
 
     def __init__(self, hypothesis: GlobalHypothesis, measurements,
                  sensor: GaussianComponent, ppp: dict, config: FilterConfig):
-        self.hypothesis = hypothesis
-        self.measurements = measurements
-        self.sensor = sensor
-        self.config = config
+        self.hypothesis, self.measurements = hypothesis, measurements
+        self.sensor, self.config = sensor, config
         self.costs, self.log_const, self.ctx = build_cost_matrix(
             hypothesis, measurements, sensor, ppp, config.clutter_intensity,
             config.model, gate=config.gate)
-        self._misdetected = {}
-        self._detections = {}
-        self._born = {}
+        self.ranked = murty_kbest(self.costs, config.gamma)
+        self.posteriors, self._misdetected, self._born = {}, {}, {}
 
     def misdetected(self, i: int) -> Bernoulli:
         """Landmark ``i`` after a misdetection."""
@@ -233,26 +220,17 @@ class ChildParts:
 
     def detection(self, i: int, p: int) -> tuple:
         """``(psi, stack)`` of landmark ``i`` detected by ``p``: its pruned
-        posterior type probabilities, and one ``(kind, prior component,
-        prediction, innovation)`` per type of them with a prediction, in
-        their order -- the types the joint update stacks.  LinAlgError when
-        the cost matrix ruled the pair out.
-        """
-        found = self._detections.get((i, p))
-        if found is None:
-            pair = self.ctx.pairs.get((i, p))
-            if pair is None:
-                raise np.linalg.LinAlgError(
-                    f"landmark {i} detected by measurement {p}, but no type "
-                    "with valid geometry explains it inside the gate")
-            masses, rows = pair
-            psi = _type_posterior(masses, self.config, hard=False)
-            comps = self.hypothesis.bernoullis[i].belief.types
-            preds = self.ctx.type_preds[i]
-            found = self._detections[(i, p)] = (psi, tuple(
-                (kind, comps[kind], preds[kind], rows[kind])
-                for kind in psi if kind in rows))
-        return found
+        type posterior and the ``(kind, prior component, prediction,
+        innovation)`` the update stacks; LinAlgError for a pair not kept."""
+        if (i, p) not in self.ctx.pairs:
+            raise np.linalg.LinAlgError(
+                f"landmark {i} detected by measurement {p}, but no type "
+                "with valid geometry explains it inside the gate")
+        masses, rows = self.ctx.pairs[(i, p)]
+        psi = _type_posterior(masses, self.config, hard=False)
+        comps = self.hypothesis.bernoullis[i].belief.types
+        return psi, tuple((kind, comps[kind], self.ctx.type_preds[i][kind],
+                           rows[kind]) for kind in psi if kind in rows)
 
     def born(self, p: int) -> Bernoulli:
         """The Bernoulli measurement ``p`` starts."""
@@ -273,100 +251,121 @@ def joint_update(parts: ChildParts, sigma: AssociationVector):
 
     ``parts`` gives the hypothesis, the predicted sensor, the measurements,
     the config and the association context; ``sigma`` is one association of
-    that hypothesis.  Returns ``(child hypothesis, sensor posterior)``.
-    The child keeps the parent weight; callers reweight.
+    that hypothesis.  Returns ``(child hypothesis, sensor posterior)``; the
+    child keeps the parent weight, and callers reweight.
 
-    One block per stacked (landmark, type) lays out the system: its slice of
-    the state, after the sensor's, and its rows, which replicate the
-    landmark's measurement.  A detected landmark stacks every type of its
-    pruned posterior that has a prediction; a type without one keeps its
-    prior Gaussian.  A singular innovation covariance is retried once with
-    1e-9 I added; raises ``numpy.linalg.LinAlgError`` when it stays singular
-    (the association is then discarded).
+    Information form: a priori the landmarks are independent of the sensor
+    and of each other, so a detected pair (i, p) gives fixed terms.  It
+    stacks the types of its pruned posterior that have a prediction (any
+    other keeps its prior).  With H_s, H_x, x, P_x and v its stacked
+    Jacobian blocks, means, block-diagonal covariance and innovation, and
+    S_x = H_x P_x H_x^T + R (R fully correlated across types): J = H_s^T
+    S_x^-1 H_s, g = H_s^T S_x^-1 v, K = P_x H_x^T S_x^-1, P_c = (I - K H_x)
+    P_x.  With J_a, g_a summed over the pairs ``sigma`` detects, the sensor
+    (m, P) gets Sigma_a = (I + P J_a)^-1 P, as P - P J_a (I + P J_a)^-1 P
+    so that a zero-variance component stays 0 (I + P J_a is invertible for
+    PSD P and J_a), and m + delta_a, delta_a = Sigma_a g_a; a landmark gets
+    x + K v - K H_s delta_a and P_c + K H_s Sigma_a H_s^T K^T.
+
+    The first call with one of ``parts.ranked`` updates them all in one
+    :func:`_information_pass`, any other ``sigma`` alone; stacked work is
+    per row, so a child's bits do not depend on its pass.  Raises
+    ``numpy.linalg.LinAlgError`` (the association is discarded) when
+    ``sigma`` detects a pair whose S_x is singular by its rank or not
+    positive definite.
     """
-    hypothesis = parts.hypothesis
-    sensor, measurements = parts.sensor, parts.measurements
     sigma.validate()
-    berns = hypothesis.bernoullis
-    if len(berns) != sigma.n_prior or len(measurements) != sigma.n_meas:
+    berns = parts.hypothesis.bernoullis
+    if len(berns) != sigma.n_prior or len(parts.measurements) != sigma.n_meas:
         raise ValueError("association vector inconsistent with inputs")
-    # Posterior type probabilities first: type components whose probability
-    # collapses are dropped from the stack, so their replicated-measurement
-    # rows cannot force a stale cross-type constraint onto the sensor.
-    detections = {i: (p, *parts.detection(i, p))
-                  for i, p in sigma.detected_pairs()}
-
-    ds = sensor.dim
-    # Per stacked type: (landmark, type, prior component, prediction,
-    # innovation, state slice, row slice); per landmark: (measurement
-    # covariance, stacked types, row span).
-    blocks, spans = [], []
-    n_state, n_rows = ds, 0
-    for i, (p, _, stack) in detections.items():
-        first, cov_z = n_rows, measurements[p].covariance
-        dz = cov_z.shape[0]
-        for kind, comp, pred, v in stack:
-            dx = comp.mean.size
-            blocks.append((i, kind, comp, pred, v,
-                           slice(n_state, n_state + dx),
-                           slice(n_rows, n_rows + dz)))
-            n_state += dx
-            n_rows += dz
-        spans.append((cov_z, len(stack), slice(first, n_rows)))
-
-    sensor_post, posterior = sensor, {}
-    if blocks:
-        mean = np.zeros(n_state)
-        cov = np.zeros((n_state, n_state))
-        H = np.zeros((n_rows, n_state))
-        R = np.zeros((n_rows, n_rows))
-        innovation = np.zeros(n_rows)
-        mean[:ds] = sensor.mean
-        cov[:ds, :ds] = sensor.covariance
-        for _, _, comp, pred, v, state, rows in blocks:
-            mean[state] = comp.mean
-            cov[state, state] = comp.covariance
-            H[rows, :ds] = pred.H_s
-            H[rows, state] = pred.H_x
-            innovation[rows] = v
-        # Replicated measurement noise is fully correlated across types:
-        # every (type, type) block of a landmark's span is its covariance.
-        for cov_z, n_kinds, span in spans:
-            dz = cov_z.shape[0]
-            R[span, span].reshape(n_kinds, dz, n_kinds, dz)[...] = \
-                cov_z[:, None, :]
-        S = H @ cov @ H.T + R
-        PHt = cov @ H.T
-        # S K^T = (P H^T)^T, factored and solved as a one-row stack.
-        try:
-            _, _, (gain,) = chol_solve(symmetrize(S)[None], PHt.T[None])
-        except np.linalg.LinAlgError:
-            S = S + 1e-9 * np.eye(n_rows)
-            _, _, (gain,) = chol_solve(symmetrize(S)[None], PHt.T[None])
-        gain = gain.T
-        post_mean = mean + gain @ innovation
-        # Diagonal blocks of the symmetrized covariance are exactly symmetric.
-        post_cov = symmetrize(cov - gain @ PHt.T)
-        sensor_post = GaussianComponent(post_mean[:ds], post_cov[:ds, :ds])
-        posterior = {(i, kind): (post_mean[state], post_cov[state, state])
-                     for i, kind, _, _, _, state, _ in blocks}
-
-    new_berns = []
-    for i, bern in enumerate(berns):
-        if i in detections:
-            prior = bern.belief.types
-            types = {kind: TypeComponent(psi, *posterior.get(
-                         (i, kind), (prior[kind].mean, prior[kind].covariance)))
-                     for kind, psi in detections[i][1].items()}
-            new_berns.append(Bernoulli(1.0, LandmarkBelief(types)))
-        else:
-            new_berns.append(parts.misdetected(i))
-
-    for p in sigma.born_measurements():
-        new_berns.append(parts.born(p))
-
-    child = GlobalHypothesis(hypothesis.weight, tuple(new_berns), assoc=sigma)
+    if sigma not in parts.posteriors:
+        ranked = [s for s, _ in parts.ranked]
+        parts.posteriors.update(_information_pass(
+            parts, ranked if sigma in ranked else [sigma]))
+    found = parts.posteriors[sigma]
+    if isinstance(found, np.linalg.LinAlgError):
+        raise found
+    sensor_post, detected = found
+    child = GlobalHypothesis(parts.hypothesis.weight, tuple(
+        [detected.get(i) or parts.misdetected(i) for i in range(len(berns))]
+        + [parts.born(p) for p in sigma.born_measurements()]), assoc=sigma)
     return child, sensor_post
+
+
+def _information_pass(parts: ChildParts, batch: list) -> dict:
+    """Each association of ``batch`` -> ``(sensor posterior, {landmark:
+    detected Bernoulli})``, or the LinAlgError that drops it.  Only a
+    ``sigma`` passed alone can detect a pair the cost matrix did not keep;
+    :meth:`ChildParts.detection` then raises."""
+    sensor, ds, P = parts.sensor, parts.sensor.dim, parts.sensor.covariance
+    live = [(sigma, sigma.detected_pairs()) for sigma in batch]
+    pairs, shapes, terms, groups = {}, {}, {}, []
+    for key in dict.fromkeys(key for _, keys in live for key in keys):
+        pairs[key] = parts.detection(*key)
+        shapes.setdefault(tuple(c.mean.size for _, c, _, _ in pairs[key][1]),
+                          []).append(key)
+    for shape, keys in shapes.items():
+        offs, N, T = [0, *accumulate(shape)], len(keys), len(shape)
+        dz, n = parts.measurements[keys[0][1]].z.size, offs[-1]
+        # R has rank dz and each H_x C H_x^T at most d_t: S_x is singular
+        # when its types leave more than dz rows to R alone.
+        if sum_in_order(max(dz - d, 0) for d in shape) > dz:
+            continue
+        S = np.tile(np.array([parts.measurements[p].covariance
+                              for _, p in keys]), (1, T, T))
+        rhs = np.zeros((N, T * dz, ds + 1 + n))
+        x, Px = np.zeros((N, n)), np.zeros((N, n, n))
+        for t, col in enumerate(zip(*(pairs[key][1] for key in keys))):
+            r, c = slice(t * dz, t * dz + dz), slice(offs[t], offs[t + 1])
+            _, comps, preds, rhs[:, r, ds] = zip(*col)
+            Px[:, c, c] = [comp.covariance for comp in comps]
+            x[:, c] = [comp.mean for comp in comps]
+            rhs[:, r, :ds] = [pred.H_s for pred in preds]
+            Hx = np.array([pred.H_x for pred in preds])
+            hc = rhs[:, r, ds + 1:][:, :, c] = Hx @ Px[:, c, c]
+            S[:, r, r] += hc @ Hx.swapaxes(-1, -2)
+        kept, _, solved = chol_solve(S, rhs, drop=True)
+        rhs, x, Px = rhs[kept], x[kept], Px[kept]
+        # rhs^T S_x^-1 rhs: [J, g] atop [K H_s, K v, K H_x P_x].
+        G = rhs.swapaxes(-1, -2) @ np.reshape(solved, rhs.shape)
+        terms.update({keys[e]: (len(terms) + k, len(groups), k)
+                      for k, e in enumerate(kept)})
+        groups.append((offs, G, x + G[:, ds + 1:, ds],
+                       Px - G[:, ds + 1:, ds + 1:]))
+    out = {sigma: np.linalg.LinAlgError(
+        "innovation covariance of landmark {} detected by measurement {} is "
+        "not positive definite".format(*key))
+        for sigma, keys in live for key in keys if key not in terms}
+    live = [(sigma, keys) for sigma, keys in live if sigma not in out]
+    # J_a, g_a: its pairs' [J, g] in order, -0.0-padded (x + -0.0 is x).
+    JG = np.concatenate([G[:, :ds, :ds + 1] for _, G, _, _ in groups]
+                        + [np.full((1, ds, ds + 1), -0.0)])[np.array(
+        [[terms[key][0] for key in keys] + [-1] * (len(pairs) + 1 - len(keys))
+         for _, keys in live], dtype=int).reshape(-1, len(pairs) + 1)].sum(1)
+    PJ = P @ JG[:, :, :ds]
+    cov = symmetrize(P - PJ @ np.linalg.solve(np.eye(ds) + PJ, P))
+    D = cov @ JG
+    means = sensor.mean + D[:, :, ds]
+    D[:, :, :ds] = cov
+    # Every association against every pair: B D_a = [B Sigma_a, B delta_a].
+    posts = [(offs, xKv - BD[..., ds], symmetrize(
+        Pc + BD[..., :ds] @ G[:, ds + 1:, :ds].swapaxes(-1, -2)))
+        for offs, G, xKv, Pc in groups
+        for BD in [G[:, ds + 1:, :ds] @ D[:, None]]]
+    for a, (sigma, keys) in enumerate(live):
+        detected = {}
+        for i, p in keys:
+            (_, g, k), (psi, stack) = terms[(i, p)], pairs[(i, p)]
+            offs, post_mean, post_cov = posts[g]
+            prior = parts.hypothesis.bernoullis[i].belief.types
+            post = {kind: (post_mean[a, k, lo:hi], post_cov[a, k, lo:hi, lo:hi])
+                    for (kind, *_), lo, hi in zip(stack, offs, offs[1:])}
+            detected[i] = Bernoulli(1.0, LandmarkBelief({kind: TypeComponent(
+                w, *post.get(kind, (prior[kind].mean, prior[kind].covariance)))
+                for kind, w in psi.items()}))
+        out[sigma] = (GaussianComponent(means[a], cov[a]) if keys else sensor,
+                      detected)
+    return out
 
 
 def predict_step(density: PmbmDensity, sensor: GaussianComponent,
@@ -393,7 +392,7 @@ def update_step(density: PmbmDensity, sensor_pred: GaussianComponent,
     for hyp in density.hypotheses:
         parts = ChildParts(hyp, measurements, sensor_pred,
                            density.ppp_intensity, config)
-        for sigma, cost in murty_kbest(parts.costs, config.gamma):
+        for sigma, cost in parts.ranked:
             log_weight = math.log(hyp.weight) + parts.log_const - cost
             try:
                 child, child_sensor = joint_update(parts, sigma)
@@ -404,8 +403,7 @@ def update_step(density: PmbmDensity, sensor_pred: GaussianComponent,
         raise DegenerateDensityError("every association failed numerically")
 
     log_weights = np.array([lw for lw, _, _ in children])
-    peak = log_weights.max()
-    weights = np.exp(log_weights - peak)
+    weights = np.exp(log_weights - log_weights.max())
     weights /= weights.sum()
 
     sensor_post = marginalize_sensor(

@@ -15,6 +15,7 @@ import numpy as np
 import rfslam.cli as cli
 from rfslam.sim import (default_scenario, generate_measurements,
                         simulate_trajectory)
+from rfslam.update import EK_PMB
 
 BENCH_TRACE = (Path(__file__).resolve().parent.parent / "perfbench"
                / "bench_trace.py")
@@ -58,3 +59,29 @@ def test_traced_update_step_records_every_association_layer():
     assert tracer.counts["chol_logpdf_calls"] > 0
     assert tracer.counts["murty_solutions"] > 0
     assert tracer.counts["steps"] == 1
+
+
+def test_traced_pmb_step_calls_joint_update_per_ranked_association():
+    # The joint update runs all of a hypothesis's ranked associations in its
+    # first call, and update_step still calls it once per association: the
+    # span holds the work, and the call count is the ranked count.
+    bench_trace = load_bench_trace()
+    scenario = default_scenario(seed=2)
+    filter_cfg = cli.build_filter_config(scenario, cli.RunConfig(gamma=5))
+    assert filter_cfg.filter_kind == EK_PMB and filter_cfg.gamma >= 2
+    density, sensor = cli.initial_state(scenario)
+    rng = np.random.default_rng(2)
+    tracer = bench_trace.Tracer()
+    for truth in simulate_trajectory(scenario, rng)[1:4]:
+        measurements = list(generate_measurements(truth, scenario,
+                                                  rng).measurements)
+        with bench_trace.traced(tracer):
+            density_pred, sensor_pred = cli.predict_step(density, sensor,
+                                                         filter_cfg)
+            density, sensor = cli.update_step(density_pred, sensor_pred,
+                                              measurements, filter_cfg)
+    assert tracer.counts["steps"] == 3
+    assert tracer.counts["murty_solutions"] > tracer.counts["steps"]
+    assert tracer.counts["joint_update_calls"] == \
+        tracer.counts["murty_solutions"]
+    assert tracer.self_ms()["update.joint_update"] > 0.0

@@ -178,11 +178,11 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize("filter_kind, gamma, digest", [
         ("ek-pmb", 10,
-         "b0ec63490d204b2bbe2f2dbebaef1834d65906a30e77e63c2943683fb10ea6a8"),
+         "88db690fb4b3ecba232d80e4c3692a05d34bc93748e68f88d92a562b9cd3b120"),
         ("ek-pmb", 1,
-         "174beff598cb716707424c5bdf7dafd723548099bec9ee3d3e08636adec8a806"),
+         "f3f3a79ed1ca90cedb9870be998f34e9511d2824837acda93d6df49e7aa97c9d"),
         ("ek-pmbm", 10,
-         "e341b5bcc983c499566526f3b8ad540043b5afc97078ee09a297d494e8cb6935"),
+         "6e60ec7bca002b91607ad20f6b53d7a1bf1d43d7607dfad39f4ce8a276fd0a61"),
     ], ids=["ek-pmb-10", "ek-pmb-1", "ek-pmbm-10"])
     def test_report_hash_pinned(self, tmp_path, filter_kind, gamma, digest):
         report = run(RunConfig(filter_kind=filter_kind, gamma=gamma,
@@ -204,7 +204,7 @@ class TestGoldenOutput:
                                out_dir=str(tmp_path)))
         view = json.dumps(deterministic_report_view(report), sort_keys=True)
         assert hashlib.sha256(view.encode()).hexdigest() == (
-            "94797f6c3a651892c1d7a48ffe0f4d3e06ae291b117d28abfbf8a2ff9835a1c2")
+            "14ffa0eac6d0819b9e57967c1d6d84f87eceb16f9f51bd65d7f6dcd80a82ef4c")
 
 
 class TestCompare:
