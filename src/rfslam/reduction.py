@@ -9,8 +9,8 @@ multi-Bernoulli using the marginal association probabilities.  The
 averaging keeps each cell's type masses (``TrackCell.masses``, the sums
 of w psi that normalize its types), and the recombinations weight by them.
 
-Cells with exactly one contributing hypothesis are copied verbatim, which
-keeps the single-hypothesis reduction an exact identity.
+A cell whose contributors all share one Bernoulli object (one hypothesis,
+say) is that object, the exact average; its masses still sum in order.
 """
 
 from __future__ import annotations
@@ -94,28 +94,27 @@ def align_hypotheses(density: PmbmDensity) -> TrackTable:
 
 def average_conditionals(table: TrackTable) -> TrackTable:
     """Average the per-cell conditional Bernoullis over contributing
-    hypotheses: a cell with one contributor is copied, and every other
-    cell goes into one :func:`mix_types` call."""
-    mixed, jobs = [], []
+    hypotheses: a cell of one shared Bernoulli is copied (see the module
+    docstring), and every other cell goes into one :func:`mix_types` call."""
+    mixed = []
     for track in table.cells:
         for q, cell in track.items():
             if (q is None or not cell.contributors
                     or cell.beta < MIN_CELL_MASS):
                 continue
-            if len(cell.contributors) == 1:
-                (w, bern), = cell.contributors
-                cell.bernoulli = bern
-                # The recombinations copy a track of one cell whole.
-                if len(track) > 1:
-                    cell.masses = {kind: w * comp.weight for kind, comp
-                                   in bern.belief.types.items()}
+            bern = cell.contributors[0][1]
+            if not all(b is bern for _, b in cell.contributors):
+                mixed.append(cell)
                 continue
-            mixed.append(cell)
-            jobs.append((cell.contributors, cell.beta, None))
-    for cell, (belief, masses) in zip(mixed, mix_types(jobs)):
-        existence = sum_in_order(w * b.existence
-                                 for w, b in cell.contributors) / cell.beta
-        cell.bernoulli = Bernoulli(existence, belief)
+            cell.bernoulli = bern
+            if len(track) > 1:  # the recombinations copy a lone cell whole
+                cell.masses = {kind: sum_in_order(
+                    w * comp.weight for w, _ in cell.contributors)
+                    for kind, comp in bern.belief.types.items()}
+    for cell, (belief, masses) in zip(mixed, mix_types(
+            [(c.contributors, c.beta, None) for c in mixed])):
+        cell.bernoulli = Bernoulli(sum_in_order(
+            w * b.existence for w, b in cell.contributors) / cell.beta, belief)
         cell.masses = masses
     return table
 

@@ -352,19 +352,20 @@ def _information_pass(parts: ChildParts, batch: list) -> dict:
         Pc + BD[..., :ds] @ G[:, ds + 1:, :ds].swapaxes(-1, -2)))
         for offs, G, xKv, Pc in groups
         for BD in [G[:, ds + 1:, :ds] @ D[:, None]]]
+    # Per pair once: (psi, stack) -> (kind, w, its rows over associations).
+    for key, (_, g, k) in terms.items():
+        (psi, stack), (offs, post_mean, post_cov) = pairs[key], posts[g]
+        prior = parts.hypothesis.bernoullis[key[0]].belief.types
+        post = {kind: (post_mean[:, k, lo:hi], post_cov[:, k, lo:hi, lo:hi])
+                for (kind, *_), lo, hi in zip(stack, offs, offs[1:])}
+        pairs[key] = [(kind, w, *post[kind]) if kind in post else (
+            kind, w, [prior[kind].mean] * len(live),
+            [prior[kind].covariance] * len(live)) for kind, w in psi.items()]
     for a, (sigma, keys) in enumerate(live):
-        detected = {}
-        for i, p in keys:
-            (_, g, k), (psi, stack) = terms[(i, p)], pairs[(i, p)]
-            offs, post_mean, post_cov = posts[g]
-            prior = parts.hypothesis.bernoullis[i].belief.types
-            post = {kind: (post_mean[a, k, lo:hi], post_cov[a, k, lo:hi, lo:hi])
-                    for (kind, *_), lo, hi in zip(stack, offs, offs[1:])}
-            detected[i] = Bernoulli(1.0, LandmarkBelief({kind: TypeComponent(
-                w, *post.get(kind, (prior[kind].mean, prior[kind].covariance)))
-                for kind, w in psi.items()}))
         out[sigma] = (GaussianComponent(means[a], cov[a]) if keys else sensor,
-                      detected)
+                      {i: Bernoulli(1.0, LandmarkBelief({kind: TypeComponent(
+                          w, xs[a], Ps[a]) for kind, w, xs, Ps
+                          in pairs[(i, p)]})) for i, p in keys})
     return out
 
 

@@ -85,3 +85,26 @@ def test_traced_pmb_step_calls_joint_update_per_ranked_association():
     assert tracer.counts["joint_update_calls"] == \
         tracer.counts["murty_solutions"]
     assert tracer.self_ms()["update.joint_update"] > 0.0
+
+
+def test_traced_pmb_step_records_every_reduction_stage():
+    # perfbench/smoke.py's check_layers requires the three reduction self
+    # times above 0 under PMB: a stage the step skipped or renamed would
+    # otherwise fail only the benchmark's smoke test.
+    bench_trace = load_bench_trace()
+    scenario = default_scenario(seed=1)
+    filter_cfg = cli.build_filter_config(scenario, cli.RunConfig())
+    assert filter_cfg.filter_kind == EK_PMB and filter_cfg.gamma >= 2
+    density, sensor = cli.initial_state(scenario)
+    rng = np.random.default_rng(1)
+    truth = simulate_trajectory(scenario, rng)[1]
+    measurements = list(generate_measurements(truth, scenario,
+                                              rng).measurements)
+    tracer = bench_trace.Tracer()
+    with bench_trace.traced(tracer):
+        cli.update_step(*cli.predict_step(density, sensor, filter_cfg),
+                        measurements, filter_cfg)
+    self_ms = tracer.self_ms()
+    for span in ("reduction.align", "reduction.average",
+                 "reduction.recombine"):
+        assert self_ms[span] > 0.0, span

@@ -178,7 +178,7 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize("filter_kind, gamma, digest", [
         ("ek-pmb", 10,
-         "88db690fb4b3ecba232d80e4c3692a05d34bc93748e68f88d92a562b9cd3b120"),
+         "b21c5629d325855a46293bba19183118db98814413f1052fe4eaf2b4b47da0f0"),
         ("ek-pmb", 1,
          "f3f3a79ed1ca90cedb9870be998f34e9511d2824837acda93d6df49e7aa97c9d"),
         ("ek-pmbm", 10,
@@ -204,7 +204,7 @@ class TestGoldenOutput:
                                out_dir=str(tmp_path)))
         view = json.dumps(deterministic_report_view(report), sort_keys=True)
         assert hashlib.sha256(view.encode()).hexdigest() == (
-            "14ffa0eac6d0819b9e57967c1d6d84f87eceb16f9f51bd65d7f6dcd80a82ef4c")
+            "99f47cd674cf8489477930e3fd66a08afadcb628ae4192a6abd40c3e9bdfbe29")
 
 
 class TestCompare:

@@ -501,9 +501,12 @@ def loop_type_mass(contributors, kind):
 
 
 def loop_average_cell(cell):
-    """The cell averaging's loop: hypothesis weight times type probability."""
-    if len(cell.contributors) == 1:
-        return cell.contributors[0][1]
+    """The cell averaging's loop: hypothesis weight times type probability,
+    except that a cell whose contributors are all one Bernoulli object is
+    that object (:class:`TestSharedBernoulliCell`)."""
+    first = cell.contributors[0][1]
+    if all(b is first for _, b in cell.contributors):
+        return first
     beta = cell.beta
     existence = sum_in_order(
         w * b.existence for w, b in cell.contributors) / beta
@@ -913,6 +916,63 @@ class TestBatchedReduction:
         for g, w in zip(got, want):
             assert g.existence == w.existence
             assert_beliefs_bit_equal(g.belief, w.belief)
+
+
+class TestSharedBernoulliCell:
+    """A cell whose m >= 2 contributors are one Bernoulli object is that
+    object, and its masses are the in-order sums of w psi bit for bit.
+
+    The moment match it replaced, ``mix_types`` on the same cell, reads the
+    same values up to rounding.  Its coefficients are >= 0 and its members
+    identical, so each in-order sum of m <= 12 terms is within (m - 1) u
+    relative of exact (u = 2^-53), and a quotient of two such sums within
+    2m u: the existence, the type weights and each mean entry.  The spread
+    m_i - mean is then at most 2m u |mean|, whose square is negligible
+    against these draws' covariances (|mean| < 1e3, C >= 1e-3 I), and the
+    symmetrization moves an entry by a few u of the largest.  2m u < 2.7e-15
+    for m <= 12, so 1e-14 relative to each array's largest entry holds with
+    room; 20,000 draws read at most 6.7e-16."""
+
+    RTOL = 1e-14
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 12),
+           n_types=st.integers(1, 3), tiny=st.sampled_from([0.0, 0.3]))
+    def test_copy_is_the_shared_object(self, seed, m, n_types, tiny):
+        rng = np.random.default_rng(seed)
+        shared, other = random_members(rng, 2, n_types, "none", tiny, False)
+        cell = TrackCell()
+        for _ in range(m):
+            w = draw_value(rng, tiny)
+            cell.beta += w
+            cell.contributors.append((w, shared))
+        # A second cell in the track: the recombinations then weight by the
+        # cell's masses, so averaging sets them.
+        lone = TrackCell(0.5, [(0.5, other)])
+        average_conditionals(TrackTable(1, [{0: cell, 1: lone}]))
+        if cell.beta < MIN_CELL_MASS:
+            assert cell.bernoulli is None
+            return
+        assert cell.bernoulli is shared
+        kinds = list(shared.belief.types)
+        want = {kind: loop_type_mass(cell.contributors, kind)
+                for kind in kinds}
+        assert list(cell.masses) == kinds
+        for kind in kinds:
+            assert cell.masses[kind].hex() == want[kind].hex()
+        (old, masses), = mix_types([(cell.contributors, cell.beta, None)])
+        assert masses == cell.masses
+        existence = sum_in_order(w * b.existence
+                                 for w, b in cell.contributors) / cell.beta
+        assert existence == pytest.approx(shared.existence, rel=self.RTOL)
+        assert list(old.types) == kinds
+        for kind, comp in shared.belief.types.items():
+            moved = old.types[kind]
+            assert moved.weight == pytest.approx(comp.weight, rel=self.RTOL)
+            for got, ref in ((moved.mean, comp.mean),
+                             (moved.covariance, comp.covariance)):
+                assert np.abs(got - ref).max() <= (
+                    self.RTOL * np.abs(ref).max())
 
 
 class TestSerialization:

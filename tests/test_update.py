@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag, cho_factor, cho_solve
 
-from rfslam import association
+from rfslam import association, reduction
 from rfslam import update as update_module
 from rfslam.association import (
     AssociationVector,
@@ -1706,6 +1706,44 @@ class TestStep:
                     assert comp.weight == other.weight
                     assert np.array_equal(comp.mean, other.mean)
                     assert np.array_equal(comp.covariance, other.covariance)
+
+    def test_pmb_cells_of_a_shared_bernoulli_are_that_object(self,
+                                                            monkeypatch):
+        # The PMB reduction copies a cell whose contributors are one object,
+        # so it saves work only while the children of a hypothesis share
+        # their misdetected and newborn Bernoullis.  One gamma 10 step of
+        # the reference scenario: a Bernoulli two children hold is one
+        # object, and its averaged cell is that object.
+        _, cfg, density, sensor = self.channel_setup(EK_PMB, gamma=10)
+        sc = default_scenario(seed=5)
+        rng = np.random.default_rng(5)
+        traj = simulate_trajectory(sc, rng)
+        for k in range(1, 8):
+            zset = generate_measurements(traj[k], sc, rng)
+            density, sensor = step(density, sensor, list(zset.measurements),
+                                   cfg)
+        measurements = list(generate_measurements(traj[8], sc,
+                                                  rng).measurements)
+        tables = []
+        original = reduction.average_conditionals
+
+        def average(table):
+            tables.append(table)
+            return original(table)
+
+        monkeypatch.setattr(reduction, "average_conditionals", average)
+        update_step(*predict_step(density, sensor, cfg), measurements, cfg)
+        (table,) = tables
+        misdetected = [track[0] for track in table.cells[:table.n_prior]
+                       if 0 in track and len(track[0].contributors) >= 2]
+        born = [cell for track in table.cells[table.n_prior:]
+                for q, cell in track.items()
+                if q is not None and len(cell.contributors) >= 2]
+        assert misdetected and born
+        for cell in misdetected + born:
+            first = cell.contributors[0][1]
+            assert all(b is first for _, b in cell.contributors)
+            assert cell.bernoulli is first
 
     def test_hard_type_decision_births_one_type(self):
         # multi_model off: every newborn keeps only its most probable type,
