@@ -502,8 +502,8 @@ def _detections(berns, type_preds, keys, z_pred, hph, z_rows, r_stack, model,
                 gate):
     """``(landmark, measurement, ln l, masses, residuals)`` of every pair
     the gate keeps, landmark by landmark: its :func:`log_weight_detected`
-    masses and its wrapped rows, kind -> row, the innovation of every type
-    the joint update stacks.
+    masses and its wrapped rows, kind -> row, the innovation of each type
+    with a prediction, on which the joint update conditions that type.
 
     ``keys`` holds the ``(landmark, kind)`` of each type row with a
     prediction, a landmark's rows consecutive, and ``z_pred`` and ``hph``

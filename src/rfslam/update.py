@@ -6,11 +6,11 @@ through the prediction unchanged), then for each global hypothesis build
 the association cost matrix of :mod:`rfslam.association` (one
 :class:`ChildParts`), rank the best ``gamma`` associations, and update the
 sensor jointly with every re-detected landmark, in information form: the
-terms of each detected pair once per hypothesis, then every ranked
-association in one stacked pass (:func:`joint_update`).  An association
-that detects a pair with a singular innovation covariance is dropped.  The
-sensor posterior is the moment-matched mixture over all children; PMB
-reduces them to one hypothesis (:mod:`rfslam.reduction`).
+terms of each type of each detected pair once per hypothesis, then every
+ranked association in one stacked pass (:func:`joint_update`).  An
+association that detects a pair with a singular innovation covariance is
+dropped.  The sensor posterior is the moment-matched mixture over all
+children; PMB reduces them to one hypothesis (:mod:`rfslam.reduction`).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, replace
-from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -80,10 +79,9 @@ class FilterConfig:
     clutter_intensity: float = 1.0 / (800.0 * math.pi ** 4)
     gate: Optional[float] = DEFAULT_GATE
     multi_model: bool = True            # False: hard type decision at birth
-    # Landmark-type components below this posterior probability are dropped
-    # (their replicated measurement rows would otherwise keep enforcing a
-    # stale zero-noise cross-type constraint on the sensor).  0 keeps every
-    # type component forever.
+    # Landmark-type components below this posterior probability are dropped,
+    # so a type the measurements have ruled out costs no later work.  0
+    # keeps every type component forever.
     type_prune: float = 1e-4
 
     def __post_init__(self):
@@ -219,9 +217,10 @@ class ChildParts:
         return bern
 
     def detection(self, i: int, p: int) -> tuple:
-        """``(psi, stack)`` of landmark ``i`` detected by ``p``: its pruned
+        """``(psi, types)`` of landmark ``i`` detected by ``p``: its pruned
         type posterior and the ``(kind, prior component, prediction,
-        innovation)`` the update stacks; LinAlgError for a pair not kept."""
+        innovation)`` of each type with a prediction, which the update
+        conditions on its own; LinAlgError for a pair not kept."""
         if (i, p) not in self.ctx.pairs:
             raise np.linalg.LinAlgError(
                 f"landmark {i} detected by measurement {p}, but no type "
@@ -255,24 +254,26 @@ def joint_update(parts: ChildParts, sigma: AssociationVector):
     child keeps the parent weight, and callers reweight.
 
     Information form: a priori the landmarks are independent of the sensor
-    and of each other, so a detected pair (i, p) gives fixed terms.  It
-    stacks the types of its pruned posterior that have a prediction (any
-    other keeps its prior).  With H_s, H_x, x, P_x and v its stacked
-    Jacobian blocks, means, block-diagonal covariance and innovation, and
-    S_x = H_x P_x H_x^T + R (R fully correlated across types): J = H_s^T
-    S_x^-1 H_s, g = H_s^T S_x^-1 v, K = P_x H_x^T S_x^-1, P_c = (I - K H_x)
-    P_x.  With J_a, g_a summed over the pairs ``sigma`` detects, the sensor
-    (m, P) gets Sigma_a = (I + P J_a)^-1 P, as P - P J_a (I + P J_a)^-1 P
-    so that a zero-variance component stays 0 (I + P J_a is invertible for
-    PSD P and J_a), and m + delta_a, delta_a = Sigma_a g_a; a landmark gets
-    x + K v - K H_s delta_a and P_c + K H_s Sigma_a H_s^T K^T.
+    and of each other, so each type t with a prediction of a detected pair
+    (i, p) gives fixed terms; a type without one keeps its prior.  With
+    H_s, H_x, x, P_x and v its Jacobian blocks, mean, covariance and
+    innovation, and S_x = H_x P_x H_x^T + R: J = H_s^T S_x^-1 H_s, g =
+    H_s^T S_x^-1 v, K = P_x H_x^T S_x^-1, P_c = (I - K H_x) P_x.  With J_a,
+    g_a the sums of psi_t J, psi_t g over the types of the pairs ``sigma``
+    detects (psi_t the pair's type posterior), the sensor (m, P) gets
+    Sigma_a = (I + P J_a)^-1 P, as P - P J_a (I + P J_a)^-1 P so that a
+    zero-variance component stays 0 (I + P J_a is invertible for PSD P and
+    J_a), and m + delta_a, delta_a = Sigma_a g_a; each type gets x + K v -
+    K H_s delta_a and P_c + K H_s Sigma_a H_s^T K^T.  No two types of a
+    landmark are conditioned jointly: that would assert their predictions
+    equal with no noise.
 
     The first call with one of ``parts.ranked`` updates them all in one
     :func:`_information_pass`, any other ``sigma`` alone; stacked work is
     per row, so a child's bits do not depend on its pass.  Raises
     ``numpy.linalg.LinAlgError`` (the association is discarded) when
-    ``sigma`` detects a pair whose S_x is singular by its rank or not
-    positive definite.
+    ``sigma`` detects a pair with a type whose S_x is not positive
+    definite.
     """
     sigma.validate()
     berns = parts.hypothesis.bernoullis
@@ -301,66 +302,63 @@ def _information_pass(parts: ChildParts, batch: list) -> dict:
     live = [(sigma, sigma.detected_pairs()) for sigma in batch]
     pairs, shapes, terms, groups = {}, {}, {}, []
     for key in dict.fromkeys(key for _, keys in live for key in keys):
-        pairs[key] = parts.detection(*key)
-        shapes.setdefault(tuple(c.mean.size for _, c, _, _ in pairs[key][1]),
-                          []).append(key)
-    for shape, keys in shapes.items():
-        offs, N, T = [0, *accumulate(shape)], len(keys), len(shape)
-        dz, n = parts.measurements[keys[0][1]].z.size, offs[-1]
-        # R has rank dz and each H_x C H_x^T at most d_t: S_x is singular
-        # when its types leave more than dz rows to R alone.
-        if sum_in_order(max(dz - d, 0) for d in shape) > dz:
-            continue
-        S = np.tile(np.array([parts.measurements[p].covariance
-                              for _, p in keys]), (1, T, T))
-        rhs = np.zeros((N, T * dz, ds + 1 + n))
-        x, Px = np.zeros((N, n)), np.zeros((N, n, n))
-        for t, col in enumerate(zip(*(pairs[key][1] for key in keys))):
-            r, c = slice(t * dz, t * dz + dz), slice(offs[t], offs[t + 1])
-            _, comps, preds, rhs[:, r, ds] = zip(*col)
-            Px[:, c, c] = [comp.covariance for comp in comps]
-            x[:, c] = [comp.mean for comp in comps]
-            rhs[:, r, :ds] = [pred.H_s for pred in preds]
-            Hx = np.array([pred.H_x for pred in preds])
-            hc = rhs[:, r, ds + 1:][:, :, c] = Hx @ Px[:, c, c]
-            S[:, r, r] += hc @ Hx.swapaxes(-1, -2)
+        psi, types = parts.detection(*key)
+        pairs[key] = psi, [(key, kind) for kind, *_ in types]
+        for kind, comp, pred, v in types:
+            shapes.setdefault(comp.mean.size, []).append(
+                ((key, kind), psi[kind], comp, pred, v))
+    for members in shapes.values():
+        names, w, comps, preds, v = zip(*members)
+        x = np.array([comp.mean for comp in comps])
+        Px = np.array([comp.covariance for comp in comps])
+        Hx = np.array([pred.H_x for pred in preds])
+        hc = Hx @ Px
+        S = np.array([parts.measurements[p].covariance
+                      for ((_, p), _) in names])
+        S += hc @ Hx.swapaxes(-1, -2)
+        rhs = np.concatenate([np.array([pred.H_s for pred in preds]),
+                              np.array(v)[:, :, None], hc], axis=2)
         kept, _, solved = chol_solve(S, rhs, drop=True)
         rhs, x, Px = rhs[kept], x[kept], Px[kept]
         # rhs^T S_x^-1 rhs: [J, g] atop [K H_s, K v, K H_x P_x].
         G = rhs.swapaxes(-1, -2) @ np.reshape(solved, rhs.shape)
-        terms.update({keys[e]: (len(terms) + k, len(groups), k)
-                      for k, e in enumerate(kept)})
-        groups.append((offs, G, x + G[:, ds + 1:, ds],
-                       Px - G[:, ds + 1:, ds + 1:]))
+        terms.update({names[e]: len(terms) + k for k, e in enumerate(kept)})
+        groups.append((G[:, :ds, :ds + 1] * np.array(w)[kept, None, None], G,
+                       x + G[:, ds + 1:, ds], Px - G[:, ds + 1:, ds + 1:]))
     out = {sigma: np.linalg.LinAlgError(
         "innovation covariance of landmark {} detected by measurement {} is "
         "not positive definite".format(*key))
-        for sigma, keys in live for key in keys if key not in terms}
+        for sigma, keys in live for key in keys
+        if not all(name in terms for name in pairs[key][1])}
     live = [(sigma, keys) for sigma, keys in live if sigma not in out]
-    # J_a, g_a: its pairs' [J, g] in order, -0.0-padded (x + -0.0 is x).
-    JG = np.concatenate([G[:, :ds, :ds + 1] for _, G, _, _ in groups]
+    # J_a, g_a: psi_t [J, g] of its pairs' types in order, -0.0-padded (x +
+    # -0.0 is x; a one-type pair has psi 1.0, and x * 1.0 is x).
+    rows = [[terms[name] for key in keys for name in pairs[key][1]]
+            for _, keys in live]
+    JG = np.concatenate([wJG for wJG, *_ in groups]
                         + [np.full((1, ds, ds + 1), -0.0)])[np.array(
-        [[terms[key][0] for key in keys] + [-1] * (len(pairs) + 1 - len(keys))
-         for _, keys in live], dtype=int).reshape(-1, len(pairs) + 1)].sum(1)
+        [row + [-1] * (len(terms) + 1 - len(row)) for row in rows],
+        dtype=int).reshape(-1, len(terms) + 1)].sum(1)
     PJ = P @ JG[:, :, :ds]
     cov = symmetrize(P - PJ @ np.linalg.solve(np.eye(ds) + PJ, P))
     D = cov @ JG
     means = sensor.mean + D[:, :, ds]
     D[:, :, :ds] = cov
-    # Every association against every pair: B D_a = [B Sigma_a, B delta_a].
-    posts = [(offs, xKv - BD[..., ds], symmetrize(
+    # Every association against every type: B D_a = [B Sigma_a, B delta_a].
+    posts = [(xKv - BD[..., ds], symmetrize(
         Pc + BD[..., :ds] @ G[:, ds + 1:, :ds].swapaxes(-1, -2)))
-        for offs, G, xKv, Pc in groups
+        for _, G, xKv, Pc in groups
         for BD in [G[:, ds + 1:, :ds] @ D[:, None]]]
-    # Per pair once: (psi, stack) -> (kind, w, its rows over associations).
-    for key, (_, g, k) in terms.items():
-        (psi, stack), (offs, post_mean, post_cov) = pairs[key], posts[g]
+    posts = [(xs[:, k], Ps[:, k]) for xs, Ps in posts
+             for k in range(xs.shape[1])]
+    # Per pair once: psi -> (kind, w, its rows over associations).
+    for key, (psi, _) in pairs.items():
         prior = parts.hypothesis.bernoullis[key[0]].belief.types
-        post = {kind: (post_mean[:, k, lo:hi], post_cov[:, k, lo:hi, lo:hi])
-                for (kind, *_), lo, hi in zip(stack, offs, offs[1:])}
-        pairs[key] = [(kind, w, *post[kind]) if kind in post else (
-            kind, w, [prior[kind].mean] * len(live),
-            [prior[kind].covariance] * len(live)) for kind, w in psi.items()]
+        pairs[key] = [(kind, w, *posts[terms[(key, kind)]])
+                      if (key, kind) in terms
+                      else (kind, w, [prior[kind].mean] * len(live),
+                            [prior[kind].covariance] * len(live))
+                      for kind, w in psi.items()]
     for a, (sigma, keys) in enumerate(live):
         out[sigma] = (GaussianComponent(means[a], cov[a]) if keys else sensor,
                       {i: Bernoulli(1.0, LandmarkBelief({kind: TypeComponent(

@@ -4,8 +4,8 @@ The bit-for-bit references check each kernel against earlier code; nothing
 there checks that the chain as a whole reports honest covariances.  Given
 a near-exact map, the sensor's normalized estimation error squared (NEES)
 does: the motion Jacobian, the process noise, the measurement Jacobians,
-the residual wrap, the replicated-type noise block and marginalization all
-enter it, and a consistent filter's NEES over the sensor's free components
+the residual wrap, the measurement noise and marginalization all enter
+it, and a consistent filter's NEES over the sensor's free components
 follows the chi-square law with that many degrees of freedom.  One test
 runs the reference scenario, and one the same campaign over drawn
 geometries, noise scales and turn rates.

@@ -291,7 +291,7 @@ class TestTypePosteriorReference:
         meas = Measurement(np.array([0.7]), np.eye(1))
         cand = birth_candidate(meas, sensor, ppp, clutter, model)
         # The rates the birth weight splits: the BS is never born.
-        rho = {}
+        rho, logs = {}, {}
         for k, rate in ppp.items():
             if rate <= 0.0 or k is BS or model.p_detect[k] <= 0.0:
                 continue
@@ -299,13 +299,22 @@ class TestTypePosteriorReference:
             v = meas.z - model.predict(sensor.mean, comp.mean, k)
             S = (pred.H_s @ sensor.covariance @ pred.H_s.T
                  + pred.H_x @ comp.covariance @ pred.H_x.T + meas.covariance)
-            rho[k] = rate * model.p_detect[k] * math.exp(
-                reference_chol_logpdf(v, S)[0])
-        if sum(rho.values()) <= 0.0:
+            loglik = reference_chol_logpdf(v, S)[0]
+            rho[k] = rate * model.p_detect[k] * math.exp(loglik)
+            logs[k] = math.log(rate) + math.log(model.p_detect[k]) + loglik
+        if sum(rho.values()) > 0.0:
+            assert bits(update_type_probs(cand.masses)) == bits(
+                reference_birth_type_probs(rho))
+        elif clutter > 0.0 or not rho:
             assert cand.masses == {}
-            return
-        assert bits(update_type_probs(cand.masses)) == bits(
-            reference_birth_type_probs(rho))
+        else:
+            # No clutter and every rate underflowed (a denormal pd): the
+            # types split the birth by their rates taken in logs.
+            peak = max(logs.values())
+            assert update_type_probs(cand.masses) == pytest.approx(
+                reference_birth_type_probs(
+                    {k: math.exp(t - peak) for k, t in logs.items()}),
+                rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

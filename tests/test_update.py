@@ -1,6 +1,6 @@
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -385,7 +385,7 @@ def linear_setup(rng, n_landmarks, multi_type=False):
                 rng.uniform(0.3, 1.0), kind, rng.normal(size=dx),
                 cov @ cov.T + dx * np.eye(dx)))
     hyp = GlobalHypothesis(1.0, tuple(berns))
-    # type_prune off: the toys verify the literal stacked-update algebra.
+    # type_prune off: the toys verify the per-type update algebra.
     cfg = make_config(model, gate=None, type_prune=0.0)
     return model, cfg, sensor, hyp
 
@@ -489,50 +489,64 @@ class TestJointUpdate:
                                    cov_o[slices[i], slices[i]], rtol=1e-10,
                                    atol=1e-10)
 
-    def test_multi_type_stacking_matches_replicated_oracle(self):
-        # Two-type landmark: replicated measurement with fully correlated
-        # noise; the oracle conditions on the stacked system directly.
+    def test_multi_type_pair_conditions_each_type_on_its_own(self):
+        # Two-type landmark, one measurement: each type is an independent
+        # piece of sensor information, its innovation covariance S_t
+        # inflated by 1/psi_t, so the sensor matches closed-form
+        # conditioning on those rows; each type's posterior is its
+        # conditional given the sensor and z (a Schur complement of the
+        # prior joint of s, x_t and z) taken at the sensor posterior, and
+        # its weight is psi_t ~ w_t pd N(z; A m + B x_t + c, A P A^T + S_t).
         rng = np.random.default_rng(41)
         for _ in range(10):
             model, cfg, sensor, hyp = linear_setup(rng, 1, multi_type=True)
             ds, dz = sensor.dim, model.dim
-            bern = hyp.bernoullis[0]
+            P, m = sensor.covariance, sensor.mean
+            types = hyp.bernoullis[0].belief.types
             cov = rng.normal(size=(dz, dz))
             meas = Measurement(rng.normal(size=dz), cov @ cov.T + dz * np.eye(dz))
             sigma = AssociationVector(1, (1, None))
             parts = child_parts(hyp, [meas], sensor, cfg)
             child, sensor_post = joint_update(parts, sigma)
-            kinds = list(bern.belief.types)
-            dxs = [bern.belief.types[k].mean.size for k in kinds]
-            n_state = ds + sum(dxs)
-            mean0 = np.concatenate([sensor.mean]
-                                   + [bern.belief.types[k].mean for k in kinds])
-            cov0 = np.zeros((n_state, n_state))
-            cov0[:ds, :ds] = sensor.covariance
-            offs, slices = ds, []
-            for k, dx in zip(kinds, dxs):
-                cov0[offs:offs + dx, offs:offs + dx] = \
-                    bern.belief.types[k].covariance
-                slices.append(slice(offs, offs + dx))
-                offs += dx
-            H = np.zeros((dz * len(kinds), n_state))
-            z = np.tile(meas.z, len(kinds))
-            offset = np.zeros(dz * len(kinds))
-            R = np.tile(meas.covariance, (len(kinds), len(kinds)))
-            for j, k in enumerate(kinds):
-                A, Bm, c = model.mats[k]
-                rows = slice(j * dz, (j + 1) * dz)
-                H[rows, :ds] = A
-                H[rows, slices[j]] = Bm
-                offset[j * dz:(j + 1) * dz] = c
-            mean_o, cov_o = conditioning_oracle(mean0, cov0, H, R, z, offset)
-            assert np.allclose(sensor_post.mean, mean_o[:ds], rtol=1e-9,
+            S_x, masses = {}, {}
+            for kind, comp in types.items():
+                A, Bm, c = model.mats[kind]
+                S_x[kind] = Bm @ comp.covariance @ Bm.T + meas.covariance
+                S = A @ P @ A.T + S_x[kind]
+                v = meas.z - A @ m - Bm @ comp.mean - c
+                masses[kind] = comp.weight * 0.8 * math.exp(
+                    -0.5 * v @ np.linalg.solve(S, v)) / math.sqrt(
+                    np.linalg.det(2.0 * math.pi * S))
+            psi = {kind: w / sum(masses.values()) for kind, w in masses.items()}
+            H = np.vstack([model.mats[kind][0] for kind in types])
+            z = np.concatenate([meas.z - model.mats[kind][1] @ comp.mean
+                                for kind, comp in types.items()])
+            offset = np.concatenate([model.mats[kind][2] for kind in types])
+            mean_o, cov_o = conditioning_oracle(
+                m, P, H, block_diag(*(S_x[kind] / psi[kind] for kind in types)),
+                z, offset)
+            assert np.allclose(sensor_post.mean, mean_o, rtol=1e-9, atol=1e-9)
+            assert np.allclose(sensor_post.covariance, cov_o, rtol=1e-9,
                                atol=1e-9)
-            for j, k in enumerate(kinds):
-                comp = child.bernoullis[0].belief.types[k]
-                assert np.allclose(comp.mean, mean_o[slices[j]], rtol=1e-9,
+            post = child.bernoullis[0].belief.types
+            assert list(post) == list(types)
+            for kind, comp in types.items():
+                A, Bm, c = model.mats[kind]
+                C = comp.covariance
+                # Prior joint of (s, z) and its cross-covariance with x_t.
+                joint = np.block([[P, P @ A.T],
+                                  [A @ P, A @ P @ A.T + S_x[kind]]])
+                cross = np.hstack([np.zeros((C.shape[0], ds)), C @ Bm.T])
+                coef = cross @ np.linalg.inv(joint)
+                want_mean = comp.mean + coef @ np.concatenate(
+                    [mean_o - m, meas.z - A @ m - Bm @ comp.mean - c])
+                want_cov = (C - coef @ cross.T
+                            + coef[:, :ds] @ cov_o @ coef[:, :ds].T)
+                assert post[kind].weight == pytest.approx(psi[kind], rel=1e-9)
+                assert not np.allclose(post[kind].mean, comp.mean)
+                assert np.allclose(post[kind].mean, want_mean, rtol=1e-9,
                                    atol=1e-9)
-                assert np.allclose(comp.covariance, cov_o[slices[j], slices[j]],
+                assert np.allclose(post[kind].covariance, want_cov,
                                    rtol=1e-9, atol=1e-9)
 
     def test_row_omission_equals_padded_reference(self):
@@ -586,30 +600,27 @@ class TestJointUpdate:
                                atol=1e-12)
 
     def test_singular_pair_drops_only_its_associations(self):
-        # Landmark 0 stacks two types with identical rows and zero
-        # covariance, so each pair it makes has S_x = [[R, R], [R, R]],
-        # which is singular; landmark 1 is a plain one-type landmark.  The
-        # associations that detect landmark 0 raise, each in its own call,
-        # and update_step keeps every other one.
-        model = LinearModel({VA: ([[0.0]], [[1.0]]), SP: ([[0.0]], [[1.0]]),
-                             BS: ([[1.0]], [[1.0]])}, 1, p_detect=0.9)
-        cfg = make_config(model, gate=None, type_prune=0.0, gamma=20,
-                          filter_kind=EK_PMBM)
-        bad = Bernoulli(0.8, LandmarkBelief({
-            VA: TypeComponent(0.5, np.zeros(1), np.zeros((1, 1))),
-            SP: TypeComponent(0.5, np.zeros(1), np.zeros((1, 1)))}))
-        good = single_type_bernoulli(0.9, BS, [2.0], [[1.0]])
+        # Landmark 0 detected by measurement 0 is the pair of
+        # rounding_singular_pair, whose S_x fails its Cholesky factorization;
+        # with measurement 1, and landmark 1 with either measurement, S_x
+        # is positive definite.  The associations that detect pair (0, 0)
+        # raise, each in its own call, and update_step keeps every other
+        # one.
+        model, bad, singular = rounding_singular_pair()
+        cfg = make_config(model, gate=None, gamma=20, filter_kind=EK_PMBM)
+        good = single_type_bernoulli(0.9, SP, [2.0], [[1.0]])
         hyp = GlobalHypothesis(1.0, (bad, good))
         sensor = GaussianComponent(np.zeros(1), np.eye(1))
-        measurements = [Measurement(np.array([0.3]), np.eye(1)),
-                        Measurement(np.array([2.1]), np.eye(1))]
+        measurements = [singular, Measurement(np.array([2.1, 2.0]), np.eye(2))]
         parts = child_parts(hyp, measurements, sensor, cfg)
         outcomes = {sigma: update_outcome(joint_update, parts, sigma)
                     for sigma, _ in parts.ranked}
         dropped = {sigma for sigma, outcome in outcomes.items()
                    if outcome is np.linalg.LinAlgError}
-        assert dropped == {sigma for sigma in outcomes if sigma.sigma[0]}
+        assert dropped == {sigma for sigma in outcomes
+                           if (0, 0) in sigma.detected_pairs()}
         assert 0 < len(dropped) < len(outcomes)
+        assert any((0, 1) in sigma.detected_pairs() for sigma in outcomes)
         with pytest.raises(np.linalg.LinAlgError, match="not positive"):
             joint_update(parts, next(iter(dropped)))
 
@@ -626,62 +637,49 @@ class TestJointUpdate:
         check_density(density)
 
 
-@dataclass
-class JointState:
-    """Stacked sensor+landmark workspace of one joint update."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
-    slices: dict          # (landmark index, type) -> state slice
-
-
-def assemble_joint(sensor, berns, stack_kinds):
-    ds = sensor.dim
-    dims = [ds]
-    slices = {}
-    for i, kinds in stack_kinds.items():
-        for kind in kinds:
-            comp = berns[i].belief.types[kind]
-            start = sum(dims)
-            dims.append(comp.mean.size)
-            slices[(i, kind)] = slice(start, start + comp.mean.size)
-    total = sum(dims)
-    mean = np.zeros(total)
-    cov = np.zeros((total, total))
-    mean[:ds] = sensor.mean
-    cov[:ds, :ds] = sensor.covariance
-    for (i, kind), sl in slices.items():
-        comp = berns[i].belief.types[kind]
-        mean[sl] = comp.mean
-        cov[sl, sl] = comp.covariance
-    return JointState(mean, cov, slices)
+def rounding_singular_pair():
+    """``(model, landmark, measurement)`` of a one-type pair whose S_x
+    fails ``dpotrf`` by rounding alone: R = [[1, 1 - 1e-12], [1 - 1e-12,
+    1]] is positive definite, and so is S_x = R + 3e6 [[1, 1], [1, 1]]
+    exactly, but 3e6 + 1 - 1e-12 rounds to 3e6 + 1, so the S_x the filter
+    forms is singular (with 1e6 in place of 3e6, dpotrf succeeds).  Its
+    H_s [1, -1] makes the pair's full S positive definite, so the cost
+    matrix keeps it.  The model's SP type reads a landmark with the
+    sensor's first row only."""
+    model = LinearModel({VA: ([[1.0], [-1.0]], [[1.0], [1.0]]),
+                         SP: ([[1.0], [0.0]], [[0.0], [1.0]])}, 2,
+                        p_detect=0.9)
+    landmark = single_type_bernoulli(0.8, VA, [0.0], [[3e6]])
+    noise = np.array([[1.0, 1.0 - 1e-12], [1.0 - 1e-12, 1.0]])
+    return model, landmark, Measurement(np.array([0.3, -0.2]), noise)
 
 
 def innovations(parts, i, p):
-    """Each stacked type's innovation of landmark ``i`` detected by ``p``."""
+    """Each conditioned type's innovation of landmark ``i`` detected by
+    ``p``."""
     return {kind: v for kind, _, _, v in parts.detection(i, p)[1]}
 
 
 def pair_innovation_cov(parts, i, p):
-    """``(kinds, H_s, S_x)`` of landmark ``i`` detected by ``p``: the types
-    the update stacks, their stacked H_s and S_x = H_x P_x H_x^T + R with
-    R fully correlated across the types."""
-    kinds = [kind for kind, *_ in parts.detection(i, p)[1]]
-    preds, types = parts.ctx.type_preds[i], parts.hypothesis.bernoullis[i]
-    H_x = block_diag(*(preds[k].H_x for k in kinds))
-    S_x = H_x @ block_diag(*(types.belief.types[k].covariance for k in kinds)) \
-        @ H_x.T + np.tile(parts.measurements[p].covariance, (len(kinds),) * 2)
-    return kinds, np.vstack([preds[k].H_s for k in kinds]), S_x
+    """``(kind, psi, H_s, S_x)`` of each type of landmark ``i`` detected by
+    ``p`` that the update conditions on: its type posterior, H_s and S_x =
+    H_x P_x H_x^T + R."""
+    psi, stack = parts.detection(i, p)
+    R = parts.measurements[p].covariance
+    return [(kind, psi[kind], pred.H_s, pred.H_x @ comp.covariance
+             @ pred.H_x.T + R) for kind, comp, pred, _ in stack]
 
 
 def reference_joint_update(parts, sigma):
-    """The joint update in the dense form it had before the information
-    form: one stacked system of the sensor and every stacked (landmark,
-    type), laid out as three layouts (the stacked types per landmark, the
-    state slices of ``assemble_joint`` and the row dimensions) and
-    conditioned in one Cholesky solve.  It keeps the drop rule: a detected
-    pair whose S_x = H_x P_x H_x^T + R is singular by its rank bound (more
-    than dz rows left to R alone) or not positive definite raises."""
+    """The joint update written densely, per association: each detected
+    type t with a prediction is an independent reading of the sensor, its
+    rows H_s and innovation v with noise S_x / psi_t, and the sensor is
+    conditioned on all of them in one Cholesky solve (a type with psi_t 0
+    adds no rows); each such type then conditions on z given the sensor, x
+    + K (v - H_s (s - m)) with covariance (I - K H_x) P_x, taken over the
+    sensor posterior.  Any other type keeps its prior.  It keeps the drop
+    rule: a detected pair with a type whose S_x is not positive definite
+    raises."""
     hypothesis = parts.hypothesis
     sensor_prior, measurements = parts.sensor, parts.measurements
     sigma.validate()
@@ -691,58 +689,42 @@ def reference_joint_update(parts, sigma):
     detected = sigma.detected_pairs()
     type_preds = parts.ctx.type_preds
     psi_post = {i: parts.detection(i, p)[0] for i, p in detected}
-
-    if detected:
-        stack_kinds = {}
-        for i, p in detected:
-            kinds = [k for k in psi_post[i]
-                     if type_preds[i][k].H_s is not None]
-            if not kinds:
-                raise np.linalg.LinAlgError(
-                    f"landmark {i} detected but no type has valid geometry")
-            stack_kinds[i] = kinds
-        joint = assemble_joint(sensor_prior, berns, stack_kinds)
-        n_state = joint.mean.size
-        row_dims = [(i, p, stack_kinds[i]) for i, p in detected]
-        n_rows = sum(len(kinds) * measurements[p].covariance.shape[0]
-                     for _, p, kinds in row_dims)
-        H = np.zeros((n_rows, n_state))
-        R = np.zeros((n_rows, n_rows))
-        innovation = np.zeros(n_rows)
-        row = 0
-        ds = sensor_prior.dim
-        for i, p, kinds in row_dims:
-            meas = measurements[p]
-            dz = meas.z.size
-            block = slice(row, row + len(kinds) * dz)
-            R[block, block] = np.tile(meas.covariance, (len(kinds), len(kinds)))
-            for kind in kinds:
-                pred = type_preds[i][kind]
-                rows = slice(row, row + dz)
-                H[rows, :ds] = pred.H_s
-                H[rows, joint.slices[(i, kind)]] = pred.H_x
-                innovation[rows] = innovations(parts, i, p)[kind]
-                row += dz
-        for i, p in detected:
-            dz, dxs = measurements[p].z.size, [
-                berns[i].belief.types[k].mean.size for k in stack_kinds[i]]
-            if sum(max(dz - dx, 0) for dx in dxs) > dz:
-                raise np.linalg.LinAlgError("S_x singular by its rank")
-            cho_factor(pair_innovation_cov(parts, i, p)[2], lower=True)
-        S = H @ joint.covariance @ H.T + R
-        factor = cho_factor(symmetrize(S), lower=True)
-        PHt = joint.covariance @ H.T
-        gain = cho_solve(factor, PHt.T).T
-        post_mean = joint.mean + gain @ innovation
-        post_cov = symmetrize(joint.covariance - gain @ PHt.T)
-        sensor_post = GaussianComponent(post_mean[:ds], post_cov[:ds, :ds])
-        posterior_comp = {
-            key: (post_mean[sl], post_cov[sl, sl])
-            for key, sl in joint.slices.items()
-        }
+    m, P = sensor_prior.mean, sensor_prior.covariance
+    ds = sensor_prior.dim
+    terms = {}
+    for i, p in detected:
+        v = innovations(parts, i, p)
+        for kind in psi_post[i]:
+            pred = type_preds[i][kind]
+            if pred.H_s is None:
+                continue
+            comp = berns[i].belief.types[kind]
+            S_x = pred.H_x @ comp.covariance @ pred.H_x.T \
+                + measurements[p].covariance
+            cho_factor(S_x, lower=True)
+            terms[(i, kind)] = (psi_post[i][kind], pred, comp, S_x, v[kind])
+    rows = [(pred.H_s, S_x / w, v) for w, pred, _, S_x, v in terms.values()
+            if w > 0.0]
+    if rows:
+        H = np.vstack([H_s for H_s, _, _ in rows])
+        gain = cho_solve(cho_factor(symmetrize(
+            H @ P @ H.T + block_diag(*(N for _, N, _ in rows))), lower=True),
+            H @ P).T
+        delta = gain @ np.concatenate([v for _, _, v in rows])
+        Sigma = symmetrize(P - gain @ H @ P)
     else:
-        sensor_post = sensor_prior
-        posterior_comp = {}
+        delta, Sigma = np.zeros(ds), P
+    sensor_post = (GaussianComponent(m + delta, Sigma) if detected
+                   else sensor_prior)
+    posterior_comp = {}
+    for (i, kind), (_, pred, comp, S_x, v) in terms.items():
+        K = cho_solve(cho_factor(S_x, lower=True),
+                      pred.H_x @ comp.covariance).T
+        KHs = K @ pred.H_s
+        posterior_comp[(i, kind)] = (
+            comp.mean + K @ v - KHs @ delta,
+            symmetrize(comp.covariance - K @ pred.H_x @ comp.covariance
+                       + KHs @ Sigma @ KHs.T))
 
     detected_by_landmark = dict(detected)
     new_berns = []
@@ -854,14 +836,15 @@ def assert_children_bit_equal(got, want):
 
 
 def conditioning(parts, sigma):
-    """kappa(S_x) of the worst pair ``sigma`` detects times kappa(I + P J_a),
-    2-norm condition numbers: the information form solves with both."""
+    """kappa(S_x) of the worst type ``sigma`` detects times kappa(I + P
+    J_a), 2-norm condition numbers: the information form solves with
+    both."""
     P = parts.sensor.covariance
     J, worst = np.zeros_like(P), 1.0
     for i, p in sigma.detected_pairs():
-        _, H_s, S_x = pair_innovation_cov(parts, i, p)
-        worst = max(worst, np.linalg.cond(S_x))
-        J = J + H_s.T @ np.linalg.solve(S_x, H_s)
+        for _, w, H_s, S_x in pair_innovation_cov(parts, i, p):
+            worst = max(worst, np.linalg.cond(S_x))
+            J = J + w * H_s.T @ np.linalg.solve(S_x, H_s)
     return worst * np.linalg.cond(np.eye(len(P)) + P @ J)
 
 
@@ -869,16 +852,16 @@ def reference_rtol(parts, sigma):
     """The relative tolerance of the information form against the dense
     reference: 1e-12 times :func:`conditioning`, and at least 1e-10.
 
-    Both condition the same Gaussians, so they differ by rounding alone,
-    and the information form's rounding grows with the two condition
-    numbers.  Measured over 24,152 ranked associations of the toys below
-    (seeds 0-399, 1-3 landmarks, one or several types, with and without
-    a zero-variance sensor component): at most 2.4e-14 times the
-    conditioning, and at most 4e-14 where it is below 100.  One-type toys
-    read 7e-15 at most, the channel model's runs 2e-14 (one type) and
-    2e-10 (two types, no type pruning).  A wrong term (no K H_s delta_a,
-    no K H_s Sigma_a H_s^T K^T, or the full S in place of S_x in J) moves
-    a well-conditioned result by a relative 1e-3 or more.
+    Both take the same posterior, so they differ by rounding alone, and
+    the information form's rounding grows with the two condition numbers.
+    Measured over 25,333 ranked associations of the toys below (seeds
+    0-399, 1-3 landmarks, one or several types, with and without a
+    zero-variance sensor component, type_prune 0): at most 7.5e-15 times
+    the conditioning, and at most 2.2e-13 where it is below 100; the
+    channel model's runs read 7e-15 with or without a second type.  A
+    wrong term (no K H_s delta_a, no K H_s Sigma_a H_s^T K^T, or the full S
+    in place of S_x in J) moves a well-conditioned result by a relative
+    1e-3 or more.
     """
     return max(1e-10, 1e-12 * conditioning(parts, sigma))
 
@@ -1034,7 +1017,7 @@ class TestJointUpdateReference:
                 density, sensor = step(density, sensor,
                                        list(zset.measurements), cfg)
         # With no type pruned, a VA/SP newborn re-detected inside the FOV
-        # stacks both types, so its noise block spans two.
+        # keeps both types, and each is conditioned on.
         assert spans and (max(spans) > 1 or type_prune > 0.0)
 
     def test_both_raise_when_no_type_has_geometry(self):
@@ -1052,18 +1035,12 @@ class TestJointUpdateReference:
                        AssociationVector(1, (1, None)))
 
     def test_both_drop_a_singular_pair(self):
-        # The setup of TestJointUpdate.test_singular_pair_drops_only_its_
-        # associations, one landmark: its S_x is exactly singular.
-        model = LinearModel({VA: ([[0.0]], [[1.0]]), SP: ([[0.0]], [[1.0]])},
-                            1, p_detect=0.9)
-        bern = Bernoulli(0.8, LandmarkBelief({
-            VA: TypeComponent(0.5, np.zeros(1), np.zeros((1, 1))),
-            SP: TypeComponent(0.5, np.zeros(1), np.zeros((1, 1)))}))
+        # The pair of rounding_singular_pair alone: its S_x fails dpotrf.
+        model, bern, meas = rounding_singular_pair()
         hyp = GlobalHypothesis(1.0, (bern,))
         sensor = GaussianComponent(np.zeros(1), np.eye(1))
-        meas = Measurement(np.array([0.3]), np.eye(1))
         sigma = AssociationVector(1, (1, None))
-        cfg = make_config(model, gate=None, type_prune=0.0)
+        cfg = make_config(model, gate=None)
         for update in (joint_update, reference_joint_update):
             assert update_outcome(update, child_parts(hyp, [meas], sensor,
                                                       cfg), sigma) \
@@ -1220,8 +1197,8 @@ class TestInvisiblePairs:
     def test_hidden_type_keeps_its_prior_without_type_pruning(self):
         # A landmark detected as its VA type also carries an SP type 120 m
         # from the UE.  With type_prune 0 every type stays in the posterior;
-        # the hidden SP type has no prediction, so it is not stacked and
-        # keeps its prior Gaussian, while linearizing it would move it.
+        # the hidden SP type has no prediction, so it is not conditioned on
+        # and keeps its prior Gaussian, while linearizing it would move it.
         ue = UEState([70.7285, 0.0, 0.0], math.pi / 2, 300.0)
         va, sp = np.array([200.0, 0.0, 40.0]), np.array([0.0, 99.0, 10.0])
         cov = 0.5 * np.eye(3)
@@ -1678,7 +1655,7 @@ class TestStep:
         assert calls["type_probs"] == (len(set(misdetected)) + len(detected)
                                        + len(newborn))
         # The innovations are the residual rows the cost matrix wrapped:
-        # every stacked type's is its row, and nothing is wrapped outside
+        # every conditioned type's is its row, and nothing is wrapped outside
         # the cost matrix.
         stacked = [(i, p, kind) for (_, sigma, *_), (child, _) in children
                    for i, p in sigma.detected_pairs()
@@ -1781,8 +1758,8 @@ class TestStep:
 
     def test_innovation_of_every_stacked_type(self):
         # With type_prune 0 a type that cannot explain the detection (pd 0)
-        # stays stacked.  Its residual, like the contributing type's, is the
-        # row the cost matrix kept.
+        # is still conditioned on, with weight 0.  Its residual, like the
+        # contributing type's, is the row the cost matrix kept.
         model = LinearModel({VA: ([[0.0]], [[1.0]]),
                              SP: ([[0.0]], [[1.0]], [0.5])}, 1,
                             p_detect={VA: 0.9, SP: 0.0})
