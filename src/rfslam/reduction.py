@@ -9,8 +9,11 @@ multi-Bernoulli using the marginal association probabilities.  The
 averaging keeps each cell's type masses (``TrackCell.masses``, the sums
 of w psi that normalize its types), and the recombinations weight by them.
 
-A cell whose contributors all share one Bernoulli object (one hypothesis,
-say) is that object, the exact average; its masses still sum in order.
+A cell whose contributors all share one Bernoulli object is that object,
+the exact average; its masses still sum in order.  Under PMB this is every
+cell of one parent hypothesis: its children share their misdetected and
+newborn Bernoullis, and each detected pair's one Bernoulli, which
+:func:`rfslam.update.update_step` has already averaged over them.
 """
 
 from __future__ import annotations

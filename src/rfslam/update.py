@@ -10,7 +10,9 @@ terms of each type of each detected pair once per hypothesis, then every
 ranked association in one stacked pass (:func:`joint_update`).  An
 association that detects a pair with a singular innovation covariance is
 dropped.  The sensor posterior is the moment-matched mixture over all
-children; PMB reduces them to one hypothesis (:mod:`rfslam.reduction`).
+children; PMB reduces them to one hypothesis (:mod:`rfslam.reduction`), and
+gives each detected pair one Bernoulli, already averaged over the
+associations that hold it (:func:`update_step`).
 """
 
 from __future__ import annotations
@@ -283,21 +285,35 @@ def joint_update(parts: ChildParts, sigma: AssociationVector):
         ranked = [s for s, _ in parts.ranked]
         parts.posteriors.update(_information_pass(
             parts, ranked if sigma in ranked else [sigma]))
-    found = parts.posteriors[sigma]
+    return _child(parts, sigma, parts.posteriors[sigma])
+
+
+def _child(parts: ChildParts, sigma: AssociationVector, found) -> tuple:
+    """``(child, sensor posterior)`` of ``sigma`` from its outcome ``found``
+    in :func:`_information_pass`; raises the LinAlgError that dropped it."""
     if isinstance(found, np.linalg.LinAlgError):
         raise found
     sensor_post, detected = found
     child = GlobalHypothesis(parts.hypothesis.weight, tuple(
-        [detected.get(i) or parts.misdetected(i) for i in range(len(berns))]
+        [detected.get(i) or parts.misdetected(i)
+         for i in range(sigma.n_prior)]
         + [parts.born(p) for p in sigma.born_measurements()]), assoc=sigma)
     return child, sensor_post
 
 
-def _information_pass(parts: ChildParts, batch: list) -> dict:
+def _information_pass(parts: ChildParts, batch: list,
+                      log_weights: Optional[dict] = None) -> dict:
     """Each association of ``batch`` -> ``(sensor posterior, {landmark:
     detected Bernoulli})``, or the LinAlgError that drops it.  Only a
     ``sigma`` passed alone can detect a pair the cost matrix did not keep;
-    :meth:`ChildParts.detection` then raises."""
+    :meth:`ChildParts.detection` then raises.
+
+    With ``log_weights`` (sigma -> its log weight, up to a constant) the
+    associations that survive and detect pair (i, p) hold one Bernoulli,
+    their average: with b_a their normalized weights, each type gets x + K
+    v - K H_s delta-bar and P_c + K H_s (Sigma-bar + C_delta) H_s^T K^T,
+    delta-bar and Sigma-bar the b-weighted means of delta_a and Sigma_a and
+    C_delta the b-weighted covariance of delta_a (:func:`joint_update`)."""
     sensor, ds, P = parts.sensor, parts.sensor.dim, parts.sensor.covariance
     live = [(sigma, sigma.detected_pairs()) for sigma in batch]
     pairs, shapes, terms, groups = {}, {}, {}, []
@@ -324,7 +340,8 @@ def _information_pass(parts: ChildParts, batch: list) -> dict:
         G = rhs.swapaxes(-1, -2) @ np.reshape(solved, rhs.shape)
         terms.update({names[e]: len(terms) + k for k, e in enumerate(kept)})
         groups.append((G[:, :ds, :ds + 1] * np.array(w)[kept, None, None], G,
-                       x + G[:, ds + 1:, ds], Px - G[:, ds + 1:, ds + 1:]))
+                       x + G[:, ds + 1:, ds], Px - G[:, ds + 1:, ds + 1:],
+                       slice(len(terms) - len(kept), len(terms))))
     out = {sigma: np.linalg.LinAlgError(
         "innovation covariance of landmark {} detected by measurement {} is "
         "not positive definite".format(*key))
@@ -335,23 +352,38 @@ def _information_pass(parts: ChildParts, batch: list) -> dict:
     # -0.0 is x; a one-type pair has psi 1.0, and x * 1.0 is x).
     rows = [[terms[name] for key in keys for name in pairs[key][1]]
             for _, keys in live]
+    held = np.array([row + [-1] * (len(terms) + 1 - len(row)) for row in rows],
+                    dtype=int).reshape(-1, len(terms) + 1)
     JG = np.concatenate([wJG for wJG, *_ in groups]
-                        + [np.full((1, ds, ds + 1), -0.0)])[np.array(
-        [row + [-1] * (len(terms) + 1 - len(row)) for row in rows],
-        dtype=int).reshape(-1, len(terms) + 1)].sum(1)
+                        + [np.full((1, ds, ds + 1), -0.0)])[held].sum(1)
     PJ = P @ JG[:, :, :ds]
     cov = symmetrize(P - PJ @ np.linalg.solve(np.eye(ds) + PJ, P))
     D = cov @ JG
     means = sensor.mean + D[:, :, ds]
     D[:, :, :ds] = cov
     # Every association against every type: B D_a = [B Sigma_a, B delta_a].
+    Ds = [D[:, None]] * len(groups)
+    if log_weights is not None:
+        # Or each type row against its pair's moments [Sigma-bar + C_delta,
+        # delta-bar] over the associations that hold it, b_a = exp(log
+        # weight - their largest) normalized: a row no survivor holds
+        # stays 0.
+        L = np.full(held.shape, -np.inf)
+        L[np.arange(len(live))[:, None], held] = np.array(
+            [log_weights[sigma] for sigma, _ in live])[:, None]
+        b = np.exp(L - L.max(0, initial=np.finfo(float).min))[:, :-1]
+        b /= np.maximum(b.sum(0), 1.0)
+        M = (b.T @ D.reshape(-1, ds * (ds + 1))).reshape(-1, ds, ds + 1)
+        dev = D[:, :, ds] - M[:, None, :, ds]
+        M[:, :, :ds] += (b.T[..., None] * dev).swapaxes(1, 2) @ dev
+        Ds = [M[None, span] for *_, span in groups]
     posts = [(xKv - BD[..., ds], symmetrize(
         Pc + BD[..., :ds] @ G[:, ds + 1:, :ds].swapaxes(-1, -2)))
-        for _, G, xKv, Pc in groups
-        for BD in [G[:, ds + 1:, :ds] @ D[:, None]]]
+        for (_, G, xKv, Pc, _), D_rows in zip(groups, Ds)
+        for BD in [G[:, ds + 1:, :ds] @ D_rows]]
     posts = [(xs[:, k], Ps[:, k]) for xs, Ps in posts
              for k in range(xs.shape[1])]
-    # Per pair once: psi -> (kind, w, its rows over associations).
+    # Per pair once: psi -> (kind, w, its rows over the columns).
     for key, (psi, _) in pairs.items():
         prior = parts.hypothesis.bernoullis[key[0]].belief.types
         pairs[key] = [(kind, w, *posts[terms[(key, kind)]])
@@ -359,11 +391,18 @@ def _information_pass(parts: ChildParts, batch: list) -> dict:
                       else (kind, w, [prior[kind].mean] * len(live),
                             [prior[kind].covariance] * len(live))
                       for kind, w in psi.items()]
+
+    def detected(key, c):
+        return Bernoulli(1.0, LandmarkBelief({kind: TypeComponent(
+            w, xs[c], Ps[c]) for kind, w, xs, Ps in pairs[key]}))
+
+    shared = {} if log_weights is None else {
+        key: detected(key, 0)
+        for key in dict.fromkeys(k for _, keys in live for k in keys)}
     for a, (sigma, keys) in enumerate(live):
         out[sigma] = (GaussianComponent(means[a], cov[a]) if keys else sensor,
-                      {i: Bernoulli(1.0, LandmarkBelief({kind: TypeComponent(
-                          w, xs[a], Ps[a]) for kind, w, xs, Ps
-                          in pairs[(i, p)]})) for i, p in keys})
+                      {i: shared.get((i, p)) or detected((i, p), a)
+                       for i, p in keys})
     return out
 
 
@@ -386,15 +425,25 @@ def update_step(density: PmbmDensity, sensor_pred: GaussianComponent,
     Runs association, the per-association joint updates, the sensor
     marginalization, the PMB reduction when configured, PPP thinning, and
     the pruning/merging housekeeping.
+
+    Under PMB no child carries a detected posterior of its own, which the
+    reduction would only average with its siblings' into the pair's cell:
+    one :func:`_information_pass` per hypothesis, given the child log
+    weights, forms that average, and the children share it.
     """
     children = []
     for hyp in density.hypotheses:
         parts = ChildParts(hyp, measurements, sensor_pred,
                            density.ppp_intensity, config)
-        for sigma, cost in parts.ranked:
-            log_weight = math.log(hyp.weight) + parts.log_const - cost
+        ranked = {sigma: math.log(hyp.weight) + parts.log_const - cost
+                  for sigma, cost in parts.ranked}
+        averaged = (None if config.filter_kind == EK_PMBM
+                    else _information_pass(parts, list(ranked), ranked))
+        for sigma, log_weight in ranked.items():
             try:
-                child, child_sensor = joint_update(parts, sigma)
+                child, child_sensor = (
+                    joint_update(parts, sigma) if averaged is None
+                    else _child(parts, sigma, averaged[sigma]))
             except np.linalg.LinAlgError:
                 continue  # weight redistributed over surviving associations
             children.append((log_weight, child, child_sensor))

@@ -15,7 +15,7 @@ import numpy as np
 import rfslam.cli as cli
 from rfslam.sim import (default_scenario, generate_measurements,
                         simulate_trajectory)
-from rfslam.update import EK_PMB
+from rfslam.update import EK_PMB, EK_PMBM
 
 BENCH_TRACE = (Path(__file__).resolve().parent.parent / "perfbench"
                / "bench_trace.py")
@@ -63,12 +63,15 @@ def test_traced_update_step_records_every_association_layer():
 
 def test_traced_pmb_step_calls_joint_update_per_ranked_association():
     # The joint update runs all of a hypothesis's ranked associations in its
-    # first call, and update_step still calls it once per association: the
-    # span holds the work, and the call count is the ranked count.
+    # first call, and a PMBM update_step still calls it once per
+    # association: the span holds the work, and the call count is the
+    # ranked count.  (A PMB step calls no joint_update; its EK work is
+    # update_step's own time.)
     bench_trace = load_bench_trace()
     scenario = default_scenario(seed=2)
-    filter_cfg = cli.build_filter_config(scenario, cli.RunConfig(gamma=5))
-    assert filter_cfg.filter_kind == EK_PMB and filter_cfg.gamma >= 2
+    filter_cfg = cli.build_filter_config(scenario, cli.RunConfig(
+        filter_kind=EK_PMBM, gamma=5))
+    assert filter_cfg.gamma >= 2
     density, sensor = cli.initial_state(scenario)
     rng = np.random.default_rng(2)
     tracer = bench_trace.Tracer()

@@ -178,7 +178,7 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize("filter_kind, gamma, digest", [
         ("ek-pmb", 10,
-         "b21c5629d325855a46293bba19183118db98814413f1052fe4eaf2b4b47da0f0"),
+         "de2de0bc0eda0ec08120dd34080030db676033c5d85dda176bf3d66863a3757d"),
         ("ek-pmb", 1,
          "f3f3a79ed1ca90cedb9870be998f34e9511d2824837acda93d6df49e7aa97c9d"),
         ("ek-pmbm", 10,
@@ -204,7 +204,7 @@ class TestGoldenOutput:
                                out_dir=str(tmp_path)))
         view = json.dumps(deterministic_report_view(report), sort_keys=True)
         assert hashlib.sha256(view.encode()).hexdigest() == (
-            "99f47cd674cf8489477930e3fd66a08afadcb628ae4192a6abd40c3e9bdfbe29")
+            "cff77c9ca7bf731c0b26aca78f55037d0004461d06963c16b8c65868e608819d")
 
 
 class TestCompare:
