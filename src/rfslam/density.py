@@ -11,7 +11,7 @@ contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
@@ -164,10 +164,10 @@ def prune(density: PmbmDensity, bernoulli_threshold: float,
     total = sum_in_order(h.weight for h in kept)
     if total <= 0.0:
         raise DegenerateDensityError("all hypothesis weights are zero")
-    return replace(density, hypotheses=tuple(
-        replace(h, weight=h.weight / total,
-                bernoullis=tuple(b for b in h.bernoullis
-                                 if b.existence >= bernoulli_threshold))
+    return PmbmDensity(density.ppp_intensity, tuple(
+        GlobalHypothesis(h.weight / total, tuple(
+            b for b in h.bernoullis if b.existence >= bernoulli_threshold),
+            h.assoc)
         for h in kept))
 
 
@@ -251,7 +251,9 @@ def moment_match(groups):
     return mean, cov
 
 
-#: Mass below which a reduction cell or a mixed type carries no posterior mass.
+#: Mass below which a reduction cell or a mixed type carries no posterior
+#: mass, and, as a share of its hypothesis's best association's weight, a
+#: ranked association (:class:`rfslam.update.ChildParts` drops it).
 MIN_CELL_MASS = 1e-12
 
 
@@ -386,4 +388,4 @@ def merge_bernoullis(hypothesis: GlobalHypothesis,
         (belief, _), = mix_types([([(b.existence, b) for b in group], total,
                                    None)])
         merged.append(Bernoulli(min(1.0, total), belief))
-    return replace(hypothesis, bernoullis=tuple(merged))
+    return GlobalHypothesis(hypothesis.weight, tuple(merged), hypothesis.assoc)

@@ -4,15 +4,16 @@ One step runs the recursion: predict the sensor through the constant-turn
 model of :mod:`rfslam.motion` (the map is static, so the density passes
 through the prediction unchanged), then for each global hypothesis build
 the association cost matrix of :mod:`rfslam.association` (one
-:class:`ChildParts`), rank the best ``gamma`` associations, and update the
-sensor jointly with every re-detected landmark, in information form: the
-terms of each type of each detected pair once per hypothesis, then every
-ranked association in one stacked pass (:func:`joint_update`).  An
-association that detects a pair with a singular innovation covariance is
-dropped.  The sensor posterior is the moment-matched mixture over all
-children; PMB reduces them to one hypothesis (:mod:`rfslam.reduction`), and
-gives each detected pair one Bernoulli, already averaged over the
-associations that hold it (:func:`update_step`).
+:class:`ChildParts`), rank the best ``gamma`` associations, keep those with
+at least ``MIN_CELL_MASS`` of the best one's weight, and update the sensor
+jointly with every re-detected landmark, in information form: the terms of
+each type of each detected pair once per hypothesis, then every kept
+association in one stacked pass (:func:`joint_update`).  An association
+that detects a pair with a singular innovation covariance is dropped.  The
+sensor posterior is the moment-matched mixture over all children; PMB
+reduces them to one hypothesis (:mod:`rfslam.reduction`), and gives each
+detected pair one Bernoulli, already averaged over the associations that
+hold it (:func:`update_step`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -35,6 +36,7 @@ from .association import (
 )
 from .density import (
     MAP_REGION_VOLUME,
+    MIN_CELL_MASS,
     Bernoulli,
     DegenerateDensityError,
     GaussianComponent,
@@ -65,6 +67,11 @@ PRUNE_EXISTENCE = 1e-4
 PRUNE_HYPOTHESIS = 1e-4
 MAX_HYPOTHESES = 50
 MERGE_THRESHOLD = 50.0
+
+#: A ranked association whose cost exceeds its hypothesis's best by more
+#: than this carries under ``MIN_CELL_MASS`` of the best one's weight, and
+#: :class:`ChildParts` drops it.
+MAX_COST_GAP = -math.log(MIN_CELL_MASS)
 
 
 @dataclass(frozen=True)
@@ -191,7 +198,10 @@ class ChildParts:
     The constructor makes the hypothesis's one :func:`build_cost_matrix`
     and :func:`murty_kbest` calls and keeps ``costs``, ``log_const`` (sum_i
     ln l^{i,0}, which turns a cost back into a weight), ``ctx`` and
-    ``ranked``; :func:`joint_update` keeps its results in ``posteriors``.
+    ``ranked``: the ``gamma`` best associations, less those whose cost
+    exceeds the best one's by more than ``MAX_COST_GAP``, so under
+    ``MIN_CELL_MASS`` of its weight, which no update, child or reduction
+    then sees.  :func:`joint_update` keeps its results in ``posteriors``.
     Every ranked association shares a misdetected or newborn Bernoulli
     (track-oriented children share their per-track local hypotheses), built
     on first use from the weights ``ctx`` holds.
@@ -204,7 +214,9 @@ class ChildParts:
         self.costs, self.log_const, self.ctx = build_cost_matrix(
             hypothesis, measurements, sensor, ppp, config.clutter_intensity,
             config.model, gate=config.gate)
-        self.ranked = murty_kbest(self.costs, config.gamma)
+        ranked = murty_kbest(self.costs, config.gamma)
+        self.ranked = [(sigma, cost) for sigma, cost in ranked
+                       if cost - ranked[0][1] <= MAX_COST_GAP]
         self.posteriors, self._misdetected, self._born = {}, {}, {}
 
     def misdetected(self, i: int) -> Bernoulli:
@@ -313,7 +325,11 @@ def _information_pass(parts: ChildParts, batch: list,
     their average: with b_a their normalized weights, each type gets x + K
     v - K H_s delta-bar and P_c + K H_s (Sigma-bar + C_delta) H_s^T K^T,
     delta-bar and Sigma-bar the b-weighted means of delta_a and Sigma_a and
-    C_delta the b-weighted covariance of delta_a (:func:`joint_update`)."""
+    C_delta the b-weighted covariance of delta_a (:func:`joint_update`).
+    The moments are formed only for a type row of two or more holders; a
+    row of one takes that association's own [Sigma_a, delta_a] (b = 1 and
+    C_delta = 0 exactly), so its Bernoulli is the one it gets without
+    ``log_weights``, bit for bit."""
     sensor, ds, P = parts.sensor, parts.sensor.dim, parts.sensor.covariance
     live = [(sigma, sigma.detected_pairs()) for sigma in batch]
     pairs, shapes, terms, groups = {}, {}, {}, []
@@ -348,12 +364,13 @@ def _information_pass(parts: ChildParts, batch: list,
         for sigma, keys in live for key in keys
         if not all(name in terms for name in pairs[key][1])}
     live = [(sigma, keys) for sigma, keys in live if sigma not in out]
+    if not live:
+        return out
     # J_a, g_a: psi_t [J, g] of its pairs' types in order, -0.0-padded (x +
     # -0.0 is x; a one-type pair has psi 1.0, and x * 1.0 is x).
     rows = [[terms[name] for key in keys for name in pairs[key][1]]
             for _, keys in live]
-    held = np.array([row + [-1] * (len(terms) + 1 - len(row)) for row in rows],
-                    dtype=int).reshape(-1, len(terms) + 1)
+    held = np.array([row + [-1] * (len(terms) + 1 - len(row)) for row in rows])
     JG = np.concatenate([wJG for wJG, *_ in groups]
                         + [np.full((1, ds, ds + 1), -0.0)])[held].sum(1)
     PJ = P @ JG[:, :, :ds]
@@ -364,18 +381,28 @@ def _information_pass(parts: ChildParts, batch: list,
     # Every association against every type: B D_a = [B Sigma_a, B delta_a].
     Ds = [D[:, None]] * len(groups)
     if log_weights is not None:
-        # Or each type row against its pair's moments [Sigma-bar + C_delta,
-        # delta-bar] over the associations that hold it, b_a = exp(log
-        # weight - their largest) normalized: a row no survivor holds
-        # stays 0.
-        L = np.full(held.shape, -np.inf)
-        L[np.arange(len(live))[:, None], held] = np.array(
-            [log_weights[sigma] for sigma, _ in live])[:, None]
-        b = np.exp(L - L.max(0, initial=np.finfo(float).min))[:, :-1]
-        b /= np.maximum(b.sum(0), 1.0)
-        M = (b.T @ D.reshape(-1, ds * (ds + 1))).reshape(-1, ds, ds + 1)
-        dev = D[:, :, ds] - M[:, None, :, ds]
-        M[:, :, :ds] += (b.T[..., None] * dev).swapaxes(1, 2) @ dev
+        # Or each type row against its pair's moments over the associations
+        # that hold it: one holder's own [Sigma_a, delta_a], several
+        # holders' [Sigma-bar + C_delta, delta-bar], b_a = exp(log weight -
+        # their largest) normalized.  No child reads a row no survivor
+        # holds.
+        holders = [[] for _ in terms]
+        for a, row in enumerate(rows):
+            for t in row:
+                holders[t].append(a)
+        M = D[[h[0] if h else 0 for h in holders]]
+        several = [t for t, h in enumerate(holders) if len(h) > 1]
+        if several:
+            who = [a for t in several for a in holders[t]]
+            L = np.full((len(live), len(several)), -np.inf)
+            L[who, [j for j, t in enumerate(several) for _ in holders[t]]] = \
+                np.array([log_weights[sigma] for sigma, _ in live])[who]
+            b = np.exp(L - L.max(0))
+            b /= b.sum(0)
+            S = (b.T @ D.reshape(-1, ds * (ds + 1))).reshape(-1, ds, ds + 1)
+            dev = D[:, :, ds] - S[:, None, :, ds]
+            S[:, :, :ds] += (b.T[..., None] * dev).swapaxes(1, 2) @ dev
+            M[several] = S
         Ds = [M[None, span] for *_, span in groups]
     posts = [(xKv - BD[..., ds], symmetrize(
         Pc + BD[..., :ds] @ G[:, ds + 1:, :ds].swapaxes(-1, -2)))
@@ -470,7 +497,7 @@ def update_step(density: PmbmDensity, sensor_pred: GaussianComponent,
 
     posterior = prune(posterior, PRUNE_EXISTENCE, PRUNE_HYPOTHESIS,
                       MAX_HYPOTHESES)
-    posterior = replace(posterior, hypotheses=tuple(
+    posterior = PmbmDensity(posterior.ppp_intensity, tuple(
         merge_bernoullis(h, MERGE_THRESHOLD) for h in posterior.hypotheses))
     return posterior, sensor_post
 

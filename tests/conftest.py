@@ -4,13 +4,14 @@ references, and the density invariant check."""
 
 import itertools
 import math
+import sys
 from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from rfslam import association
+from rfslam import association, cli
 from rfslam.association import (
     BirthCandidate,
     build_cost_matrix,
@@ -442,3 +443,34 @@ def compensated_builtin_sum(request):
         patch.setitem(globals(), "sum", compensated_sum)
         patch.setattr(request.module, "sum", compensated_sum, raising=False)
         yield
+
+
+def update_step_calls(scenario, filter_cfg, seed: int, runs: int) -> tuple:
+    """``(C calls, Python calls, steps)`` inside ``update_step`` over MC
+    runs 0 to ``runs`` - 1 of ``cli.run_single``: the ``c_call`` and
+    ``call`` events that ``sys.setprofile`` sees from entering the step to
+    leaving it.  A ``call`` is a Python function, generator or
+    comprehension entered; a ``c_call`` a builtin or C function called,
+    numpy's ufuncs and linear algebra among them.  The counts are exact
+    for given inputs and Python and numpy versions."""
+    counts = {"c_call": 0, "call": 0}
+    update_step, steps = cli.update_step, []
+
+    def count(frame, event, arg):
+        if event in counts:
+            counts[event] += 1
+
+    def counted(*args):
+        steps.append(None)
+        sys.setprofile(count)
+        try:
+            return update_step(*args)
+        finally:
+            sys.setprofile(None)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "update_step", counted)
+        for run in range(runs):
+            cli.run_single(scenario, filter_cfg, seed, run,
+                           cli.EXTRACT_THRESHOLD)
+    return counts["c_call"], counts["call"], len(steps)

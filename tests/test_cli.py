@@ -178,11 +178,11 @@ class TestGoldenOutput:
 
     @pytest.mark.parametrize("filter_kind, gamma, digest", [
         ("ek-pmb", 10,
-         "de2de0bc0eda0ec08120dd34080030db676033c5d85dda176bf3d66863a3757d"),
+         "970d5e175a54683e3a810ccfee0a0c3698d8d634a8827111fb9ceb7d0dd4d686"),
         ("ek-pmb", 1,
          "f3f3a79ed1ca90cedb9870be998f34e9511d2824837acda93d6df49e7aa97c9d"),
         ("ek-pmbm", 10,
-         "6e60ec7bca002b91607ad20f6b53d7a1bf1d43d7607dfad39f4ce8a276fd0a61"),
+         "f7b92346eb5dd325634cc97afcf77fd3a1c01cd52c8108b3aac4a81227ba5939"),
     ], ids=["ek-pmb-10", "ek-pmb-1", "ek-pmbm-10"])
     def test_report_hash_pinned(self, tmp_path, filter_kind, gamma, digest):
         report = run(RunConfig(filter_kind=filter_kind, gamma=gamma,
@@ -204,7 +204,7 @@ class TestGoldenOutput:
                                out_dir=str(tmp_path)))
         view = json.dumps(deterministic_report_view(report), sort_keys=True)
         assert hashlib.sha256(view.encode()).hexdigest() == (
-            "cff77c9ca7bf731c0b26aca78f55037d0004461d06963c16b8c65868e608819d")
+            "f6159f97cf5f12e7ff922de5eec50ba374b0e9d98179e6d96d07b2db4712a0f2")
 
 
 class TestCompare:

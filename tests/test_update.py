@@ -39,6 +39,7 @@ from rfslam.density import (
     TypeComponent,
     absent_bernoulli,
     default_ppp_intensity,
+    prune,
     sum_in_order,
     symmetrize,
 )
@@ -62,6 +63,7 @@ from rfslam.sim import (
 from rfslam.update import (
     EK_PMB,
     EK_PMBM,
+    MAX_COST_GAP,
     MAX_HYPOTHESES,
     ChildParts,
     FilterConfig,
@@ -904,17 +906,16 @@ def assert_children_close(got, want, parts, rtol):
         assert_close(comp.covariance, ref_comp.covariance, cov_scale, rtol)
 
 
-def exact_pmb_table(made):
-    """The track table a PMB step averages, from the exact children: each
-    context in ``made`` rebuilt fresh, every ranked association updated by
-    :func:`joint_update` and weighted as ``update_step`` weights it, then
-    aligned and averaged by the reduction; None when every association is
-    dropped."""
+def exact_children(made):
+    """The exact children of the contexts in ``made``: each context rebuilt
+    fresh, every association it ranked updated by :func:`joint_update` and
+    weighted as ``update_step`` weights it, in one density; None when every
+    association is dropped."""
     children = []
     for parts in made:
         fresh = ChildParts(parts.hypothesis, parts.measurements, parts.sensor,
                            parts.ppp, parts.config)
-        for sigma, cost in fresh.ranked:
+        for sigma, cost in parts.ranked:
             try:
                 child, _ = joint_update(fresh, sigma)
             except np.linalg.LinAlgError:
@@ -926,9 +927,18 @@ def exact_pmb_table(made):
     log_weights = np.array([lw for lw, _ in children])
     weights = np.exp(log_weights - log_weights.max())
     weights /= weights.sum()
-    return average_conditionals(align_hypotheses(PmbmDensity({}, tuple(
+    return PmbmDensity({}, tuple(
         GlobalHypothesis(w, child.bernoullis, child.assoc)
-        for w, (_, child) in zip(weights, children)))))
+        for w, (_, child) in zip(weights, children)))
+
+
+def exact_pmb_table(made):
+    """The track table a PMB step averages, from the exact children
+    (:func:`exact_children`) aligned and averaged by the reduction; None
+    when every association is dropped."""
+    children = exact_children(made)
+    return (None if children is None
+            else average_conditionals(align_hypotheses(children)))
 
 
 def cell_rtol(n_holders):
@@ -993,11 +1003,16 @@ def assert_detected_cells_close(got, want, priors):
             assert bern.belief.types.keys() == exact.belief.types.keys()
             for kind, comp in bern.belief.types.items():
                 ref_comp = exact.belief.types[kind]
-                comps = [b.belief.types[kind] for _, b in ref.contributors]
+                # Children of two parents can hold different types of a
+                # pair: only the contributors that hold the type mix it.
+                holding = [(w, b.belief.types[kind])
+                           for w, b in ref.contributors
+                           if kind in b.belief.types]
+                comps = [c for _, c in holding]
                 rtol = cell_rtol(len(comps))
                 assert abs(comp.weight - ref_comp.weight) <= rtol
-                if sum_in_order(w * b.belief.types[kind].weight
-                                for w, b in ref.contributors) < MIN_CELL_MASS:
+                if sum_in_order(w * c.weight for w, c in holding) \
+                        < MIN_CELL_MASS:
                     continue
                 mean_scale, cov_scale = cell_scales(
                     priors[i].belief.types[kind], comps, ref_comp.mean)
@@ -1250,8 +1265,222 @@ class TestCellAverage:
                                    two_parents)]
                  for two_parents in (False, True)}
         for found in cells.values():
+            assert min(n for n, _ in found) == 1
             assert max(n for n, _ in found) > 1
             assert max(types for _, types in found) > 1
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cell_of_one_holder_is_its_own_posterior(self, seed):
+        # Every PMB step of a cluttered channel-model run at gamma 10: a
+        # detected pair that one surviving association holds gets, bit for
+        # bit, the Bernoulli that association gets from the per-association
+        # tail (no log_weights), and every association keeps its sensor.
+        scenario = replace(default_scenario(seed=seed, steps=8),
+                           clutter_mean=3.0)
+        cfg = build_filter_config(scenario, RunConfig(filter_kind=EK_PMB,
+                                                      gamma=10))
+        information_pass = update_module._information_pass
+        held = Counter()
+
+        def compared(parts, batch, log_weights=None):
+            got = information_pass(parts, batch, log_weights)
+            own = information_pass(parts, batch)
+            live = [sigma for sigma in batch
+                    if not isinstance(got[sigma], np.linalg.LinAlgError)]
+            holders = Counter(key for sigma in live
+                              for key in sigma.detected_pairs())
+            for sigma in batch:
+                if sigma not in live:
+                    assert isinstance(own[sigma], np.linalg.LinAlgError)
+                    continue
+                (sensor, cells), (own_sensor, own_cells) = (got[sigma],
+                                                            own[sigma])
+                for i, p in sigma.detected_pairs():
+                    held[holders[(i, p)]] += 1
+                    if holders[(i, p)] == 1:
+                        assert_children_bit_equal(
+                            (GlobalHypothesis(1.0, (cells[i],)), sensor),
+                            (GlobalHypothesis(1.0, (own_cells[i],)),
+                             own_sensor))
+            return got
+
+        rng = np.random.default_rng([seed, 0])
+        density, sensor = initial_state(scenario)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(update_module, "_information_pass", compared)
+            for truth in simulate_trajectory(scenario, rng)[1:]:
+                zset = generate_measurements(truth, scenario, rng)
+                density, sensor = step(density, sensor,
+                                       list(zset.measurements), cfg)
+        assert held[1] and max(held) > 1
+
+
+def dropped_mass_bound(gamma):
+    """The largest share of a step's weight that the cost-gap floor drops.
+
+    A hypothesis ranks at most ``gamma`` - 1 associations besides its best,
+    and :class:`ChildParts` drops one only when it carries under
+    ``MIN_CELL_MASS`` of the best one's weight, so of the hypothesis's
+    weight; summed over the hypotheses, the dropped weight is under
+    (``gamma`` - 1) ``MIN_CELL_MASS`` of the total."""
+    return (gamma - 1) * MIN_CELL_MASS
+
+
+def floor_step(density, sensor_pred, measurements, cfg, gap):
+    """``update_step`` with ``MAX_COST_GAP`` set to ``gap``: its outcome,
+    the children ``marginalize_sensor`` mixes, the density ``prune`` gets
+    and the association contexts the step built."""
+    seen = {"made": []}
+
+    def children(weighted):
+        seen["children"] = weighted
+        return marginalize_sensor(weighted)
+
+    def pruned(posterior, *args):
+        seen["pre_prune"] = posterior
+        return prune(posterior, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(update_module, "MAX_COST_GAP", gap)
+        patch.setattr(update_module, "marginalize_sensor", children)
+        patch.setattr(update_module, "prune", pruned)
+        patch.setattr(update_module, "ChildParts",
+                      listing_parts(seen["made"]))
+        seen["outcome"] = update_step(density, sensor_pred, measurements,
+                                      cfg)
+    return seen
+
+
+def track_summands(made):
+    """Each track's summands over the exact children of the contexts in
+    ``made`` (:func:`exact_children`): ``(weight, Bernoulli)`` per child
+    that holds the track, ``(weight, None)`` for those in which a new track
+    is not born."""
+    table = align_hypotheses(exact_children(made))
+    return [[pair for cell in track.values()
+             for pair in cell.contributors or [(cell.beta, None)]]
+            for track in table.cells]
+
+
+def assert_moments_within(got, want, summands, share, rounding):
+    """A mixture's moments ``got`` (mean, covariance) without a share at
+    most ``share`` <= 1/2 of the weight of ``summands`` (weight, mean,
+    covariance), against ``want`` with it.
+
+    Dropping a share e of the weight moves a weighted mean by e / (1 - e)
+    <= 2e times the removed summands' mean distance from it, so by at most
+    2e R_x, R_x the largest distance of a summand's mean from ``want``'s.
+    The covariance is the weighted mean of P_a + d_a d_a^T about the mean
+    less the moved mean's outer product, so it moves by at most 2e R_P +
+    (2e R_x)^2, R_P the largest distance of P_a + d_a d_a^T from ``want``'s
+    covariance.  ``rounding`` (a relative tolerance) adds the rounding of
+    both sides at the summands' scale."""
+    (mean, cov), (ref_mean, ref_cov) = got, want
+    d = np.array([x - ref_mean for _, x, _ in summands])
+    spread_x = np.max(np.abs(d))
+    spread_P = max(np.max(np.abs(P + np.outer(v, v) - ref_cov))
+                   for (_, _, P), v in zip(summands, d))
+    mean_scale = max(np.max(np.abs(x)) for _, x, _ in summands)
+    cov_scale = max(max(np.max(np.abs(P)) for _, _, P in summands),
+                    mean_scale * spread_x)
+    assert np.max(np.abs(mean - ref_mean)) <= \
+        2 * share * spread_x + rounding * mean_scale
+    assert np.max(np.abs(cov - ref_cov)) <= \
+        2 * share * spread_P + (2 * share * spread_x) ** 2 \
+        + rounding * cov_scale
+
+
+def assert_track_within(got, want, summands, eps):
+    """One track of a PMB step's recombined multi-Bernoulli without the
+    dropped associations, ``got``, against ``want`` over every ranked one.
+
+    The track is a mixture over the associations' summands: its existence
+    the w-weighted mean of r_a, a type's weight the w r-weighted mean of
+    psi_a, the type's Gaussian the w r psi-weighted moments.  The dropped
+    associations hold at most ``eps`` of w, so at most eps / r of w r and
+    eps / (r psi) of w r psi, and each quantity moves by at most twice its
+    share times its summands' spread (:func:`assert_moments_within`).
+    Rounding: each side is within 8 (n + 6) u of the exact mixture at the
+    cell and again at the recombination (:func:`cell_rtol`).  A type under
+    2 eps of mass is skipped, where the share can pass 1/2, and so are
+    Gaussians under ``MIN_CELL_MASS``, which keep one holder's."""
+    rounding = 4 * cell_rtol(len(summands))
+    r = want.existence
+    assert abs(got.existence - r) <= 2 * eps + rounding
+    assert got.belief.types.keys() <= want.belief.types.keys()
+    for kind, ref in want.belief.types.items():
+        mass = r * ref.weight
+        comp = got.belief.types.get(kind)
+        if comp is None:
+            # Only dropped associations held the type.
+            assert mass <= eps + rounding
+            continue
+        if r < 2 * eps:
+            continue
+        assert abs(comp.weight - ref.weight) <= 2 * eps / r + rounding
+        if mass < max(2 * eps, MIN_CELL_MASS):
+            continue
+        assert_moments_within(
+            (comp.mean, comp.covariance), (ref.mean, ref.covariance),
+            [(w, b.belief.types[kind].mean, b.belief.types[kind].covariance)
+             for w, b in summands
+             if b is not None and kind in b.belief.types],
+            eps / mass, rounding)
+
+
+class TestCostGapFloor:
+    """``ChildParts`` keeps a ranked association only within
+    ``MAX_COST_GAP`` of its hypothesis's best cost.  The oracle is the same
+    step over every ranked association: the two must agree within what
+    the dropped mass (:func:`dropped_mass_bound`) can move, under both
+    filters."""
+
+    @pytest.mark.parametrize("filter_kind", [EK_PMB, EK_PMBM])
+    def test_within_dropped_mass_of_every_ranked_association(self,
+                                                             filter_kind):
+        scenario = replace(default_scenario(seed=3, steps=12),
+                           clutter_mean=3.0)
+        cfg = build_filter_config(scenario, RunConfig(
+            filter_kind=filter_kind, gamma=10))
+        eps = dropped_mass_bound(cfg.gamma)
+        rng = np.random.default_rng([3, 0])
+        density, sensor = initial_state(scenario)
+        dropped = 0
+        for truth in simulate_trajectory(scenario, rng)[1:]:
+            measurements = list(generate_measurements(
+                truth, scenario, rng).measurements)
+            density, sensor_pred = predict_step(density, sensor, cfg)
+            floor, every = (floor_step(density, sensor_pred, measurements,
+                                       cfg, gap)
+                            for gap in (MAX_COST_GAP, math.inf))
+            dropped += sum(len(b.ranked) - len(a.ranked)
+                           for a, b in zip(floor["made"], every["made"]))
+            (density, sensor), (want, want_sensor) = (floor["outcome"],
+                                                      every["outcome"])
+            assert_moments_within(
+                (sensor.mean, sensor.covariance),
+                (want_sensor.mean, want_sensor.covariance),
+                [(w, g.mean, g.covariance) for w, g in every["children"]],
+                eps, 4 * cell_rtol(len(every["children"])))
+            if filter_kind == EK_PMBM:
+                # The children are the same objects' bits; only the
+                # weights renormalize, by at most 2 eps.
+                assert [h.assoc for h in density.hypotheses] == \
+                    [h.assoc for h in want.hypotheses]
+                for hyp, ref in zip(density.hypotheses, want.hypotheses):
+                    assert abs(hyp.weight - ref.weight) <= 2 * eps + \
+                        4 * cell_rtol(len(every["children"]))
+                    assert_densities_bit_equal(
+                        PmbmDensity({}, (replace(hyp, weight=1.0),)),
+                        PmbmDensity({}, (replace(ref, weight=1.0),)))
+                continue
+            (mb,), (ref_mb,) = (floor["pre_prune"].hypotheses,
+                                every["pre_prune"].hypotheses)
+            assert len(mb.bernoullis) == len(ref_mb.bernoullis)
+            for bern, ref, summands in zip(mb.bernoullis, ref_mb.bernoullis,
+                                           track_summands(every["made"])):
+                assert_track_within(bern, ref, summands, eps)
+        assert dropped > 0
 
 
 class LinearizeOnlyModel:
@@ -1835,7 +2064,15 @@ class TestStep:
         monkeypatch.undo()
 
         sigmas = [args[1] for args, _ in children]
-        assert len(sigmas) == cfg.gamma
+        parts = children[0][0][0]
+        # Each kept association gives one child; every ranked association
+        # the cost-gap rule dropped carries under MIN_CELL_MASS of the best
+        # one's weight.
+        ranked = association.murty_kbest(parts.costs, cfg.gamma)
+        assert sigmas == [sigma for sigma, _ in parts.ranked]
+        assert parts.ranked == ranked[:len(sigmas)]
+        assert all(cost - ranked[0][1] > MAX_COST_GAP
+                   for _, cost in ranked[len(sigmas):])
         misdetected = [i for s in sigmas
                        for i, p in enumerate(s.sigma[:s.n_prior]) if p == 0]
         born = [p for s in sigmas for p in s.born_measurements()]
@@ -1843,7 +2080,6 @@ class TestStep:
         # Shared pieces exist, so the counts below test the sharing.
         assert len(misdetected) > len(set(misdetected))
         assert len(born) > len(set(born))
-        parts = children[0][0][0]
         # A clutter-only birth slot builds no Bernoulli.
         newborn = {p for p in born if parts.ctx.births[p].masses}
         misdetected_builds = [i for comps in calls["local"]
