@@ -29,7 +29,6 @@ from .density import (
     Bernoulli,
     GaussianComponent,
     GlobalHypothesis,
-    _shape_groups,
     sum_in_order,
     symmetrize,
 )
@@ -144,12 +143,21 @@ def linearize_types(berns, z_rows: np.ndarray, sensor: GaussianComponent,
     rows, landmark by landmark in each belief's type order, then the
     newborn rows in ``invert``'s order.
 
+    Every landmark type of a model shares one dimension, so each stage
+    after this one takes its rows in one stack.  A hypothesis whose type
+    Gaussians differ in dimension raises ValueError, before the model is
+    called.
+
     Returns ``(members, born, means, linearization)``: the ``(landmark,
     kind, component)`` of each landmark row, the ``(kind, measurement)``
     and the mean of each newborn row, and the ``linearize`` result.
     """
     members = [(i, kind, comp) for i, bern in enumerate(berns)
                for kind, comp in bern.belief.types.items()]
+    dims = {comp.mean.size for _, _, comp in members}
+    if len(dims) > 1:
+        raise ValueError("every landmark type of a model shares one dimension;"
+                         f" this hypothesis holds dimensions {sorted(dims)}")
     kinds = [kind for kind, rate in ppp.items()
              if rate > 0.0 and kind is not LandmarkType.BS]
     born, means = (model.invert(z_rows, sensor.mean, kinds)
@@ -157,17 +165,6 @@ def linearize_types(berns, z_rows: np.ndarray, sensor: GaussianComponent,
     return members, born, means, model.linearize(
         sensor.mean, [c.mean for _, _, c in members] + list(means),
         [kind for _, kind, _ in members] + [kind for kind, _ in born])
-
-
-def _dimension_stacks(H_x, rows: list) -> list:
-    """``(block, H_x stack)`` per landmark dimension of the prediction rows
-    ``rows``: all of them when ``H_x`` is one stack, else a block per
-    shape of its per-row blocks, in first-seen order."""
-    if isinstance(H_x, np.ndarray):
-        return [(rows, H_x[rows])] if rows else []
-    return [(block, np.array([H_x[r] for r in block]))
-            for block in ([rows[j] for j in group] for group in
-                          _shape_groups([H_x[r] for r in rows]))]
 
 
 def predict_types(berns, sensor: GaussianComponent, geometry):
@@ -181,7 +178,8 @@ def predict_types(berns, sensor: GaussianComponent, geometry):
     :class:`TypePrediction` in its belief's type order, the ``(landmark,
     kind)`` of every type with a prediction, landmark by landmark, and
     their predictions and H blkdiag(P, C) H^T (without R), stacked in
-    ``rows`` order -- the order of the landmark rows of the linearization.
+    ``rows`` order -- the order of the landmark rows of the linearization,
+    one stack of one landmark dimension.
     """
     members, _, _, (p_detect, seen, z_pred, H_s, H_x) = geometry
     preds = [dict.fromkeys(bern.belief.types) for bern in berns]
@@ -194,10 +192,9 @@ def predict_types(berns, sensor: GaussianComponent, geometry):
     rows = [members[k][:2] for k in seen[:m]]
     if not rows:
         return tuple(preds), rows, None, None
-    hph = H_s[:m] @ sensor.covariance @ H_s[:m].swapaxes(-1, -2)
-    for block, H in _dimension_stacks(H_x, list(range(m))):
-        C = np.array([members[seen[r]][2].covariance for r in block])
-        hph[block] += H @ C @ H.swapaxes(-1, -2)
+    C = np.array([members[k][2].covariance for k in seen[:m]])
+    hph = (H_s[:m] @ sensor.covariance @ H_s[:m].swapaxes(-1, -2)
+           + H_x[:m] @ C @ H_x[:m].swapaxes(-1, -2))
     return tuple(preds), rows, z_pred[:m], hph
 
 
@@ -272,7 +269,8 @@ def newborns(geometry, ppp: dict, z_rows: np.ndarray, r_stack: np.ndarray,
     determine a position, the newborn's geometry is degenerate, the sensor
     cannot see it (detection probability 0), or its gain or information
     matrix is not positive definite; the measurement is then clutter-only
-    for that type.
+    for that type.  The newborn rows the sensor can see take one
+    :func:`_newborn_stack` call, in stack order.
 
     Returns per measurement ``(terms, comps)``: kind -> ``(rate, p_detect,
     ln N)`` and kind -> newborn :class:`GaussianComponent`, in ``ppp``
@@ -282,16 +280,14 @@ def newborns(geometry, ppp: dict, z_rows: np.ndarray, r_stack: np.ndarray,
     n = len(members)
     live = [r for r in range(bisect_left(seen, n), len(seen))
             if p_detect[seen[r]] > 0.0]
-    kept = []
-    for block, H in _dimension_stacks(H_x, live):
-        kept += [(block[b], loglik, cov) for b, loglik, cov in _newborn_stack(
-            [born[seen[r] - n][1] for r in block], z_pred[block],
-            H_s[block], H, z_rows, r_stack, sensor, model)]
     out = [({}, {}) for _ in z_rows]
     # Stack order is ppp order, then measurement order.
-    for r, loglik, cov in sorted(kept):
-        (kind, p), mean = born[seen[r] - n], means[seen[r] - n]
-        out[p][0][kind] = (ppp[kind], p_detect[seen[r]], loglik)
+    for b, loglik, cov in _newborn_stack(
+            [born[seen[r] - n][1] for r in live], z_pred[live], H_s[live],
+            H_x[live], z_rows, r_stack, sensor, model) if live else ():
+        r = seen[live[b]]
+        (kind, p), mean = born[r - n], means[r - n]
+        out[p][0][kind] = (ppp[kind], p_detect[r], loglik)
         out[p][1][kind] = GaussianComponent(mean, cov)
     return out
 
@@ -459,9 +455,7 @@ def build_cost_matrix(hypothesis: GlobalHypothesis, measurements,
     (:func:`linearize_types`), the type predictions and their ``hph``
     (:func:`predict_types`), the misdetection weights, the gated
     detections (:func:`_detections`), and the newborns (:func:`newborns`)
-    with one :func:`weight_birth` call per measurement.  A stage where the
-    landmark dimension enters takes one stack per dimension
-    (:func:`_dimension_stacks`).
+    with one :func:`weight_birth` call per measurement.
 
     Raises ValueError on non-finite input and LinAlgError when an
     innovation covariance is not positive definite; a newborn whose gain or

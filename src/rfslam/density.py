@@ -23,16 +23,6 @@ class DegenerateDensityError(ValueError):
     """All probability mass vanished (no hypotheses or all-zero weights)."""
 
 
-def _shape_groups(blocks) -> list:
-    """Index lists of the rows of ``blocks`` that share a shape, in order:
-    a model may give each landmark type its own dimension, and a stack
-    holds one shape."""
-    groups = {}
-    for k, block in enumerate(blocks):
-        groups.setdefault(block.shape, []).append(k)
-    return list(groups.values())
-
-
 def sum_in_order(terms) -> float:
     """The terms added one after another, left to right from +0.0.
 
@@ -259,8 +249,9 @@ MIN_CELL_MASS = 1e-12
 
 def mix_types(jobs: list) -> list:
     """Type-weighted moment match of beliefs, every job of a stage in one
-    :func:`moment_match` call per member dimension: the one kernel of the
-    merge, the cell averaging and the TOMB recombination.
+    :func:`moment_match` call, as every landmark type shares one dimension:
+    the one kernel of the merge, the cell averaging and the TOMB
+    recombination.
 
     A job is ``(members, total, masses)``: ``members`` are ``(scale,
     Bernoulli)`` pairs whose beliefs are mixed (the existence plays no
@@ -297,10 +288,8 @@ def mix_types(jobs: list) -> list:
                 groups.append((coefs, comps, mass))
                 slots.append((types, kind))
         results.append((types, type_masses))
-    for group in _shape_groups([comps[0].mean for _, comps, _ in groups]):
-        means, covs = moment_match([groups[k] for k in group])
-        for k, mean, cov in zip(group, means, covs):
-            types, kind = slots[k]
+    if groups:
+        for (types, kind), mean, cov in zip(slots, *moment_match(groups)):
             types[kind] = TypeComponent(types[kind], mean, cov)
     return [(LandmarkBelief(_ordered_types(types)), type_masses)
             for types, type_masses in results]
@@ -325,23 +314,17 @@ def _merge_candidates(kinds, comps, threshold: float) -> list:
     ``MERGE_BOUND_MARGIN`` covers the first term and leaves 1e-9 for the
     solves' own rounding; the slack 1e-300 covers the second.  A negative
     bound rejects every pair; a NaN bound or distance compares False and
-    keeps the pair.
-
-    A stack holds one shape, so each dimension's Bernoullis are bounded
-    by themselves (:func:`_shape_groups`).  A pair across dimensions has
-    two dominant types and is False.
+    keeps the pair.  Every landmark type shares one dimension, so the
+    components stack.
     """
     codes = np.array([TYPE_ORDER.index(k) for k in kinds])
-    near = codes[:, None] == codes
-    for group in _shape_groups([c.mean for c in comps]):
-        means = np.array([comps[k].mean for k in group])
-        traces = np.array([comps[k].covariance for k in group]).trace(
-            axis1=1, axis2=2)
-        d = means[:, None, :] - means[None, :, :]
-        bound = (threshold * (1.0 + MERGE_BOUND_MARGIN)
-                 * np.minimum(traces[:, None], traces[None, :]) + 1e-300)
-        near[np.ix_(group, group)] &= ~((d * d).sum(axis=-1) > bound)
-    return near.tolist()
+    means = np.array([c.mean for c in comps])
+    traces = np.array([c.covariance for c in comps]).trace(axis1=1, axis2=2)
+    d = means[:, None, :] - means[None, :, :]
+    bound = (threshold * (1.0 + MERGE_BOUND_MARGIN)
+             * np.minimum(traces[:, None], traces[None, :]) + 1e-300)
+    return ((codes[:, None] == codes)
+            & ~((d * d).sum(axis=-1) > bound)).tolist()
 
 
 def merge_bernoullis(hypothesis: GlobalHypothesis,

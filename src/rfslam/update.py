@@ -318,7 +318,10 @@ def _information_pass(parts: ChildParts, batch: list,
     """Each association of ``batch`` -> ``(sensor posterior, {landmark:
     detected Bernoulli})``, or the LinAlgError that drops it.  Only a
     ``sigma`` passed alone can detect a pair the cost matrix did not keep;
-    :meth:`ChildParts.detection` then raises.
+    :meth:`ChildParts.detection` then raises.  The types of the pairs the
+    batch detects form one stack of type rows, in first-seen order, as
+    every landmark type shares one dimension; a batch that detects none
+    keeps the sensor.
 
     With ``log_weights`` (sigma -> its log weight, up to a constant) the
     associations that survive and detect pair (i, p) hold one Bernoulli,
@@ -332,32 +335,28 @@ def _information_pass(parts: ChildParts, batch: list,
     ``log_weights``, bit for bit."""
     sensor, ds, P = parts.sensor, parts.sensor.dim, parts.sensor.covariance
     live = [(sigma, sigma.detected_pairs()) for sigma in batch]
-    pairs, shapes, terms, groups = {}, {}, {}, []
+    pairs, members = {}, []
     for key in dict.fromkeys(key for _, keys in live for key in keys):
         psi, types = parts.detection(*key)
         pairs[key] = psi, [(key, kind) for kind, *_ in types]
-        for kind, comp, pred, v in types:
-            shapes.setdefault(comp.mean.size, []).append(
-                ((key, kind), psi[kind], comp, pred, v))
-    for members in shapes.values():
-        names, w, comps, preds, v = zip(*members)
-        x = np.array([comp.mean for comp in comps])
-        Px = np.array([comp.covariance for comp in comps])
-        Hx = np.array([pred.H_x for pred in preds])
-        hc = Hx @ Px
-        S = np.array([parts.measurements[p].covariance
-                      for ((_, p), _) in names])
-        S += hc @ Hx.swapaxes(-1, -2)
-        rhs = np.concatenate([np.array([pred.H_s for pred in preds]),
-                              np.array(v)[:, :, None], hc], axis=2)
-        kept, _, solved = chol_solve(S, rhs, drop=True)
-        rhs, x, Px = rhs[kept], x[kept], Px[kept]
-        # rhs^T S_x^-1 rhs: [J, g] atop [K H_s, K v, K H_x P_x].
-        G = rhs.swapaxes(-1, -2) @ np.reshape(solved, rhs.shape)
-        terms.update({names[e]: len(terms) + k for k, e in enumerate(kept)})
-        groups.append((G[:, :ds, :ds + 1] * np.array(w)[kept, None, None], G,
-                       x + G[:, ds + 1:, ds], Px - G[:, ds + 1:, ds + 1:],
-                       slice(len(terms) - len(kept), len(terms))))
+        members += [((key, kind), psi[kind], comp, pred, v)
+                    for kind, comp, pred, v in types]
+    if not members:
+        return {sigma: (sensor, {}) for sigma in batch}
+    names, w, comps, preds, v = zip(*members)
+    x = np.array([comp.mean for comp in comps])
+    Px = np.array([comp.covariance for comp in comps])
+    Hx = np.array([pred.H_x for pred in preds])
+    hc = Hx @ Px
+    S = np.array([parts.measurements[p].covariance for ((_, p), _) in names])
+    S += hc @ Hx.swapaxes(-1, -2)
+    rhs = np.concatenate([np.array([pred.H_s for pred in preds]),
+                          np.array(v)[:, :, None], hc], axis=2)
+    kept, _, solved = chol_solve(S, rhs, drop=True)
+    rhs, x, Px = rhs[kept], x[kept], Px[kept]
+    # rhs^T S_x^-1 rhs: [J, g] atop [K H_s, K v, K H_x P_x].
+    G = rhs.swapaxes(-1, -2) @ np.reshape(solved, rhs.shape)
+    terms = {names[e]: k for k, e in enumerate(kept)}
     out = {sigma: np.linalg.LinAlgError(
         "innovation covariance of landmark {} detected by measurement {} is "
         "not positive definite".format(*key))
@@ -371,15 +370,15 @@ def _information_pass(parts: ChildParts, batch: list,
     rows = [[terms[name] for key in keys for name in pairs[key][1]]
             for _, keys in live]
     held = np.array([row + [-1] * (len(terms) + 1 - len(row)) for row in rows])
-    JG = np.concatenate([wJG for wJG, *_ in groups]
-                        + [np.full((1, ds, ds + 1), -0.0)])[held].sum(1)
+    JG = np.concatenate([G[:, :ds, :ds + 1] * np.array(w)[kept, None, None],
+                         np.full((1, ds, ds + 1), -0.0)])[held].sum(1)
     PJ = P @ JG[:, :, :ds]
     cov = symmetrize(P - PJ @ np.linalg.solve(np.eye(ds) + PJ, P))
     D = cov @ JG
     means = sensor.mean + D[:, :, ds]
     D[:, :, :ds] = cov
     # Every association against every type: B D_a = [B Sigma_a, B delta_a].
-    Ds = [D[:, None]] * len(groups)
+    D_rows = D[:, None]
     if log_weights is not None:
         # Or each type row against its pair's moments over the associations
         # that hold it: one holder's own [Sigma_a, delta_a], several
@@ -403,13 +402,13 @@ def _information_pass(parts: ChildParts, batch: list,
             dev = D[:, :, ds] - S[:, None, :, ds]
             S[:, :, :ds] += (b.T[..., None] * dev).swapaxes(1, 2) @ dev
             M[several] = S
-        Ds = [M[None, span] for *_, span in groups]
-    posts = [(xKv - BD[..., ds], symmetrize(
-        Pc + BD[..., :ds] @ G[:, ds + 1:, :ds].swapaxes(-1, -2)))
-        for (_, G, xKv, Pc, _), D_rows in zip(groups, Ds)
-        for BD in [G[:, ds + 1:, :ds] @ D_rows]]
-    posts = [(xs[:, k], Ps[:, k]) for xs, Ps in posts
-             for k in range(xs.shape[1])]
+        D_rows = M[None]
+    B = G[:, ds + 1:, :ds]
+    BD = B @ D_rows
+    xs = x + G[:, ds + 1:, ds] - BD[..., ds]
+    Ps = symmetrize(Px - G[:, ds + 1:, ds + 1:]
+                    + BD[..., :ds] @ B.swapaxes(-1, -2))
+    posts = [(xs[:, k], Ps[:, k]) for k in range(len(terms))]
     # Per pair once: psi -> (kind, w, its rows over the columns).
     for key, (psi, _) in pairs.items():
         prior = parts.hypothesis.bernoullis[key[0]].belief.types

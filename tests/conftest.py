@@ -40,9 +40,8 @@ class LinearModel:
     """Linear toy measurement model: h(s, x) = A s + B x + c per type.
 
     Dimension-agnostic stand-in for the channel geometry, used to check the
-    filter core against closed-form Gaussian conditioning.  Its types may
-    differ in landmark dimension: one ``linearize`` call then takes rows of
-    every dimension and returns their ``H_x`` blocks as a list.
+    filter core against closed-form Gaussian conditioning.  As for every
+    model, its landmark types share one dimension.
     """
 
     def __init__(self, mats, dim, p_detect=0.9):
@@ -81,8 +80,7 @@ class LinearModel:
         """``(p_detect, seen, z_pred, H_s, H_x)`` of a sequence of landmark
         means, one kind per row, each row from the three methods above; a
         row whose ``predict`` raises DegenerateGeometryError has p_detect 0
-        and no prediction.  ``H_x`` is a list of per-row blocks when the
-        predicted rows' types differ in dimension, else one stack."""
+        and no prediction."""
         p_detect, seen, found = [], [], []
         for k, (x, kind) in enumerate(zip(positions, kinds)):
             try:
@@ -93,10 +91,9 @@ class LinearModel:
             p_detect.append(self.detection_probability(sensor_mean, x, kind))
             seen.append(k)
             found.append((z_pred, *self.jacobians(sensor_mean, x, kind)))
-        z_pred, H_s, H_x = ([row[j] for row in found] for j in range(3))
-        mixed = len({h.shape for h in H_x}) > 1
-        return (p_detect, seen, np.array(z_pred), np.array(H_s),
-                H_x if mixed else np.array(H_x))
+        z_pred, H_s, H_x = (np.array([row[j] for row in found])
+                            for j in range(3))
+        return p_detect, seen, z_pred, H_s, H_x
 
     def invert(self, z_rows, sensor_mean, kinds):
         """``(rows, means)``: the ``(kind, measurement)`` of every
@@ -367,13 +364,18 @@ def check_density(density: PmbmDensity, tol: float = 1e-9) -> None:
     """Raise AssertionError when a structural invariant is violated,
     including the container contract the constructors do not enforce:
     tuples of hypotheses and Bernoullis, per-type dicts in ``TYPE_ORDER``
-    and float64 ndarray means and covariances of matching shape."""
+    and float64 ndarray means and covariances of matching shape, every type
+    component of the density of one dimension."""
     assert type(density.hypotheses) is tuple, "hypotheses must be a tuple"
     assert in_type_order(density.ppp_intensity), "PPP rates out of type order"
     weights = [h.weight for h in density.hypotheses]
     assert abs(sum(weights) - 1.0) <= tol, "hypothesis weights must sum to 1"
     for rate in density.ppp_intensity.values():
         assert rate >= 0.0, "PPP intensity must be nonnegative"
+    dims = {comp.mean.shape for hyp in density.hypotheses
+            for bern in hyp.bernoullis
+            for comp in bern.belief.types.values()}
+    assert len(dims) <= 1, f"type components of dimensions {sorted(dims)}"
     for hyp in density.hypotheses:
         assert type(hyp.bernoullis) is tuple, "bernoullis must be a tuple"
         for bern in hyp.bernoullis:

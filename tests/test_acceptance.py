@@ -134,9 +134,9 @@ class TestCriterion3KalmanOracle:
             n_landmarks = int(rng.integers(1, 4))
             ds = int(rng.integers(1, 4))
             dz = int(rng.integers(1, 4))
+            dx = int(rng.integers(1, 4))
             kinds, mats = [], {}
             for i, kind in zip(range(n_landmarks), LandmarkType):
-                dx = int(rng.integers(1, 4))
                 mats[kind] = (rng.normal(size=(dz, ds)),
                               rng.normal(size=(dz, dx)), rng.normal(size=dz))
                 kinds.append(kind)

@@ -61,7 +61,7 @@ def test_traced_update_step_records_every_association_layer():
     assert tracer.counts["steps"] == 1
 
 
-def test_traced_pmb_step_calls_joint_update_per_ranked_association():
+def test_traced_pmbm_step_calls_joint_update_per_ranked_association():
     # The joint update runs all of a hypothesis's ranked associations in its
     # first call, and a PMBM update_step still calls it once per
     # association: the span holds the work, and the call count is the

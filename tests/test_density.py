@@ -576,11 +576,10 @@ def draw_value(rng, tiny):
     return float(1.0 - rng.uniform())
 
 
-def random_members(rng, n, n_types, shared, tiny, zero_existence,
-                   dims=None):
-    """``n`` Bernoullis over ``n_types`` types; with ``shared`` "all" they
-    are one object, with "some" about half repeat an earlier one.  ``dims``
-    maps each type to its dimension (3 for every type by default)."""
+def random_members(rng, n, n_types, shared, tiny, zero_existence, dim=3):
+    """``n`` Bernoullis over ``n_types`` types of dimension ``dim``; with
+    ``shared`` "all" they are one object, with "some" about half repeat an
+    earlier one."""
     kinds = [TYPE_ORDER[i] for i in sorted(rng.choice(3, n_types, replace=False))]
     members = []
     for _ in range(n):
@@ -592,7 +591,6 @@ def random_members(rng, n, n_types, shared, tiny, zero_existence,
             kinds[int(rng.integers(len(kinds)))]]
         types = {}
         for kind in held:
-            dim = 3 if dims is None else dims[kind]
             a = rng.normal(size=(dim, dim))
             types[kind] = TypeComponent(
                 draw_value(rng, tiny),
@@ -751,29 +749,27 @@ class TestMixTypes:
         assert pruned.hypotheses[0].bernoullis == ()
 
 
-#: Each type's dimension in a model whose landmark types differ in it.  VA
-#: is 1-D, so a type matched alone is often a lone group of 1-D members.
-MIXED_DIMS = {LandmarkType.BS: 3, LandmarkType.VA: 1, LandmarkType.SP: 4}
+#: Landmark dimensions other than the channel model's 3.  At 1, a type
+#: matched alone is a lone group of 1-D members.
+OTHER_DIMS = st.sampled_from([1, 2, 4])
 
 
-def dominant_dim(b):
-    return b.belief.types[b.belief.dominant_type()].mean.size
-
-
-class TestMixedDimensions:
-    """Landmark types of different dimension: ``mix_types`` takes every job
-    of a stage at once and gives each type the bits of matching it alone,
-    and the merge bounds each dimension's Bernoullis by themselves."""
+class TestLandmarkDimension:
+    """Every landmark type of a model shares one dimension, any one:
+    ``mix_types`` takes every job of a stage in one moment match and gives
+    each type the bits of matching it alone, and the merge's array bound
+    keeps every pair the solving gate accepts."""
 
     @settings(max_examples=100, deadline=None)
-    @given(**mixture_cases, n_jobs=st.integers(1, 3))
+    @given(**mixture_cases, n_jobs=st.integers(1, 3), dim=OTHER_DIMS)
     def test_mix_types_matches_each_type_alone(self, seed, n, n_types, shared,
-                                               tiny, zero_existence, n_jobs):
+                                               tiny, zero_existence, n_jobs,
+                                               dim):
         rng = np.random.default_rng(seed)
         jobs = []
         for _ in range(n_jobs):
             members = random_members(rng, n, n_types, shared, tiny,
-                                     zero_existence, dims=MIXED_DIMS)
+                                     zero_existence, dim=dim)
             scaled = [(draw_value(rng, tiny), b) for b in members]
             jobs.append((scaled, sum(w for w, _ in scaled), None))
         for (members, total, _), (got, masses) in zip(jobs, mix_types(jobs)):
@@ -787,8 +783,9 @@ class TestMixedDimensions:
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 10),
-           threshold=st.sampled_from([1.0, 50.0, 400.0]))
-    def test_merge_bounds_each_dimension_apart(self, seed, n, threshold):
+           threshold=st.sampled_from([1.0, 50.0, 400.0]), dim=OTHER_DIMS)
+    def test_merge_bound_keeps_every_gated_pair(self, seed, n, threshold,
+                                                dim):
         rng = np.random.default_rng(seed)
         va, sp = LandmarkType.VA, LandmarkType.SP
         berns = []
@@ -797,7 +794,6 @@ class TestMixedDimensions:
             kinds = (va, sp) if rng.uniform() < 0.5 else (sp, va)
             types = {}
             for kind, weight in zip(kinds, (psi, 1.0 - psi)):
-                dim = MIXED_DIMS[kind]
                 types[kind] = TypeComponent(
                     weight, rng.normal(size=dim) * 10 ** rng.uniform(-1, 1),
                     10 ** rng.uniform(-0.5, 1) * np.eye(dim))
@@ -806,9 +802,7 @@ class TestMixedDimensions:
         near = merge_candidates(berns, threshold)
         for i, a in enumerate(berns):
             for j, b in enumerate(berns):
-                if dominant_dim(a) != dominant_dim(b):
-                    assert not near[i][j]
-                elif solving_merge_gate(a, b, threshold):
+                if solving_merge_gate(a, b, threshold):
                     assert near[i][j]
         hyp = GlobalHypothesis(1.0, tuple(berns))
         assert_bernoullis_bit_equal(

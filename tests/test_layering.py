@@ -53,11 +53,11 @@ BENCH_SCRIPTS = sorted((ROOT / "perfbench").glob("*.py"))
 API_ONLY = ["cli.deterministic_metrics_view", "geometry.measure_jacobian"]
 
 #: Code lines of ``src/rfslam``, counted by :func:`code_lines`.
-CODE_LINE_BUDGET = 2216
+CODE_LINE_BUDGET = 2196
 
 #: All lines of ``src/rfslam``, as ``wc -l`` counts them: code, docstrings,
 #: comments and blank lines.
-TOTAL_LINE_BUDGET = 3569
+TOTAL_LINE_BUDGET = 3545
 
 #: Fields of the two settings objects.
 SETTINGS_FIELDS = {RunConfig: 10, FilterConfig: 11}

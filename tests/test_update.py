@@ -362,12 +362,10 @@ def linear_setup(rng, n_landmarks, multi_type=False):
     """Random linear toy: returns (model, config, sensor, hypothesis, kinds)."""
     ds = int(rng.integers(1, 4))
     dz = int(rng.integers(1, 4))
+    dx = int(rng.integers(1, 4))
     kinds = [BS, VA, SP][:max(2, n_landmarks)] if multi_type else None
-    mats = {}
-    for kind in (BS, VA, SP):
-        dx = int(rng.integers(1, 4))
-        mats[kind] = (rng.normal(size=(dz, ds)), rng.normal(size=(dz, dx)),
-                      rng.normal(size=dz))
+    mats = {kind: (rng.normal(size=(dz, ds)), rng.normal(size=(dz, dx)),
+                   rng.normal(size=dz)) for kind in (BS, VA, SP)}
     model = LinearModel(mats, dz, p_detect=0.8)
     sensor_cov = rng.normal(size=(ds, ds))
     sensor_cov = sensor_cov @ sensor_cov.T + ds * np.eye(ds)
@@ -378,14 +376,12 @@ def linear_setup(rng, n_landmarks, multi_type=False):
             types = {}
             psis = rng.dirichlet(np.ones(2))
             for kind, psi in zip((VA, SP), psis):
-                dx = model.mats[kind][1].shape[1]
                 cov = rng.normal(size=(dx, dx))
                 types[kind] = TypeComponent(psi, rng.normal(size=dx),
                                             cov @ cov.T + dx * np.eye(dx))
             berns.append(Bernoulli(rng.uniform(0.3, 1.0), LandmarkBelief(types)))
         else:
             kind = (BS, VA, SP)[i % 3]
-            dx = model.mats[kind][1].shape[1]
             cov = rng.normal(size=(dx, dx))
             berns.append(single_type_bernoulli(
                 rng.uniform(0.3, 1.0), kind, rng.normal(size=dx),
@@ -775,9 +771,8 @@ def reference_toy(rng, n_landmarks, multi_type, pd_zero, degenerate,
     prediction of one of their types; a clutter measurement may follow.
     With ``zero_variance`` one sensor component has variance 0, as the
     filter's sensor height has."""
-    ds, dz = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-    mats = {kind: (rng.normal(size=(dz, ds)),
-                   rng.normal(size=(dz, int(rng.integers(1, 4)))),
+    ds, dz, dx = (int(rng.integers(1, 4)) for _ in range(3))
+    mats = {kind: (rng.normal(size=(dz, ds)), rng.normal(size=(dz, dx)),
                    rng.normal(size=dz)) for kind in (BS, VA, SP)}
     model = DegenerateLinearModel(
         mats, dz, {kind: 0.0 if kind is pd_zero else 0.8
@@ -800,7 +795,6 @@ def reference_toy(rng, n_landmarks, multi_type, pd_zero, degenerate,
         psis = rng.dirichlet(np.ones(len(kinds)))
         types = {}
         for kind, psi in zip(kinds, psis):
-            dx = model.mats[kind][1].shape[1]
             types[kind] = TypeComponent(psi, rng.normal(size=dx), spd(dx))
         berns.append(Bernoulli(rng.uniform(0.3, 1.0), LandmarkBelief(types)))
     measurements = []
@@ -1739,13 +1733,11 @@ def empty_hypothesis_case(filter_kind):
 
 
 class TestGeometryCalls:
-    @pytest.mark.parametrize("case", [mixed_dimension_case,
-                                      empty_hypothesis_case])
+    @pytest.mark.parametrize("case", [empty_hypothesis_case])
     @pytest.mark.parametrize("filter_kind", [EK_PMB, EK_PMBM])
     def test_one_linearize_whatever_the_rows(self, monkeypatch, case,
                                              filter_kind):
-        # Rows of two landmark dimensions, or none at all: still exactly
-        # one linearize call per hypothesis.
+        # No row at all: still exactly one linearize call per hypothesis.
         density, sensor, meas, cfg = case(filter_kind)
         calls = []
         cost_matrix = update_module.build_cost_matrix
@@ -1836,19 +1828,18 @@ class TestStep:
         return model, cfg, density, sensor
 
     @pytest.mark.parametrize("filter_kind", [EK_PMB, EK_PMBM])
-    def test_types_of_different_dimension(self, filter_kind):
-        # A 1-D VA and a 2-D SP: the joint update stacks both, and the PMB
-        # reduction and the merge mix and bound each dimension by itself.
-        posterior, sensor_post = update_step(
-            *mixed_dimension_case(filter_kind))
-        check_density(posterior)
-        assert np.all(np.isfinite(sensor_post.covariance))
-        dims = {VA: 1, SP: 2}
-        for hyp in posterior.hypotheses:
-            for bern in hyp.bernoullis:
-                for kind, comp in bern.belief.types.items():
-                    assert comp.mean.shape == (dims[kind],)
-                    assert comp.covariance.shape == (dims[kind],) * 2
+    def test_types_of_different_dimension(self, monkeypatch, filter_kind):
+        # Every landmark type of a model shares one dimension: a hypothesis
+        # holding a 1-D VA and a 2-D SP is refused before the model is
+        # called.
+        density, sensor, meas, cfg = mixed_dimension_case(filter_kind)
+        calls = []
+        for name in ("linearize", "invert"):
+            monkeypatch.setattr(LinearModel, name,
+                                lambda *args, name=name: calls.append(name))
+        with pytest.raises(ValueError, match=r"dimensions \[1, 2\]"):
+            update_step(density, sensor, meas, cfg)
+        assert calls == []
 
     def test_unexplained_measurement_without_clutter_is_infeasible(self):
         # The TOA lies below the 300 m clock bias, so neither birth type
